@@ -42,8 +42,6 @@ __all__ = [
     "RuntimeState",
     "delta_view_tree",
     "optimize_factorized",
-    "propagate",
-    "apply_batch",
     "recompute_query",
 ]
 
@@ -180,18 +178,25 @@ class RuntimeState:
         """Fill the base relations and evaluate every view bottom-up.
 
         ``data`` maps relation names to (key, payload) pairs; a name used
-        by several occurrences loads each occurrence's copy.
+        by several occurrences loads each occurrence's copy. Data for an
+        unknown relation or a key of the wrong length is rejected before
+        any state changes.
         """
         unknown = set(data) - {d.name for d in self.query.relations}
         if unknown:
             raise ValueError(f"data for unknown relations: {sorted(unknown)}")
+        # Fill fresh copies and swap them in only once every key has been
+        # checked, so rejected data leaves the loaded state as it was.
+        fresh: dict[str, Relation] = {}
         for d in self.query.relations:
-            rel = self.leaves[d.leaf_id]
-            rel.entries.clear()
-            rel.indexes.clear()
-            rel._index_pos.clear()
+            rel = Relation(d.schema, self.ring, counters=self.counters, name=d.leaf_id)
+            arity = len(d.schema)
             for key, val in data.get(d.name, ()):
+                if len(key) != arity:
+                    raise ValueError(f"key {key!r} does not match {d.name}{d.schema}")
                 rel.accumulate(tuple(key), val)
+            fresh[d.leaf_id] = rel
+        self.leaves.update(fresh)
         self.initialize()
 
     def initialize(self) -> None:
@@ -357,19 +362,22 @@ class RuntimeState:
         """Apply a batch of updates, one relation at a time in arrival order.
 
         Plain deltas to the same relation are merged first; factorized
-        deltas keep their product form. Returns the number of key-level
-        changes processed.
+        deltas keep their product form. The whole batch is checked (known
+        targets, key lengths, factor coverage) before anything propagates,
+        so a rejected batch changes no state. Returns the number of
+        key-level changes processed.
         """
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
             by_name.setdefault(u.target, []).append(u)
         known = {d.name for d in self.query.relations}
-        touched = 0
+        batch: list[tuple[list[str], tuple[str, ...], list[list[Relation]]]] = []
         for name, items in by_name.items():
             if name not in known:
                 raise ValueError(f"update for unknown relation {name}")
             leaf_ids = self.tree.leaf_ids_of_name(name)
             schema = self.query.decl(leaf_ids[0]).schema
+            arity = len(schema)
             merged: Optional[Relation] = None
             units: list[list[Relation]] = []
             for u in items:
@@ -378,6 +386,8 @@ class RuntimeState:
                         merged = Relation(schema, self.ring, counters=self.counters)
                         units.append([merged])
                     for key, val in u.pairs:
+                        if len(key) != arity:
+                            raise ValueError(f"key {key!r} does not match {name}{schema}")
                         merged.accumulate(tuple(key), val)
                 else:
                     covered: set[str] = set()
@@ -388,6 +398,9 @@ class RuntimeState:
                             f"factors cover {sorted(covered)}, not schema {schema}"
                         )
                     units.append(list(u.factors))
+            batch.append((leaf_ids, schema, units))
+        touched = 0
+        for leaf_ids, schema, units in batch:
             for form in units:
                 if any(not f.entries for f in form):
                     continue
@@ -458,12 +471,3 @@ def recompute_query(
         return out
     return acc
 
-
-def propagate(state: RuntimeState, leaf_id: str, delta: Relation) -> None:
-    """Module-level convenience wrapper over :meth:`RuntimeState.propagate`."""
-    state.propagate(leaf_id, [delta])
-
-
-def apply_batch(state: RuntimeState, updates: Iterable[UpdateDelta | FactorizedDelta]) -> int:
-    """Module-level convenience wrapper over :meth:`RuntimeState.apply_batch`."""
-    return state.apply_batch(updates)

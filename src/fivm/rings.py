@@ -10,11 +10,14 @@ into a ring during marginalization.
 
 Payloads are plain values (ints, floats) or small immutable-by-convention
 objects; all operations are pure and never mutate their arguments.
+Covariance components (floats or relational payloads) are combined with
+``+``, ``*`` and unary ``-`` and tested for exact zero with ``not v``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Optional
 
 __all__ = [
@@ -114,7 +117,8 @@ class RelationalPayload:
     The schema is kept sorted by column name so that payloads built along
     different join orders compare equal. The additive zero is the empty map
     and is normalized to an empty schema; the multiplicative one maps the
-    empty tuple to scalar 1.
+    empty tuple to scalar 1. ``+``, ``*`` and unary ``-`` are the ring
+    operations, and a payload is falsy exactly when it is zero.
     """
 
     __slots__ = ("schema", "entries")
@@ -135,6 +139,18 @@ class RelationalPayload:
         cols = ",".join(self.schema)
         body = ", ".join(f"{k}->{v}" for k, v in self.entries.items())
         return f"RelationalPayload[{cols}]{{{body}}}"
+
+    def __bool__(self) -> bool:
+        return bool(self.entries)
+
+    def __add__(self, other: RelationalPayload) -> RelationalPayload:
+        return _rp_add(self, other)
+
+    def __mul__(self, other: RelationalPayload) -> RelationalPayload:
+        return _rp_mul(self, other)
+
+    def __neg__(self) -> RelationalPayload:
+        return _rp_neg(self)
 
     def total(self) -> Any:
         """Sum of all stored scalars (the payload marginalized to nothing)."""
@@ -220,36 +236,25 @@ def _rp_mul(a: RelationalPayload, b: RelationalPayload) -> RelationalPayload:
     a_pos = {c: i for i, c in enumerate(a.schema)}
     b_pos = {c: i for i, c in enumerate(b.schema)}
     out: dict[tuple, Any] = {}
-    if shared:
-        groups: dict[tuple, list[tuple[tuple, Any]]] = {}
-        b_shared = [b_pos[c] for c in shared]
-        for key, val in b.entries.items():
-            groups.setdefault(tuple(key[i] for i in b_shared), []).append((key, val))
-        a_shared = [a_pos[c] for c in shared]
-        for akey, aval in a.entries.items():
-            probe = tuple(akey[i] for i in a_shared)
-            for bkey, bval in groups.get(probe, ()):
-                prod = aval * bval
-                if prod == 0:
-                    continue
-                mk = tuple(
-                    akey[a_pos[c]] if c in a_pos else bkey[b_pos[c]] for c in merged_schema
-                )
-                acc = out.get(mk, 0) + prod
-                if acc == 0:
-                    out.pop(mk, None)
-                else:
-                    out[mk] = acc
-    else:
-        for akey, aval in a.entries.items():
-            for bkey, bval in b.entries.items():
-                prod = aval * bval
-                if prod == 0:
-                    continue
-                mk = tuple(
-                    akey[a_pos[c]] if c in a_pos else bkey[b_pos[c]] for c in merged_schema
-                )
-                out[mk] = out.get(mk, 0) + prod
+    # With no shared columns every entry of b lands in the one group (),
+    # which makes the product cartesian.
+    groups: dict[tuple, list[tuple[tuple, Any]]] = {}
+    b_shared = [b_pos[c] for c in shared]
+    for key, val in b.entries.items():
+        groups.setdefault(tuple(key[i] for i in b_shared), []).append((key, val))
+    a_shared = [a_pos[c] for c in shared]
+    for akey, aval in a.entries.items():
+        probe = tuple(akey[i] for i in a_shared)
+        for bkey, bval in groups.get(probe, ()):
+            prod = aval * bval
+            if prod == 0:
+                continue
+            mk = tuple(akey[a_pos[c]] if c in a_pos else bkey[b_pos[c]] for c in merged_schema)
+            acc = out.get(mk, 0) + prod
+            if acc == 0:
+                out.pop(mk, None)
+            else:
+                out[mk] = acc
     return RelationalPayload(merged_schema, out)
 
 
@@ -290,10 +295,10 @@ def covariance_dense(spec: RingSpec, t: CovarianceTriple):
     For a relational base the components stay relational payloads; missing
     blocks come back as the base zero.
     """
-    base = _base_ops(spec)
+    zero = ring_zero(spec).c
     m = spec.degree
-    s = [t.s.get(j, base.zero()) for j in range(1, m + 1)]
-    q = [[base.zero() for _ in range(m)] for _ in range(m)]
+    s = [t.s.get(j, zero) for j in range(1, m + 1)]
+    q = [[zero] * m for _ in range(m)]
     for (i, j), val in t.Q.items():
         q[i - 1][j - 1] = val
         q[j - 1][i - 1] = val
@@ -356,75 +361,50 @@ def lift_unit(var: str) -> LiftingFunction:
     return LiftingFunction(var, RELATIONAL_UNIT)
 
 
-class _BaseOps:
-    """Scalar operations of a covariance ring's base component."""
-
-    __slots__ = ("add", "mul", "neg", "zero", "one", "is_zero")
-
-    def __init__(self, add, mul, neg, zero, one, is_zero):
-        self.add = add
-        self.mul = mul
-        self.neg = neg
-        self.zero = zero
-        self.one = one
-        self.is_zero = is_zero
+@lru_cache(maxsize=None)
+def _degree_keys(degree: int) -> tuple[frozenset, frozenset]:
+    """The valid slots 1..m and the valid pairs (i, j), i <= j, of degree m."""
+    slots = frozenset(range(1, degree + 1))
+    return slots, frozenset((i, j) for i in slots for j in slots if i <= j)
 
 
-def _base_ops(spec: RingSpec) -> _BaseOps:
-    if spec.base == REAL:
-        tol = spec.zero_tolerance
-        return _BaseOps(
-            add=lambda a, b: a + b,
-            mul=lambda a, b: a * b,
-            neg=lambda a: -a,
-            zero=lambda: 0.0,
-            one=lambda: 1.0,
-            is_zero=lambda a: abs(a) <= tol,
-        )
-    return _BaseOps(
-        add=_rp_add,
-        mul=_rp_mul,
-        neg=_rp_neg,
-        zero=lambda: RelationalPayload((), {}),
-        one=lambda: RelationalPayload((), {(): 1}),
-        is_zero=lambda a: not a.entries,
-    )
-
-
-def _cov_check_degree(spec: RingSpec, t: CovarianceTriple) -> None:
-    for j in t.s:
-        if not 1 <= j <= spec.degree:
-            raise ValueError(f"slot {j} outside degree {spec.degree}")
-    for i, j in t.Q:
-        if not (1 <= i <= j <= spec.degree):
-            raise ValueError(f"pair ({i},{j}) outside degree {spec.degree}")
+def _cov_check_degree(spec: RingSpec, a: CovarianceTriple, b: CovarianceTriple) -> None:
+    slots, pairs = _degree_keys(spec.degree)
+    if a.s.keys() <= slots and a.Q.keys() <= pairs:
+        if b.s.keys() <= slots and b.Q.keys() <= pairs:
+            return
+    for t in (a, b):
+        for j in t.s:
+            if j not in slots:
+                raise ValueError(f"slot {j} outside degree {spec.degree}")
+        for i, j in t.Q:
+            if (i, j) not in pairs:
+                raise ValueError(f"pair ({i},{j}) outside degree {spec.degree}")
 
 
 def _cov_add(spec: RingSpec, a: CovarianceTriple, b: CovarianceTriple) -> CovarianceTriple:
-    base = _base_ops(spec)
-    _cov_check_degree(spec, a)
-    _cov_check_degree(spec, b)
+    _cov_check_degree(spec, a, b)
     s = dict(a.s)
     for j, val in b.s.items():
-        merged = base.add(s[j], val) if j in s else val
-        if j in s and _exact_zero(merged):
-            del s[j]
+        if j in s:
+            merged = s[j] + val
+            if merged:
+                s[j] = merged
+            else:
+                del s[j]
         else:
-            s[j] = merged
+            s[j] = val
     q = dict(a.Q)
     for ij, val in b.Q.items():
-        merged = base.add(q[ij], val) if ij in q else val
-        if ij in q and _exact_zero(merged):
-            del q[ij]
+        if ij in q:
+            merged = q[ij] + val
+            if merged:
+                q[ij] = merged
+            else:
+                del q[ij]
         else:
-            q[ij] = merged
-    return CovarianceTriple(base.add(a.c, b.c), s, q)
-
-
-def _exact_zero(v: Any) -> bool:
-    if isinstance(v, RelationalPayload):
-        return not v.entries
-    return v == 0
+            q[ij] = val
+    return CovarianceTriple(a.c + b.c, s, q)
 
 
 def _cov_mul(spec: RingSpec, a: CovarianceTriple, b: CovarianceTriple) -> CovarianceTriple:
@@ -433,50 +413,58 @@ def _cov_mul(spec: RingSpec, a: CovarianceTriple, b: CovarianceTriple) -> Covari
     Counts multiply; each sum slot is cross-scaled by the other side's count;
     each pairwise block combines both cross-scaled blocks with the symmetric
     outer product of the sum vectors, so that (i, j) picks up a_i*b_j plus
-    b_i*a_j (twice a_i*b_i on the diagonal).
+    b_i*a_j (twice a_i*b_i on the diagonal). Zero terms are never stored.
     """
-    base = _base_ops(spec)
-    _cov_check_degree(spec, a)
-    _cov_check_degree(spec, b)
-    c = base.mul(a.c, b.c)
+    _cov_check_degree(spec, a, b)
+    ac, bc = a.c, b.c
     s: dict[int, Any] = {}
     for j, val in a.s.items():
-        term = base.mul(b.c, val)
-        if not _exact_zero(term):
+        term = bc * val
+        if term:
             s[j] = term
     for j, val in b.s.items():
-        term = base.mul(a.c, val)
+        term = ac * val
         if j in s:
-            merged = base.add(s[j], term)
-            if _exact_zero(merged):
-                del s[j]
-            else:
+            merged = s[j] + term
+            if merged:
                 s[j] = merged
-        elif not _exact_zero(term):
-            s[j] = term
-    q: dict[tuple[int, int], Any] = {}
-
-    def q_acc(i: int, j: int, term: Any) -> None:
-        if _exact_zero(term):
-            return
-        ij = (i, j) if i <= j else (j, i)
-        if ij in q:
-            merged = base.add(q[ij], term)
-            if _exact_zero(merged):
-                del q[ij]
             else:
+                del s[j]
+        elif term:
+            s[j] = term
+    # a's pairs are distinct and normalized, so they cannot collide.
+    q: dict[tuple[int, int], Any] = {}
+    for ij, val in a.Q.items():
+        term = bc * val
+        if term:
+            q[ij] = term
+    for ij, val in b.Q.items():
+        term = ac * val
+        if not term:
+            continue
+        if ij in q:
+            merged = q[ij] + term
+            if merged:
                 q[ij] = merged
+            else:
+                del q[ij]
         else:
             q[ij] = term
-
-    for (i, j), val in a.Q.items():
-        q_acc(i, j, base.mul(b.c, val))
-    for (i, j), val in b.Q.items():
-        q_acc(i, j, base.mul(a.c, val))
     for i, av in a.s.items():
         for j, bv in b.s.items():
-            q_acc(i, j, base.mul(av, bv))
-    return CovarianceTriple(c, s, q)
+            term = av * bv
+            if not term:
+                continue
+            ij = (i, j) if i <= j else (j, i)
+            if ij in q:
+                merged = q[ij] + term
+                if merged:
+                    q[ij] = merged
+                else:
+                    del q[ij]
+            else:
+                q[ij] = term
+    return CovarianceTriple(ac * bc, s, q)
 
 
 def ring_zero(spec: RingSpec) -> Any:
@@ -485,7 +473,9 @@ def ring_zero(spec: RingSpec) -> Any:
     if spec.kind == REAL:
         return 0.0
     if spec.kind == COVARIANCE:
-        return CovarianceTriple(_base_ops(spec).zero(), {}, {})
+        return CovarianceTriple(
+            0.0 if spec.base == REAL else RelationalPayload((), {}), {}, {}
+        )
     return RelationalPayload((), {})
 
 
@@ -495,7 +485,9 @@ def ring_one(spec: RingSpec) -> Any:
     if spec.kind == REAL:
         return 1.0
     if spec.kind == COVARIANCE:
-        return CovarianceTriple(_base_ops(spec).one(), {}, {})
+        return CovarianceTriple(
+            1.0 if spec.base == REAL else RelationalPayload((), {(): 1}), {}, {}
+        )
     return RelationalPayload((), {(): 1})
 
 
@@ -519,13 +511,10 @@ def ring_negate(spec: RingSpec, a: Any) -> Any:
     if spec.kind in (INTEGER, REAL):
         return -a
     if spec.kind == COVARIANCE:
-        base = _base_ops(spec)
         return CovarianceTriple(
-            base.neg(a.c),
-            {j: base.neg(v) for j, v in a.s.items()},
-            {ij: base.neg(v) for ij, v in a.Q.items()},
+            -a.c, {j: -v for j, v in a.s.items()}, {ij: -v for ij, v in a.Q.items()}
         )
-    return _rp_neg(a)
+    return -a
 
 
 def is_zero(spec: RingSpec, a: Any) -> bool:
@@ -534,12 +523,12 @@ def is_zero(spec: RingSpec, a: Any) -> bool:
     if spec.kind == REAL:
         return abs(a) <= spec.zero_tolerance
     if spec.kind == COVARIANCE:
-        base = _base_ops(spec)
-        return (
-            base.is_zero(a.c)
-            and all(base.is_zero(v) for v in a.s.values())
-            and all(base.is_zero(v) for v in a.Q.values())
-        )
+        tol = spec.zero_tolerance if spec.base == REAL else 0
+        if tol:
+            return abs(a.c) <= tol and all(
+                abs(v) <= tol for part in (a.s, a.Q) for v in part.values()
+            )
+        return not (a.c or any(a.s.values()) or any(a.Q.values()))
     if spec.base == REAL and spec.zero_tolerance > 0:
         return all(abs(v) <= spec.zero_tolerance for v in a.entries.values())
     return not a.entries
@@ -568,16 +557,12 @@ def lift(spec: RingSpec, f: LiftingFunction, x: Any) -> Any:
             raise ValueError(f"slot {j} outside degree {spec.degree}")
         if spec.base == REAL:
             v = float(v)
-            s = {j: v} if v != 0 else {}
-            q = {(j, j): v * v} if v != 0 else {}
-            return CovarianceTriple(1.0, s, q)
-        sv = RelationalPayload((), {(): v}) if v != 0 else RelationalPayload((), {})
-        qv = RelationalPayload((), {(): v * v}) if v != 0 else RelationalPayload((), {})
-        return CovarianceTriple(
-            RelationalPayload((), {(): 1}),
-            {j: sv} if sv.entries else {},
-            {(j, j): qv} if qv.entries else {},
-        )
+            one, sv, qv = 1.0, v, v * v
+        else:
+            one, sv, qv = (RelationalPayload((), {(): n}) for n in (1, v, v * v))
+        if v == 0:
+            return CovarianceTriple(one, {}, {})
+        return CovarianceTriple(one, {j: sv}, {(j, j): qv})
     if mode == COVARIANCE_CATEGORICAL:
         if spec.kind != COVARIANCE or spec.base != RELATIONAL:
             raise ValueError("categorical lift needs a covariance ring over relational payloads")

@@ -149,6 +149,55 @@ def test_update_for_unknown_relation_rejected():
         state.apply_batch([UpdateDelta("X", ((("k",), 1),))])
 
 
+def snapshot(state):
+    """Entries of every leaf, stored view and indicator relation."""
+    return [
+        {name: dict(rel.entries) for name, rel in group.items()}
+        for group in (state.leaves, state.views, state.indicator_rels)
+    ]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        UpdateDelta("X", ((("k",), 1),)),
+        UpdateDelta("T", ((("c1", "d1", "x"), 1),)),
+        UpdateDelta("T", ((("c1",), 1),)),
+    ],
+    ids=["unknown-relation", "long-key", "short-key"],
+)
+def test_rejected_batch_changes_nothing(bad):
+    # The valid insert comes first, so a batch that validated lazily
+    # would already have pushed it into every view before failing.
+    state = chain_state()
+    before = snapshot(state)
+    with pytest.raises(ValueError):
+        state.apply_batch([UpdateDelta("R", ((("a1", "b9"), 1),)), bad])
+    assert snapshot(state) == before
+    assert dict(state.result().entries) == {(): 10}
+
+
+def test_batch_with_uncovering_factors_changes_nothing():
+    state = chain_state()
+    before = snapshot(state)
+    u = from_pairs(("C",), Z, [(("c1",), 1)])
+    with pytest.raises(ValueError):
+        state.apply_batch(
+            [UpdateDelta("R", ((("a1", "b9"), 1),)), FactorizedDelta("T", (u,))]
+        )
+    assert snapshot(state) == before
+
+
+def test_load_rejects_key_of_wrong_arity_and_keeps_old_state():
+    state = chain_state()
+    before = snapshot(state)
+    bad = dict(COUNT_DB, R=[(("a1", "b1", "x"), 1)])
+    with pytest.raises(ValueError):
+        state.load(bad)
+    assert snapshot(state) == before
+    assert dict(state.result().entries) == {(): 10}
+
+
 def test_recompute_oracle_agrees_with_nested_loop_reference():
     state = chain_state()
     recomputed = state.recompute_oracle()

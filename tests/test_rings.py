@@ -88,6 +88,31 @@ def triples(degree=2):
     )
 
 
+# Column sets of a degree-2 triple over relational payloads: slot 1 is
+# categorical (grouped by x), slot 2 continuous. Every component carries the
+# columns of its slots, as lifts and products produce them in the engine.
+REL_SLOT_COLUMNS = {1: ("x",), 2: ()}
+
+
+def relational_triples():
+    def part(keys, columns_of):
+        # Normalized like ring results: zero components are not stored.
+        optional = {k: payloads_over(columns_of(k)) for k in keys}
+        return st.fixed_dictionaries({}, optional=optional).map(
+            lambda d: {k: v for k, v in d.items() if v.entries}
+        )
+
+    def pair_columns(ij):
+        return tuple(sorted(set(REL_SLOT_COLUMNS[ij[0]] + REL_SLOT_COLUMNS[ij[1]])))
+
+    return st.builds(
+        CovarianceTriple,
+        payloads_over(()),
+        part(REL_SLOT_COLUMNS, REL_SLOT_COLUMNS.get),
+        part([(1, 1), (1, 2), (2, 2)], pair_columns),
+    )
+
+
 def triple_of(elems):
     return st.tuples(elems, elems, elems)
 
@@ -98,6 +123,12 @@ RING_CASES = [
     pytest.param(real_ring(), triple_of(int_floats), triple_of(int_floats), id="real"),
     pytest.param(relational_ring(), triple_of(payloads()), payload_triples(), id="relational"),
     pytest.param(covariance_ring(2), triple_of(triples()), triple_of(triples()), id="covariance"),
+    pytest.param(
+        covariance_ring(2, base=RELATIONAL),
+        triple_of(relational_triples()),
+        triple_of(relational_triples()),
+        id="covariance-relational",
+    ),
 ]
 
 
@@ -211,6 +242,18 @@ def test_payload_multiply_disjoint_schemas_is_cartesian():
 def test_payload_duplicate_columns_rejected():
     with pytest.raises(ValueError):
         relational_payload(("A", "A"), {(1, 1): 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=payload_triples(), other=payloads())
+def test_payload_operators_agree_with_ring_functions(pair, other):
+    spec = relational_ring()
+    a, b, _ = pair
+    assert a + b == ring_add(spec, a, b)
+    assert a * other == ring_mul(spec, a, other)
+    assert -a == ring_negate(spec, a)
+    assert (not a) == is_zero(spec, a)
+    assert not (a + -a)
 
 
 def test_relational_identity_elements():
@@ -336,6 +379,26 @@ def test_triple_degree_mismatch_rejected():
     bad = CovarianceTriple(1, {2: 1.0}, {})
     with pytest.raises(ValueError):
         ring_add(spec, bad, ring_zero(spec))
+
+
+@pytest.mark.parametrize("op", [ring_add, ring_mul])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        CovarianceTriple(1.0, {3: 1.0}, {}),
+        CovarianceTriple(1.0, {0: 1.0}, {}),
+        CovarianceTriple(1.0, {}, {(2, 3): 1.0}),
+        CovarianceTriple(1.0, {}, {(2, 1): 1.0}),
+    ],
+    ids=["slot-above", "slot-zero", "pair-above", "mirrored-pair"],
+)
+def test_out_of_degree_operand_rejected_on_either_side(op, bad):
+    spec = covariance_ring(2)
+    good = lifted_point(spec, (1.0, 2.0))
+    with pytest.raises(ValueError):
+        op(spec, bad, good)
+    with pytest.raises(ValueError):
+        op(spec, good, bad)
 
 
 def test_covariance_dense_layout():
