@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="race all engines and compare snapshots")
     add_scenario(p, multiple=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--metrics", metavar="CSV", default=None)
     return parser
 
@@ -177,15 +176,16 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     compiled = [compile_scenario(load_scenario(p)) for p in args.scenario]
-    ok, problems, rows = verify_scenarios(compiled, workers=args.workers)
+    verdicts = [verify_scenarios([c]) for c in compiled]
     if args.metrics:
-        emit_metrics(rows, args.metrics)
-    for c in compiled:
-        status = "ok" if not any(c.scenario.name in m for m in problems) else "FAIL"
-        print(f"{c.scenario.name}: {status}")
-    for msg in problems:
-        print(f"  {msg}", file=sys.stderr)
-    return 0 if ok else 1
+        rows = [row for _, _, scn_rows in verdicts for row in scn_rows]
+        emit_metrics(sorted(rows, key=lambda r: r[:3]), args.metrics)
+    for c, (ok, _, _) in zip(compiled, verdicts):
+        print(f"{c.scenario.name}: {'ok' if ok else 'FAIL'}")
+    for _, problems, _ in verdicts:
+        for msg in problems:
+            print(f"  {msg}", file=sys.stderr)
+    return 0 if all(ok for ok, _, _ in verdicts) else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -9,7 +9,10 @@ so a verification run is nothing but dictionary comparisons at agreed
 checkpoints.
 
 Every engine owns its counter block; the per-batch metric rows therefore
-show what each strategy actually paid, in the same units.
+show what each strategy actually paid, in the same units. Runs and
+verifications drive every engine through one batch step, which applies
+the batch, lists the result at the enumeration cadence and builds the
+metric row; verification compares the listings those steps took.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
@@ -91,7 +93,46 @@ class FivmEngine:
         return dict(enumerate_result(self.state))
 
 
-class FirstOrderEngine:
+class _InputsEngine:
+    """The baselines' shared scaffolding: one relation per occurrence plus
+    the result, both loaded and listed by recomputing over the inputs."""
+
+    def __init__(self, compiled: CompiledScenario, indicators: bool = True):
+        self.compiled = compiled
+        self.counters = OpCounters()
+        self.query = compiled.query
+        self.leaves: dict[str, Relation] = {
+            d.leaf_id: Relation(
+                d.schema, self.query.ring, counters=self.counters, name=d.leaf_id
+            )
+            for d in self.query.relations
+        }
+        self.root = Relation(
+            compiled.result_schema, self.query.ring, counters=self.counters
+        )
+
+    def _recompute(
+        self, schema: tuple[str, ...], leaves: Optional[dict[str, Relation]] = None
+    ) -> Relation:
+        if leaves is None:
+            leaves = self.leaves
+        return recompute_query(self.query, leaves, schema, counters=self.counters)
+
+    def setup(self) -> None:
+        for d in self.query.relations:
+            rel = self.leaves[d.leaf_id]
+            for e in self.compiled.static_events.get(d.name, ()):
+                rel.accumulate(e.key, e.payload)
+        self.root = self._recompute(self.compiled.result_schema)
+
+    def root_snapshot(self) -> dict[tuple, Any]:
+        return dict(self.root.entries)
+
+    def listing_snapshot(self) -> dict[tuple, Any]:
+        return dict(self._recompute(self.query.free).entries)
+
+
+class FirstOrderEngine(_InputsEngine):
     """Inputs plus the result, with per-update delta joins over the inputs.
 
     Each update to one occurrence of a relation is turned into a join of
@@ -102,106 +143,40 @@ class FirstOrderEngine:
 
     name = "first_order"
 
-    def __init__(self, compiled: CompiledScenario, indicators: bool = True):
-        self.compiled = compiled
-        self.counters = OpCounters()
-        self.query = compiled.query
-        self.leaves: dict[str, Relation] = {
-            d.leaf_id: Relation(
-                d.schema, self.query.ring, counters=self.counters, name=d.leaf_id
-            )
-            for d in self.query.relations
-        }
-        self.root = Relation(
-            compiled.result_schema, self.query.ring, counters=self.counters
-        )
-
-    def setup(self) -> None:
-        _load_leaves(self.compiled, self.leaves)
-        self.root = recompute_query(
-            self.query, self.leaves, self.compiled.result_schema, counters=self.counters
-        )
-
     def apply(self, batch: Sequence[StreamEvent]) -> int:
         touched = 0
         for delta in _batch_deltas(self.compiled, batch):
-            rel_ids = [
-                d.leaf_id for d in self.query.relations if d.name == delta.target
-            ]
-            for leaf_id in rel_ids:
-                schema = self.query.decl(leaf_id).schema
-                drel = Relation(schema, self.query.ring, counters=self.counters)
+            for occ in self.query.occurrences[delta.target]:
+                drel = Relation(occ.schema, self.query.ring, counters=self.counters)
                 for key, val in delta.pairs:
                     drel.accumulate(tuple(key), val)
                 if drel.entries:
                     subst = dict(self.leaves)
-                    subst[leaf_id] = drel
-                    droot = recompute_query(
-                        self.query,
-                        subst,
-                        self.compiled.result_schema,
-                        counters=self.counters,
-                    )
+                    subst[occ.leaf_id] = drel
+                    droot = self._recompute(self.compiled.result_schema, subst)
                     for key, val in droot.items():
                         self.root.accumulate(key, val)
                 # Advance this occurrence before the next one sees it.
                 for key, val in delta.pairs:
-                    self.leaves[leaf_id].accumulate(tuple(key), val)
+                    self.leaves[occ.leaf_id].accumulate(tuple(key), val)
                     touched += 1
         return touched
 
-    def root_snapshot(self) -> dict[tuple, Any]:
-        return dict(self.root.entries)
 
-    def listing_snapshot(self) -> dict[tuple, Any]:
-        return _oracle_listing(self.query, self.leaves, self.counters)
-
-
-class ReevaluateEngine:
+class ReevaluateEngine(_InputsEngine):
     """Inputs only; the result is rebuilt from scratch on every batch."""
 
     name = "reevaluate"
 
-    def __init__(self, compiled: CompiledScenario, indicators: bool = True):
-        self.compiled = compiled
-        self.counters = OpCounters()
-        self.query = compiled.query
-        self.leaves: dict[str, Relation] = {
-            d.leaf_id: Relation(
-                d.schema, self.query.ring, counters=self.counters, name=d.leaf_id
-            )
-            for d in self.query.relations
-        }
-        self.root = Relation(
-            compiled.result_schema, self.query.ring, counters=self.counters
-        )
-
-    def setup(self) -> None:
-        _load_leaves(self.compiled, self.leaves)
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        self.root = recompute_query(
-            self.query, self.leaves, self.compiled.result_schema, counters=self.counters
-        )
-
     def apply(self, batch: Sequence[StreamEvent]) -> int:
         touched = 0
         for delta in _batch_deltas(self.compiled, batch):
-            for d in self.query.relations:
-                if d.name != delta.target:
-                    continue
+            for occ in self.query.occurrences[delta.target]:
                 for key, val in delta.pairs:
-                    self.leaves[d.leaf_id].accumulate(tuple(key), val)
+                    self.leaves[occ.leaf_id].accumulate(tuple(key), val)
                     touched += 1
-        self._rebuild()
+        self.root = self._recompute(self.compiled.result_schema)
         return touched
-
-    def root_snapshot(self) -> dict[tuple, Any]:
-        return dict(self.root.entries)
-
-    def listing_snapshot(self) -> dict[tuple, Any]:
-        return _oracle_listing(self.query, self.leaves, self.counters)
 
 
 _ENGINES = {
@@ -228,22 +203,6 @@ def _batch_deltas(
         val = e.payload if e.sign > 0 else ring_negate(ring, e.payload)
         grouped.setdefault(e.relation, []).append((e.key, val))
     return [UpdateDelta(name, tuple(pairs)) for name, pairs in grouped.items()]
-
-
-def _load_leaves(compiled: CompiledScenario, leaves: dict[str, Relation]) -> None:
-    for d in compiled.query.relations:
-        events = compiled.static_events.get(d.name, ())
-        rel = leaves[d.leaf_id]
-        for e in events:
-            rel.accumulate(e.key, e.payload)
-
-
-def _oracle_listing(query, leaves, counters) -> dict[tuple, Any]:
-    if not query.free:
-        rel = recompute_query(query, leaves, (), counters=counters)
-        return dict(rel.entries)
-    rel = recompute_query(query, leaves, query.free, counters=counters)
-    return dict(rel.entries)
 
 
 @dataclass
@@ -295,6 +254,43 @@ def _run_app(
     return prior
 
 
+def _stream(
+    compiled: CompiledScenario,
+    batch_size: Optional[int] = None,
+    seed: Optional[int] = None,
+) -> list[list[StreamEvent]]:
+    scn = compiled.scenario
+    return synthesize_stream(
+        compiled.stream_events,
+        scn.batch_size if batch_size is None else batch_size,
+        seed=scn.seed if seed is None else seed,
+        shuffle=scn.shuffle,
+        sorted_updates=scn.sorted_updates,
+    )
+
+
+def _step(
+    engine, bi: int, batch: Sequence[StreamEvent], intvl: int
+) -> tuple[tuple, Optional[dict[tuple, Any]]]:
+    """Apply one batch, listing the result every ``intvl`` batches.
+
+    Returns the batch's metric row (counters and time cover both the
+    apply and the listing) and the listing, or None off the cadence.
+    """
+    before = engine.counters.snapshot()
+    t0 = time.perf_counter_ns()
+    touched = engine.apply(batch)
+    listing = engine.listing_snapshot() if intvl and bi % intvl == 0 else None
+    elapsed = time.perf_counter_ns() - t0
+    reads, writes, probes = (a - b for a, b in zip(engine.counters.snapshot(), before))
+    enumerated = 0 if listing is None else len(listing)
+    row = (
+        engine.compiled.scenario.name, engine.name, bi, touched,
+        reads, writes, probes, elapsed, enumerated,
+    )
+    return row, listing
+
+
 def run_scenario(
     compiled: CompiledScenario | Scenario,
     engine_name: str = "fivm",
@@ -315,113 +311,84 @@ def run_scenario(
     if isinstance(compiled, Scenario):
         compiled = compile_scenario(compiled)
     scn = compiled.scenario
-    bs = batch_size if batch_size is not None else scn.batch_size
-    sd = seed if seed is not None else scn.seed
     iv = intvl if intvl is not None else scn.intvl
 
     engine = make_engine(engine_name, compiled, indicators=indicators)
     engine.setup()
-    batches = synthesize_stream(
-        compiled.stream_events, bs, seed=sd,
-        shuffle=scn.shuffle, sorted_updates=scn.sorted_updates,
-    )
+    batches = _stream(compiled, batch_size, seed)
     report = RunReport(scn.name, engine_name, [], engine)
     deadline = None
     if scn.timeout_s is not None:
         deadline = time.monotonic() + float(scn.timeout_s)
     prior: Optional[dict] = None
     for bi, batch in enumerate(batches, start=1):
-        before = engine.counters.snapshot()
-        t0 = time.perf_counter_ns()
-        touched = engine.apply(batch)
-        enumerated = 0
-        if iv and bi % iv == 0:
-            enumerated = len(engine.listing_snapshot())
-        elapsed = time.perf_counter_ns() - t0
-        reads, writes, probes = (
-            a - b for a, b in zip(engine.counters.snapshot(), before)
-        )
-        report.rows.append(
-            (scn.name, engine_name, bi, touched, reads, writes, probes, elapsed, enumerated)
-        )
+        row, _ = _step(engine, bi, batch, iv)
+        report.rows.append(row)
         prior = _run_app(compiled, engine, report, prior)
         if deadline is not None and time.monotonic() > deadline:
             raise ScenarioError(
                 f"{scn.name}: timed out after batch {bi} of {len(batches)}"
             )
-        log.debug("%s/%s batch %d: %d tuples", scn.name, engine_name, bi, touched)
+        log.debug("%s/%s batch %d: %d tuples", scn.name, engine_name, bi, row[3])
     return report
 
 
-def _verify_one(compiled: CompiledScenario) -> tuple[bool, list[str], list[tuple]]:
+def _divergence(label: str, name: str, base: dict, other: dict) -> Optional[str]:
+    """Name the first key, in fivm's order, where engine ``name``'s
+    snapshot differs from fivm's ``base``; None when they agree."""
+    if other == base:
+        return None
+    for key in {**base, **other}:
+        if key not in base or key not in other or base[key] != other[key]:
+            ours = repr(base[key]) if key in base else "absent"
+            theirs = repr(other[key]) if key in other else "absent"
+            return f"{label} diverges from fivm at key {key!r}: fivm {ours}, {name} {theirs}"
+    return None
+
+
+def _verify_one(compiled: CompiledScenario) -> tuple[list[str], list[tuple]]:
     scn = compiled.scenario
     engines = [make_engine(n, compiled) for n in ENGINE_NAMES]
     for e in engines:
         e.setup()
-    batches = synthesize_stream(
-        compiled.stream_events, scn.batch_size, seed=scn.seed,
-        shuffle=scn.shuffle, sorted_updates=scn.sorted_updates,
-    )
-    problems: list[str] = []
+    found: list[Optional[str]] = []
     rows: list[tuple] = []
-    iv = scn.intvl
-    for bi, batch in enumerate(batches, start=1):
-        per_engine: dict[str, dict] = {}
-        for e in engines:
-            before = e.counters.snapshot()
-            t0 = time.perf_counter_ns()
-            touched = e.apply(batch)
-            enumerated = 0
-            if iv and bi % iv == 0:
-                enumerated = len(e.listing_snapshot())
-            elapsed = time.perf_counter_ns() - t0
-            reads, writes, probes = (
-                a - b for a, b in zip(e.counters.snapshot(), before)
+    for bi, batch in enumerate(_stream(compiled), start=1):
+        steps = [_step(e, bi, batch, scn.intvl) for e in engines]
+        rows.extend(row for row, _ in steps)
+        where = f"{scn.name} batch {bi}"
+        root, listing = engines[0].root_snapshot(), steps[0][1]
+        for e in engines[1:]:
+            found.append(
+                _divergence(f"{where}: {e.name} root", e.name, root, e.root_snapshot())
             )
-            rows.append(
-                (scn.name, e.name, bi, touched, reads, writes, probes, elapsed, enumerated)
-            )
-            per_engine[e.name] = e.root_snapshot()
-        base = per_engine["fivm"]
-        for other in ENGINE_NAMES[1:]:
-            if per_engine[other] != base:
-                problems.append(
-                    f"{scn.name} batch {bi}: {other} root diverges from fivm"
+        if listing is not None:
+            for e, (_, other) in zip(engines[1:], steps[1:]):
+                found.append(
+                    _divergence(f"{where}: {e.name} listing", e.name, listing, other)
                 )
-        if iv and bi % iv == 0:
-            listings = {e.name: e.listing_snapshot() for e in engines}
-            for other in ENGINE_NAMES[1:]:
-                if listings[other] != listings["fivm"]:
-                    problems.append(
-                        f"{scn.name} batch {bi}: {other} listing diverges from fivm"
-                    )
-    return (not problems, problems, rows)
+    return [msg for msg in found if msg], rows
 
 
 def verify_scenarios(
     compiled: Iterable[CompiledScenario | Scenario],
-    workers: int = 1,
 ) -> tuple[bool, list[str], list[tuple]]:
     """Race all three engines over each scenario and compare snapshots.
 
     Roots are compared after every batch and listings at the scenario's
-    enumeration cadence. Scenarios run in worker threads, each engine
-    owning its state and counters; the merged metric rows come back in
-    (scenario, engine, batch) order regardless of scheduling.
+    enumeration cadence, using the listings the batch steps took. The
+    metric rows come back in (scenario, engine, batch) order.
     """
-    todo = [
-        c if isinstance(c, CompiledScenario) else compile_scenario(c) for c in compiled
-    ]
-    if workers > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_one, todo))
-    else:
-        results = [_verify_one(c) for c in todo]
-    ok = all(r[0] for r in results)
-    problems = [msg for r in results for msg in r[1]]
-    rows = [row for r in results for row in r[2]]
+    problems: list[str] = []
+    rows: list[tuple] = []
+    for c in compiled:
+        found, scn_rows = _verify_one(
+            c if isinstance(c, CompiledScenario) else compile_scenario(c)
+        )
+        problems.extend(found)
+        rows.extend(scn_rows)
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return ok, problems, rows
+    return not problems, problems, rows
 
 
 def emit_metrics(rows: Iterable[tuple], path: str | Path) -> None:

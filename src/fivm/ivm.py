@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from fivm.queries import GROUP_BY, RELATIONAL_PAYLOAD, Query
+from fivm.queries import GROUP_BY, RELATIONAL_PAYLOAD, Occurrence, Query
 from fivm.relations import (
     IndicatorState,
     OpCounters,
@@ -182,7 +182,7 @@ class RuntimeState:
         unknown relation or a key of the wrong length is rejected before
         any state changes.
         """
-        unknown = set(data) - {d.name for d in self.query.relations}
+        unknown = set(data) - self.query.occurrences.keys()
         if unknown:
             raise ValueError(f"data for unknown relations: {sorted(unknown)}")
         # Fill fresh copies and swap them in only once every key has been
@@ -370,13 +370,12 @@ class RuntimeState:
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
             by_name.setdefault(u.target, []).append(u)
-        known = {d.name for d in self.query.relations}
-        batch: list[tuple[list[str], tuple[str, ...], list[list[Relation]]]] = []
+        batch: list[tuple[tuple[Occurrence, ...], list[list[Relation]]]] = []
         for name, items in by_name.items():
-            if name not in known:
+            occurrences = self.query.occurrences.get(name)
+            if occurrences is None:
                 raise ValueError(f"update for unknown relation {name}")
-            leaf_ids = self.tree.leaf_ids_of_name(name)
-            schema = self.query.decl(leaf_ids[0]).schema
+            schema = occurrences[0].schema
             arity = len(schema)
             merged: Optional[Relation] = None
             units: list[list[Relation]] = []
@@ -398,19 +397,18 @@ class RuntimeState:
                             f"factors cover {sorted(covered)}, not schema {schema}"
                         )
                     units.append(list(u.factors))
-            batch.append((leaf_ids, schema, units))
+            batch.append((occurrences, units))
         touched = 0
-        for leaf_ids, schema, units in batch:
+        for occurrences, units in batch:
             for form in units:
                 if any(not f.entries for f in form):
                     continue
                 touched += sum(len(f.entries) for f in form)
-                for leaf_id in leaf_ids:
+                for occ in occurrences:
                     # Each occurrence binds the relation's columns to its
                     # own variables, so the delta's schema is renamed
                     # positionally before it enters that occurrence's path.
-                    mapping = dict(zip(schema, self.query.decl(leaf_id).schema))
-                    self.propagate(leaf_id, [self._rebound(f, mapping) for f in form])
+                    self.propagate(occ.leaf_id, [self._rebound(f, occ.renaming) for f in form])
         return touched
 
     def _rebound(self, rel: Relation, mapping: dict[str, str]) -> Relation:

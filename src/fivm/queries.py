@@ -18,6 +18,7 @@ from fivm.rings import LiftingFunction, RingSpec
 
 __all__ = [
     "RelationDecl",
+    "Occurrence",
     "Query",
     "VariableOrder",
     "OrderBinding",
@@ -45,6 +46,17 @@ class RelationDecl:
     schema: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class Occurrence:
+    """Where an update to a relation name lands: one leaf, that leaf's
+    schema, and the positional renaming from the name's update schema (its
+    first occurrence's) to this leaf's variables."""
+
+    leaf_id: str
+    schema: tuple[str, ...]
+    renaming: dict[str, str]
+
+
 class Query:
     """A join-aggregate query over ring-annotated relations.
 
@@ -55,6 +67,8 @@ class Query:
     special output modes, where the tree builder injects it itself.
     ``free_lift_mode`` picks how free variables present results: plain keys
     ("group_by") or nested relational payloads ("relational_payload").
+    ``occurrences`` routes an update keyed by relation name to every leaf
+    that name occurs as.
     """
 
     def __init__(
@@ -82,6 +96,16 @@ class Query:
                 leaf_id = name
             decls.append(RelationDecl(leaf_id, name, schema))
         self.relations: tuple[RelationDecl, ...] = tuple(decls)
+        routes: dict[str, list[Occurrence]] = {}
+        for d in decls:
+            occs = routes.setdefault(d.name, [])
+            update_schema = occs[0].schema if occs else d.schema
+            if len(d.schema) != len(update_schema):
+                raise ValueError(f"occurrences of {d.name} differ in arity")
+            occs.append(Occurrence(d.leaf_id, d.schema, dict(zip(update_schema, d.schema))))
+        self.occurrences: dict[str, tuple[Occurrence, ...]] = {
+            name: tuple(occs) for name, occs in routes.items()
+        }
         self.free: tuple[str, ...] = tuple(free)
         if len(set(self.free)) != len(self.free):
             raise ValueError(f"duplicate free variables: {self.free}")

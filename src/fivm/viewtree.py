@@ -176,9 +176,6 @@ class ViewTree:
         for r in self.roots:
             visit(r, None)
 
-    def leaf_ids_of_name(self, name: str) -> list[str]:
-        return [d.leaf_id for d in self.query.relations if d.name == name]
-
     def dump(self) -> str:
         """One line per node, definition last, bottom-up."""
         lines: list[str] = []
@@ -478,8 +475,7 @@ def choose_materialization(
     payload lookups touch are kept as well.
     """
     names = set(updatable)
-    known = {d.name for d in tree.query.relations}
-    unknown = names - known
+    unknown = names - tree.query.occurrences.keys()
     if unknown:
         raise ValueError(f"updatable relations {sorted(unknown)} are not in the query")
     ids = frozenset(d.leaf_id for d in tree.query.relations if d.name in names)

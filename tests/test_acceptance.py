@@ -866,7 +866,7 @@ def test_criterion_7_engine_cross_validation(capsys, tmp_path):
     with verdict(capsys, 7, "engine cross-validation") as info:
         paths = bundled_scenarios()
         compiled = [compile_scenario(load_scenario(p)) for p in paths.values()]
-        ok, problems, _ = verify_scenarios(compiled, workers=2)
+        ok, problems, _ = verify_scenarios(compiled)
         assert ok, problems
         assert problems == []
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+from collections import Counter
 
 import pytest
 
@@ -11,6 +13,9 @@ from fivm.harness.cli import main
 from fivm.harness.engines import (
     ENGINE_NAMES,
     METRIC_COLUMNS,
+    FirstOrderEngine,
+    FivmEngine,
+    ReevaluateEngine,
     emit_metrics,
     make_engine,
     run_scenario,
@@ -435,11 +440,73 @@ def test_every_bundled_scenario_verifies():
     paths = bundled_scenarios()
     assert len(paths) >= 7
     compiled = [compile_scenario(load_scenario(p)) for p in paths.values()]
-    ok, problems, rows = verify_scenarios(compiled, workers=2)
+    ok, problems, rows = verify_scenarios(compiled)
     assert ok, problems
     assert problems == []
     seen = {(r[0], r[1]) for r in rows}
     assert len(seen) == len(paths) * len(ENGINE_NAMES)
+
+
+def bundled_compiled():
+    return [compile_scenario(load_scenario(p)) for p in bundled_scenarios().values()]
+
+
+def test_verify_lists_each_engine_once_per_checkpoint(monkeypatch):
+    calls = Counter()
+    for cls in (FivmEngine, FirstOrderEngine, ReevaluateEngine):
+
+        def counted(self, real=cls.listing_snapshot):
+            calls[self.name] += 1
+            return real(self)
+
+        monkeypatch.setattr(cls, "listing_snapshot", counted)
+    compiled = bundled_compiled()
+    ok, _, rows = verify_scenarios(compiled)
+    assert ok
+    checkpoints = 0
+    for c in compiled:
+        batches = sum(1 for r in rows if r[0] == c.scenario.name and r[1] == "fivm")
+        if c.scenario.intvl:
+            checkpoints += batches // c.scenario.intvl
+    assert checkpoints > 0
+    assert calls == {name: checkpoints for name in ENGINE_NAMES}
+
+
+def test_verify_rows_match_run_rows():
+    elapsed = METRIC_COLUMNS.index("elapsed_ns")
+
+    def untimed(rows):
+        return [r[:elapsed] + r[elapsed + 1:] for r in rows]
+
+    for c in bundled_compiled():
+        _, _, rows = verify_scenarios([c])
+        for engine in ENGINE_NAMES:
+            run = run_scenario(c, engine_name=engine)
+            assert untimed(r for r in rows if r[1] == engine) == untimed(run.rows)
+
+
+@pytest.mark.parametrize(
+    "method, what", [("root_snapshot", "root"), ("listing_snapshot", "listing")]
+)
+def test_divergence_names_the_first_differing_key(monkeypatch, method, what):
+    real = getattr(ReevaluateEngine, method)
+
+    def skewed(self):
+        snap = real(self)
+        if (2,) in snap:
+            snap[(2,)] += 100
+        return snap
+
+    monkeypatch.setattr(ReevaluateEngine, method, skewed)
+    ok, problems, _ = verify_scenarios([scn(free=["B"], intvl=1)])
+    assert not ok
+    found = re.search(
+        rf"reevaluate {what} diverges from fivm at key \(2,\): "
+        r"fivm (\d+), reevaluate (\d+)",
+        problems[0],
+    )
+    assert found, problems[0]
+    assert int(found[2]) == int(found[1]) + 100
 
 
 def test_metric_rows_are_stable_across_reruns():
@@ -523,9 +590,26 @@ def test_cli_verify_reports_ok(tmp_path, capsys):
 def test_cli_verify_failure_exits_one(tmp_path, capsys, monkeypatch):
     import fivm.harness.cli as cli
 
-    monkeypatch.setattr(cli, "verify_scenarios", lambda c, workers: (False, ["boom"], []))
+    monkeypatch.setattr(cli, "verify_scenarios", lambda c: (False, ["boom"], []))
     rc = main(["verify", "-s", str(bundled_scenarios()["count_chain"])])
     assert rc == 1
+
+
+def test_cli_verify_status_matches_scenario_names_exactly(tmp_path, capsys, monkeypatch):
+    real = FirstOrderEngine.root_snapshot
+
+    def skewed(self):
+        snap = real(self)
+        if self.compiled.scenario.name == "count_chain":
+            snap[(99,)] = 1
+        return snap
+
+    monkeypatch.setattr(FirstOrderEngine, "root_snapshot", skewed)
+    short = write_scenario(tmp_path, dict(COUNT_SCN, name="count"), name="a.json")
+    long = write_scenario(tmp_path, dict(COUNT_SCN, name="count_chain"), name="b.json")
+    rc = main(["verify", "-s", short, "-s", long])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == ["count: ok", "count_chain: FAIL"]
 
 
 def test_cli_errors_exit_two(tmp_path, capsys):

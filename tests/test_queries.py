@@ -45,6 +45,16 @@ def test_repeated_relation_names_become_numbered_occurrences():
     assert query.decl("R#2").schema == ("B", "C")
 
 
+def test_occurrences_route_a_name_to_each_leaf_with_its_renaming():
+    query = q([("R", ("A", "B")), ("S", ("B", "C")), ("R", ("B", "C"))], ())
+    first, second = query.occurrences["R"]
+    assert (first.leaf_id, first.schema) == ("R#1", ("A", "B"))
+    assert (second.leaf_id, second.schema) == ("R#2", ("B", "C"))
+    assert first.renaming == {"A": "A", "B": "B"}
+    assert second.renaming == {"A": "B", "B": "C"}
+    assert [o.leaf_id for o in query.occurrences["S"]] == ["S"]
+
+
 def test_variables_keep_first_appearance_order():
     query = q(CHAIN, ())
     assert query.variables == ("A", "B", "C", "E", "D")
@@ -68,6 +78,8 @@ def test_query_validation():
         Query([("R", ("A",))], ("A", "A"), Z)
     with pytest.raises(ValueError):
         Query([("R", ("A",))], (), Z, free_lift_mode="nested")
+    with pytest.raises(ValueError, match="arity"):
+        q([("R", ("A", "B")), ("R", ("B",))], ())
 
 
 # ---------------------------------------------------------------------------
