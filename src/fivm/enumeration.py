@@ -1,24 +1,26 @@
 """Result enumeration and per-tuple payload lookup.
 
-For output-oriented trees, results stream without being stored anywhere:
-free variables are walked top-down, each one iterating the distinct values
-a grouped index holds under the already-fixed ancestors, and the payload
-of a complete tuple multiplies together the stored payloads of the views
-that cover it. General trees keep the whole result keyed in their root, so
-enumeration there is a plain scan.
+Enumeration runs the listing plan the planner left on the view tree
+(``ViewTree.listing_steps`` and ``ViewTree.payload_plan``). A tree that
+keeps the whole result keyed in its roots is listed by scanning the root.
+Otherwise the result streams without being stored anywhere: free variables
+are walked in variable order, each one iterating the distinct values one
+grouped index holds under the values already fixed, and the payload of a
+complete row multiplies the stored payloads of the views that cover it.
+Views, indexes and key positions are resolved once when a listing starts,
+so the work per row is index iteration and payload lookups.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from itertools import islice
+from typing import Any, Iterator, Optional, Sequence
 
 from fivm.ivm import RuntimeState
-from fivm.queries import GROUP_BY
-from fivm.relations import Relation, prefix_enumerate
+from fivm.relations import Relation
 from fivm.rings import (
     COVARIANCE,
     REAL,
-    RELATIONAL,
     RelationalPayload,
     covariance_dense,
     is_zero,
@@ -26,7 +28,7 @@ from fivm.rings import (
     ring_mul,
     ring_zero,
 )
-from fivm.viewtree import LEAF, ViewNode
+from fivm.viewtree import ViewNode
 
 __all__ = [
     "listing_csv_rows",
@@ -43,120 +45,94 @@ def enumerate_result(
 
     Under an output-oriented tree the rows come out in the nested order of
     the variable order's walk; payloads whose contributions cancel to zero
-    are skipped. A general tree is read straight from its root view.
+    are skipped. Otherwise the rows are read straight from the root view.
+    ``limit``, when given, caps the number of rows.
     """
-    query = state.query
-    free = query.free
-    if not free:
+    steps = state.tree.listing_steps
+    if steps:
+        rows = _walk(state, steps)
+    else:
         root = state.result()
-        for key, val in root.items():
-            yield key, val
-            return
-        return
-    if state.tree.mode == "tau":
-        root = state.result()
-        pos = [root.schema.index(v) for v in free]
-        n = 0
-        for key, val in root.items():
-            yield tuple(key[i] for i in pos), val
-            n += 1
-            if limit is not None and n >= limit:
-                return
-        return
+        rows = root.items()
+        if root.schema != state.query.free:
+            pos = [root.schema.index(v) for v in state.query.free]
+            rows = ((tuple(k[i] for i in pos), v) for k, v in rows)
+    if limit is not None:
+        rows = islice(rows, max(limit, 0))
+    # A plain loop: on one-row listings ``yield from`` delays the row more.
+    for row in rows:
+        yield row
 
-    roots = state.tree.roots
-    if len(roots) == 1 and set(roots[0].keys) == set(free):
-        # The root keys every result tuple already; read it off directly.
-        root = state.result()
-        pos = [root.schema.index(v) for v in free]
-        n = 0
-        for key, val in root.items():
-            yield tuple(key[i] for i in pos), val
-            n += 1
-            if limit is not None and n >= limit:
-                return
-        return
 
-    order = state.tree.order
-    fvars = [v for v in order.variables if v in set(free)]
-    out_pos = [fvars.index(v) for v in free]
-    free_set = set(free)
-    assign: dict[str, Any] = {}
-    emitted = 0
+def _walk(state: RuntimeState, steps) -> Iterator[tuple[tuple, Any]]:
+    """Rows of an output-oriented tree, its listing steps resolved once."""
+    at = {var: i for i, (var, _, _) in enumerate(steps)}
+    levels = []
+    for var, view_id, probe in steps:
+        rel = state.stored(view_id)
+        levels.append((rel, rel.ensure_index(probe, var), tuple(at[v] for v in probe)))
+    covers = _bind(state, state.tree.payload_plan, at)
+    out_pos = [at[v] for v in state.query.free]
+    ring = state.ring
+    row: list[Any] = [None] * len(levels)
+    last = len(levels) - 1
 
     def walk(i: int) -> Iterator[tuple[tuple, Any]]:
-        nonlocal emitted
-        if limit is not None and emitted >= limit:
-            return
-        if i == len(fvars):
-            row = tuple(assign[v] for v in fvars)
-            val = _payload_for(state, dict(assign))
-            if not is_zero(state.ring, val):
-                emitted += 1
+        rel, spec, probe_pos = levels[i]
+        for value in rel.index_groups(spec, tuple(row[j] for j in probe_pos)):
+            row[i] = value
+            if i < last:
+                yield from walk(i + 1)
+                continue
+            val = _product(ring, covers, row, stop_at_zero=False)
+            if not is_zero(ring, val):
                 yield tuple(row[j] for j in out_pos), val
-            return
-        var = fvars[i]
-        node = state.tree.by_id[state.tree.enum_views[var]]
-        rel = state.stored(node.id)
-        fixed = set(order.ancestors(var)) & free_set
-        probe_vars = tuple(v for v in node.out_schema if v in fixed)
-        spec = rel.ensure_index(probe_vars, var)
-        probe = tuple(assign[v] for v in probe_vars)
-        for value, _keys in prefix_enumerate(rel, spec, probe):
-            assign[var] = value
-            yield from walk(i + 1)
-            if limit is not None and emitted >= limit:
-                break
-        assign.pop(var, None)
 
-    yield from walk(0)
+    return walk(0)
 
 
 def payload_of_tuple(state: RuntimeState, key: tuple) -> Any:
     """Payload of one would-be result row, given in the query's free order.
 
     Multiplies the stored payloads of the views that jointly cover the
-    row: descent stops at any view whose keys are exactly the free
-    variables of its subtree. Returns the ring zero when the row is not in
-    the result.
+    row, as the tree's payload plan lists them. Returns the ring zero when
+    the row is not in the result.
     """
     free = state.query.free
     if len(key) != len(free):
         raise ValueError(f"expected values for {free}, got {key}")
-    if state.tree.mode == "tau":
-        root = state.result()
-        pos = {v: i for i, v in enumerate(free)}
-        probe = tuple(key[pos[v]] for v in root.schema)
-        val = root.payload(probe)
-        return val if val is not None else ring_zero(state.ring)
-    return _payload_for(state, dict(zip(free, key)))
+    covers = _bind(state, state.tree.payload_plan, {v: i for i, v in enumerate(free)})
+    val = _product(state.ring, covers, key, stop_at_zero=False)
+    return ring_zero(state.ring) if is_zero(state.ring, val) else val
 
 
-def _payload_for(state: RuntimeState, assign: dict[str, Any]) -> Any:
-    free_set = set(state.query.free)
-    ring = state.ring
-    zero = ring_zero(ring)
+def _bind(state: RuntimeState, parts, at: dict[str, int]) -> list:
+    """Payload plan parts with each covering view replaced by its stored
+    relation and the row positions of its keys; products stay lists."""
+    return [
+        (state.stored(p.id), tuple(at[v] for v in p.keys))
+        if isinstance(p, ViewNode)
+        else _bind(state, p, at)
+        for p in parts
+    ]
 
-    def rec(node: ViewNode) -> Any:
-        if set(node.keys) == free_set & set(node.vars_under):
-            rel = state.stored(node.id)
-            val = rel.payload(tuple(assign[v] for v in node.keys))
-            return val if val is not None else zero
-        if not node.children:
-            raise RuntimeError(f"cannot resolve payload below {node.id}")
-        acc = None
-        for c in node.children:
-            v = rec(c)
-            acc = v if acc is None else ring_mul(ring, acc, v)
-            if is_zero(ring, acc):
-                return zero
-        return acc
 
+def _product(ring, parts: list, row: Sequence, stop_at_zero: bool = True) -> Any:
+    """Multiply the payloads of bound plan parts for one row of values.
+    Below the roots a product stops at its first zero; across them it does not."""
     acc = None
-    for r in state.tree.roots:
-        v = rec(r)
-        acc = v if acc is None else ring_mul(ring, acc, v)
-    return acc if acc is not None else zero
+    for part in parts:
+        if isinstance(part, list):
+            val = _product(ring, part, row)
+        else:
+            rel, pos = part
+            val = rel.payload(tuple(row[i] for i in pos))
+            if val is None:
+                val = ring_zero(ring)
+        acc = val if acc is None else ring_mul(ring, acc, val)
+        if stop_at_zero and is_zero(ring, acc):
+            return ring_zero(ring)
+    return acc
 
 
 def materialize_listing(state: RuntimeState, kind: str = "keys"):

@@ -32,7 +32,7 @@ from fivm.relations import (
     rel_marginalize,
 )
 from fivm.rings import lift_to_one, lift_unit, relational_total
-from fivm.viewtree import INDICATOR, LEAF, ViewNode, ViewTree, delta_join_order
+from fivm.viewtree import INDICATOR, LEAF, VIEW, ViewNode, ViewTree, delta_join_order
 
 __all__ = [
     "UpdateDelta",
@@ -71,12 +71,15 @@ class FactorizedDelta:
 @dataclass(frozen=True)
 class DeltaStep:
     """One level of a propagation path: join the delta coming through
-    ``via_id`` with the listed siblings, then sum out ``marg_vars``."""
+    ``via_id`` with the listed (sibling id, ``rel_join`` right_index) pairs,
+    then sum out ``marg_vars`` (``inner_first`` when factorized)."""
 
     parent_id: str
     via_id: str
-    joins: tuple[tuple[str, str, tuple[str, ...]], ...]
+    joins: tuple[tuple[str, Any], ...]
     marg_vars: tuple[str, ...]
+    inner_first: tuple[str, ...]
+    lifts: dict
     keys: tuple[str, ...]
 
 
@@ -94,12 +97,22 @@ def delta_view_tree(tree: ViewTree, entry_id: str) -> DeltaPlan:
     steps: list[DeltaStep] = []
     while node.parent is not None:
         parent = node.parent
+        # A sibling is probed through its entry store or a planned index,
+        # or scanned when it shares no variable with the delta.
+        joins = tuple(
+            (sib_id, {"primary": "primary", "index": (probe, None)}.get(mode))
+            for sib_id, mode, probe in delta_join_order(parent, node)
+        )
         steps.append(
             DeltaStep(
                 parent_id=parent.id,
                 via_id=node.id,
-                joins=tuple(delta_join_order(parent, node)),
+                joins=joins,
                 marg_vars=parent.marg_vars,
+                inner_first=tuple(
+                    sorted(parent.marg_vars, key=tree.order.index, reverse=True)
+                ),
+                lifts=parent.lifts,
                 keys=parent.keys,
             )
         )
@@ -157,7 +170,10 @@ class RuntimeState:
         self.views: dict[str, Relation] = {}
         self.indicator_rels: dict[str, Relation] = {}
         self.indicator_states: dict[str, IndicatorState] = {}
-        self._plans: dict[str, DeltaPlan] = {}
+        # Deltas enter at leaves and existence projections.
+        self._plans: dict[str, DeltaPlan] = {
+            n.id: delta_view_tree(tree, n.id) for n in tree.nodes if n.kind != VIEW
+        }
         if factorized_payloads is None:
             factorized_payloads = tree.query.free_lift_mode == RELATIONAL_PAYLOAD
         if factorized_payloads and tree.query.ring.kind != "relational":
@@ -274,13 +290,6 @@ class RuntimeState:
             out.extend(v for v in r.keys if v not in out)
         return tuple(out)
 
-    def _plan(self, entry_id: str) -> DeltaPlan:
-        plan = self._plans.get(entry_id)
-        if plan is None:
-            plan = delta_view_tree(self.tree, entry_id)
-            self._plans[entry_id] = plan
-        return plan
-
     def _expand(self, form: list[Relation]) -> Relation:
         acc = form[0]
         for f in form[1:]:
@@ -288,35 +297,26 @@ class RuntimeState:
         return acc
 
     def _delta_step(self, step: DeltaStep, form: list[Relation]) -> list[Relation]:
-        parent = self.tree.by_id[step.parent_id]
         if self.payload_xform:
             form = [self._xformed(self._expand(form))]
         if len(form) == 1:
             acc = form[0]
-            for sib_id, mode, probe in step.joins:
-                sib = self.stored(sib_id)
-                if mode == "primary":
-                    idx: Any = "primary"
-                elif mode == "index":
-                    idx = sib.ensure_index(probe)
-                else:
-                    idx = None
-                acc = rel_join(acc, sib, right_index=idx, right_map=self.payload_xform)
+            for sib_id, idx in step.joins:
+                acc = rel_join(
+                    acc, self.stored(sib_id), right_index=idx, right_map=self.payload_xform
+                )
             if step.marg_vars:
-                acc = rel_marginalize(acc, step.marg_vars, parent.lifts)
+                acc = rel_marginalize(acc, step.marg_vars, step.lifts)
             return [self._reorder(acc, step.keys)]
-        operands = form + [self.stored(sib_id) for sib_id, _, _ in step.joins]
-        inner_first = tuple(
-            sorted(step.marg_vars, key=self.tree.order.index, reverse=True)
-        )
-        return optimize_factorized(operands, inner_first, parent.lifts)
+        operands = form + [self.stored(sib_id) for sib_id, _ in step.joins]
+        return optimize_factorized(operands, step.inner_first, step.lifts)
 
     def _propagate_form(
         self, entry_id: str, form: list[Relation]
     ) -> list[tuple[str, list[Relation]]]:
         """Compute the delta at every level above the entry, pre-state."""
         path: list[tuple[str, list[Relation]]] = []
-        for step in self._plan(entry_id).steps:
+        for step in self._plans[entry_id].steps:
             if any(not f.entries for f in form):
                 break
             form = self._delta_step(step, form)
@@ -362,10 +362,10 @@ class RuntimeState:
         """Apply a batch of updates, one relation at a time in arrival order.
 
         Plain deltas to the same relation are merged first; factorized
-        deltas keep their product form. The whole batch is checked (known
-        targets, key lengths, factor coverage) before anything propagates,
-        so a rejected batch changes no state. Returns the number of
-        key-level changes processed.
+        deltas keep their product form. The whole batch is checked (known,
+        updatable targets, key lengths, factor coverage) before anything
+        propagates, so a rejected batch changes no state. Returns the
+        number of key-level changes processed.
         """
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
@@ -375,6 +375,8 @@ class RuntimeState:
             occurrences = self.query.occurrences.get(name)
             if occurrences is None:
                 raise ValueError(f"update for unknown relation {name}")
+            if occurrences[0].leaf_id not in self.tree.updatable:
+                raise ValueError(f"relation {name} is not updatable in this plan")
             schema = occurrences[0].schema
             arity = len(schema)
             merged: Optional[Relation] = None

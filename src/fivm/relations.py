@@ -38,7 +38,6 @@ __all__ = [
     "rel_apply_delta",
     "indicator_project",
     "indicator_delta",
-    "prefix_enumerate",
 ]
 
 Tuple = tuple
@@ -482,16 +481,3 @@ def indicator_delta(
             out.accumulate(pk, neg)
     return out
 
-
-def prefix_enumerate(
-    rel: Relation,
-    index_spec: tuple,
-    probe: tuple,
-) -> Iterator[tuple[Any, list[tuple]]]:
-    """Iterate distinct group values under one probe of a grouped index.
-
-    Yields (group_value, keys) pairs in first-insertion order. The caller
-    fetches payloads for the keys it actually uses.
-    """
-    for group, keys in rel.index_groups(index_spec, probe).items():
-        yield group, list(keys)

@@ -12,7 +12,8 @@ On top of the raw construction this module places existence projections of
 absent relations onto cyclic cores (so joins like the triangle stay
 bounded), decides which views are worth storing given the updatable
 relations, compacts marginalization chains and identity wrappers, and
-plans the secondary indexes that delta propagation and enumeration probe.
+plans the secondary indexes that delta propagation and enumeration probe,
+together with the listing plan that enumeration runs.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "add_indicator_projections",
     "choose_materialization",
     "compact_and_dedupe",
+    "payload_covers",
     "plan_indices",
     "plan_view_tree",
     "delta_join_order",
@@ -126,6 +128,11 @@ class ViewTree:
         self.leaf_nodes: dict[str, ViewNode] = {}
         self.indicator_nodes: list[ViewNode] = []
         self.enum_views: dict[str, str] = {}
+        # Set by plan_indices: a (variable, view id, probe vars) step per
+        # walked free variable (none when the root is scanned instead), and
+        # each root's payload_covers.
+        self.listing_steps: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
+        self.payload_plan: tuple = ()
         self.updatable: frozenset[str] = frozenset()
         self._ids: set[str] = set()
 
@@ -497,7 +504,7 @@ def choose_materialization(
                 c.materialized = True
 
     if ensure_enumeration and tree.query.free:
-        free = set(tree.query.free)
+        free = frozenset(tree.query.free)
         if len(tree.roots) == 1 and free <= set(tree.roots[0].keys):
             # The root already lists every result tuple by key; walking
             # per-variable listing views would only duplicate it (and force
@@ -505,15 +512,15 @@ def choose_materialization(
             tree.enum_views = {}
             return tree
 
-        def frontier(node: ViewNode) -> None:
-            if free & set(node.vars_under) <= set(node.keys):
-                node.materialized = True
-                return
-            for c in node.children:
-                frontier(c)
+        def store(part) -> None:
+            if isinstance(part, ViewNode):
+                part.materialized = True
+            else:
+                for p in part:
+                    store(p)
 
         for r in tree.roots:
-            frontier(r)
+            store(payload_covers(r, free))
         for node_id in tree.enum_views.values():
             tree.by_id[node_id].materialized = True
     return tree
@@ -595,13 +602,30 @@ def delta_join_order(
     return steps
 
 
+def payload_covers(node: ViewNode, free: frozenset[str]) -> ViewNode | tuple:
+    """Where the payload of a result row is read below ``node``.
+
+    A view covers its subtree when it is keyed by exactly the free variables
+    below it, so a row's values pick out one stored payload. Otherwise the
+    payload is the product of the children's: a tuple of their answers in
+    child order (a lone child's answer stands for itself).
+    """
+    if set(node.keys) == free & node.vars_under:
+        return node
+    if not node.children:
+        raise ValueError(f"no view at or below {node.id} is keyed by its free variables")
+    parts = tuple(payload_covers(c, free) for c in node.children)
+    return parts[0] if len(parts) == 1 else parts
+
+
 def plan_indices(tree: ViewTree) -> ViewTree:
     """Record the secondary indexes that updates and enumeration will probe.
 
     Walks the propagation path of every updatable relation occurrence (and
     of every indicator fed by one) and notes a plain index on each sibling
     probed on part of its schema. Enumeration hubs get an index grouping
-    by their own variable under the enumerable prefix.
+    by their own variable under the enumerable prefix; each such index is
+    also a step of the listing plan, next to the roots' payload covers.
     """
     for node in tree.nodes:
         node.required_indices = []
@@ -627,12 +651,16 @@ def plan_indices(tree: ViewTree) -> ViewTree:
         if ind.source in tree.updatable:
             walk_up(ind)
 
-    free = set(tree.query.free)
+    free = frozenset(tree.query.free)
+    steps = []
     for var in sorted(tree.enum_views, key=tree.order.index):
         node = tree.by_id[tree.enum_views[var]]
         fixed = set(tree.order.ancestors(var)) & free
         probe = tuple(v for v in node.out_schema if v in fixed)
         need(node, probe, var)
+        steps.append((var, node.id, probe))
+    tree.listing_steps = tuple(steps)
+    tree.payload_plan = tuple(payload_covers(r, free) for r in tree.roots)
     return tree
 
 

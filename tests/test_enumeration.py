@@ -21,6 +21,7 @@ from fivm.enumeration import (
 )
 from fivm.ivm import RuntimeState, UpdateDelta
 from fivm.queries import RELATIONAL_PAYLOAD, Query, VariableOrder
+from fivm.relations import Relation
 from fivm.rings import (
     RelationalPayload,
     covariance_ring,
@@ -32,6 +33,7 @@ from fivm.rings import (
     relational_payload,
     relational_ring,
     ring_one,
+    ring_zero,
 )
 from fivm.viewtree import plan_view_tree
 
@@ -240,6 +242,83 @@ def test_root_covering_free_variables_scans_the_root():
     got = dict(enumerate_result(state))
     assert got == {(1,): 2, (2,): 2}
     assert len(list(enumerate_result(state, limit=1))) == 1
+
+
+# ---------------------------------------------------------------------------
+# the listing plan on every kind of tree
+
+
+def integer_state(rels, free, order, mode=None, data=ROWS):
+    query = Query(
+        rels,
+        free,
+        integer_ring(),
+        lifts=tuple(lift_to_one(v) for _, schema in rels for v in schema if v not in free),
+    )
+    tree = plan_view_tree(query, VariableOrder(order), updatable=(rels[0][0],), mode=mode)
+    state = RuntimeState(tree)
+    state.load({name: [(k, 1) for k in data[name]] for name, _ in rels})
+    return state
+
+
+TWO_ROOTS = [("R", ("A", "B")), ("T", ("C", "D"))]
+TWO_ROOT_ORDER = [["A", ["B"]], ["C", ["D"]]]
+
+TREES = {
+    # free variables listed against the order, so root keys are re-tupled
+    "tau": lambda: integer_state(CHAIN_RELS, ("C", "A"), CHAIN_ORDER.to_nested(), mode="tau"),
+    "root-keyed-nu": lambda: integer_state(
+        [("R", ("A", "B")), ("S", ("A", "C", "E"))], ("A",), [["A", ["B"], ["C", ["E"]]]]
+    ),
+    "walked-nu-flat": lambda: listing_state(factorized=False),
+    "walked-nu-factorized": lambda: listing_state(factorized=True),
+    "two-root-nu": lambda: integer_state(TWO_ROOTS, ("A", "C"), TWO_ROOT_ORDER),
+    "two-root-tau": lambda: integer_state(TWO_ROOTS, ("A", "C"), TWO_ROOT_ORDER, mode="tau"),
+}
+
+
+def test_the_trees_cover_every_listing_path():
+    assert TREES["tau"]().tree.mode == "tau"
+    assert not TREES["root-keyed-nu"]().tree.listing_steps
+    for name in ("walked-nu-flat", "two-root-nu"):
+        state = TREES[name]()
+        assert state.tree.mode == "nu" and state.tree.listing_steps
+    assert len(TREES["two-root-nu"]().tree.roots) == 2
+
+
+@pytest.mark.parametrize("name", ["tau", "root-keyed-nu", "walked-nu-factorized"])
+def test_limit_zero_lists_nothing_and_reads_nothing(name):
+    state = TREES[name]()
+    first = next(iter(enumerate_result(state)))
+    before = state.counters.snapshot()
+    assert list(enumerate_result(state, limit=0)) == []
+    assert state.counters.snapshot() == before
+    assert list(enumerate_result(state, limit=1)) == [first]
+
+
+def test_walked_listing_ensures_each_index_once(monkeypatch):
+    state = listing_state(factorized=True)
+    calls = []
+    ensure = Relation.ensure_index
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return ensure(self, *args, **kwargs)
+
+    monkeypatch.setattr(Relation, "ensure_index", counted)
+    assert totals(state) == LISTING
+    assert len(calls) <= len(state.query.free)
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_payload_of_tuple_matches_every_listed_row(name):
+    state = TREES[name]()
+    rows = list(enumerate_result(state))
+    assert rows
+    for key, val in rows:
+        assert payload_of_tuple(state, key) == val
+    missing = tuple("zz" for _ in state.query.free)
+    assert payload_of_tuple(state, missing) == ring_zero(state.ring)
 
 
 # ---------------------------------------------------------------------------

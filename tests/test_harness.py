@@ -572,6 +572,10 @@ def test_cli_enumerate_dumps_rows(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert len(out.strip().splitlines()) == 4  # header plus the limit
+    # a root-scanned listing honours the limit the same way, even at zero
+    rc = main(["enumerate", "-s", str(paths["count_chain"]), "--limit", "0"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == ["payload"]
 
 
 def test_cli_verify_reports_ok(tmp_path, capsys):

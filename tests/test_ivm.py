@@ -12,6 +12,7 @@ from fivm.ivm import (
     FactorizedDelta,
     RuntimeState,
     UpdateDelta,
+    delta_view_tree,
     optimize_factorized,
     recompute_query,
 )
@@ -186,6 +187,42 @@ def test_batch_with_uncovering_factors_changes_nothing():
             [UpdateDelta("R", ((("a1", "b9"), 1),)), FactorizedDelta("T", (u,))]
         )
     assert snapshot(state) == before
+
+
+def test_update_to_relation_outside_the_plan_changes_nothing():
+    # Only R is maintained, so nothing is stored for a T delta to join
+    # against; the R delta ahead of it must not go in either.
+    state = chain_state(updatable=("R",))
+    before = snapshot(state)
+    with pytest.raises(ValueError, match="not updatable"):
+        state.apply_batch(
+            [UpdateDelta("R", ((("a1", "b9"), 1),)), UpdateDelta("T", ((("c1", "d9"), 1),))]
+        )
+    assert snapshot(state) == before
+    assert dict(state.result().entries) == {(): 10}
+
+
+def test_delta_steps_are_resolved_when_planned(monkeypatch):
+    state = chain_state()
+    for leaf_id in ("R", "S", "T"):
+        for step in delta_view_tree(state.tree, leaf_id).steps:
+            parent = state.tree.by_id[step.parent_id]
+            assert step.lifts == parent.lifts
+            assert list(step.inner_first) == sorted(
+                step.marg_vars, key=state.tree.order.index, reverse=True
+            )
+            for sib_id, idx in step.joins:
+                assert idx in ("primary", None) or idx in state.stored(sib_id).indexes
+    # T's delta probes the E view through its planned index on C; nothing
+    # is looked up or built per update
+    calls = []
+    monkeypatch.setattr(Relation, "ensure_index", lambda self, *a: calls.append(a))
+    for name, key in (("R", ("a1", "b9")), ("S", ("a1", "c9", "e9")), ("T", ("c1", "d9"))):
+        state.apply_batch([UpdateDelta(name, ((key, 1),))])
+    assert calls == []
+    monkeypatch.undo()
+    assert dict(state.result().entries) == {(): 20}
+    assert_views_match_fresh(state)
 
 
 def test_load_rejects_key_of_wrong_arity_and_keeps_old_state():

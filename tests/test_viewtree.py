@@ -25,6 +25,7 @@ from fivm.viewtree import (
     choose_materialization,
     compact_and_dedupe,
     delta_join_order,
+    payload_covers,
     plan_view_tree,
 )
 
@@ -358,6 +359,53 @@ def test_planned_indices_for_enumeration_group_by_variable():
     assert ((("A",), "C")) in hub.required_indices
     leaf_t = tree.by_id["T"]
     assert ((("C",), "D")) in leaf_t.required_indices
+
+
+def test_listing_plan_walks_the_grouped_indexes():
+    tree = plan_view_tree(listing_query(), VariableOrder(CHAIN_ORDER), updatable=("R", "S", "T"))
+    assert [var for var, _, _ in tree.listing_steps] == ["A", "B", "C", "D"]
+    for var, view_id, probe in tree.listing_steps:
+        assert tree.enum_views[var] == view_id
+        assert (probe, var) in tree.by_id[view_id].required_indices
+    # B's values come from R and D's from T; C's hub is summed into the A
+    # hub, so a row's payload is R's times the product under C
+    (plan,) = tree.payload_plan
+    assert [p.id if isinstance(p, ViewNode) else [q.id for q in p] for p in plan] == [
+        "R",
+        ["T", "V@E(S)"],
+    ]
+
+
+def test_payload_covers_are_keyed_by_their_free_variables_and_stored():
+    free = frozenset(listing_query().free)
+    tree = plan_view_tree(listing_query(), VariableOrder(CHAIN_ORDER), updatable=())
+
+    def nodes(part):
+        return [part] if isinstance(part, ViewNode) else [n for p in part for n in nodes(p)]
+
+    covers = nodes(tree.payload_plan)
+    assert covers
+    for node in covers:
+        assert set(node.keys) == free & node.vars_under
+        assert node.materialized
+    assert payload_covers(tree.roots[0], free) == tree.payload_plan[0]
+
+
+def test_root_scanned_trees_have_no_listing_steps():
+    general = plan_view_tree(
+        chain_query(free=("A", "C")), VariableOrder(CHAIN_ORDER), updatable=("R",), mode="tau"
+    )
+    assert general.listing_steps == ()
+    assert general.payload_plan == tuple(general.roots)
+    query = Query(
+        [("R", ("A", "B")), ("S", ("A", "C"))],
+        ("A",),
+        Z,
+        lifts=(lift_to_one("B"), lift_to_one("C")),
+    )
+    keyed = plan_view_tree(query, VariableOrder([["A", ["B"], ["C"]]]), updatable=("R", "S"))
+    assert keyed.listing_steps == ()
+    assert keyed.payload_plan == tuple(keyed.roots)
 
 
 # ---------------------------------------------------------------------------
