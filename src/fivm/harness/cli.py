@@ -105,6 +105,11 @@ def _cmd_compile(args) -> int:
 def _cmd_run(args) -> int:
     scn = load_scenario(args.scenario)
     compiled = compile_scenario(scn, indicators=not args.no_indicators)
+    if args.export and scn.app is None and args.engine != "fivm":
+        raise ScenarioError(
+            f"--export without an app writes the maintained listing, which only "
+            f"the fivm engine keeps (got --engine {args.engine})"
+        )
     report = run_scenario(
         compiled,
         engine_name=args.engine,

@@ -116,7 +116,7 @@ class _InputsEngine:
     ) -> Relation:
         if leaves is None:
             leaves = self.leaves
-        return recompute_query(self.query, leaves, schema, counters=self.counters)
+        return recompute_query(self.query, leaves, schema)
 
     def setup(self) -> None:
         for d in self.query.relations:

@@ -28,7 +28,6 @@ from fivm.relations import (
     indicator_delta,
     indicator_project,
     rel_apply_delta,
-    rel_join,
     rel_marginalize,
 )
 from fivm.rings import lift_to_one, lift_unit, relational_total
@@ -71,8 +70,8 @@ class FactorizedDelta:
 @dataclass(frozen=True)
 class DeltaStep:
     """One level of a propagation path: join the delta coming through
-    ``via_id`` with the listed (sibling id, ``rel_join`` right_index) pairs,
-    then sum out ``marg_vars`` (``inner_first`` when factorized)."""
+    ``via_id`` with the listed (sibling id, ``rel_marginalize`` route)
+    pairs, then sum out ``marg_vars`` (``inner_first`` when factorized)."""
 
     parent_id: str
     via_id: str
@@ -138,10 +137,7 @@ def optimize_factorized(
             raise ValueError(f"variable {var} appears in no factor")
         rest = [f for f in current if var not in f.schema]
         first_at = current.index(touching[0])
-        acc = touching[0]
-        for f in touching[1:]:
-            acc = rel_join(acc, f)
-        acc = rel_marginalize(acc, (var,), lifts)
+        acc = rel_marginalize(touching[0], (var,), lifts, [(f, None) for f in touching[1:]])
         rest.insert(min(first_at, len(rest)), acc)
         current = rest
     return current
@@ -241,31 +237,13 @@ class RuntimeState:
                     rel.ensure_index(probe, group)
 
     def _evaluate_view(self, node: ViewNode, values: dict[str, Relation]) -> Relation:
-        ops = [values[c.id] for c in node.children]
-        acc = self._xformed(ops[0]) if self.payload_xform else ops[0].clone(self.counters)
-        acc.name = node.id
-        for rel in ops[1:]:
-            acc = rel_join(acc, rel, right_map=self.payload_xform)
-        if node.marg_vars:
-            acc = rel_marginalize(acc, node.marg_vars, node.lifts)
-        return self._reorder(acc, node.keys, name=node.id)
-
-    def _xformed(self, rel: Relation) -> Relation:
-        out = Relation(rel.schema, rel.ring, counters=self.counters, name=rel.name)
-        for key, val in rel.items():
-            out.accumulate(key, self.payload_xform(val))
-        return out
-
-    def _reorder(self, rel: Relation, schema: tuple[str, ...], name: str = "") -> Relation:
-        if rel.schema == schema:
-            if name:
-                rel.name = name
-            return rel
-        pos = [rel.schema.index(v) for v in schema]
-        out = Relation(schema, rel.ring, counters=self.counters, name=name or rel.name)
-        for key, val in rel.items():
-            out.accumulate(tuple(key[i] for i in pos), val)
-        return out
+        first, *rest = [values[c.id] for c in node.children]
+        view = rel_marginalize(
+            first, node.marg_vars, node.lifts, [(r, None) for r in rest],
+            schema=node.keys, payload_map=self.payload_xform,
+        )
+        view.name = node.id
+        return view
 
     def stored(self, node_id: str) -> Relation:
         node = self.tree.by_id[node_id]
@@ -278,10 +256,9 @@ class RuntimeState:
     def result(self) -> Relation:
         """The maintained query result (joining roots if there are several)."""
         roots = self.tree.roots
-        acc = self.stored(roots[0].id)
-        for r in roots[1:]:
-            acc = rel_join(acc, self.stored(r.id))
-        return acc
+        if len(roots) == 1:
+            return self.stored(roots[0].id)
+        return self._expand([self.stored(r.id) for r in roots])
 
     @property
     def result_schema(self) -> tuple[str, ...]:
@@ -290,26 +267,27 @@ class RuntimeState:
             out.extend(v for v in r.keys if v not in out)
         return tuple(out)
 
-    def _expand(self, form: list[Relation]) -> Relation:
-        acc = form[0]
-        for f in form[1:]:
-            acc = rel_join(acc, f)
-        return acc
+    @staticmethod
+    def _expand(form: list[Relation], schema: Optional[tuple[str, ...]] = None) -> Relation:
+        """The relation a product of factors stands for, over ``schema``."""
+        if len(form) == 1 and schema in (None, form[0].schema):
+            return form[0]
+        return rel_marginalize(form[0], (), {}, [(f, None) for f in form[1:]], schema=schema)
 
     def _delta_step(self, step: DeltaStep, form: list[Relation]) -> list[Relation]:
         if self.payload_xform:
-            form = [self._xformed(self._expand(form))]
-        if len(form) == 1:
-            acc = form[0]
-            for sib_id, idx in step.joins:
-                acc = rel_join(
-                    acc, self.stored(sib_id), right_index=idx, right_map=self.payload_xform
-                )
-            if step.marg_vars:
-                acc = rel_marginalize(acc, step.marg_vars, step.lifts)
-            return [self._reorder(acc, step.keys)]
-        operands = form + [self.stored(sib_id) for sib_id, _ in step.joins]
-        return optimize_factorized(operands, step.inner_first, step.lifts)
+            # Payload totals do not distribute over a product's factors.
+            form = [self._expand(form)]
+        if len(form) > 1:
+            operands = form + [self.stored(sib_id) for sib_id, _ in step.joins]
+            return optimize_factorized(operands, step.inner_first, step.lifts)
+        joins = [(self.stored(sib_id), route) for sib_id, route in step.joins]
+        return [
+            rel_marginalize(
+                form[0], step.marg_vars, step.lifts, joins,
+                schema=step.keys, payload_map=self.payload_xform,
+            )
+        ]
 
     def _propagate_form(
         self, entry_id: str, form: list[Relation]
@@ -328,8 +306,7 @@ class RuntimeState:
             node = self.tree.by_id[node_id]
             if not node.materialized:
                 continue
-            delta = self._reorder(self._expand(form), node.keys)
-            rel_apply_delta(self.stored(node_id), delta)
+            rel_apply_delta(self.stored(node_id), self._expand(form, node.keys))
 
     def propagate(self, leaf_id: str, form: list[Relation]) -> None:
         """Push one relation occurrence's delta through the whole tree.
@@ -342,7 +319,7 @@ class RuntimeState:
         leaf_node = self.tree.leaf_nodes[leaf_id]
         path = self._propagate_form(leaf_node.id, form)
         self._apply_path(path)
-        delta_rel = self._reorder(self._expand(form), leaf_node.keys)
+        delta_rel = self._expand(form, leaf_node.keys)
         transitions = rel_apply_delta(self.leaves[leaf_id], delta_rel)
         for ind in self.tree.indicator_nodes:
             if ind.source != leaf_id:
@@ -352,7 +329,6 @@ class RuntimeState:
             )
             if not d_ind.entries:
                 continue
-            d_ind = self._reorder(d_ind, ind.keys)
             ind_path = self._propagate_form(ind.id, [d_ind])
             self._apply_path(ind_path)
             if ind.materialized:
@@ -425,16 +401,13 @@ class RuntimeState:
 
     def recompute_oracle(self) -> Relation:
         """Recompute the result from the current base relations only."""
-        return recompute_query(
-            self.query, self.leaves, self.result_schema, counters=self.counters
-        )
+        return recompute_query(self.query, self.leaves, self.result_schema)
 
 
 def recompute_query(
     query: Query,
     leaves: dict[str, Relation],
     result_schema: tuple[str, ...],
-    counters: Optional[OpCounters] = None,
 ) -> Relation:
     """Join every occurrence and sum out everything off the result schema.
 
@@ -443,31 +416,12 @@ def recompute_query(
     under relational output). Works from the base relations alone, so it
     checks a maintained result without trusting any stored view.
     """
-    decls = query.relations
-    acc: Optional[Relation] = None
-    for d in decls:
-        rel = leaves[d.leaf_id]
-        if acc is None:
-            acc = rel.clone(counters=counters)
-        else:
-            acc = rel_join(acc, rel)
-    assert acc is not None
-    drop = tuple(v for v in acc.schema if v not in set(result_schema))
-    if drop:
-        lifts = dict(query.lifts)
-        for v in drop:
-            if v in lifts:
-                continue
-            if query.free_lift_mode == GROUP_BY:
-                lifts[v] = lift_to_one(v)
-            else:
-                lifts[v] = lift_unit(v)
-        acc = rel_marginalize(acc, drop, lifts)
-    if acc.schema != result_schema:
-        pos = [acc.schema.index(v) for v in result_schema]
-        out = Relation(result_schema, acc.ring, counters=counters)
-        for key, val in acc.items():
-            out.accumulate(tuple(key[i] for i in pos), val)
-        return out
-    return acc
-
+    first, *rest = [leaves[d.leaf_id] for d in query.relations]
+    variables = dict.fromkeys(v for d in query.relations for v in d.schema)
+    drop = [v for v in variables if v not in result_schema]
+    lifts = dict(query.lifts)
+    fold = lift_to_one if query.free_lift_mode == GROUP_BY else lift_unit
+    for v in drop:
+        if v not in lifts:
+            lifts[v] = fold(v)
+    return rel_marginalize(first, drop, lifts, [(r, None) for r in rest], result_schema)

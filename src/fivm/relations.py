@@ -14,7 +14,8 @@ hashing cheap and makes streams reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional
+from functools import lru_cache
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from fivm.rings import (
     LiftingFunction,
@@ -32,7 +33,6 @@ __all__ = [
     "OpCounters",
     "Relation",
     "IndicatorState",
-    "rel_union",
     "rel_join",
     "rel_marginalize",
     "rel_apply_delta",
@@ -233,12 +233,6 @@ class Relation:
             acc = ring_add(self.ring, acc, val)
         return acc
 
-    def clone(self, counters: Optional[OpCounters] = None) -> "Relation":
-        """Entry-level copy without indexes; payloads are shared."""
-        out = Relation(self.schema, self.ring, counters=counters, name=self.name)
-        out.entries = dict(self.entries)
-        return out
-
 
 def from_pairs(
     schema: Iterable[str],
@@ -254,135 +248,170 @@ def from_pairs(
     return rel
 
 
-def _result(schema: Iterable[str], like: Relation, name: str = "") -> Relation:
-    return Relation(schema, like.ring, counters=like.counters, name=name)
+# A plan has a few shapes; the bound only keeps a long-lived process flat.
+@lru_cache(maxsize=1024)
+def _walk_plan(
+    left: tuple[str, ...],
+    rights: tuple[tuple[tuple[str, ...], Any], ...],
+    drop_vars: tuple[str, ...],
+    schema: Optional[tuple[str, ...]],
+) -> tuple:
+    """Row positions for one shape of :func:`rel_marginalize`.
 
-
-def rel_union(a: Relation, b: Relation) -> Relation:
-    """Key-wise ring sum of two relations over the same schema."""
-    if a.schema != b.schema:
-        raise ValueError(f"union schema mismatch: {a.schema} vs {b.schema}")
-    out = _result(a.schema, a)
-    for key, val in a.items():
-        out.accumulate(key, val)
-    for key, val in b.items():
-        out.accumulate(key, val)
-    return out
-
-
-def rel_join(
-    left: Relation,
-    right: Relation,
-    right_index=None,
-    right_map=None,
-) -> Relation:
-    """Natural join with ring-multiplied payloads.
-
-    The left relation is scanned; the right one is probed, through a
-    persistent index (its probe vars must be exactly the shared variables),
-    through its primary entry store when the shared variables cover its
-    whole schema (``right_index="primary"``), or through a transient
-    grouping built on the fly. ``right_map``, when given, rewrites each
-    right payload before multiplying. The result schema lists the left
-    variables first, then the right-only ones in the right relation's
-    order.
+    They depend only on the schemas, the probe routes, the summed-out
+    variables and the output schema, so each shape is planned once. Every
+    join level is (probe positions in the partial key, or None when the
+    probe is the whole key; route; the right relation's positions of the
+    probe variables; right positions appended). ``out_pos`` is None when
+    the joined key is already the output key.
     """
-    shared = tuple(v for v in right.schema if v in set(left.schema))
-    out_schema = left.schema + tuple(v for v in right.schema if v not in set(left.schema))
-    out = _result(out_schema, left)
-    if not left.entries or not right.entries:
-        return out
-    left_pos = {v: i for i, v in enumerate(left.schema)}
-    left_shared = tuple(left_pos[v] for v in shared)
-    right_pos = {v: i for i, v in enumerate(right.schema)}
-    right_keep = tuple(right_pos[v] for v in out_schema[len(left.schema):])
-    ring = left.ring
-
-    if right_index == "primary":
-        if set(shared) != set(right.schema):
-            raise ValueError(
-                f"primary probe needs all of {right.schema} bound, have {shared}"
-            )
-        build = tuple(left_pos[v] for v in right.schema)
-        for lkey, lval in left.items():
-            rval = right.payload(tuple(lkey[i] for i in build))
-            if rval is None:
-                continue
-            if right_map is not None:
-                rval = right_map(rval)
-            out.accumulate(lkey, ring_mul(ring, lval, rval))
-        return out
-
-    if right_index is not None:
-        probe_vars, _ = right_index
-        if set(probe_vars) != set(shared):
-            raise ValueError(f"index {right_index} does not cover join vars {shared}")
-        reorder = tuple(shared.index(v) for v in probe_vars)
-        for lkey, lval in left.items():
-            raw = tuple(lkey[i] for i in left_shared)
-            probe = tuple(raw[i] for i in reorder)
-            for rkey in right.index_lookup(right_index, probe):
-                rval = right.payload(rkey)
-                if right_map is not None:
-                    rval = right_map(rval)
-                prod = ring_mul(ring, lval, rval)
-                out.accumulate(lkey + tuple(rkey[i] for i in right_keep), prod)
-        return out
-
-    if not shared:
-        right_items = list(right.items())
-        for lkey, lval in left.items():
-            for rkey, rval in right_items:
-                if right_map is not None:
-                    rval = right_map(rval)
-                prod = ring_mul(ring, lval, rval)
-                out.accumulate(lkey + tuple(rkey[i] for i in right_keep), prod)
-        return out
-
-    right_shared = tuple(right_pos[v] for v in shared)
-    groups: dict[tuple, list[tuple[tuple, Any]]] = {}
-    for rkey, rval in right.items():
-        groups.setdefault(tuple(rkey[i] for i in right_shared), []).append((rkey, rval))
-    for lkey, lval in left.items():
-        left._probe()
-        matches = groups.get(tuple(lkey[i] for i in left_shared))
-        if not matches:
-            continue
-        for rkey, rval in matches:
-            if right_map is not None:
-                rval = right_map(rval)
-            prod = ring_mul(ring, lval, rval)
-            out.accumulate(lkey + tuple(rkey[i] for i in right_keep), prod)
-    return out
+    bound = left
+    levels = []
+    for rschema, route in rights:
+        pos = {v: i for i, v in enumerate(bound)}
+        shared = tuple(v for v in rschema if v in pos)
+        ext = tuple(i for i, v in enumerate(rschema) if v not in pos)
+        if route == "primary":
+            if ext:
+                raise ValueError(f"primary probe needs all of {rschema} bound, have {shared}")
+            probe = rschema
+        elif route is not None:
+            probe = route[0]
+            if set(probe) != set(shared):
+                raise ValueError(f"index {route} does not cover join vars {shared}")
+        else:
+            probe = shared
+        probe_pos = tuple(pos[v] for v in probe)
+        if probe_pos == tuple(range(len(bound))):
+            probe_pos = None
+        levels.append((probe_pos, route, tuple(rschema.index(v) for v in probe), ext))
+        bound += tuple(rschema[i] for i in ext)
+    drop = tuple(v for v in bound if v in drop_vars)
+    if len(drop) != len(set(drop_vars)):
+        missing = set(drop_vars) - set(bound)
+        raise ValueError(f"cannot marginalize {sorted(missing)}: not in {bound}")
+    keep = tuple(v for v in bound if v not in drop)
+    if schema is None:
+        schema = keep
+    elif sorted(schema) != sorted(keep):
+        raise ValueError(f"output schema {schema} is not a permutation of {keep}")
+    out_pos = tuple(bound.index(v) for v in schema)
+    if out_pos == tuple(range(len(bound))):
+        out_pos = None
+    return tuple(levels), tuple((bound.index(v), v) for v in drop), schema, out_pos
 
 
 def rel_marginalize(
     rel: Relation,
     drop_vars: Iterable[str],
     lifts: dict[str, LiftingFunction],
+    joins: Sequence[tuple[Relation, Any]] = (),
+    schema: Optional[Iterable[str]] = None,
+    payload_map=None,
 ) -> Relation:
-    """Sum out ``drop_vars``, multiplying each payload by the dropped
-    values' lifted images first.
+    """Join ``rel`` with ``joins`` and sum out ``drop_vars``, in one pass.
 
-    Every dropped variable needs a lifting function. The surviving schema
-    keeps the source order.
+    ``joins`` lists (relation, route) pairs in join order. Each entry of
+    ``rel`` is walked depth-first through them: a join probes its
+    relation's primary entry store when the partial key binds its whole
+    schema (route ``"primary"``), a persistent index whose probe variables
+    are exactly the shared ones (route = the index id), or otherwise a
+    grouping on the shared variables built the first time a row reaches
+    it (with nothing shared it is a single group). Payloads are multiplied
+    in join order, zero partial products are skipped, and each full row is
+    then multiplied by the lifted images of its dropped values, in joined-
+    schema order, before it is added into the output. ``payload_map``, when
+    given, rewrites every operand's payload before it is multiplied.
+
+    The joined schema lists ``rel``'s variables, then each joined
+    relation's new ones in its own order; the output keeps the rest in
+    that order unless ``schema`` names a permutation of them. Every
+    dropped variable needs a lifting function. No intermediate relation is
+    built.
     """
-    drop = tuple(v for v in rel.schema if v in set(drop_vars))
-    if len(drop) != len(set(drop_vars)):
-        missing = set(drop_vars) - set(rel.schema)
-        raise ValueError(f"cannot marginalize {sorted(missing)}: not in {rel.schema}")
-    for v in drop:
+    levels, drop, out_schema, out_pos = _walk_plan(
+        rel.schema,
+        tuple([(r.schema, route) for r, route in joins]),
+        tuple(drop_vars),
+        None if schema is None else tuple(schema),
+    )
+    lifted = []
+    for pos, v in drop:
         if v not in lifts:
             raise ValueError(f"no lifting function for marginalized variable {v}")
-    keep_pos = tuple(i for i, v in enumerate(rel.schema) if v not in set(drop))
-    drop_pos = tuple((rel.schema.index(v), lifts[v]) for v in drop)
-    out = _result(tuple(rel.schema[i] for i in keep_pos), rel)
+        lifted.append((pos, lifts[v]))
+    out = Relation(out_schema, rel.ring, counters=rel.counters)
+    rights = [r for r, _ in joins]
+    if not rel.entries or not all(r.entries for r in rights):
+        return out
     ring = rel.ring
-    for key, val in rel.items():
-        for pos, fn in drop_pos:
+    rows: Iterable[tuple[tuple, Any]] = rel.items()
+    if payload_map is not None:
+        rows = ((k, v) for k, v in ((k, payload_map(v)) for k, v in rows) if not is_zero(ring, v))
+    # Chained generators: each row is carried through every join before
+    # the next one is read, so no level's rows are ever held together.
+    # When nothing is summed out, the last join skips the zero test: each
+    # of its rows has its own output key, and ``accumulate`` ignores a zero
+    # on a new key.
+    last = len(rights) - 1
+    for i, (right, level) in enumerate(zip(rights, levels)):
+        rows = _join_rows(rows, right, level, payload_map, rel, i < last or bool(lifted))
+    for key, val in rows:
+        for pos, fn in lifted:
             val = ring_mul(ring, val, lift(ring, fn, key[pos]))
-        out.accumulate(tuple(key[i] for i in keep_pos), val)
+        out.accumulate(key if out_pos is None else tuple([key[i] for i in out_pos]), val)
     return out
+
+
+def _join_rows(
+    rows: Iterable[tuple[tuple, Any]],
+    right: Relation,
+    level: tuple,
+    payload_map,
+    counted: Relation,
+    drop_zero: bool,
+) -> Iterator[tuple[tuple, Any]]:
+    """Extend each row by its matches in ``right`` (one join level of
+    :func:`rel_marginalize`), dropping zero products if ``drop_zero``.
+    Grouping probes are charged to ``counted``."""
+    probe_pos, route, right_pos, ext = level
+    ring = right.ring
+    grouping: Optional[dict] = None
+    for key, val in rows:
+        probe = key if probe_pos is None else tuple([key[i] for i in probe_pos])
+        if route == "primary":
+            rval = right.payload(probe)
+            matches = () if rval is None else ((probe, rval),)
+        elif route is not None:
+            matches = [(k, right.payload(k)) for k in right.index_lookup(route, probe)]
+        else:
+            if grouping is None:
+                grouping = {}
+                for rkey, rval in right.items():
+                    grouping.setdefault(tuple([rkey[i] for i in right_pos]), []).append(
+                        (rkey, rval)
+                    )
+            if right_pos:
+                counted._probe()
+            matches = grouping.get(probe, ())
+        for rkey, rval in matches:
+            if payload_map is not None:
+                rval = payload_map(rval)
+            prod = ring_mul(ring, val, rval)
+            if not drop_zero or not is_zero(ring, prod):
+                yield (key + tuple([rkey[i] for i in ext]) if ext else key), prod
+
+
+def rel_join(
+    left: Relation,
+    right: Relation,
+    right_index=None,
+    payload_map=None,
+) -> Relation:
+    """Natural join with ring-multiplied payloads: :func:`rel_marginalize`
+    with one join (``right_index`` is its route) and nothing summed out.
+    The schema lists the left variables, then the right-only ones."""
+    return rel_marginalize(left, (), {}, ((right, right_index),), payload_map=payload_map)
 
 
 def rel_apply_delta(target: Relation, delta: Relation) -> list[tuple[tuple, int]]:
@@ -441,7 +470,7 @@ def indicator_project(
     if missing:
         raise ValueError(f"indicator vars {missing} not in schema {rel.schema}")
     state = IndicatorState(schema, rel.ring, rel.schema)
-    out = _result(schema, rel, name=name)
+    out = Relation(schema, rel.ring, counters=rel.counters, name=name)
     one = ring_one(rel.ring)
     for key in rel.entries:
         rel._read()

@@ -21,10 +21,11 @@ Table = Mapping[Row, Any]
 
 def join_rows(
     tables: Sequence[tuple[Sequence[str], Table]],
+    one: Any = 1,
 ) -> list[tuple[dict[str, Any], Any]]:
-    """All consistent assignments of the joined tables, with multiplied
-    payloads, by plain nested loops."""
-    out: list[tuple[dict[str, Any], Any]] = [({}, 1)]
+    """All consistent assignments of the joined tables, with payloads
+    multiplied left to right starting from ``one``, by plain nested loops."""
+    out: list[tuple[dict[str, Any], Any]] = [({}, one)]
     for schema, table in tables:
         nxt: list[tuple[dict[str, Any], Any]] = []
         for assign, mult in out:

@@ -566,6 +566,19 @@ def test_cli_run_writes_metrics_and_export(tmp_path, capsys):
     assert listing[1] == ["6"]
 
 
+@pytest.mark.parametrize("engine", ["first_order", "reevaluate"])
+def test_cli_run_listing_export_needs_the_fivm_engine(tmp_path, capsys, engine):
+    export = tmp_path / "x.csv"
+    scn_path = str(bundled_scenarios()["count_chain"])
+    rc = main(["run", "-s", scn_path, "--engine", engine, "--export", str(export)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before any batch ran
+    assert captured.err.startswith("error: --export without an app")
+    assert len(captured.err.splitlines()) == 1
+    assert not export.exists()
+
+
 def test_cli_enumerate_dumps_rows(tmp_path, capsys):
     paths = bundled_scenarios()
     rc = main(["enumerate", "-s", str(paths["listing_factorized"]), "--limit", "3"])

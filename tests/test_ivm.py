@@ -225,6 +225,33 @@ def test_delta_steps_are_resolved_when_planned(monkeypatch):
     assert_views_match_fresh(state)
 
 
+def test_one_tuple_updates_build_no_intermediate_relation(monkeypatch):
+    """Each level of the delta path is one operator call building one
+    relation; apply_batch adds the merged delta and its rebinding."""
+    state = chain_state()
+    built = []
+    init = Relation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["schema"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Relation, "__init__", counting)
+    updates = [
+        (name, key, val)
+        for name, key in (("R", ("a1", "b9")), ("S", ("a1", "c2", "e9")), ("T", ("c2", "d9")))
+        for val in (1, -1)
+    ]
+    for name, key, val in updates:
+        levels = len(delta_view_tree(state.tree, name).steps)
+        built.clear()
+        state.apply_batch([UpdateDelta(name, ((key, val),))])
+        assert len(built) <= levels + 2, (name, val, built)
+    monkeypatch.undo()
+    assert dict(state.result().entries) == {(): 10}
+    assert_views_match_fresh(state)
+
+
 def test_load_rejects_key_of_wrong_arity_and_keeps_old_state():
     state = chain_state()
     before = snapshot(state)

@@ -17,13 +17,16 @@ from fivm.relations import (
     rel_apply_delta,
     rel_join,
     rel_marginalize,
-    rel_union,
 )
 from fivm.rings import (
     integer_ring,
     lift_identity,
+    lift_singleton,
     lift_to_one,
+    lift_unit,
     real_ring,
+    relational_payload,
+    relational_ring,
 )
 
 Z = integer_ring()
@@ -109,25 +112,13 @@ def test_grouped_index_drops_empty_buckets():
     assert r.indexes[spec] == {}
 
 
-def test_clone_shares_payloads_not_indexes():
-    c1, c2 = OpCounters(), OpCounters()
-    r = rel(("A",), [((1,), 3)], counters=c1)
-    r.ensure_index(("A",))
-    d = r.clone(counters=c2)
-    assert d.entries == r.entries
-    assert d.indexes == {}
-    d.accumulate((1,), 1)
-    assert r.payload((1,)) == 3
-    assert c2.entry_writes == 1
-
-
 def test_total_sums_every_payload():
     r = rel(("A", "B"), [((1, 2), 3), ((4, 5), -1)])
     assert r.total() == 2
 
 
 # ---------------------------------------------------------------------------
-# union / join / marginalize, pinned to the worked two-column example:
+# join / marginalize, pinned to the worked two-column example:
 #   R = {(a1,b1): 2, (a2,b1): 3}, S = {(a2,b1): 5, (a3,b2): 7}
 #   T = {(b1,c1): 11, (b2,c2): 13}
 
@@ -136,22 +127,8 @@ S_PAIRS = [(("a2", "b1"), 5), (("a3", "b2"), 7)]
 T_PAIRS = [(("b1", "c1"), 11), (("b2", "c2"), 13)]
 
 
-def test_union_adds_payloads_keywise():
-    u = rel_union(rel(("A", "B"), R_PAIRS), rel(("A", "B"), S_PAIRS))
-    assert dict(u.entries) == {
-        ("a1", "b1"): 2,
-        ("a2", "b1"): 3 + 5,
-        ("a3", "b2"): 7,
-    }
-
-
-def test_union_schema_mismatch_rejected():
-    with pytest.raises(ValueError):
-        rel_union(rel(("A",), []), rel(("B",), []))
-
-
 def test_join_multiplies_matching_payloads():
-    u = rel_union(rel(("A", "B"), R_PAIRS), rel(("A", "B"), S_PAIRS))
+    u = rel(("A", "B"), R_PAIRS + S_PAIRS)
     j = rel_join(u, rel(("B", "C"), T_PAIRS))
     assert j.schema == ("A", "B", "C")
     assert dict(j.entries) == {
@@ -162,7 +139,7 @@ def test_join_multiplies_matching_payloads():
 
 
 def test_marginalize_with_counting_lift():
-    u = rel_union(rel(("A", "B"), R_PAIRS), rel(("A", "B"), S_PAIRS))
+    u = rel(("A", "B"), R_PAIRS + S_PAIRS)
     j = rel_join(u, rel(("B", "C"), T_PAIRS))
     m = rel_marginalize(j, ("A",), {"A": lift_to_one("A")})
     assert m.schema == ("B", "C")
@@ -275,8 +252,101 @@ def test_index_probe_must_cover_join_vars():
 def test_join_right_map_rewrites_payload_before_multiplying():
     left = rel(("A",), [((1,), 2)])
     right = rel(("A",), [((1,), 5)])
-    out = rel_join(left, right, right_index="primary", right_map=lambda v: 10 * v)
-    assert dict(out.entries) == {(1,): 100}
+    out = rel_join(left, right, right_index="primary", payload_map=lambda v: 10 * v)
+    # the map rewrites every operand, the left one included
+    assert dict(out.entries) == {(1,): 20 * 50}
+
+
+# ---------------------------------------------------------------------------
+# the fused operator against the nested-loop oracle
+
+OPERATOR_VARS = "ABCDEF"
+PROBE_ROUTES = ["primary", "index", "grouping", "nothing shared"]
+
+# Per ring: payload strategy, ring one, and two lifts per variable with the
+# value each gives (a value-weighting lift and one that only counts).
+INT_RING = (
+    Z,
+    st.integers(-3, 3).filter(bool),
+    1,
+    ((lift_identity, lambda v, x: x), (lift_to_one, lambda v, x: 1)),
+)
+REL = relational_ring()
+REL_RING = (
+    REL,
+    # payloads over one column "x", so products of disjoint ones cancel
+    st.dictionaries(
+        st.tuples(st.integers(0, 1)), st.integers(-2, 2).filter(bool), min_size=1, max_size=2
+    ).map(lambda d: relational_payload(("x",), d)),
+    relational_payload((), {(): 1}),
+    (
+        (lift_singleton, lambda v, x: relational_payload((v,), {(x,): 1})),
+        (lift_unit, lambda v, x: relational_payload((), {(): 1})),
+    ),
+)
+
+
+def _operand(draw, ring, payloads, schema):
+    keys = st.tuples(*[st.integers(0, 2) for _ in schema])
+    pairs = draw(st.dictionaries(keys, payloads, min_size=1, max_size=5))
+    return from_pairs(schema, ring, pairs.items())
+
+
+def _right_schema(draw, route, bound):
+    fresh = [v for v in OPERATOR_VARS if v not in bound]
+    if route == "nothing shared":
+        return tuple(draw(st.permutations(fresh))[:1])
+    shared = draw(st.permutations(bound))[: draw(st.integers(1, min(2, len(bound))))]
+    if route == "primary":
+        return tuple(shared)
+    return tuple(draw(st.permutations(list(shared) + fresh[:1])))
+
+
+@pytest.mark.parametrize("ring_case", [INT_RING, REL_RING], ids=["integer", "relational"])
+@pytest.mark.parametrize("route", PROBE_ROUTES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_operator_matches_nested_loop_oracle(ring_case, route, data):
+    """Joins of 1-3 relations, the given probe route at one of them, a random
+    subset of variables summed out and a permuted output schema."""
+    ring, payloads, one, lift_kinds = ring_case
+    draw = data.draw
+    left_schema = draw(st.permutations("AB"))[: draw(st.integers(1, 2))]
+    left = _operand(draw, ring, payloads, tuple(left_schema))
+    n_joins = draw(st.integers(1, 3))
+    forced = draw(st.integers(0, n_joins - 1))
+    bound = left.schema
+    joins = []
+    for level in range(n_joins):
+        r = route if level == forced else draw(st.sampled_from(PROBE_ROUTES))
+        right = _operand(draw, ring, payloads, _right_schema(draw, r, bound))
+        shared = tuple(v for v in right.schema if v in bound)
+        if r == "primary":
+            probe = "primary"
+        elif r == "index":
+            probe = right.ensure_index(shared)
+        else:
+            probe = None
+        joins.append((right, probe))
+        bound += tuple(v for v in right.schema if v not in bound)
+    drop = [v for v in bound if draw(st.booleans())]
+    chosen = {v: draw(st.sampled_from(lift_kinds)) for v in drop}
+    keep = [v for v in bound if v not in drop]
+    schema = tuple(draw(st.permutations(keep)))
+
+    out = rel_marginalize(
+        left, drop, {v: make(v) for v, (make, _) in chosen.items()}, joins, schema
+    )
+
+    tables = [(left.schema, left.entries)] + [(r.schema, r.entries) for r, _ in joins]
+    want: dict = {}
+    for assign, val in oracles.join_rows(tables, one=one):
+        for v in drop:
+            val = val * chosen[v][1](v, assign[v])
+        key = tuple(assign[v] for v in schema)
+        want[key] = want[key] + val if key in want else val
+    assert out.schema == schema
+    assert dict(out.entries) == {k: v for k, v in want.items() if v}
 
 
 # ---------------------------------------------------------------------------
