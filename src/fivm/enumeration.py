@@ -23,14 +23,12 @@ from fivm.rings import (
     REAL,
     RelationalPayload,
     covariance_dense,
-    is_zero,
     relational_payload,
-    ring_mul,
-    ring_zero,
 )
 from fivm.viewtree import ViewNode
 
 __all__ = [
+    "check_csv_form",
     "listing_csv_rows",
     "enumerate_result",
     "payload_of_tuple",
@@ -74,6 +72,7 @@ def _walk(state: RuntimeState, steps) -> Iterator[tuple[tuple, Any]]:
     covers = _bind(state, state.tree.payload_plan, at)
     out_pos = [at[v] for v in state.query.free]
     ring = state.ring
+    is_zero = ring.is_zero
     row: list[Any] = [None] * len(levels)
     last = len(levels) - 1
 
@@ -85,7 +84,7 @@ def _walk(state: RuntimeState, steps) -> Iterator[tuple[tuple, Any]]:
                 yield from walk(i + 1)
                 continue
             val = _product(ring, covers, row, stop_at_zero=False)
-            if not is_zero(ring, val):
+            if not is_zero(val):
                 yield tuple(row[j] for j in out_pos), val
 
     return walk(0)
@@ -102,8 +101,9 @@ def payload_of_tuple(state: RuntimeState, key: tuple) -> Any:
     if len(key) != len(free):
         raise ValueError(f"expected values for {free}, got {key}")
     covers = _bind(state, state.tree.payload_plan, {v: i for i, v in enumerate(free)})
-    val = _product(state.ring, covers, key, stop_at_zero=False)
-    return ring_zero(state.ring) if is_zero(state.ring, val) else val
+    ring = state.ring
+    val = _product(ring, covers, key, stop_at_zero=False)
+    return ring.zero if ring.is_zero(val) else val
 
 
 def _bind(state: RuntimeState, parts, at: dict[str, int]) -> list:
@@ -120,18 +120,19 @@ def _bind(state: RuntimeState, parts, at: dict[str, int]) -> list:
 def _product(ring, parts: list, row: Sequence, stop_at_zero: bool = True) -> Any:
     """Multiply the payloads of bound plan parts for one row of values.
     Below the roots a product stops at its first zero; across them it does not."""
+    mul, is_zero, zero = ring.mul, ring.is_zero, ring.zero
     acc = None
     for part in parts:
         if isinstance(part, list):
             val = _product(ring, part, row)
         else:
             rel, pos = part
-            val = rel.payload(tuple(row[i] for i in pos))
-            if val is None:
-                val = ring_zero(ring)
-        acc = val if acc is None else ring_mul(ring, acc, val)
-        if stop_at_zero and is_zero(ring, acc):
-            return ring_zero(ring)
+            if rel.counters is not None:
+                rel.counters.entry_reads += 1
+            val = rel.entries.get(tuple([row[i] for i in pos]), zero)
+        acc = val if acc is None else mul(acc, val)
+        if stop_at_zero and is_zero(acc):
+            return zero
     return acc
 
 
@@ -146,8 +147,7 @@ def materialize_listing(state: RuntimeState, kind: str = "keys"):
     query = state.query
     if kind == "keys":
         out = Relation(query.free, state.ring, counters=state.counters)
-        for key, val in enumerate_result(state):
-            out.accumulate(key, val)
+        out.accumulate_all(enumerate_result(state))
         return out
     if kind != "relational_payload":
         raise ValueError(f"unknown listing kind: {kind!r}")
@@ -162,6 +162,12 @@ def materialize_listing(state: RuntimeState, kind: str = "keys"):
     return relational_payload(query.free, entries)
 
 
+def check_csv_form(ring) -> None:
+    """Raise ValueError when a listing over ``ring`` has no flat CSV form."""
+    if ring.kind == COVARIANCE and ring.base != REAL:
+        raise ValueError("triples over grouped scalars have no flat CSV form")
+
+
 def listing_csv_rows(
     state: RuntimeState, limit: Optional[int] = None
 ) -> tuple[list[str], Iterator[list]]:
@@ -174,9 +180,8 @@ def listing_csv_rows(
     """
     ring = state.ring
     free = list(state.query.free)
+    check_csv_form(ring)
     if ring.kind == COVARIANCE:
-        if ring.base != REAL:
-            raise ValueError("triples over grouped scalars have no flat CSV form")
         m = ring.degree
         header = (
             free

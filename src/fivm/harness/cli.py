@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from ..enumeration import listing_csv_rows
+from ..enumeration import check_csv_form, listing_csv_rows
 from ..queries import classify
 from .engines import (
     ENGINE_NAMES,
@@ -161,6 +161,10 @@ def _export_run(path: str, compiled, report) -> int:
 def _cmd_enumerate(args) -> int:
     scn = load_scenario(args.scenario)
     compiled = compile_scenario(scn)
+    try:
+        check_csv_form(compiled.query.ring)
+    except ValueError as e:
+        raise ScenarioError(f"{scn.name}: {e}") from None
     report = run_scenario(compiled, engine_name="fivm")
     header, rows = listing_csv_rows(report.engine.state, limit=args.limit)
     if args.export:

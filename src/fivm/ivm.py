@@ -191,22 +191,18 @@ class RuntimeState:
 
         ``data`` maps relation names to (key, payload) pairs; a name used
         by several occurrences loads each occurrence's copy. Data for an
-        unknown relation or a key of the wrong length is rejected before
-        any state changes.
+        unknown relation, a key of the wrong length or a payload outside
+        the ring's degree is rejected before any state changes.
         """
         unknown = set(data) - self.query.occurrences.keys()
         if unknown:
             raise ValueError(f"data for unknown relations: {sorted(unknown)}")
-        # Fill fresh copies and swap them in only once every key has been
+        # Fill fresh copies and swap them in only once every pair has been
         # checked, so rejected data leaves the loaded state as it was.
         fresh: dict[str, Relation] = {}
         for d in self.query.relations:
             rel = Relation(d.schema, self.ring, counters=self.counters, name=d.leaf_id)
-            arity = len(d.schema)
-            for key, val in data.get(d.name, ()):
-                if len(key) != arity:
-                    raise ValueError(f"key {key!r} does not match {d.name}{d.schema}")
-                rel.accumulate(tuple(key), val)
+            rel.accumulate_all(self._checked(data.get(d.name, ()), d.name, d.schema))
             fresh[d.leaf_id] = rel
         self.leaves.update(fresh)
         self.initialize()
@@ -339,9 +335,9 @@ class RuntimeState:
 
         Plain deltas to the same relation are merged first; factorized
         deltas keep their product form. The whole batch is checked (known,
-        updatable targets, key lengths, factor coverage) before anything
-        propagates, so a rejected batch changes no state. Returns the
-        number of key-level changes processed.
+        updatable targets, key lengths, factor coverage, payloads within
+        the ring's degree) before anything propagates, so a rejected batch
+        changes no state. Returns the number of key-level changes processed.
         """
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
@@ -354,7 +350,6 @@ class RuntimeState:
             if occurrences[0].leaf_id not in self.tree.updatable:
                 raise ValueError(f"relation {name} is not updatable in this plan")
             schema = occurrences[0].schema
-            arity = len(schema)
             merged: Optional[Relation] = None
             units: list[list[Relation]] = []
             for u in items:
@@ -362,14 +357,13 @@ class RuntimeState:
                     if merged is None:
                         merged = Relation(schema, self.ring, counters=self.counters)
                         units.append([merged])
-                    for key, val in u.pairs:
-                        if len(key) != arity:
-                            raise ValueError(f"key {key!r} does not match {name}{schema}")
-                        merged.accumulate(tuple(key), val)
+                    merged.accumulate_all(self._checked(u.pairs, name, schema))
                 else:
                     covered: set[str] = set()
                     for f in u.factors:
                         covered |= set(f.schema)
+                        for val in f.entries.values():
+                            self.ring.check(val)
                     if covered != set(schema):
                         raise ValueError(
                             f"factors cover {sorted(covered)}, not schema {schema}"
@@ -389,14 +383,22 @@ class RuntimeState:
                     self.propagate(occ.leaf_id, [self._rebound(f, occ.renaming) for f in form])
         return touched
 
+    def _checked(self, pairs: Iterable[tuple[tuple, Any]], name: str, schema: tuple[str, ...]):
+        """``pairs`` as key tuples, each key and payload checked first."""
+        check = self.ring.check
+        for key, val in pairs:
+            if len(key) != len(schema):
+                raise ValueError(f"key {key!r} does not match {name}{schema}")
+            check(val)
+            yield tuple(key), val
+
     def _rebound(self, rel: Relation, mapping: dict[str, str]) -> Relation:
-        out = Relation(
-            tuple(mapping.get(v, v) for v in rel.schema),
-            rel.ring,
-            counters=self.counters,
-            name=rel.name,
-        )
-        out.entries = dict(rel.entries)
+        """``rel`` under the occurrence's variable names, sharing its entries."""
+        schema = tuple(mapping.get(v, v) for v in rel.schema)
+        if schema == rel.schema and rel.counters is self.counters:
+            return rel
+        out = Relation(schema, rel.ring, counters=self.counters, name=rel.name)
+        out.entries = rel.entries
         return out
 
     def recompute_oracle(self) -> Relation:

@@ -3,9 +3,10 @@
 A relation maps key tuples over a fixed variable schema to non-zero ring
 payloads. Storage is a plain insertion-ordered dict plus any number of
 secondary hash indexes, each grouping full keys first by a probe prefix and
-then by an optional group column. All data access funnels through counting
-hooks so that maintenance cost can be measured in ring-agnostic units:
-payload reads, payload writes, and index probes.
+then by an optional group column. All data access is counted so that
+maintenance cost can be measured in ring-agnostic units: payload reads,
+payload writes, and index probes. Bulk operators fetch the ring's bound
+operators once and add their units to the counter block once per call.
 
 Values inside key tuples are dictionary-encoded (plain ints), which keeps
 hashing cheap and makes streams reproducible.
@@ -14,19 +15,10 @@ hashing cheap and makes streams reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from fivm.rings import (
-    LiftingFunction,
-    RingSpec,
-    is_zero,
-    lift,
-    ring_add,
-    ring_mul,
-    ring_negate,
-    ring_one,
-)
+from fivm.rings import LiftingFunction, RingSpec, lift
 
 __all__ = [
     "Tuple",
@@ -70,6 +62,14 @@ class OpCounters:
         return self.entry_reads + self.entry_writes + self.index_probes
 
 
+def _tally(counters: Optional[OpCounters], reads: int = 0, writes: int = 0, probes: int = 0) -> None:
+    """Add one call's units to ``counters``; a relation without one counts nothing."""
+    if counters is not None:
+        counters.entry_reads += reads
+        counters.entry_writes += writes
+        counters.index_probes += probes
+
+
 class Relation:
     """A mutable ring-annotated relation with optional secondary indexes.
 
@@ -103,27 +103,17 @@ class Relation:
         label = self.name or "rel"
         return f"<{label}({','.join(self.schema)}) {len(self.entries)} entries>"
 
-    def _read(self, n: int = 1) -> None:
-        if self.counters is not None:
-            self.counters.entry_reads += n
-
-    def _write(self, n: int = 1) -> None:
-        if self.counters is not None:
-            self.counters.entry_writes += n
-
-    def _probe(self, n: int = 1) -> None:
-        if self.counters is not None:
-            self.counters.index_probes += n
-
     def payload(self, key: tuple) -> Any:
         """Stored payload for ``key``, or None when absent. Counts one read."""
-        self._read()
+        _tally(self.counters, reads=1)
         return self.entries.get(key)
 
     def items(self) -> Iterator[tuple[tuple, Any]]:
         """Scan all entries in insertion order, counting one read each."""
+        counters = self.counters
         for key, val in self.entries.items():
-            self._read()
+            if counters is not None:
+                counters.entry_reads += 1
             yield key, val
 
     def accumulate(self, key: tuple, payload: Any) -> int:
@@ -133,24 +123,41 @@ class Relation:
         deleted because the sum reached zero, and 0 otherwise. Zero payloads
         on absent keys are a no-op.
         """
-        self._read()
-        old = self.entries.get(key)
-        if old is None:
-            if is_zero(self.ring, payload):
-                return 0
-            self.entries[key] = payload
-            self._write()
-            self._index_add(key)
-            return 1
-        merged = ring_add(self.ring, old, payload)
-        if is_zero(self.ring, merged):
-            del self.entries[key]
-            self._write()
-            self._index_remove(key)
-            return -1
-        self.entries[key] = merged
-        self._write()
-        return 0
+        moves: list[tuple[tuple, int]] = []
+        self.accumulate_all(((key, payload),), moves)
+        return moves[0][1] if moves else 0
+
+    def accumulate_all(
+        self, rows: Iterable[tuple[tuple, Any]], moves: Optional[list] = None
+    ) -> None:
+        """:meth:`accumulate` every (key, payload) row in order, appending
+        each support transition to ``moves`` as (key, +1 | -1) when given."""
+        add, is_zero = self.ring.add, self.ring.is_zero
+        entries = self.entries
+        indexed = bool(self.indexes)
+        reads = writes = 0
+        for key, val in rows:
+            reads += 1
+            old = entries.get(key)
+            if old is None:
+                if is_zero(val):
+                    continue
+                entries[key] = val
+                move = 1
+            else:
+                val = add(old, val)
+                if not is_zero(val):
+                    entries[key] = val
+                    writes += 1
+                    continue
+                del entries[key]
+                move = -1
+            writes += 1
+            if indexed:
+                (self._index_add if move > 0 else self._index_remove)(key)
+            if moves is not None:
+                moves.append((key, move))
+        _tally(self.counters, reads, writes)
 
     def ensure_index(self, probe_vars: Iterable[str], group_var: Optional[str] = None) -> tuple:
         """Create (or find) the index keyed by ``probe_vars`` / ``group_var``.
@@ -173,8 +180,8 @@ class Relation:
         self._index_pos[spec] = (probe_pos, group_pos)
         table: dict = {}
         for key in self.entries:
-            self._probe()
             self._index_insert(table, probe_pos, group_pos, key)
+        _tally(self.counters, probes=len(self.entries))
         self.indexes[spec] = table
         return spec
 
@@ -185,14 +192,14 @@ class Relation:
         table.setdefault(probe, {}).setdefault(group, {})[key] = None
 
     def _index_add(self, key: tuple) -> None:
+        _tally(self.counters, probes=len(self.indexes))
         for spec, table in self.indexes.items():
-            self._probe()
             probe_pos, group_pos = self._index_pos[spec]
             self._index_insert(table, probe_pos, group_pos, key)
 
     def _index_remove(self, key: tuple) -> None:
+        _tally(self.counters, probes=len(self.indexes))
         for spec, table in self.indexes.items():
-            self._probe()
             probe_pos, group_pos = self._index_pos[spec]
             probe = tuple(key[i] for i in probe_pos)
             group = key[group_pos] if group_pos is not None else None
@@ -210,7 +217,7 @@ class Relation:
 
     def index_lookup(self, spec: tuple, probe: tuple) -> list[tuple]:
         """All keys matching ``probe``, flattened across groups."""
-        self._probe()
+        _tally(self.counters, probes=1)
         bucket = self.indexes[spec].get(probe)
         if not bucket:
             return []
@@ -221,17 +228,13 @@ class Relation:
 
     def index_groups(self, spec: tuple, probe: tuple) -> dict:
         """Mapping of group value to key dict for ``probe`` (may be empty)."""
-        self._probe()
+        _tally(self.counters, probes=1)
         return self.indexes[spec].get(probe, {})
 
     def total(self) -> Any:
         """Ring sum of every payload (the relation marginalized to nothing)."""
-        from fivm.rings import ring_zero
-
-        acc = ring_zero(self.ring)
-        for _, val in self.items():
-            acc = ring_add(self.ring, acc, val)
-        return acc
+        _tally(self.counters, reads=len(self.entries))
+        return reduce(self.ring.add, self.entries.values(), self.ring.zero)
 
 
 def from_pairs(
@@ -243,8 +246,7 @@ def from_pairs(
 ) -> Relation:
     """Build a relation by accumulating (key, payload) pairs in order."""
     rel = Relation(schema, ring, counters=counters, name=name)
-    for key, val in pairs:
-        rel.accumulate(tuple(key), val)
+    rel.accumulate_all((tuple(key), val) for key, val in pairs)
     return rel
 
 
@@ -345,61 +347,80 @@ def rel_marginalize(
     if not rel.entries or not all(r.entries for r in rights):
         return out
     ring = rel.ring
-    rows: Iterable[tuple[tuple, Any]] = rel.items()
+    mul, is_zero = ring.mul, ring.is_zero
+    _tally(rel.counters, reads=len(rel.entries))
+    rows: Iterable[tuple[tuple, Any]] = rel.entries.items()
     if payload_map is not None:
-        rows = ((k, v) for k, v in ((k, payload_map(v)) for k, v in rows) if not is_zero(ring, v))
+        rows = ((k, v) for k, v in ((k, payload_map(v)) for k, v in rows) if not is_zero(v))
     # Chained generators: each row is carried through every join before
     # the next one is read, so no level's rows are ever held together.
     # When nothing is summed out, the last join skips the zero test: each
-    # of its rows has its own output key, and ``accumulate`` ignores a zero
-    # on a new key.
+    # of its rows has its own output key, and a zero on a new key is not
+    # stored.
     last = len(rights) - 1
     for i, (right, level) in enumerate(zip(rights, levels)):
-        rows = _join_rows(rows, right, level, payload_map, rel, i < last or bool(lifted))
-    for key, val in rows:
-        for pos, fn in lifted:
-            val = ring_mul(ring, val, lift(ring, fn, key[pos]))
-        out.accumulate(key if out_pos is None else tuple([key[i] for i in out_pos]), val)
+        rows = _join_rows(
+            rows, right, level, mul, is_zero, payload_map, rel.counters, i < last or bool(lifted)
+        )
+    if lifted or out_pos is not None:
+        rows = _finish_rows(rows, ring, lifted, out_pos)
+    out.accumulate_all(rows)
     return out
 
 
+def _finish_rows(rows, ring: RingSpec, lifted: list, out_pos: Optional[tuple]):
+    """Multiply each joined row by its lifted dropped values and cut its
+    key down to the output schema."""
+    mul = ring.mul
+    for key, val in rows:
+        for pos, fn in lifted:
+            val = mul(val, lift(ring, fn, key[pos]))
+        yield (key if out_pos is None else tuple([key[i] for i in out_pos])), val
+
+
 def _join_rows(
-    rows: Iterable[tuple[tuple, Any]],
-    right: Relation,
-    level: tuple,
-    payload_map,
-    counted: Relation,
-    drop_zero: bool,
+    rows: Iterable[tuple[tuple, Any]], right: Relation, level: tuple, mul, is_zero,
+    payload_map, scan_counters: Optional[OpCounters], drop_zero: bool,
 ) -> Iterator[tuple[tuple, Any]]:
     """Extend each row by its matches in ``right`` (one join level of
     :func:`rel_marginalize`), dropping zero products if ``drop_zero``.
-    Grouping probes are charged to ``counted``."""
+    Reads and probes are tallied once the rows run out; probes of the
+    grouping built by a scan are charged to ``scan_counters``."""
     probe_pos, route, right_pos, ext = level
-    ring = right.ring
+    entries = right.entries
+    table = right.indexes[route] if route not in (None, "primary") else None
     grouping: Optional[dict] = None
+    reads = probes = scan_probes = 0
     for key, val in rows:
         probe = key if probe_pos is None else tuple([key[i] for i in probe_pos])
         if route == "primary":
-            rval = right.payload(probe)
+            reads += 1
+            rval = entries.get(probe)
             matches = () if rval is None else ((probe, rval),)
-        elif route is not None:
-            matches = [(k, right.payload(k)) for k in right.index_lookup(route, probe)]
+        elif table is not None:
+            probes += 1
+            bucket = table.get(probe)
+            matches = [(k, entries[k]) for keys in bucket.values() for k in keys] if bucket else ()
+            reads += len(matches)
         else:
             if grouping is None:
                 grouping = {}
-                for rkey, rval in right.items():
+                for rkey, rval in entries.items():
                     grouping.setdefault(tuple([rkey[i] for i in right_pos]), []).append(
                         (rkey, rval)
                     )
+                reads += len(entries)
             if right_pos:
-                counted._probe()
+                scan_probes += 1
             matches = grouping.get(probe, ())
         for rkey, rval in matches:
             if payload_map is not None:
                 rval = payload_map(rval)
-            prod = ring_mul(ring, val, rval)
-            if not drop_zero or not is_zero(ring, prod):
+            prod = mul(val, rval)
+            if not drop_zero or not is_zero(prod):
                 yield (key + tuple([rkey[i] for i in ext]) if ext else key), prod
+    _tally(right.counters, reads, 0, probes)
+    _tally(scan_counters, probes=scan_probes)
 
 
 def rel_join(
@@ -423,10 +444,8 @@ def rel_apply_delta(target: Relation, delta: Relation) -> list[tuple[tuple, int]
     if target.schema != delta.schema:
         raise ValueError(f"delta schema mismatch: {target.schema} vs {delta.schema}")
     transitions: list[tuple[tuple, int]] = []
-    for key, val in delta.items():
-        t = target.accumulate(key, val)
-        if t != 0:
-            transitions.append((key, t))
+    _tally(delta.counters, reads=len(delta.entries))
+    target.accumulate_all(delta.entries.items(), transitions)
     return transitions
 
 
@@ -471,13 +490,11 @@ def indicator_project(
         raise ValueError(f"indicator vars {missing} not in schema {rel.schema}")
     state = IndicatorState(schema, rel.ring, rel.schema)
     out = Relation(schema, rel.ring, counters=rel.counters, name=name)
-    one = ring_one(rel.ring)
     for key in rel.entries:
-        rel._read()
         pk = state.project(key)
         state.counts[pk] = state.counts.get(pk, 0) + 1
-        if state.counts[pk] == 1:
-            out.accumulate(pk, one)
+    _tally(rel.counters, reads=len(rel.entries))
+    out.accumulate_all((pk, rel.ring.one) for pk in state.counts)
     return state, out
 
 
@@ -493,8 +510,9 @@ def indicator_delta(
     is usually far smaller than the transitions that caused it.
     """
     out = Relation(state.schema, state.ring, counters=counters)
-    one = ring_one(state.ring)
-    neg = ring_negate(state.ring, one)
+    one = state.ring.one
+    neg = state.ring.neg(one)
+    rows: list[tuple[tuple, Any]] = []
     for key, t in transitions:
         pk = state.project(key)
         c = state.counts.get(pk, 0) + t
@@ -505,8 +523,9 @@ def indicator_delta(
         else:
             state.counts[pk] = c
         if t == 1 and c == 1:
-            out.accumulate(pk, one)
+            rows.append((pk, one))
         elif t == -1 and c == 0:
-            out.accumulate(pk, neg)
+            rows.append((pk, neg))
+    out.accumulate_all(rows)
     return out
 

@@ -12,12 +12,15 @@ Payloads are plain values (ints, floats) or small immutable-by-convention
 objects; all operations are pure and never mutate their arguments.
 Covariance components (floats or relational payloads) are combined with
 ``+``, ``*`` and unary ``-`` and tested for exact zero with ``not v``.
+Each ring descriptor binds its operators once, when it is built, so bulk
+code never dispatches on the ring kind per payload.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, Optional
 
 __all__ = [
@@ -70,6 +73,11 @@ class RingSpec:
     is what mixed categorical data needs). Relational rings carry a scalar
     ``base`` of "integer" or "real". ``zero_tolerance`` applies only to
     zero tests of real-based payloads; exact rings must keep it at 0.
+
+    Building a spec binds, outside its fields: ``add``, ``mul``, ``neg``,
+    ``is_zero``, the constants ``zero`` and ``one``, and ``check``, which
+    raises on a covariance payload outside the degree. The bound covariance
+    operators trust their operands, so payloads from outside are checked.
     """
 
     kind: str
@@ -93,6 +101,8 @@ class RingSpec:
             raise ValueError("integer ring is exact; zero_tolerance must be 0")
         if self.kind == RELATIONAL and self.base == INTEGER and self.zero_tolerance != 0:
             raise ValueError("relational ring over integers is exact; zero_tolerance must be 0")
+        for name, op in _operators(self).items():
+            object.__setattr__(self, name, op)
 
 
 def integer_ring() -> RingSpec:
@@ -295,7 +305,7 @@ def covariance_dense(spec: RingSpec, t: CovarianceTriple):
     For a relational base the components stay relational payloads; missing
     blocks come back as the base zero.
     """
-    zero = ring_zero(spec).c
+    zero = spec.zero.c
     m = spec.degree
     s = [t.s.get(j, zero) for j in range(1, m + 1)]
     q = [[zero] * m for _ in range(m)]
@@ -368,22 +378,20 @@ def _degree_keys(degree: int) -> tuple[frozenset, frozenset]:
     return slots, frozenset((i, j) for i in slots for j in slots if i <= j)
 
 
-def _cov_check_degree(spec: RingSpec, a: CovarianceTriple, b: CovarianceTriple) -> None:
-    slots, pairs = _degree_keys(spec.degree)
-    if a.s.keys() <= slots and a.Q.keys() <= pairs:
-        if b.s.keys() <= slots and b.Q.keys() <= pairs:
-            return
-    for t in (a, b):
-        for j in t.s:
-            if j not in slots:
-                raise ValueError(f"slot {j} outside degree {spec.degree}")
-        for i, j in t.Q:
-            if (i, j) not in pairs:
-                raise ValueError(f"pair ({i},{j}) outside degree {spec.degree}")
+def _cov_check(degree: int, t: CovarianceTriple) -> None:
+    """Raise unless every slot and pair of ``t`` lies within ``degree``."""
+    slots, pairs = _degree_keys(degree)
+    if t.s.keys() <= slots and t.Q.keys() <= pairs:
+        return
+    for j in t.s:
+        if j not in slots:
+            raise ValueError(f"slot {j} outside degree {degree}")
+    for i, j in t.Q:
+        if (i, j) not in pairs:
+            raise ValueError(f"pair ({i},{j}) outside degree {degree}")
 
 
-def _cov_add(spec: RingSpec, a: CovarianceTriple, b: CovarianceTriple) -> CovarianceTriple:
-    _cov_check_degree(spec, a, b)
+def _cov_add(a: CovarianceTriple, b: CovarianceTriple) -> CovarianceTriple:
     s = dict(a.s)
     for j, val in b.s.items():
         if j in s:
@@ -407,7 +415,7 @@ def _cov_add(spec: RingSpec, a: CovarianceTriple, b: CovarianceTriple) -> Covari
     return CovarianceTriple(a.c + b.c, s, q)
 
 
-def _cov_mul(spec: RingSpec, a: CovarianceTriple, b: CovarianceTriple) -> CovarianceTriple:
+def _cov_mul(a: CovarianceTriple, b: CovarianceTriple) -> CovarianceTriple:
     """Multiply two covariance triples.
 
     Counts multiply; each sum slot is cross-scaled by the other side's count;
@@ -415,7 +423,6 @@ def _cov_mul(spec: RingSpec, a: CovarianceTriple, b: CovarianceTriple) -> Covari
     outer product of the sum vectors, so that (i, j) picks up a_i*b_j plus
     b_i*a_j (twice a_i*b_i on the diagonal). Zero terms are never stored.
     """
-    _cov_check_degree(spec, a, b)
     ac, bc = a.c, b.c
     s: dict[int, Any] = {}
     for j, val in a.s.items():
@@ -467,78 +474,75 @@ def _cov_mul(spec: RingSpec, a: CovarianceTriple, b: CovarianceTriple) -> Covari
     return CovarianceTriple(ac * bc, s, q)
 
 
-def ring_zero(spec: RingSpec) -> Any:
-    if spec.kind == INTEGER:
-        return 0
-    if spec.kind == REAL:
-        return 0.0
-    if spec.kind == COVARIANCE:
-        return CovarianceTriple(
-            0.0 if spec.base == REAL else RelationalPayload((), {}), {}, {}
+def _operators(spec: RingSpec) -> dict[str, Any]:
+    """The operators and constants :class:`RingSpec` binds for ``spec``."""
+    tol = spec.zero_tolerance
+    ops: dict[str, Any] = dict(is_zero=operator.not_, check=lambda payload: None)
+    if spec.kind in (INTEGER, REAL):
+        exact = spec.kind == INTEGER
+        ops.update(add=operator.add, mul=operator.mul, neg=operator.neg,
+                   zero=0 if exact else 0.0, one=1 if exact else 1.0)
+        if tol:
+            ops["is_zero"] = lambda a: abs(a) <= tol
+    elif spec.kind == RELATIONAL:
+        # ``not_`` holds exactly for the empty map.
+        ops.update(add=_rp_add, mul=_rp_mul, neg=_rp_neg,
+                   zero=RelationalPayload((), {}), one=RelationalPayload((), {(): 1}))
+        if tol:
+            ops["is_zero"] = lambda a: all(abs(v) <= tol for v in a.entries.values())
+    else:
+        real = spec.base == REAL
+        ops.update(
+            add=_cov_add, mul=_cov_mul, check=partial(_cov_check, spec.degree),
+            neg=lambda a: CovarianceTriple(
+                -a.c, {j: -v for j, v in a.s.items()}, {ij: -v for ij, v in a.Q.items()}
+            ),
+            is_zero=lambda a: not (a.c or any(a.s.values()) or any(a.Q.values())),
+            zero=CovarianceTriple(0.0 if real else RelationalPayload((), {}), {}, {}),
+            one=CovarianceTriple(1.0 if real else RelationalPayload((), {(): 1}), {}, {}),
         )
-    return RelationalPayload((), {})
+        if real and tol:
+            ops["is_zero"] = lambda a: abs(a.c) <= tol and all(
+                abs(v) <= tol for part in (a.s, a.Q) for v in part.values()
+            )
+    return ops
+
+
+def ring_zero(spec: RingSpec) -> Any:
+    return spec.zero
 
 
 def ring_one(spec: RingSpec) -> Any:
-    if spec.kind == INTEGER:
-        return 1
-    if spec.kind == REAL:
-        return 1.0
-    if spec.kind == COVARIANCE:
-        return CovarianceTriple(
-            1.0 if spec.base == REAL else RelationalPayload((), {(): 1}), {}, {}
-        )
-    return RelationalPayload((), {(): 1})
+    return spec.one
 
 
 def ring_add(spec: RingSpec, a: Any, b: Any) -> Any:
-    if spec.kind in (INTEGER, REAL):
-        return a + b
-    if spec.kind == COVARIANCE:
-        return _cov_add(spec, a, b)
-    return _rp_add(a, b)
+    """``a + b``; covariance operands are checked against the degree."""
+    spec.check(a)
+    spec.check(b)
+    return spec.add(a, b)
 
 
 def ring_mul(spec: RingSpec, a: Any, b: Any) -> Any:
-    if spec.kind in (INTEGER, REAL):
-        return a * b
-    if spec.kind == COVARIANCE:
-        return _cov_mul(spec, a, b)
-    return _rp_mul(a, b)
+    """``a * b``; covariance operands are checked against the degree."""
+    spec.check(a)
+    spec.check(b)
+    return spec.mul(a, b)
 
 
 def ring_negate(spec: RingSpec, a: Any) -> Any:
-    if spec.kind in (INTEGER, REAL):
-        return -a
-    if spec.kind == COVARIANCE:
-        return CovarianceTriple(
-            -a.c, {j: -v for j, v in a.s.items()}, {ij: -v for ij, v in a.Q.items()}
-        )
-    return -a
+    return spec.neg(a)
 
 
 def is_zero(spec: RingSpec, a: Any) -> bool:
-    if spec.kind == INTEGER:
-        return a == 0
-    if spec.kind == REAL:
-        return abs(a) <= spec.zero_tolerance
-    if spec.kind == COVARIANCE:
-        tol = spec.zero_tolerance if spec.base == REAL else 0
-        if tol:
-            return abs(a.c) <= tol and all(
-                abs(v) <= tol for part in (a.s, a.Q) for v in part.values()
-            )
-        return not (a.c or any(a.s.values()) or any(a.Q.values()))
-    if spec.base == REAL and spec.zero_tolerance > 0:
-        return all(abs(v) <= spec.zero_tolerance for v in a.entries.values())
-    return not a.entries
+    return spec.is_zero(a)
 
 
 def lift(spec: RingSpec, f: LiftingFunction, x: Any) -> Any:
     """Map one domain value into the ring through the lifting function ``f``."""
     mode = f.mode
     if mode == TO_ONE:
-        return ring_one(spec)
+        return spec.one
     if mode == IDENTITY:
         if spec.kind not in (INTEGER, REAL):
             raise ValueError("identity lift needs a plain numeric ring")

@@ -6,6 +6,7 @@ import csv
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -521,6 +522,37 @@ def test_metric_rows_are_stable_across_reruns():
     assert one_run() == one_run()
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
+def counter_columns(path):
+    """A metrics CSV's rows with every pinned column but ``elapsed_ns``,
+    picked by name."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return [[r[c] for c in METRIC_COLUMNS if c != "elapsed_ns"] for r in rows]
+
+
+def test_run_counters_match_the_golden_rows(tmp_path, capsys):
+    """Every bundled scenario on every engine counts the same reads, writes
+    and probes per batch as the rows recorded in ``data/counters_run.csv``:
+    how the engine does its work may change, the work counted may not."""
+    got = []
+    for name, path in bundled_scenarios().items():
+        for engine in ENGINE_NAMES:
+            out = tmp_path / f"{name}-{engine}.csv"
+            assert main(["run", "-s", str(path), "--engine", engine, "--metrics", str(out)]) == 0
+            got += counter_columns(out)
+    assert got == counter_columns(GOLDEN / "counters_run.csv")
+
+
+def test_verify_counters_match_the_golden_rows(tmp_path, capsys):
+    out = tmp_path / "verify.csv"
+    args = [a for p in bundled_scenarios().values() for a in ("-s", str(p))]
+    assert main(["verify", *args, "--metrics", str(out)]) == 0
+    assert counter_columns(out) == counter_columns(GOLDEN / "counters_verify.csv")
+
+
 def test_emit_metrics_writes_the_pinned_header(tmp_path):
     report = run_scenario(compile_scenario(scn()), engine_name="fivm")
     out = tmp_path / "metrics.csv"
@@ -577,6 +609,20 @@ def test_cli_run_listing_export_needs_the_fivm_engine(tmp_path, capsys, engine):
     assert captured.err.startswith("error: --export without an app")
     assert len(captured.err.splitlines()) == 1
     assert not export.exists()
+
+
+def test_cli_enumerate_refuses_a_listing_without_csv_form_before_the_run(
+    monkeypatch, capsys
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the scenario was replayed")
+
+    monkeypatch.setattr("fivm.harness.cli.run_scenario", no_run)
+    rc = main(["enumerate", "-s", str(bundled_scenarios()["covariance_mi"])])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: covariance_mi: triples over grouped scalars have no flat CSV form"
+    ]
 
 
 def test_cli_enumerate_dumps_rows(tmp_path, capsys):

@@ -18,7 +18,15 @@ from fivm.ivm import (
 )
 from fivm.queries import Query, VariableOrder
 from fivm.relations import Relation, from_pairs, rel_join, rel_marginalize
-from fivm.rings import integer_ring, lift_to_one, real_ring
+from fivm.rings import (
+    CovarianceTriple,
+    covariance_ring,
+    integer_ring,
+    lift_continuous,
+    lift_to_one,
+    real_ring,
+    ring_one,
+)
 from fivm.viewtree import plan_view_tree
 
 Z = integer_ring()
@@ -260,6 +268,44 @@ def test_load_rejects_key_of_wrong_arity_and_keeps_old_state():
         state.load(bad)
     assert snapshot(state) == before
     assert dict(state.result().entries) == {(): 10}
+
+
+# A payload with slot 5 under a degree-2 ring: the engine's covariance
+# operators trust their operands, so it has to be stopped at the door.
+OUT_OF_DEGREE = CovarianceTriple(1.0, {5: 2.0}, {(5, 5): 4.0})
+
+
+def cov_pair_state():
+    """R(A,B)-S(B,C) under a degree-2 covariance ring, loaded."""
+    ring = covariance_ring(2)
+    lifts = (lift_continuous("A", 1), lift_continuous("B", 2), lift_continuous("C", 2))
+    query = Query([("R", ("A", "B")), ("S", ("B", "C"))], (), ring, lifts=lifts)
+    tree = plan_view_tree(query, VariableOrder([["B", ["A"], ["C"]]]), updatable=("R", "S"))
+    state = RuntimeState(tree)
+    state.load({"R": [((1, 10), ring_one(ring))], "S": [((10, 3), ring_one(ring))]})
+    return state
+
+
+def test_out_of_degree_update_payload_changes_nothing():
+    # R's valid delta comes first; it must not land before S's is refused.
+    state = cov_pair_state()
+    before = snapshot(state)
+    with pytest.raises(ValueError, match="slot 5 outside degree 2"):
+        state.apply_batch(
+            [
+                UpdateDelta("R", (((2, 10), ring_one(state.ring)),)),
+                UpdateDelta("S", (((10, 8), OUT_OF_DEGREE),)),
+            ]
+        )
+    assert snapshot(state) == before
+
+
+def test_load_rejects_out_of_degree_payload_and_keeps_old_state():
+    state = cov_pair_state()
+    before = snapshot(state)
+    with pytest.raises(ValueError, match="slot 5 outside degree 2"):
+        state.load({"R": [((2, 10), ring_one(state.ring))], "S": [((10, 8), OUT_OF_DEGREE)]})
+    assert snapshot(state) == before
 
 
 def test_recompute_oracle_agrees_with_nested_loop_reference():

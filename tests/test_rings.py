@@ -17,6 +17,7 @@ from fivm.rings import (
     CovarianceTriple,
     LiftingFunction,
     RelationalPayload,
+    RingSpec,
     covariance_dense,
     covariance_ring,
     integer_ring,
@@ -164,6 +165,28 @@ def test_distributivity(spec, any3, addable3, data):
     left = ring_mul(spec, a, ring_add(spec, b, c))
     right = ring_add(spec, ring_mul(spec, a, b), ring_mul(spec, a, c))
     assert left == right
+
+
+@pytest.mark.parametrize("spec,any3,addable3", RING_CASES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bound_operators_match_the_ring_functions(spec, any3, addable3, data):
+    a, b, _ = data.draw(addable3)
+    c, d, _ = data.draw(any3)
+    assert spec.add(a, b) == ring_add(spec, a, b)
+    assert spec.mul(c, d) == ring_mul(spec, c, d)
+    assert spec.neg(c) == ring_negate(spec, c)
+    assert spec.is_zero(c) == is_zero(spec, c)
+    assert spec.zero == ring_zero(spec) and spec.is_zero(spec.zero)
+    assert spec.one == ring_one(spec) and not spec.is_zero(spec.one)
+    spec.check(c)
+
+
+@pytest.mark.parametrize("spec", [p.values[0] for p in RING_CASES] + [real_ring(1e-9)])
+def test_specs_compare_on_their_descriptor_fields_only(spec):
+    twin = RingSpec(spec.kind, spec.degree, spec.base, spec.zero_tolerance)
+    assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
+    assert "add" not in repr(spec)
 
 
 def test_zero_tolerance_only_affects_real_comparisons():
