@@ -1,10 +1,10 @@
 """Command-line front end over the scenario harness.
 
 Four commands cover the workflow: ``compile`` shows what the planner
-would maintain, ``run`` streams a scenario through one engine, recording
-metrics, ``enumerate`` replays a scenario to completion and dumps the
-listing, and ``verify`` races all three engines and fails loudly on any
-disagreement. ``FIVM_LOG`` in the environment picks the log level.
+would maintain and the path each update's delta climbs, ``run`` streams
+a scenario through one engine, recording metrics, ``enumerate`` replays
+a scenario to completion and dumps the listing, and ``verify`` races all
+three engines and fails loudly on any disagreement. ``FIVM_LOG`` in the environment picks the log level.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compile(args) -> int:
     scn = load_scenario(args.scenario)
     compiled = compile_scenario(scn, indicators=not args.no_indicators)
-    tree = compiled.plan(indicators=not args.no_indicators)
+    tree = compiled.tree
     cls = classify(compiled.query)
     print(f"scenario: {scn.name}")
     print(
@@ -99,6 +99,17 @@ def _cmd_compile(args) -> int:
     for node_id, (probe, group) in indexed:
         grouped = f" grouped by {group}" if group else ""
         print(f"index on {node_id}: probe {','.join(probe) or '()'}{grouped}")
+    for entry_id, steps in tree.delta_paths.items():
+        for step in steps:
+            line = f"delta {entry_id}: {step.node.id} <- {step.via_id}"
+            for sib_id, route in step.joins:
+                if route == "primary":
+                    line += f"; {sib_id} by key"
+                elif route is None:
+                    line += f"; {sib_id} by scan"
+                else:
+                    line += f"; {sib_id} by index on {','.join(route[0])}"
+            print(line)
     return 0
 
 
@@ -116,7 +127,6 @@ def _cmd_run(args) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
         intvl=args.intvl,
-        indicators=not args.no_indicators,
     )
     total = sum(r[3] for r in report.rows)
     print(f"{scn.name}: {len(report.rows)} batches, {total} tuples, engine {args.engine}")

@@ -70,10 +70,10 @@ class FivmEngine:
 
     name = "fivm"
 
-    def __init__(self, compiled: CompiledScenario, indicators: bool = True):
+    def __init__(self, compiled: CompiledScenario):
         self.compiled = compiled
         self.counters = OpCounters()
-        self.tree = compiled.plan(indicators=indicators)
+        self.tree = compiled.tree
         self.state = RuntimeState(self.tree, counters=self.counters)
 
     def setup(self) -> None:
@@ -97,7 +97,7 @@ class _InputsEngine:
     """The baselines' shared scaffolding: one relation per occurrence plus
     the result, both loaded and listed by recomputing over the inputs."""
 
-    def __init__(self, compiled: CompiledScenario, indicators: bool = True):
+    def __init__(self, compiled: CompiledScenario):
         self.compiled = compiled
         self.counters = OpCounters()
         self.query = compiled.query
@@ -186,11 +186,11 @@ _ENGINES = {
 }
 
 
-def make_engine(name: str, compiled: CompiledScenario, indicators: bool = True):
+def make_engine(name: str, compiled: CompiledScenario):
     cls = _ENGINES.get(name)
     if cls is None:
         raise ScenarioError(f"unknown engine {name!r}; pick one of {ENGINE_NAMES}")
-    return cls(compiled, indicators=indicators)
+    return cls(compiled)
 
 
 def _batch_deltas(
@@ -297,7 +297,6 @@ def run_scenario(
     batch_size: Optional[int] = None,
     seed: Optional[int] = None,
     intvl: Optional[int] = None,
-    indicators: bool = True,
 ) -> RunReport:
     """Stream one scenario through one engine, collecting metric rows.
 
@@ -313,7 +312,7 @@ def run_scenario(
     scn = compiled.scenario
     iv = intvl if intvl is not None else scn.intvl
 
-    engine = make_engine(engine_name, compiled, indicators=indicators)
+    engine = make_engine(engine_name, compiled)
     engine.setup()
     batches = _stream(compiled, batch_size, seed)
     report = RunReport(scn.name, engine_name, [], engine)

@@ -310,18 +310,13 @@ class CompiledScenario:
     query: Query
     order: VariableOrder
     slots: Optional[tuple[str, ...]]
-    result_schema: tuple[str, ...]
+    tree: ViewTree
     static_events: dict[str, list[StreamEvent]]
     stream_events: list[tuple[str, list[StreamEvent]]]
 
-    def plan(self, indicators: bool = True) -> ViewTree:
-        return plan_view_tree(
-            self.query,
-            self.order,
-            updatable=self.scenario.updatable,
-            mode=self.scenario.mode,
-            indicators=indicators,
-        )
+    @property
+    def result_schema(self) -> tuple[str, ...]:
+        return self.tree.result_schema
 
 
 def compile_scenario(scn: Scenario, indicators: bool = True) -> CompiledScenario:
@@ -374,9 +369,6 @@ def compile_scenario(scn: Scenario, indicators: bool = True) -> CompiledScenario
     tree = plan_view_tree(
         query, order, updatable=scn.updatable, mode=scn.mode, indicators=indicators
     )
-    result_schema = tuple(
-        dict.fromkeys(v for r in tree.roots for v in r.keys)
-    )
 
     static_events: dict[str, list[StreamEvent]] = {}
     stream_events: list[tuple[str, list[StreamEvent]]] = []
@@ -398,7 +390,7 @@ def compile_scenario(scn: Scenario, indicators: bool = True) -> CompiledScenario
         query=query,
         order=order,
         slots=slots,
-        result_schema=result_schema,
+        tree=tree,
         static_events=static_events,
         stream_events=stream_events,
     )

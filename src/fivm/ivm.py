@@ -31,15 +31,12 @@ from fivm.relations import (
     rel_marginalize,
 )
 from fivm.rings import lift_to_one, lift_unit, relational_total
-from fivm.viewtree import INDICATOR, LEAF, VIEW, ViewNode, ViewTree, delta_join_order
+from fivm.viewtree import INDICATOR, LEAF, ViewNode, ViewTree
 
 __all__ = [
     "UpdateDelta",
     "FactorizedDelta",
-    "DeltaStep",
-    "DeltaPlan",
     "RuntimeState",
-    "delta_view_tree",
     "optimize_factorized",
     "recompute_query",
 ]
@@ -65,58 +62,6 @@ class FactorizedDelta:
 
     target: str
     factors: tuple[Relation, ...]
-
-
-@dataclass(frozen=True)
-class DeltaStep:
-    """One level of a propagation path: join the delta coming through
-    ``via_id`` with the listed (sibling id, ``rel_marginalize`` route)
-    pairs, then sum out ``marg_vars`` (``inner_first`` when factorized)."""
-
-    parent_id: str
-    via_id: str
-    joins: tuple[tuple[str, Any], ...]
-    marg_vars: tuple[str, ...]
-    inner_first: tuple[str, ...]
-    lifts: dict
-    keys: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DeltaPlan:
-    """The bottom-up propagation path from one entry node to its root."""
-
-    entry_id: str
-    steps: tuple[DeltaStep, ...]
-
-
-def delta_view_tree(tree: ViewTree, entry_id: str) -> DeltaPlan:
-    """Plan the propagation path for deltas entering at ``entry_id``."""
-    node = tree.by_id[entry_id]
-    steps: list[DeltaStep] = []
-    while node.parent is not None:
-        parent = node.parent
-        # A sibling is probed through its entry store or a planned index,
-        # or scanned when it shares no variable with the delta.
-        joins = tuple(
-            (sib_id, {"primary": "primary", "index": (probe, None)}.get(mode))
-            for sib_id, mode, probe in delta_join_order(parent, node)
-        )
-        steps.append(
-            DeltaStep(
-                parent_id=parent.id,
-                via_id=node.id,
-                joins=joins,
-                marg_vars=parent.marg_vars,
-                inner_first=tuple(
-                    sorted(parent.marg_vars, key=tree.order.index, reverse=True)
-                ),
-                lifts=parent.lifts,
-                keys=parent.keys,
-            )
-        )
-        node = parent
-    return DeltaPlan(entry_id, tuple(steps))
 
 
 def optimize_factorized(
@@ -166,10 +111,6 @@ class RuntimeState:
         self.views: dict[str, Relation] = {}
         self.indicator_rels: dict[str, Relation] = {}
         self.indicator_states: dict[str, IndicatorState] = {}
-        # Deltas enter at leaves and existence projections.
-        self._plans: dict[str, DeltaPlan] = {
-            n.id: delta_view_tree(tree, n.id) for n in tree.nodes if n.kind != VIEW
-        }
         if factorized_payloads is None:
             factorized_payloads = tree.query.free_lift_mode == RELATIONAL_PAYLOAD
         if factorized_payloads and tree.query.ring.kind != "relational":
@@ -224,7 +165,9 @@ class RuntimeState:
                 if node.materialized:
                     self.indicator_rels[node.id] = rel
             else:
-                rel = self._evaluate_view(node, values)
+                first, *rest = node.children
+                rel = self._marginalize(node, values[first.id], [(values[c.id], None) for c in rest])
+                rel.name = node.id
                 if node.materialized:
                     self.views[node.id] = rel
             values[node.id] = rel
@@ -232,14 +175,12 @@ class RuntimeState:
                 for probe, group in node.required_indices:
                     rel.ensure_index(probe, group)
 
-    def _evaluate_view(self, node: ViewNode, values: dict[str, Relation]) -> Relation:
-        first, *rest = [values[c.id] for c in node.children]
-        view = rel_marginalize(
-            first, node.marg_vars, node.lifts, [(r, None) for r in rest],
+    def _marginalize(self, node: ViewNode, first: Relation, joins: list) -> Relation:
+        """``first`` joined with ``joins`` and summed out as ``node`` defines."""
+        return rel_marginalize(
+            first, node.marg_vars, node.lifts, joins,
             schema=node.keys, payload_map=self.payload_xform,
         )
-        view.name = node.id
-        return view
 
     def stored(self, node_id: str) -> Relation:
         node = self.tree.by_id[node_id]
@@ -256,13 +197,6 @@ class RuntimeState:
             return self.stored(roots[0].id)
         return self._expand([self.stored(r.id) for r in roots])
 
-    @property
-    def result_schema(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for r in self.tree.roots:
-            out.extend(v for v in r.keys if v not in out)
-        return tuple(out)
-
     @staticmethod
     def _expand(form: list[Relation], schema: Optional[tuple[str, ...]] = None) -> Relation:
         """The relation a product of factors stands for, over ``schema``."""
@@ -270,39 +204,30 @@ class RuntimeState:
             return form[0]
         return rel_marginalize(form[0], (), {}, [(f, None) for f in form[1:]], schema=schema)
 
-    def _delta_step(self, step: DeltaStep, form: list[Relation]) -> list[Relation]:
-        if self.payload_xform:
-            # Payload totals do not distribute over a product's factors.
-            form = [self._expand(form)]
-        if len(form) > 1:
-            operands = form + [self.stored(sib_id) for sib_id, _ in step.joins]
-            return optimize_factorized(operands, step.inner_first, step.lifts)
-        joins = [(self.stored(sib_id), route) for sib_id, route in step.joins]
-        return [
-            rel_marginalize(
-                form[0], step.marg_vars, step.lifts, joins,
-                schema=step.keys, payload_map=self.payload_xform,
-            )
-        ]
-
     def _propagate_form(
         self, entry_id: str, form: list[Relation]
-    ) -> list[tuple[str, list[Relation]]]:
+    ) -> list[tuple[ViewNode, list[Relation]]]:
         """Compute the delta at every level above the entry, pre-state."""
-        path: list[tuple[str, list[Relation]]] = []
-        for step in self._plans[entry_id].steps:
+        path: list[tuple[ViewNode, list[Relation]]] = []
+        for step in self.tree.delta_paths[entry_id]:
             if any(not f.entries for f in form):
                 break
-            form = self._delta_step(step, form)
-            path.append((step.parent_id, form))
+            if self.payload_xform:
+                # Payload totals do not distribute over a product's factors.
+                form = [self._expand(form)]
+            if len(form) > 1:
+                operands = form + [self.stored(sib_id) for sib_id, _ in step.joins]
+                form = optimize_factorized(operands, step.inner_first, step.node.lifts)
+            else:
+                joins = [(self.stored(sib_id), route) for sib_id, route in step.joins]
+                form = [self._marginalize(step.node, form[0], joins)]
+            path.append((step.node, form))
         return path
 
-    def _apply_path(self, path: list[tuple[str, list[Relation]]]) -> None:
-        for node_id, form in path:
-            node = self.tree.by_id[node_id]
-            if not node.materialized:
-                continue
-            rel_apply_delta(self.stored(node_id), self._expand(form, node.keys))
+    def _apply_path(self, path: list[tuple[ViewNode, list[Relation]]]) -> None:
+        for node, form in path:
+            if node.materialized:
+                rel_apply_delta(self.stored(node.id), self._expand(form, node.keys))
 
     def propagate(self, leaf_id: str, form: list[Relation]) -> None:
         """Push one relation occurrence's delta through the whole tree.
@@ -403,7 +328,7 @@ class RuntimeState:
 
     def recompute_oracle(self) -> Relation:
         """Recompute the result from the current base relations only."""
-        return recompute_query(self.query, self.leaves, self.result_schema)
+        return recompute_query(self.query, self.leaves, self.tree.result_schema)
 
 
 def recompute_query(

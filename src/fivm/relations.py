@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from fivm.rings import LiftingFunction, RingSpec, lift
+from fivm.rings import TO_ONE, LiftingFunction, RingSpec, lift
 
 __all__ = [
     "Tuple",
@@ -322,7 +322,8 @@ def rel_marginalize(
     it (with nothing shared it is a single group). Payloads are multiplied
     in join order, zero partial products are skipped, and each full row is
     then multiplied by the lifted images of its dropped values, in joined-
-    schema order, before it is added into the output. ``payload_map``, when
+    schema order, before it is added into the output; a lift to the ring's
+    one is left out, since multiplying by one changes nothing. ``payload_map``, when
     given, rewrites every operand's payload before it is multiplied.
 
     The joined schema lists ``rel``'s variables, then each joined
@@ -341,7 +342,8 @@ def rel_marginalize(
     for pos, v in drop:
         if v not in lifts:
             raise ValueError(f"no lifting function for marginalized variable {v}")
-        lifted.append((pos, lifts[v]))
+        if lifts[v].mode != TO_ONE:
+            lifted.append((pos, lifts[v]))
     out = Relation(out_schema, rel.ring, counters=rel.counters)
     rights = [r for r, _ in joins]
     if not rel.entries or not all(r.entries for r in rights):
@@ -360,7 +362,7 @@ def rel_marginalize(
     last = len(rights) - 1
     for i, (right, level) in enumerate(zip(rights, levels)):
         rows = _join_rows(
-            rows, right, level, mul, is_zero, payload_map, rel.counters, i < last or bool(lifted)
+            rows, right, level, mul, is_zero, payload_map, rel.counters, i < last or bool(drop)
         )
     if lifted or out_pos is not None:
         rows = _finish_rows(rows, ring, lifted, out_pos)

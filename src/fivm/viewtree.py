@@ -12,13 +12,14 @@ On top of the raw construction this module places existence projections of
 absent relations onto cyclic cores (so joins like the triangle stay
 bounded), decides which views are worth storing given the updatable
 relations, compacts marginalization chains and identity wrappers, and
-plans the secondary indexes that delta propagation and enumeration probe,
-together with the listing plan that enumeration runs.
+plans the delta path of every updatable relation and the listing plan
+that enumeration runs, together with the secondary indexes both probe.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Any, Iterable, Optional
 
 from fivm.queries import (
     GROUP_BY,
@@ -31,6 +32,7 @@ from fivm.queries import (
 from fivm.rings import LiftingFunction, lift_singleton, lift_to_one
 
 __all__ = [
+    "DeltaStep",
     "ViewNode",
     "ViewTree",
     "build_view_tree",
@@ -68,7 +70,6 @@ class ViewNode:
         "marg_vars",
         "lifts",
         "children",
-        "rels",
         "rels_under",
         "vars_under",
         "materialized",
@@ -97,7 +98,6 @@ class ViewNode:
         self.marg_vars = marg_vars
         self.lifts = lifts or {}
         self.children = children or []
-        self.rels: frozenset[str] = frozenset()
         self.rels_under: frozenset[str] = frozenset()
         self.vars_under: frozenset[str] = frozenset()
         self.materialized = False
@@ -106,12 +106,21 @@ class ViewNode:
         self.source = source
         self.parent: Optional[ViewNode] = None
 
-    @property
-    def out_schema(self) -> tuple[str, ...]:
-        return self.keys
-
     def __repr__(self) -> str:
         return f"<{self.kind} {self.id}[{','.join(self.keys)}]>"
+
+
+@dataclass(frozen=True)
+class DeltaStep:
+    """One level of a delta path: a delta arriving at ``node`` through its
+    child ``via_id`` joins the listed (sibling id, ``rel_marginalize``
+    route) pairs, then sums out ``node.marg_vars``, innermost variable
+    first (``inner_first``) when the delta is a product of factors."""
+
+    node: ViewNode
+    via_id: str
+    joins: tuple[tuple[str, Any], ...]
+    inner_first: tuple[str, ...]
 
 
 class ViewTree:
@@ -133,8 +142,16 @@ class ViewTree:
         # each root's payload_covers.
         self.listing_steps: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
         self.payload_plan: tuple = ()
+        # Set by plan_indices: the delta path of every node a delta enters
+        # at (updatable leaves and the indicators they feed), bottom-up.
+        self.delta_paths: dict[str, tuple[DeltaStep, ...]] = {}
         self.updatable: frozenset[str] = frozenset()
         self._ids: set[str] = set()
+
+    @property
+    def result_schema(self) -> tuple[str, ...]:
+        """The result's variables: every root's keys, each once, in root order."""
+        return tuple(dict.fromkeys(v for r in self.roots for v in r.keys))
 
     def claim_id(self, base: str) -> str:
         if base not in self._ids:
@@ -158,19 +175,15 @@ class ViewTree:
             node.parent = parent
             for c in node.children:
                 visit(c, node)
-            rels: set[str] = set()
             under: set[str] = set()
             vars_under: set[str] = set(node.keys) | set(node.marg_vars)
             if node.kind == LEAF:
-                rels.add(node.leaf_id)
                 under.add(node.leaf_id)
             elif node.kind == INDICATOR:
                 under.add(node.source)
             for c in node.children:
-                rels |= c.rels
                 under |= c.rels_under
                 vars_under |= c.vars_under
-            node.rels = frozenset(rels)
             node.rels_under = frozenset(under)
             node.vars_under = frozenset(vars_under)
             self.nodes.append(node)
@@ -276,7 +289,7 @@ def build_view_tree(query: Query, order: VariableOrder) -> ViewTree:
             lifts = {x: _bound_lift(query, x)}
         joined = set()
         for c in children:
-            joined |= set(c.out_schema)
+            joined |= set(c.keys)
         if joined != set(keys) | set(marg):
             raise ValueError(
                 f"view at {x} joins schema {sorted(joined)} but needs {sorted(set(keys) | set(marg))}"
@@ -329,7 +342,7 @@ def build_free_connex_tree(query: Query, order: VariableOrder) -> ViewTree:
         """Sum x (plus any leftover bound descendants) out of ``child``."""
         in_subtree = set(order.subtree(x))
         leftovers = order.sort_vars(
-            v for v in child.out_schema if v != x and v in bound and v in in_subtree
+            v for v in child.keys if v != x and v in bound and v in in_subtree
         )
         node = child
         if leftovers and x in free:
@@ -340,7 +353,7 @@ def build_free_connex_tree(query: Query, order: VariableOrder) -> ViewTree:
                 _view_id(tree, "B", x, _rels_below(child)),
                 VIEW,
                 keys=order.sort_vars(
-                    v for v in child.out_schema if v not in set(leftovers)
+                    v for v in child.keys if v not in set(leftovers)
                 ),
                 at_variable=x,
                 marg_vars=leftovers,
@@ -354,7 +367,7 @@ def build_free_connex_tree(query: Query, order: VariableOrder) -> ViewTree:
         lifts = {}
         for v in marg:
             lifts[v] = _free_lift(query, v) if v in free else _bound_lift(query, v)
-        keys = tuple(v for v in node.out_schema if v not in set(marg))
+        keys = tuple(v for v in node.keys if v not in set(marg))
         return ViewNode(
             _view_id(tree, "V", x, _rels_below(node)),
             VIEW,
@@ -375,7 +388,7 @@ def build_free_connex_tree(query: Query, order: VariableOrder) -> ViewTree:
         if k >= 2:
             joined: set[str] = set()
             for c in children:
-                joined |= set(c.out_schema)
+                joined |= set(c.keys)
             if x not in joined:
                 raise ValueError(f"hub at {x} lost its own variable: {sorted(joined)}")
             hub = ViewNode(
@@ -391,20 +404,20 @@ def build_free_connex_tree(query: Query, order: VariableOrder) -> ViewTree:
         single = children[0]
         if x in free:
             tree.enum_views[x] = single.id
-        if x not in set(single.out_schema):
+        if x not in set(single.keys):
             raise ValueError(f"variable {x} missing from its only child {single.id}")
         return wrap(single, x) if has_sibling else single
 
     roots: list[ViewNode] = []
     for r in order.roots:
         top = build(r, has_sibling=False)
-        leftover = order.sort_vars(v for v in top.out_schema if v in bound)
+        leftover = order.sort_vars(v for v in top.keys if v in bound)
         if leftover:
             lifts = {v: _bound_lift(query, v) for v in leftover}
             top = ViewNode(
                 _view_id(tree, "V", None, _rels_below(top)),
                 VIEW,
-                keys=tuple(v for v in top.out_schema if v not in set(leftover)),
+                keys=tuple(v for v in top.keys if v not in set(leftover)),
                 marg_vars=leftover,
                 lifts=lifts,
                 children=[top],
@@ -554,7 +567,7 @@ def compact_and_dedupe(tree: ViewTree) -> ViewTree:
             node.kind == VIEW
             and not node.marg_vars
             and len(node.children) == 1
-            and set(node.keys) == set(node.children[0].out_schema)
+            and set(node.keys) == set(node.children[0].keys)
         ):
             child = node.children[0]
             child.materialized = child.materialized or node.materialized
@@ -580,25 +593,25 @@ def delta_join_order(
     probed through its primary store, a partially bound one through a
     secondary index, and an unconnected one by scan.
     """
-    bound = set(delta_child.out_schema)
+    bound = set(delta_child.keys)
     rest = [c for c in parent.children if c is not delta_child]
     steps: list[tuple[str, str, tuple[str, ...]]] = []
     while rest:
         best_i = 0
         best_n = -1
         for i, c in enumerate(rest):
-            n = len(set(c.out_schema) & bound)
+            n = len(set(c.keys) & bound)
             if n > best_n:
                 best_i, best_n = i, n
         sib = rest.pop(best_i)
-        probe = tuple(v for v in sib.out_schema if v in bound)
-        if len(probe) == len(sib.out_schema):
+        probe = tuple(v for v in sib.keys if v in bound)
+        if len(probe) == len(sib.keys):
             steps.append((sib.id, "primary", probe))
         elif probe:
             steps.append((sib.id, "index", probe))
         else:
             steps.append((sib.id, "scan", ()))
-        bound |= set(sib.out_schema)
+        bound |= set(sib.keys)
     return steps
 
 
@@ -619,13 +632,14 @@ def payload_covers(node: ViewNode, free: frozenset[str]) -> ViewNode | tuple:
 
 
 def plan_indices(tree: ViewTree) -> ViewTree:
-    """Record the secondary indexes that updates and enumeration will probe.
+    """Fix the delta paths and the secondary indexes they and enumeration probe.
 
     Walks the propagation path of every updatable relation occurrence (and
-    of every indicator fed by one) and notes a plain index on each sibling
-    probed on part of its schema. Enumeration hubs get an index grouping
-    by their own variable under the enumerable prefix; each such index is
-    also a step of the listing plan, next to the roots' payload covers.
+    of every indicator fed by one) into ``delta_paths``, resolving each
+    sibling's join route, and notes a plain index on each sibling probed
+    on part of its schema. Enumeration hubs get an index grouping by their
+    own variable under the enumerable prefix; each such index is also a
+    step of the listing plan, next to the roots' payload covers.
     """
     for node in tree.nodes:
         node.required_indices = []
@@ -635,28 +649,33 @@ def plan_indices(tree: ViewTree) -> ViewTree:
         if spec not in node.required_indices:
             node.required_indices.append(spec)
 
-    def walk_up(start: ViewNode) -> None:
-        node = start
+    def walk_up(node: ViewNode) -> tuple[DeltaStep, ...]:
+        steps = []
         while node.parent is not None:
             parent = node.parent
+            # A sibling is probed through its entry store or a planned
+            # index, or scanned when it shares no variable with the delta.
+            joins = []
             for sib_id, mode, probe in delta_join_order(parent, node):
+                route = {"primary": "primary", "index": (probe, None)}.get(mode)
                 if mode == "index":
-                    need(tree.by_id[sib_id], probe, None)
+                    need(tree.by_id[sib_id], *route)
+                joins.append((sib_id, route))
+            inner_first = tuple(sorted(parent.marg_vars, key=tree.order.index, reverse=True))
+            steps.append(DeltaStep(parent, node.id, tuple(joins), inner_first))
             node = parent
+        return tuple(steps)
 
-    for leaf_id in sorted(tree.updatable):
-        if leaf_id in tree.leaf_nodes:
-            walk_up(tree.leaf_nodes[leaf_id])
-    for ind in tree.indicator_nodes:
-        if ind.source in tree.updatable:
-            walk_up(ind)
+    entries = [tree.leaf_nodes[leaf_id] for leaf_id in sorted(tree.updatable)]
+    entries += [ind for ind in tree.indicator_nodes if ind.source in tree.updatable]
+    tree.delta_paths = {node.id: walk_up(node) for node in entries}
 
     free = frozenset(tree.query.free)
     steps = []
     for var in sorted(tree.enum_views, key=tree.order.index):
         node = tree.by_id[tree.enum_views[var]]
         fixed = set(tree.order.ancestors(var)) & free
-        probe = tuple(v for v in node.out_schema if v in fixed)
+        probe = tuple(v for v in node.keys if v in fixed)
         need(node, probe, var)
         steps.append((var, node.id, probe))
     tree.listing_steps = tuple(steps)

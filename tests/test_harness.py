@@ -154,7 +154,7 @@ def test_compile_splits_static_from_streamed():
     assert [name for name, _ in compiled.stream_events] == ["R"]
     assert set(compiled.static_events) == {"S"}
     assert compiled.result_schema == ()
-    assert len(compiled.plan().nodes) > 0
+    assert len(compiled.tree.nodes) > 0
 
 
 def test_static_relations_cannot_delete():
@@ -581,6 +581,17 @@ def test_cli_compile_prints_the_plan(tmp_path, capsys):
     assert "scenario: pair_count" in out
     assert "class: acyclic=True" in out
     assert "mode:" in out
+    # one line per level of each delta path: the view, the child the delta
+    # arrives through, and every sibling with its join route
+    assert [line for line in out.splitlines() if line.startswith("delta ")] == [
+        "delta R: V@A(R) <- R",
+        "delta R: V@B(R+S) <- V@A(R); V@C(S) by key",
+        "delta S: V@C(S) <- S",
+        "delta S: V@B(R+S) <- V@C(S); V@A(R) by key",
+    ]
+    assert main(["compile", "-s", str(bundled_scenarios()["triangle_count"])]) == 0
+    out = capsys.readouterr().out
+    assert "delta S: V@C(S+T) <- S; T by index on C; exists(R)[A,B] by key\n" in out
 
 
 def test_cli_run_writes_metrics_and_export(tmp_path, capsys):

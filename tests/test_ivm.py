@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fivm.relations
 import oracles
 from fivm.ivm import (
     FactorizedDelta,
     RuntimeState,
     UpdateDelta,
-    delta_view_tree,
     optimize_factorized,
     recompute_query,
 )
@@ -213,14 +213,16 @@ def test_update_to_relation_outside_the_plan_changes_nothing():
 def test_delta_steps_are_resolved_when_planned(monkeypatch):
     state = chain_state()
     for leaf_id in ("R", "S", "T"):
-        for step in delta_view_tree(state.tree, leaf_id).steps:
-            parent = state.tree.by_id[step.parent_id]
-            assert step.lifts == parent.lifts
+        node = state.tree.leaf_nodes[leaf_id]
+        for step in state.tree.delta_paths[node.id]:
+            parent = node.parent
+            assert step.node is parent
             assert list(step.inner_first) == sorted(
-                step.marg_vars, key=state.tree.order.index, reverse=True
+                step.node.marg_vars, key=state.tree.order.index, reverse=True
             )
             for sib_id, idx in step.joins:
                 assert idx in ("primary", None) or idx in state.stored(sib_id).indexes
+            node = parent
     # T's delta probes the E view through its planned index on C; nothing
     # is looked up or built per update
     calls = []
@@ -251,12 +253,31 @@ def test_one_tuple_updates_build_no_intermediate_relation(monkeypatch):
         for val in (1, -1)
     ]
     for name, key, val in updates:
-        levels = len(delta_view_tree(state.tree, name).steps)
+        levels = len(state.tree.delta_paths[name])
         built.clear()
         state.apply_batch([UpdateDelta(name, ((key, val),))])
         assert len(built) <= levels + 2, (name, val, built)
     monkeypatch.undo()
     assert dict(state.result().entries) == {(): 10}
+    assert_views_match_fresh(state)
+
+
+def test_to_one_lifts_are_not_applied(monkeypatch):
+    """Summing out a variable lifted to one multiplies by nothing: a
+    count-ring update and batch never call ``lift``."""
+    state = chain_state()
+    calls = []
+    lift = fivm.relations.lift
+    monkeypatch.setattr(
+        fivm.relations, "lift", lambda *a: calls.append(a) or lift(*a)
+    )
+    state.apply_batch([UpdateDelta("R", ((("a1", "b9"), 1),))])
+    state.apply_batch(
+        [UpdateDelta("S", ((("a1", "c2", "e9"), 1),)), UpdateDelta("T", ((("c2", "d9"), 1),))]
+    )
+    assert calls == []
+    monkeypatch.undo()
+    assert state.result().entries == state.recompute_oracle().entries
     assert_views_match_fresh(state)
 
 

@@ -447,7 +447,7 @@ def test_planned_trees_satisfy_schema_invariants(case):
             continue
         joined = set()
         for c in node.children:
-            joined |= set(c.out_schema)
+            joined |= set(c.keys)
         assert joined == set(node.keys) | set(node.marg_vars)
         for v in node.marg_vars:
             assert v in node.lifts
