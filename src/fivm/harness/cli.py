@@ -4,7 +4,8 @@ Four commands cover the workflow: ``compile`` shows what the planner
 would maintain and the path each update's delta climbs, ``run`` streams
 a scenario through one engine, recording metrics, ``enumerate`` replays
 a scenario to completion and dumps the listing, and ``verify`` races all
-three engines and fails loudly on any disagreement. ``FIVM_LOG`` in the environment picks the log level.
+three engines and fails loudly on any disagreement. ``FIVM_LOG`` in the
+environment picks the log level.
 """
 
 from __future__ import annotations

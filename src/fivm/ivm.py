@@ -2,12 +2,13 @@
 
 The runtime holds the base relations, the stored views picked by the
 planner, and the support counts behind existence projections. An update to
-one relation turns into a delta that climbs the tree: at every level it
-joins the pre-update state of the sibling views, sums out the level's
-variables, and moves up; once the whole path is computed, the changes are
-applied. Existence projections are refreshed afterwards from the support
-transitions of their source, each one propagating its (usually tiny) delta
-the same way against the then-current state.
+one relation turns into a delta that climbs the path the planner fixed for
+it (``ViewTree.delta_paths``): at every level it joins the pre-update state
+of the sibling views, sums out the level's variables, and moves up; once
+the whole path is computed, the changes are applied. Existence projections
+are refreshed afterwards from the support transitions of their source,
+each one propagating its (usually tiny) delta the same way against the
+then-current state.
 
 Updates that arrive as products of independent factors are propagated
 without expanding the product: each variable is summed out by joining only
@@ -166,7 +167,8 @@ class RuntimeState:
                     self.indicator_rels[node.id] = rel
             else:
                 first, *rest = node.children
-                rel = self._marginalize(node, values[first.id], [(values[c.id], None) for c in rest])
+                joins = [(values[c.id], None) for c in rest]
+                rel = self._marginalize(node, values[first.id], joins)
                 rel.name = node.id
                 if node.materialized:
                     self.views[node.id] = rel
