@@ -29,7 +29,6 @@ from .rings import (
     REAL,
     RELATIONAL,
     CovarianceTriple,
-    RelationalPayload,
     RingSpec,
     covariance_dense,
     covariance_ring,
@@ -282,12 +281,6 @@ def train_linear_regression(
     return RegressionResult(coefs, steps, False, norm)
 
 
-def _scalar(v: Any) -> float:
-    if isinstance(v, RelationalPayload):
-        return float(v.total())
-    return float(v)
-
-
 @dataclass(frozen=True)
 class MIMatrix:
     """Pairwise mutual information, natural log, zero diagonal."""
@@ -315,7 +308,7 @@ def mutual_information_matrix(
     m = spec.degree
     if len(slots) != m:
         raise ValueError(f"{m} slots expected, got {len(slots)}")
-    n = _scalar(stats.c)
+    n = float(stats.c.total())
     if n <= 0:
         raise ValueError("mutual information of an empty population")
 

@@ -33,7 +33,7 @@ from ..apps import (
 )
 from ..enumeration import enumerate_result
 from ..ivm import RuntimeState, UpdateDelta, recompute_query
-from ..relations import OpCounters, Relation
+from ..relations import OpCounters, Relation, from_pairs
 from ..rings import ring_negate
 from .scenario import CompiledScenario, Scenario, ScenarioError, compile_scenario
 from .streams import StreamEvent, synthesize_stream
@@ -120,9 +120,8 @@ class _InputsEngine:
 
     def setup(self) -> None:
         for d in self.query.relations:
-            rel = self.leaves[d.leaf_id]
-            for e in self.compiled.static_events.get(d.name, ()):
-                rel.accumulate(e.key, e.payload)
+            events = self.compiled.static_events.get(d.name, ())
+            self.leaves[d.leaf_id].accumulate_all((e.key, e.payload) for e in events)
         self.root = self._recompute(self.compiled.result_schema)
 
     def root_snapshot(self) -> dict[tuple, Any]:
@@ -147,19 +146,15 @@ class FirstOrderEngine(_InputsEngine):
         touched = 0
         for delta in _batch_deltas(self.compiled, batch):
             for occ in self.query.occurrences[delta.target]:
-                drel = Relation(occ.schema, self.query.ring, counters=self.counters)
-                for key, val in delta.pairs:
-                    drel.accumulate(tuple(key), val)
+                drel = from_pairs(occ.schema, self.query.ring, delta.pairs, self.counters)
                 if drel.entries:
                     subst = dict(self.leaves)
                     subst[occ.leaf_id] = drel
                     droot = self._recompute(self.compiled.result_schema, subst)
-                    for key, val in droot.items():
-                        self.root.accumulate(key, val)
+                    self.root.accumulate_all(droot.items())
                 # Advance this occurrence before the next one sees it.
-                for key, val in delta.pairs:
-                    self.leaves[occ.leaf_id].accumulate(tuple(key), val)
-                    touched += 1
+                self.leaves[occ.leaf_id].accumulate_all(delta.pairs)
+                touched += len(delta.pairs)
         return touched
 
 
@@ -172,9 +167,8 @@ class ReevaluateEngine(_InputsEngine):
         touched = 0
         for delta in _batch_deltas(self.compiled, batch):
             for occ in self.query.occurrences[delta.target]:
-                for key, val in delta.pairs:
-                    self.leaves[occ.leaf_id].accumulate(tuple(key), val)
-                    touched += 1
+                self.leaves[occ.leaf_id].accumulate_all(delta.pairs)
+                touched += len(delta.pairs)
         self.root = self._recompute(self.compiled.result_schema)
         return touched
 

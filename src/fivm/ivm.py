@@ -1,14 +1,16 @@
 """Incremental maintenance of a view tree under inserts and deletes.
 
 The runtime holds the base relations, the stored views picked by the
-planner, and the support counts behind existence projections. An update to
-one relation turns into a delta that climbs the path the planner fixed for
-it (``ViewTree.delta_paths``): at every level it joins the pre-update state
-of the sibling views, sums out the level's variables, and moves up; once
-the whole path is computed, the changes are applied. Existence projections
-are refreshed afterwards from the support transitions of their source,
-each one propagating its (usually tiny) delta the same way against the
-then-current state.
+planner, and the support counts behind existence projections. A delta
+enters the tree at an updatable relation occurrence or at an existence
+projection, and one routine handles both: it climbs the path the planner
+fixed for the entry (``ViewTree.delta_paths``), at every level joining the
+pre-update state of the sibling views and summing out the level's
+variables. Only once the whole path is computed are the stored levels
+updated, the entry's own relation last, so an update that fails partway up
+changes nothing. The occurrence's support transitions then become the
+(usually tiny) delta of each projection the plan says it feeds
+(``ViewTree.feeds``), which climbs its own path against the updated state.
 
 Updates that arrive as products of independent factors are propagated
 without expanding the product: each variable is summed out by joining only
@@ -206,56 +208,47 @@ class RuntimeState:
             return form[0]
         return rel_marginalize(form[0], (), {}, [(f, None) for f in form[1:]], schema=schema)
 
-    def _propagate_form(
-        self, entry_id: str, form: list[Relation]
-    ) -> list[tuple[ViewNode, list[Relation]]]:
-        """Compute the delta at every level above the entry, pre-state."""
+    def _enter(self, entry: ViewNode, form: list[Relation]) -> list[tuple[tuple, int]]:
+        """Push a delta that enters at ``entry`` up its planned path.
+
+        Every level is computed against the state before the delta; only
+        then are the stored levels updated, and the entry's own relation
+        last, so an error on the way up changes nothing. Returns the
+        support transitions of the entry's relation (none when unstored).
+        """
         path: list[tuple[ViewNode, list[Relation]]] = []
-        for step in self.tree.delta_paths[entry_id]:
-            if any(not f.entries for f in form):
+        level = form
+        for step in self.tree.delta_paths[entry.id]:
+            if any(not f.entries for f in level):
                 break
             if self.payload_xform:
                 # Payload totals do not distribute over a product's factors.
-                form = [self._expand(form)]
-            if len(form) > 1:
-                operands = form + [self.stored(sib_id) for sib_id, _ in step.joins]
-                form = optimize_factorized(operands, step.inner_first, step.node.lifts)
+                level = [self._expand(level)]
+            if len(level) > 1:
+                operands = level + [self.stored(sib_id) for sib_id, _ in step.joins]
+                level = optimize_factorized(operands, step.inner_first, step.node.lifts)
             else:
                 joins = [(self.stored(sib_id), route) for sib_id, route in step.joins]
-                form = [self._marginalize(step.node, form[0], joins)]
-            path.append((step.node, form))
-        return path
-
-    def _apply_path(self, path: list[tuple[ViewNode, list[Relation]]]) -> None:
-        for node, form in path:
+                level = [self._marginalize(step.node, level[0], joins)]
+            path.append((step.node, level))
+        for node, level in path:
             if node.materialized:
-                rel_apply_delta(self.stored(node.id), self._expand(form, node.keys))
+                rel_apply_delta(self.stored(node.id), self._expand(level, node.keys))
+        if not entry.materialized:
+            return []
+        return rel_apply_delta(self.stored(entry.id), self._expand(form, entry.keys))
 
     def propagate(self, leaf_id: str, form: list[Relation]) -> None:
         """Push one relation occurrence's delta through the whole tree.
 
-        The main path is computed against pre-update state and applied,
-        the occurrence's stored copy last; then each existence projection
-        fed by this occurrence folds in the support transitions and its
-        own delta climbs the tree against the current state.
+        The occurrence's delta climbs its path first; its support
+        transitions then become the delta of each existence projection it
+        feeds, which climbs its own path against the updated state.
         """
-        leaf_node = self.tree.leaf_nodes[leaf_id]
-        path = self._propagate_form(leaf_node.id, form)
-        self._apply_path(path)
-        delta_rel = self._expand(form, leaf_node.keys)
-        transitions = rel_apply_delta(self.leaves[leaf_id], delta_rel)
-        for ind in self.tree.indicator_nodes:
-            if ind.source != leaf_id:
-                continue
-            d_ind = indicator_delta(
-                self.indicator_states[ind.id], transitions, counters=self.counters
-            )
-            if not d_ind.entries:
-                continue
-            ind_path = self._propagate_form(ind.id, [d_ind])
-            self._apply_path(ind_path)
-            if ind.materialized:
-                rel_apply_delta(self.indicator_rels[ind.id], d_ind)
+        transitions = self._enter(self.tree.leaf_nodes[leaf_id], form)
+        for ind in self.tree.feeds[leaf_id]:
+            state = self.indicator_states[ind.id]
+            self._enter(ind, [indicator_delta(state, transitions, counters=self.counters)])
 
     def apply_batch(self, updates: Iterable[UpdateDelta | FactorizedDelta]) -> int:
         """Apply a batch of updates, one relation at a time in arrival order.

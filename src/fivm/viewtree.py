@@ -143,8 +143,10 @@ class ViewTree:
         self.listing_steps: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
         self.payload_plan: tuple = ()
         # Set by plan_indices: the delta path of every node a delta enters
-        # at (updatable leaves and the indicators they feed), bottom-up.
+        # at (updatable leaves and the indicators they feed), bottom-up, and
+        # per updatable leaf id the indicators its support transitions feed.
         self.delta_paths: dict[str, tuple[DeltaStep, ...]] = {}
+        self.feeds: dict[str, tuple[ViewNode, ...]] = {}
         self.updatable: frozenset[str] = frozenset()
         self._ids: set[str] = set()
 
@@ -205,7 +207,7 @@ class ViewTree:
             if node.kind == LEAF:
                 lines.append(f"{flag} {node.id}[{keys}] input")
             elif node.kind == INDICATOR:
-                lines.append(f"{flag} {node.id}[{keys}] exists({node.source})")
+                lines.append(f"{flag} {node.id} exists({node.source})")
             else:
                 body = " * ".join(c.id for c in node.children)
                 if node.marg_vars:
@@ -481,17 +483,13 @@ def add_indicator_projections(tree: ViewTree) -> ViewTree:
     return tree
 
 
-def choose_materialization(
-    tree: ViewTree,
-    updatable: Iterable[str],
-    ensure_enumeration: bool = True,
-) -> ViewTree:
+def choose_materialization(tree: ViewTree, updatable: Iterable[str]) -> ViewTree:
     """Flag the views worth storing for the given updatable relations.
 
     Roots and leaves are always kept. Any other child view is kept exactly
     when some sibling's subtree contains an updatable relation, because a
-    delta arriving through that sibling joins against it. With
-    ``ensure_enumeration`` the views that result enumeration and per-tuple
+    delta arriving through that sibling joins against it. In an
+    output-oriented tree the views that result enumeration and per-tuple
     payload lookups touch are kept as well.
     """
     names = set(updatable)
@@ -516,7 +514,7 @@ def choose_materialization(
             ):
                 c.materialized = True
 
-    if ensure_enumeration and tree.query.free:
+    if tree.mode == "nu" and tree.query.free:
         free = frozenset(tree.query.free)
         if len(tree.roots) == 1 and free <= set(tree.roots[0].keys):
             # The root already lists every result tuple by key; walking
@@ -546,7 +544,8 @@ def compact_and_dedupe(tree: ViewTree) -> ViewTree:
     into its parent: the parent sums out both variable sets over the
     grandchildren at once. A join-only view whose keys match its only
     child's schema adds nothing; it disappears, passing its storage flag
-    down. Views kept for enumeration are left alone.
+    down (such wrappers only occur in general trees, which list from the
+    root). Views kept for enumeration are never inlined.
     """
     protected = set(tree.enum_views.values())
 
@@ -571,10 +570,6 @@ def compact_and_dedupe(tree: ViewTree) -> ViewTree:
         ):
             child = node.children[0]
             child.materialized = child.materialized or node.materialized
-            if node.id in tree.enum_views.values():
-                for var, nid in tree.enum_views.items():
-                    if nid == node.id:
-                        tree.enum_views[var] = child.id
             return child
         return node
 
@@ -583,19 +578,18 @@ def compact_and_dedupe(tree: ViewTree) -> ViewTree:
     return tree
 
 
-def delta_join_order(
-    parent: ViewNode, delta_child: ViewNode
-) -> list[tuple[str, str, tuple[str, ...]]]:
+def delta_join_order(parent: ViewNode, delta_child: ViewNode) -> list[tuple[str, Any]]:
     """Greedy join order for a delta arriving at ``parent`` via one child.
 
-    Returns (sibling id, probe mode, probe vars) steps. Siblings are taken
-    most-connected first; a sibling whose whole schema is already bound is
-    probed through its primary store, a partially bound one through a
-    secondary index, and an unconnected one by scan.
+    Returns (sibling id, ``rel_marginalize`` route) pairs. Siblings are
+    taken most-connected first; a sibling whose whole schema is already
+    bound is probed through its entry store (``"primary"``), a partially
+    bound one through a secondary index on the bound variables
+    (``(probe, None)``), and an unconnected one is scanned (``None``).
     """
     bound = set(delta_child.keys)
     rest = [c for c in parent.children if c is not delta_child]
-    steps: list[tuple[str, str, tuple[str, ...]]] = []
+    steps: list[tuple[str, Any]] = []
     while rest:
         best_i = 0
         best_n = -1
@@ -606,11 +600,11 @@ def delta_join_order(
         sib = rest.pop(best_i)
         probe = tuple(v for v in sib.keys if v in bound)
         if len(probe) == len(sib.keys):
-            steps.append((sib.id, "primary", probe))
+            steps.append((sib.id, "primary"))
         elif probe:
-            steps.append((sib.id, "index", probe))
+            steps.append((sib.id, (probe, None)))
         else:
-            steps.append((sib.id, "scan", ()))
+            steps.append((sib.id, None))
         bound |= set(sib.keys)
     return steps
 
@@ -637,9 +631,10 @@ def plan_indices(tree: ViewTree) -> ViewTree:
     Walks the propagation path of every updatable relation occurrence (and
     of every indicator fed by one) into ``delta_paths``, resolving each
     sibling's join route, and notes a plain index on each sibling probed
-    on part of its schema. Enumeration hubs get an index grouping by their
-    own variable under the enumerable prefix; each such index is also a
-    step of the listing plan, next to the roots' payload covers.
+    on part of its schema; ``feeds`` lists the indicators each updatable
+    occurrence feeds. Enumeration hubs get an index grouping by their own
+    variable under the enumerable prefix; each such index is also a step of
+    the listing plan, next to the roots' payload covers.
     """
     for node in tree.nodes:
         node.required_indices = []
@@ -653,21 +648,21 @@ def plan_indices(tree: ViewTree) -> ViewTree:
         steps = []
         while node.parent is not None:
             parent = node.parent
-            # A sibling is probed through its entry store or a planned
-            # index, or scanned when it shares no variable with the delta.
-            joins = []
-            for sib_id, mode, probe in delta_join_order(parent, node):
-                route = {"primary": "primary", "index": (probe, None)}.get(mode)
-                if mode == "index":
+            joins = tuple(delta_join_order(parent, node))
+            for sib_id, route in joins:
+                if isinstance(route, tuple):
                     need(tree.by_id[sib_id], *route)
-                joins.append((sib_id, route))
             inner_first = tuple(sorted(parent.marg_vars, key=tree.order.index, reverse=True))
-            steps.append(DeltaStep(parent, node.id, tuple(joins), inner_first))
+            steps.append(DeltaStep(parent, node.id, joins, inner_first))
             node = parent
         return tuple(steps)
 
-    entries = [tree.leaf_nodes[leaf_id] for leaf_id in sorted(tree.updatable)]
-    entries += [ind for ind in tree.indicator_nodes if ind.source in tree.updatable]
+    fed = [ind for ind in tree.indicator_nodes if ind.source in tree.updatable]
+    tree.feeds = {
+        leaf_id: tuple(ind for ind in fed if ind.source == leaf_id)
+        for leaf_id in sorted(tree.updatable)
+    }
+    entries = [tree.leaf_nodes[leaf_id] for leaf_id in sorted(tree.updatable)] + fed
     tree.delta_paths = {node.id: walk_up(node) for node in entries}
 
     free = frozenset(tree.query.free)
@@ -711,7 +706,7 @@ def plan_view_tree(
         raise ValueError(f"unknown view tree mode: {mode!r}")
     if indicators:
         add_indicator_projections(tree)
-    choose_materialization(tree, updatable, ensure_enumeration=(tree.mode == "nu"))
+    choose_materialization(tree, updatable)
     compact_and_dedupe(tree)
     plan_indices(tree)
     return tree

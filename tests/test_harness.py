@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import re
 from collections import Counter
@@ -448,6 +449,30 @@ def test_every_bundled_scenario_verifies():
     assert len(seen) == len(paths) * len(ENGINE_NAMES)
 
 
+@pytest.mark.parametrize(
+    "name, static",
+    [
+        (name, rel.name)
+        for name, path in sorted(bundled_scenarios().items())
+        for rel in load_scenario(path).relations
+    ],
+)
+def test_bundled_scenarios_verify_with_one_relation_static(name, static):
+    """A relation left out of ``updatable`` is loaded once at setup; every
+    engine must start from the same root and stay in step."""
+    base = load_scenario(bundled_scenarios()[name])
+    updatable = tuple(r for r in base.updatable if r != static)
+    compiled = compile_scenario(dataclasses.replace(base, updatable=updatable))
+    assert compiled.static_events[static]
+    engines = [make_engine(n, compiled) for n in ENGINE_NAMES]
+    for e in engines:
+        e.setup()
+    roots = [e.root_snapshot() for e in engines]
+    assert roots[1:] == roots[:1] * (len(engines) - 1)
+    ok, problems, _ = verify_scenarios([compiled])
+    assert ok, problems
+
+
 def bundled_compiled():
     return [compile_scenario(load_scenario(p)) for p in bundled_scenarios().values()]
 
@@ -591,6 +616,7 @@ def test_cli_compile_prints_the_plan(tmp_path, capsys):
     ]
     assert main(["compile", "-s", str(bundled_scenarios()["triangle_count"])]) == 0
     out = capsys.readouterr().out
+    assert "* exists(R)[A,B] exists(R)\n" in out
     assert "delta S: V@C(S+T) <- S; T by index on C; exists(R)[A,B] by key\n" in out
 
 

@@ -23,6 +23,7 @@ from fivm.rings import (
     covariance_ring,
     integer_ring,
     lift_continuous,
+    lift_identity,
     lift_to_one,
     real_ring,
     ring_one,
@@ -208,6 +209,31 @@ def test_update_to_relation_outside_the_plan_changes_nothing():
         )
     assert snapshot(state) == before
     assert dict(state.result().entries) == {(): 10}
+
+
+def test_update_that_fails_partway_up_changes_nothing():
+    # A is lifted by its value, so the root raises on the non-numeric "x"
+    # that the R delta carries up to it; S already holds an "x" row, which
+    # never met R before. The level below the root has computed its delta
+    # by then, and none of it may be stored.
+    query = Query(
+        CHAIN_RELS, (), Z, lifts=(lift_identity("A"),) + tuple(lift_to_one(v) for v in "BCDE")
+    )
+    state = RuntimeState(plan_view_tree(query, CHAIN_ORDER, updatable=("R", "S", "T")))
+    state.load(
+        {
+            "R": [((1, "b1"), 1)],
+            "S": [((1, "c1", "e1"), 1), (("x", "c1", "e2"), 1)],
+            "T": [(("c1", "d1"), 1)],
+        }
+    )
+    assert [step.node.id for step in state.tree.delta_paths["R"]] == ["V@B(R)", "V@A(R+S+T)"]
+    before = snapshot(state)
+    with pytest.raises(ValueError, match="identity lift"):
+        state.apply_batch([UpdateDelta("R", ((("x", 10), 1),))])
+    assert snapshot(state) == before
+    assert dict(state.result().entries) == {(): 1}
+    assert_views_match_fresh(state)
 
 
 def test_delta_steps_are_resolved_when_planned(monkeypatch):

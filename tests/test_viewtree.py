@@ -207,6 +207,17 @@ def test_indicator_added_on_the_cyclic_core():
     assert ind.parent.at_variable == "C"
 
 
+def test_plan_lists_the_indicators_each_updatable_relation_feeds():
+    order = VariableOrder([["A", ["B", ["C"]]]])
+    tree = plan_view_tree(triangle_query(), order, updatable=("R", "S", "T"))
+    (ind,) = tree.indicator_nodes
+    assert tree.feeds == {"R": (ind,), "S": (), "T": ()}
+    # an indicator whose source never changes is neither fed nor entered
+    tree = plan_view_tree(triangle_query(), order, updatable=("S", "T"))
+    assert tree.feeds == {"S": (), "T": ()}
+    assert list(tree.delta_paths) == ["S", "T"]
+
+
 def test_no_indicator_on_acyclic_chain():
     tree = build_view_tree(chain_query(), VariableOrder(CHAIN_ORDER))
     add_indicator_projections(tree)
@@ -332,9 +343,9 @@ def test_delta_join_order_greedy_and_mode_tagged():
     parent = ViewNode("p", VIEW, keys=("A", "B", "C"), children=[s1, s2, s3, d])
     steps = delta_join_order(parent, d)
     assert steps == [
-        ("s3", "primary", ("A", "B")),
-        ("s1", "index", ("B",)),
-        ("s2", "primary", ("C",)),
+        ("s3", "primary"),
+        ("s1", (("B",), None)),
+        ("s2", "primary"),
     ]
 
 
@@ -342,7 +353,7 @@ def test_delta_join_order_scans_unconnected_siblings():
     d = _node("d", ("A",))
     s = _node("s", ("Z",))
     parent = ViewNode("p", VIEW, keys=("A", "Z"), children=[d, s])
-    assert delta_join_order(parent, d) == [("s", "scan", ())]
+    assert delta_join_order(parent, d) == [("s", None)]
 
 
 def test_planned_indices_on_the_chain():
