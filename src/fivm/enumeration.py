@@ -1,20 +1,23 @@
 """Result enumeration and per-tuple payload lookup.
 
 Enumeration runs the listing plan the planner left on the view tree
-(``ViewTree.listing_steps`` and ``ViewTree.payload_plan``). A tree that
+(``ViewTree.listing_steps`` and ``ViewTree.listing_covers``). A tree that
 keeps the whole result keyed in its roots is listed by scanning the root.
 Otherwise the result streams without being stored anywhere: free variables
-are walked in variable order, each one iterating the distinct values one
-grouped index holds under the values already fixed, and the payload of a
-complete row multiplies the stored payloads of the views that cover it.
-Views, indexes and key positions are resolved once when a listing starts,
-so the work per row is index iteration and payload lookups.
+are walked in variable order, each step iterating the distinct values one
+grouped index holds under the values already fixed. A row's payload is the
+product of the stored payloads of the views that cover it, and each of
+those covers is read at the step that binds the last of its keys: once
+per prefix of the walk, the partial product passed down to the next step,
+and a subtree cut as soon as that product is zero. Views, indexes and key
+positions are resolved once when a listing starts, so the work per row is
+one index step and the reads of the covers the last step completes.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Any, Iterator, Optional, Sequence
+from itertools import chain, islice
+from typing import Any, Iterator, Optional
 
 from fivm.ivm import RuntimeState
 from fivm.relations import Relation
@@ -25,7 +28,6 @@ from fivm.rings import (
     covariance_dense,
     relational_payload,
 )
-from fivm.viewtree import ViewNode
 
 __all__ = [
     "check_csv_form",
@@ -65,75 +67,76 @@ def enumerate_result(
 def _walk(state: RuntimeState, steps) -> Iterator[tuple[tuple, Any]]:
     """Rows of an output-oriented tree, its listing steps resolved once."""
     at = {var: i for i, (var, _, _) in enumerate(steps)}
+    head, *covers = [_bind(state, group, at) for group in state.tree.listing_covers]
     levels = []
-    for var, view_id, probe in steps:
+    for (var, view_id, probe), cov in zip(steps, covers):
         rel = state.stored(view_id)
-        levels.append((rel, rel.ensure_index(probe, var), tuple(at[v] for v in probe)))
-    covers = _bind(state, state.tree.payload_plan, at)
+        levels.append((rel, rel.ensure_index(probe, var), tuple(at[v] for v in probe), cov))
     out_pos = [at[v] for v in state.query.free]
     ring = state.ring
-    is_zero = ring.is_zero
+    mul, is_zero, zero = ring.mul, ring.is_zero, ring.zero
+    counters = state.counters
     row: list[Any] = [None] * len(levels)
     last = len(levels) - 1
 
-    def walk(i: int) -> Iterator[tuple[tuple, Any]]:
-        rel, spec, probe_pos = levels[i]
-        for value in rel.index_groups(spec, tuple(row[j] for j in probe_pos)):
-            row[i] = value
-            if i < last:
-                yield from walk(i + 1)
-                continue
-            val = _product(ring, covers, row, stop_at_zero=False)
-            if not is_zero(val):
-                yield tuple(row[j] for j in out_pos), val
+    def times(acc: Any, covers: list) -> Any:
+        """``acc`` times the covers' payloads under the bound row, each read once."""
+        counters.entry_reads += len(covers)
+        for entries, pos in covers:
+            val = entries.get(tuple([row[j] for j in pos]), zero)
+            acc = val if acc is None else mul(acc, val)
+        return acc
 
-    return walk(0)
+    def walk(i: int, acc: Any) -> Iterator[tuple[tuple, Any]]:
+        """Rows under the values bound before step ``i``; ``acc`` is the
+        product of the covers they complete (None before the first)."""
+        rel, spec, probe_pos, covers = levels[i]
+        values = rel.index_groups(spec, tuple([row[j] for j in probe_pos]))
+        if i < last:
+            for value in values:
+                row[i] = value
+                prod = times(acc, covers) if covers else acc
+                if prod is None or not is_zero(prod):
+                    yield from walk(i + 1, prod)
+            return
+        # The last step completes at least the cover holding its variable.
+        for value in values:
+            row[i] = value
+            prod = times(acc, covers)
+            if not is_zero(prod):
+                yield tuple([row[j] for j in out_pos]), prod
+
+    def rows() -> Iterator[tuple[tuple, Any]]:
+        acc = times(None, head) if head else None
+        if acc is None or not is_zero(acc):
+            yield from walk(0, acc)
+
+    return rows()
 
 
 def payload_of_tuple(state: RuntimeState, key: tuple) -> Any:
     """Payload of one would-be result row, given in the query's free order.
 
     Multiplies the stored payloads of the views that jointly cover the
-    row, as the tree's payload plan lists them. Returns the ring zero when
+    row, in the order the listing reads them. Returns the ring zero when
     the row is not in the result.
     """
     free = state.query.free
     if len(key) != len(free):
         raise ValueError(f"expected values for {free}, got {key}")
-    covers = _bind(state, state.tree.payload_plan, {v: i for i, v in enumerate(free)})
     ring = state.ring
-    val = _product(ring, covers, key, stop_at_zero=False)
+    covers = chain.from_iterable(state.tree.listing_covers)
+    val = None
+    for entries, pos in _bind(state, covers, {v: i for i, v in enumerate(free)}):
+        state.counters.entry_reads += 1
+        part = entries.get(tuple([key[i] for i in pos]), ring.zero)
+        val = part if val is None else ring.mul(val, part)
     return ring.zero if ring.is_zero(val) else val
 
 
-def _bind(state: RuntimeState, parts, at: dict[str, int]) -> list:
-    """Payload plan parts with each covering view replaced by its stored
-    relation and the row positions of its keys; products stay lists."""
-    return [
-        (state.stored(p.id), tuple(at[v] for v in p.keys))
-        if isinstance(p, ViewNode)
-        else _bind(state, p, at)
-        for p in parts
-    ]
-
-
-def _product(ring, parts: list, row: Sequence, stop_at_zero: bool = True) -> Any:
-    """Multiply the payloads of bound plan parts for one row of values.
-    Below the roots a product stops at its first zero; across them it does not."""
-    mul, is_zero, zero = ring.mul, ring.is_zero, ring.zero
-    acc = None
-    for part in parts:
-        if isinstance(part, list):
-            val = _product(ring, part, row)
-        else:
-            rel, pos = part
-            if rel.counters is not None:
-                rel.counters.entry_reads += 1
-            val = rel.entries.get(tuple([row[i] for i in pos]), zero)
-        acc = val if acc is None else mul(acc, val)
-        if stop_at_zero and is_zero(acc):
-            return zero
-    return acc
+def _bind(state: RuntimeState, covers, at: dict[str, int]) -> list:
+    """Each covering view's entry dict and the row positions of its keys."""
+    return [(state.stored(n.id).entries, tuple(at[v] for v in n.keys)) for n in covers]
 
 
 def materialize_listing(state: RuntimeState, kind: str = "keys"):

@@ -1,7 +1,8 @@
 """Command-line front end over the scenario harness.
 
 Four commands cover the workflow: ``compile`` shows what the planner
-would maintain and the path each update's delta climbs, ``run`` streams
+would maintain, the path each update's delta climbs and the steps a
+walked listing takes with the payload covers each one reads, ``run`` streams
 a scenario through one engine, recording metrics, ``enumerate`` replays
 a scenario to completion and dumps the listing, and ``verify`` races all
 three engines and fails loudly on any disagreement. ``FIVM_LOG`` in the
@@ -111,6 +112,12 @@ def _cmd_compile(args) -> int:
                 else:
                     line += f"; {sib_id} by index on {','.join(route[0])}"
             print(line)
+    if tree.listing_steps:
+        head, *covers = [", ".join(n.id for n in group) or "()" for group in tree.listing_covers]
+        if tree.listing_covers[0]:
+            print(f"list once: covers {head}")
+        for (var, view_id, probe), ids in zip(tree.listing_steps, covers):
+            print(f"list {var}: {view_id} probe {','.join(probe) or '()'}; covers {ids}")
     return 0
 
 

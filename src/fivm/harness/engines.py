@@ -6,7 +6,7 @@ the final result, recomputing each update's effect as a fresh join over
 the inputs. ``reevaluate`` keeps the inputs and recomputes the result
 from scratch after every batch. All three expose identical snapshots,
 so a verification run is nothing but dictionary comparisons at agreed
-checkpoints.
+checkpoints, payloads compared as their ring defines equality.
 
 Every engine owns its counter block; the per-batch metric rows therefore
 show what each strategy actually paid, in the same units. Runs and
@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
+import operator
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
@@ -34,7 +37,7 @@ from ..apps import (
 from ..enumeration import enumerate_result
 from ..ivm import RuntimeState, UpdateDelta, recompute_query
 from ..relations import OpCounters, Relation, from_pairs
-from ..rings import ring_negate
+from ..rings import COVARIANCE, REAL, RingSpec, ring_negate
 from .scenario import CompiledScenario, Scenario, ScenarioError, compile_scenario
 from .streams import StreamEvent, synthesize_stream
 
@@ -326,13 +329,33 @@ def run_scenario(
     return report
 
 
-def _divergence(label: str, name: str, base: dict, other: dict) -> Optional[str]:
-    """Name the first key, in fivm's order, where engine ``name``'s
-    snapshot differs from fivm's ``base``; None when they agree."""
+def _agree(ring: RingSpec, a: Any, b: Any) -> bool:
+    """Whether two payloads are equal as ``ring`` defines it: integers and
+    relational payloads exactly, reals within a relative 1e-9 or the ring's
+    zero tolerance, covariance triples component by component."""
+    close = partial(math.isclose, rel_tol=1e-9, abs_tol=ring.zero_tolerance)
+    if ring.kind == REAL:
+        return close(a, b)
+    if ring.kind != COVARIANCE:
+        return a == b
+    same = close if ring.base == REAL else operator.eq
+    zero = ring.zero.c
+    return same(a.c, b.c) and all(
+        same(x.get(k, zero), y.get(k, zero))
+        for x, y in ((a.s, b.s), (a.Q, b.Q))
+        for k in {**x, **y}
+    )
+
+
+def _divergence(label: str, name: str, ring: RingSpec, base: dict, other: dict) -> Optional[str]:
+    """Name the first key, in fivm's order, where engine ``name``'s snapshot
+    differs from fivm's ``base`` by ``ring``'s measure (a missing key reads
+    as the ring zero); None when they agree."""
     if other == base:
         return None
+    zero = ring.zero
     for key in {**base, **other}:
-        if key not in base or key not in other or base[key] != other[key]:
+        if not _agree(ring, base.get(key, zero), other.get(key, zero)):
             ours = repr(base[key]) if key in base else "absent"
             theirs = repr(other[key]) if key in other else "absent"
             return f"{label} diverges from fivm at key {key!r}: fivm {ours}, {name} {theirs}"
@@ -341,6 +364,7 @@ def _divergence(label: str, name: str, base: dict, other: dict) -> Optional[str]
 
 def _verify_one(compiled: CompiledScenario) -> tuple[list[str], list[tuple]]:
     scn = compiled.scenario
+    ring = compiled.query.ring
     engines = [make_engine(n, compiled) for n in ENGINE_NAMES]
     for e in engines:
         e.setup()
@@ -353,12 +377,12 @@ def _verify_one(compiled: CompiledScenario) -> tuple[list[str], list[tuple]]:
         root, listing = engines[0].root_snapshot(), steps[0][1]
         for e in engines[1:]:
             found.append(
-                _divergence(f"{where}: {e.name} root", e.name, root, e.root_snapshot())
+                _divergence(f"{where}: {e.name} root", e.name, ring, root, e.root_snapshot())
             )
         if listing is not None:
             for e, (_, other) in zip(engines[1:], steps[1:]):
                 found.append(
-                    _divergence(f"{where}: {e.name} listing", e.name, listing, other)
+                    _divergence(f"{where}: {e.name} listing", e.name, ring, listing, other)
                 )
     return [msg for msg in found if msg], rows
 
@@ -369,7 +393,8 @@ def verify_scenarios(
     """Race all three engines over each scenario and compare snapshots.
 
     Roots are compared after every batch and listings at the scenario's
-    enumeration cadence, using the listings the batch steps took. The
+    enumeration cadence, using the listings the batch steps took; real
+    payloads agree within a relative 1e-9 or the ring's zero tolerance. The
     metric rows come back in (scenario, engine, batch) order.
     """
     problems: list[str] = []

@@ -138,10 +138,13 @@ class ViewTree:
         self.indicator_nodes: list[ViewNode] = []
         self.enum_views: dict[str, str] = {}
         # Set by plan_indices: a (variable, view id, probe vars) step per
-        # walked free variable (none when the root is scanned instead), and
-        # each root's payload_covers.
+        # walked free variable (none when the root is scanned instead), each
+        # root's payload_covers, and those covers grouped by the listing step
+        # that binds the last of their keys, after one group of the covers no
+        # step binds (all of them when the root is scanned).
         self.listing_steps: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
         self.payload_plan: tuple = ()
+        self.listing_covers: tuple[tuple[ViewNode, ...], ...] = ()
         # Set by plan_indices: the delta path of every node a delta enters
         # at (updatable leaves and the indicators they feed), bottom-up, and
         # per updatable leaf id the indicators its support transitions feed.
@@ -523,15 +526,9 @@ def choose_materialization(tree: ViewTree, updatable: Iterable[str]) -> ViewTree
             tree.enum_views = {}
             return tree
 
-        def store(part) -> None:
-            if isinstance(part, ViewNode):
-                part.materialized = True
-            else:
-                for p in part:
-                    store(p)
-
         for r in tree.roots:
-            store(payload_covers(r, free))
+            for node in _cover_nodes(payload_covers(r, free)):
+                node.materialized = True
         for node_id in tree.enum_views.values():
             tree.by_id[node_id].materialized = True
     return tree
@@ -625,6 +622,15 @@ def payload_covers(node: ViewNode, free: frozenset[str]) -> ViewNode | tuple:
     return parts[0] if len(parts) == 1 else parts
 
 
+def _cover_nodes(part) -> Iterable[ViewNode]:
+    """The views of a ``payload_covers`` answer, in plan order."""
+    if isinstance(part, ViewNode):
+        yield part
+    else:
+        for p in part:
+            yield from _cover_nodes(p)
+
+
 def plan_indices(tree: ViewTree) -> ViewTree:
     """Fix the delta paths and the secondary indexes they and enumeration probe.
 
@@ -634,7 +640,8 @@ def plan_indices(tree: ViewTree) -> ViewTree:
     on part of its schema; ``feeds`` lists the indicators each updatable
     occurrence feeds. Enumeration hubs get an index grouping by their own
     variable under the enumerable prefix; each such index is also a step of
-    the listing plan, next to the roots' payload covers.
+    the listing plan, and each of the roots' payload covers is read at the
+    deepest step that binds one of its keys.
     """
     for node in tree.nodes:
         node.required_indices = []
@@ -675,6 +682,11 @@ def plan_indices(tree: ViewTree) -> ViewTree:
         steps.append((var, node.id, probe))
     tree.listing_steps = tuple(steps)
     tree.payload_plan = tuple(payload_covers(r, free) for r in tree.roots)
+    depth = {var: i for i, (var, _, _) in enumerate(steps, start=1)}
+    groups: list[list[ViewNode]] = [[] for _ in range(len(steps) + 1)]
+    for node in _cover_nodes(tree.payload_plan):
+        groups[max((depth.get(v, 0) for v in node.keys), default=0)].append(node)
+    tree.listing_covers = tuple(map(tuple, groups))
     return tree
 
 

@@ -879,7 +879,9 @@ def test_criterion_7_engine_cross_validation(capsys, tmp_path):
                 rows.extend(report.rows)
             emit_metrics(rows, out)
             with open(out, newline="") as fh:
-                return [r[:7] + r[8:] for r in csv.reader(fh)]
+                header, *body = csv.reader(fh)
+            keep = [i for i, c in enumerate(header) if c != "elapsed_ns"]
+            return [[r[i] for i in keep] for r in [header, *body]]
 
         first = metrics_without_time(tmp_path / "metrics_a.csv")
         second = metrics_without_time(tmp_path / "metrics_b.csv")

@@ -19,6 +19,7 @@ from fivm.enumeration import (
     materialize_listing,
     payload_of_tuple,
 )
+from fivm.harness import bundled_scenarios, compile_scenario, load_scenario, run_scenario
 from fivm.ivm import RuntimeState, UpdateDelta
 from fivm.queries import RELATIONAL_PAYLOAD, Query, VariableOrder
 from fivm.relations import Relation
@@ -35,7 +36,7 @@ from fivm.rings import (
     ring_one,
     ring_zero,
 )
-from fivm.viewtree import plan_view_tree
+from fivm.viewtree import ViewNode, plan_view_tree
 
 CHAIN_RELS = [("R", ("A", "B")), ("S", ("A", "C", "E")), ("T", ("C", "D"))]
 CHAIN_ORDER = VariableOrder([["A", ["B"], ["C", ["D"], ["E"]]]])
@@ -308,6 +309,37 @@ def test_walked_listing_ensures_each_index_once(monkeypatch):
     monkeypatch.setattr(Relation, "ensure_index", counted)
     assert totals(state) == LISTING
     assert len(calls) <= len(state.query.free)
+
+
+def qhier_pairs_state():
+    """The bundled q-hierarchical scenario's state after its whole stream."""
+    compiled = compile_scenario(load_scenario(bundled_scenarios()["qhier_pairs"]))
+    return run_scenario(compiled, engine_name="fivm").engine.state
+
+
+def flat_covers(part):
+    return [part] if isinstance(part, ViewNode) else [n for p in part for n in flat_covers(p)]
+
+
+@pytest.mark.parametrize(
+    "make", [TREES["walked-nu-flat"], qhier_pairs_state], ids=["walked-nu-flat", "qhier_pairs"]
+)
+def test_listing_reads_each_cover_once_per_prefix(make):
+    """A full listing reads each payload cover once per prefix of the step
+    that binds the last of its keys: the covers keyed by a row's leading
+    values are shared by every row under them. Every prefix of these
+    listings reaches a row, so the prefixes are the rows' projections."""
+    state = make()
+    tree = state.tree
+    before = state.counters.entry_reads
+    rows = [key for key, _ in enumerate_result(state)]
+    reads = state.counters.entry_reads - before
+    depth = {var: i for i, (var, _, _) in enumerate(tree.listing_steps)}
+    at = [state.query.free.index(var) for var, _, _ in tree.listing_steps]
+    prefixes = [len({tuple(k[j] for j in at[: i + 1]) for k in rows}) for i in range(len(at))]
+    covers = [n for part in tree.payload_plan for n in flat_covers(part)]
+    assert reads == sum(prefixes[max(depth[v] for v in n.keys)] for n in covers)
+    assert len(rows) < reads < len(rows) * len(covers)
 
 
 @pytest.mark.parametrize("name", sorted(TREES))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -33,7 +34,7 @@ from fivm.harness.scenario import (
     scenario_from_dict,
 )
 from fivm.harness.streams import StreamEvent, synthesize_stream
-from fivm.rings import integer_ring, real_ring, relational_ring
+from fivm.rings import CovarianceTriple, integer_ring, real_ring, relational_ring
 
 COUNT_SCN = {
     "name": "pair_count",
@@ -421,12 +422,13 @@ def test_run_produces_one_metric_row_per_batch():
 
 
 def test_enumeration_cadence_controls_the_last_column():
+    enumerated = METRIC_COLUMNS.index("enumerated_tuples")
     compiled = compile_scenario(scn())
     silent = run_scenario(compiled, engine_name="fivm", intvl=0)
-    assert all(r[8] == 0 for r in silent.rows)
+    assert all(r[enumerated] == 0 for r in silent.rows)
     compiled = compile_scenario(scn())
     chatty = run_scenario(compiled, engine_name="fivm", intvl=1)
-    assert chatty.rows[-1][8] == 1  # one empty-key group once data arrives
+    assert chatty.rows[-1][enumerated] == 1  # one empty-key group once data arrives
 
 
 def test_regression_app_reports_through_the_run():
@@ -498,11 +500,13 @@ def test_verify_lists_each_engine_once_per_checkpoint(monkeypatch):
     assert calls == {name: checkpoints for name in ENGINE_NAMES}
 
 
-def test_verify_rows_match_run_rows():
-    elapsed = METRIC_COLUMNS.index("elapsed_ns")
+def untimed(rows):
+    """Metric rows with every column but ``elapsed_ns``, picked by name."""
+    keep = [i for i, c in enumerate(METRIC_COLUMNS) if c != "elapsed_ns"]
+    return [[r[i] for i in keep] for r in rows]
 
-    def untimed(rows):
-        return [r[:elapsed] + r[elapsed + 1:] for r in rows]
+
+def test_verify_rows_match_run_rows():
 
     for c in bundled_compiled():
         _, _, rows = verify_scenarios([c])
@@ -535,6 +539,41 @@ def test_divergence_names_the_first_differing_key(monkeypatch, method, what):
     assert int(found[2]) == int(found[1]) + 100
 
 
+def _nudged(payload, step):
+    """``payload`` with ``step`` applied to every non-zero real in it."""
+    if isinstance(payload, CovarianceTriple):
+        return CovarianceTriple(
+            _nudged(payload.c, step),
+            {j: _nudged(v, step) for j, v in payload.s.items()},
+            {ij: _nudged(v, step) for ij, v in payload.Q.items()},
+        )
+    return step(payload) if payload else payload
+
+
+@pytest.mark.parametrize("name", ["real_pair_count", "covariance_regression"])
+def test_verify_compares_real_payloads_by_the_ring(monkeypatch, name):
+    """One ulp of rounding is agreement on a real-based ring; a relative
+    error of 1e-6 is a divergence that names its key."""
+    if name == "real_pair_count":
+        compiled = compile_scenario(scn(ring={"kind": "real"}, free=["B"], intvl=1))
+    else:
+        compiled = compile_scenario(load_scenario(bundled_scenarios()[name]))
+    real = ReevaluateEngine.root_snapshot
+    step = {}
+
+    def skewed(self):
+        return {k: _nudged(v, step["f"]) for k, v in real(self).items()}
+
+    monkeypatch.setattr(ReevaluateEngine, "root_snapshot", skewed)
+    step["f"] = lambda v: math.nextafter(v, math.inf)
+    ok, problems, _ = verify_scenarios([compiled])
+    assert ok, problems
+    step["f"] = lambda v: v * (1 + 1e-6)
+    ok, problems, _ = verify_scenarios([compiled])
+    assert not ok
+    assert re.search(r"reevaluate root diverges from fivm at key \(.*\): fivm ", problems[0])
+
+
 def test_metric_rows_are_stable_across_reruns():
     path = bundled_scenarios()["count_chain"]
 
@@ -542,7 +581,7 @@ def test_metric_rows_are_stable_across_reruns():
         report = run_scenario(
             compile_scenario(load_scenario(path)), engine_name="fivm", intvl=2
         )
-        return [r[:7] + r[8:] for r in report.rows]  # drop elapsed_ns
+        return untimed(report.rows)
 
     assert one_run() == one_run()
 
@@ -618,6 +657,26 @@ def test_cli_compile_prints_the_plan(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "* exists(R)[A,B] exists(R)\n" in out
     assert "delta S: V@C(S+T) <- S; T by index on C; exists(R)[A,B] by key\n" in out
+    assert not [line for line in out.splitlines() if line.startswith("list ")]
+    # a walked listing: per step the view its index groups, the variables it
+    # probes with, and the payload covers that step completes
+    listing = {
+        "qhier_pairs": [
+            "list A: H@A(R+S) probe (); covers ()",
+            "list B: R probe A; covers R",
+            "list C: S probe A; covers S",
+        ],
+        "listing_factorized": [
+            "list A: H@A(R+S+T) probe (); covers ()",
+            "list B: R probe A; covers R",
+            "list C: H@C(S+T) probe A; covers V@E(S)",
+            "list D: T probe C; covers T",
+        ],
+    }
+    for name, want in listing.items():
+        assert main(["compile", "-s", str(bundled_scenarios()[name])]) == 0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("list ")] == want
 
 
 def test_cli_run_writes_metrics_and_export(tmp_path, capsys):
