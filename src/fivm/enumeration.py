@@ -95,7 +95,7 @@ def _walk(state: RuntimeState, steps) -> Iterator[tuple[tuple, Any]]:
         if i < last:
             for value in values:
                 row[i] = value
-                prod = times(acc, covers) if covers else acc
+                prod = times(acc, covers)
                 if prod is None or not is_zero(prod):
                     yield from walk(i + 1, prod)
             return
@@ -107,7 +107,7 @@ def _walk(state: RuntimeState, steps) -> Iterator[tuple[tuple, Any]]:
                 yield tuple([row[j] for j in out_pos]), prod
 
     def rows() -> Iterator[tuple[tuple, Any]]:
-        acc = times(None, head) if head else None
+        acc = times(None, head)
         if acc is None or not is_zero(acc):
             yield from walk(0, acc)
 

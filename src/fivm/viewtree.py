@@ -138,12 +138,11 @@ class ViewTree:
         self.indicator_nodes: list[ViewNode] = []
         self.enum_views: dict[str, str] = {}
         # Set by plan_indices: a (variable, view id, probe vars) step per
-        # walked free variable (none when the root is scanned instead), each
-        # root's payload_covers, and those covers grouped by the listing step
-        # that binds the last of their keys, after one group of the covers no
-        # step binds (all of them when the root is scanned).
+        # walked free variable (none when the root is scanned instead), and
+        # the roots' payload_covers grouped by the listing step that binds
+        # the last of their keys, after one group of the covers no step
+        # binds (all of them when the root is scanned).
         self.listing_steps: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
-        self.payload_plan: tuple = ()
         self.listing_covers: tuple[tuple[ViewNode, ...], ...] = ()
         # Set by plan_indices: the delta path of every node a delta enters
         # at (updatable leaves and the indicators they feed), bottom-up, and
@@ -681,10 +680,9 @@ def plan_indices(tree: ViewTree) -> ViewTree:
         need(node, probe, var)
         steps.append((var, node.id, probe))
     tree.listing_steps = tuple(steps)
-    tree.payload_plan = tuple(payload_covers(r, free) for r in tree.roots)
     depth = {var: i for i, (var, _, _) in enumerate(steps, start=1)}
     groups: list[list[ViewNode]] = [[] for _ in range(len(steps) + 1)]
-    for node in _cover_nodes(tree.payload_plan):
+    for node in _cover_nodes(tuple(payload_covers(r, free) for r in tree.roots)):
         groups[max((depth.get(v, 0) for v in node.keys), default=0)].append(node)
     tree.listing_covers = tuple(map(tuple, groups))
     return tree

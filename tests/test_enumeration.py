@@ -36,7 +36,7 @@ from fivm.rings import (
     ring_one,
     ring_zero,
 )
-from fivm.viewtree import ViewNode, plan_view_tree
+from fivm.viewtree import ViewNode, payload_covers, plan_view_tree
 
 CHAIN_RELS = [("R", ("A", "B")), ("S", ("A", "C", "E")), ("T", ("C", "D"))]
 CHAIN_ORDER = VariableOrder([["A", ["B"], ["C", ["D"], ["E"]]]])
@@ -337,7 +337,8 @@ def test_listing_reads_each_cover_once_per_prefix(make):
     depth = {var: i for i, (var, _, _) in enumerate(tree.listing_steps)}
     at = [state.query.free.index(var) for var, _, _ in tree.listing_steps]
     prefixes = [len({tuple(k[j] for j in at[: i + 1]) for k in rows}) for i in range(len(at))]
-    covers = [n for part in tree.payload_plan for n in flat_covers(part)]
+    free = frozenset(state.query.free)
+    covers = [n for r in tree.roots for n in flat_covers(payload_covers(r, free))]
     assert reads == sum(prefixes[max(depth[v] for v in n.keys)] for n in covers)
     assert len(rows) < reads < len(rows) * len(covers)
 

@@ -380,10 +380,15 @@ def test_listing_plan_walks_the_grouped_indexes():
         assert (probe, var) in tree.by_id[view_id].required_indices
     # B's values come from R and D's from T; C's hub is summed into the A
     # hub, so a row's payload is R's times the product under C
-    (plan,) = tree.payload_plan
+    plan = payload_covers(tree.roots[0], frozenset(tree.query.free))
     assert [p.id if isinstance(p, ViewNode) else [q.id for q in p] for p in plan] == [
         "R",
         ["T", "V@E(S)"],
+    ]
+    # each cover is read at the step binding the last of its keys: R per
+    # (A, B), the E view per (A, C), T per row
+    assert [[n.id for n in group] for group in tree.listing_covers] == [
+        [], [], ["R"], ["V@E(S)"], ["T"]
     ]
 
 
@@ -394,12 +399,14 @@ def test_payload_covers_are_keyed_by_their_free_variables_and_stored():
     def nodes(part):
         return [part] if isinstance(part, ViewNode) else [n for p in part for n in nodes(p)]
 
-    covers = nodes(tree.payload_plan)
+    covers = [node for group in tree.listing_covers for node in group]
     assert covers
     for node in covers:
         assert set(node.keys) == free & node.vars_under
         assert node.materialized
-    assert payload_covers(tree.roots[0], free) == tree.payload_plan[0]
+    assert sorted(n.id for n in nodes(payload_covers(tree.roots[0], free))) == sorted(
+        n.id for n in covers
+    )
 
 
 def test_root_scanned_trees_have_no_listing_steps():
@@ -407,7 +414,7 @@ def test_root_scanned_trees_have_no_listing_steps():
         chain_query(free=("A", "C")), VariableOrder(CHAIN_ORDER), updatable=("R",), mode="tau"
     )
     assert general.listing_steps == ()
-    assert general.payload_plan == tuple(general.roots)
+    assert general.listing_covers == (tuple(general.roots),)
     query = Query(
         [("R", ("A", "B")), ("S", ("A", "C"))],
         ("A",),
@@ -416,7 +423,7 @@ def test_root_scanned_trees_have_no_listing_steps():
     )
     keyed = plan_view_tree(query, VariableOrder([["A", ["B"], ["C"]]]), updatable=("R", "S"))
     assert keyed.listing_steps == ()
-    assert keyed.payload_plan == tuple(keyed.roots)
+    assert keyed.listing_covers == (tuple(keyed.roots),)
 
 
 # ---------------------------------------------------------------------------
