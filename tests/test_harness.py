@@ -507,7 +507,6 @@ def untimed(rows):
 
 
 def test_verify_rows_match_run_rows():
-
     for c in bundled_compiled():
         _, _, rows = verify_scenarios([c])
         for engine in ENGINE_NAMES:
