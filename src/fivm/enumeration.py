@@ -9,7 +9,8 @@ grouped index holds under the values already fixed. A row's payload is the
 product of the stored payloads of the views that cover it, and each of
 those covers is read at the step that binds the last of its keys: once
 per prefix of the walk, the partial product passed down to the next step,
-and a subtree cut as soon as that product is zero. Views, indexes and key
+and a subtree cut as soon as that product is zero (on rings without a zero
+tolerance, where a zero stays one whatever multiplies it). Views, indexes and key
 positions are resolved once when a listing starts, so the work per row is
 one index step and the reads of the covers the last step completes.
 """
@@ -67,25 +68,20 @@ def enumerate_result(
 def _walk(state: RuntimeState, steps) -> Iterator[tuple[tuple, Any]]:
     """Rows of an output-oriented tree, its listing steps resolved once."""
     at = {var: i for i, (var, _, _) in enumerate(steps)}
-    head, *covers = [_bind(state, group, at) for group in state.tree.listing_covers]
     levels = []
-    for (var, view_id, probe), cov in zip(steps, covers):
+    for (var, view_id, probe), group in zip(steps, state.tree.listing_covers):
         rel = state.stored(view_id)
-        levels.append((rel, rel.ensure_index(probe, var), tuple(at[v] for v in probe), cov))
+        pos = tuple(at[v] for v in probe)
+        levels.append((rel, rel.ensure_index(probe, var), pos, _bind(state, group, at)))
     out_pos = [at[v] for v in state.query.free]
     ring = state.ring
-    mul, is_zero, zero = ring.mul, ring.is_zero, ring.zero
-    counters = state.counters
+    is_zero = ring.is_zero
+    # A zero within a tolerance need not stay one after later covers
+    # multiply in, so only an exact zero cuts a prefix.
+    cut = (lambda _: False) if ring.zero_tolerance else is_zero
     row: list[Any] = [None] * len(levels)
+    times = _times(state, row)
     last = len(levels) - 1
-
-    def times(acc: Any, covers: list) -> Any:
-        """``acc`` times the covers' payloads under the bound row, each read once."""
-        counters.entry_reads += len(covers)
-        for entries, pos in covers:
-            val = entries.get(tuple([row[j] for j in pos]), zero)
-            acc = val if acc is None else mul(acc, val)
-        return acc
 
     def walk(i: int, acc: Any) -> Iterator[tuple[tuple, Any]]:
         """Rows under the values bound before step ``i``; ``acc`` is the
@@ -96,7 +92,7 @@ def _walk(state: RuntimeState, steps) -> Iterator[tuple[tuple, Any]]:
             for value in values:
                 row[i] = value
                 prod = times(acc, covers)
-                if prod is None or not is_zero(prod):
+                if prod is None or not cut(prod):
                     yield from walk(i + 1, prod)
             return
         # The last step completes at least the cover holding its variable.
@@ -106,12 +102,7 @@ def _walk(state: RuntimeState, steps) -> Iterator[tuple[tuple, Any]]:
             if not is_zero(prod):
                 yield tuple([row[j] for j in out_pos]), prod
 
-    def rows() -> Iterator[tuple[tuple, Any]]:
-        acc = times(None, head)
-        if acc is None or not is_zero(acc):
-            yield from walk(0, acc)
-
-    return rows()
+    return walk(0, None)
 
 
 def payload_of_tuple(state: RuntimeState, key: tuple) -> Any:
@@ -124,19 +115,29 @@ def payload_of_tuple(state: RuntimeState, key: tuple) -> Any:
     free = state.query.free
     if len(key) != len(free):
         raise ValueError(f"expected values for {free}, got {key}")
-    ring = state.ring
     covers = chain.from_iterable(state.tree.listing_covers)
-    val = None
-    for entries, pos in _bind(state, covers, {v: i for i, v in enumerate(free)}):
-        state.counters.entry_reads += 1
-        part = entries.get(tuple([key[i] for i in pos]), ring.zero)
-        val = part if val is None else ring.mul(val, part)
-    return ring.zero if ring.is_zero(val) else val
+    val = _times(state, key)(None, _bind(state, covers, {v: i for i, v in enumerate(free)}))
+    return state.ring.zero if state.ring.is_zero(val) else val
 
 
 def _bind(state: RuntimeState, covers, at: dict[str, int]) -> list:
     """Each covering view's entry dict and the row positions of its keys."""
     return [(state.stored(n.id).entries, tuple(at[v] for v in n.keys)) for n in covers]
+
+
+def _times(state: RuntimeState, row):
+    """A function multiplying a partial product (None when empty) by bound
+    covers' payloads under the values in ``row``, counting each read."""
+    mul, zero, counters = state.ring.mul, state.ring.zero, state.counters
+
+    def times(acc: Any, covers: list) -> Any:
+        counters.entry_reads += len(covers)
+        for entries, pos in covers:
+            val = entries.get(tuple([row[j] for j in pos]), zero)
+            acc = val if acc is None else mul(acc, val)
+        return acc
+
+    return times
 
 
 def materialize_listing(state: RuntimeState, kind: str = "keys"):

@@ -112,12 +112,9 @@ def _cmd_compile(args) -> int:
                 else:
                     line += f"; {sib_id} by index on {','.join(route[0])}"
             print(line)
-    if tree.listing_steps:
-        head, *covers = [", ".join(n.id for n in group) or "()" for group in tree.listing_covers]
-        if tree.listing_covers[0]:
-            print(f"list once: covers {head}")
-        for (var, view_id, probe), ids in zip(tree.listing_steps, covers):
-            print(f"list {var}: {view_id} probe {','.join(probe) or '()'}; covers {ids}")
+    for (var, view_id, probe), group in zip(tree.listing_steps, tree.listing_covers):
+        ids = ", ".join(n.id for n in group) or "()"
+        print(f"list {var}: {view_id} probe {','.join(probe) or '()'}; covers {ids}")
     return 0
 
 

@@ -20,10 +20,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import operator
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
@@ -329,33 +327,33 @@ def run_scenario(
     return report
 
 
-def _agree(ring: RingSpec, a: Any, b: Any) -> bool:
-    """Whether two payloads are equal as ``ring`` defines it: integers and
-    relational payloads exactly, reals within a relative 1e-9 or the ring's
-    zero tolerance, covariance triples component by component."""
-    close = partial(math.isclose, rel_tol=1e-9, abs_tol=ring.zero_tolerance)
+def _close(ring: RingSpec, a: Any, b: Any) -> bool:
+    """Whether two payloads of a real-based ring agree within a relative
+    1e-9 or the ring's zero tolerance, covariance triples componentwise."""
     if ring.kind == REAL:
-        return close(a, b)
-    if ring.kind != COVARIANCE:
-        return a == b
-    same = close if ring.base == REAL else operator.eq
-    zero = ring.zero.c
-    return same(a.c, b.c) and all(
-        same(x.get(k, zero), y.get(k, zero))
-        for x, y in ((a.s, b.s), (a.Q, b.Q))
-        for k in {**x, **y}
-    )
+        pairs = [(a, b)]
+    else:
+        pairs = [(a.c, b.c)] + [
+            (x.get(k, 0.0), y.get(k, 0.0)) for x, y in ((a.s, b.s), (a.Q, b.Q)) for k in {**x, **y}
+        ]
+    return all(math.isclose(x, y, rel_tol=1e-9, abs_tol=ring.zero_tolerance) for x, y in pairs)
 
 
 def _divergence(label: str, name: str, ring: RingSpec, base: dict, other: dict) -> Optional[str]:
     """Name the first key, in fivm's order, where engine ``name``'s snapshot
-    differs from fivm's ``base`` by ``ring``'s measure (a missing key reads
-    as the ring zero); None when they agree."""
+    differs from fivm's ``base``; None when they agree. Integer and
+    relational payloads must match exactly, keys included; on a real-based
+    ring a missing key reads as the ring zero and payloads need only be close."""
     if other == base:
         return None
+    real = ring.kind == REAL or (ring.kind == COVARIANCE and ring.base == REAL)
     zero = ring.zero
     for key in {**base, **other}:
-        if not _agree(ring, base.get(key, zero), other.get(key, zero)):
+        if real:
+            same = _close(ring, base.get(key, zero), other.get(key, zero))
+        else:
+            same = key in base and key in other and base[key] == other[key]
+        if not same:
             ours = repr(base[key]) if key in base else "absent"
             theirs = repr(other[key]) if key in other else "absent"
             return f"{label} diverges from fivm at key {key!r}: fivm {ours}, {name} {theirs}"

@@ -140,8 +140,8 @@ class ViewTree:
         # Set by plan_indices: a (variable, view id, probe vars) step per
         # walked free variable (none when the root is scanned instead), and
         # the roots' payload_covers grouped by the listing step that binds
-        # the last of their keys, after one group of the covers no step
-        # binds (all of them when the root is scanned).
+        # the last of their keys (the first step when none does; one group
+        # when the root is scanned).
         self.listing_steps: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
         self.listing_covers: tuple[tuple[ViewNode, ...], ...] = ()
         # Set by plan_indices: the delta path of every node a delta enters
@@ -526,7 +526,7 @@ def choose_materialization(tree: ViewTree, updatable: Iterable[str]) -> ViewTree
             return tree
 
         for r in tree.roots:
-            for node in _cover_nodes(payload_covers(r, free)):
+            for node in payload_covers(r, free):
                 node.materialized = True
         for node_id in tree.enum_views.values():
             tree.by_id[node_id].materialized = True
@@ -605,29 +605,18 @@ def delta_join_order(parent: ViewNode, delta_child: ViewNode) -> list[tuple[str,
     return steps
 
 
-def payload_covers(node: ViewNode, free: frozenset[str]) -> ViewNode | tuple:
-    """Where the payload of a result row is read below ``node``.
+def payload_covers(node: ViewNode, free: frozenset[str]) -> tuple[ViewNode, ...]:
+    """The views whose stored payloads multiply to a result row's below ``node``.
 
     A view covers its subtree when it is keyed by exactly the free variables
     below it, so a row's values pick out one stored payload. Otherwise the
-    payload is the product of the children's: a tuple of their answers in
-    child order (a lone child's answer stands for itself).
+    payload is the product of the children's, their covers in child order.
     """
     if set(node.keys) == free & node.vars_under:
-        return node
+        return (node,)
     if not node.children:
         raise ValueError(f"no view at or below {node.id} is keyed by its free variables")
-    parts = tuple(payload_covers(c, free) for c in node.children)
-    return parts[0] if len(parts) == 1 else parts
-
-
-def _cover_nodes(part) -> Iterable[ViewNode]:
-    """The views of a ``payload_covers`` answer, in plan order."""
-    if isinstance(part, ViewNode):
-        yield part
-    else:
-        for p in part:
-            yield from _cover_nodes(p)
+    return tuple(n for c in node.children for n in payload_covers(c, free))
 
 
 def plan_indices(tree: ViewTree) -> ViewTree:
@@ -680,10 +669,11 @@ def plan_indices(tree: ViewTree) -> ViewTree:
         need(node, probe, var)
         steps.append((var, node.id, probe))
     tree.listing_steps = tuple(steps)
-    depth = {var: i for i, (var, _, _) in enumerate(steps, start=1)}
-    groups: list[list[ViewNode]] = [[] for _ in range(len(steps) + 1)]
-    for node in _cover_nodes(tuple(payload_covers(r, free) for r in tree.roots)):
-        groups[max((depth.get(v, 0) for v in node.keys), default=0)].append(node)
+    depth = {var: i for i, (var, _, _) in enumerate(steps)}
+    groups: list[list[ViewNode]] = [[] for _ in range(max(len(steps), 1))]
+    for r in tree.roots:
+        for node in payload_covers(r, free):
+            groups[max((depth.get(v, 0) for v in node.keys), default=0)].append(node)
     tree.listing_covers = tuple(map(tuple, groups))
     return tree
 

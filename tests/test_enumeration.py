@@ -31,12 +31,13 @@ from fivm.rings import (
     lift_continuous,
     lift_to_one,
     lift_unit,
+    real_ring,
     relational_payload,
     relational_ring,
     ring_one,
     ring_zero,
 )
-from fivm.viewtree import ViewNode, payload_covers, plan_view_tree
+from fivm.viewtree import payload_covers, plan_view_tree
 
 CHAIN_RELS = [("R", ("A", "B")), ("S", ("A", "C", "E")), ("T", ("C", "D"))]
 CHAIN_ORDER = VariableOrder([["A", ["B"], ["C", ["D"], ["E"]]]])
@@ -262,6 +263,20 @@ def integer_state(rels, free, order, mode=None, data=ROWS):
     return state
 
 
+def tolerant_state():
+    """The chain listing on a real ring with a zero tolerance of 1e-3. The
+    product of R's and the E view's payloads, read at the C step, lies
+    within the tolerance; T's payloads scale every row well out of it."""
+    query = Query(
+        CHAIN_RELS, ("A", "B", "C", "D"), real_ring(zero_tolerance=1e-3), lifts=(lift_to_one("E"),)
+    )
+    tree = plan_view_tree(query, CHAIN_ORDER, updatable=("R", "S", "T"))
+    state = RuntimeState(tree)
+    scale = {"R": 0.02, "S": 0.02, "T": 1e4}
+    state.load({name: [(k, scale[name]) for k in rows] for name, rows in ROWS.items()})
+    return state
+
+
 TWO_ROOTS = [("R", ("A", "B")), ("T", ("C", "D"))]
 TWO_ROOT_ORDER = [["A", ["B"]], ["C", ["D"]]]
 
@@ -273,6 +288,7 @@ TREES = {
     ),
     "walked-nu-flat": lambda: listing_state(factorized=False),
     "walked-nu-factorized": lambda: listing_state(factorized=True),
+    "walked-real-tolerance": tolerant_state,
     "two-root-nu": lambda: integer_state(TWO_ROOTS, ("A", "C"), TWO_ROOT_ORDER),
     "two-root-tau": lambda: integer_state(TWO_ROOTS, ("A", "C"), TWO_ROOT_ORDER, mode="tau"),
 }
@@ -285,6 +301,18 @@ def test_the_trees_cover_every_listing_path():
         state = TREES[name]()
         assert state.tree.mode == "nu" and state.tree.listing_steps
     assert len(TREES["two-root-nu"]().tree.roots) == 2
+
+
+def test_a_prefix_within_the_zero_tolerance_is_not_cut():
+    """Only an exact zero cuts a prefix: a partial product within the
+    tolerance can grow out of it once the remaining covers multiply in."""
+    state = TREES["walked-real-tolerance"]()
+    assert [[n.id for n in group] for group in state.tree.listing_covers] == [
+        [], ["R"], ["V@E(S)"], ["T"]
+    ]
+    # per row: 0.02 from R, 0.02 per S tuple under (A, C), 1e4 from T
+    want = {k: 4.0 * n for k, n in LISTING.items()}
+    assert dict(enumerate_result(state)) == pytest.approx(want)
 
 
 @pytest.mark.parametrize("name", ["tau", "root-keyed-nu", "walked-nu-factorized"])
@@ -317,10 +345,6 @@ def qhier_pairs_state():
     return run_scenario(compiled, engine_name="fivm").engine.state
 
 
-def flat_covers(part):
-    return [part] if isinstance(part, ViewNode) else [n for p in part for n in flat_covers(p)]
-
-
 @pytest.mark.parametrize(
     "make", [TREES["walked-nu-flat"], qhier_pairs_state], ids=["walked-nu-flat", "qhier_pairs"]
 )
@@ -338,7 +362,7 @@ def test_listing_reads_each_cover_once_per_prefix(make):
     at = [state.query.free.index(var) for var, _, _ in tree.listing_steps]
     prefixes = [len({tuple(k[j] for j in at[: i + 1]) for k in rows}) for i in range(len(at))]
     free = frozenset(state.query.free)
-    covers = [n for r in tree.roots for n in flat_covers(payload_covers(r, free))]
+    covers = [n for r in tree.roots for n in payload_covers(r, free)]
     assert reads == sum(prefixes[max(depth[v] for v in n.keys)] for n in covers)
     assert len(rows) < reads < len(rows) * len(covers)
 

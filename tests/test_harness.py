@@ -573,6 +573,34 @@ def test_verify_compares_real_payloads_by_the_ring(monkeypatch, name):
     assert re.search(r"reevaluate root diverges from fivm at key \(.*\): fivm ", problems[0])
 
 
+@pytest.mark.parametrize(
+    "doc, reported",
+    [("pair_count", True), ("listing_factorized", True), ("real_pair_count", False)],
+)
+def test_verify_reads_a_missing_key_as_zero_only_on_real_rings(monkeypatch, doc, reported):
+    """A key one engine keeps with a zero payload and the other lacks is a
+    divergence on the exact integer and relational rings; on a real-based
+    ring, where rounding can leave or drop such an entry, it is agreement."""
+    if doc == "pair_count":
+        compiled = compile_scenario(scn())
+    elif doc == "real_pair_count":
+        compiled = compile_scenario(scn(ring={"kind": "real"}))
+    else:
+        compiled = compile_scenario(load_scenario(bundled_scenarios()[doc]))
+    zero = compiled.query.ring.zero
+    real = ReevaluateEngine.root_snapshot
+    monkeypatch.setattr(
+        ReevaluateEngine, "root_snapshot", lambda self: {**real(self), ("zz",): zero}
+    )
+    ok, problems, _ = verify_scenarios([compiled])
+    assert ok is not reported, problems
+    if reported:
+        assert re.search(
+            r"reevaluate root diverges from fivm at key \('zz',\): fivm absent, reevaluate ",
+            problems[0],
+        )
+
+
 def test_metric_rows_are_stable_across_reruns():
     path = bundled_scenarios()["count_chain"]
 

@@ -381,30 +381,23 @@ def test_listing_plan_walks_the_grouped_indexes():
     # B's values come from R and D's from T; C's hub is summed into the A
     # hub, so a row's payload is R's times the product under C
     plan = payload_covers(tree.roots[0], frozenset(tree.query.free))
-    assert [p.id if isinstance(p, ViewNode) else [q.id for q in p] for p in plan] == [
-        "R",
-        ["T", "V@E(S)"],
-    ]
+    assert [n.id for n in plan] == ["R", "T", "V@E(S)"]
     # each cover is read at the step binding the last of its keys: R per
     # (A, B), the E view per (A, C), T per row
     assert [[n.id for n in group] for group in tree.listing_covers] == [
-        [], [], ["R"], ["V@E(S)"], ["T"]
+        [], ["R"], ["V@E(S)"], ["T"]
     ]
 
 
 def test_payload_covers_are_keyed_by_their_free_variables_and_stored():
     free = frozenset(listing_query().free)
     tree = plan_view_tree(listing_query(), VariableOrder(CHAIN_ORDER), updatable=())
-
-    def nodes(part):
-        return [part] if isinstance(part, ViewNode) else [n for p in part for n in nodes(p)]
-
     covers = [node for group in tree.listing_covers for node in group]
     assert covers
     for node in covers:
         assert set(node.keys) == free & node.vars_under
         assert node.materialized
-    assert sorted(n.id for n in nodes(payload_covers(tree.roots[0], free))) == sorted(
+    assert sorted(n.id for n in payload_covers(tree.roots[0], free)) == sorted(
         n.id for n in covers
     )
 
