@@ -186,7 +186,7 @@ class RegressionConfig:
     """Settings for gradient training over a maintained moment triple."""
 
     label: str
-    features: tuple[str, ...]
+    features: tuple[str, ...] = ()
     step_size: float = 1e-3
     gradient_threshold: float = 1e-9
     max_iterations: int = 200_000
@@ -198,8 +198,12 @@ class RegressionConfig:
             raise ValueError("the label cannot also be a feature")
         if len(set(self.features)) != len(self.features):
             raise ValueError("duplicate feature")
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ValueError("step size must be positive")
+        if not self.gradient_threshold >= 0:
+            raise ValueError("gradient threshold cannot be negative")
+        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be a positive integer")
 
 
 @dataclass(frozen=True)

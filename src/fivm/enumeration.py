@@ -21,21 +21,13 @@ from itertools import chain, islice
 from typing import Any, Iterator, Optional
 
 from fivm.ivm import RuntimeState
-from fivm.relations import Relation
-from fivm.rings import (
-    COVARIANCE,
-    REAL,
-    RelationalPayload,
-    covariance_dense,
-    relational_payload,
-)
+from fivm.rings import COVARIANCE, REAL, RelationalPayload, covariance_dense
 
 __all__ = [
     "check_csv_form",
     "listing_csv_rows",
     "enumerate_result",
     "payload_of_tuple",
-    "materialize_listing",
 ]
 
 
@@ -138,32 +130,6 @@ def _times(state: RuntimeState, row):
         return acc
 
     return times
-
-
-def materialize_listing(state: RuntimeState, kind: str = "keys"):
-    """Collect the full result, either as a relation or one nested payload.
-
-    ``kind="keys"`` returns a relation keyed by the free variables holding
-    each row's payload. ``kind="relational_payload"`` returns a single map
-    from free-variable tuples to scalars, totalizing relational payloads
-    where needed; it is how a listing result nests into one value.
-    """
-    query = state.query
-    if kind == "keys":
-        out = Relation(query.free, state.ring, counters=state.counters)
-        out.accumulate_all(enumerate_result(state))
-        return out
-    if kind != "relational_payload":
-        raise ValueError(f"unknown listing kind: {kind!r}")
-    entries: dict[tuple, Any] = {}
-    for key, val in enumerate_result(state):
-        if isinstance(val, RelationalPayload):
-            entries[key] = val.total()
-        elif isinstance(val, (int, float)):
-            entries[key] = val
-        else:
-            raise ValueError("relational_payload listing needs scalar-like payloads")
-    return relational_payload(query.free, entries)
 
 
 def check_csv_form(ring) -> None:

@@ -12,7 +12,6 @@ from .scenario import (
     ScenarioError,
     bundled_scenarios,
     compile_scenario,
-    load_relation_csv,
     load_scenario,
 )
 from .streams import StreamEvent, synthesize_stream
@@ -32,7 +31,6 @@ __all__ = [
     "load_scenario",
     "compile_scenario",
     "bundled_scenarios",
-    "load_relation_csv",
     "StreamEvent",
     "synthesize_stream",
     "ENGINE_NAMES",

@@ -5,16 +5,15 @@ would maintain, the path each update's delta climbs and the steps a
 walked listing takes with the payload covers each one reads, ``run`` streams
 a scenario through one engine, recording metrics, ``enumerate`` replays
 a scenario to completion and dumps the listing, and ``verify`` races all
-three engines and fails loudly on any disagreement. ``FIVM_LOG`` in the
-environment picks the log level.
+three engines and fails loudly on any disagreement. Every command compiles
+its scenarios first, so a bad setting is refused with exit status 2 before
+any data moves.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import logging
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -26,9 +25,22 @@ from .engines import (
     run_scenario,
     verify_scenarios,
 )
-from .scenario import ScenarioError, compile_scenario, load_scenario
+from .scenario import CompiledScenario, ScenarioError, compile_scenario, load_scenario
 
 __all__ = ["main"]
+
+
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``, the bound the
+    scenario file's own setting has."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{value} is below {least}")
+        return value
+
+    return count
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,21 +64,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="plan a scenario and print the view tree")
     add_scenario(p)
-    p.add_argument("--no-indicators", action="store_true",
-                   help="skip existence-projection planning")
 
     p = sub.add_parser("run", help="stream a scenario through one engine")
     add_scenario(p)
     p.add_argument("--engine", choices=ENGINE_NAMES, default="fivm")
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--batch-size", type=_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--intvl", type=int, default=None,
+    p.add_argument("--intvl", type=_at_least(0), default=None,
                    help="enumerate every INTVL batches")
     p.add_argument("--metrics", metavar="CSV", default=None,
                    help="write per-batch metrics here")
     p.add_argument("--export", metavar="CSV", default=None,
                    help="write app output (or the final listing) here")
-    p.add_argument("--no-indicators", action="store_true")
 
     p = sub.add_parser("enumerate", help="replay fully, then dump the listing")
     add_scenario(p)
@@ -79,9 +88,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _compiled(path: str) -> CompiledScenario:
+    """Load and compile one scenario file; whatever the planner refuses in
+    it is a bad setting too, reported like the scenario's own checks."""
+    try:
+        return compile_scenario(load_scenario(path))
+    except ValueError as e:
+        raise ScenarioError(str(e)) from None
+
+
 def _cmd_compile(args) -> int:
-    scn = load_scenario(args.scenario)
-    compiled = compile_scenario(scn, indicators=not args.no_indicators)
+    compiled = _compiled(args.scenario)
+    scn = compiled.scenario
     tree = compiled.tree
     cls = classify(compiled.query)
     print(f"scenario: {scn.name}")
@@ -92,9 +110,6 @@ def _cmd_compile(args) -> int:
     print(f"mode: {tree.mode}   result schema: {compiled.result_schema}")
     print(f"updatable: {', '.join(scn.updatable)}")
     print(tree.dump())
-    if tree.enum_views:
-        pairs = ", ".join(f"{v} -> {n}" for v, n in tree.enum_views.items())
-        print(f"enumeration views: {pairs}")
     indexed = [
         (n.id, spec) for n in tree.nodes for spec in n.required_indices
     ]
@@ -119,8 +134,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    scn = load_scenario(args.scenario)
-    compiled = compile_scenario(scn, indicators=not args.no_indicators)
+    compiled = _compiled(args.scenario)
+    scn = compiled.scenario
     if args.export and scn.app is None and args.engine != "fivm":
         raise ScenarioError(
             f"--export without an app writes the maintained listing, which only "
@@ -174,8 +189,8 @@ def _export_run(path: str, compiled, report) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    scn = load_scenario(args.scenario)
-    compiled = compile_scenario(scn)
+    compiled = _compiled(args.scenario)
+    scn = compiled.scenario
     try:
         check_csv_form(compiled.query.ring)
     except ValueError as e:
@@ -199,7 +214,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    compiled = [compile_scenario(load_scenario(p)) for p in args.scenario]
+    compiled = [_compiled(p) for p in args.scenario]
     verdicts = [verify_scenarios([c]) for c in compiled]
     if args.metrics:
         rows = [row for _, _, scn_rows in verdicts for row in scn_rows]
@@ -213,9 +228,6 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    level = os.environ.get("FIVM_LOG")
-    if level:
-        logging.basicConfig(level=level.upper())
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

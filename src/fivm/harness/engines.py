@@ -18,20 +18,13 @@ metric row; verification compares the listings those steps took.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
-from ..apps import (
-    RegressionConfig,
-    RegressionResult,
-    chow_liu_tree,
-    mutual_information_matrix,
-    train_linear_regression,
-)
+from ..apps import chow_liu_tree, mutual_information_matrix, train_linear_regression
 from ..enumeration import enumerate_result
 from ..ivm import RuntimeState, UpdateDelta, recompute_query
 from ..relations import OpCounters, Relation, from_pairs
@@ -48,8 +41,6 @@ __all__ = [
     "emit_metrics",
     "RunReport",
 ]
-
-log = logging.getLogger("fivm.harness")
 
 ENGINE_NAMES = ("fivm", "first_order", "reevaluate")
 
@@ -224,28 +215,15 @@ def _run_app(
     spec = compiled.query.ring
     slots = compiled.slots
     if app.kind == "regression":
-        cfg = RegressionConfig(
-            label=app.options["label"],
-            features=tuple(app.options.get("features", ())),
-            step_size=float(app.options.get("step_size", 1e-3)),
-            gradient_threshold=float(app.options.get("gradient_threshold", 1e-9)),
-            max_iterations=int(app.options.get("max_iterations", 200_000)),
-            warm_start=bool(app.options.get("warm_start", False)),
-        )
-        res: RegressionResult = train_linear_regression(
-            spec, slots, stats, cfg, prior=prior
-        )
+        res = train_linear_regression(spec, slots, stats, compiled.regression, prior=prior)
         report.app_results["regression"] = res
         return res.theta
-    if app.kind in ("mi", "chow_liu"):
-        mi = mutual_information_matrix(spec, slots, stats)
-        report.app_results["mi"] = mi
-        if app.kind == "chow_liu":
-            report.app_results["chow_liu"] = chow_liu_tree(mi)
-        return prior
     if app.kind == "covariance":
         report.app_results["covariance"] = stats
-        return prior
+    else:
+        mi = report.app_results["mi"] = mutual_information_matrix(spec, slots, stats)
+        if app.kind == "chow_liu":
+            report.app_results["chow_liu"] = chow_liu_tree(mi)
     return prior
 
 
@@ -260,7 +238,6 @@ def _stream(
         scn.batch_size if batch_size is None else batch_size,
         seed=scn.seed if seed is None else seed,
         shuffle=scn.shuffle,
-        sorted_updates=scn.sorted_updates,
     )
 
 
@@ -309,21 +286,12 @@ def run_scenario(
 
     engine = make_engine(engine_name, compiled)
     engine.setup()
-    batches = _stream(compiled, batch_size, seed)
     report = RunReport(scn.name, engine_name, [], engine)
-    deadline = None
-    if scn.timeout_s is not None:
-        deadline = time.monotonic() + float(scn.timeout_s)
     prior: Optional[dict] = None
-    for bi, batch in enumerate(batches, start=1):
+    for bi, batch in enumerate(_stream(compiled, batch_size, seed), start=1):
         row, _ = _step(engine, bi, batch, iv)
         report.rows.append(row)
         prior = _run_app(compiled, engine, report, prior)
-        if deadline is not None and time.monotonic() > deadline:
-            raise ScenarioError(
-                f"{scn.name}: timed out after batch {bi} of {len(batches)}"
-            )
-        log.debug("%s/%s batch %d: %d tuples", scn.name, engine_name, bi, row[3])
     return report
 
 

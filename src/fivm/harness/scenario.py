@@ -9,7 +9,8 @@ seed alone.
 Top-level keys:
 
 ``name``              display name (defaults to the file stem)
-``ring``              {"kind": "integer"|"real"|"relational", ...}
+``ring``              {"kind": "integer"|"real"|"relational",
+                      "zero_tolerance"?, "base"? (relational only)}
 ``relations``         [{"name", "schema", "rows", "payload_column"?,
                       "signed"?}, ...]
 ``free``              output variables (default [])
@@ -26,10 +27,9 @@ Top-level keys:
 ``intvl``             enumerate every this many batches (0 = never)
 ``seed``              stream shuffling seed (default 0)
 ``shuffle``           shuffle per-relation event order (default true)
-``sorted_updates``    replay each relation's events in key order
 ``app``               {"kind": "regression"|"mi"|"chow_liu"|"covariance",
-                      ...options}
-``timeout_s``         abort a run that exceeds this many seconds
+                      ...options}; only regression takes options, the
+                      fields of ``RegressionConfig``
 
 Rows hold one value per schema column; a relation with
 ``payload_column`` true carries the payload scalar after the key, and
@@ -38,14 +38,13 @@ one with ``signed`` true ends each row with +1 or -1 (deletes).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
-from ..apps import Binned, build_covariance_query, build_matrix_chain
+from ..apps import Binned, RegressionConfig, build_covariance_query, build_matrix_chain
 from ..queries import (
     FDSet,
     GROUP_BY,
@@ -55,19 +54,15 @@ from ..queries import (
     canonical_free_top_order,
     classify,
 )
-from ..relations import OpCounters, Relation
 from ..rings import (
     INTEGER,
     REAL,
     RELATIONAL,
     RingSpec,
-    integer_ring,
     lift_identity,
     lift_singleton,
     lift_to_one,
     lift_unit,
-    real_ring,
-    relational_ring,
     ring_one,
 )
 from ..viewtree import ViewTree, plan_view_tree
@@ -83,7 +78,6 @@ __all__ = [
     "scenario_from_dict",
     "compile_scenario",
     "bundled_scenarios",
-    "load_relation_csv",
 ]
 
 
@@ -108,9 +102,7 @@ _TOP_KEYS = {
     "intvl",
     "seed",
     "shuffle",
-    "sorted_updates",
     "app",
-    "timeout_s",
 }
 
 _LIFTS = {
@@ -186,9 +178,7 @@ class Scenario:
     intvl: int
     seed: int
     shuffle: bool
-    sorted_updates: bool
     app: Optional[AppSpec]
-    timeout_s: Optional[float]
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -214,6 +204,8 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
         extra = set(r) - {"name", "schema", "rows", "payload_column", "signed"}
         if extra:
             raise ScenarioError(f"unknown relation keys: {sorted(extra)}")
+        if not {"name", "schema"} <= set(r):
+            raise ScenarioError(f"a relation needs a name and a schema: {dict(r)}")
         rel_specs.append(
             RelationSpec(
                 name=r["name"],
@@ -272,25 +264,24 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
         intvl=intvl,
         seed=int(doc.get("seed", 0)),
         shuffle=bool(doc.get("shuffle", True)),
-        sorted_updates=bool(doc.get("sorted_updates", False)),
         app=app,
-        timeout_s=doc.get("timeout_s"),
     )
 
 
 def _ring_from_doc(doc: Mapping[str, Any]) -> RingSpec:
-    kind = doc.get("kind", "integer")
-    tol = float(doc.get("zero_tolerance", 0.0))
-    if kind == "integer":
-        return integer_ring()
-    if kind == "real":
-        return real_ring(zero_tolerance=tol)
-    if kind == "relational":
-        base = doc.get("base", "integer")
-        if base not in (INTEGER, REAL):
-            raise ScenarioError(f"unknown relational base {base!r}")
-        return relational_ring(base=base, zero_tolerance=tol)
-    raise ScenarioError(f"unknown ring kind {kind!r} (covariance comes from 'kinds')")
+    kind = doc.get("kind", INTEGER)
+    if kind not in (INTEGER, REAL, RELATIONAL):
+        raise ScenarioError(f"unknown ring kind {kind!r} (covariance comes from 'kinds')")
+    junk = set(doc) - {"kind", "zero_tolerance"} - ({"base"} if kind == RELATIONAL else set())
+    if junk:
+        raise ScenarioError(f"unknown keys for a {kind} ring: {sorted(junk)}")
+    base = doc.get("base", INTEGER) if kind == RELATIONAL else ""
+    if base not in (INTEGER, REAL, ""):
+        raise ScenarioError(f"unknown relational base {base!r}")
+    try:
+        return RingSpec(kind=kind, base=base, zero_tolerance=float(doc.get("zero_tolerance", 0.0)))
+    except (TypeError, ValueError) as e:
+        raise ScenarioError(f"ring: {e}") from None
 
 
 def _kind_from_doc(v: Any) -> Any:
@@ -313,18 +304,20 @@ class CompiledScenario:
     tree: ViewTree
     static_events: dict[str, list[StreamEvent]]
     stream_events: list[tuple[str, list[StreamEvent]]]
+    regression: Optional[RegressionConfig]
 
     @property
     def result_schema(self) -> tuple[str, ...]:
         return self.tree.result_schema
 
 
-def compile_scenario(scn: Scenario, indicators: bool = True) -> CompiledScenario:
+def compile_scenario(scn: Scenario) -> CompiledScenario:
     """Build the query and order, then validate them against the scenario.
 
     Everything that can be rejected is rejected here, before any data
-    moves: unknown lifts, orders over the wrong variables, apps pointed
-    at the wrong ring, payload columns on non-numeric rings.
+    moves: unknown lifts, ring settings the ring does not take, orders over
+    the wrong variables, apps pointed at the wrong ring or given options
+    they do not take, payload columns on non-numeric rings.
     """
     rel_decls = [(r.name, r.schema) for r in scn.relations]
     slots: Optional[tuple[str, ...]] = None
@@ -363,12 +356,8 @@ def compile_scenario(scn: Scenario, indicators: bool = True) -> CompiledScenario
 
     if scn.mode == "nu" and not order.is_free_top(query.free):
         raise ScenarioError("output-oriented mode needs the free variables on top")
-    if scn.app is not None:
-        _check_app(scn.app, query, slots)
-
-    tree = plan_view_tree(
-        query, order, updatable=scn.updatable, mode=scn.mode, indicators=indicators
-    )
+    regression = None if scn.app is None else _check_app(scn.app, query, slots)
+    tree = plan_view_tree(query, order, updatable=scn.updatable, mode=scn.mode)
 
     static_events: dict[str, list[StreamEvent]] = {}
     stream_events: list[tuple[str, list[StreamEvent]]] = []
@@ -393,6 +382,7 @@ def compile_scenario(scn: Scenario, indicators: bool = True) -> CompiledScenario
         tree=tree,
         static_events=static_events,
         stream_events=stream_events,
+        regression=regression,
     )
 
 
@@ -421,20 +411,16 @@ def _order_from_doc(scn: Scenario, query: Query) -> VariableOrder:
     return order
 
 
-def _check_app(app: AppSpec, query: Query, slots: Optional[tuple[str, ...]]) -> None:
+def _check_app(
+    app: AppSpec, query: Query, slots: Optional[tuple[str, ...]]
+) -> Optional[RegressionConfig]:
+    """Check an app against the query; a regression's options become its
+    ``RegressionConfig``, the other apps take none."""
     if query.ring.kind != "covariance":
         raise ScenarioError(f"app {app.kind!r} needs a statistics query (use 'kinds')")
     assert slots is not None
-    if app.kind == "regression":
-        label = app.options.get("label")
-        feats = tuple(app.options.get("features", ()))
-        if label not in slots:
-            raise ScenarioError(f"regression label {label!r} is not a slot")
-        bad = [f for f in feats if f not in slots]
-        if bad:
-            raise ScenarioError(f"regression features {bad} are not slots")
-        if query.ring.base != REAL:
-            raise ScenarioError("regression needs every slot continuous")
+    if app.kind != "regression" and app.options:
+        raise ScenarioError(f"app {app.kind!r} takes no options: {sorted(app.options)}")
     if app.kind in ("mi", "chow_liu"):
         if query.ring.base != RELATIONAL:
             raise ScenarioError(f"{app.kind} needs categorical (or binned) slots")
@@ -442,6 +428,20 @@ def _check_app(app: AppSpec, query: Query, slots: Optional[tuple[str, ...]]) -> 
             raise ScenarioError(f"{app.kind} needs at least two slots")
     if app.kind == "covariance" and query.ring.base != REAL:
         raise ScenarioError("covariance export needs continuous slots")
+    if app.kind != "regression":
+        return None
+    try:
+        cfg = RegressionConfig(**app.options)
+    except (TypeError, ValueError) as e:
+        raise ScenarioError(f"regression app: {e}") from None
+    if cfg.label not in slots:
+        raise ScenarioError(f"regression label {cfg.label!r} is not a slot")
+    bad = [f for f in cfg.features if f not in slots]
+    if bad:
+        raise ScenarioError(f"regression features {bad} are not slots")
+    if query.ring.base != REAL:
+        raise ScenarioError("regression needs every slot continuous")
+    return cfg
 
 
 def bundled_scenarios() -> dict[str, Path]:
@@ -453,61 +453,3 @@ def bundled_scenarios() -> dict[str, Path]:
             out[p.stem] = p
     return out
 
-
-def _parse_field(raw: str) -> Any:
-    raw = raw.strip()
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
-
-
-def load_relation_csv(
-    path: str | Path,
-    schema: Sequence[str],
-    ring: RingSpec,
-    payload_column: Optional[str] = None,
-    counters: Optional[OpCounters] = None,
-    name: Optional[str] = None,
-) -> Relation:
-    """Read one relation from a headed CSV file.
-
-    The header must list exactly the schema columns, plus the payload
-    column when one is named; duplicate keys accumulate. Numeric-looking
-    fields are parsed as numbers, anything else stays a string. Malformed
-    input fails with the file name and 1-based line number.
-    """
-    path = Path(path)
-    schema = tuple(schema)
-    expected = list(schema) + ([payload_column] if payload_column else [])
-    rel = Relation(schema, ring, counters=counters, name=name or path.stem)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}:1: empty file, expected header {expected}")
-        if [h.strip() for h in header] != expected:
-            raise ValueError(f"{path}:1: header {header} does not match {expected}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise ValueError(
-                    f"{path}:{lineno}: {len(row)} fields, expected {len(expected)}"
-                )
-            key = tuple(_parse_field(f) for f in row[: len(schema)])
-            if payload_column:
-                raw = row[len(schema)].strip()
-                try:
-                    val: Any = int(raw) if ring.kind == INTEGER else float(raw)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad payload {raw!r}")
-            else:
-                val = ring_one(ring)
-            rel.accumulate(key, val)
-    return rel

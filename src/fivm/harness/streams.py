@@ -3,7 +3,8 @@
 The synthesizer interleaves relations round-robin in declaration order
 and chunks the result into fixed-size batches. The only randomness is a
 seeded shuffle of each relation's own events, so a (scenario, seed) pair
-always replays the identical stream.
+always replays the identical stream; with the shuffle off, each relation's
+events replay in the order the scenario lists its rows.
 """
 
 from __future__ import annotations
@@ -30,16 +31,14 @@ def synthesize_stream(
     batch_size: int,
     seed: int = 0,
     shuffle: bool = True,
-    sorted_updates: bool = False,
 ) -> list[list[StreamEvent]]:
     """Interleave per-relation events round-robin and batch them.
 
     ``per_relation`` pairs each streamed relation with its events, in the
     order the relations were declared; that order fixes the round-robin
     rotation. With ``shuffle`` each relation's events are permuted by one
-    shared ``random.Random(seed)`` consumed in declaration order; with
-    ``sorted_updates`` they are instead replayed in ascending key order,
-    which models a presorted feed.
+    shared ``random.Random(seed)`` consumed in declaration order; without
+    it they replay in the order the scenario lists them.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
@@ -47,9 +46,7 @@ def synthesize_stream(
     queues: list[list[StreamEvent]] = []
     for _name, events in per_relation:
         q = list(events)
-        if sorted_updates:
-            q.sort(key=lambda e: e.key)
-        elif shuffle:
+        if shuffle:
             rng.shuffle(q)
         queues.append(q)
     flat: list[StreamEvent] = []

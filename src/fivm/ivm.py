@@ -29,7 +29,6 @@ from fivm.relations import (
     OpCounters,
     Relation,
     indicator_delta,
-    indicator_project,
     rel_apply_delta,
     rel_marginalize,
 )
@@ -161,9 +160,12 @@ class RuntimeState:
             if node.kind == LEAF:
                 rel = self.leaves[node.leaf_id]
             elif node.kind == INDICATOR:
-                state, rel = indicator_project(
-                    self.leaves[node.source], node.keys, name=node.id
-                )
+                # Loaded as the update routine would: every source entry
+                # a +1 support transition into an empty state.
+                source = self.leaves[node.source]
+                state = IndicatorState(node.keys, self.ring, source.schema)
+                rel = indicator_delta(state, ((k, 1) for k, _ in source.items()), self.counters)
+                rel.name = node.id
                 self.indicator_states[node.id] = state
                 if node.materialized:
                     self.indicator_rels[node.id] = rel

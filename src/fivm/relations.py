@@ -28,7 +28,6 @@ __all__ = [
     "rel_join",
     "rel_marginalize",
     "rel_apply_delta",
-    "indicator_project",
     "indicator_delta",
 ]
 
@@ -474,30 +473,6 @@ class IndicatorState:
 
     def project(self, key: tuple) -> tuple:
         return tuple(key[i] for i in self.source_pos)
-
-
-def indicator_project(
-    rel: Relation,
-    target_schema: Iterable[str],
-    name: str = "",
-) -> tuple[IndicatorState, Relation]:
-    """Build the existence projection of ``rel`` onto ``target_schema``.
-
-    Returns the tracking state plus the projected relation, whose payload
-    is ring one on every key some base tuple projects to.
-    """
-    schema = tuple(target_schema)
-    missing = [v for v in schema if v not in rel.schema]
-    if missing:
-        raise ValueError(f"indicator vars {missing} not in schema {rel.schema}")
-    state = IndicatorState(schema, rel.ring, rel.schema)
-    out = Relation(schema, rel.ring, counters=rel.counters, name=name)
-    for key in rel.entries:
-        pk = state.project(key)
-        state.counts[pk] = state.counts.get(pk, 0) + 1
-    _tally(rel.counters, reads=len(rel.entries))
-    out.accumulate_all((pk, rel.ring.one) for pk in state.counts)
-    return state, out
 
 
 def indicator_delta(

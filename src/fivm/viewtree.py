@@ -126,10 +126,9 @@ class DeltaStep:
 class ViewTree:
     """A finished view tree plus the bookkeeping the runtime needs."""
 
-    def __init__(self, query: Query, order: VariableOrder, binding: OrderBinding, mode: str):
+    def __init__(self, query: Query, order: VariableOrder, mode: str):
         self.query = query
         self.order = order
-        self.binding = binding
         self.mode = mode
         self.roots: list[ViewNode] = []
         self.nodes: list[ViewNode] = []
@@ -275,7 +274,7 @@ def build_view_tree(query: Query, order: VariableOrder) -> ViewTree:
     output variables of its subtree.
     """
     binding = infer_dep(query, order)
-    tree = ViewTree(query, order, binding, mode="tau")
+    tree = ViewTree(query, order, mode="tau")
     leaves_at = _leaves_at(query, binding)
     free = set(query.free)
 
@@ -337,7 +336,7 @@ def build_free_connex_tree(query: Query, order: VariableOrder) -> ViewTree:
     binding = infer_dep(query, order)
     if not order.is_free_top(query.free):
         raise ValueError("order is not free-top: some free variable sits below a bound one")
-    tree = ViewTree(query, order, binding, mode="nu")
+    tree = ViewTree(query, order, mode="nu")
     leaves_at = _leaves_at(query, binding)
     free = set(query.free)
     bound = set(query.variables) - free

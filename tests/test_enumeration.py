@@ -16,7 +16,6 @@ import oracles
 from fivm.enumeration import (
     enumerate_result,
     listing_csv_rows,
-    materialize_listing,
     payload_of_tuple,
 )
 from fivm.harness import bundled_scenarios, compile_scenario, load_scenario, run_scenario
@@ -376,21 +375,6 @@ def test_payload_of_tuple_matches_every_listed_row(name):
         assert payload_of_tuple(state, key) == val
     missing = tuple("zz" for _ in state.query.free)
     assert payload_of_tuple(state, missing) == ring_zero(state.ring)
-
-
-# ---------------------------------------------------------------------------
-# listings as data
-
-
-def test_materialize_listing_as_relation_and_as_payload():
-    state = listing_state(factorized=True)
-    rel = materialize_listing(state, kind="keys")
-    assert rel.schema == ("A", "B", "C", "D")
-    assert {k: v.total() for k, v in rel.entries.items()} == LISTING
-    nested = materialize_listing(state, kind="relational_payload")
-    assert nested == relational_payload(("A", "B", "C", "D"), LISTING)
-    with pytest.raises(ValueError):
-        materialize_listing(state, kind="csv")
 
 
 def test_csv_rows_for_scalar_payloads():

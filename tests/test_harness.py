@@ -29,11 +29,11 @@ from fivm.harness.scenario import (
     ScenarioError,
     bundled_scenarios,
     compile_scenario,
-    load_relation_csv,
     load_scenario,
     scenario_from_dict,
 )
 from fivm.harness.streams import StreamEvent, synthesize_stream
+from fivm.apps import RegressionConfig
 from fivm.rings import CovarianceTriple, integer_ring, real_ring, relational_ring
 
 COUNT_SCN = {
@@ -68,7 +68,7 @@ def test_defaults_fill_in():
     assert parsed.updatable == ("R", "S")
     assert parsed.free == ()
     assert (parsed.batch_size, parsed.intvl, parsed.seed) == (1, 0, 0)
-    assert parsed.shuffle and not parsed.sorted_updates
+    assert parsed.shuffle
     assert parsed.ring_doc == {"kind": "integer"}
 
 
@@ -83,6 +83,10 @@ def test_defaults_fill_in():
         ({"mode": "sideways"}, "unknown tree mode"),
         ({"free_lift_mode": "flat"}, "unknown free_lift_mode"),
         ({"app": {"kind": "forecast"}}, "unknown app kind"),
+        ({"relations": [{"name": "R", "rows": [[1]]}]}, "needs a name and a schema"),
+        ({"relations": [{"schema": ["A"], "rows": [[1]]}]}, "needs a name and a schema"),
+        ({"timeout_s": 5}, "unknown scenario keys"),
+        ({"sorted_updates": True}, "unknown scenario keys"),
     ],
 )
 def test_document_validation(overrides, message):
@@ -190,6 +194,16 @@ def test_canonical_order_refuses_other_shapes():
         compile_scenario(scn(order="canonical", free=["A", "C"]))
 
 
+def test_functional_dependencies_admit_a_canonical_order():
+    """With A -> B, R(A,B) S(B,C) over free (A, C) is q-hierarchical once
+    reduced: B goes on top and the tree maintains what the baselines do."""
+    compiled = compile_scenario(scn(order="canonical", free=["A", "C"], fds=[[["A"], ["B"]]]))
+    assert compiled.order.to_nested() == [["B", "A", "C"]]
+    assert compiled.tree.mode == "tau"
+    ok, problems, _ = verify_scenarios([compiled])
+    assert ok, problems
+
+
 def test_orders_must_place_every_variable():
     with pytest.raises(ScenarioError, match="does not place"):
         compile_scenario(scn(order=[["B", ["A"]]]))
@@ -212,6 +226,31 @@ def test_unknown_lift_and_ring_names():
         compile_scenario(scn(ring={"kind": "quaternion"}))
     with pytest.raises(ScenarioError, match="unknown relational base"):
         compile_scenario(scn(ring={"kind": "relational", "base": "covariance"}))
+
+
+@pytest.mark.parametrize(
+    "ring, message",
+    [
+        ({"kind": "integer", "zero_tolerance": 0.5}, "integer ring is exact"),
+        ({"kind": "relational", "zero_tolerance": 0.5}, "over integers is exact"),
+        ({"kind": "real", "zero_tolerance": -1}, "must be non-negative"),
+        ({"kind": "real", "zero_tolerence": 1e-9}, r"real ring: \['zero_tolerence'\]"),
+        ({"kind": "real", "base": "real"}, r"real ring: \['base'\]"),
+        ({"kind": "integer", "base": "integer"}, r"integer ring: \['base'\]"),
+    ],
+)
+def test_ring_documents_take_only_their_own_keys(ring, message):
+    with pytest.raises(ScenarioError, match=message):
+        compile_scenario(scn(ring=ring))
+
+
+def test_ring_documents_pass_the_tolerance():
+    ring = compile_scenario(scn(ring={"kind": "real", "zero_tolerance": 1e-9})).query.ring
+    assert ring.zero_tolerance == 1e-9
+    ring = compile_scenario(
+        scn(ring={"kind": "relational", "base": "real", "zero_tolerance": 1e-6})
+    ).query.ring
+    assert (ring.base, ring.zero_tolerance) == ("real", 1e-6)
 
 
 def test_chain_scenarios_pin_their_relations():
@@ -276,6 +315,33 @@ def test_app_checks(doc, message):
             compile_scenario(parsed)
 
 
+def test_regression_options_become_one_config():
+    doc = stats_doc(kind="regression", label="Y", features=["X"], step_size=0.05)
+    assert compile_scenario(scenario_from_dict(doc)).regression == RegressionConfig(
+        "Y", ("X",), step_size=0.05
+    )
+    assert compile_scenario(scenario_from_dict(stats_doc(kind="covariance"))).regression is None
+
+
+@pytest.mark.parametrize(
+    "app, message",
+    [
+        ({"kind": "regression", "label": "Y", "max_iteration": 5}, "'max_iteration'"),
+        ({"kind": "regression", "label": "Y", "step_size": -1}, "step size must be positive"),
+        ({"kind": "regression", "label": "Y", "step_size": "big"}, "regression app"),
+        ({"kind": "regression", "label": "Y", "max_iterations": 2.5}, "positive integer"),
+        ({"kind": "regression", "label": "Y", "gradient_threshold": -1}, "cannot be negative"),
+        ({"kind": "regression", "features": ["X"]}, "'label'"),
+        ({"kind": "covariance", "label": "Y"}, r"'covariance' takes no options: \['label'\]"),
+        ({"kind": "mi", "bins": 3}, r"'mi' takes no options: \['bins'\]"),
+        ({"kind": "chow_liu", "root": "X"}, r"'chow_liu' takes no options: \['root'\]"),
+    ],
+)
+def test_app_options_are_checked_at_compile_time(app, message):
+    with pytest.raises(ScenarioError, match=message):
+        compile_scenario(scenario_from_dict(stats_doc(**app)))
+
+
 def test_mi_needs_two_categorical_slots():
     doc = stats_doc(kind="mi")
     doc["kinds"] = {"X": "categorical"}
@@ -295,52 +361,6 @@ def test_binned_kind_document():
     doc["kinds"] = {"X": {"clipped": True}}
     with pytest.raises(ScenarioError, match="unknown column kind"):
         compile_scenario(scenario_from_dict(doc))
-
-
-# ---------------------------------------------------------------------------
-# CSV relations
-
-
-def write_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-
-
-def test_csv_relations_parse_and_accumulate(tmp_path):
-    path = tmp_path / "edges.csv"
-    write_csv(path, [["A", "B"], ["1", "x"], ["2", "y"], ["1", "x"]])
-    rel = load_relation_csv(path, ("A", "B"), integer_ring())
-    assert dict(rel.entries) == {(1, "x"): 2, (2, "y"): 1}
-    assert rel.name == "edges"
-
-
-def test_csv_payload_column(tmp_path):
-    path = tmp_path / "w.csv"
-    write_csv(path, [["A", "w"], ["1", "1.5"], ["1", "2.5"]])
-    rel = load_relation_csv(path, ("A",), real_ring(), payload_column="w")
-    assert dict(rel.entries) == {(1,): 4.0}
-
-
-@pytest.mark.parametrize(
-    "rows, fragment",
-    [
-        ([], ":1: empty file"),
-        ([["A", "C"]], ":1: header"),
-        ([["A", "B"], ["1"]], ":2: 1 fields"),
-    ],
-)
-def test_csv_failures_name_the_line(tmp_path, rows, fragment):
-    path = tmp_path / "bad.csv"
-    write_csv(path, rows)
-    with pytest.raises(ValueError, match=fragment.replace("[", "\\[")):
-        load_relation_csv(path, ("A", "B"), integer_ring())
-
-
-def test_csv_bad_payload_names_the_line(tmp_path):
-    path = tmp_path / "bad.csv"
-    write_csv(path, [["A", "w"], ["1", "much"]])
-    with pytest.raises(ValueError, match=":2: bad payload"):
-        load_relation_csv(path, ("A",), integer_ring(), payload_column="w")
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +390,6 @@ def test_seeded_shuffles_replay_identically():
     assert a == b
     c = synthesize_stream(per, batch_size=3, seed=6)
     assert a != c
-
-
-def test_sorted_updates_replay_in_key_order():
-    per = [("R", events("R", [3, 1, 2]))]
-    batches = synthesize_stream(per, batch_size=10, sorted_updates=True)
-    assert [e.key[0] for e in batches[0]] == [1, 2, 3]
 
 
 def test_stream_batch_size_bound():
@@ -704,6 +718,7 @@ def test_cli_compile_prints_the_plan(tmp_path, capsys):
         assert main(["compile", "-s", str(bundled_scenarios()[name])]) == 0
         out = capsys.readouterr().out
         assert [line for line in out.splitlines() if line.startswith("list ")] == want
+        assert "enumeration views" not in out  # the list lines name those views
 
 
 def test_cli_run_writes_metrics_and_export(tmp_path, capsys):
@@ -719,6 +734,100 @@ def test_cli_run_writes_metrics_and_export(tmp_path, capsys):
         listing = list(csv.reader(fh))
     assert listing[0] == ["payload"]
     assert listing[1] == ["6"]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--batch-size", "0"], "argument --batch-size: 0 is below 1"),
+        (["--intvl", "-1"], "argument --intvl: -1 is below 0"),
+        (["--intvl", "often"], "argument --intvl: invalid count value: 'often'"),
+    ],
+)
+def test_cli_run_refuses_bad_overrides_before_the_replay(capsys, monkeypatch, flags, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the scenario was replayed")
+
+    monkeypatch.setattr("fivm.harness.cli.run_scenario", no_run)
+    with pytest.raises(SystemExit) as raised:
+        main(["run", "-s", str(bundled_scenarios()["count_chain"]), *flags])
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"fivm run: error: {message}"
+
+
+EXPORT_HEADERS = {
+    "count_chain": ["payload"],
+    "covariance_mi": ["from", "to", "score"],
+    "covariance_regression": ["coefficient", "value"],
+    "listing_factorized": ["A", "B", "C", "D", "payload"],
+    "mcm_chain": ["X1", "X4", "payload"],
+    "qhier_pairs": ["A", "B", "C", "payload"],
+    "triangle_count": ["payload"],
+    "stats_mi": ["", "X", "Y"],
+    "stats_covariance": ["", "X", "Y"],
+}
+
+
+def test_cli_run_exports_every_bundled_scenario(tmp_path, capsys):
+    """Each app's exporter and the listing export write their header; the
+    bundled scenarios cover the listings, Chow-Liu and regression, and two
+    small statistics scenarios the mutual information and covariance."""
+    cat = {"X": "categorical", "Y": "categorical"}
+    paths = {
+        **{name: str(path) for name, path in bundled_scenarios().items()},
+        "stats_mi": write_scenario(tmp_path, dict(stats_doc(kind="mi"), kinds=cat), "mi.json"),
+        "stats_covariance": write_scenario(tmp_path, stats_doc(kind="covariance"), "cov.json"),
+    }
+    assert set(paths) == set(EXPORT_HEADERS)
+    for name, path in paths.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", "-s", path, "--export", str(out)]) == 0, name
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == EXPORT_HEADERS[name], name
+        assert len(rows) > 1, name
+
+
+def test_cli_enumerate_exports_the_listing(tmp_path, capsys):
+    out = tmp_path / "listing.csv"
+    rc = main(["enumerate", "-s", str(bundled_scenarios()["qhier_pairs"]), "--export", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"qhier_pairs: 200 rows -> {out}\n"
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["A", "B", "C", "payload"]
+    assert len(rows) == 201
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (stats_doc(kind="regression", label="Y", features=["X"], step_size=-1),
+         "step size must be positive"),
+        (stats_doc(kind="regression", label="Y", features=["X"], max_iteration=5),
+         "unexpected keyword argument 'max_iteration'"),
+        (dict(COUNT_SCN, ring={"kind": "integer", "zero_tolerance": 0.5}),
+         "integer ring is exact"),
+        (dict(COUNT_SCN, ring={"kind": "real", "zero_tolerence": 1e-9}),
+         r"unknown keys for a real ring: \['zero_tolerence'\]"),
+        (dict(COUNT_SCN, lifts={"A": "one"}), "no lifting function for aggregated variable"),
+    ],
+)
+def test_cli_refuses_bad_settings_before_the_replay(tmp_path, capsys, monkeypatch, doc, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the scenario was replayed")
+
+    monkeypatch.setattr("fivm.harness.cli.run_scenario", no_run)
+    monkeypatch.setattr("fivm.harness.cli.verify_scenarios", no_run)
+    path = write_scenario(tmp_path, doc)
+    for command in ("compile", "run", "enumerate", "verify"):
+        assert main([command, "-s", path]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and re.search(message, line), line
 
 
 @pytest.mark.parametrize("engine", ["first_order", "reevaluate"])

@@ -13,7 +13,6 @@ from fivm.relations import (
     Relation,
     from_pairs,
     indicator_delta,
-    indicator_project,
     rel_apply_delta,
     rel_join,
     rel_marginalize,
@@ -366,9 +365,16 @@ def test_apply_delta_schema_checked():
         rel_apply_delta(rel(("A",), []), rel(("B",), []))
 
 
+def load_indicator(r, schema):
+    """An indicator over ``r`` loaded as the runtime loads one: every entry a
+    +1 support transition into an empty state."""
+    state = IndicatorState(schema, r.ring, r.schema)
+    return state, indicator_delta(state, [(k, 1) for k in r.entries])
+
+
 def test_indicator_project_counts_support():
     r = rel(("A", "B"), [(("a1", "b1"), 1), (("a1", "b2"), 1), (("a2", "b3"), 1)])
-    state, proj = indicator_project(r, ("A",))
+    state, proj = load_indicator(r, ("A",))
     assert dict(proj.entries) == {("a1",): 1, ("a2",): 1}
     assert state.counts == {("a1",): 2, ("a2",): 1}
 
@@ -377,7 +383,7 @@ def test_indicator_delta_fires_only_on_zero_crossings():
     """Dropping one of two supporting rows is silent; dropping the last
     one retracts the key."""
     r = rel(("A", "B"), [(("a1", "b1"), 1), (("a1", "b2"), 1), (("a2", "b3"), 1)])
-    state, _ = indicator_project(r, ("A",))
+    state, _ = load_indicator(r, ("A",))
 
     d1 = indicator_delta(state, [(("a1", "b2"), -1)])
     assert dict(d1.entries) == {}
@@ -398,7 +404,7 @@ def test_indicator_negative_support_rejected():
 def test_indicator_projection_schema_checked():
     r = rel(("A",), [])
     with pytest.raises(ValueError):
-        indicator_project(r, ("B",))
+        load_indicator(r, ("B",))
 
 
 def test_prefix_enumerate_in_first_insertion_order():
