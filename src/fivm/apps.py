@@ -204,6 +204,8 @@ class RegressionConfig:
             raise ValueError("gradient threshold cannot be negative")
         if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
             raise ValueError("max_iterations must be a positive integer")
+        if not isinstance(self.warm_start, bool):
+            raise ValueError(f"warm_start must be true or false, not {self.warm_start!r}")
 
 
 @dataclass(frozen=True)
@@ -449,7 +451,9 @@ def build_matrix_chain(dims: Sequence[int]) -> MatrixChain:
     every split point becomes an aggregated coordinate variable placed so
     that the two sub-chains hang below it. Payloads are real numbers and
     all inner coordinates are summed out with the one-lift, so joining and
-    marginalizing reproduces exactly the row-times-column sums.
+    marginalizing reproduces exactly the row-times-column sums. Each
+    coordinate declares its range, so the engine stores every matrix and
+    view as one array.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
@@ -480,6 +484,7 @@ def build_matrix_chain(dims: Sequence[int]) -> MatrixChain:
         free=("X1", f"X{n + 1}"),
         ring=real_ring(),
         lifts=tuple(lift_to_one(f"X{i}") for i in range(2, n + 1)),
+        ranges={f"X{i}": dims[i - 1] for i in range(1, n + 2)},
     )
     return MatrixChain(
         dims=dims,
@@ -493,15 +498,14 @@ def build_matrix_chain(dims: Sequence[int]) -> MatrixChain:
 Vector = Union[Mapping[Any, float], Sequence[float]]
 
 
-def _vector_relation(state: RuntimeState, var: str, values: Vector) -> Relation:
-    rel = Relation((var,), state.ring, counters=state.counters)
+def _vector_relation(state: RuntimeState, name: str, var: str, values: Vector) -> Relation:
+    rel = state.relation((var,))
     if isinstance(values, Mapping):
         items: Iterable[tuple[Any, float]] = values.items()
     else:
         items = enumerate(values)
-    for key, val in items:
-        if val:
-            rel.accumulate((key,), float(val))
+    rows = (((key,), float(val)) for key, val in items if val)
+    rel.accumulate_all(state.checked(rows, name, (var,)))
     return rel
 
 
@@ -521,8 +525,8 @@ def mcm_rank_update(state: RuntimeState, i: int, u: Vector, v: Vector) -> int:
     if not decls:
         raise ValueError(f"no matrix named {name} in this chain")
     row_var, col_var = decls[0].schema
-    u_rel = _vector_relation(state, row_var, u)
-    v_rel = _vector_relation(state, col_var, v)
+    u_rel = _vector_relation(state, name, row_var, u)
+    v_rel = _vector_relation(state, name, col_var, v)
     if not u_rel.entries or not v_rel.entries:
         return 0
     return state.apply_batch([FactorizedDelta(name, (u_rel, v_rel))])

@@ -1,13 +1,13 @@
 """Command-line front end over the scenario harness.
 
 Four commands cover the workflow: ``compile`` shows what the planner
-would maintain, the path each update's delta climbs and the steps a
-walked listing takes with the payload covers each one reads, ``run`` streams
-a scenario through one engine, recording metrics, ``enumerate`` replays
-a scenario to completion and dumps the listing, and ``verify`` races all
-three engines and fails loudly on any disagreement. Every command compiles
-its scenarios first, so a bad setting is refused with exit status 2 before
-any data moves.
+would maintain and which of it is stored dense, the path each update's
+delta climbs and the steps a walked listing takes with the payload covers
+each one reads, ``run`` streams a scenario through one engine, recording
+metrics, ``enumerate`` replays a scenario to completion and dumps the
+listing, and ``verify`` races all three engines and fails loudly on any
+disagreement. Every command compiles its scenarios first, so a bad
+setting is refused with exit status 2 before any data moves.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from ..enumeration import check_csv_form, listing_csv_rows
 from ..queries import classify
+from ..viewtree import INDICATOR
 from .engines import (
     ENGINE_NAMES,
     emit_metrics,
@@ -109,7 +110,11 @@ def _cmd_compile(args) -> int:
     )
     print(f"mode: {tree.mode}   result schema: {compiled.result_schema}")
     print(f"updatable: {', '.join(scn.updatable)}")
-    print(tree.dump())
+    for node, line in zip(tree.nodes, tree.dump().splitlines()):
+        shape = compiled.query.dense_shape(node.keys) if node.kind != INDICATOR else None
+        if node.materialized and shape:
+            line += f"  dense {'x'.join(map(str, shape))}"
+        print(line)
     indexed = [
         (n.id, spec) for n in tree.nodes for spec in n.required_indices
     ]

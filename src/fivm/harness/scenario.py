@@ -18,7 +18,8 @@ Top-level keys:
 ``lifts``             {var: "one"|"identity"|"unit"|"singleton"}
 ``kinds``             {var: "continuous"|"categorical"|{"binned": ...}};
                       presence switches the query to a statistics triple
-``chain``             [p1, ..., pn+1]; presence compiles a matrix chain
+``chain``             [p1, ..., pn+1]; presence compiles a matrix chain,
+                      whose coordinates must lie in [0, p)
 ``free_lift_mode``    "group_by" (default) or "relational_payload"
 ``mode``              force "tau" or "nu" tree construction
 ``updatable``         relation names that stream (default: all)
@@ -26,7 +27,8 @@ Top-level keys:
 ``batch_size``        events per batch (default 1)
 ``intvl``             enumerate every this many batches (0 = never)
 ``seed``              stream shuffling seed (default 0)
-``shuffle``           shuffle per-relation event order (default true)
+``shuffle``           shuffle per-relation event order (true or false,
+                      default true)
 ``app``               {"kind": "regression"|"mi"|"chow_liu"|"covariance",
                       ...options}; only regression takes options, the
                       fields of ``RegressionConfig``
@@ -211,8 +213,8 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
                 name=r["name"],
                 schema=tuple(r["schema"]),
                 rows=tuple(tuple(row) for row in r.get("rows", [])),
-                payload_column=bool(r.get("payload_column", False)),
-                signed=bool(r.get("signed", False)),
+                payload_column=_flag(r, "payload_column", False),
+                signed=_flag(r, "signed", False),
             )
         )
 
@@ -263,9 +265,17 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
         batch_size=batch_size,
         intvl=intvl,
         seed=int(doc.get("seed", 0)),
-        shuffle=bool(doc.get("shuffle", True)),
+        shuffle=_flag(doc, "shuffle", True),
         app=app,
     )
+
+
+def _flag(doc: Mapping[str, Any], key: str, default: bool) -> bool:
+    """A boolean setting; the JSON string "false" is refused, not true."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{key} must be true or false, not {value!r}")
+    return value
 
 
 def _ring_from_doc(doc: Mapping[str, Any]) -> RingSpec:
@@ -364,6 +374,11 @@ def compile_scenario(scn: Scenario) -> CompiledScenario:
     upd = set(scn.updatable)
     for r in scn.relations:
         events = r.events(query.ring)
+        for e in events:
+            for var, x in zip(r.schema, e.key):
+                n = query.ranges.get(var)
+                if n is not None and not (type(x) is int and 0 <= x < n):
+                    raise ScenarioError(f"{r.name} row {e.key}: {var}={x!r} is outside [0, {n})")
         if r.name in upd:
             stream_events.append((r.name, events))
         else:

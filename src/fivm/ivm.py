@@ -23,8 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
+import numpy as np
+
 from fivm.queries import GROUP_BY, RELATIONAL_PAYLOAD, Occurrence, Query
 from fivm.relations import (
+    DenseRelation,
     IndicatorState,
     OpCounters,
     Relation,
@@ -32,7 +35,7 @@ from fivm.relations import (
     rel_apply_delta,
     rel_marginalize,
 )
-from fivm.rings import lift_to_one, lift_unit, relational_total
+from fivm.rings import TO_ONE, lift, lift_to_one, lift_unit, relational_total
 from fivm.viewtree import INDICATOR, LEAF, ViewNode, ViewTree
 
 __all__ = [
@@ -124,62 +127,80 @@ class RuntimeState:
             self.payload_xform = relational_total
         else:
             self.payload_xform = None
+        # A lifted variable's values are checked as tuples enter the first
+        # occurrence holding it: every row a join lifts holds such a tuple.
+        # A lift is a function of the value, so (up to a bound on memory)
+        # a value that passed once is not lifted again.
+        self._lifted: dict[tuple[str, str], tuple[Any, set]] = {}
+        for v, fn in self.query.lifts.items():
+            owner = next((d.leaf_id for d in self.query.relations if v in d.schema), None)
+            if fn.mode != TO_ONE and owner is not None:
+                self._lifted[owner, v] = (fn, set())
+        self._entry_checks: dict[tuple, tuple[tuple, list]] = {}
         for d in self.query.relations:
-            self.leaves[d.leaf_id] = Relation(
-                d.schema, self.ring, counters=self.counters, name=d.leaf_id
-            )
+            self.leaves[d.leaf_id] = self.relation(d.schema, d.leaf_id)
+
+    def relation(self, schema: tuple[str, ...], name: str = "") -> Relation:
+        """An empty relation over ``schema`` on this state's counters,
+        dense when the query declares the ranges of all its variables."""
+        shape = self.query.dense_shape(schema) if self.query.ranges else None
+        if shape is None:
+            return Relation(schema, self.ring, self.counters, name)
+        return DenseRelation(schema, self.ring, shape, self.counters, name)
 
     def load(self, data: dict[str, Iterable[tuple[tuple, Any]]]) -> None:
         """Fill the base relations and evaluate every view bottom-up.
 
         ``data`` maps relation names to (key, payload) pairs; a name used
         by several occurrences loads each occurrence's copy. Data for an
-        unknown relation, a key of the wrong length or a payload outside
-        the ring's degree is rejected before any state changes.
+        unknown relation, a key of the wrong length, a payload outside the
+        ring's degree, a value outside its declared range or one its lift
+        refuses is rejected before any state changes.
         """
         unknown = set(data) - self.query.occurrences.keys()
         if unknown:
             raise ValueError(f"data for unknown relations: {sorted(unknown)}")
-        # Fill fresh copies and swap them in only once every pair has been
-        # checked, so rejected data leaves the loaded state as it was.
         fresh: dict[str, Relation] = {}
         for d in self.query.relations:
-            rel = Relation(d.schema, self.ring, counters=self.counters, name=d.leaf_id)
-            rel.accumulate_all(self._checked(data.get(d.name, ()), d.name, d.schema))
-            fresh[d.leaf_id] = rel
-        self.leaves.update(fresh)
-        self.initialize()
+            rel = fresh[d.leaf_id] = self.relation(d.schema, d.leaf_id)
+            rel.accumulate_all(self.checked(data.get(d.name, ()), d.name))
+        self.initialize(fresh)
 
-    def initialize(self) -> None:
-        """Evaluate the tree bottom-up and store the flagged nodes."""
-        self.views.clear()
-        self.indicator_rels.clear()
-        self.indicator_states.clear()
+    def initialize(self, leaves: Optional[dict[str, Relation]] = None) -> None:
+        """Evaluate the tree bottom-up over ``leaves`` (by default the
+        stored ones) and store the flagged nodes. Nothing is stored until
+        every node is evaluated, so an error leaves the state as it was."""
+        leaves = self.leaves if leaves is None else leaves
+        views: dict[str, Relation] = {}
+        indicator_rels: dict[str, Relation] = {}
+        indicator_states: dict[str, IndicatorState] = {}
         values: dict[str, Relation] = {}
         for node in self.tree.nodes:
             if node.kind == LEAF:
-                rel = self.leaves[node.leaf_id]
+                rel = leaves[node.leaf_id]
             elif node.kind == INDICATOR:
                 # Loaded as the update routine would: every source entry
                 # a +1 support transition into an empty state.
-                source = self.leaves[node.source]
+                source = leaves[node.source]
                 state = IndicatorState(node.keys, self.ring, source.schema)
                 rel = indicator_delta(state, ((k, 1) for k, _ in source.items()), self.counters)
                 rel.name = node.id
-                self.indicator_states[node.id] = state
+                indicator_states[node.id] = state
                 if node.materialized:
-                    self.indicator_rels[node.id] = rel
+                    indicator_rels[node.id] = rel
             else:
                 first, *rest = node.children
                 joins = [(values[c.id], None) for c in rest]
                 rel = self._marginalize(node, values[first.id], joins)
                 rel.name = node.id
                 if node.materialized:
-                    self.views[node.id] = rel
+                    views[node.id] = rel
             values[node.id] = rel
             if node.materialized:
                 for probe, group in node.required_indices:
                     rel.ensure_index(probe, group)
+        self.leaves, self.views = dict(leaves), views
+        self.indicator_rels, self.indicator_states = indicator_rels, indicator_states
 
     def _marginalize(self, node: ViewNode, first: Relation, joins: list) -> Relation:
         """``first`` joined with ``joins`` and summed out as ``node`` defines."""
@@ -259,7 +280,10 @@ class RuntimeState:
         deltas keep their product form. The whole batch is checked (known,
         updatable targets, key lengths, factor coverage, payloads within
         the ring's degree) before anything propagates, so a rejected batch
-        changes no state. Returns the number of key-level changes processed.
+        changes no state. Values are checked against their declared ranges
+        and lifts then too, so a later join never lifts an unchecked value
+        and the batch applies fully or not at all. Returns the number of
+        key-level changes processed.
         """
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
@@ -277,15 +301,15 @@ class RuntimeState:
             for u in items:
                 if isinstance(u, UpdateDelta):
                     if merged is None:
-                        merged = Relation(schema, self.ring, counters=self.counters)
+                        merged = self.relation(schema)
                         units.append([merged])
-                    merged.accumulate_all(self._checked(u.pairs, name, schema))
+                    merged.accumulate_all(self.checked(u.pairs, name))
                 else:
                     covered: set[str] = set()
                     for f in u.factors:
                         covered |= set(f.schema)
-                        for val in f.entries.values():
-                            self.ring.check(val)
+                        for _ in self.checked(f.entries.items(), name, f.schema):
+                            pass
                     if covered != set(schema):
                         raise ValueError(
                             f"factors cover {sorted(covered)}, not schema {schema}"
@@ -305,13 +329,39 @@ class RuntimeState:
                     self.propagate(occ.leaf_id, [self._rebound(f, occ.renaming) for f in form])
         return touched
 
-    def _checked(self, pairs: Iterable[tuple[tuple, Any]], name: str, schema: tuple[str, ...]):
-        """``pairs`` as key tuples, each key and payload checked first."""
-        check = self.ring.check
+    def checked(
+        self, pairs: Iterable[tuple[tuple, Any]], name: str, schema: Optional[tuple] = None
+    ):
+        """``pairs`` over ``schema`` (by default ``name``'s whole update
+        schema) as key tuples, each checked first: the key's length, the
+        payload, every value against its variable's declared range, and
+        the lift of each value this relation is the first occurrence of."""
+        plan = self._entry_checks.get((name, schema))
+        if plan is None:
+            occs, ranges = self.query.occurrences[name], self.query.ranges
+            over = occs[0].schema if schema is None else schema
+            plan = self._entry_checks[name, schema] = over, [
+                (i, w, ranges.get(w), self._lifted.get((occ.leaf_id, w)))
+                for i, v in enumerate(over)
+                for occ in occs
+                if (w := occ.renaming[v]) in ranges or (occ.leaf_id, w) in self._lifted
+            ]
+        schema, checks = plan
+        check, ring = self.ring.check, self.ring
         for key, val in pairs:
             if len(key) != len(schema):
                 raise ValueError(f"key {key!r} does not match {name}{schema}")
             check(val)
+            for i, var, n, lifted in checks:
+                x = key[i]
+                if n is not None and not (
+                    (type(x) is int or isinstance(x, np.integer)) and 0 <= x < n
+                ):
+                    raise ValueError(f"{name} key {key!r}: {var}={x!r} is outside [0, {n})")
+                if lifted is not None and x not in lifted[1]:
+                    lift(ring, lifted[0], x)
+                    if len(lifted[1]) < 4096:
+                        lifted[1].add(x)
             yield tuple(key), val
 
     def _rebound(self, rel: Relation, mapping: dict[str, str]) -> Relation:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
-from fivm.rings import LiftingFunction, RingSpec
+from fivm.rings import REAL, LiftingFunction, RingSpec
 
 __all__ = [
     "RelationDecl",
@@ -68,7 +68,9 @@ class Query:
     ``free_lift_mode`` picks how free variables present results: plain keys
     ("group_by") or nested relational payloads ("relational_payload").
     ``occurrences`` routes an update keyed by relation name to every leaf
-    that name occurs as.
+    that name occurs as. ``ranges`` declares variables whose values are
+    the integers [0, n); on the exact real ring, a relation over declared
+    variables only is stored as one array (``dense_shape``).
     """
 
     def __init__(
@@ -78,6 +80,7 @@ class Query:
         ring: RingSpec,
         lifts: Iterable[LiftingFunction] = (),
         free_lift_mode: str = GROUP_BY,
+        ranges: Optional[dict[str, int]] = None,
     ):
         if free_lift_mode not in (GROUP_BY, RELATIONAL_PAYLOAD):
             raise ValueError(f"unknown free lift mode: {free_lift_mode!r}")
@@ -125,6 +128,19 @@ class Query:
                 raise ValueError(f"duplicate lift for {f.target_variable}")
             self.lifts[f.target_variable] = f
         self.free_lift_mode = free_lift_mode
+        self.ranges: dict[str, int] = dict(ranges or {})
+        for v, n in self.ranges.items():
+            if v not in all_vars or not isinstance(n, int) or n < 1:
+                raise ValueError(f"bad range {n!r} for {v}: need a query variable and n >= 1")
+
+    def dense_shape(self, schema: Iterable[str]) -> Optional[tuple[int, ...]]:
+        """The array shape a relation over ``schema`` is stored in: the
+        declared ranges, when every variable has one and the ring is the
+        real ring with exact zeros; otherwise None, for a dict."""
+        ring, ranges = self.ring, self.ranges
+        if ring.kind == REAL and not ring.zero_tolerance and ranges and set(schema) <= set(ranges):
+            return tuple(ranges[v] for v in schema)
+        return None
 
     @property
     def bound(self) -> tuple[str, ...]:

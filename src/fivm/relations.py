@@ -10,13 +10,24 @@ operators once and add their units to the counter block once per call.
 
 Values inside key tuples are dictionary-encoded (plain ints), which keeps
 hashing cheap and makes streams reproducible.
+
+A :class:`DenseRelation` stores its entries as one numpy array instead
+(:class:`DenseCells`). Over dense operands :func:`rel_marginalize` runs
+one ``einsum`` and :func:`rel_apply_delta` adds arrays, each counting the
+units the dict path spends on the same nonzero cells.
 """
 
 from __future__ import annotations
 
+import math
+import string
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import compress, product
 from typing import Any, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from fivm.rings import TO_ONE, LiftingFunction, RingSpec, lift
 
@@ -24,6 +35,8 @@ __all__ = [
     "Tuple",
     "OpCounters",
     "Relation",
+    "DenseCells",
+    "DenseRelation",
     "IndicatorState",
     "rel_join",
     "rel_marginalize",
@@ -67,6 +80,64 @@ def _tally(counters: Optional[OpCounters], reads: int = 0, writes: int = 0, prob
         counters.entry_reads += reads
         counters.entry_writes += writes
         counters.index_probes += probes
+
+
+@lru_cache(maxsize=64)
+def _cell_keys(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every key of an array of ``shape``, in row-major order."""
+    return tuple(product(*map(range, shape)))
+
+
+class DenseCells(MutableMapping):
+    """The entry store of a dense relation: a float array over the declared
+    ranges, read and written as a mapping from coordinate tuples to the
+    nonzero cells. Iteration is in row-major order and yields Python ints
+    and floats; a key outside the array is absent and cannot be stored."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.array = np.zeros(shape)
+
+    @property
+    def cell_keys(self) -> tuple[tuple[int, ...], ...]:
+        return _cell_keys(self.array.shape)
+
+    def _fits(self, key: tuple) -> bool:
+        # numpy reads a short key as a flat position and wraps negative ones
+        return len(key) == self.array.ndim and min(key, default=0) >= 0
+
+    def get(self, key: tuple, default: Any = None) -> Any:
+        try:
+            val = self.array.item(key) if self._fits(key) else 0.0
+        except (IndexError, TypeError):
+            val = 0.0
+        return val if val else default
+
+    def __getitem__(self, key: tuple) -> float:
+        val = self.get(key)
+        if val is None:
+            raise KeyError(key)
+        return val
+
+    def __setitem__(self, key: tuple, val: float) -> None:
+        if not self._fits(key):
+            raise KeyError(f"{key!r} is not a cell of a {self.array.shape} array")
+        self.array.item(key)  # refuses a bool, which indexing reads as a mask
+        self.array[key] = val
+
+    def __delitem__(self, key: tuple) -> None:
+        self[key] = 0.0
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.array))
+
+    def __iter__(self) -> Iterator[tuple]:
+        return compress(self.cell_keys, self.array.ravel().tolist())
+
+    def items(self) -> Iterator[tuple[tuple, float]]:
+        vals = self.array.ravel().tolist()
+        return compress(zip(self.cell_keys, vals), vals)
 
 
 class Relation:
@@ -249,6 +320,22 @@ def from_pairs(
     return rel
 
 
+class DenseRelation(Relation):
+    """A relation whose entries are :class:`DenseCells` of ``shape``."""
+
+    __slots__ = ()
+
+    def __init__(self, schema, ring: RingSpec, shape: tuple[int, ...], counters=None, name=""):
+        super().__init__(schema, ring, counters, name)
+        self.entries = DenseCells(shape)
+
+    def items(self) -> Iterator[tuple[tuple, Any]]:
+        """The nonzero cells in row-major order, all counted when the scan
+        starts."""
+        _tally(self.counters, reads=len(self.entries))
+        return self.entries.items()
+
+
 # A plan has a few shapes; the bound only keeps a long-lived process flat.
 @lru_cache(maxsize=1024)
 def _walk_plan(
@@ -329,7 +416,8 @@ def rel_marginalize(
     relation's new ones in its own order; the output keeps the rest in
     that order unless ``schema`` names a permutation of them. Every
     dropped variable needs a lifting function. No intermediate relation is
-    built.
+    built. Dense operands with no ``payload_map`` and only to-one lifts are
+    contracted by :func:`_contract` instead, into a dense relation.
     """
     levels, drop, out_schema, out_pos = _walk_plan(
         rel.schema,
@@ -343,8 +431,11 @@ def rel_marginalize(
             raise ValueError(f"no lifting function for marginalized variable {v}")
         if lifts[v].mode != TO_ONE:
             lifted.append((pos, lifts[v]))
-    out = Relation(out_schema, rel.ring, counters=rel.counters)
     rights = [r for r, _ in joins]
+    if type(rel) is DenseRelation and payload_map is None and not lifted:
+        if all(type(r) is DenseRelation for r in rights):
+            return _contract(rel, joins, levels, out_schema)
+    out = Relation(out_schema, rel.ring, counters=rel.counters)
     if not rel.entries or not all(r.entries for r in rights):
         return out
     ring = rel.ring
@@ -366,6 +457,62 @@ def rel_marginalize(
     if lifted or out_pos is not None:
         rows = _finish_rows(rows, ring, lifted, out_pos)
     out.accumulate_all(rows)
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _einsum_path(spec: str, shapes: tuple) -> Any:
+    """The pairwise contraction order for ``spec``, or False when one loop
+    over every index combination takes fewer steps (2^16) than planning
+    would cost."""
+    size = dict(zip("".join(spec.split("->")[0].split(",")), (n for s in shapes for n in s)))
+    if math.prod(size.values()) <= 1 << 16:
+        return False
+    return np.einsum_path(spec, *(np.empty(s) for s in shapes), optimize="greedy")[0]
+
+
+def _einsum(spec: str, arrays: Sequence[np.ndarray]) -> Any:
+    return np.einsum(spec, *arrays, optimize=_einsum_path(spec, tuple(a.shape for a in arrays)))
+
+
+def _contract(
+    rel: Relation, joins: Sequence[tuple[Relation, Any]], levels: tuple, out_schema: tuple
+) -> Relation:
+    """:func:`rel_marginalize` of dense operands with to-one lifts: one
+    ``einsum``, counted as the dict path counts the same nonzero cells.
+
+    The rows reaching a join level are the nonzero cells of the join so
+    far, counted by contracting the operands' nonzero patterns. Per
+    incoming row a primary probe reads once, an index route probes once
+    and reads each match, and a scan that shares variables probes its
+    grouping once; the scan reads the relation once if any row arrives.
+    The output reads and writes once per joined row.
+    """
+    ops = [rel] + [r for r, _ in joins]
+    size = {v: n for r in ops for v, n in zip(r.schema, r.entries.array.shape)}
+    out = DenseRelation(out_schema, rel.ring, tuple(size[v] for v in out_schema), rel.counters)
+    if not all(r.entries for r in ops):
+        return out
+    letter = dict(zip(size, string.ascii_letters))
+    subs = ["".join(letter[v] for v in r.schema) for r in ops]
+    arrays = [r.entries.array for r in ops]
+    masks = [(a != 0).astype(float) for a in arrays] if joins else []
+    rows = int(np.count_nonzero(arrays[0]))
+    _tally(rel.counters, reads=rows)
+    for i, (right, route) in enumerate(joins, 1):
+        joined = round(float(_einsum(",".join(subs[: i + 1]) + "->", masks[: i + 1])))
+        if route == "primary":
+            _tally(right.counters, reads=rows)
+        elif route is not None:
+            _tally(right.counters, reads=joined, probes=rows)
+        elif rows:
+            _tally(right.counters, reads=len(right.entries))
+            if levels[i - 1][2]:
+                _tally(rel.counters, probes=rows)
+        rows = joined
+    spec = ",".join(subs) + "->" + "".join(letter[v] for v in out_schema)
+    out.entries.array[...] = _einsum(spec, arrays)
+    _tally(out.counters, reads=rows, writes=rows)
     return out
 
 
@@ -445,8 +592,21 @@ def rel_apply_delta(target: Relation, delta: Relation) -> list[tuple[tuple, int]
     if target.schema != delta.schema:
         raise ValueError(f"delta schema mismatch: {target.schema} vs {delta.schema}")
     transitions: list[tuple[tuple, int]] = []
-    _tally(delta.counters, reads=len(delta.entries))
-    target.accumulate_all(delta.entries.items(), transitions)
+    n = len(delta.entries)
+    _tally(delta.counters, reads=n)
+    if not (type(target) is DenseRelation and type(delta) is DenseRelation):
+        target.accumulate_all(delta.entries.items(), transitions)
+        return transitions
+    # Adding arrays does what accumulating each nonzero delta cell does:
+    # two reads and a write per cell, index upkeep per support change.
+    cells = target.entries
+    was = cells.array != 0
+    cells.array += delta.entries.array
+    _tally(target.counters, reads=n, writes=n)
+    for i in np.flatnonzero(was != (cells.array != 0)).tolist():
+        key, move = cells.cell_keys[i], -1 if was.flat[i] else 1
+        (target._index_add if move > 0 else target._index_remove)(key)
+        transitions.append((key, move))
     return transitions
 
 

@@ -35,7 +35,7 @@ from fivm.apps import (
     train_linear_regression,
 )
 from fivm.ivm import RuntimeState, UpdateDelta
-from fivm.queries import VariableOrder
+from fivm.queries import Query, VariableOrder
 from fivm.rings import (
     CovarianceTriple,
     covariance_dense,
@@ -642,6 +642,94 @@ def test_zero_rank_updates_do_nothing():
     before = to_dense(state, (3, 5))
     assert mcm_rank_update(state, 1, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]) == 0
     assert np.array_equal(to_dense(state, (3, 5)), before)
+
+
+def chain_snapshot(state):
+    return [{k: dict(r.entries) for k, r in group.items()} for group in (state.leaves, state.views)]
+
+
+@pytest.mark.parametrize(
+    "act",
+    [
+        lambda s: s.load({"A1": [((0, 4), 1.0)]}),
+        lambda s: s.load({"A3": [((-1, 0), 1.0)]}),
+        lambda s: s.load({"A2": [(("x", 0), 1.0)]}),
+        lambda s: s.load({"A2": [((1.0, 0), 1.0)]}),
+        lambda s: s.apply_batch(
+            [UpdateDelta("A1", (((0, 1), 1.0),)), UpdateDelta("A2", (((4, 0), 1.0),))]
+        ),
+        lambda s: mcm_rank_update(s, 2, [1.0, 0.0, 0.0, 0.0, 2.0], [1.0, 1.0]),
+        lambda s: mcm_rank_update(s, 3, [1.0, 1.0], {-1: 1.0}),
+    ],
+    ids=[
+        "load-high", "load-negative", "load-string", "load-float", "points", "rank-long",
+        "rank-negative",
+    ],
+)
+def test_chain_coordinates_outside_their_ranges_change_nothing(act):
+    state, _ = chain_runtime((3, 4, 2, 5))
+    before = chain_snapshot(state)
+    with pytest.raises(ValueError, match="outside"):
+        act(state)
+    assert chain_snapshot(state) == before
+
+
+def twin_chains(dims):
+    """One chain stored dense (the ranges its builder declares) and the same
+    chain without declared ranges, stored in dicts."""
+    mc = build_matrix_chain(dims)
+    q = mc.query
+    plain = Query([(d.name, d.schema) for d in q.relations], q.free, q.ring, q.lifts.values())
+    names = [d.name for d in q.relations]
+    return [RuntimeState(plan_view_tree(query, mc.order, updatable=names)) for query in (q, plain)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dense_chains_count_and_answer_like_the_dict_path(data):
+    dims = data.draw(st.lists(st.integers(1, 9), min_size=4, max_size=5), label="dims")
+    n = len(dims) - 1
+    value = st.integers(-3, 3).map(float)
+
+    def cells(i):
+        key = st.tuples(st.integers(0, dims[i] - 1), st.integers(0, dims[i + 1] - 1))
+        return st.lists(st.tuples(key, value), max_size=10)
+
+    dense, plain = twin_chains(dims)
+    assert dense.leaves["A1"].entries.array.shape == (dims[0], dims[1])
+    assert isinstance(plain.leaves["A1"].entries, dict)
+
+    def run(step):
+        for state in (dense, plain):
+            step(state)
+        assert dense.counters.snapshot() == plain.counters.snapshot()
+        shape = (dims[0], dims[-1])
+        assert np.array_equal(to_dense(dense, shape), to_dense(plain, shape))
+        assert chain_snapshot(dense) == chain_snapshot(plain)
+        want = dict(plain.recompute_oracle().entries)
+        assert dict(dense.recompute_oracle().entries) == want
+        assert dense.counters.snapshot() == plain.counters.snapshot()
+
+    init = {f"A{i + 1}": data.draw(cells(i), label="load") for i in range(n)}
+    run(lambda s: s.load(init))
+    for _ in range(data.draw(st.integers(1, 6), label="steps")):
+        kind = data.draw(st.sampled_from(["rank", "insert", "delete", "zero"]), label="kind")
+        i = data.draw(st.integers(0, n - 1), label="matrix")
+        name = f"A{i + 1}"
+        u = data.draw(st.lists(value, min_size=dims[i], max_size=dims[i]), label="u")
+        v = data.draw(st.lists(value, min_size=dims[i + 1], max_size=dims[i + 1]), label="v")
+        if kind == "zero":
+            u = [0.0] * dims[i]
+        if kind in ("rank", "zero"):
+            run(lambda s: mcm_rank_update(s, i + 1, u, v))
+            continue
+        if kind == "insert":
+            pairs = data.draw(cells(i), label="inserts")
+        else:
+            live = sorted(plain.leaves[name].entries.items())
+            gone = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
+            pairs = [(k, -val) for k, val in gone]
+        run(lambda s: s.apply_batch([UpdateDelta(name, tuple(pairs))]))
 
 
 def test_rank_updates_need_a_real_matrix():

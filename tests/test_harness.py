@@ -103,6 +103,15 @@ def test_unknown_relation_keys_are_rejected():
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("key", ["payload_column", "signed"])
+def test_relation_flags_must_be_booleans(key):
+    doc = dict(COUNT_SCN)
+    r, s = COUNT_SCN["relations"]
+    doc["relations"] = [dict(r, **{key: "false"}), s]
+    with pytest.raises(ScenarioError, match=f"{key} must be true or false, not 'false'"):
+        scenario_from_dict(doc)
+
+
 def test_loading_files_and_bad_json(tmp_path):
     path = tmp_path / "pair_count.json"
     path.write_text(json.dumps(COUNT_SCN))
@@ -719,6 +728,18 @@ def test_cli_compile_prints_the_plan(tmp_path, capsys):
         out = capsys.readouterr().out
         assert [line for line in out.splitlines() if line.startswith("list ")] == want
         assert "enumeration views" not in out  # the list lines name those views
+    # the matrix chain declares its coordinate ranges: every stored
+    # relation is one 4 x 4 array; nothing else is dense
+    assert "dense" not in out
+    assert main(["compile", "-s", str(bundled_scenarios()["mcm_chain"])]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("* ")] == [
+        "* A2[X2,X3] input  dense 4x4",
+        "* A3[X3,X4] input  dense 4x4",
+        "* V@X3(A2+A3)[X4,X2] = sum_{X3} A2 * A3  dense 4x4",
+        "* A1[X1,X2] input  dense 4x4",
+        "* V@top(A1+A2+A3)[X1,X4] = sum_{X2} V@X3(A2+A3) * A1  dense 4x4",
+    ]
 
 
 def test_cli_run_writes_metrics_and_export(tmp_path, capsys):
@@ -801,6 +822,13 @@ def test_cli_enumerate_exports_the_listing(tmp_path, capsys):
     assert len(rows) == 201
 
 
+def chain_doc(row):
+    """The bundled matrix chain with ``row`` appended to A1."""
+    doc = json.loads(bundled_scenarios()["mcm_chain"].read_text())
+    doc["relations"][0]["rows"].append(row)
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -813,6 +841,11 @@ def test_cli_enumerate_exports_the_listing(tmp_path, capsys):
         (dict(COUNT_SCN, ring={"kind": "real", "zero_tolerence": 1e-9}),
          r"unknown keys for a real ring: \['zero_tolerence'\]"),
         (dict(COUNT_SCN, lifts={"A": "one"}), "no lifting function for aggregated variable"),
+        (dict(COUNT_SCN, shuffle="false"), "shuffle must be true or false, not 'false'"),
+        (stats_doc(kind="regression", label="Y", features=["X"], warm_start="false"),
+         "warm_start must be true or false, not 'false'"),
+        (chain_doc([0, 4, 1.0]), r"A1 row \(0, 4\): X2=4 is outside \[0, 4\)"),
+        (chain_doc([-1, 0, 1.0]), r"A1 row \(-1, 0\): X1=-1 is outside \[0, 4\)"),
     ],
 )
 def test_cli_refuses_bad_settings_before_the_replay(tmp_path, capsys, monkeypatch, doc, message):

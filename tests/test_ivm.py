@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fivm.ivm
 import fivm.relations
 import oracles
 from fivm.ivm import (
@@ -211,6 +212,23 @@ def test_update_to_relation_outside_the_plan_changes_nothing():
     assert dict(state.result().entries) == {(): 10}
 
 
+def lifted_chain_state():
+    """The count chain with A lifted by its value; S holds an "x" row that
+    meets no R row, so no join has lifted it."""
+    query = Query(
+        CHAIN_RELS, (), Z, lifts=(lift_identity("A"),) + tuple(lift_to_one(v) for v in "BCDE")
+    )
+    state = RuntimeState(plan_view_tree(query, CHAIN_ORDER, updatable=("R", "S", "T")))
+    state.load(
+        {
+            "R": [((1, "b1"), 1)],
+            "S": [((1, "c1", "e1"), 1), (("x", "c1", "e2"), 1)],
+            "T": [(("c1", "d1"), 1)],
+        }
+    )
+    return state
+
+
 def test_update_that_fails_partway_up_changes_nothing():
     # A is lifted by its value, so the root raises on the non-numeric "x"
     # that the R delta carries up to it; S already holds an "x" row, which
@@ -234,6 +252,74 @@ def test_update_that_fails_partway_up_changes_nothing():
     assert snapshot(state) == before
     assert dict(state.result().entries) == {(): 1}
     assert_views_match_fresh(state)
+
+
+def test_a_level_that_fails_partway_up_stores_no_level(monkeypatch):
+    # Entering values are checked, so no lift fails on the way up any more;
+    # a failure there must still leave every level as it was.
+    state = chain_state()
+    before = snapshot(state)
+    levels = []
+
+    def fail_at_the_root(*args, **kwargs):
+        levels.append(1)
+        if len(levels) == 2:
+            raise RuntimeError("root level failed")
+        return rel_marginalize(*args, **kwargs)
+
+    monkeypatch.setattr(fivm.ivm, "rel_marginalize", fail_at_the_root)
+    assert len(state.tree.delta_paths["R"]) == 2
+    with pytest.raises(RuntimeError, match="root level failed"):
+        state.apply_batch([UpdateDelta("R", ((("a1", "b9"), 1),))])
+    assert snapshot(state) == before
+
+
+def test_batch_that_fails_in_a_later_relation_changes_nothing():
+    # T's insert would reach the root and count one more row; R's "x"
+    # would then fail at the root's lift. The batch applies fully or not
+    # at all, so T's insert must not stay.
+    state = lifted_chain_state()
+    before = snapshot(state)
+    with pytest.raises(ValueError, match="identity lift"):
+        state.apply_batch(
+            [UpdateDelta("T", ((("c1", "d2"), 1),)), UpdateDelta("R", ((("x", 10), 1),))]
+        )
+    assert snapshot(state) == before
+    assert dict(state.result().entries) == {(): 1}
+    state.apply_batch([UpdateDelta("T", ((("c1", "d2"), 1),))])
+    assert dict(state.result().entries) == {(): 2}
+
+
+def test_load_that_a_lift_refuses_leaves_the_loaded_state():
+    state = lifted_chain_state()
+    before = snapshot(state)
+    bad = {
+        "R": [(("x", "b1"), 1)],
+        "S": [(("x", "c1", "e1"), 1)],
+        "T": [(("c1", "d1"), 1)],
+    }
+    with pytest.raises(ValueError, match="identity lift"):
+        state.load(bad)
+    assert snapshot(state) == before
+    assert dict(state.result().entries) == {(): 1}
+    assert_views_match_fresh(state)
+
+
+def test_a_failed_evaluation_stores_nothing(monkeypatch):
+    state = chain_state()
+    before = snapshot(state)
+    calls = []
+
+    def fail_on_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("join failed")
+        return rel_marginalize(*args, **kwargs)
+
+    monkeypatch.setattr(fivm.ivm, "rel_marginalize", fail_on_second)
+    with pytest.raises(RuntimeError, match="join failed"):
+        state.load({"R": [(("a9", "b9"), 1)], "S": COUNT_DB["S"], "T": COUNT_DB["T"]})
+    assert snapshot(state) == before
 
 
 def test_delta_steps_are_resolved_when_planned(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fivm.relations import (
+    DenseRelation,
     IndicatorState,
     OpCounters,
     Relation,
@@ -37,6 +38,33 @@ def rel(schema, pairs, counters=None, name=""):
 
 # ---------------------------------------------------------------------------
 # storage
+
+
+def test_dense_relation_stores_and_counts_like_a_dict():
+    dense = DenseRelation(("A", "B"), real_ring(), (2, 3), OpCounters())
+    plain = Relation(("A", "B"), real_ring(), OpCounters())
+    rows = [((1, 2), 2.0), ((1, 0), 3.0), ((0, 2), 1.5), ((1, 2), -2.0), ((0, 1), 0.0)]
+    for r in (dense, plain):
+        r.ensure_index(("A",))
+        assert [r.accumulate(k, v) for k, v in rows] == [1, 1, 1, -1, 0]
+    assert dense.counters.snapshot() == plain.counters.snapshot()
+    assert dense.entries == plain.entries
+    # listed in row-major order, as Python ints and floats, counted up front
+    listing = dense.items()
+    assert dense.counters.entry_reads == plain.counters.entry_reads + 2
+    assert list(listing) == [((0, 2), 1.5), ((1, 0), 3.0)]
+    key, val = next(dense.entries.items())
+    assert [type(x) for x in (*key, val)] == [int, int, float]
+    assert dense.index_lookup((("A",), None), (1,)) == [(1, 0)]
+    # keys naming no cell are absent, never wrapped or read as flat positions
+    for key in [(1, 2), (-1, 0), (0,), (2, 0), ("x", 0)]:
+        assert dense.payload(key) is None
+    for key in [(-1, 0), (0,)]:
+        with pytest.raises(KeyError):
+            dense.accumulate(key, 1.0)
+    with pytest.raises(TypeError):
+        dense.accumulate((True, 0), 1.0)
+    assert len(dense.entries) == 2 and dense.total() == 4.5
 
 
 def test_accumulate_reports_support_transitions():
