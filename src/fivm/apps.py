@@ -498,14 +498,13 @@ def build_matrix_chain(dims: Sequence[int]) -> MatrixChain:
 Vector = Union[Mapping[Any, float], Sequence[float]]
 
 
-def _vector_relation(state: RuntimeState, name: str, var: str, values: Vector) -> Relation:
+def _vector_relation(state: RuntimeState, var: str, values: Vector) -> Relation:
     rel = state.relation((var,))
     if isinstance(values, Mapping):
         items: Iterable[tuple[Any, float]] = values.items()
     else:
         items = enumerate(values)
-    rows = (((key,), float(val)) for key, val in items if val)
-    rel.accumulate_all(state.checked(rows, name, (var,)))
+    rel.accumulate_all(((key,), float(val)) for key, val in items if val)
     return rel
 
 
@@ -525,8 +524,8 @@ def mcm_rank_update(state: RuntimeState, i: int, u: Vector, v: Vector) -> int:
     if not decls:
         raise ValueError(f"no matrix named {name} in this chain")
     row_var, col_var = decls[0].schema
-    u_rel = _vector_relation(state, name, row_var, u)
-    v_rel = _vector_relation(state, name, col_var, v)
+    u_rel = _vector_relation(state, row_var, u)
+    v_rel = _vector_relation(state, col_var, v)
     if not u_rel.entries or not v_rel.entries:
         return 0
     return state.apply_batch([FactorizedDelta(name, (u_rel, v_rel))])

@@ -376,8 +376,8 @@ def compile_scenario(scn: Scenario) -> CompiledScenario:
         events = r.events(query.ring)
         for e in events:
             for var, x in zip(r.schema, e.key):
-                n = query.ranges.get(var)
-                if n is not None and not (type(x) is int and 0 <= x < n):
+                if not query.in_range(var, x):
+                    n = query.ranges[var]
                     raise ScenarioError(f"{r.name} row {e.key}: {var}={x!r} is outside [0, {n})")
         if r.name in upd:
             stream_events.append((r.name, events))

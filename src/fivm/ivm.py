@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-import numpy as np
-
 from fivm.queries import GROUP_BY, RELATIONAL_PAYLOAD, Occurrence, Query
 from fivm.relations import (
     DenseRelation,
@@ -129,8 +127,8 @@ class RuntimeState:
             self.payload_xform = None
         # A lifted variable's values are checked as tuples enter the first
         # occurrence holding it: every row a join lifts holds such a tuple.
-        # A lift is a function of the value, so (up to a bound on memory)
-        # a value that passed once is not lifted again.
+        # A lift is a function of the value and its type, so (up to a bound
+        # on memory) a value that passed once is not lifted again.
         self._lifted: dict[tuple[str, str], tuple[Any, set]] = {}
         for v, fn in self.query.lifts.items():
             owner = next((d.leaf_id for d in self.query.relations if v in d.schema), None)
@@ -143,7 +141,7 @@ class RuntimeState:
     def relation(self, schema: tuple[str, ...], name: str = "") -> Relation:
         """An empty relation over ``schema`` on this state's counters,
         dense when the query declares the ranges of all its variables."""
-        shape = self.query.dense_shape(schema) if self.query.ranges else None
+        shape = self.query.dense_shape(schema)
         if shape is None:
             return Relation(schema, self.ring, self.counters, name)
         return DenseRelation(schema, self.ring, shape, self.counters, name)
@@ -341,27 +339,27 @@ class RuntimeState:
             occs, ranges = self.query.occurrences[name], self.query.ranges
             over = occs[0].schema if schema is None else schema
             plan = self._entry_checks[name, schema] = over, [
-                (i, w, ranges.get(w), self._lifted.get((occ.leaf_id, w)))
+                (i, w, w in ranges, self._lifted.get((occ.leaf_id, w)))
                 for i, v in enumerate(over)
                 for occ in occs
                 if (w := occ.renaming[v]) in ranges or (occ.leaf_id, w) in self._lifted
             ]
         schema, checks = plan
-        check, ring = self.ring.check, self.ring
+        check, ring, in_range = self.ring.check, self.ring, self.query.in_range
         for key, val in pairs:
             if len(key) != len(schema):
                 raise ValueError(f"key {key!r} does not match {name}{schema}")
             check(val)
-            for i, var, n, lifted in checks:
+            for i, var, ranged, lifted in checks:
                 x = key[i]
-                if n is not None and not (
-                    (type(x) is int or isinstance(x, np.integer)) and 0 <= x < n
-                ):
+                if ranged and not in_range(var, x):
+                    n = self.query.ranges[var]
                     raise ValueError(f"{name} key {key!r}: {var}={x!r} is outside [0, {n})")
-                if lifted is not None and x not in lifted[1]:
+                # an np.int64(1) equals a passed int 1 yet may be refused
+                if lifted is not None and (type(x), x) not in lifted[1]:
                     lift(ring, lifted[0], x)
                     if len(lifted[1]) < 4096:
-                        lifted[1].add(x)
+                        lifted[1].add((type(x), x))
             yield tuple(key), val
 
     def _rebound(self, rel: Relation, mapping: dict[str, str]) -> Relation:

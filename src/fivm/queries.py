@@ -12,6 +12,7 @@ functional-dependency closures for schema widening.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Any, Iterable, Optional, Sequence
 
 from fivm.rings import REAL, LiftingFunction, RingSpec
@@ -141,6 +142,14 @@ class Query:
         if ring.kind == REAL and not ring.zero_tolerance and ranges and set(schema) <= set(ranges):
             return tuple(ranges[v] for v in schema)
         return None
+
+    def in_range(self, var: str, x: Any) -> bool:
+        """Whether ``x`` is an integer within ``var``'s declared range; a
+        variable without one takes any value."""
+        n = self.ranges.get(var)
+        if n is None:
+            return True
+        return (type(x) is int or isinstance(x, Integral) and type(x) is not bool) and 0 <= x < n
 
     @property
     def bound(self) -> tuple[str, ...]:

@@ -121,10 +121,15 @@ class DenseCells(MutableMapping):
         return val
 
     def __setitem__(self, key: tuple, val: float) -> None:
-        if not self._fits(key):
-            raise KeyError(f"{key!r} is not a cell of a {self.array.shape} array")
-        self.array.item(key)  # refuses a bool, which indexing reads as a mask
-        self.array[key] = val
+        try:
+            self.array.item(key)  # refuses a bool, which indexing reads as a mask
+        except (IndexError, TypeError):
+            pass
+        else:
+            if self._fits(key):
+                self.array[key] = val
+                return
+        raise ValueError(f"key {key!r} is outside the cells of a {self.array.shape} array")
 
     def __delitem__(self, key: tuple) -> None:
         self[key] = 0.0
@@ -432,8 +437,10 @@ def rel_marginalize(
         if lifts[v].mode != TO_ONE:
             lifted.append((pos, lifts[v]))
     rights = [r for r, _ in joins]
-    if type(rel) is DenseRelation and payload_map is None and not lifted:
-        if all(type(r) is DenseRelation for r in rights):
+    dense = [rel, *rights]
+    if payload_map is None and not lifted and all(type(r) is DenseRelation for r in dense):
+        # einsum names each variable by one of 52 letters
+        if len(set().union(*(r.schema for r in dense))) <= len(string.ascii_letters):
             return _contract(rel, joins, levels, out_schema)
     out = Relation(out_schema, rel.ring, counters=rel.counters)
     if not rel.entries or not all(r.entries for r in rights):
@@ -462,11 +469,14 @@ def rel_marginalize(
 
 @lru_cache(maxsize=1024)
 def _einsum_path(spec: str, shapes: tuple) -> Any:
-    """The pairwise contraction order for ``spec``, or False when one loop
-    over every index combination takes fewer steps (2^16) than planning
-    would cost."""
+    """The pairwise contraction order numpy's greedy search picks for
+    ``spec``, or False for one plain loop over every index combination.
+    The loop is taken up to 2^13 combinations, where it runs faster than
+    the pairwise steps: past about 2^13 for three or four operands and
+    2^15 for two, the pairwise steps win, and the loop grows with the
+    product of every dimension. numpy 1.x loops over at most 32 operands."""
     size = dict(zip("".join(spec.split("->")[0].split(",")), (n for s in shapes for n in s)))
-    if math.prod(size.values()) <= 1 << 16:
+    if len(shapes) <= 32 and math.prod(size.values()) <= 1 << 13:
         return False
     return np.einsum_path(spec, *(np.empty(s) for s in shapes), optimize="greedy")[0]
 

@@ -591,14 +591,14 @@ def test_chain_cost_is_the_exhaustive_minimum(dims):
     assert mc.bracketing in winners
 
 
-def chain_runtime(dims, seed=7):
+def chain_runtime(dims, seed=7, values=(-3, 4)):
     mc = build_matrix_chain(dims)
     names = tuple(f"A{i}" for i in range(1, mc.matrix_count + 1))
     tree = plan_view_tree(mc.query, mc.order, updatable=names)
     state = RuntimeState(tree)
     rng = np.random.default_rng(seed)
     mats = [
-        rng.integers(-3, 4, size=(dims[i], dims[i + 1])).astype(float)
+        rng.integers(*values, size=(dims[i], dims[i + 1])).astype(float)
         for i in range(len(dims) - 1)
     ]
     data = {}
@@ -642,6 +642,23 @@ def test_zero_rank_updates_do_nothing():
     before = to_dense(state, (3, 5))
     assert mcm_rank_update(state, 1, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]) == 0
     assert np.array_equal(to_dense(state, (3, 5)), before)
+
+
+@pytest.mark.parametrize(
+    "dims", [[2] * 41, [2] + [1] * 59 + [3]], ids=["41-variables", "61-variables"]
+)
+def test_long_chains_recompute_their_product(dims):
+    # 41 variables make one einsum over 40 operands, far too many index
+    # combinations for one plain loop; 61 are more than einsum has letters
+    # for, so that join runs on the dict path. All-ones matrices keep every
+    # relation nonempty and every product exact.
+    state, mats = chain_runtime(dims, values=(1, 2))
+    u, v = [1.0] + [0.0] * (dims[1] - 1), [1.0] * dims[2]
+    mcm_rank_update(state, 2, u, v)
+    mats[1] += np.outer(u, v)
+    shape = (dims[0], dims[-1])
+    assert np.array_equal(to_dense(state, shape), oracles.chain_product(mats))
+    assert dict(state.recompute_oracle().entries) == dict(state.result().entries)
 
 
 def chain_snapshot(state):

@@ -3,6 +3,7 @@ factorized updates, and indicator upkeep."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -288,6 +289,23 @@ def test_batch_that_fails_in_a_later_relation_changes_nothing():
     assert dict(state.result().entries) == {(): 1}
     state.apply_batch([UpdateDelta("T", ((("c1", "d2"), 1),))])
     assert dict(state.result().entries) == {(): 2}
+
+
+def test_a_value_equal_to_one_that_passed_is_still_checked():
+    # R was loaded with the int 1; np.int64(1) equals and hashes like it,
+    # yet the identity lift refuses it, so it must be refused at entry and
+    # not at the root after T's insert has gone up.
+    state = lifted_chain_state()
+    before = snapshot(state)
+    with pytest.raises(ValueError, match="identity lift"):
+        state.apply_batch(
+            [
+                UpdateDelta("T", ((("c1", "d2"), 1),)),
+                UpdateDelta("R", (((np.int64(1), "b2"), 1),)),
+            ]
+        )
+    assert snapshot(state) == before
+    assert dict(state.result().entries) == {(): 1}
 
 
 def test_load_that_a_lift_refuses_leaves_the_loaded_state():
