@@ -24,7 +24,7 @@ import numpy as np
 
 from .ivm import FactorizedDelta, RuntimeState
 from .queries import Query, VariableOrder
-from .relations import Relation
+from .relations import DenseRelation, Relation
 from .rings import (
     REAL,
     RELATIONAL,
@@ -502,6 +502,9 @@ def _vector_relation(state: RuntimeState, var: str, values: Vector) -> Relation:
     rel = state.relation((var,))
     if isinstance(values, Mapping):
         items: Iterable[tuple[Any, float]] = values.items()
+    elif isinstance(rel, DenseRelation):
+        rel.fill(values)
+        return rel
     else:
         items = enumerate(values)
     rel.accumulate_all(((key,), float(val)) for key, val in items if val)

@@ -340,6 +340,16 @@ class DenseRelation(Relation):
         _tally(self.counters, reads=len(self.entries))
         return self.entries.items()
 
+    def fill(self, values: Sequence[float]) -> None:
+        """Store ``values`` into the first cells of an empty one-variable
+        relation, counted as accumulating each nonzero one."""
+        cells = self.entries.array
+        if len(values) > len(cells):
+            raise ValueError(f"{len(values)} values are outside the cells of a {cells.shape} array")
+        cells[: len(values)] = values
+        n = len(self.entries)
+        _tally(self.counters, reads=n, writes=n)
+
 
 # A plan has a few shapes; the bound only keeps a long-lived process flat.
 @lru_cache(maxsize=1024)
