@@ -447,10 +447,10 @@ def rel_marginalize(
         if lifts[v].mode != TO_ONE:
             lifted.append((pos, lifts[v]))
     rights = [r for r, _ in joins]
-    dense = [rel, *rights]
-    if payload_map is None and not lifted and all(type(r) is DenseRelation for r in dense):
+    if type(rel) is DenseRelation and payload_map is None and not lifted:
         # einsum names each variable by one of 52 letters
-        if len(set().union(*(r.schema for r in dense))) <= len(string.ascii_letters):
+        names = set(rel.schema).union(*(r.schema for r in rights))
+        if all(type(r) is DenseRelation for r in rights) and len(names) <= len(string.ascii_letters):
             return _contract(rel, joins, levels, out_schema)
     out = Relation(out_schema, rel.ring, counters=rel.counters)
     if not rel.entries or not all(r.entries for r in rights):
