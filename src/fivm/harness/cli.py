@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from ..enumeration import check_csv_form, listing_csv_rows
 from ..queries import classify
-from ..viewtree import INDICATOR
 from .engines import (
     ENGINE_NAMES,
     emit_metrics,
@@ -110,11 +109,7 @@ def _cmd_compile(args) -> int:
     )
     print(f"mode: {tree.mode}   result schema: {compiled.result_schema}")
     print(f"updatable: {', '.join(scn.updatable)}")
-    for node, line in zip(tree.nodes, tree.dump().splitlines()):
-        shape = compiled.query.dense_shape(node.keys) if node.kind != INDICATOR else None
-        if node.materialized and shape:
-            line += f"  dense {'x'.join(map(str, shape))}"
-        print(line)
+    print(tree.dump())
     indexed = [
         (n.id, spec) for n in tree.nodes for spec in n.required_indices
     ]

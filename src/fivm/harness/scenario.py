@@ -18,8 +18,9 @@ Top-level keys:
 ``lifts``             {var: "one"|"identity"|"unit"|"singleton"}
 ``kinds``             {var: "continuous"|"categorical"|{"binned": ...}};
                       presence switches the query to a statistics triple
-``chain``             [p1, ..., pn+1]; presence compiles a matrix chain,
-                      whose coordinates must lie in [0, p)
+``chain``             [p1, ..., pn+1]; presence compiles the matrix chain
+                      A1(X1,X2), ..., An(Xn,Xn+1), where Xi takes the
+                      integers [0, pi)
 ``free_lift_mode``    "group_by" (default) or "relational_payload"
 ``mode``              force "tau" or "nu" tree construction
 ``updatable``         relation names that stream (default: all)
@@ -35,7 +36,9 @@ Top-level keys:
 
 Rows hold one value per schema column; a relation with
 ``payload_column`` true carries the payload scalar after the key, and
-one with ``signed`` true ends each row with +1 or -1 (deletes).
+one with ``signed`` true ends each row with +1 or -1 (deletes). Key
+values are JSON scalars, and compiling refuses any row the engine's
+entry check would.
 """
 
 from __future__ import annotations
@@ -135,6 +138,9 @@ class RelationSpec:
                     f"{self.name} row {i}: {len(row)} fields, expected {width}"
                 )
             key = tuple(row[: len(self.schema)])
+            for var, x in zip(self.schema, key):
+                if not (x is None or isinstance(x, (str, int, float))):
+                    raise ScenarioError(f"{self.name} row {i}: {var}={x!r} is not a JSON scalar")
             rest = list(row[len(self.schema) :])
             payload: Any = ring_one(ring)
             if self.payload_column:
@@ -327,7 +333,8 @@ def compile_scenario(scn: Scenario) -> CompiledScenario:
     Everything that can be rejected is rejected here, before any data
     moves: unknown lifts, ring settings the ring does not take, orders over
     the wrong variables, apps pointed at the wrong ring or given options
-    they do not take, payload columns on non-numeric rings.
+    they do not take, payload columns on non-numeric rings, and any row
+    that load or update would refuse (by the same ``Query.checked``).
     """
     rel_decls = [(r.name, r.schema) for r in scn.relations]
     slots: Optional[tuple[str, ...]] = None
@@ -374,11 +381,11 @@ def compile_scenario(scn: Scenario) -> CompiledScenario:
     upd = set(scn.updatable)
     for r in scn.relations:
         events = r.events(query.ring)
-        for e in events:
-            for var, x in zip(r.schema, e.key):
-                if not query.in_range(var, x):
-                    n = query.ranges[var]
-                    raise ScenarioError(f"{r.name} row {e.key}: {var}={x!r} is outside [0, {n})")
+        try:
+            for _ in query.checked(((e.key, e.payload) for e in events), r.name):
+                pass
+        except ValueError as e:
+            raise ScenarioError(str(e)) from None
         if r.name in upd:
             stream_events.append((r.name, events))
         else:

@@ -33,7 +33,7 @@ from fivm.relations import (
     rel_apply_delta,
     rel_marginalize,
 )
-from fivm.rings import TO_ONE, lift, lift_to_one, lift_unit, relational_total
+from fivm.rings import lift_to_one, lift_unit, relational_total
 from fivm.viewtree import INDICATOR, LEAF, ViewNode, ViewTree
 
 __all__ = [
@@ -125,16 +125,6 @@ class RuntimeState:
             self.payload_xform = relational_total
         else:
             self.payload_xform = None
-        # A lifted variable's values are checked as tuples enter the first
-        # occurrence holding it: every row a join lifts holds such a tuple.
-        # A lift is a function of the value and its type, so (up to a bound
-        # on memory) a value that passed once is not lifted again.
-        self._lifted: dict[tuple[str, str], tuple[Any, set]] = {}
-        for v, fn in self.query.lifts.items():
-            owner = next((d.leaf_id for d in self.query.relations if v in d.schema), None)
-            if fn.mode != TO_ONE and owner is not None:
-                self._lifted[owner, v] = (fn, set())
-        self._entry_checks: dict[tuple, tuple[tuple, list]] = {}
         for d in self.query.relations:
             self.leaves[d.leaf_id] = self.relation(d.schema, d.leaf_id)
 
@@ -161,14 +151,13 @@ class RuntimeState:
         fresh: dict[str, Relation] = {}
         for d in self.query.relations:
             rel = fresh[d.leaf_id] = self.relation(d.schema, d.leaf_id)
-            rel.accumulate_all(self.checked(data.get(d.name, ()), d.name))
+            rel.accumulate_all(self.query.checked(data.get(d.name, ()), d.name))
         self.initialize(fresh)
 
-    def initialize(self, leaves: Optional[dict[str, Relation]] = None) -> None:
-        """Evaluate the tree bottom-up over ``leaves`` (by default the
-        stored ones) and store the flagged nodes. Nothing is stored until
-        every node is evaluated, so an error leaves the state as it was."""
-        leaves = self.leaves if leaves is None else leaves
+    def initialize(self, leaves: dict[str, Relation]) -> None:
+        """Evaluate the tree bottom-up over ``leaves`` and store the flagged
+        nodes. Nothing is stored until every node is evaluated, so an error
+        leaves the state as it was."""
         views: dict[str, Relation] = {}
         indicator_rels: dict[str, Relation] = {}
         indicator_states: dict[str, IndicatorState] = {}
@@ -278,10 +267,10 @@ class RuntimeState:
         deltas keep their product form. The whole batch is checked (known,
         updatable targets, key lengths, factor coverage, payloads within
         the ring's degree) before anything propagates, so a rejected batch
-        changes no state. Values are checked against their declared ranges
-        and lifts then too, so a later join never lifts an unchecked value
-        and the batch applies fully or not at all. Returns the number of
-        key-level changes processed.
+        changes no state. Values pass the query's entry check
+        (``Query.checked``: declared ranges and lifts) then too, so a later
+        join never lifts an unchecked value and the batch applies fully or
+        not at all. Returns the number of key-level changes processed.
         """
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
@@ -301,12 +290,12 @@ class RuntimeState:
                     if merged is None:
                         merged = self.relation(schema)
                         units.append([merged])
-                    merged.accumulate_all(self.checked(u.pairs, name))
+                    merged.accumulate_all(self.query.checked(u.pairs, name))
                 else:
                     covered: set[str] = set()
                     for f in u.factors:
                         covered |= set(f.schema)
-                        for _ in self.checked(f.entries.items(), name, f.schema):
+                        for _ in self.query.checked(f.entries.items(), name, f.schema):
                             pass
                     if covered != set(schema):
                         raise ValueError(
@@ -326,41 +315,6 @@ class RuntimeState:
                     # positionally before it enters that occurrence's path.
                     self.propagate(occ.leaf_id, [self._rebound(f, occ.renaming) for f in form])
         return touched
-
-    def checked(
-        self, pairs: Iterable[tuple[tuple, Any]], name: str, schema: Optional[tuple] = None
-    ):
-        """``pairs`` over ``schema`` (by default ``name``'s whole update
-        schema) as key tuples, each checked first: the key's length, the
-        payload, every value against its variable's declared range, and
-        the lift of each value this relation is the first occurrence of."""
-        plan = self._entry_checks.get((name, schema))
-        if plan is None:
-            occs, ranges = self.query.occurrences[name], self.query.ranges
-            over = occs[0].schema if schema is None else schema
-            plan = self._entry_checks[name, schema] = over, [
-                (i, w, w in ranges, self._lifted.get((occ.leaf_id, w)))
-                for i, v in enumerate(over)
-                for occ in occs
-                if (w := occ.renaming[v]) in ranges or (occ.leaf_id, w) in self._lifted
-            ]
-        schema, checks = plan
-        check, ring, in_range = self.ring.check, self.ring, self.query.in_range
-        for key, val in pairs:
-            if len(key) != len(schema):
-                raise ValueError(f"key {key!r} does not match {name}{schema}")
-            check(val)
-            for i, var, ranged, lifted in checks:
-                x = key[i]
-                if ranged and not in_range(var, x):
-                    n = self.query.ranges[var]
-                    raise ValueError(f"{name} key {key!r}: {var}={x!r} is outside [0, {n})")
-                # an np.int64(1) equals a passed int 1 yet may be refused
-                if lifted is not None and (type(x), x) not in lifted[1]:
-                    lift(ring, lifted[0], x)
-                    if len(lifted[1]) < 4096:
-                        lifted[1].add((type(x), x))
-            yield tuple(key), val
 
     def _rebound(self, rel: Relation, mapping: dict[str, str]) -> Relation:
         """``rel`` under the occurrence's variable names, sharing its entries."""

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from fivm.rings import REAL, LiftingFunction, RingSpec
+from fivm.rings import REAL, TO_ONE, LiftingFunction, RingSpec, lift
 
 __all__ = [
     "RelationDecl",
@@ -133,6 +133,16 @@ class Query:
         for v, n in self.ranges.items():
             if v not in all_vars or not isinstance(n, int) or n < 1:
                 raise ValueError(f"bad range {n!r} for {v}: need a query variable and n >= 1")
+        # A lifted variable's values are checked as tuples enter the first
+        # occurrence holding it: every row a join lifts holds such a tuple.
+        # A lift is a function of the value and its type, so (up to a bound
+        # on memory) a value that passed once is not lifted again.
+        self._lifted: dict[tuple[str, str], tuple[LiftingFunction, set]] = {}
+        for v, fn in self.lifts.items():
+            owner = next((d.leaf_id for d in decls if v in d.schema), None)
+            if fn.mode != TO_ONE and owner is not None:
+                self._lifted[owner, v] = (fn, set())
+        self._entry_checks: dict[tuple, tuple[tuple, list]] = {}
 
     def dense_shape(self, schema: Iterable[str]) -> Optional[tuple[int, ...]]:
         """The array shape a relation over ``schema`` is stored in: the
@@ -143,13 +153,45 @@ class Query:
             return tuple(ranges[v] for v in schema)
         return None
 
-    def in_range(self, var: str, x: Any) -> bool:
-        """Whether ``x`` is an integer within ``var``'s declared range; a
-        variable without one takes any value."""
-        n = self.ranges.get(var)
-        if n is None:
-            return True
-        return (type(x) is int or isinstance(x, Integral) and type(x) is not bool) and 0 <= x < n
+    def checked(
+        self, pairs: Iterable[tuple[tuple, Any]], name: str, schema: Optional[tuple] = None
+    ) -> Iterator[tuple[tuple, Any]]:
+        """``pairs`` over ``schema`` (by default ``name``'s update schema)
+        as key tuples, each checked first: the key's length, the payload,
+        each value against its declared range [0, n), and the lift of each
+        value this relation is the first occurrence of. This is the one
+        entry check of load, update and scenario compilation."""
+        plan = self._entry_checks.get((name, schema))
+        if plan is None:
+            occs, ranges = self.occurrences[name], self.ranges
+            over = occs[0].schema if schema is None else schema
+            plan = self._entry_checks[name, schema] = over, [
+                (i, w, ranges.get(w), self._lifted.get((occ.leaf_id, w)))
+                for i, v in enumerate(over)
+                for occ in occs
+                if (w := occ.renaming[v]) in ranges or (occ.leaf_id, w) in self._lifted
+            ]
+        schema, checks = plan
+        check, ring = self.ring.check, self.ring
+        for key, val in pairs:
+            if len(key) != len(schema):
+                raise ValueError(f"key {key!r} does not match {name}{schema}")
+            check(val)
+            for i, var, n, lifted in checks:
+                x = key[i]
+                if n is not None and not (
+                    (type(x) is int or isinstance(x, Integral) and type(x) is not bool) and 0 <= x < n
+                ):
+                    raise ValueError(f"{name} row {key!r}: {var}={x!r} is outside [0, {n})")
+                # an np.int64(1) equals a passed int 1 yet may be refused
+                if lifted is not None and (type(x), x) not in lifted[1]:
+                    try:
+                        lift(ring, lifted[0], x)
+                    except ValueError as e:
+                        raise ValueError(f"{name} row {key!r}: {e}") from None
+                    if len(lifted[1]) < 4096:
+                        lifted[1].add((type(x), x))
+            yield tuple(key), val
 
     @property
     def bound(self) -> tuple[str, ...]:

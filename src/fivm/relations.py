@@ -292,14 +292,7 @@ class Relation:
 
     def index_lookup(self, spec: tuple, probe: tuple) -> list[tuple]:
         """All keys matching ``probe``, flattened across groups."""
-        _tally(self.counters, probes=1)
-        bucket = self.indexes[spec].get(probe)
-        if not bucket:
-            return []
-        out: list[tuple] = []
-        for keys in bucket.values():
-            out.extend(keys)
-        return out
+        return [key for keys in self.index_groups(spec, probe).values() for key in keys]
 
     def index_groups(self, spec: tuple, probe: tuple) -> dict:
         """Mapping of group value to key dict for ``probe`` (may be empty)."""

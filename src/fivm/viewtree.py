@@ -200,22 +200,27 @@ class ViewTree:
             visit(r, None)
 
     def dump(self) -> str:
-        """One line per node, definition last, bottom-up."""
+        """One line per node, definition last, bottom-up; a node stored
+        as one array ends in its shape."""
         lines: list[str] = []
         for node in self.nodes:
             flag = "*" if node.materialized else " "
             keys = ",".join(node.keys)
             if node.kind == LEAF:
-                lines.append(f"{flag} {node.id}[{keys}] input")
+                line = f"{flag} {node.id}[{keys}] input"
             elif node.kind == INDICATOR:
-                lines.append(f"{flag} {node.id} exists({node.source})")
+                line = f"{flag} {node.id} exists({node.source})"
             else:
                 body = " * ".join(c.id for c in node.children)
                 if node.marg_vars:
                     agg = "sum_{" + ",".join(node.marg_vars) + "} "
                 else:
                     agg = ""
-                lines.append(f"{flag} {node.id}[{keys}] = {agg}{body}")
+                line = f"{flag} {node.id}[{keys}] = {agg}{body}"
+            dense = node.materialized and node.kind != INDICATOR
+            if dense and (shape := self.query.dense_shape(node.keys)):
+                line += f"  dense {'x'.join(map(str, shape))}"
+            lines.append(line)
         return "\n".join(lines)
 
 

@@ -59,3 +59,20 @@ def test_a_failed_check_voids_the_gain():
 def test_an_unpaired_run_is_left_out():
     runs = [run(0, "parent", 100, 10.0), run(0, "change", 120, 9.0), run(1, "parent", 1, 1.0)]
     assert bench_pairs.summarize(runs, METRICS)["w"]["pairs"] == 1
+
+
+def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
+    # The parent's rate spreads 60..140 (interquartile range 40 over a
+    # median of 100, wider than the 0.25 bound); its latency holds at 10.
+    parent_rates = [60, 70, 80, 90, 100, 100, 110, 120, 130, 140]
+    runs = []
+    for p, rate in enumerate(parent_rates):
+        runs += [run(p, "parent", rate, 10.0), run(p, "change", 100, 10.0)]
+    got = bench_pairs.summarize(runs, METRICS)["w"]
+    assert got["rate"]["within_bound"] and got["rate"]["unresolved"]
+    assert not got["lat"]["unresolved"]
+    # Unless every change run beats every parent run.
+    runs = []
+    for p, rate in enumerate(parent_rates):
+        runs += [run(p, "parent", rate, 10.0), run(p, "change", 150, 10.0)]
+    assert not bench_pairs.summarize(runs, METRICS)["w"]["rate"]["unresolved"]

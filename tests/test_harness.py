@@ -829,6 +829,16 @@ def chain_doc(row):
     return doc
 
 
+def count_doc(row, **overrides):
+    """The count scenario with ``row`` appended to R."""
+    r, s = COUNT_SCN["relations"]
+    r = dict(r, rows=r["rows"] + [row])
+    return dict(COUNT_SCN, relations=[r, s], **overrides)
+
+
+IDENTITY_A = {"A": "identity", "B": "one", "C": "one"}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -846,6 +856,12 @@ def chain_doc(row):
          "warm_start must be true or false, not 'false'"),
         (chain_doc([0, 4, 1.0]), r"A1 row \(0, 4\): X2=4 is outside \[0, 4\)"),
         (chain_doc([-1, 0, 1.0]), r"A1 row \(-1, 0\): X1=-1 is outside \[0, 4\)"),
+        # rows the engine's lift refuses, streamed or static
+        (count_doc(["x", 1], lifts=IDENTITY_A),
+         r"R row \('x', 1\): identity lift of non-numeric value 'x'"),
+        (count_doc(["x", 1], lifts=IDENTITY_A, updatable=["S"]),
+         r"R row \('x', 1\): identity lift of non-numeric value 'x'"),
+        (count_doc([1, [2]]), r"R row 4: B=\[2\] is not a JSON scalar"),
     ],
 )
 def test_cli_refuses_bad_settings_before_the_replay(tmp_path, capsys, monkeypatch, doc, message):

@@ -12,9 +12,12 @@ both sides alike. The file keeps every run's final JSON line and the
 reference kernel's quartiles, both commits with a digest of their
 ``src/``, the Python version, and per workload and end-to-end metric the
 medians and quartiles of both sides, the pairs the change won, whether
-the change's median is within the metric's regression bound, and whether
-the change may claim a gain (it won at least nine pairs in ten and its
-median beats the parent's by more than the parent's interquartile range).
+the change's median is within the metric's regression bound, whether
+the metric is unresolved (the parent's own interquartile range over its
+median is wider than the bound, and not every change run beats every
+parent run), and whether the change may claim a gain (it won at least
+nine pairs in ten and its median beats the parent's by more than the
+parent's interquartile range).
 The file is rewritten after every run, so an interrupted loop keeps what
 it measured.
 """
@@ -75,7 +78,8 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload and end-to-end metric: both sides' quartiles, pairs won
-    by the change, the regression bound check and the gain rule."""
+    by the change, the regression bound check, whether the parent's spread
+    leaves the metric unresolved, and the gain rule."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_pair: dict = {}
@@ -102,14 +106,19 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             gain = sign * (q["change"][1] - q["parent"][1])
             worse = -gain / q["parent"][1] if q["parent"][1] else 0.0
             wins = int(np.sum(sign * (change - parent) > 0))
+            iqr = q["parent"][2] - q["parent"][0]
+            spread = iqr / q["parent"][1] if q["parent"][1] else 0.0
             rows[name] = {
                 "parent_q1_median_q3": [float(x) for x in q["parent"]],
                 "change_q1_median_q3": [float(x) for x in q["change"]],
                 "change_wins": wins,
                 "within_bound": bool(worse <= m["bound"]),
+                "unresolved": bool(
+                    spread > m["bound"] and (sign * change).min() <= (sign * parent).max()
+                ),
                 "gain_claimable": bool(
                     wins >= 0.9 * len(pairs)
-                    and gain > q["parent"][2] - q["parent"][0]
+                    and gain > iqr
                     and failed["change"] <= failed["parent"]
                 ),
             }
