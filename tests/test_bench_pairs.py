@@ -62,7 +62,7 @@ def test_an_unpaired_run_is_left_out():
 
 
 def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
-    # The parent's rate spreads 60..140 (interquartile range 40 over a
+    # The parent's rate spreads 60..140 (interquartile range 35 over a
     # median of 100, wider than the 0.25 bound); its latency holds at 10.
     parent_rates = [60, 70, 80, 90, 100, 100, 110, 120, 130, 140]
     runs = []
