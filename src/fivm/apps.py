@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -30,7 +31,6 @@ from .rings import (
     RELATIONAL,
     CovarianceTriple,
     RingSpec,
-    covariance_dense,
     covariance_ring,
     lift_categorical,
     lift_continuous,
@@ -59,6 +59,7 @@ __all__ = [
     "export_mi_csv",
     "export_theta_csv",
     "export_chow_liu_csv",
+    "write_csv",
 ]
 
 CONTINUOUS = "continuous"
@@ -159,13 +160,12 @@ def second_moment_matrix(
     m = spec.degree
     if len(slots) != m:
         raise ValueError(f"{m} slots expected, got {len(slots)}")
-    c, s, q = covariance_dense(spec, stats)
     out = np.zeros((m + 1, m + 1))
-    out[0, 0] = c
-    for j in range(m):
-        out[0, j + 1] = out[j + 1, 0] = s[j]
-        for i in range(m):
-            out[i + 1, j + 1] = q[i][j]
+    out[0, 0] = stats.c
+    for j, val in stats.s.items():
+        out[0, j] = out[j, 0] = val
+    for (i, j), val in stats.Q.items():
+        out[i, j] = out[j, i] = val
     return out
 
 
@@ -534,37 +534,37 @@ def mcm_rank_update(state: RuntimeState, i: int, u: Vector, v: Vector) -> int:
     return state.apply_batch([FactorizedDelta(name, (u_rel, v_rel))])
 
 
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> int:
+    """Write ``header`` and then ``rows`` as CSV to ``path``; returns the
+    number of rows written."""
+    count = 0
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for count, row in enumerate(rows, 1):
+            w.writerow(row)
+    return count
+
+
 def export_covariance_csv(
     path: str, spec: RingSpec, slots: Sequence[str], stats: CovarianceTriple
 ) -> None:
     """Write the slot-by-slot covariance matrix with labeled axes."""
     cov = covariance_matrix(spec, slots, stats)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["", *slots])
-        for name, row in zip(slots, cov):
-            w.writerow([name, *(repr(float(x)) for x in row)])
+    rows = ([name, *(repr(float(x)) for x in row)] for name, row in zip(slots, cov))
+    write_csv(path, ["", *slots], rows)
 
 
 def export_mi_csv(path: str, mi: MIMatrix) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["", *mi.labels])
-        for name, row in zip(mi.labels, mi.values):
-            w.writerow([name, *(repr(x) for x in row)])
+    rows = ([name, *(repr(x) for x in row)] for name, row in zip(mi.labels, mi.values))
+    write_csv(path, ["", *mi.labels], rows)
 
 
 def export_theta_csv(path: str, result: RegressionResult) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["coefficient", "value"])
-        for name, val in result.theta.items():
-            w.writerow([name, repr(float(val))])
+    rows = ([name, repr(float(val))] for name, val in result.theta.items())
+    write_csv(path, ["coefficient", "value"], rows)
 
 
 def export_chow_liu_csv(path: str, tree: ChowLiuTree, mi: MIMatrix) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["from", "to", "score"])
-        for a, b in tree.edges:
-            w.writerow([tree.labels[a], tree.labels[b], repr(mi.values[a][b])])
+    rows = ([tree.labels[a], tree.labels[b], repr(mi.values[a][b])] for a, b in tree.edges)
+    write_csv(path, ["from", "to", "score"], rows)

@@ -21,7 +21,7 @@ from itertools import chain, islice
 from typing import Any, Iterator, Optional
 
 from fivm.ivm import RuntimeState
-from fivm.rings import COVARIANCE, REAL, RelationalPayload, covariance_dense
+from fivm.rings import COVARIANCE, REAL, RELATIONAL
 
 __all__ = [
     "check_csv_form",
@@ -146,36 +146,22 @@ def listing_csv_rows(
     The header starts with the free variables. Plain payloads add one
     ``payload`` column; relational payloads export their total; a
     real-based statistics triple expands into its count, the per-slot
-    sums, and the upper triangle of the pairwise products.
+    sums, and the upper triangle of the pairwise products, an absent
+    slot or pair read as 0.0.
     """
     ring = state.ring
-    free = list(state.query.free)
     check_csv_form(ring)
+    header = list(state.query.free)
     if ring.kind == COVARIANCE:
-        m = ring.degree
-        header = (
-            free
-            + ["c"]
-            + [f"s_{j}" for j in range(1, m + 1)]
-            + [f"q_{i}_{j}" for i in range(1, m + 1) for j in range(i, m + 1)]
-        )
+        slots = range(1, ring.degree + 1)
+        pairs = [(i, j) for i in slots for j in slots if i <= j]
+        header += ["c", *(f"s_{j}" for j in slots), *(f"q_{i}_{j}" for i, j in pairs)]
 
-        def rows() -> Iterator[list]:
-            for key, val in enumerate_result(state, limit=limit):
-                c, s, q = covariance_dense(ring, val)
-                flat = [c] + list(s)
-                for i in range(m):
-                    flat.extend(q[i][i:])
-                yield list(key) + flat
+        def flat(t: Any) -> list:
+            return [t.c, *(t.s.get(j, 0.0) for j in slots), *(t.Q.get(p, 0.0) for p in pairs)]
 
-        return header, rows()
-    header = free + ["payload"]
-
-    def plain_rows() -> Iterator[list]:
-        for key, val in enumerate_result(state, limit=limit):
-            if isinstance(val, RelationalPayload):
-                yield list(key) + [val.total()]
-            else:
-                yield list(key) + [val]
-
-    return header, plain_rows()
+    else:
+        header.append("payload")
+        flat = (lambda p: [p.total()]) if ring.kind == RELATIONAL else (lambda p: [p])
+    rows = (list(key) + flat(val) for key, val in enumerate_result(state, limit=limit))
+    return header, rows

@@ -13,10 +13,16 @@ setting is refused with exit status 2 before any data moves.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from typing import Optional, Sequence
 
+from ..apps import (
+    export_chow_liu_csv,
+    export_covariance_csv,
+    export_mi_csv,
+    export_theta_csv,
+    write_csv,
+)
 from ..enumeration import check_csv_form, listing_csv_rows
 from ..queries import classify
 from .engines import (
@@ -159,14 +165,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _export_run(path: str, compiled, report) -> int:
-    from ..apps import (
-        export_chow_liu_csv,
-        export_covariance_csv,
-        export_mi_csv,
-        export_theta_csv,
-    )
-
+def _export_run(path: str, compiled, report) -> None:
     results = report.app_results
     if "regression" in results:
         export_theta_csv(path, results["regression"])
@@ -179,13 +178,7 @@ def _export_run(path: str, compiled, report) -> int:
             path, compiled.query.ring, compiled.slots, results["covariance"]
         )
     else:
-        header, rows = listing_csv_rows(report.engine.state)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow(row)
-    return 0
+        write_csv(path, *listing_csv_rows(report.engine.state))
 
 
 def _cmd_enumerate(args) -> int:
@@ -198,13 +191,7 @@ def _cmd_enumerate(args) -> int:
     report = run_scenario(compiled, engine_name="fivm")
     header, rows = listing_csv_rows(report.engine.state, limit=args.limit)
     if args.export:
-        with open(args.export, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            count = 0
-            for row in rows:
-                w.writerow(row)
-                count += 1
+        count = write_csv(args.export, header, rows)
         print(f"{scn.name}: {count} rows -> {args.export}")
     else:
         print(",".join(header))

@@ -17,14 +17,13 @@ metric row; verification compares the listings those steps took.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
-from ..apps import chow_liu_tree, mutual_information_matrix, train_linear_regression
+from ..apps import chow_liu_tree, mutual_information_matrix, train_linear_regression, write_csv
 from ..enumeration import enumerate_result
 from ..ivm import RuntimeState, UpdateDelta, recompute_query
 from ..relations import OpCounters, Relation, from_pairs
@@ -377,8 +376,4 @@ def verify_scenarios(
 
 def emit_metrics(rows: Iterable[tuple], path: str | Path) -> None:
     """Write metric rows as CSV with the pinned column set."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(METRIC_COLUMNS)
-        for row in rows:
-            w.writerow(row)
+    write_csv(path, METRIC_COLUMNS, rows)

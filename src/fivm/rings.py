@@ -34,7 +34,6 @@ __all__ = [
     "relational_ring",
     "relational_payload",
     "relational_total",
-    "covariance_dense",
     "lift_to_one",
     "lift_identity",
     "lift_continuous",
@@ -277,10 +276,10 @@ class CovarianceTriple:
 
     Components are stored sparsely: ``s`` maps slot index (1-based) to the
     slot's sum, ``Q`` maps an index pair (i, j) with i <= j to the pairwise
-    sum of products. Reading the mirror pair (j, i) is the caller's duty via
-    :func:`covariance_dense` or by normalizing the pair. Component values
-    are floats for a real base and relational payloads for the generalized
-    ring over mixed data.
+    sum of products. A reader of the mirror pair (j, i) normalizes it to
+    (i, j) itself; an absent slot or pair is zero. Component values are
+    floats for a real base and relational payloads for the generalized ring
+    over mixed data.
     """
 
     __slots__ = ("c", "s", "Q")
@@ -297,22 +296,6 @@ class CovarianceTriple:
 
     def __repr__(self) -> str:
         return f"CovarianceTriple(c={self.c!r}, s={self.s!r}, Q={self.Q!r})"
-
-
-def covariance_dense(spec: RingSpec, t: CovarianceTriple):
-    """Expand a sparse triple to (c, s list of length m, m x m symmetric Q).
-
-    For a relational base the components stay relational payloads; missing
-    blocks come back as the base zero.
-    """
-    zero = spec.zero.c
-    m = spec.degree
-    s = [t.s.get(j, zero) for j in range(1, m + 1)]
-    q = [[zero] * m for _ in range(m)]
-    for (i, j), val in t.Q.items():
-        q[i - 1][j - 1] = val
-        q[j - 1][i - 1] = val
-    return t.c, s, q
 
 
 @dataclass(frozen=True)

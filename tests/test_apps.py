@@ -38,7 +38,6 @@ from fivm.ivm import RuntimeState, UpdateDelta
 from fivm.queries import Query, VariableOrder
 from fivm.rings import (
     CovarianceTriple,
-    covariance_dense,
     covariance_ring,
     relational_payload,
     ring_negate,
@@ -282,12 +281,13 @@ def categorical_vs_onehot(rows, categories):
         {"R1": expanded},
         VariableOrder([nest]),
     )
-    return root_triple(cat_state), (cq.query.ring, root_triple(hot_state))
+    return root_triple(cat_state), (cq, root_triple(hot_state))
 
 
 def assert_onehot_equivalent(rows, categories):
-    cat, (hot_spec, hot) = categorical_vs_onehot(rows, categories)
-    c, s, q = covariance_dense(hot_spec, hot)
+    cat, (hot_cq, hot) = categorical_vs_onehot(rows, categories)
+    moments = second_moment_matrix(hot_cq.query.ring, hot_cq.slots, hot)
+    c, s, q = moments[0, 0], moments[0, 1:], moments[1:, 1:]
     m = len(categories)
     assert entries_form(cat.c) == ({(): c} if c else {})
     assert entries_form(cat.s.get(1)) == {

@@ -18,7 +18,6 @@ from fivm.rings import (
     LiftingFunction,
     RelationalPayload,
     RingSpec,
-    covariance_dense,
     covariance_ring,
     integer_ring,
     is_zero,
@@ -422,16 +421,6 @@ def test_out_of_degree_operand_rejected_on_either_side(op, bad):
         op(spec, bad, good)
     with pytest.raises(ValueError):
         op(spec, good, bad)
-
-
-def test_covariance_dense_layout():
-    spec = covariance_ring(2)
-    acc = ring_add(spec, lifted_point(spec, (1.0, 2.0)), lifted_point(spec, (3.0, 4.0)))
-    c, s, q = covariance_dense(spec, acc)
-    assert c == 2
-    assert s == [4.0, 6.0]
-    assert q == [[10.0, 14.0], [14.0, 20.0]]
-    assert q[0][1] == q[1][0]
 
 
 def test_covariance_relational_base_keeps_grouped_scalars():
