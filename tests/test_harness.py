@@ -822,6 +822,22 @@ def test_cli_enumerate_exports_the_listing(tmp_path, capsys):
     assert len(rows) == 201
 
 
+@pytest.mark.parametrize(
+    "name", ["count_chain", "qhier_pairs", "triangle_count", "listing_factorized"]
+)
+def test_cli_listing_exports_match_the_golden_files(tmp_path, capsys, name):
+    """``run --export`` and ``enumerate --export`` of an exact-ring scenario
+    both write, byte for byte, ``data/listing_<name>.csv``. Real-valued
+    exports are not pinned: libm and BLAS may differ in the last digit
+    between hosts."""
+    path = str(bundled_scenarios()[name])
+    golden = (GOLDEN / f"listing_{name}.csv").read_bytes()
+    for command in ("run", "enumerate"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "-s", path, "--export", str(out)]) == 0, command
+        assert out.read_bytes() == golden, command
+
+
 def chain_doc(row):
     """The bundled matrix chain with ``row`` appended to A1."""
     doc = json.loads(bundled_scenarios()["mcm_chain"].read_text())
