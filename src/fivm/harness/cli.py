@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="replay fully, then dump the listing")
     add_scenario(p)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_at_least(0), default=None)
     p.add_argument("--export", metavar="CSV", default=None)
 
     p = sub.add_parser("verify", help="race all engines and compare snapshots")

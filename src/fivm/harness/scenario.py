@@ -35,15 +35,19 @@ Top-level keys:
                       fields of ``RegressionConfig``
 
 Rows hold one value per schema column; a relation with
-``payload_column`` true carries the payload scalar after the key, and
-one with ``signed`` true ends each row with +1 or -1 (deletes). Key
-values are JSON scalars, and compiling refuses any row the engine's
-entry check would.
+``payload_column`` true carries the payload after the key (an exact
+integer on the integer ring, a finite number on the real ring, either
+also as a numeral string), and one with ``signed`` true ends each row
+with the integer 1 or -1 (deletes). Key values are JSON scalars, and
+compiling refuses any row the engine's entry check would. Integer
+settings are JSON integers and list settings (``schema``, ``free``,
+``updatable``, each row) JSON lists; nothing is coerced.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -144,22 +148,42 @@ class RelationSpec:
             rest = list(row[len(self.schema) :])
             payload: Any = ring_one(ring)
             if self.payload_column:
-                raw = rest.pop(0)
-                if ring.kind == INTEGER:
-                    payload = int(raw)
-                elif ring.kind == REAL:
-                    payload = float(raw)
-                else:
+                if ring.kind not in (INTEGER, REAL):
                     raise ScenarioError(
                         f"{self.name}: payload column needs a numeric ring"
                     )
+                payload = self._payload(ring, rest.pop(0), i)
             sign = 1
             if self.signed:
-                sign = int(rest.pop(0))
-                if sign not in (1, -1):
-                    raise ScenarioError(f"{self.name} row {i}: sign must be +1 or -1")
+                sign = rest.pop(0)
+                if type(sign) is not int or sign not in (1, -1):
+                    raise ScenarioError(
+                        f"{self.name} row {i}: sign must be +1 or -1, not {sign!r}"
+                    )
             out.append(StreamEvent(self.name, key, payload, sign))
         return out
+
+    def _payload(self, ring: RingSpec, raw: Any, i: int) -> Any:
+        """Row ``i``'s payload field on a numeric ring: an exact integer
+        (a JSON number or numeral string) on the integer ring, a finite
+        number on the real ring."""
+        try:
+            if isinstance(raw, bool):
+                raise ValueError
+            if ring.kind == INTEGER:
+                value = int(raw)
+                if isinstance(raw, float) and value != raw:
+                    raise ValueError
+                return value
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError
+            return value
+        except (TypeError, ValueError, OverflowError):
+            want = "an integer" if ring.kind == INTEGER else "a finite number"
+            raise ScenarioError(
+                f"{self.name} row {i}: payload {raw!r} is not {want}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -204,36 +228,43 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
     junk = set(doc) - _TOP_KEYS
     if junk:
         raise ScenarioError(f"unknown scenario keys: {sorted(junk)}")
-    rels_doc = doc.get("relations")
+    rels_doc = _list(doc, "relations", [])
     if not rels_doc:
         raise ScenarioError("a scenario needs at least one relation")
     rel_specs = []
     for r in rels_doc:
+        if not isinstance(r, Mapping):
+            raise ScenarioError(f"a relation must be a JSON object, not {r!r}")
         extra = set(r) - {"name", "schema", "rows", "payload_column", "signed"}
         if extra:
             raise ScenarioError(f"unknown relation keys: {sorted(extra)}")
         if not {"name", "schema"} <= set(r):
             raise ScenarioError(f"a relation needs a name and a schema: {dict(r)}")
+        name = r["name"]
+        rows = _list(r, "rows", [], f"{name} ")
+        for i, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)):
+                raise ScenarioError(f"{name} row {i}: {row!r} is not a list")
         rel_specs.append(
             RelationSpec(
-                name=r["name"],
-                schema=tuple(r["schema"]),
-                rows=tuple(tuple(row) for row in r.get("rows", [])),
+                name=name,
+                schema=tuple(_list(r, "schema", None, f"{name} ")),
+                rows=tuple(tuple(row) for row in rows),
                 payload_column=_flag(r, "payload_column", False),
                 signed=_flag(r, "signed", False),
             )
         )
 
     names = [r.name for r in rel_specs]
-    updatable = tuple(doc.get("updatable", names))
+    updatable = tuple(_list(doc, "updatable", names))
     unknown = set(updatable) - set(names)
     if unknown:
         raise ScenarioError(f"updatable names not declared: {sorted(unknown)}")
 
-    batch_size = int(doc.get("batch_size", 1))
+    batch_size = _int(doc, "batch_size", 1)
     if batch_size < 1:
         raise ScenarioError("batch_size must be at least 1")
-    intvl = int(doc.get("intvl", 0))
+    intvl = _int(doc, "intvl", 0)
     if intvl < 0:
         raise ScenarioError("intvl cannot be negative")
 
@@ -259,7 +290,7 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
         name=doc.get("name", default_name),
         relations=tuple(rel_specs),
         ring_doc=doc.get("ring", {"kind": "integer"}),
-        free=tuple(doc.get("free", [])),
+        free=tuple(_list(doc, "free", [])),
         order_doc=doc.get("order"),
         lift_doc=doc.get("lifts", {}),
         kinds_doc=doc.get("kinds"),
@@ -270,10 +301,26 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
         fds=fds,
         batch_size=batch_size,
         intvl=intvl,
-        seed=int(doc.get("seed", 0)),
+        seed=_int(doc, "seed", 0),
         shuffle=_flag(doc, "shuffle", True),
         app=app,
     )
+
+
+def _int(doc: Mapping[str, Any], key: str, default: int) -> int:
+    """An integer setting; 2.5, "7" and true are refused, not rounded."""
+    value = doc.get(key, default)
+    if type(value) is not int:
+        raise ScenarioError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
+def _list(doc: Mapping[str, Any], key: str, default: Any, where: str = "") -> list:
+    """A list setting; a string is refused, not split into characters."""
+    value = doc.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{where}{key} must be a list, not {value!r}")
+    return value
 
 
 def _flag(doc: Mapping[str, Any], key: str, default: bool) -> bool:

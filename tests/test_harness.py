@@ -154,6 +154,36 @@ def test_signed_rows_carry_deletes():
         bad.events(integer_ring())
 
 
+@pytest.mark.parametrize(
+    "ring, raw, message",
+    [
+        (integer_ring(), 2.7, "payload 2.7 is not an integer"),
+        (integer_ring(), True, "payload True is not an integer"),
+        (integer_ring(), "2.5", "payload '2.5' is not an integer"),
+        (integer_ring(), "abc", "payload 'abc' is not an integer"),
+        (real_ring(), "abc", "payload 'abc' is not a finite number"),
+        (real_ring(), True, "payload True is not a finite number"),
+        (real_ring(), math.nan, "payload nan is not a finite number"),
+    ],
+)
+def test_payload_column_refuses_inexact_values(ring, raw, message):
+    """A payload is read exactly or refused, naming the relation and row;
+    an integral float still reads as the integer it is."""
+    whole = RelationSpec("R", ("A",), ((1, 2.0),), payload_column=True)
+    assert whole.events(integer_ring())[0].payload == 2
+    spec = RelationSpec("R", ("A",), ((1, 1), (2, raw)), payload_column=True)
+    with pytest.raises(ScenarioError, match=f"^R row 1: {re.escape(message)}$"):
+        spec.events(ring)
+
+
+@pytest.mark.parametrize("sign", [1.5, True, "1", -1.0, 2, None])
+def test_signs_are_the_integers_one_and_minus_one(sign):
+    spec = RelationSpec("R", ("A",), ((1, -1), (2, sign)), signed=True)
+    message = f"R row 1: sign must be +1 or -1, not {sign!r}"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        spec.events(integer_ring())
+
+
 def test_row_width_is_checked():
     spec = RelationSpec("R", ("A", "B"), ((1,),))
     with pytest.raises(ScenarioError, match="expected 2"):
@@ -878,6 +908,17 @@ IDENTITY_A = {"A": "identity", "B": "one", "C": "one"}
         (count_doc(["x", 1], lifts=IDENTITY_A, updatable=["S"]),
          r"R row \('x', 1\): identity lift of non-numeric value 'x'"),
         (count_doc([1, [2]]), r"R row 4: B=\[2\] is not a JSON scalar"),
+        # integers and lists of the wrong JSON type are refused, not coerced
+        (dict(COUNT_SCN, batch_size=2.5), "batch_size must be an integer, not 2.5"),
+        (dict(COUNT_SCN, intvl=True), "intvl must be an integer, not True"),
+        (dict(COUNT_SCN, seed="7"), "seed must be an integer, not '7'"),
+        (dict(COUNT_SCN, free="A"), "free must be a list, not 'A'"),
+        (dict(COUNT_SCN, updatable="R"), "updatable must be a list, not 'R'"),
+        (dict(COUNT_SCN, relations=[dict(COUNT_SCN["relations"][0], schema="AB"),
+                                    COUNT_SCN["relations"][1]]),
+         "R schema must be a list, not 'AB'"),
+        (count_doc("a9"), "R row 4: 'a9' is not a list"),
+        (count_doc(5), "R row 4: 5 is not a list"),
     ],
 )
 def test_cli_refuses_bad_settings_before_the_replay(tmp_path, capsys, monkeypatch, doc, message):
@@ -920,6 +961,19 @@ def test_cli_enumerate_refuses_a_listing_without_csv_form_before_the_run(
     assert capsys.readouterr().err.splitlines() == [
         "error: covariance_mi: triples over grouped scalars have no flat CSV form"
     ]
+
+
+def test_cli_enumerate_refuses_a_negative_limit(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the scenario was replayed")
+
+    monkeypatch.setattr("fivm.harness.cli.run_scenario", no_run)
+    with pytest.raises(SystemExit) as raised:
+        main(["enumerate", "-s", str(bundled_scenarios()["count_chain"]), "--limit", "-1"])
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "fivm enumerate: error: argument --limit: -1 is below 0"
 
 
 def test_cli_enumerate_dumps_rows(tmp_path, capsys):
