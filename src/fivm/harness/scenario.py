@@ -40,8 +40,9 @@ integer on the integer ring, a finite number on the real ring, either
 also as a numeral string), and one with ``signed`` true ends each row
 with the integer 1 or -1 (deletes). Key values are JSON scalars, and
 compiling refuses any row the engine's entry check would. Integer
-settings are JSON integers and list settings (``schema``, ``free``,
-``updatable``, each row) JSON lists; nothing is coerced.
+settings (and the ``chain`` dims) are JSON integers and list settings
+(``schema``, ``free``, ``updatable``, each row) JSON lists; nothing is
+coerced.
 """
 
 from __future__ import annotations
@@ -261,6 +262,11 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
     if unknown:
         raise ScenarioError(f"updatable names not declared: {sorted(unknown)}")
 
+    chain = None
+    if doc.get("chain"):
+        chain = tuple(_list(doc, "chain", None))
+        if not all(type(d) is int for d in chain):
+            raise ScenarioError(f"chain must list integers, not {doc['chain']!r}")
     batch_size = _int(doc, "batch_size", 1)
     if batch_size < 1:
         raise ScenarioError("batch_size must be at least 1")
@@ -294,7 +300,7 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
         order_doc=doc.get("order"),
         lift_doc=doc.get("lifts", {}),
         kinds_doc=doc.get("kinds"),
-        chain=tuple(doc["chain"]) if doc.get("chain") else None,
+        chain=chain,
         free_lift_mode=GROUP_BY if flm == "group_by" else RELATIONAL_PAYLOAD,
         mode=mode,
         updatable=updatable,

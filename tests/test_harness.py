@@ -919,6 +919,12 @@ IDENTITY_A = {"A": "identity", "B": "one", "C": "one"}
          "R schema must be a list, not 'AB'"),
         (count_doc("a9"), "R row 4: 'a9' is not a list"),
         (count_doc(5), "R row 4: 5 is not a list"),
+        (dict(COUNT_SCN, relations=[dict(COUNT_SCN["relations"][0], rows="ab"),
+                                    COUNT_SCN["relations"][1]]),
+         "R rows must be a list, not 'ab'"),
+        (dict(COUNT_SCN, relations=[5]), "a relation must be a JSON object, not 5"),
+        (dict(chain_doc([0, 0, 1.0]), chain=[4, 4.5, 4.9, 4]),
+         r"chain must list integers, not \[4, 4.5, 4.9, 4\]"),
     ],
 )
 def test_cli_refuses_bad_settings_before_the_replay(tmp_path, capsys, monkeypatch, doc, message):
