@@ -141,6 +141,8 @@ def test_payload_column_parses_per_ring():
     spec = RelationSpec("R", ("A",), ((1, "7"),), payload_column=True)
     assert spec.events(integer_ring())[0].payload == 7
     assert spec.events(real_ring())[0].payload == 7.0
+    whole = RelationSpec("R", ("A",), ((1, 2.0),), payload_column=True)
+    assert whole.events(integer_ring())[0].payload == 2
     with pytest.raises(ScenarioError, match="numeric ring"):
         spec.events(relational_ring())
 
@@ -167,10 +169,7 @@ def test_signed_rows_carry_deletes():
     ],
 )
 def test_payload_column_refuses_inexact_values(ring, raw, message):
-    """A payload is read exactly or refused, naming the relation and row;
-    an integral float still reads as the integer it is."""
-    whole = RelationSpec("R", ("A",), ((1, 2.0),), payload_column=True)
-    assert whole.events(integer_ring())[0].payload == 2
+    """A payload is read exactly or refused, naming the relation and row."""
     spec = RelationSpec("R", ("A",), ((1, 1), (2, raw)), payload_column=True)
     with pytest.raises(ScenarioError, match=f"^R row 1: {re.escape(message)}$"):
         spec.events(ring)
