@@ -19,7 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -534,15 +534,22 @@ def mcm_rank_update(state: RuntimeState, i: int, u: Vector, v: Vector) -> int:
     return state.apply_batch([FactorizedDelta(name, (u_rel, v_rel))])
 
 
-def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> int:
-    """Write ``header`` and then ``rows`` as CSV to ``path``; returns the
-    number of rows written."""
+def write_csv(
+    out: str | Path | TextIO,
+    header: Sequence,
+    rows: Iterable[Sequence],
+    lineterminator: str = "\r\n",
+) -> int:
+    """Write ``header`` and then ``rows`` as CSV to ``out``, a path or an
+    open text stream; returns the number of rows written."""
+    if isinstance(out, (str, Path)):
+        with open(out, "w", newline="") as fh:
+            return write_csv(fh, header, rows, lineterminator)
+    w = csv.writer(out, lineterminator=lineterminator)
+    w.writerow(header)
     count = 0
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for count, row in enumerate(rows, 1):
-            w.writerow(row)
+    for count, row in enumerate(rows, 1):
+        w.writerow(row)
     return count
 
 

@@ -194,9 +194,7 @@ def _cmd_enumerate(args) -> int:
         count = write_csv(args.export, header, rows)
         print(f"{scn.name}: {count} rows -> {args.export}")
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
+        write_csv(sys.stdout, header, rows, lineterminator="\n")
     return 0
 
 

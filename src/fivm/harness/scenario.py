@@ -40,9 +40,10 @@ integer on the integer ring, a finite number on the real ring, either
 also as a numeral string), and one with ``signed`` true ends each row
 with the integer 1 or -1 (deletes). Key values are JSON scalars, and
 compiling refuses any row the engine's entry check would. Integer
-settings (and the ``chain`` dims) are JSON integers and list settings
-(``schema``, ``free``, ``updatable``, each row) JSON lists; nothing is
-coerced.
+settings (the ``chain`` dims and a binned kind's ``bins`` too) are JSON
+integers, a binned kind's ``lo`` and ``hi`` finite JSON numbers, list
+settings (``schema``, ``free``, ``updatable``, each row, each side of an
+``fds`` entry) JSON lists; nothing is coerced.
 """
 
 from __future__ import annotations
@@ -282,9 +283,7 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
             raise ScenarioError(f"unknown app kind {kind!r}")
         app = AppSpec(kind, {k: v for k, v in app_doc.items() if k != "kind"})
 
-    fds = tuple(
-        (tuple(lhs), tuple(rhs)) for lhs, rhs in doc.get("fds", [])
-    )
+    fds = tuple(_fd(i, fd) for i, fd in enumerate(_list(doc, "fds", [])))
     mode = doc.get("mode")
     if mode not in (None, "tau", "nu"):
         raise ScenarioError(f"unknown tree mode {mode!r}")
@@ -313,11 +312,11 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
     )
 
 
-def _int(doc: Mapping[str, Any], key: str, default: int) -> int:
+def _int(doc: Mapping[str, Any], key: str, default: int, where: str = "") -> int:
     """An integer setting; 2.5, "7" and true are refused, not rounded."""
     value = doc.get(key, default)
     if type(value) is not int:
-        raise ScenarioError(f"{key} must be an integer, not {value!r}")
+        raise ScenarioError(f"{where}{key} must be an integer, not {value!r}")
     return value
 
 
@@ -327,6 +326,23 @@ def _list(doc: Mapping[str, Any], key: str, default: Any, where: str = "") -> li
     if not isinstance(value, (list, tuple)):
         raise ScenarioError(f"{where}{key} must be a list, not {value!r}")
     return value
+
+
+def _fd(i: int, fd: Any) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """One functional dependency: two lists of names; "AB" is refused, not
+    read as ["A", "B"]."""
+    names = lambda side: isinstance(side, (list, tuple)) and all(isinstance(v, str) for v in side)
+    if not (isinstance(fd, (list, tuple)) and len(fd) == 2 and all(map(names, fd))):
+        raise ScenarioError(f"fds entry {i} must be two lists of names, not {fd!r}")
+    return tuple(fd[0]), tuple(fd[1])
+
+
+def _number(doc: Mapping[str, Any], key: str, where: str) -> float:
+    """A finite JSON number; "0" and true are refused, not converted."""
+    value = doc.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ScenarioError(f"{where}{key} must be a number, not {value!r}")
+    return float(value)
 
 
 def _flag(doc: Mapping[str, Any], key: str, default: bool) -> bool:
@@ -356,9 +372,10 @@ def _ring_from_doc(doc: Mapping[str, Any]) -> RingSpec:
 def _kind_from_doc(v: Any) -> Any:
     if isinstance(v, str):
         return v
-    if isinstance(v, Mapping) and "binned" in v:
+    if isinstance(v, Mapping) and isinstance(v.get("binned"), Mapping):
         b = v["binned"]
-        return Binned(lo=float(b["lo"]), hi=float(b["hi"]), bins=int(b.get("bins", 100)))
+        lo, hi = _number(b, "lo", "binned "), _number(b, "hi", "binned ")
+        return Binned(lo=lo, hi=hi, bins=_int(b, "bins", 100, "binned "))
     raise ScenarioError(f"unknown column kind {v!r}")
 
 

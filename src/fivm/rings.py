@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Any, Callable, Optional
 
 __all__ = [
@@ -74,9 +74,12 @@ class RingSpec:
     zero tests of real-based payloads; exact rings must keep it at 0.
 
     Building a spec binds, outside its fields: ``add``, ``mul``, ``neg``,
-    ``is_zero``, the constants ``zero`` and ``one``, and ``check``, which
-    raises on a covariance payload outside the degree. The bound covariance
-    operators trust their operands, so payloads from outside are checked.
+    ``is_zero``, the constants ``zero`` and ``one``, ``check``, which
+    raises on a covariance payload outside the degree, and ``pairs``, the
+    covariance pair keys (``pairs[i][j]`` is the one tuple every product
+    and lift stores for the slot pair {i, j}; empty for other rings). The
+    bound covariance operators trust their operands, so payloads from
+    outside are checked.
     """
 
     kind: str
@@ -354,16 +357,19 @@ def lift_unit(var: str) -> LiftingFunction:
     return LiftingFunction(var, RELATIONAL_UNIT)
 
 
-@lru_cache(maxsize=None)
-def _degree_keys(degree: int) -> tuple[frozenset, frozenset]:
-    """The valid slots 1..m and the valid pairs (i, j), i <= j, of degree m."""
-    slots = frozenset(range(1, degree + 1))
-    return slots, frozenset((i, j) for i in slots for j in slots if i <= j)
+def _pair_table(degree: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``table[i][j]`` is the key (min, max) of slots i and j, 0..m, one
+    tuple per pair, so triples share their pair keys instead of each
+    holding its own copies (index 0 only pads)."""
+    keys = {(i, j): (i, j) for i in range(degree + 1) for j in range(i, degree + 1)}
+    return tuple(
+        tuple(keys[min(i, j), max(i, j)] for j in range(degree + 1)) for i in range(degree + 1)
+    )
 
 
-def _cov_check(degree: int, t: CovarianceTriple) -> None:
-    """Raise unless every slot and pair of ``t`` lies within ``degree``."""
-    slots, pairs = _degree_keys(degree)
+def _cov_check(degree: int, slots: frozenset, pairs: frozenset, t: CovarianceTriple) -> None:
+    """Raise unless every slot and pair of ``t`` lies within ``degree``,
+    whose valid ``slots`` are 1..m and ``pairs`` the (i, j) with i <= j."""
     if t.s.keys() <= slots and t.Q.keys() <= pairs:
         return
     for j in t.s:
@@ -398,13 +404,14 @@ def _cov_add(a: CovarianceTriple, b: CovarianceTriple) -> CovarianceTriple:
     return CovarianceTriple(a.c + b.c, s, q)
 
 
-def _cov_mul(a: CovarianceTriple, b: CovarianceTriple) -> CovarianceTriple:
+def _cov_mul(pairs: tuple, a: CovarianceTriple, b: CovarianceTriple) -> CovarianceTriple:
     """Multiply two covariance triples.
 
     Counts multiply; each sum slot is cross-scaled by the other side's count;
     each pairwise block combines both cross-scaled blocks with the symmetric
     outer product of the sum vectors, so that (i, j) picks up a_i*b_j plus
-    b_i*a_j (twice a_i*b_i on the diagonal). Zero terms are never stored.
+    b_i*a_j (twice a_i*b_i on the diagonal), keyed by ``pairs[i][j]``. Zero
+    terms are never stored.
     """
     ac, bc = a.c, b.c
     s: dict[int, Any] = {}
@@ -445,7 +452,7 @@ def _cov_mul(a: CovarianceTriple, b: CovarianceTriple) -> CovarianceTriple:
             term = av * bv
             if not term:
                 continue
-            ij = (i, j) if i <= j else (j, i)
+            ij = pairs[i][j]
             if ij in q:
                 merged = q[ij] + term
                 if merged:
@@ -460,7 +467,7 @@ def _cov_mul(a: CovarianceTriple, b: CovarianceTriple) -> CovarianceTriple:
 def _operators(spec: RingSpec) -> dict[str, Any]:
     """The operators and constants :class:`RingSpec` binds for ``spec``."""
     tol = spec.zero_tolerance
-    ops: dict[str, Any] = dict(is_zero=operator.not_, check=lambda payload: None)
+    ops: dict[str, Any] = dict(is_zero=operator.not_, check=lambda payload: None, pairs=())
     if spec.kind in (INTEGER, REAL):
         exact = spec.kind == INTEGER
         ops.update(add=operator.add, mul=operator.mul, neg=operator.neg,
@@ -475,8 +482,12 @@ def _operators(spec: RingSpec) -> dict[str, Any]:
             ops["is_zero"] = lambda a: all(abs(v) <= tol for v in a.entries.values())
     else:
         real = spec.base == REAL
+        pairs = _pair_table(spec.degree)
+        slots = frozenset(range(1, spec.degree + 1))
+        valid = frozenset(pairs[i][j] for i in slots for j in slots)
         ops.update(
-            add=_cov_add, mul=_cov_mul, check=partial(_cov_check, spec.degree),
+            add=_cov_add, mul=partial(_cov_mul, pairs), pairs=pairs,
+            check=partial(_cov_check, spec.degree, slots, valid),
             neg=lambda a: CovarianceTriple(
                 -a.c, {j: -v for j, v in a.s.items()}, {ij: -v for ij, v in a.Q.items()}
             ),
@@ -549,7 +560,7 @@ def lift(spec: RingSpec, f: LiftingFunction, x: Any) -> Any:
             one, sv, qv = (RelationalPayload((), {(): n}) for n in (1, v, v * v))
         if v == 0:
             return CovarianceTriple(one, {}, {})
-        return CovarianceTriple(one, {j: sv}, {(j, j): qv})
+        return CovarianceTriple(one, {j: sv}, {spec.pairs[j][j]: qv})
     if mode == COVARIANCE_CATEGORICAL:
         if spec.kind != COVARIANCE or spec.base != RELATIONAL:
             raise ValueError("categorical lift needs a covariance ring over relational payloads")
@@ -562,7 +573,7 @@ def lift(spec: RingSpec, f: LiftingFunction, x: Any) -> Any:
         return CovarianceTriple(
             RelationalPayload((), {(): 1}),
             {j: group},
-            {(j, j): group},
+            {spec.pairs[j][j]: group},
         )
     if mode == RELATIONAL_SINGLETON:
         if spec.kind != RELATIONAL:

@@ -14,6 +14,14 @@ bounded), decides which views are worth storing given the updatable
 relations, compacts marginalization chains and identity wrappers, and
 plans the delta path of every updatable relation and the listing plan
 that enumeration runs, together with the secondary indexes both probe.
+
+Before storage is chosen, static siblings are folded: when a view has a
+child that updates and two or more children with no updatable relation
+and no free variable below them, one of them keyed by all their keys,
+those children move under one join-only view keyed by the union of their
+keys. Their product never changes after
+load, so it is computed once and stored, and a delta arriving at the view
+joins that one product instead of each static child in turn.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ __all__ = [
     "add_indicator_projections",
     "choose_materialization",
     "compact_and_dedupe",
+    "fold_static_siblings",
     "payload_covers",
     "plan_indices",
     "plan_view_tree",
@@ -489,12 +498,56 @@ def add_indicator_projections(tree: ViewTree) -> ViewTree:
     return tree
 
 
+def _updatable_ids(query: Query, updatable: Iterable[str]) -> frozenset[str]:
+    names = set(updatable)
+    return frozenset(d.leaf_id for d in query.relations if d.name in names)
+
+
+def fold_static_siblings(tree: ViewTree, updatable: Iterable[str]) -> ViewTree:
+    """Join each view's static children into one view, computed at load.
+
+    A child is static when no updatable relation (nor an indicator of one)
+    and no free variable lies below it: no delta ever reaches it and no
+    listing reads inside it. A view with an updating child and two or more
+    static ones gets them replaced, at the first one's place, by a
+    join-only view keyed by the union of their keys (not the parent's: a
+    root keyed by nothing still joins its static children on theirs).
+    They fold only when one of them is keyed by that whole union: each of
+    its entries then meets at most one entry of every other, so the stored
+    product is no larger than that child, where children keyed apart
+    (say by A,B and A,C) could multiply out.
+    """
+    ids = _updatable_ids(tree.query, updatable)
+    free = frozenset(tree.query.free)
+    for node in tree.nodes:
+        if node.kind != VIEW or not any(c.rels_under & ids for c in node.children):
+            continue
+        static = [c for c in node.children if not (c.rels_under & ids or c.vars_under & free)]
+        keys = set().union(*(c.keys for c in static))
+        if len(static) < 2 or all(set(c.keys) != keys for c in static):
+            continue
+        fold = ViewNode(
+            _view_id(tree, "F", node.at_variable, _union_rels(static)),
+            VIEW,
+            keys=tree.order.sort_vars(keys),
+            at_variable=node.at_variable,
+            children=static,
+        )
+        at = node.children.index(static[0])
+        node.children = [c for c in node.children if c not in static]
+        node.children.insert(at, fold)
+    tree.finalize()
+    return tree
+
+
 def choose_materialization(tree: ViewTree, updatable: Iterable[str]) -> ViewTree:
     """Flag the views worth storing for the given updatable relations.
 
     Roots and leaves are always kept. Any other child view is kept exactly
     when some sibling's subtree contains an updatable relation, because a
-    delta arriving through that sibling joins against it. In an
+    delta arriving through that sibling joins against it. A view made by
+    ``fold_static_siblings`` is such a child, so it is stored while the
+    static views under it, with no updating sibling, are not. In an
     output-oriented tree the views that result enumeration and per-tuple
     payload lookups touch are kept as well.
     """
@@ -502,7 +555,7 @@ def choose_materialization(tree: ViewTree, updatable: Iterable[str]) -> ViewTree
     unknown = names - tree.query.occurrences.keys()
     if unknown:
         raise ValueError(f"updatable relations {sorted(unknown)} are not in the query")
-    ids = frozenset(d.leaf_id for d in tree.query.relations if d.name in names)
+    ids = _updatable_ids(tree.query, names)
     tree.updatable = ids
 
     for node in tree.nodes:
@@ -710,6 +763,8 @@ def plan_view_tree(
         raise ValueError(f"unknown view tree mode: {mode!r}")
     if indicators:
         add_indicator_projections(tree)
+    updatable = tuple(updatable)
+    fold_static_siblings(tree, updatable)
     choose_materialization(tree, updatable)
     compact_and_dedupe(tree)
     plan_indices(tree)

@@ -508,7 +508,9 @@ def test_every_bundled_scenario_verifies():
     [
         (name, rel.name)
         for name, path in sorted(bundled_scenarios().items())
+        # a relation that streams deletes cannot be static: compile refuses it
         for rel in load_scenario(path).relations
+        if not rel.signed
     ],
 )
 def test_bundled_scenarios_verify_with_one_relation_static(name, static):
@@ -811,6 +813,7 @@ EXPORT_HEADERS = {
     "count_chain": ["payload"],
     "covariance_mi": ["from", "to", "score"],
     "covariance_regression": ["coefficient", "value"],
+    "covariance_star": ["", "X", "Y", "Z", "W"],
     "listing_factorized": ["A", "B", "C", "D", "payload"],
     "mcm_chain": ["X1", "X4", "payload"],
     "qhier_pairs": ["A", "B", "C", "payload"],
@@ -924,6 +927,24 @@ IDENTITY_A = {"A": "identity", "B": "one", "C": "one"}
         (dict(COUNT_SCN, relations=[5]), "a relation must be a JSON object, not 5"),
         (dict(chain_doc([0, 0, 1.0]), chain=[4, 4.5, 4.9, 4]),
          r"chain must list integers, not \[4, 4.5, 4.9, 4\]"),
+        (dict(COUNT_SCN, fds=[["AB", "B"]]),
+         r"fds entry 0 must be two lists of names, not \['AB', 'B'\]"),
+        (dict(COUNT_SCN, fds=[[["A"], [1]]]),
+         r"fds entry 0 must be two lists of names, not \[\['A'\], \[1\]\]"),
+        (dict(COUNT_SCN, fds=[[["A"], ["B"], ["C"]]]), "fds entry 0 must be two lists"),
+        (dict(COUNT_SCN, fds="AB"), "fds must be a list, not 'AB'"),
+        (dict(stats_doc(), kinds={"X": {"binned": {"lo": "0", "hi": 10}}, "Y": "continuous"}),
+         "binned lo must be a number, not '0'"),
+        (dict(stats_doc(), kinds={"X": {"binned": {"lo": 0, "hi": True}}, "Y": "continuous"}),
+         "binned hi must be a number, not True"),
+        (dict(stats_doc(), kinds={"X": {"binned": {"lo": 0}}, "Y": "continuous"}),
+         "binned hi must be a number, not None"),
+        (dict(stats_doc(), kinds={"X": {"binned": {"lo": 0, "hi": 10, "bins": 2.5}},
+                                  "Y": "continuous"}),
+         "binned bins must be an integer, not 2.5"),
+        (dict(stats_doc(), kinds={"X": {"binned": {"lo": 0, "hi": 10, "bins": True}},
+                                  "Y": "continuous"}),
+         "binned bins must be an integer, not True"),
     ],
 )
 def test_cli_refuses_bad_settings_before_the_replay(tmp_path, capsys, monkeypatch, doc, message):
@@ -991,6 +1012,25 @@ def test_cli_enumerate_dumps_rows(tmp_path, capsys):
     rc = main(["enumerate", "-s", str(paths["count_chain"]), "--limit", "0"])
     assert rc == 0
     assert capsys.readouterr().out.splitlines() == ["payload"]
+
+
+def test_cli_enumerate_quotes_rows_like_the_export(tmp_path, capsys):
+    """stdout is the exported CSV with bare newlines: a key holding a comma
+    or a quote is quoted, not split into extra columns."""
+    doc = {
+        "name": "quoted",
+        "relations": [{"name": "R", "schema": ["A", "B"], "rows": [["x,y", 1], ['say "hi"', 2]]}],
+        "free": ["A"],
+        "order": [["A", ["B"]]],
+        "lifts": {"B": "one"},
+    }
+    path = write_scenario(tmp_path, doc)
+    assert main(["enumerate", "-s", path]) == 0
+    out = capsys.readouterr().out
+    assert sorted(out.splitlines()) == sorted(['A,payload', '"x,y",1', '"say ""hi""",1'])
+    export = tmp_path / "listing.csv"
+    assert main(["enumerate", "-s", path, "--export", str(export)]) == 0
+    assert export.read_bytes().replace(b"\r\n", b"\n").decode() == out
 
 
 def test_cli_verify_reports_ok(tmp_path, capsys):

@@ -287,6 +287,76 @@ def test_root_covering_all_free_variables_drops_enum_views():
 
 
 # ---------------------------------------------------------------------------
+# folding static siblings
+
+STAR_RELS = [("R0", ("A", "B0"))] + [(f"R{i}", ("A", f"B{i}")) for i in (1, 2, 3)]
+STAR_ORDER = VariableOrder([["A", ["B0"], ["B1"], ["B2"], ["B3"]]])
+STAR_VARS = ("A", "B0", "B1", "B2", "B3")
+
+
+def star_query(free=()):
+    bound = [v for v in STAR_VARS if v not in free]
+    return Query(STAR_RELS, free, Z, lifts=tuple(lift_to_one(v) for v in bound))
+
+
+def fold_views(tree):
+    return [n for n in tree.nodes if n.id.startswith("F@")]
+
+
+def test_static_siblings_fold_into_one_stored_view():
+    tree = plan_view_tree(star_query(), STAR_ORDER, updatable=("R0",))
+    (fold,) = fold_views(tree)
+    root = tree.roots[0]
+    assert [c.id for c in root.children] == ["V@B0(R0)", fold.id]
+    # keyed by the folded children's keys, not by the root's ()
+    assert root.keys == ()
+    assert fold.keys == ("A",)
+    assert fold.marg_vars == ()
+    assert [c.id for c in fold.children] == ["V@B1(R1)", "V@B2(R2)", "V@B3(R3)"]
+    assert fold.materialized
+    assert not any(c.materialized for c in fold.children)
+    assert stored_view_ids(tree) == {root.id, fold.id}
+    assert "* F@A(R1+R2+R3)[A] = V@B1(R1) * V@B2(R2) * V@B3(R3)" in tree.dump().splitlines()
+    # the updatable leaf's delta joins the one product at the root
+    last = tree.delta_paths["R0"][-1]
+    assert last.node is root
+    assert last.joins == ((fold.id, "primary"),)
+
+
+def test_no_fold_with_fewer_than_two_static_siblings():
+    tree = plan_view_tree(star_query(), STAR_ORDER, updatable=("R0", "R1", "R2"))
+    assert fold_views(tree) == []
+    assert len(tree.delta_paths["R0"][-1].joins) == 3
+    # two static siblings are enough
+    tree = plan_view_tree(star_query(), STAR_ORDER, updatable=("R0", "R1"))
+    assert [n.id for n in fold_views(tree)] == ["F@A(R2+R3)"]
+
+
+def test_no_fold_over_static_siblings_keyed_apart():
+    # at A (below B and C) the static views are keyed A,B and A,C: their
+    # product could hold |V@D1| * |V@D2| / |A| entries, so they stay apart
+    rels = [("R0", ("A", "D0")), ("R1", ("A", "B", "D1")), ("R2", ("A", "C", "D2"))]
+    query = Query(rels, (), Z, lifts=tuple(lift_to_one(v) for v in ("A", "B", "C", "D0", "D1", "D2")))
+    order = VariableOrder([["B", ["C", ["A", ["D0"], ["D1"], ["D2"]]]]])
+    tree = plan_view_tree(query, order, updatable=("R0",))
+    assert fold_views(tree) == []
+    at_a = tree.delta_paths["R0"][1]
+    assert {c.keys for c in at_a.node.children} == {("A",), ("B", "A"), ("C", "A")}
+
+
+def test_static_siblings_that_hold_free_variables_stay_out_of_the_fold():
+    # a full listing: every child of the hub holds the free A
+    tree = plan_view_tree(star_query(free=STAR_VARS), STAR_ORDER, updatable=("R0",))
+    assert fold_views(tree) == []
+    assert len(tree.roots[0].children) == 4
+    # B1 free: R1 stays a child of the root, R2 and R3 fold
+    tree = plan_view_tree(star_query(free=("B1",)), STAR_ORDER, updatable=("R0",), mode="tau")
+    (fold,) = fold_views(tree)
+    assert [c.id for c in fold.children] == ["V@B2(R2)", "V@B3(R3)"]
+    assert [c.id for c in tree.roots[0].children] == ["V@B0(R0)", "R1", fold.id]
+
+
+# ---------------------------------------------------------------------------
 # compaction
 
 
