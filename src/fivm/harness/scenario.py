@@ -41,9 +41,10 @@ also as a numeral string), and one with ``signed`` true ends each row
 with the integer 1 or -1 (deletes). Key values are JSON scalars, and
 compiling refuses any row the engine's entry check would. Integer
 settings (the ``chain`` dims and a binned kind's ``bins`` too) are JSON
-integers, a binned kind's ``lo`` and ``hi`` finite JSON numbers, list
-settings (``schema``, ``free``, ``updatable``, each row, each side of an
-``fds`` entry) JSON lists; nothing is coerced.
+integers; a binned kind's ``lo`` and ``hi`` and a ring's
+``zero_tolerance`` are finite JSON numbers; list settings (``schema``,
+``free``, ``updatable``, each row, each side of an ``fds`` entry) are
+JSON lists. Nothing is coerced.
 """
 
 from __future__ import annotations
@@ -337,9 +338,9 @@ def _fd(i: int, fd: Any) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(fd[0]), tuple(fd[1])
 
 
-def _number(doc: Mapping[str, Any], key: str, where: str) -> float:
+def _number(doc: Mapping[str, Any], key: str, where: str, default: Any = None) -> float:
     """A finite JSON number; "0" and true are refused, not converted."""
-    value = doc.get(key)
+    value = doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ScenarioError(f"{where}{key} must be a number, not {value!r}")
     return float(value)
@@ -363,8 +364,9 @@ def _ring_from_doc(doc: Mapping[str, Any]) -> RingSpec:
     base = doc.get("base", INTEGER) if kind == RELATIONAL else ""
     if base not in (INTEGER, REAL, ""):
         raise ScenarioError(f"unknown relational base {base!r}")
+    tol = _number(doc, "zero_tolerance", "ring ", 0.0)
     try:
-        return RingSpec(kind=kind, base=base, zero_tolerance=float(doc.get("zero_tolerance", 0.0)))
+        return RingSpec(kind=kind, base=base, zero_tolerance=tol)
     except (TypeError, ValueError) as e:
         raise ScenarioError(f"ring: {e}") from None
 

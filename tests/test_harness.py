@@ -933,6 +933,10 @@ IDENTITY_A = {"A": "identity", "B": "one", "C": "one"}
          r"fds entry 0 must be two lists of names, not \[\['A'\], \[1\]\]"),
         (dict(COUNT_SCN, fds=[[["A"], ["B"], ["C"]]]), "fds entry 0 must be two lists"),
         (dict(COUNT_SCN, fds="AB"), "fds must be a list, not 'AB'"),
+        (dict(COUNT_SCN, ring={"kind": "real", "zero_tolerance": "1e-9"}),
+         "ring zero_tolerance must be a number, not '1e-9'"),
+        (dict(COUNT_SCN, ring={"kind": "real", "zero_tolerance": True}),
+         "ring zero_tolerance must be a number, not True"),
         (dict(stats_doc(), kinds={"X": {"binned": {"lo": "0", "hi": 10}}, "Y": "continuous"}),
          "binned lo must be a number, not '0'"),
         (dict(stats_doc(), kinds={"X": {"binned": {"lo": 0, "hi": True}}, "Y": "continuous"}),

@@ -521,8 +521,7 @@ STAR_ORDER = VariableOrder([["A", ["B0"], ["B1"], ["B2"], ["B3"]]])
 # Values the continuous lifts read, chosen so sums are inexact in binary.
 STAR_VALUES = (0.1, 2.7, 1.3, 5.9)
 STAR_STATIC = {
-    f"R{i}": [((a, b), 1) for a in range(3) for b in range(4) if (a + b + i) % 3]
-    for i in (1, 2, 3)
+    f"R{i}": [(a, b) for a in range(3) for b in range(4) if (a + b + i) % 3] for i in (1, 2, 3)
 }
 
 
@@ -538,7 +537,7 @@ def star_state(ring_kind):
     tree = plan_view_tree(Query(STAR_RELS, (), ring, lifts=lifts), STAR_ORDER, updatable=("R0",))
     state = RuntimeState(tree)
     one = ring_one(ring)
-    state.load({name: [(k, one) for k, _ in rows] for name, rows in STAR_STATIC.items()})
+    state.load({name: [(k, one) for k in keys] for name, keys in STAR_STATIC.items()})
     return state
 
 
@@ -584,9 +583,9 @@ def test_folded_star_stays_equal_to_a_recompute(ring_kind, batches):
     for batch in batches:
         pairs = []
         for a, b, delete in batch:
-            gone = [k for k, m in live.items() if m]
-            if delete and gone:
-                key, sign = gone[(a * 4 + b) % len(gone)], -1
+            present = [k for k, m in live.items() if m]
+            if delete and present:
+                key, sign = present[(a * 4 + b) % len(present)], -1
             else:
                 key, sign = (a, b), 1
             live[key] = live.get(key, 0) + sign

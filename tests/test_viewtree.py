@@ -289,7 +289,7 @@ def test_root_covering_all_free_variables_drops_enum_views():
 # ---------------------------------------------------------------------------
 # folding static siblings
 
-STAR_RELS = [("R0", ("A", "B0"))] + [(f"R{i}", ("A", f"B{i}")) for i in (1, 2, 3)]
+STAR_RELS = [(f"R{i}", ("A", f"B{i}")) for i in range(4)]
 STAR_ORDER = VariableOrder([["A", ["B0"], ["B1"], ["B2"], ["B3"]]])
 STAR_VARS = ("A", "B0", "B1", "B2", "B3")
 
@@ -336,7 +336,8 @@ def test_no_fold_over_static_siblings_keyed_apart():
     # at A (below B and C) the static views are keyed A,B and A,C: their
     # product could hold |V@D1| * |V@D2| / |A| entries, so they stay apart
     rels = [("R0", ("A", "D0")), ("R1", ("A", "B", "D1")), ("R2", ("A", "C", "D2"))]
-    query = Query(rels, (), Z, lifts=tuple(lift_to_one(v) for v in ("A", "B", "C", "D0", "D1", "D2")))
+    lifts = tuple(lift_to_one(v) for v in ("A", "B", "C", "D0", "D1", "D2"))
+    query = Query(rels, (), Z, lifts=lifts)
     order = VariableOrder([["B", ["C", ["A", ["D0"], ["D1"], ["D2"]]]]])
     tree = plan_view_tree(query, order, updatable=("R0",))
     assert fold_views(tree) == []
