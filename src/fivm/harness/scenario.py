@@ -15,8 +15,10 @@ Top-level keys:
                       "signed"?}, ...]
 ``free``              output variables (default [])
 ``order``             nested variable order, or "canonical"
-``lifts``             {var: "one"|"identity"|"unit"|"singleton"}
-``kinds``             {var: "continuous"|"categorical"|{"binned": ...}};
+``lifts``             {var: "one"|"identity"|"unit"|"singleton"}; not
+                      beside ``kinds`` or ``chain``, which fix the lifts
+``kinds``             {var: "continuous"|"categorical"|
+                      {"binned": {"lo", "hi", "bins"?}}};
                       presence switches the query to a statistics triple
 ``chain``             [p1, ..., pn+1]; presence compiles the matrix chain
                       A1(X1,X2), ..., An(Xn,Xn+1), where Xi takes the
@@ -279,6 +281,8 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
     app_doc = doc.get("app")
     app = None
     if app_doc is not None:
+        if not isinstance(app_doc, Mapping):
+            raise ScenarioError(f"app must be a JSON object, not {app_doc!r}")
         kind = app_doc.get("kind")
         if kind not in _APP_KINDS:
             raise ScenarioError(f"unknown app kind {kind!r}")
@@ -376,6 +380,9 @@ def _kind_from_doc(v: Any) -> Any:
         return v
     if isinstance(v, Mapping) and isinstance(v.get("binned"), Mapping):
         b = v["binned"]
+        junk = set(b) - {"lo", "hi", "bins"}
+        if junk:
+            raise ScenarioError(f"unknown keys for a binned kind: {sorted(junk)}")
         lo, hi = _number(b, "lo", "binned "), _number(b, "hi", "binned ")
         return Binned(lo=lo, hi=hi, bins=_int(b, "bins", 100, "binned "))
     raise ScenarioError(f"unknown column kind {v!r}")
@@ -414,6 +421,8 @@ def compile_scenario(scn: Scenario) -> CompiledScenario:
     if scn.chain is not None:
         if scn.kinds_doc is not None:
             raise ScenarioError("a chain scenario cannot also declare kinds")
+        if scn.lift_doc:
+            raise ScenarioError("a chain scenario cannot also declare lifts")
         mc = build_matrix_chain(scn.chain)
         expect = [(d.name, d.schema) for d in mc.query.relations]
         if [(n, tuple(s)) for n, s in rel_decls] != expect:
@@ -422,6 +431,8 @@ def compile_scenario(scn: Scenario) -> CompiledScenario:
             )
         query, order = mc.query, mc.order
     elif scn.kinds_doc is not None:
+        if scn.lift_doc:
+            raise ScenarioError("a statistics scenario cannot also declare lifts")
         kinds = {v: _kind_from_doc(k) for v, k in scn.kinds_doc.items()}
         cq = build_covariance_query(rel_decls, kinds)
         query, slots = cq.query, cq.slots

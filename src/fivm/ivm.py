@@ -295,6 +295,10 @@ class RuntimeState:
                     covered: set[str] = set()
                     for f in u.factors:
                         covered |= set(f.schema)
+                        if isinstance(f, DenseRelation) and not self.query.checks_cells(
+                            name, f.schema, f.entries.array.shape
+                        ):
+                            continue
                         for _ in self.query.checked(f.entries.items(), name, f.schema):
                             pass
                     if covered != set(schema):

@@ -161,17 +161,7 @@ class Query:
         each value against its declared range [0, n), and the lift of each
         value this relation is the first occurrence of. This is the one
         entry check of load, update and scenario compilation."""
-        plan = self._entry_checks.get((name, schema))
-        if plan is None:
-            occs, ranges = self.occurrences[name], self.ranges
-            over = occs[0].schema if schema is None else schema
-            plan = self._entry_checks[name, schema] = over, [
-                (i, w, ranges.get(w), self._lifted.get((occ.leaf_id, w)))
-                for i, v in enumerate(over)
-                for occ in occs
-                if (w := occ.renaming[v]) in ranges or (occ.leaf_id, w) in self._lifted
-            ]
-        schema, checks = plan
+        schema, checks = self._checks(name, schema)
         check, ring = self.ring.check, self.ring
         for key, val in pairs:
             if len(key) != len(schema):
@@ -192,6 +182,34 @@ class Query:
                     if len(lifted[1]) < 4096:
                         lifted[1].add((type(x), x))
             yield tuple(key), val
+
+    def checks_cells(self, name: str, schema: tuple, shape: tuple[int, ...]) -> bool:
+        """Whether :meth:`checked` could refuse a cell of an array of
+        ``shape`` over ``schema``. It cannot when the array is the one a
+        dense relation over ``schema`` is stored in and its extents are
+        the declared ranges of every occurrence's variables, for then
+        every cell is in range by construction, and no value has a lift
+        to check."""
+        _, checks = self._checks(name, schema)
+        return shape != self.dense_shape(schema) or any(
+            lifted is not None or n != shape[i] for i, _, n, lifted in checks
+        )
+
+    def _checks(self, name: str, schema: Optional[tuple]) -> tuple[tuple, list]:
+        """The schema :meth:`checked` reads ``name``'s keys over and its
+        (position, variable, range or None, lift owner entry or None)
+        checks, planned once per (name, schema)."""
+        plan = self._entry_checks.get((name, schema))
+        if plan is None:
+            occs, ranges = self.occurrences[name], self.ranges
+            over = occs[0].schema if schema is None else schema
+            plan = self._entry_checks[name, schema] = over, [
+                (i, w, ranges.get(w), self._lifted.get((occ.leaf_id, w)))
+                for i, v in enumerate(over)
+                for occ in occs
+                if (w := occ.renaming[v]) in ranges or (occ.leaf_id, w) in self._lifted
+            ]
+        return plan
 
     @property
     def bound(self) -> tuple[str, ...]:

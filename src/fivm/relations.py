@@ -12,9 +12,11 @@ Values inside key tuples are dictionary-encoded (plain ints), which keeps
 hashing cheap and makes streams reproducible.
 
 A :class:`DenseRelation` stores its entries as one numpy array instead
-(:class:`DenseCells`). Over dense operands :func:`rel_marginalize` runs
-one ``einsum`` and :func:`rel_apply_delta` adds arrays, each counting the
-units the dict path spends on the same nonzero cells.
+(:class:`DenseCells`, which keeps its nonzero count) and answers index
+lookups from it, storing no index table. Over dense operands
+:func:`rel_marginalize` runs one ``einsum`` and :func:`rel_apply_delta`
+adds arrays, each counting the units the dict path spends on the same
+nonzero cells.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from collections.abc import MutableMapping
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress, product
+from numbers import Integral
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -92,12 +95,15 @@ class DenseCells(MutableMapping):
     """The entry store of a dense relation: a float array over the declared
     ranges, read and written as a mapping from coordinate tuples to the
     nonzero cells. Iteration is in row-major order and yields Python ints
-    and floats; a key outside the array is absent and cannot be stored."""
+    and floats; a key outside the array is absent and cannot be stored.
+    ``count`` is the number of nonzero cells, kept at every write: code
+    that writes ``array`` past the mapping sets ``count`` too."""
 
-    __slots__ = ("array",)
+    __slots__ = ("array", "count")
 
     def __init__(self, shape: tuple[int, ...]):
         self.array = np.zeros(shape)
+        self.count = 0
 
     @property
     def cell_keys(self) -> tuple[tuple[int, ...], ...]:
@@ -122,20 +128,20 @@ class DenseCells(MutableMapping):
 
     def __setitem__(self, key: tuple, val: float) -> None:
         try:
-            self.array.item(key)  # refuses a bool, which indexing reads as a mask
+            old = self.array.item(key)  # refuses a bool, which indexing reads as a mask
         except (IndexError, TypeError):
-            pass
-        else:
-            if self._fits(key):
-                self.array[key] = val
-                return
-        raise ValueError(f"key {key!r} is outside the cells of a {self.array.shape} array")
+            old = None
+        if old is None or not self._fits(key):
+            raise ValueError(f"key {key!r} is outside the cells of a {self.array.shape} array")
+        self.array[key] = val
+        # the cell holds float(val): a nonzero that rounds to 0.0 is stored as zero
+        self.count += bool(float(val)) - bool(old)
 
     def __delitem__(self, key: tuple) -> None:
         self[key] = 0.0
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self.array))
+        return self.count
 
     def __iter__(self) -> Iterator[tuple]:
         return compress(self.cell_keys, self.array.ravel().tolist())
@@ -143,6 +149,36 @@ class DenseCells(MutableMapping):
     def items(self) -> Iterator[tuple[tuple, float]]:
         vals = self.array.ravel().tolist()
         return compress(zip(self.cell_keys, vals), vals)
+
+
+class _CellIndex:
+    """A secondary index of a dense relation, stored as nothing: ``get``
+    reads the cells matching ``probe`` off the array and returns them as
+    the bucket a dict index would hold (group value to key dict, groups
+    and keys in row-major order), or ``default`` when none matches."""
+
+    __slots__ = ("cells", "probe_pos", "group_pos")
+
+    def __init__(self, cells: DenseCells, probe_pos: tuple, group_pos: Optional[int]):
+        self.cells, self.probe_pos, self.group_pos = cells, probe_pos, group_pos
+
+    def get(self, probe: tuple, default: Any = None) -> Any:
+        arr = self.cells.array
+        at = [slice(None)] * arr.ndim
+        lo = [0] * arr.ndim
+        for i, x in zip(self.probe_pos, probe):
+            if type(x) is bool or not isinstance(x, Integral) or not 0 <= x < arr.shape[i]:
+                return default
+            at[i], lo[i] = slice(x, x + 1), x
+        bucket: dict = {}
+        g = self.group_pos
+        for key in map(tuple, (np.argwhere(arr[tuple(at)]) + lo).tolist()):
+            bucket.setdefault(None if g is None else key[g], {})[key] = None
+        return bucket or default
+
+    def values(self) -> tuple:
+        """The stored buckets: none."""
+        return ()
 
 
 class Relation:
@@ -238,7 +274,8 @@ class Relation:
         """Create (or find) the index keyed by ``probe_vars`` / ``group_var``.
 
         Returns the canonical index id. Building walks every current entry
-        once, which is charged to the probe counter.
+        once, which is charged to the probe counter; a dense relation
+        charges the same and builds nothing (see :class:`_CellIndex`).
         """
         probe = tuple(v for v in self.schema if v in set(probe_vars))
         if len(probe) != len(set(probe_vars)):
@@ -253,12 +290,15 @@ class Relation:
         probe_pos = tuple(pos[v] for v in probe)
         group_pos = pos[group_var] if group_var is not None else None
         self._index_pos[spec] = (probe_pos, group_pos)
+        _tally(self.counters, probes=len(self.entries))
+        self.indexes[spec] = self._new_index(probe_pos, group_pos)
+        return spec
+
+    def _new_index(self, probe_pos: tuple, group_pos: Optional[int]) -> Any:
         table: dict = {}
         for key in self.entries:
             self._index_insert(table, probe_pos, group_pos, key)
-        _tally(self.counters, probes=len(self.entries))
-        self.indexes[spec] = table
-        return spec
+        return table
 
     @staticmethod
     def _index_insert(table: dict, probe_pos: tuple, group_pos, key: tuple) -> None:
@@ -319,7 +359,9 @@ def from_pairs(
 
 
 class DenseRelation(Relation):
-    """A relation whose entries are :class:`DenseCells` of ``shape``."""
+    """A relation whose entries are :class:`DenseCells` of ``shape``. Its
+    indexes are :class:`_CellIndex` readers of the array, so keeping them
+    up costs only the probes the dict path counts for it."""
 
     __slots__ = ()
 
@@ -336,12 +378,22 @@ class DenseRelation(Relation):
     def fill(self, values: Sequence[float]) -> None:
         """Store ``values`` into the first cells of an empty one-variable
         relation, counted as accumulating each nonzero one."""
-        cells = self.entries.array
-        if len(values) > len(cells):
-            raise ValueError(f"{len(values)} values are outside the cells of a {cells.shape} array")
-        cells[: len(values)] = values
-        n = len(self.entries)
+        cells = self.entries
+        if len(values) > len(cells.array):
+            raise ValueError(
+                f"{len(values)} values are outside the cells of a {cells.array.shape} array"
+            )
+        cells.array[: len(values)] = values
+        cells.count = n = int(np.count_nonzero(cells.array))
         _tally(self.counters, reads=n, writes=n)
+
+    def _new_index(self, probe_pos: tuple, group_pos: Optional[int]) -> _CellIndex:
+        return _CellIndex(self.entries, probe_pos, group_pos)
+
+    def _index_add(self, key: tuple) -> None:
+        _tally(self.counters, probes=len(self.indexes))
+
+    _index_remove = _index_add
 
 
 # A plan has a few shapes; the bound only keeps a long-lived process flat.
@@ -488,6 +540,25 @@ def _einsum(spec: str, arrays: Sequence[np.ndarray]) -> Any:
     return np.einsum(spec, *arrays, optimize=_einsum_path(spec, tuple(a.shape for a in arrays)))
 
 
+@lru_cache(maxsize=1024)
+def _contract_plan(schemas: tuple, shapes: tuple, out_schema: tuple) -> tuple:
+    """What :func:`_contract` needs for one shape of operands: the
+    ``einsum`` spec and contraction order, the output shape, and per join
+    level the spec that counts the joined nonzero patterns and the count
+    when every operand is fully nonzero (the product of the sizes of the
+    distinct variables joined so far)."""
+    size = {v: n for schema, shape in zip(schemas, shapes) for v, n in zip(schema, shape)}
+    letter = dict(zip(size, string.ascii_letters))
+    subs = ["".join(letter[v] for v in schema) for schema in schemas]
+    seen: dict = dict.fromkeys(schemas[0])
+    levels = []
+    for i in range(1, len(schemas)):
+        seen.update(dict.fromkeys(schemas[i]))
+        levels.append((",".join(subs[: i + 1]) + "->", math.prod(size[v] for v in seen)))
+    spec = ",".join(subs) + "->" + "".join(letter[v] for v in out_schema)
+    return spec, _einsum_path(spec, shapes), tuple(size[v] for v in out_schema), tuple(levels)
+
+
 def _contract(
     rel: Relation, joins: Sequence[tuple[Relation, Any]], levels: tuple, out_schema: tuple
 ) -> Relation:
@@ -495,25 +566,27 @@ def _contract(
     ``einsum``, counted as the dict path counts the same nonzero cells.
 
     The rows reaching a join level are the nonzero cells of the join so
-    far, counted by contracting the operands' nonzero patterns. Per
-    incoming row a primary probe reads once, an index route probes once
-    and reads each match, and a scan that shares variables probes its
-    grouping once; the scan reads the relation once if any row arrives.
-    The output reads and writes once per joined row.
+    far: when every operand is fully nonzero, the product of the sizes of
+    its variables; else counted by contracting the operands' nonzero
+    patterns. Per incoming row a primary probe reads once, an index route
+    probes once and reads each match, and a scan that shares variables
+    probes its grouping once; the scan reads the relation once if any row
+    arrives. The output reads and writes once per joined row.
     """
     ops = [rel] + [r for r, _ in joins]
-    size = {v: n for r in ops for v, n in zip(r.schema, r.entries.array.shape)}
-    out = DenseRelation(out_schema, rel.ring, tuple(size[v] for v in out_schema), rel.counters)
+    arrays = [r.entries.array for r in ops]
+    spec, path, shape, counts = _contract_plan(
+        tuple(r.schema for r in ops), tuple(a.shape for a in arrays), out_schema
+    )
+    out = DenseRelation(out_schema, rel.ring, shape, rel.counters)
     if not all(r.entries for r in ops):
         return out
-    letter = dict(zip(size, string.ascii_letters))
-    subs = ["".join(letter[v] for v in r.schema) for r in ops]
-    arrays = [r.entries.array for r in ops]
-    masks = [(a != 0).astype(float) for a in arrays] if joins else []
-    rows = int(np.count_nonzero(arrays[0]))
+    full = all(len(r.entries) == a.size for r, a in zip(ops, arrays))
+    masks = [] if full else [(a != 0).astype(float) for a in arrays]
+    rows = len(rel.entries)
     _tally(rel.counters, reads=rows)
-    for i, (right, route) in enumerate(joins, 1):
-        joined = round(float(_einsum(",".join(subs[: i + 1]) + "->", masks[: i + 1])))
+    for i, ((right, route), (partial, product)) in enumerate(zip(joins, counts), 1):
+        joined = product if full else round(float(_einsum(partial, masks[: i + 1])))
         if route == "primary":
             _tally(right.counters, reads=rows)
         elif route is not None:
@@ -523,8 +596,11 @@ def _contract(
             if levels[i - 1][2]:
                 _tally(rel.counters, probes=rows)
         rows = joined
-    spec = ",".join(subs) + "->" + "".join(letter[v] for v in out_schema)
-    out.entries.array[...] = _einsum(spec, arrays)
+    result = np.einsum(spec, *arrays, optimize=path)
+    cells = out.entries
+    # one operand may come back as a view of its own array
+    cells.array = np.array(result) if not joins else np.asarray(result)
+    cells.count = int(np.count_nonzero(cells.array))
     _tally(out.counters, reads=rows, writes=rows)
     return out
 
@@ -617,9 +693,10 @@ def rel_apply_delta(target: Relation, delta: Relation) -> list[tuple[tuple, int]
     cells.array += delta.entries.array
     _tally(target.counters, reads=n, writes=n)
     for i in np.flatnonzero(was != (cells.array != 0)).tolist():
-        key, move = cells.cell_keys[i], -1 if was.flat[i] else 1
-        (target._index_add if move > 0 else target._index_remove)(key)
-        transitions.append((key, move))
+        move = -1 if was.flat[i] else 1
+        transitions.append((cells.cell_keys[i], move))
+        cells.count += move
+    _tally(target.counters, probes=len(target.indexes) * len(transitions))
     return transitions
 
 

@@ -8,6 +8,7 @@ and the pinned triples can be asserted with plain equality.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -34,8 +35,10 @@ from fivm.apps import (
     second_moment_matrix,
     train_linear_regression,
 )
-from fivm.ivm import RuntimeState, UpdateDelta
+from fivm import relations
+from fivm.ivm import FactorizedDelta, RuntimeState, UpdateDelta
 from fivm.queries import Query, VariableOrder
+from fivm.relations import DenseRelation, Relation
 from fivm.rings import (
     CovarianceTriple,
     covariance_ring,
@@ -747,6 +750,95 @@ def test_dense_chains_count_and_answer_like_the_dict_path(data):
             gone = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
             pairs = [(k, -val) for k, val in gone]
         run(lambda s: s.apply_batch([UpdateDelta(name, tuple(pairs))]))
+
+
+def test_dense_relations_answer_their_indexes_from_the_array():
+    dims = (3, 4, 2, 5)
+    dense, plain = twin_chains(dims)
+    _, mats = chain_runtime(dims)
+    data = {
+        f"A{i + 1}": [(k, float(x)) for k, x in np.ndenumerate(m) if x] for i, m in enumerate(mats)
+    }
+    for state in (dense, plain):
+        state.load(data)
+        state.leaves["A1"].ensure_index(("X2",), "X1")
+        state.apply_batch([UpdateDelta("A1", (((0, 1), 5.0), ((2, 3), -mats[0][2, 3])))])
+    assert dense.counters.snapshot() == plain.counters.snapshot()
+    pairs = [(r, plain.stored(r.name)) for r in [*dense.leaves.values(), *dense.views.values()]]
+    assert sum(len(d.indexes) for d, _ in pairs) == 5
+    for d, p in pairs:
+        # no stored table: each lookup reads the array
+        assert isinstance(d, DenseRelation) and not any(isinstance(t, dict) for t in d.indexes.values())
+        assert d.indexes.keys() == p.indexes.keys()
+        for spec in d.indexes:
+            probe = spec[0]
+            values = [range(-1, 1 + max(dims))] * len(probe)
+            # a bool names no cell of a dense relation, as in its cells; the
+            # dict twin is probed too, so the counters stay in step
+            assert d.index_groups(spec, (True,) * len(probe)) == {}
+            p.index_groups(spec, (True,) * len(probe))
+            for key in [*itertools.product(*values), ("x",) * len(probe)]:
+                got = d.index_groups(spec, key)
+                want = p.index_groups(spec, key)
+                assert {g: sorted(ks) for g, ks in got.items()} == {
+                    g: sorted(ks) for g, ks in want.items()
+                }
+                assert sorted(d.index_lookup(spec, key)) == sorted(p.index_lookup(spec, key))
+    assert dense.counters.snapshot() == plain.counters.snapshot()
+
+
+@pytest.mark.parametrize("shape", [(4,), (9,), None], ids=["foreign", "long", "dict"])
+def test_a_factor_not_stored_as_its_relation_is_is_checked_cell_by_cell(shape):
+    state, _ = chain_runtime((3, 4, 2, 5))
+    before = chain_snapshot(state)
+    if shape is None:
+        u = Relation(("X1",), state.ring)
+        u.accumulate((0,), 1.0)
+    else:
+        u = DenseRelation(("X1",), state.ring, shape)
+        u.fill([1.0] + [0.0] * (shape[0] - 2))
+    u.accumulate((3,), 2.0)
+    v = state.relation(("X2",))
+    v.fill([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=r"A1 row \(3,\): X1=3 is outside \[0, 3\)"):
+        state.apply_batch([UpdateDelta("A2", (((0, 0), 1.0),)), FactorizedDelta("A1", (u, v))])
+    assert chain_snapshot(state) == before
+
+
+def test_a_full_rank_one_update_pays_one_einsum_per_contraction(monkeypatch):
+    """Fully nonzero operands count their joined rows in closed form, and
+    factors stored as their relation's cells skip the per-cell check."""
+    p = 8
+    state, mats = chain_runtime((p,) * 4, values=(1, 3))
+    calls = {"einsum": 0, "contract": 0, "checked_rows": 0}
+    einsum, contract, checked = np.einsum, relations._contract, Query.checked
+
+    def counted_einsum(*args, **kwargs):
+        calls["einsum"] += 1
+        return einsum(*args, **kwargs)
+
+    def counted_contract(*args):
+        calls["contract"] += 1
+        return contract(*args)
+
+    def counted_checked(self, *args):
+        for row in checked(self, *args):
+            calls["checked_rows"] += 1
+            yield row
+
+    monkeypatch.setattr(np, "einsum", counted_einsum)
+    monkeypatch.setattr(relations, "_contract", counted_contract)
+    monkeypatch.setattr(Query, "checked", counted_checked)
+    rng = np.random.default_rng(5)
+    for i in range(3):
+        u, v = rng.uniform(1, 2, p), rng.uniform(1, 2, p)
+        assert mcm_rank_update(state, i + 1, u.tolist(), v.tolist()) == 2 * p
+        mats[i] = mats[i] + np.outer(u, v)
+    monkeypatch.undo()
+    assert calls["contract"] >= 12
+    assert calls["einsum"] == calls["contract"] and calls["checked_rows"] == 0
+    want = oracles.chain_product(mats)
+    assert np.allclose(to_dense(state, (p, p)), want, rtol=1e-12)
 
 
 def test_rank_updates_need_a_real_matrix():

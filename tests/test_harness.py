@@ -949,6 +949,14 @@ IDENTITY_A = {"A": "identity", "B": "one", "C": "one"}
         (dict(stats_doc(), kinds={"X": {"binned": {"lo": 0, "hi": 10, "bins": True}},
                                   "Y": "continuous"}),
          "binned bins must be an integer, not True"),
+        (dict(stats_doc(), app="regression"), "app must be a JSON object, not 'regression'"),
+        (dict(stats_doc(), kinds={"X": {"binned": {"lo": 0, "hi": 2, "bin": 3}},
+                                  "Y": "continuous"}),
+         r"unknown keys for a binned kind: \['bin'\]"),
+        # a setting the query would never read is refused, not dropped
+        (dict(stats_doc(), lifts={"X": "one"}), "a statistics scenario cannot also declare lifts"),
+        (dict(chain_doc([0, 0, 1.0]), lifts={"X2": "identity"}),
+         "a chain scenario cannot also declare lifts"),
     ],
 )
 def test_cli_refuses_bad_settings_before_the_replay(tmp_path, capsys, monkeypatch, doc, message):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +64,48 @@ def test_dense_relation_stores_and_counts_like_a_dict():
         with pytest.raises(ValueError, match="outside the cells"):
             dense.accumulate(key, 1.0)
     assert len(dense.entries) == 2 and dense.total() == 4.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dense_cells_keep_their_nonzero_count(data):
+    """Every kind of write keeps ``len`` equal to a fresh count of the
+    array: point accumulates and deletes, ``fill``, a contraction's output
+    (a copy, not a view of its operand) and an applied delta."""
+    ring = real_ring()
+    value = st.sampled_from([0.0, 1.0, -1.0, 2.5])
+    key = st.tuples(st.integers(0, 2), st.integers(0, 3))
+
+    def counted(rel):
+        assert len(rel.entries) == np.count_nonzero(rel.entries.array)
+        return rel
+
+    def drawn(schema, shape):
+        rel = DenseRelation(schema, ring, shape, OpCounters())
+        for k in np.ndindex(shape):
+            rel.accumulate(k, data.draw(value, label="cell"))
+        return counted(rel)
+
+    rel = DenseRelation(("A", "B"), ring, (3, 4), OpCounters())
+    for _ in range(data.draw(st.integers(1, 12), label="writes")):
+        op = data.draw(st.sampled_from(["point", "delete", "fill", "contract", "delta"]))
+        if op == "point":
+            rel.accumulate(data.draw(key), data.draw(value))
+        elif op == "delete":
+            del rel.entries[data.draw(key)]
+        elif op == "fill":
+            vec = DenseRelation(("B",), ring, (4,), OpCounters())
+            vec.fill(data.draw(st.lists(value, max_size=4), label="values"))
+            counted(vec)
+        elif op == "contract":
+            vec = drawn(("B",), (4,))
+            counted(rel_marginalize(rel, ("B",), {"B": lift_to_one("B")}, [(vec, None)]))
+            flipped = counted(rel_marginalize(rel, (), {}, schema=("B", "A")))
+            flipped.accumulate((0, 0), 1.0)
+            assert not np.shares_memory(flipped.entries.array, rel.entries.array)
+        else:
+            rel_apply_delta(rel, drawn(("A", "B"), (3, 4)))
+        counted(rel)
 
 
 def test_accumulate_reports_support_transitions():
