@@ -768,7 +768,8 @@ def test_dense_relations_answer_their_indexes_from_the_array():
     assert sum(len(d.indexes) for d, _ in pairs) == 5
     for d, p in pairs:
         # no stored table: each lookup reads the array
-        assert isinstance(d, DenseRelation) and not any(isinstance(t, dict) for t in d.indexes.values())
+        assert isinstance(d, DenseRelation)
+        assert not any(isinstance(t, dict) for t in d.indexes.values())
         assert d.indexes.keys() == p.indexes.keys()
         for spec in d.indexes:
             probe = spec[0]
@@ -788,7 +789,7 @@ def test_dense_relations_answer_their_indexes_from_the_array():
 
 
 @pytest.mark.parametrize("shape", [(4,), (9,), None], ids=["foreign", "long", "dict"])
-def test_a_factor_not_stored_as_its_relation_is_is_checked_cell_by_cell(shape):
+def test_a_factor_not_stored_in_its_declared_shape_is_checked_cell_by_cell(shape):
     state, _ = chain_runtime((3, 4, 2, 5))
     before = chain_snapshot(state)
     if shape is None:
