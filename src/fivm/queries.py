@@ -160,7 +160,10 @@ class Query:
         as key tuples, each checked first: the key's length, the payload,
         each value against its declared range [0, n), and the lift of each
         value this relation is the first occurrence of. This is the one
-        entry check of load, update and scenario compilation."""
+        entry check of load, update and scenario compilation. Rows bound
+        for a dense relation for which :meth:`checks_cells` is false may
+        skip it: the array's bounds test over the batch is the same check
+        (``RuntimeState._accumulate``)."""
         schema, checks = self._checks(name, schema)
         check, ring = self.ring.check, self.ring
         for key, val in pairs:

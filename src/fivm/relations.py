@@ -16,7 +16,10 @@ A :class:`DenseRelation` stores its entries as one numpy array instead
 lookups from it, storing no index table. Over dense operands
 :func:`rel_marginalize` runs one ``einsum`` and :func:`rel_apply_delta`
 adds arrays, each counting the units the dict path spends on the same
-nonzero cells.
+nonzero cells. A batch of point rows merges with one ``np.add.at``
+(:meth:`DenseRelation.scatter`), whose bounds test over the whole batch
+is the query's entry check when ``Query.checks_cells`` is false for the
+relation; a batch it does not take outright goes row by row.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import string
 from collections.abc import MutableMapping
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import compress, product
+from itertools import chain, compress, product
 from numbers import Integral
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
@@ -374,6 +377,57 @@ class DenseRelation(Relation):
         starts."""
         _tally(self.counters, reads=len(self.entries))
         return self.entries.items()
+
+    def accumulate_all(
+        self, rows: Iterable[tuple[tuple, Any]], moves: Optional[list] = None
+    ) -> None:
+        """:meth:`Relation.accumulate_all`, merged by :meth:`scatter` when
+        no transitions are asked for, no index is kept and the scatter
+        takes the rows; row by row otherwise."""
+        if moves is None and not self.indexes:
+            rows = rows if isinstance(rows, (tuple, list)) else tuple(rows)
+            if self.scatter(rows):
+                return
+        super().accumulate_all(rows, moves)
+
+    def scatter(self, rows: Sequence[tuple[tuple, Any]]) -> bool:
+        """Add every (key, payload) row into the array with one
+        ``np.add.at`` and return True, when each key is a tuple of plain
+        ints naming a cell and each payload a nonzero int or float;
+        otherwise change nothing and return False. ``np.add.at`` adds in
+        row order, so each cell ends bit-identical to the row loop's
+        ``(old + v1) + v2``, and the counters get the loop's one read and
+        one write per row (it skips a write only for a zero payload)."""
+        cells = self.entries
+        arr = cells.array
+        n = len(rows)
+        if not (n and arr.ndim and arr.flags.c_contiguous):
+            return not n
+        try:
+            if set(map(len, rows)) != {2}:
+                return False
+            keys, vals = zip(*rows)
+            if (
+                set(map(type, keys)) != {tuple}
+                or set(map(len, keys)) != {arr.ndim}
+                or not set(map(type, vals)) <= {int, float}
+            ):
+                return False
+            coords = tuple(chain.from_iterable(keys))
+            if set(map(type, coords)) != {int}:  # no bool, no numpy integer
+                return False
+            flat = np.ravel_multi_index(
+                np.fromiter(coords, np.int64, len(coords)).reshape(n, arr.ndim).T, arr.shape
+            )
+            payloads = np.fromiter(vals, float, n)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        if not payloads.all():
+            return False
+        np.add.at(arr.reshape(-1), flat, payloads)
+        cells.count = int(np.count_nonzero(arr))
+        _tally(self.counters, n, n)
+        return True
 
     def fill(self, values: Sequence[float]) -> None:
         """Store ``values`` into the first cells of an empty one-variable

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -692,6 +693,75 @@ def test_chain_coordinates_outside_their_ranges_change_nothing(act):
     with pytest.raises(ValueError, match="outside"):
         act(state)
     assert chain_snapshot(state) == before
+
+
+def dense_cells(state):
+    """Bytes and nonzero count of every dense leaf and view array."""
+    return {
+        name: (rel.entries.array.tobytes(), rel.entries.count)
+        for group in (state.leaves, state.views)
+        for name, rel in group.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((((3, 0), 1.0),), "A1 row (3, 0): X1=3 is outside [0, 3)"),
+        ((((-1, 0), 1.0),), "A1 row (-1, 0): X1=-1 is outside [0, 3)"),
+        ((((True, 0), 1.0),), "A1 row (True, 0): X1=True is outside [0, 3)"),
+        ((((0,), 1.0),), "key (0,) does not match A1('X1', 'X2')"),
+        ((((0, 1, 2), 1.0),), "key (0, 1, 2) does not match A1('X1', 'X2')"),
+        ((((1, 1), "x"),), "could not convert string to float: 'x'"),
+    ],
+    ids=["high", "negative", "bool", "short-key", "long-key", "string-payload"],
+)
+def test_a_dense_point_batch_is_refused_as_row_by_row(bad, message):
+    """A point batch the scatter cannot take goes through the entry check
+    and the row loop, so it is refused with their message, here in the
+    second of two deltas to A1, and nothing changes."""
+    state, _ = chain_runtime((3, 4, 2, 5))
+    before = dense_cells(state)
+    good = (((0, 1), 1.0), ((1, 3), -1.5))
+    batch = [UpdateDelta("A1", good), UpdateDelta("A3", good), UpdateDelta("A1", good + bad)]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        state.apply_batch(batch)
+    assert dense_cells(state) == before
+
+
+def test_a_plain_dense_point_batch_merges_in_one_scatter(monkeypatch):
+    """In-range plain rows skip the entry check: each relation's pairs, over
+    all its deltas, merge in one scatter."""
+    state, _ = chain_runtime((3, 4, 2, 5))
+    calls = []
+    scatter = DenseRelation.scatter
+
+    def counted(self, rows):
+        calls.append(len(rows))
+        return scatter(self, rows)
+
+    def refused(*args):
+        raise AssertionError("rows were checked one by one")
+
+    monkeypatch.setattr(DenseRelation, "scatter", counted)
+    monkeypatch.setattr(Query, "checked", refused)
+    rows = (((0, 1), 1.0), ((1, 3), -1.5))
+    state.apply_batch([UpdateDelta("A1", rows), UpdateDelta("A3", rows), UpdateDelta("A1", rows)])
+    assert calls == [4, 2]
+    assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
+
+
+def test_numpy_integer_coordinates_merge_like_plain_ints():
+    """An np.int64 coordinate sends its batch row by row, to the same end."""
+    plain, _ = chain_runtime((3, 4, 2, 5))
+    numpy_ints, _ = chain_runtime((3, 4, 2, 5))
+    rows = (((0, 1), 1.0), ((1, 3), -1.5), ((0, 1), 0.25))
+    plain.apply_batch([UpdateDelta("A1", rows)])
+    numpy_ints.apply_batch(
+        [UpdateDelta("A1", tuple(((np.int64(r), c), v) for (r, c), v in rows))]
+    )
+    assert dense_cells(numpy_ints) == dense_cells(plain)
+    assert numpy_ints.counters.snapshot() == plain.counters.snapshot()
 
 
 def twin_chains(dims):

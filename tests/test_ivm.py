@@ -21,7 +21,7 @@ from fivm.ivm import (
     recompute_query,
 )
 from fivm.queries import Query, VariableOrder
-from fivm.relations import Relation, from_pairs, rel_join, rel_marginalize
+from fivm.relations import DenseRelation, Relation, from_pairs, rel_join, rel_marginalize
 from fivm.rings import (
     CovarianceTriple,
     covariance_ring,
@@ -155,6 +155,35 @@ def test_batch_merges_plain_deltas_before_propagating():
     )
     assert n == 0  # the merged delta is empty, nothing propagates
     assert dict(state.result().entries) == {(): 10}
+
+
+def test_dict_batches_check_each_relation_once_and_never_scatter(monkeypatch):
+    """A dict-stored query merges a relation's point pairs in one checked
+    pass per batch, never asking about dense cells or scattering."""
+    state = chain_state()
+    names = []
+    checked = Query.checked
+
+    def counted(self, pairs, name, schema=None):
+        names.append(name)
+        return checked(self, pairs, name, schema)
+
+    def dense_only(*args):
+        raise AssertionError("a dict query took the dense path")
+
+    monkeypatch.setattr(Query, "checked", counted)
+    monkeypatch.setattr(Query, "checks_cells", dense_only)
+    monkeypatch.setattr(DenseRelation, "scatter", dense_only)
+    state.apply_batch(
+        [
+            UpdateDelta("R", ((("a1", "b9"), 1),)),
+            UpdateDelta("T", ((("c1", "d9"), 1), (("c2", "d2"), -1))),
+            UpdateDelta("R", ((("a2", "b9"), 1), (("a3", "b4"), -1))),
+        ]
+    )
+    assert names == ["R", "T"]
+    assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
+    assert_views_match_fresh(state)
 
 
 def test_update_for_unknown_relation_rejected():

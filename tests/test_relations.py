@@ -108,6 +108,77 @@ def test_dense_cells_keep_their_nonzero_count(data):
         counted(rel)
 
 
+def merged_twice(prefill, rows, indexed=False, with_moves=False, shape=(2, 3)):
+    """The same rows accumulated into two equal dense relations, one by
+    ``DenseRelation.accumulate_all`` and one by the row loop it overrides;
+    returns both relations and both transition lists."""
+    out = []
+    for accumulate in (DenseRelation.accumulate_all, Relation.accumulate_all):
+        rel = DenseRelation(("A", "B"), real_ring(), shape, OpCounters())
+        Relation.accumulate_all(rel, prefill)
+        if indexed:
+            rel.ensure_index(("A",), "B")
+        moves = [] if with_moves else None
+        accumulate(rel, rows, moves)
+        out += [rel, moves]
+    return out
+
+
+def assert_same_merge(scatter, loop):
+    assert scatter.entries.array.tobytes() == loop.entries.array.tobytes()
+    assert scatter.entries.count == loop.entries.count
+    assert scatter.counters.snapshot() == loop.counters.snapshot()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dense_accumulate_all_merges_like_the_row_loop(data):
+    """Repeated keys, exact cancellations, float residues, zero payloads on
+    empty and filled cells, pre-filled relations, indexes and transitions:
+    the scatter and the row loop end with the same bits, count and
+    counters."""
+    # a zero payload, an index or transitions send the merge row by row
+    mode = data.draw(st.sampled_from(["scatter", "scatter", "zeros", "indexed", "moves"]))
+    key = st.tuples(st.integers(0, 1), st.integers(0, 2))
+    values = [0.1, 0.2, 0.7, -0.1, -0.2, -0.7, 1.0, -1.0, 3, -3, 1e16]
+    value = st.sampled_from(values + ([0.0, 0] if mode == "zeros" else []))
+    prefill = data.draw(st.lists(st.tuples(key, st.sampled_from(values)), max_size=6))
+    rows = data.draw(st.lists(st.tuples(key, value), max_size=24), label="rows")
+    scatter, moves, loop, want = merged_twice(prefill, rows, mode == "indexed", mode == "moves")
+    assert_same_merge(scatter, loop)
+    assert moves == want
+
+
+def test_dense_scatter_adds_each_row_in_order():
+    """(0.1 + 0.2) + 0.7 is 1.0, but 0.1 + (0.2 + 0.7) is not: a merge that
+    summed a cell's rows before adding them to the cell would differ."""
+    scatter, _, loop, _ = merged_twice([((0, 0), 0.1)], [((0, 0), 0.2), ((0, 0), 0.7)])
+    assert_same_merge(scatter, loop)
+    assert scatter.entries[(0, 0)] == 1.0
+    # cancelled to zero, a zero payload on the emptied cell writes nothing
+    rows = [((1, 2), 0.5), ((1, 2), -0.5), ((1, 2), 0.0), ((0, 0), 0)]
+    scatter, _, loop, _ = merged_twice([((0, 0), 2.0)], rows)
+    assert_same_merge(scatter, loop)
+    assert scatter.counters.snapshot() == (1 + 4, 1 + 3, 0)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [((0, 3), 1.0), ((-1, 0), 1.0), ((True, 0), 1.0), ((np.int64(1), 0), 1.0), ((0,), 1.0),
+     ([0, 1], 1.0), ((0, 1), np.float64(1.0)), ((0, 1), True), ((0, 1), 0.0), ((0, 1), 10**400)],
+    ids=["high", "negative", "bool", "numpy-int", "short", "list-key", "numpy-float",
+         "bool-payload", "zero", "huge-int"],
+)
+def test_dense_scatter_takes_only_plain_rows(row):
+    """A batch with any row the scatter does not take changes nothing and
+    is left to the row loop."""
+    rel = DenseRelation(("A", "B"), real_ring(), (2, 3), OpCounters())
+    assert not rel.scatter([((1, 1), 2.0), row])
+    assert rel.counters.snapshot() == (0, 0, 0)
+    assert not rel.entries and not rel.entries.array.any()
+    assert rel.scatter([((1, 1), 2.0), ((1, 1), 1)]) and rel.entries == {(1, 1): 3.0}
+
+
 def test_accumulate_reports_support_transitions():
     r = Relation(("A",), Z)
     assert r.accumulate((1,), 5) == 1
