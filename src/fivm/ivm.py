@@ -21,7 +21,6 @@ cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Iterable, Optional
 
 from fivm.queries import GROUP_BY, RELATIONAL_PAYLOAD, Occurrence, Query
@@ -156,7 +155,7 @@ class RuntimeState:
         self.initialize(fresh)
 
     def _accumulate(self, rel: Relation, name: str, pairs: Iterable[tuple[tuple, Any]]) -> None:
-        """Accumulate ``name``'s ``pairs`` into the fresh ``rel``, each
+        """Accumulate ``name``'s ``pairs`` into ``rel``, each
         passing :meth:`Query.checked` first. When ``rel`` is dense and the
         check can refuse none of its cells (:meth:`Query.checks_cells`),
         the array's bounds test is that check: the pairs go straight to
@@ -279,15 +278,15 @@ class RuntimeState:
     def apply_batch(self, updates: Iterable[UpdateDelta | FactorizedDelta]) -> int:
         """Apply a batch of updates, one relation at a time in arrival order.
 
-        Plain deltas to the same relation are merged first, all their
-        pairs in one pass (:meth:`_accumulate`); factorized deltas keep
-        their product form. The whole batch is checked (known, updatable
-        targets, key lengths, factor coverage, payloads within the ring's
-        degree) before anything propagates, so a rejected batch changes no
-        state. Values pass the query's entry check (``Query.checked``:
-        declared ranges and lifts) then too, so a later join never lifts
-        an unchecked value and the batch applies fully or not at all.
-        Returns the number of key-level changes processed.
+        Plain deltas to the same relation are merged first
+        (:meth:`_accumulate`); factorized deltas keep their product form.
+        The whole batch is checked (known, updatable targets, key lengths,
+        factor coverage, payloads within the ring's degree) before anything
+        propagates, so a rejected batch changes no state. Values pass the
+        query's entry check (``Query.checked``: declared ranges and lifts)
+        then too, so a later join never lifts an unchecked value and the
+        batch applies fully or not at all. Returns the number of key-level
+        changes processed.
         """
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
@@ -301,14 +300,13 @@ class RuntimeState:
                 raise ValueError(f"relation {name} is not updatable in this plan")
             schema = occurrences[0].schema
             merged: Optional[Relation] = None
-            points: list[tuple] = []
             units: list[list[Relation]] = []
             for u in items:
                 if isinstance(u, UpdateDelta):
                     if merged is None:
                         merged = self.relation(schema)
                         units.append([merged])
-                    points.append(u.pairs)
+                    self._accumulate(merged, name, u.pairs)
                 else:
                     covered: set[str] = set()
                     for f in u.factors:
@@ -324,8 +322,6 @@ class RuntimeState:
                             f"factors cover {sorted(covered)}, not schema {schema}"
                         )
                     units.append(list(u.factors))
-            if merged is not None:
-                self._accumulate(merged, name, chain.from_iterable(points))
             batch.append((occurrences, units))
         touched = 0
         for occurrences, units in batch:

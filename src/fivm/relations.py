@@ -378,30 +378,21 @@ class DenseRelation(Relation):
         _tally(self.counters, reads=len(self.entries))
         return self.entries.items()
 
-    def accumulate_all(
-        self, rows: Iterable[tuple[tuple, Any]], moves: Optional[list] = None
-    ) -> None:
-        """:meth:`Relation.accumulate_all`, merged by :meth:`scatter` when
-        no transitions are asked for, no index is kept and the scatter
-        takes the rows; row by row otherwise."""
-        if moves is None and not self.indexes:
-            rows = rows if isinstance(rows, (tuple, list)) else tuple(rows)
-            if self.scatter(rows):
-                return
-        super().accumulate_all(rows, moves)
-
     def scatter(self, rows: Sequence[tuple[tuple, Any]]) -> bool:
         """Add every (key, payload) row into the array with one
-        ``np.add.at`` and return True, when each key is a tuple of plain
-        ints naming a cell and each payload a nonzero int or float;
-        otherwise change nothing and return False. ``np.add.at`` adds in
-        row order, so each cell ends bit-identical to the row loop's
-        ``(old + v1) + v2``, and the counters get the loop's one read and
-        one write per row (it skips a write only for a zero payload)."""
+        ``np.add.at`` and return True, when the relation keeps no index,
+        each key is a tuple of plain ints naming a cell and each payload a
+        nonzero int or float; otherwise change nothing and return False,
+        leaving the rows to :meth:`Relation.accumulate_all`. ``np.add.at``
+        adds in row order, so each cell ends bit-identical to the row
+        loop's ``(old + v1) + v2``, and the counters get the loop's one
+        read and one write per row (it skips a write only for a zero
+        payload). The nonzero count is updated from the touched cells
+        alone, so a batch costs the same on any size of array."""
         cells = self.entries
         arr = cells.array
         n = len(rows)
-        if not (n and arr.ndim and arr.flags.c_contiguous):
+        if self.indexes or not (n and arr.ndim and arr.flags.c_contiguous):
             return not n
         try:
             if set(map(len, rows)) != {2}:
@@ -422,10 +413,15 @@ class DenseRelation(Relation):
             payloads = np.fromiter(vals, float, n)
         except (TypeError, ValueError, OverflowError):
             return False
-        if not payloads.all():
+        if np.count_nonzero(payloads) < n:
             return False
-        np.add.at(arr.reshape(-1), flat, payloads)
-        cells.count = int(np.count_nonzero(arr))
+        # each touched cell once (np.unique's hash table is slower here)
+        touched = np.sort(flat)
+        touched = touched[np.concatenate(([True], touched[1:] != touched[:-1]))]
+        cell = arr.reshape(-1)
+        before = np.count_nonzero(cell[touched])
+        np.add.at(cell, flat, payloads)
+        cells.count += int(np.count_nonzero(cell[touched]) - before)
         _tally(self.counters, n, n)
         return True
 

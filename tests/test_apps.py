@@ -729,9 +729,9 @@ def test_a_dense_point_batch_is_refused_as_row_by_row(bad, message):
     assert dense_cells(state) == before
 
 
-def test_a_plain_dense_point_batch_merges_in_one_scatter(monkeypatch):
-    """In-range plain rows skip the entry check: each relation's pairs, over
-    all its deltas, merge in one scatter."""
+def test_a_plain_dense_point_delta_merges_in_one_scatter(monkeypatch):
+    """In-range plain rows skip the entry check: each delta's pairs merge
+    into its relation's delta in one scatter."""
     state, _ = chain_runtime((3, 4, 2, 5))
     calls = []
     scatter = DenseRelation.scatter
@@ -746,9 +746,26 @@ def test_a_plain_dense_point_batch_merges_in_one_scatter(monkeypatch):
     monkeypatch.setattr(DenseRelation, "scatter", counted)
     monkeypatch.setattr(Query, "checked", refused)
     rows = (((0, 1), 1.0), ((1, 3), -1.5))
-    state.apply_batch([UpdateDelta("A1", rows), UpdateDelta("A3", rows), UpdateDelta("A1", rows)])
-    assert calls == [4, 2]
+    state.apply_batch(
+        [UpdateDelta("A1", rows), UpdateDelta("A3", rows[:1]), UpdateDelta("A1", rows + rows)]
+    )
+    assert calls == [2, 4, 1]
     assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
+
+
+def test_a_bad_pair_is_refused_before_a_later_factor_of_its_relation():
+    """A relation's deltas are checked in arrival order, so a bad point pair
+    is reported before the coverage error of a factorized delta after it."""
+    state, _ = chain_runtime((3, 4, 2, 5))
+    before = dense_cells(state)
+    u = state.relation(("X1",))
+    u.fill([1.0, 2.0, 3.0])
+    batch = [UpdateDelta("A1", (((3, 0), 1.0),)), FactorizedDelta("A1", (u,))]
+    with pytest.raises(ValueError, match=r"^A1 row \(3, 0\): X1=3 is outside \[0, 3\)$"):
+        state.apply_batch(batch)
+    with pytest.raises(ValueError, match="^factors cover"):
+        state.apply_batch(batch[::-1])
+    assert dense_cells(state) == before
 
 
 def test_numpy_integer_coordinates_merge_like_plain_ints():

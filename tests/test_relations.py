@@ -108,19 +108,19 @@ def test_dense_cells_keep_their_nonzero_count(data):
         counted(rel)
 
 
-def merged_twice(prefill, rows, indexed=False, with_moves=False, shape=(2, 3)):
+def merged_twice(prefill, rows, indexed=False, shape=(2, 3)):
     """The same rows accumulated into two equal dense relations, one by
-    ``DenseRelation.accumulate_all`` and one by the row loop it overrides;
-    returns both relations and both transition lists."""
+    ``DenseRelation.scatter`` (row by row where it declines) and one by
+    the row loop; returns both relations."""
     out = []
-    for accumulate in (DenseRelation.accumulate_all, Relation.accumulate_all):
+    for scatter in (True, False):
         rel = DenseRelation(("A", "B"), real_ring(), shape, OpCounters())
         Relation.accumulate_all(rel, prefill)
         if indexed:
             rel.ensure_index(("A",), "B")
-        moves = [] if with_moves else None
-        accumulate(rel, rows, moves)
-        out += [rel, moves]
+        if not (scatter and rel.scatter(rows)):
+            Relation.accumulate_all(rel, rows)
+        out.append(rel)
     return out
 
 
@@ -132,34 +132,34 @@ def assert_same_merge(scatter, loop):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_dense_accumulate_all_merges_like_the_row_loop(data):
+def test_dense_scatter_merges_like_the_row_loop(data):
     """Repeated keys, exact cancellations, float residues, zero payloads on
-    empty and filled cells, pre-filled relations, indexes and transitions:
-    the scatter and the row loop end with the same bits, count and
-    counters."""
-    # a zero payload, an index or transitions send the merge row by row
-    mode = data.draw(st.sampled_from(["scatter", "scatter", "zeros", "indexed", "moves"]))
+    empty and filled cells, pre-filled relations and indexes: the scatter
+    and the row loop end with the same bits, count and counters."""
+    # a zero payload or an index sends the merge row by row
+    mode = data.draw(st.sampled_from(["scatter", "scatter", "zeros", "indexed"]))
     key = st.tuples(st.integers(0, 1), st.integers(0, 2))
     values = [0.1, 0.2, 0.7, -0.1, -0.2, -0.7, 1.0, -1.0, 3, -3, 1e16]
     value = st.sampled_from(values + ([0.0, 0] if mode == "zeros" else []))
     prefill = data.draw(st.lists(st.tuples(key, st.sampled_from(values)), max_size=6))
     rows = data.draw(st.lists(st.tuples(key, value), max_size=24), label="rows")
-    scatter, moves, loop, want = merged_twice(prefill, rows, mode == "indexed", mode == "moves")
+    scatter, loop = merged_twice(prefill, rows, mode == "indexed")
     assert_same_merge(scatter, loop)
-    assert moves == want
 
 
 def test_dense_scatter_adds_each_row_in_order():
     """(0.1 + 0.2) + 0.7 is 1.0, but 0.1 + (0.2 + 0.7) is not: a merge that
     summed a cell's rows before adding them to the cell would differ."""
-    scatter, _, loop, _ = merged_twice([((0, 0), 0.1)], [((0, 0), 0.2), ((0, 0), 0.7)])
+    scatter, loop = merged_twice([((0, 0), 0.1)], [((0, 0), 0.2), ((0, 0), 0.7)])
     assert_same_merge(scatter, loop)
     assert scatter.entries[(0, 0)] == 1.0
-    # cancelled to zero, a zero payload on the emptied cell writes nothing
-    rows = [((1, 2), 0.5), ((1, 2), -0.5), ((1, 2), 0.0), ((0, 0), 0)]
-    scatter, _, loop, _ = merged_twice([((0, 0), 2.0)], rows)
+    # cells cancelled to zero leave the count, each once however often hit
+    rows = [((1, 2), 0.5), ((1, 2), -0.5), ((0, 0), -1.0), ((0, 0), -1.0), ((0, 1), 1)]
+    scatter, loop = merged_twice([((0, 0), 2.0), ((1, 2), 1.0)], rows)
+    assert scatter.scatter([]) and not scatter.scatter([((1, 2), 0.0)])
     assert_same_merge(scatter, loop)
-    assert scatter.counters.snapshot() == (1 + 4, 1 + 3, 0)
+    assert scatter.entries == {(0, 1): 1.0, (1, 2): 1.0}
+    assert scatter.counters.snapshot() == (2 + 5, 2 + 5, 0)
 
 
 @pytest.mark.parametrize(
