@@ -21,6 +21,7 @@ cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby
 from typing import Any, Iterable, Optional
 
 from fivm.queries import GROUP_BY, RELATIONAL_PAYLOAD, Occurrence, Query
@@ -278,15 +279,17 @@ class RuntimeState:
     def apply_batch(self, updates: Iterable[UpdateDelta | FactorizedDelta]) -> int:
         """Apply a batch of updates, one relation at a time in arrival order.
 
-        Plain deltas to the same relation are merged first
+        Plain deltas to the same relation are merged first, all those
+        between two of its factorized deltas in one pass
         (:meth:`_accumulate`); factorized deltas keep their product form.
-        The whole batch is checked (known, updatable targets, key lengths,
-        factor coverage, payloads within the ring's degree) before anything
-        propagates, so a rejected batch changes no state. Values pass the
-        query's entry check (``Query.checked``: declared ranges and lifts)
-        then too, so a later join never lifts an unchecked value and the
-        batch applies fully or not at all. Returns the number of key-level
-        changes processed.
+        The whole batch is
+        checked (known, updatable targets, key lengths, factor coverage,
+        payloads within the ring's degree) before anything propagates, so a
+        rejected batch changes no state. Values pass the query's entry
+        check (``Query.checked``: declared ranges and lifts) then too, so a
+        later join never lifts an unchecked value and the batch applies
+        fully or not at all. Returns the number of key-level changes
+        processed.
         """
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
@@ -301,13 +304,18 @@ class RuntimeState:
             schema = occurrences[0].schema
             merged: Optional[Relation] = None
             units: list[list[Relation]] = []
-            for u in items:
-                if isinstance(u, UpdateDelta):
+            for plain, run in groupby(items, lambda u: isinstance(u, UpdateDelta)):
+                if plain:
                     if merged is None:
                         merged = self.relation(schema)
                         units.append([merged])
-                    self._accumulate(merged, name, u.pairs)
-                else:
+                    # one merge per run of point deltas: the scatter's fixed
+                    # cost is paid per call, and pairs are still checked
+                    # before any later factorized delta's factors
+                    pairs = tuple(chain.from_iterable(u.pairs for u in run))
+                    self._accumulate(merged, name, pairs)
+                    continue
+                for u in run:
                     covered: set[str] = set()
                     for f in u.factors:
                         covered |= set(f.schema)

@@ -729,9 +729,10 @@ def test_a_dense_point_batch_is_refused_as_row_by_row(bad, message):
     assert dense_cells(state) == before
 
 
-def test_a_plain_dense_point_delta_merges_in_one_scatter(monkeypatch):
-    """In-range plain rows skip the entry check: each delta's pairs merge
-    into its relation's delta in one scatter."""
+def test_plain_dense_point_deltas_merge_in_one_scatter_per_run(monkeypatch):
+    """In-range plain rows skip the entry check: a relation's point deltas
+    merge in one scatter, split only where a factorized delta comes
+    between them."""
     state, _ = chain_runtime((3, 4, 2, 5))
     calls = []
     scatter = DenseRelation.scatter
@@ -745,11 +746,20 @@ def test_a_plain_dense_point_delta_merges_in_one_scatter(monkeypatch):
 
     monkeypatch.setattr(DenseRelation, "scatter", counted)
     monkeypatch.setattr(Query, "checked", refused)
+    u, v = state.relation(("X1",)), state.relation(("X2",))
+    u.fill([1.0, 0.0, 2.0])
+    v.fill([0.5, 0.0, 0.0, -1.0])
     rows = (((0, 1), 1.0), ((1, 3), -1.5))
     state.apply_batch(
-        [UpdateDelta("A1", rows), UpdateDelta("A3", rows[:1]), UpdateDelta("A1", rows + rows)]
+        [
+            UpdateDelta("A1", rows),
+            UpdateDelta("A3", rows[:1]),
+            UpdateDelta("A1", rows + rows),
+            FactorizedDelta("A1", (u, v)),
+            UpdateDelta("A1", rows),
+        ]
     )
-    assert calls == [2, 4, 1]
+    assert calls == [6, 2, 1]
     assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
 
 

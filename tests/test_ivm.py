@@ -157,9 +157,9 @@ def test_batch_merges_plain_deltas_before_propagating():
     assert dict(state.result().entries) == {(): 10}
 
 
-def test_dict_batches_check_each_delta_once_and_never_scatter(monkeypatch):
-    """A dict-stored query merges each delta's point pairs in one checked
-    pass, never asking about dense cells or scattering."""
+def test_dict_batches_check_each_relation_once_and_never_scatter(monkeypatch):
+    """A dict-stored query merges a relation's point pairs in one checked
+    pass per batch, never asking about dense cells or scattering."""
     state = chain_state()
     names = []
     checked = Query.checked
@@ -181,7 +181,7 @@ def test_dict_batches_check_each_delta_once_and_never_scatter(monkeypatch):
             UpdateDelta("R", ((("a2", "b9"), 1), (("a3", "b4"), -1))),
         ]
     )
-    assert names == ["R", "R", "T"]
+    assert names == ["R", "T"]
     assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
     assert_views_match_fresh(state)
 
