@@ -156,12 +156,12 @@ class RuntimeState:
         self.initialize(fresh)
 
     def _accumulate(self, rel: Relation, name: str, pairs: Iterable[tuple[tuple, Any]]) -> None:
-        """Accumulate ``name``'s ``pairs`` into ``rel``, each
-        passing :meth:`Query.checked` first. When ``rel`` is dense and the
-        check can refuse none of its cells (:meth:`Query.checks_cells`),
-        the array's bounds test is that check: the pairs go straight to
-        :meth:`DenseRelation.scatter`, and only pairs it does not take
-        outright are checked and merged row by row."""
+        """Accumulate ``name``'s ``pairs`` into ``rel``, each passing
+        :meth:`Query.checked` first. When ``rel`` is dense and the check
+        can refuse none of its cells (:meth:`Query.checks_cells`), the
+        array's bounds test is that check: the pairs go straight to
+        :meth:`DenseRelation.scatter`, and only a batch it does not take
+        outright is checked and merged row by row."""
         if type(rel) is DenseRelation:
             schema = self.query.occurrences[name][0].schema
             if not self.query.checks_cells(name, schema, rel.entries.array.shape):
@@ -282,14 +282,13 @@ class RuntimeState:
         Plain deltas to the same relation are merged first, all those
         between two of its factorized deltas in one pass
         (:meth:`_accumulate`); factorized deltas keep their product form.
-        The whole batch is
-        checked (known, updatable targets, key lengths, factor coverage,
-        payloads within the ring's degree) before anything propagates, so a
-        rejected batch changes no state. Values pass the query's entry
-        check (``Query.checked``: declared ranges and lifts) then too, so a
-        later join never lifts an unchecked value and the batch applies
-        fully or not at all. Returns the number of key-level changes
-        processed.
+        The whole batch is checked (known, updatable targets, key lengths,
+        factor coverage, payloads within the ring's degree) before anything
+        propagates, so a rejected batch changes no state. Values pass the
+        query's entry check (``Query.checked``: declared ranges and lifts)
+        then too, so a later join never lifts an unchecked value and the
+        batch applies fully or not at all. Returns the number of key-level
+        changes processed.
         """
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
