@@ -21,7 +21,6 @@ cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby
 from typing import Any, Iterable, Optional
 
 from fivm.queries import GROUP_BY, RELATIONAL_PAYLOAD, Occurrence, Query
@@ -303,18 +302,18 @@ class RuntimeState:
             schema = occurrences[0].schema
             merged: Optional[Relation] = None
             units: list[list[Relation]] = []
-            for plain, run in groupby(items, lambda u: isinstance(u, UpdateDelta)):
-                if plain:
+            pending: list[tuple] = []
+            for u in items:
+                if isinstance(u, UpdateDelta):
                     if merged is None:
                         merged = self.relation(schema)
                         units.append([merged])
-                    # one merge per run of point deltas: the scatter's fixed
-                    # cost is paid per call, and pairs are still checked
-                    # before any later factorized delta's factors
-                    pairs = tuple(chain.from_iterable(u.pairs for u in run))
-                    self._accumulate(merged, name, pairs)
-                    continue
-                for u in run:
+                    pending += u.pairs
+                else:
+                    if pending:
+                        # the pairs that came first are checked first
+                        self._accumulate(merged, name, pending)
+                        pending = []
                     covered: set[str] = set()
                     for f in u.factors:
                         covered |= set(f.schema)
@@ -329,6 +328,8 @@ class RuntimeState:
                             f"factors cover {sorted(covered)}, not schema {schema}"
                         )
                     units.append(list(u.factors))
+            if pending:
+                self._accumulate(merged, name, pending)
             batch.append((occurrences, units))
         touched = 0
         for occurrences, units in batch:
