@@ -388,7 +388,7 @@ class DenseRelation(Relation):
         loop's ``(old + v1) + v2``, and the counters get the loop's one
         read and one write per row (it skips a write only for a zero
         payload). The nonzero count is updated from the touched cells
-        alone, so a batch costs the same on any size of array."""
+        alone, so a batch's cost does not grow with the array."""
         cells = self.entries
         arr = cells.array
         n = len(rows)
