@@ -10,15 +10,20 @@ product of the stored payloads of the views that cover it, and each of
 those covers is read at the step that binds the last of its keys: once
 per prefix of the walk, the partial product passed down to the next step,
 and a subtree cut as soon as that product is zero (on rings without a zero
-tolerance, where a zero stays one whatever multiplies it). Views, indexes and key
-positions are resolved once when a listing starts, so the work per row is
-one index step and the reads of the covers the last step completes.
-"""
+tolerance, where a zero stays one whatever multiplies it).
+
+The walk is one generator frame over an explicit stack of per-step value
+iterators and partial products. Each step's index table, probe-key getter
+and cover readers (an entry lookup and a key getter each) are resolved
+once when a listing starts, and the cover reads and products run inline,
+so the work per row is one index step and the reads of the covers the
+last step completes."""
 
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import Any, Iterator, Optional
+from operator import itemgetter
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from fivm.ivm import RuntimeState
 from fivm.rings import COVARIANCE, REAL, RELATIONAL
@@ -58,43 +63,51 @@ def enumerate_result(
 
 
 def _walk(state: RuntimeState, steps) -> Iterator[tuple[tuple, Any]]:
-    """Rows of an output-oriented tree, its listing steps resolved once."""
+    """Rows of an output-oriented tree, walked depth first in this one
+    frame: ``groups[i]`` iterates step ``i``'s values under the values bound
+    before it, and ``accs[i]`` is the product of the covers those values
+    complete (None before the first)."""
     at = {var: i for i, (var, _, _) in enumerate(steps)}
-    levels = []
+    tables, probes, covers = [], [], []
     for (var, view_id, probe), group in zip(steps, state.tree.listing_covers):
         rel = state.stored(view_id)
-        pos = tuple(at[v] for v in probe)
-        levels.append((rel, rel.ensure_index(probe, var), pos, _bind(state, group, at)))
-    out_pos = [at[v] for v in state.query.free]
-    ring = state.ring
-    is_zero = ring.is_zero
+        tables.append(rel.indexes[rel.ensure_index(probe, var)].get)
+        probes.append(_getter([at[v] for v in probe]))
+        covers.append(_readers(state, group, at))
+    out = _getter([at[v] for v in state.query.free])
+    ring, counters = state.ring, state.counters
+    mul, zero, is_zero = ring.mul, ring.zero, ring.is_zero
     # A zero within a tolerance need not stay one after later covers
     # multiply in, so only an exact zero cuts a prefix.
     cut = (lambda _: False) if ring.zero_tolerance else is_zero
-    row: list[Any] = [None] * len(levels)
-    times = _times(state, row)
-    last = len(levels) - 1
-
-    def walk(i: int, acc: Any) -> Iterator[tuple[tuple, Any]]:
-        """Rows under the values bound before step ``i``; ``acc`` is the
-        product of the covers they complete (None before the first)."""
-        rel, spec, probe_pos, covers = levels[i]
-        values = rel.index_groups(spec, tuple([row[j] for j in probe_pos]))
-        if i < last:
-            for value in values:
-                row[i] = value
-                prod = times(acc, covers)
-                if prod is None or not cut(prod):
-                    yield from walk(i + 1, prod)
-            return
-        # The last step completes at least the cover holding its variable.
-        for value in values:
+    last = len(steps) - 1
+    row: list[Any] = [None] * len(steps)
+    groups: list[Any] = [None] * len(steps)
+    accs: list[Any] = [None] * len(steps)
+    counters.index_probes += 1
+    groups[0] = iter(tables[0](probes[0](row), ()))
+    i = 0
+    while i >= 0:
+        readers, above, n = covers[i], accs[i], len(covers[i])
+        for value in groups[i]:
             row[i] = value
-            prod = times(acc, covers)
-            if not is_zero(prod):
-                yield tuple([row[j] for j in out_pos]), prod
-
-    return walk(0, None)
+            acc = above
+            counters.entry_reads += n
+            for get, key in readers:
+                val = get(key(row), zero)
+                acc = val if acc is None else mul(acc, val)
+            if i == last:
+                # The last step completes at least the cover of its variable.
+                if not is_zero(acc):
+                    yield out(row), acc
+            elif acc is None or not cut(acc):
+                i += 1
+                accs[i] = acc
+                counters.index_probes += 1
+                groups[i] = iter(tables[i](probes[i](row), ()))
+                break
+        else:
+            i -= 1
 
 
 def payload_of_tuple(state: RuntimeState, key: tuple) -> Any:
@@ -107,29 +120,31 @@ def payload_of_tuple(state: RuntimeState, key: tuple) -> Any:
     free = state.query.free
     if len(key) != len(free):
         raise ValueError(f"expected values for {free}, got {key}")
+    ring = state.ring
     covers = chain.from_iterable(state.tree.listing_covers)
-    val = _times(state, key)(None, _bind(state, covers, {v: i for i, v in enumerate(free)}))
-    return state.ring.zero if state.ring.is_zero(val) else val
+    readers = _readers(state, covers, {v: i for i, v in enumerate(free)})
+    state.counters.entry_reads += len(readers)
+    val = None
+    for get, at in readers:
+        cover = get(at(key), ring.zero)
+        val = cover if val is None else ring.mul(val, cover)
+    return ring.zero if ring.is_zero(val) else val
 
 
-def _bind(state: RuntimeState, covers, at: dict[str, int]) -> list:
-    """Each covering view's entry dict and the row positions of its keys."""
-    return [(state.stored(n.id).entries, tuple(at[v] for v in n.keys)) for n in covers]
+def _readers(state: RuntimeState, covers, at: dict[str, int]) -> list:
+    """Each covering view's entry lookup and the getter of its key out of a
+    row whose variables sit at the positions ``at`` gives."""
+    return [(state.stored(n.id).entries.get, _getter([at[v] for v in n.keys])) for n in covers]
 
 
-def _times(state: RuntimeState, row):
-    """A function multiplying a partial product (None when empty) by bound
-    covers' payloads under the values in ``row``, counting each read."""
-    mul, zero, counters = state.ring.mul, state.ring.zero, state.counters
-
-    def times(acc: Any, covers: list) -> Any:
-        counters.entry_reads += len(covers)
-        for entries, pos in covers:
-            val = entries.get(tuple([row[j] for j in pos]), zero)
-            acc = val if acc is None else mul(acc, val)
-        return acc
-
-    return times
+def _getter(pos: list[int]) -> Callable[[Sequence], tuple]:
+    """A function returning the tuple of a row's values at ``pos``."""
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    if pos:
+        i = pos[0]
+        return lambda row: (row[i],)
+    return lambda row: ()
 
 
 def check_csv_form(ring) -> None:

@@ -143,6 +143,7 @@ class Query:
             if fn.mode != TO_ONE and owner is not None:
                 self._lifted[owner, v] = (fn, set())
         self._entry_checks: dict[tuple, tuple[tuple, list]] = {}
+        self._cell_checks: dict[tuple, bool] = {}
 
     def dense_shape(self, schema: Iterable[str]) -> Optional[tuple[int, ...]]:
         """The array shape a relation over ``schema`` is stored in: the
@@ -169,7 +170,10 @@ class Query:
         for key, val in pairs:
             if len(key) != len(schema):
                 raise ValueError(f"key {key!r} does not match {name}{schema}")
-            check(val)
+            try:
+                check(val)
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{name} row {key!r}: {e}") from None
             for i, var, n, lifted in checks:
                 x = key[i]
                 if n is not None and not (
@@ -192,11 +196,16 @@ class Query:
         dense relation over ``schema`` is stored in and its extents are
         the declared ranges of every occurrence's variables, for then
         every cell is in range by construction, and no value has a lift
-        to check."""
-        _, checks = self._checks(name, schema)
-        return shape != self.dense_shape(schema) or any(
-            lifted is not None or n != shape[i] for i, _, n, lifted in checks
-        )
+        to check. The answer is kept per (name, schema, shape)."""
+        key = (name, schema, shape)
+        answer = self._cell_checks.get(key)
+        if answer is None:
+            _, checks = self._checks(name, schema)
+            answer = shape != self.dense_shape(schema) or any(
+                lifted is not None or n != shape[i] for i, _, n, lifted in checks
+            )
+            self._cell_checks[key] = answer
+        return answer
 
     def _checks(self, name: str, schema: Optional[tuple]) -> tuple[tuple, list]:
         """The schema :meth:`checked` reads ``name``'s keys over and its

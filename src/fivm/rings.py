@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral, Real
 from typing import Any, Callable, Optional
 
 __all__ = [
@@ -75,7 +76,9 @@ class RingSpec:
 
     Building a spec binds, outside its fields: ``add``, ``mul``, ``neg``,
     ``is_zero``, the constants ``zero`` and ``one``, ``check``, which
-    raises on a covariance payload outside the degree, and ``pairs``, the
+    raises on a covariance payload outside the degree and on a plain
+    payload of another type (a bool, or not an ``Integral`` on the integer
+    ring and not a ``Real`` on the real ring), and ``pairs``, the
     covariance pair keys (``pairs[i][j]`` is the one tuple every product
     and lift stores for the slot pair {i, j}; empty for other rings). The
     bound covariance operators trust their operands, so payloads from
@@ -470,7 +473,13 @@ def _operators(spec: RingSpec) -> dict[str, Any]:
     ops: dict[str, Any] = dict(is_zero=operator.not_, check=lambda payload: None, pairs=())
     if spec.kind in (INTEGER, REAL):
         exact = spec.kind == INTEGER
-        ops.update(add=operator.add, mul=operator.mul, neg=operator.neg,
+        fast, kind = (int, Integral) if exact else (float, Real)
+
+        def check(p: Any) -> None:
+            if type(p) is not fast and (type(p) is bool or not isinstance(p, kind)):
+                raise TypeError(f"payload {p!r} is not {'an integer' if exact else 'a real number'}")
+
+        ops.update(add=operator.add, mul=operator.mul, neg=operator.neg, check=check,
                    zero=0 if exact else 0.0, one=1 if exact else 1.0)
         if tol:
             ops["is_zero"] = lambda a: abs(a) <= tol
@@ -511,14 +520,14 @@ def ring_one(spec: RingSpec) -> Any:
 
 
 def ring_add(spec: RingSpec, a: Any, b: Any) -> Any:
-    """``a + b``; covariance operands are checked against the degree."""
+    """``a + b``; both operands pass the ring's ``check`` first."""
     spec.check(a)
     spec.check(b)
     return spec.add(a, b)
 
 
 def ring_mul(spec: RingSpec, a: Any, b: Any) -> Any:
-    """``a * b``; covariance operands are checked against the degree."""
+    """``a * b``; both operands pass the ring's ``check`` first."""
     spec.check(a)
     spec.check(b)
     return spec.mul(a, b)

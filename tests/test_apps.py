@@ -712,7 +712,7 @@ def dense_cells(state):
         ((((True, 0), 1.0),), "A1 row (True, 0): X1=True is outside [0, 3)"),
         ((((0,), 1.0),), "key (0,) does not match A1('X1', 'X2')"),
         ((((0, 1, 2), 1.0),), "key (0, 1, 2) does not match A1('X1', 'X2')"),
-        ((((1, 1), "x"),), "could not convert string to float: 'x'"),
+        ((((1, 1), "x"),), "A1 row (1, 1): payload 'x' is not a real number"),
     ],
     ids=["high", "negative", "bool", "short-key", "long-key", "string-payload"],
 )

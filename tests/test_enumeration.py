@@ -9,7 +9,7 @@ only each view's own column, so the listing is reassembled on the fly.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,7 +19,7 @@ from fivm.enumeration import (
     payload_of_tuple,
 )
 from fivm.harness import bundled_scenarios, compile_scenario, load_scenario, run_scenario
-from fivm.ivm import RuntimeState, UpdateDelta
+from fivm.ivm import RuntimeState, UpdateDelta, recompute_query
 from fivm.queries import RELATIONAL_PAYLOAD, Query, VariableOrder
 from fivm.relations import Relation
 from fivm.rings import (
@@ -375,6 +375,93 @@ def test_payload_of_tuple_matches_every_listed_row(name):
         assert payload_of_tuple(state, key) == val
     missing = tuple("zz" for _ in state.query.free)
     assert payload_of_tuple(state, missing) == ring_zero(state.ring)
+
+
+# ---------------------------------------------------------------------------
+# the walk's explicit stack under inserts and deletes
+
+
+def marked_state():
+    """The four-step chain listing over relational payloads that each base
+    tuple marks with a value of column X. A row's payload joins its tuples'
+    marks, so a prefix whose marks disagree has a product of exactly zero
+    though every cover it read was nonzero."""
+    query = Query(CHAIN_RELS, ("A", "B", "C", "D"), relational_ring(), lifts=(lift_to_one("E"),))
+    state = RuntimeState(plan_view_tree(query, CHAIN_ORDER, updatable=("R", "S", "T")))
+    state.load({})
+    return state
+
+
+def mark(x, sign=1):
+    return rp(("X",), {(x,): sign})
+
+
+ARITY = {name: len(schema) for name, schema in CHAIN_RELS}
+VALUE = st.integers(0, 2)
+EVENTS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(sorted(ARITY)), st.tuples(VALUE, VALUE, VALUE), st.integers(0, 1)),
+        st.integers(0, 40),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(events=EVENTS, cut=st.integers(0, 40))
+# R(0, 0)'s mark disagrees with S(0, 1, *)'s: the (0, 0, 1) prefix is zero
+@example(events=[("R", (0, 0, 0), 0), ("R", (0, 1, 0), 1), ("S", (0, 1, 0), 1), ("T", (1, 2, 0), 1)], cut=1)
+# deletes empty R's group under A=0 and T's under C=1, then refill one
+@example(
+    events=[("R", (0, 0, 0), 1), ("S", (0, 1, 0), 1), ("T", (1, 2, 0), 1), ("T", (1, 0, 0), 1),
+            0, 2, 1, ("R", (0, 2, 0), 1)],
+    cut=0,
+)
+def test_the_walk_lists_the_recomputed_result_under_inserts_and_deletes(events, cut):
+    """Each event inserts a marked tuple or deletes one still present (an
+    index into those, modulo their number). The listing must equal the
+    result recomputed from the base relations, every row's payload must be
+    the one ``payload_of_tuple`` reads, and ``limit`` must stop the walk
+    after its first ``limit`` rows."""
+    state = marked_state()
+    live = []
+    for event in events:
+        if isinstance(event, int):
+            if live:
+                name, key, x = live.pop(event % len(live))
+                state.apply_batch([UpdateDelta(name, ((key, mark(x, -1)),))])
+            continue
+        name, values, x = event
+        key = values[: ARITY[name]]
+        state.apply_batch([UpdateDelta(name, ((key, mark(x)),))])
+        live.append((name, key, x))
+    query = state.query
+    rows = list(enumerate_result(state))
+    assert dict(rows) == dict(recompute_query(query, state.leaves, query.free).entries)
+    assert len(dict(rows)) == len(rows)
+    for key, val in rows:
+        assert payload_of_tuple(state, key) == val
+    k = cut % (len(rows) + 1)
+    assert list(enumerate_result(state, limit=k)) == rows[:k]
+
+
+def test_an_exactly_zero_prefix_is_cut_before_the_next_step():
+    """R(a, b1)'s mark meets no mark of S(a, c, e): the (a, b1, c) prefix is
+    zero and nothing under it is probed or read, while (a, b2, c) goes on
+    to T. Probes: one per step A and B, two at C, one at D; reads: two
+    covers of R, two of the E view, one of T."""
+    state = marked_state()
+    state.load(
+        {
+            "R": [(("a", "b1"), mark(0)), (("a", "b2"), mark(1))],
+            "S": [(("a", "c", "e"), mark(1))],
+            "T": [(("c", "d"), mark(1))],
+        }
+    )
+    before = state.counters.snapshot()
+    assert list(enumerate_result(state)) == [(("a", "b2", "c", "d"), mark(1))]
+    reads, writes, probes = (b - a for a, b in zip(before, state.counters.snapshot()))
+    assert (reads, writes, probes) == (5, 0, 5)
 
 
 def test_csv_rows_for_scalar_payloads():

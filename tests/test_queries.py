@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fivm.ivm import RuntimeState, UpdateDelta
 from fivm.queries import (
     FDSet,
     Query,
@@ -17,7 +19,8 @@ from fivm.queries import (
     infer_dep,
     sigma_reduct,
 )
-from fivm.rings import integer_ring, lift_to_one
+from fivm.rings import integer_ring, lift_to_one, real_ring
+from fivm.viewtree import plan_view_tree
 
 Z = integer_ring()
 
@@ -282,3 +285,78 @@ def test_sigma_reduct_turns_the_chain_q_hierarchical():
     # one path: C, then D, then B, then A
     assert order.to_nested() == [["C", ["D", ["B", "A"]]]]
     assert order.ancestors("A") == ("C", "D", "B")
+
+
+# ---------------------------------------------------------------------------
+# entry checks
+
+
+def pair_state(ring, one):
+    query = Query(TWO_REL, ("A", "B", "C"), ring)
+    order = VariableOrder([["A", ["B"], ["C"]]])
+    state = RuntimeState(plan_view_tree(query, order, updatable=("R", "S")))
+    state.load({"R": [((1, 10), one)], "S": [((1, 20), one + one)]})
+    return state
+
+
+def stored(state):
+    return [
+        {name: dict(rel.entries) for name, rel in group.items()}
+        for group in (state.leaves, state.views, state.indicator_rels)
+    ]
+
+
+@pytest.mark.parametrize("via", ["load", "apply_batch"])
+@pytest.mark.parametrize(
+    "ring, one, bad",
+    [
+        (Z, 1, "x"),
+        (Z, 1, None),
+        (Z, 1, True),
+        (Z, 1, 1.5),
+        (real_ring(), 1.0, "x"),
+        (real_ring(), 1.0, None),
+        (real_ring(), 1.0, True),
+    ],
+    ids=["int-str", "int-none", "int-bool", "int-float", "real-str", "real-none", "real-bool"],
+)
+def test_plain_rings_refuse_a_payload_of_another_type(via, ring, one, bad):
+    """A payload outside the ring is refused at entry, naming the relation
+    and the row, after a valid delta and a valid row, and nothing changes."""
+    state = pair_state(ring, one)
+    before = stored(state)
+    rows = [((1, 11), one), ((1, 12), bad)]
+    with pytest.raises(ValueError, match=r"^R row \(1, 12\): payload "):
+        if via == "load":
+            state.load({"R": rows, "S": [((1, 20), one)]})
+        else:
+            state.apply_batch([UpdateDelta("S", (((1, 21), one),)), UpdateDelta("R", tuple(rows))])
+    assert stored(state) == before
+
+
+@pytest.mark.parametrize(
+    "ring, good",
+    [(Z, np.int64(3)), (Z, -2), (real_ring(), 2), (real_ring(), np.float64(0.5))],
+    ids=["int-numpy", "int", "real-int", "real-numpy"],
+)
+def test_plain_rings_take_any_integral_or_real_payload(ring, good):
+    state = pair_state(ring, 1 if ring == Z else 1.0)
+    state.apply_batch([UpdateDelta("R", (((1, 11), good),))])
+    assert state.leaves["R"].entries[(1, 11)] == good
+
+
+def test_checks_cells_keeps_the_answer_a_fresh_query_gives(monkeypatch):
+    def dense():
+        return Query([("A", ("X", "Y"))], ("X", "Y"), real_ring(), ranges={"X": 3, "Y": 4})
+
+    shapes = [(3, 4), (3, 5), (4, 3)]
+    fresh = [dense().checks_cells("A", ("X", "Y"), shape) for shape in shapes]
+    assert fresh == [False, True, True]
+    query = dense()
+    assert [query.checks_cells("A", ("X", "Y"), shape) for shape in shapes] == fresh
+
+    def planned_again(self, schema):
+        raise AssertionError("checks_cells planned a cached answer again")
+
+    monkeypatch.setattr(Query, "dense_shape", planned_again)
+    assert [query.checks_cells("A", ("X", "Y"), shape) for shape in shapes] == fresh
