@@ -125,8 +125,8 @@ def payload_of_tuple(state: RuntimeState, key: tuple) -> Any:
     readers = _readers(state, covers, {v: i for i, v in enumerate(free)})
     state.counters.entry_reads += len(readers)
     val = None
-    for get, at in readers:
-        cover = get(at(key), ring.zero)
+    for get, key_of in readers:
+        cover = get(key_of(key), ring.zero)
         val = cover if val is None else ring.mul(val, cover)
     return ring.zero if ring.is_zero(val) else val
 
