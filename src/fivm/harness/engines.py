@@ -1,12 +1,15 @@
 """Three ways to answer the same stream, and the glue to race them.
 
-``fivm`` is the engine under test: a planned view tree maintained by
-delta propagation. ``first_order`` keeps only the input relations and
-the final result, recomputing each update's effect as a fresh join over
-the inputs. ``reevaluate`` keeps the inputs and recomputes the result
-from scratch after every batch. All three expose identical snapshots,
-so a verification run is nothing but dictionary comparisons at agreed
-checkpoints, payloads compared as their ring defines equality.
+All three run one maintenance engine, :class:`~fivm.ivm.RuntimeState`.
+``fivm`` maintains the planned view tree by delta propagation.
+``first_order`` stores only the inputs and the result
+(:func:`~fivm.viewtree.plan_flat_tree`): a delta to one input joins the
+others through planned leaf indexes. ``reevaluate`` stores the same and
+rebuilds the result from the inputs after every batch. The baselines list
+by recomputing over their inputs, trusting no maintained view. All three
+expose identical snapshots, so a verification run is nothing but
+dictionary comparisons at agreed checkpoints, payloads compared as their
+ring defines equality.
 
 Every engine owns its counter block; the per-batch metric rows therefore
 show what each strategy actually paid, in the same units. Runs and
@@ -26,8 +29,9 @@ from typing import Any, Iterable, Optional, Sequence
 from ..apps import chow_liu_tree, mutual_information_matrix, train_linear_regression, write_csv
 from ..enumeration import enumerate_result
 from ..ivm import RuntimeState, UpdateDelta, recompute_query
-from ..relations import OpCounters, Relation, from_pairs
+from ..relations import OpCounters, from_pairs
 from ..rings import COVARIANCE, REAL, RingSpec, ring_negate
+from ..viewtree import plan_flat_tree
 from .scenario import CompiledScenario, Scenario, ScenarioError, compile_scenario
 from .streams import StreamEvent, synthesize_stream
 
@@ -64,8 +68,7 @@ class FivmEngine:
     def __init__(self, compiled: CompiledScenario):
         self.compiled = compiled
         self.counters = OpCounters()
-        self.tree = compiled.tree
-        self.state = RuntimeState(self.tree, counters=self.counters)
+        self.state = RuntimeState(compiled.tree, counters=self.counters)
 
     def setup(self) -> None:
         data = {
@@ -84,84 +87,54 @@ class FivmEngine:
         return dict(enumerate_result(self.state))
 
 
-class _InputsEngine:
-    """The baselines' shared scaffolding: one relation per occurrence plus
-    the result, both loaded and listed by recomputing over the inputs."""
+class FirstOrderEngine(FivmEngine):
+    """The inputs plus the result, one stored view that joins them all.
 
-    def __init__(self, compiled: CompiledScenario):
-        self.compiled = compiled
-        self.counters = OpCounters()
-        self.query = compiled.query
-        self.leaves: dict[str, Relation] = {
-            d.leaf_id: Relation(
-                d.schema, self.query.ring, counters=self.counters, name=d.leaf_id
-            )
-            for d in self.query.relations
-        }
-        self.root = Relation(
-            compiled.result_schema, self.query.ring, counters=self.counters
-        )
-
-    def _recompute(
-        self, schema: tuple[str, ...], leaves: Optional[dict[str, Relation]] = None
-    ) -> Relation:
-        if leaves is None:
-            leaves = self.leaves
-        return recompute_query(self.query, leaves, schema)
-
-    def setup(self) -> None:
-        for d in self.query.relations:
-            events = self.compiled.static_events.get(d.name, ())
-            self.leaves[d.leaf_id].accumulate_all((e.key, e.payload) for e in events)
-        self.root = self._recompute(self.compiled.result_schema)
-
-    def root_snapshot(self) -> dict[tuple, Any]:
-        return dict(self.root.entries)
-
-    def listing_snapshot(self) -> dict[tuple, Any]:
-        return dict(self._recompute(self.query.free).entries)
-
-
-class FirstOrderEngine(_InputsEngine):
-    """Inputs plus the result, with per-update delta joins over the inputs.
-
-    Each update to one occurrence of a relation is turned into a join of
-    the delta with the other relations' current contents; the output
-    delta lands in the maintained result. No intermediate view exists,
-    which is exactly what makes the comparison interesting.
+    A delta to one input joins the other inputs through the leaf indexes
+    its planned path probes and lands in the result; no intermediate view
+    exists, which is what makes the comparison with fivm interesting.
     """
 
     name = "first_order"
 
-    def apply(self, batch: Sequence[StreamEvent]) -> int:
-        touched = 0
-        for delta in _batch_deltas(self.compiled, batch):
-            for occ in self.query.occurrences[delta.target]:
-                drel = from_pairs(occ.schema, self.query.ring, delta.pairs, self.counters)
-                if drel.entries:
-                    subst = dict(self.leaves)
-                    subst[occ.leaf_id] = drel
-                    droot = self._recompute(self.compiled.result_schema, subst)
-                    self.root.accumulate_all(droot.items())
-                # Advance this occurrence before the next one sees it.
-                self.leaves[occ.leaf_id].accumulate_all(delta.pairs)
-                touched += len(delta.pairs)
-        return touched
+    def __init__(self, compiled: CompiledScenario, updatable: Optional[Sequence[str]] = None):
+        c = self.compiled = compiled
+        self.counters = OpCounters()
+        if updatable is None:
+            updatable = c.scenario.updatable
+        tree = plan_flat_tree(c.query, c.order, c.result_schema, updatable)
+        # Payloads stay whole, as a recompute over the inputs keeps them.
+        self.state = RuntimeState(tree, counters=self.counters, factorized_payloads=False)
+
+    def listing_snapshot(self) -> dict[tuple, Any]:
+        query = self.compiled.query
+        return dict(recompute_query(query, self.state.leaves, query.free).entries)
 
 
-class ReevaluateEngine(_InputsEngine):
-    """Inputs only; the result is rebuilt from scratch on every batch."""
+class ReevaluateEngine(FirstOrderEngine):
+    """The inputs plus the result, rebuilt from the inputs after every batch."""
 
     name = "reevaluate"
 
+    def __init__(self, compiled: CompiledScenario):
+        super().__init__(compiled, updatable=())
+
     def apply(self, batch: Sequence[StreamEvent]) -> int:
+        """Add the batch to the inputs and rebuild the result. Returns the
+        key-level changes the batch makes, merged on a private counter block
+        as :meth:`RuntimeState.apply_batch` counts them."""
+        state, query = self.state, self.compiled.query
         touched = 0
         for delta in _batch_deltas(self.compiled, batch):
-            for occ in self.query.occurrences[delta.target]:
-                self.leaves[occ.leaf_id].accumulate_all(delta.pairs)
-                touched += len(delta.pairs)
-        self.root = self._recompute(self.compiled.result_schema)
+            occurrences = query.occurrences[delta.target]
+            for occ in occurrences:
+                state.leaves[occ.leaf_id].accumulate_all(delta.pairs)
+            touched += len(from_pairs(occurrences[0].schema, query.ring, delta.pairs).entries)
+        state.initialize(state.leaves)
         return touched
+
+    # Bound here, not inherited: each engine class owns its listing method.
+    listing_snapshot = FirstOrderEngine.listing_snapshot
 
 
 _ENGINES = {

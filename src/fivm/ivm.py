@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from fivm.queries import GROUP_BY, RELATIONAL_PAYLOAD, Occurrence, Query
+from fivm.queries import RELATIONAL_PAYLOAD, Occurrence, Query
 from fivm.relations import (
     DenseRelation,
     IndicatorState,
@@ -33,8 +33,8 @@ from fivm.relations import (
     rel_apply_delta,
     rel_marginalize,
 )
-from fivm.rings import lift_to_one, lift_unit, relational_total
-from fivm.viewtree import INDICATOR, LEAF, ViewNode, ViewTree
+from fivm.rings import relational_total
+from fivm.viewtree import INDICATOR, LEAF, ViewNode, ViewTree, flat_lifts
 
 __all__ = [
     "UpdateDelta",
@@ -365,17 +365,10 @@ def recompute_query(
 ) -> Relation:
     """Join every occurrence and sum out everything off the result schema.
 
-    Bound variables use the query's lifting functions; free variables that
-    the result schema nests into payloads fold to one (or to a unit payload
-    under relational output). Works from the base relations alone, so it
-    checks a maintained result without trusting any stored view.
+    Each variable is summed out by the lift :func:`flat_lifts` gives it.
+    Works from the base relations alone, so it checks a maintained result
+    without trusting any stored view.
     """
     first, *rest = [leaves[d.leaf_id] for d in query.relations]
-    variables = dict.fromkeys(v for d in query.relations for v in d.schema)
-    drop = [v for v in variables if v not in result_schema]
-    lifts = dict(query.lifts)
-    fold = lift_to_one if query.free_lift_mode == GROUP_BY else lift_unit
-    for v in drop:
-        if v not in lifts:
-            lifts[v] = fold(v)
-    return rel_marginalize(first, drop, lifts, [(r, None) for r in rest], result_schema)
+    lifts = flat_lifts(query, result_schema)
+    return rel_marginalize(first, tuple(lifts), lifts, [(r, None) for r in rest], result_schema)

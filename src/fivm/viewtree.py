@@ -6,7 +6,8 @@ that variable out through its lifting function. Leaves are the input
 relation occurrences. Two constructions live here: the general one that
 keys every view by its dependency set plus the free variables below it,
 and the output-oriented one for free-top orders, which keeps each free
-variable enumerable from a dedicated hub view.
+variable enumerable from a dedicated hub view. A third, flat plan joins
+every occurrence in one stored view: first-order maintenance.
 
 On top of the raw construction this module places existence projections of
 absent relations onto cyclic cores (so joins like the triangle stay
@@ -37,7 +38,7 @@ from fivm.queries import (
     gyo_reduce,
     infer_dep,
 )
-from fivm.rings import LiftingFunction, lift_singleton, lift_to_one
+from fivm.rings import LiftingFunction, lift_singleton, lift_to_one, lift_unit
 
 __all__ = [
     "DeltaStep",
@@ -49,8 +50,11 @@ __all__ = [
     "choose_materialization",
     "compact_and_dedupe",
     "fold_static_siblings",
+    "flat_lifts",
     "payload_covers",
-    "plan_indices",
+    "plan_delta_paths",
+    "plan_flat_tree",
+    "plan_listing",
     "plan_view_tree",
     "delta_join_order",
 ]
@@ -145,14 +149,14 @@ class ViewTree:
         self.leaf_nodes: dict[str, ViewNode] = {}
         self.indicator_nodes: list[ViewNode] = []
         self.enum_views: dict[str, str] = {}
-        # Set by plan_indices: a (variable, view id, probe vars) step per
+        # Set by plan_listing: a (variable, view id, probe vars) step per
         # walked free variable (none when the root is scanned instead), and
         # the roots' payload_covers grouped by the listing step that binds
         # the last of their keys (the first step when none does; one group
         # when the root is scanned).
         self.listing_steps: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
         self.listing_covers: tuple[tuple[ViewNode, ...], ...] = ()
-        # Set by plan_indices: the delta path of every node a delta enters
+        # Set by plan_delta_paths: the delta path of every node a delta enters
         # at (updatable leaves and the indicators they feed), bottom-up, and
         # per updatable leaf id the indicators its support transitions feed.
         self.delta_paths: dict[str, tuple[DeltaStep, ...]] = {}
@@ -263,19 +267,17 @@ def _free_lift(query: Query, var: str) -> LiftingFunction:
     return lift_singleton(var)
 
 
-def _view_id(tree: ViewTree, prefix: str, var: Optional[str], rels: Iterable[str]) -> str:
-    tag = "+".join(sorted(rels))
+def _view_id(tree: ViewTree, prefix: str, var: Optional[str], nodes: Iterable[ViewNode]) -> str:
+    """A fresh id naming the view at ``var`` over ``nodes``' relations."""
+    tag = "+".join(sorted(_rels_below(*nodes)))
     at = var if var is not None else "top"
     return tree.claim_id(f"{prefix}@{at}({tag})")
 
 
-def _rels_below(node: ViewNode) -> set[str]:
-    rels: set[str] = set()
-    if node.kind == LEAF:
-        rels.add(node.leaf_id)
-    for c in node.children:
-        rels |= _rels_below(c)
-    return rels
+def _rels_below(*nodes: ViewNode) -> set[str]:
+    """The relation occurrences at or below ``nodes``."""
+    below = {n.leaf_id for n in nodes if n.kind == LEAF}
+    return below.union(*(_rels_below(*n.children) for n in nodes))
 
 
 def build_view_tree(query: Query, order: VariableOrder) -> ViewTree:
@@ -312,7 +314,7 @@ def build_view_tree(query: Query, order: VariableOrder) -> ViewTree:
                 f"view at {x} joins schema {sorted(joined)} but needs {sorted(set(keys) | set(marg))}"
             )
         node = ViewNode(
-            _view_id(tree, "V", x, _union_rels(children)),
+            _view_id(tree, "V", x, children),
             VIEW,
             keys=keys,
             at_variable=x,
@@ -325,13 +327,6 @@ def build_view_tree(query: Query, order: VariableOrder) -> ViewTree:
     tree.roots = [build(r) for r in order.roots]
     tree.finalize()
     return tree
-
-
-def _union_rels(children: list[ViewNode]) -> set[str]:
-    rels: set[str] = set()
-    for c in children:
-        rels |= _rels_below(c)
-    return rels
 
 
 def build_free_connex_tree(query: Query, order: VariableOrder) -> ViewTree:
@@ -367,7 +362,7 @@ def build_free_connex_tree(query: Query, order: VariableOrder) -> ViewTree:
             # per-tuple payload lookups can stop at an all-free view instead
             # of descending past the sum over the bound variables.
             node = ViewNode(
-                _view_id(tree, "B", x, _rels_below(child)),
+                _view_id(tree, "B", x, [child]),
                 VIEW,
                 keys=order.sort_vars(
                     v for v in child.keys if v not in set(leftovers)
@@ -386,7 +381,7 @@ def build_free_connex_tree(query: Query, order: VariableOrder) -> ViewTree:
             lifts[v] = _free_lift(query, v) if v in free else _bound_lift(query, v)
         keys = tuple(v for v in node.keys if v not in set(marg))
         return ViewNode(
-            _view_id(tree, "V", x, _rels_below(node)),
+            _view_id(tree, "V", x, [node]),
             VIEW,
             keys=order.sort_vars(keys),
             at_variable=x,
@@ -409,7 +404,7 @@ def build_free_connex_tree(query: Query, order: VariableOrder) -> ViewTree:
             if x not in joined:
                 raise ValueError(f"hub at {x} lost its own variable: {sorted(joined)}")
             hub = ViewNode(
-                _view_id(tree, "H", x, _union_rels(children)),
+                _view_id(tree, "H", x, children),
                 VIEW,
                 keys=order.sort_vars(joined),
                 at_variable=x,
@@ -432,7 +427,7 @@ def build_free_connex_tree(query: Query, order: VariableOrder) -> ViewTree:
         if leftover:
             lifts = {v: _bound_lift(query, v) for v in leftover}
             top = ViewNode(
-                _view_id(tree, "V", None, _rels_below(top)),
+                _view_id(tree, "V", None, [top]),
                 VIEW,
                 keys=tuple(v for v in top.keys if v not in set(leftover)),
                 marg_vars=leftover,
@@ -527,7 +522,7 @@ def fold_static_siblings(tree: ViewTree, updatable: Iterable[str]) -> ViewTree:
         if len(static) < 2 or all(set(c.keys) != keys for c in static):
             continue
         fold = ViewNode(
-            _view_id(tree, "F", node.at_variable, _union_rels(static)),
+            _view_id(tree, "F", node.at_variable, static),
             VIEW,
             keys=tree.order.sort_vars(keys),
             at_variable=node.at_variable,
@@ -676,25 +671,23 @@ def payload_covers(node: ViewNode, free: frozenset[str]) -> tuple[ViewNode, ...]
     return tuple(n for c in node.children for n in payload_covers(c, free))
 
 
-def plan_indices(tree: ViewTree) -> ViewTree:
-    """Fix the delta paths and the secondary indexes they and enumeration probe.
+def _need(node: ViewNode, probe: tuple[str, ...], group: Optional[str]) -> None:
+    spec = (probe, group)
+    if spec not in node.required_indices:
+        node.required_indices.append(spec)
+
+
+def plan_delta_paths(tree: ViewTree) -> ViewTree:
+    """Fix the delta paths and the secondary indexes they probe.
 
     Walks the propagation path of every updatable relation occurrence (and
     of every indicator fed by one) into ``delta_paths``, resolving each
     sibling's join route, and notes a plain index on each sibling probed
     on part of its schema; ``feeds`` lists the indicators each updatable
-    occurrence feeds. Enumeration hubs get an index grouping by their own
-    variable under the enumerable prefix; each such index is also a step of
-    the listing plan, and each of the roots' payload covers is read at the
-    deepest step that binds one of its keys.
+    occurrence feeds. Clears every index planned before.
     """
     for node in tree.nodes:
         node.required_indices = []
-
-    def need(node: ViewNode, probe: tuple[str, ...], group: Optional[str]) -> None:
-        spec = (probe, group)
-        if spec not in node.required_indices:
-            node.required_indices.append(spec)
 
     def walk_up(node: ViewNode) -> tuple[DeltaStep, ...]:
         steps = []
@@ -703,7 +696,7 @@ def plan_indices(tree: ViewTree) -> ViewTree:
             joins = tuple(delta_join_order(parent, node))
             for sib_id, route in joins:
                 if isinstance(route, tuple):
-                    need(tree.by_id[sib_id], *route)
+                    _need(tree.by_id[sib_id], *route)
             inner_first = tuple(sorted(parent.marg_vars, key=tree.order.index, reverse=True))
             steps.append(DeltaStep(parent, node.id, joins, inner_first))
             node = parent
@@ -716,14 +709,24 @@ def plan_indices(tree: ViewTree) -> ViewTree:
     }
     entries = [tree.leaf_nodes[leaf_id] for leaf_id in sorted(tree.updatable)] + fed
     tree.delta_paths = {node.id: walk_up(node) for node in entries}
+    return tree
 
+
+def plan_listing(tree: ViewTree) -> ViewTree:
+    """Fix the listing plan and the grouped indexes it probes.
+
+    Enumeration hubs get an index grouping by their own variable under the
+    enumerable prefix; each such index is also a step of the listing plan,
+    and each of the roots' payload covers is read at the deepest step that
+    binds one of its keys.
+    """
     free = frozenset(tree.query.free)
     steps = []
     for var in sorted(tree.enum_views, key=tree.order.index):
         node = tree.by_id[tree.enum_views[var]]
         fixed = set(tree.order.ancestors(var)) & free
         probe = tuple(v for v in node.keys if v in fixed)
-        need(node, probe, var)
+        _need(node, probe, var)
         steps.append((var, node.id, probe))
     tree.listing_steps = tuple(steps)
     depth = {var: i for i, (var, _, _) in enumerate(steps)}
@@ -751,10 +754,7 @@ def plan_view_tree(
     mostly useful for measuring how much the projections save.
     """
     if mode is None:
-        if query.free and order.is_free_top(query.free):
-            mode = "nu"
-        else:
-            mode = "tau"
+        mode = "nu" if query.free and order.is_free_top(query.free) else "tau"
     if mode == "nu":
         tree = build_free_connex_tree(query, order)
     elif mode == "tau":
@@ -767,5 +767,38 @@ def plan_view_tree(
     fold_static_siblings(tree, updatable)
     choose_materialization(tree, updatable)
     compact_and_dedupe(tree)
-    plan_indices(tree)
+    plan_delta_paths(tree)
+    plan_listing(tree)
     return tree
+
+
+def flat_lifts(query: Query, schema: Iterable[str]) -> dict[str, LiftingFunction]:
+    """The variables a join of every occurrence sums out to keep only
+    ``schema``, in order of first appearance, each with its lift: the
+    query's own, else to one under plain grouping, else a unit payload
+    under relational payloads."""
+    keep = set(schema)
+    fold = lift_to_one if query.free_lift_mode == GROUP_BY else lift_unit
+    summed = (v for d in query.relations for v in d.schema if v not in keep)
+    return {v: query.lifts[v] if v in query.lifts else fold(v) for v in summed}
+
+
+def plan_flat_tree(
+    query: Query, order: VariableOrder, schema: Iterable[str], updatable: Iterable[str]
+) -> ViewTree:
+    """Plan first-order maintenance: one stored view over ``schema`` whose
+    children are every relation occurrence, summing out the rest by
+    :func:`flat_lifts`. A delta to an updatable occurrence joins the
+    other occurrences through the leaf indexes its delta path plans, and
+    no view stands between the inputs and the result."""
+    tree = ViewTree(query, order, mode="flat")
+    leaves = [_leaf_node(tree, query, d.leaf_id) for d in query.relations]
+    lifts = flat_lifts(query, schema)
+    root = ViewNode(
+        _view_id(tree, "V", None, leaves), VIEW, keys=tuple(schema),
+        marg_vars=tuple(lifts), lifts=lifts, children=leaves,
+    )
+    tree.roots = [root]
+    tree.finalize()
+    choose_materialization(tree, updatable)
+    return plan_delta_paths(tree)

@@ -34,6 +34,8 @@ from fivm.harness.scenario import (
 )
 from fivm.harness.streams import StreamEvent, synthesize_stream
 from fivm.apps import RegressionConfig
+from fivm.ivm import recompute_query
+from fivm.relations import Relation
 from fivm.rings import CovarianceTriple, integer_ring, real_ring, relational_ring
 
 COUNT_SCN = {
@@ -452,6 +454,70 @@ def test_engines_agree_batch_by_batch():
             snaps.append(e.root_snapshot())
         assert snaps[0] == snaps[1] == snaps[2]
     assert snaps[0] == {(): 6}
+
+
+def test_every_engine_counts_a_batch_by_its_merged_key_changes():
+    """Two inserts on one key are one key-level change, and an insert and
+    a delete of one key are none, whichever engine applies the batch."""
+    compiled = compile_scenario(scn())
+    batch = [
+        StreamEvent("R", (5, 1), 1),
+        StreamEvent("R", (5, 1), 1),
+        StreamEvent("S", (1, 0), 1),
+        StreamEvent("S", (3, 1), 1),
+        StreamEvent("S", (3, 1), 1, sign=-1),
+    ]
+    touched = {}
+    for name in ENGINE_NAMES:
+        engine = make_engine(name, compiled)
+        engine.setup()
+        touched[name] = engine.apply(batch)
+    assert touched == {name: 2 for name in ENGINE_NAMES}
+
+
+def fanout_chain(n):
+    """R(A,B)-S(B,C)-T(C,D) counted, S and T static with ``n`` rows each.
+    Every B value meets two C values and every C value one D value at any
+    ``n``, and R streams the same 20 single inserts."""
+    return scenario_from_dict({
+        "name": f"fanout_chain_{n}",
+        "ring": {"kind": "integer"},
+        "relations": [
+            {"name": "R", "schema": ["A", "B"], "rows": [[i, 7 * i] for i in range(20)]},
+            {"name": "S", "schema": ["B", "C"], "rows": [[c // 2, c] for c in range(n)]},
+            {"name": "T", "schema": ["C", "D"], "rows": [[c, c % 10] for c in range(n)]},
+        ],
+        "order": [["B", ["A"], ["C", ["D"]]]],
+        "lifts": {v: "one" for v in "ABCD"},
+        "updatable": ["R"],
+    })
+
+
+def test_first_order_work_per_update_does_not_grow_with_the_inputs():
+    """A first-order update joins its delta with the other inputs through
+    their indexes, so its entry reads stay flat when the static inputs
+    grow fourfold at a fixed fan-out; its root equals a recompute over the
+    inputs after every batch."""
+    reads = {}
+    for n in (500, 2000):
+        compiled = compile_scenario(fanout_chain(n))
+        query = compiled.query
+        engine = make_engine("first_order", compiled)
+        engine.setup()
+        inputs = {d.name: Relation(d.schema, query.ring) for d in query.relations}
+        for name, events in compiled.static_events.items():
+            inputs[name].accumulate_all((e.key, e.payload) for e in events)
+        spent = []
+        for batch in synthesize_stream(compiled.stream_events, batch_size=1):
+            before = engine.counters.entry_reads
+            engine.apply(batch)
+            spent.append(engine.counters.entry_reads - before)
+            inputs["R"].accumulate_all((e.key, e.payload) for e in batch)
+            expect = recompute_query(query, inputs, compiled.result_schema)
+            assert engine.root_snapshot() == dict(expect.entries)
+        assert len(spent) == 20
+        reads[n] = sum(spent) / len(spent)
+    assert reads[2000] <= 1.5 * reads[500], reads
 
 
 def test_unknown_engine_names_fail():
