@@ -6,11 +6,15 @@ enters the tree at an updatable relation occurrence or at an existence
 projection, and one routine handles both: it climbs the path the planner
 fixed for the entry (``ViewTree.delta_paths``), at every level joining the
 pre-update state of the sibling views and summing out the level's
-variables. Only once the whole path is computed are the stored levels
-updated, the entry's own relation last, so an update that fails partway up
-changes nothing. The occurrence's support transitions then become the
-(usually tiny) delta of each projection the plan says it feeds
-(``ViewTree.feeds``), which climbs its own path against the updated state.
+variables. Each path is compiled once per evaluated state, at its first
+delta: every level's stored view, sibling relations, row positions and
+lifts are resolved then, so a climb runs one row loop per level
+(``relations.marginalize_shape``) and plans nothing. Only once the whole
+path is computed are the stored levels updated, the entry's own relation
+last, so an update that fails partway up changes nothing. The
+occurrence's support transitions then become the (usually tiny) delta of
+each projection the plan says it feeds (``ViewTree.feeds``), which climbs
+its own path against the updated state.
 
 Updates that arrive as products of independent factors are propagated
 without expanding the product: each variable is summed out by joining only
@@ -21,6 +25,7 @@ cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable, Optional
 
 from fivm.queries import RELATIONAL_PAYLOAD, Occurrence, Query
@@ -30,6 +35,8 @@ from fivm.relations import (
     OpCounters,
     Relation,
     indicator_delta,
+    marginalize_shape,
+    plan_shape,
     rel_apply_delta,
     rel_marginalize,
 )
@@ -127,14 +134,27 @@ class RuntimeState:
             self.payload_xform = None
         for d in self.query.relations:
             self.leaves[d.leaf_id] = self.relation(d.schema, d.leaf_id)
+        # Per updatable relation name: its occurrences, its update schema
+        # and the maker of its merged deltas.
+        self._targets = {
+            name: (occs, occs[0].schema, self._maker(occs[0].schema))
+            for name, occs in self.query.occurrences.items()
+            if occs[0].leaf_id in tree.updatable
+        }
+        # Per delta entry id, its compiled path (see _compile).
+        self._paths: dict[str, tuple] = {}
 
     def relation(self, schema: tuple[str, ...], name: str = "") -> Relation:
         """An empty relation over ``schema`` on this state's counters,
         dense when the query declares the ranges of all its variables."""
+        return self._maker(schema)(name=name)
+
+    def _maker(self, schema: tuple[str, ...]) -> partial:
+        """What :meth:`relation` calls to make an empty relation over ``schema``."""
         shape = self.query.dense_shape(schema)
         if shape is None:
-            return Relation(schema, self.ring, self.counters, name)
-        return DenseRelation(schema, self.ring, shape, self.counters, name)
+            return partial(Relation, schema, self.ring, self.counters)
+        return partial(DenseRelation, schema, self.ring, shape, self.counters)
 
     def load(self, data: dict[str, Iterable[tuple[tuple, Any]]]) -> None:
         """Fill the base relations and evaluate every view bottom-up.
@@ -193,7 +213,10 @@ class RuntimeState:
             else:
                 first, *rest = node.children
                 joins = [(values[c.id], None) for c in rest]
-                rel = self._marginalize(node, values[first.id], joins)
+                rel = rel_marginalize(
+                    values[first.id], node.marg_vars, node.lifts, joins,
+                    schema=node.keys, payload_map=self.payload_xform,
+                )
                 rel.name = node.id
                 if node.materialized:
                     views[node.id] = rel
@@ -203,13 +226,7 @@ class RuntimeState:
                     rel.ensure_index(probe, group)
         self.leaves, self.views = dict(leaves), views
         self.indicator_rels, self.indicator_states = indicator_rels, indicator_states
-
-    def _marginalize(self, node: ViewNode, first: Relation, joins: list) -> Relation:
-        """``first`` joined with ``joins`` and summed out as ``node`` defines."""
-        return rel_marginalize(
-            first, node.marg_vars, node.lifts, joins,
-            schema=node.keys, payload_map=self.payload_xform,
-        )
+        self._paths = {}
 
     def stored(self, node_id: str) -> Relation:
         node = self.tree.by_id[node_id]
@@ -234,34 +251,64 @@ class RuntimeState:
         return rel_marginalize(form[0], (), {}, [(f, None) for f in form[1:]], schema=schema)
 
     def _enter(self, entry: ViewNode, form: list[Relation]) -> list[tuple[tuple, int]]:
-        """Push a delta that enters at ``entry`` up its planned path.
+        """Push a delta that enters at ``entry`` up its compiled path.
 
-        Every level is computed against the state before the delta; only
-        then are the stored levels updated, and the entry's own relation
-        last, so an error on the way up changes nothing. Returns the
-        support transitions of the entry's relation (none when unstored).
+        The climb runs in this one frame: at each level a single relation
+        is joined with the level's siblings and summed by
+        :func:`marginalize_shape` in the shape planned for its schema, and
+        a product of factors by :func:`optimize_factorized`. Every level is
+        computed against the state before the delta; only then are the
+        stored levels updated, and the entry's own relation last, so an
+        error on the way up changes nothing. Returns the support
+        transitions of the entry's relation (none when unstored).
         """
-        path: list[tuple[ViewNode, list[Relation]]] = []
+        path = self._paths.get(entry.id)
+        if path is None:
+            path = self._paths[entry.id] = self._compile(entry)
+        stored, levels = path
+        xform = self.payload_xform
+        deltas: list[tuple[ViewNode, Optional[Relation], list[Relation]]] = []
         level = form
-        for step in self.tree.delta_paths[entry.id]:
+        for node, target, rights, joins, inner_first, shapes in levels:
             if any(not f.entries for f in level):
                 break
-            if self.payload_xform:
+            if xform and len(level) > 1:
                 # Payload totals do not distribute over a product's factors.
                 level = [self._expand(level)]
             if len(level) > 1:
-                operands = level + [self.stored(sib_id) for sib_id, _ in step.joins]
-                level = optimize_factorized(operands, step.inner_first, step.node.lifts)
+                level = optimize_factorized(level + rights, inner_first, node.lifts)
             else:
-                joins = [(self.stored(sib_id), route) for sib_id, route in step.joins]
-                level = [self._marginalize(step.node, level[0], joins)]
-            path.append((step.node, level))
-        for node, level in path:
-            if node.materialized:
-                rel_apply_delta(self.stored(node.id), self._expand(level, node.keys))
-        if not entry.materialized:
+                rel = level[0]
+                shape = shapes.get(rel.schema)
+                if shape is None:
+                    shape = shapes[rel.schema] = plan_shape(
+                        rel.schema, joins, node.marg_vars, node.lifts, node.keys
+                    )
+                level = [marginalize_shape(rel, rights, shape, xform)]
+            deltas.append((node, target, level))
+        for node, target, level in deltas:
+            if target is not None:
+                rel_apply_delta(target, self._expand(level, node.keys))
+        if stored is None:
             return []
-        return rel_apply_delta(self.stored(entry.id), self._expand(form, entry.keys))
+        return rel_apply_delta(stored, self._expand(form, entry.keys))
+
+    def _compile(self, entry: ViewNode) -> tuple:
+        """``entry``'s stored relation (None when unstored) and the levels
+        of its delta path, resolved against the stored relations: per
+        level the node, its stored relation (None when unstored), the
+        sibling relations and their (schema, route) pairs, the order in
+        which a product-form delta sums out the node's variables, and the
+        shapes planned so far, keyed by the schema of the delta reaching
+        the level. A path is compiled at its first delta and dropped
+        whenever :meth:`initialize` rebinds the stored relations."""
+        levels = []
+        for step in self.tree.delta_paths[entry.id]:
+            rights = [self.stored(sib_id) for sib_id, _ in step.joins]
+            joins = tuple((r.schema, route) for r, (_, route) in zip(rights, step.joins))
+            target = self.stored(step.node.id) if step.node.materialized else None
+            levels.append((step.node, target, rights, joins, step.inner_first, {}))
+        return (self.stored(entry.id) if entry.materialized else None), tuple(levels)
 
     def propagate(self, leaf_id: str, form: list[Relation]) -> None:
         """Push one relation occurrence's delta through the whole tree.
@@ -292,21 +339,21 @@ class RuntimeState:
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
             by_name.setdefault(u.target, []).append(u)
-        batch: list[tuple[tuple[Occurrence, ...], list[list[Relation]]]] = []
+        batch: list[tuple[tuple[Occurrence, ...], tuple[str, ...], list[list[Relation]]]] = []
         for name, items in by_name.items():
-            occurrences = self.query.occurrences.get(name)
-            if occurrences is None:
+            target = self._targets.get(name)
+            if target is None:
+                if name in self.query.occurrences:
+                    raise ValueError(f"relation {name} is not updatable in this plan")
                 raise ValueError(f"update for unknown relation {name}")
-            if occurrences[0].leaf_id not in self.tree.updatable:
-                raise ValueError(f"relation {name} is not updatable in this plan")
-            schema = occurrences[0].schema
+            occurrences, schema, make = target
             merged: Optional[Relation] = None
             units: list[list[Relation]] = []
             pending: list[tuple] = []
             for u in items:
                 if isinstance(u, UpdateDelta):
                     if merged is None:
-                        merged = self.relation(schema)
+                        merged = make()
                         units.append([merged])
                     pending += u.pairs
                 else:
@@ -330,9 +377,9 @@ class RuntimeState:
                     units.append(list(u.factors))
             if pending:
                 self._accumulate(merged, name, pending)
-            batch.append((occurrences, units))
+            batch.append((occurrences, schema, units))
         touched = 0
-        for occurrences, units in batch:
+        for occurrences, schema, units in batch:
             for form in units:
                 if any(not f.entries for f in form):
                     continue
@@ -341,15 +388,19 @@ class RuntimeState:
                     # Each occurrence binds the relation's columns to its
                     # own variables, so the delta's schema is renamed
                     # positionally before it enters that occurrence's path.
-                    self.propagate(occ.leaf_id, [self._rebound(f, occ.renaming) for f in form])
+                    self.propagate(occ.leaf_id, [self._rebound(f, occ, schema) for f in form])
         return touched
 
-    def _rebound(self, rel: Relation, mapping: dict[str, str]) -> Relation:
-        """``rel`` under the occurrence's variable names, sharing its entries."""
-        schema = tuple(mapping.get(v, v) for v in rel.schema)
-        if schema == rel.schema and rel.counters is self.counters:
+    def _rebound(self, rel: Relation, occ: Occurrence, schema: tuple[str, ...]) -> Relation:
+        """``rel`` under ``occ``'s variable names, sharing its entries: a
+        delta over the update ``schema`` takes the occurrence's own schema,
+        and a factor's columns are renamed one by one."""
+        renamed = occ.schema
+        if rel.schema != schema:
+            renamed = tuple(occ.renaming.get(v, v) for v in rel.schema)
+        if renamed == rel.schema and rel.counters is self.counters:
             return rel
-        out = Relation(schema, rel.ring, counters=self.counters, name=rel.name)
+        out = Relation(renamed, rel.ring, counters=self.counters, name=rel.name)
         out.entries = rel.entries
         return out
 

@@ -499,6 +499,27 @@ def _walk_plan(
     return tuple(levels), tuple((bound.index(v), v) for v in drop), schema, out_pos
 
 
+def plan_shape(
+    left: tuple, rights: tuple, drop_vars: tuple, lifts: dict, schema: Optional[tuple] = None
+) -> tuple:
+    """The shape :func:`marginalize_shape` runs to join a relation over
+    ``left`` with relations over the (schema, route) pairs ``rights`` and
+    sum out ``drop_vars`` by ``lifts`` into ``schema``: the join levels of
+    :func:`_walk_plan`, whether anything is summed out, the (position,
+    lifting function) of each summed-out variable not lifted to one, the
+    output schema and its positions in the joined key, and whether every
+    variable gets one of the 52 letters ``einsum`` names variables by."""
+    levels, drop, out_schema, out_pos = _walk_plan(left, rights, drop_vars, schema)
+    lifted = []
+    for pos, v in drop:
+        if v not in lifts:
+            raise ValueError(f"no lifting function for marginalized variable {v}")
+        if lifts[v].mode != TO_ONE:
+            lifted.append((pos, lifts[v]))
+    lettered = len(set(left).union(*(s for s, _ in rights))) <= len(string.ascii_letters)
+    return levels, bool(drop), tuple(lifted), out_schema, out_pos, lettered
+
+
 def rel_marginalize(
     rel: Relation,
     drop_vars: Iterable[str],
@@ -527,48 +548,72 @@ def rel_marginalize(
     that order unless ``schema`` names a permutation of them. Every
     dropped variable needs a lifting function. No intermediate relation is
     built. Dense operands with no ``payload_map`` and only to-one lifts are
-    contracted by :func:`_contract` instead, into a dense relation.
+    contracted by :func:`_contract` instead, into a dense relation. The
+    shape is planned by :func:`plan_shape` and run by
+    :func:`marginalize_shape`.
     """
-    levels, drop, out_schema, out_pos = _walk_plan(
+    shape = plan_shape(
         rel.schema,
         tuple([(r.schema, route) for r, route in joins]),
         tuple(drop_vars),
+        lifts,
         None if schema is None else tuple(schema),
     )
-    lifted = []
-    for pos, v in drop:
-        if v not in lifts:
-            raise ValueError(f"no lifting function for marginalized variable {v}")
-        if lifts[v].mode != TO_ONE:
-            lifted.append((pos, lifts[v]))
-    rights = [r for r, _ in joins]
-    if type(rel) is DenseRelation and payload_map is None and not lifted:
-        # einsum names each variable by one of 52 letters
-        names = set(rel.schema).union(*(r.schema for r in rights))
-        if all(type(r) is DenseRelation for r in rights) and len(names) <= len(string.ascii_letters):
-            return _contract(rel, joins, levels, out_schema)
-    out = Relation(out_schema, rel.ring, counters=rel.counters)
-    if not rel.entries or not all(r.entries for r in rights):
+    return marginalize_shape(rel, [r for r, _ in joins], shape, payload_map)
+
+
+def marginalize_shape(
+    rel: Relation, rights: Sequence[Relation], shape: tuple, payload_map=None
+) -> Relation:
+    """:func:`rel_marginalize` of ``rel`` joined with ``rights`` in a
+    planned ``shape`` (:func:`plan_shape`): the one row loop of the
+    operator and of each level of a delta's climb
+    (``RuntimeState._enter``). Rows are chained through the joins
+    (:func:`_join_rows`), so no level's rows are ever held together, then
+    lifted, cut down to the output key and summed into the output's
+    entries, counted as accumulating them."""
+    levels, sums, lifted, schema, out_pos, lettered = shape
+    dense = type(rel) is DenseRelation and all(type(r) is DenseRelation for r in rights)
+    if dense and payload_map is None and not lifted and lettered:
+        return _contract(rel, rights, levels, schema)
+    ring, counters = rel.ring, rel.counters
+    out = Relation(schema, ring, counters)
+    left = rel.entries
+    if not left:
         return out
-    ring = rel.ring
-    mul, is_zero = ring.mul, ring.is_zero
-    _tally(rel.counters, reads=len(rel.entries))
-    rows: Iterable[tuple[tuple, Any]] = rel.entries.items()
+    for right in rights:
+        if not right.entries:
+            return out
+    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
+    rows: Iterable[tuple[tuple, Any]] = left.items()
     if payload_map is not None:
         rows = ((k, v) for k, v in ((k, payload_map(v)) for k, v in rows) if not is_zero(v))
-    # Chained generators: each row is carried through every join before
-    # the next one is read, so no level's rows are ever held together.
     # When nothing is summed out, the last join skips the zero test: each
     # of its rows has its own output key, and a zero on a new key is not
     # stored.
     last = len(rights) - 1
     for i, (right, level) in enumerate(zip(rights, levels)):
-        rows = _join_rows(
-            rows, right, level, mul, is_zero, payload_map, rel.counters, i < last or bool(drop)
-        )
-    if lifted or out_pos is not None:
-        rows = _finish_rows(rows, ring, lifted, out_pos)
-    out.accumulate_all(rows)
+        rows = _join_rows(rows, right, level, mul, is_zero, payload_map, counters, i < last or sums)
+    entries = out.entries
+    reads, writes = len(left), 0
+    for key, val in rows:
+        for pos, fn in lifted:
+            val = mul(val, lift(ring, fn, key[pos]))
+        if out_pos is not None:
+            key = tuple([key[i] for i in out_pos])
+        reads += 1
+        old = entries.get(key)
+        if old is not None:
+            val = add(old, val)
+            if is_zero(val):
+                del entries[key]
+                writes += 1
+                continue
+        elif is_zero(val):
+            continue
+        entries[key] = val
+        writes += 1
+    _tally(counters, reads, writes)
     return out
 
 
@@ -610,7 +655,7 @@ def _contract_plan(schemas: tuple, shapes: tuple, out_schema: tuple) -> tuple:
 
 
 def _contract(
-    rel: Relation, joins: Sequence[tuple[Relation, Any]], levels: tuple, out_schema: tuple
+    rel: Relation, rights: Sequence[Relation], levels: tuple, out_schema: tuple
 ) -> Relation:
     """:func:`rel_marginalize` of dense operands with to-one lifts: one
     ``einsum``, counted as the dict path counts the same nonzero cells.
@@ -623,7 +668,7 @@ def _contract(
     probes its grouping once; the scan reads the relation once if any row
     arrives. The output reads and writes once per joined row.
     """
-    ops = [rel] + [r for r, _ in joins]
+    ops = [rel, *rights]
     arrays = [r.entries.array for r in ops]
     spec, path, shape, counts = _contract_plan(
         tuple(r.schema for r in ops), tuple(a.shape for a in arrays), out_schema
@@ -635,34 +680,25 @@ def _contract(
     masks = [] if full else [(a != 0).astype(float) for a in arrays]
     rows = len(rel.entries)
     _tally(rel.counters, reads=rows)
-    for i, ((right, route), (partial, product)) in enumerate(zip(joins, counts), 1):
+    for i, (right, level, (partial, product)) in enumerate(zip(rights, levels, counts), 1):
         joined = product if full else round(float(_einsum(partial, masks[: i + 1])))
+        route = level[1]
         if route == "primary":
             _tally(right.counters, reads=rows)
         elif route is not None:
             _tally(right.counters, reads=joined, probes=rows)
         elif rows:
             _tally(right.counters, reads=len(right.entries))
-            if levels[i - 1][2]:
+            if level[2]:
                 _tally(rel.counters, probes=rows)
         rows = joined
     result = np.einsum(spec, *arrays, optimize=path)
     cells = out.entries
     # one operand may come back as a view of its own array
-    cells.array = np.array(result) if not joins else np.asarray(result)
+    cells.array = np.array(result) if not rights else np.asarray(result)
     cells.count = int(np.count_nonzero(cells.array))
     _tally(out.counters, reads=rows, writes=rows)
     return out
-
-
-def _finish_rows(rows, ring: RingSpec, lifted: list, out_pos: Optional[tuple]):
-    """Multiply each joined row by its lifted dropped values and cut its
-    key down to the output schema."""
-    mul = ring.mul
-    for key, val in rows:
-        for pos, fn in lifted:
-            val = mul(val, lift(ring, fn, key[pos]))
-        yield (key if out_pos is None else tuple([key[i] for i in out_pos])), val
 
 
 def _join_rows(

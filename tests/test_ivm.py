@@ -21,7 +21,14 @@ from fivm.ivm import (
     recompute_query,
 )
 from fivm.queries import Query, VariableOrder
-from fivm.relations import DenseRelation, Relation, from_pairs, rel_join, rel_marginalize
+from fivm.relations import (
+    DenseRelation,
+    Relation,
+    from_pairs,
+    marginalize_shape,
+    rel_join,
+    rel_marginalize,
+)
 from fivm.rings import (
     CovarianceTriple,
     covariance_ring,
@@ -297,9 +304,9 @@ def test_a_level_that_fails_partway_up_stores_no_level(monkeypatch):
         levels.append(1)
         if len(levels) == 2:
             raise RuntimeError("root level failed")
-        return rel_marginalize(*args, **kwargs)
+        return marginalize_shape(*args, **kwargs)
 
-    monkeypatch.setattr(fivm.ivm, "rel_marginalize", fail_at_the_root)
+    monkeypatch.setattr(fivm.ivm, "marginalize_shape", fail_at_the_root)
     assert len(state.tree.delta_paths["R"]) == 2
     with pytest.raises(RuntimeError, match="root level failed"):
         state.apply_batch([UpdateDelta("R", ((("a1", "b9"), 1),))])
@@ -439,6 +446,56 @@ def test_to_one_lifts_are_not_applied(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert state.result().entries == state.recompute_oracle().entries
+    assert_views_match_fresh(state)
+
+
+def test_compiled_levels_follow_rebinding():
+    """A delta path compiled against the stored views of one evaluation
+    must not keep writing into them once a load, or a rebuild over the
+    leaves as the reevaluate engine makes after every batch, has
+    replaced them."""
+    state = chain_state()
+    state.apply_batch([UpdateDelta("R", ((("a1", "b9"), 1),))])
+    state.load({"R": [(("a2", "b1"), 2)], "S": COUNT_DB["S"], "T": COUNT_DB["T"][1:]})
+    state.apply_batch([UpdateDelta("R", ((("a1", "b9"), 1),))])
+    assert_views_match_fresh(state)
+    assert dict(state.result().entries) == dict(state.recompute_oracle().entries) == {(): 6}
+    for i in range(3):
+        for d in state.query.relations:
+            if d.name == "T":
+                state.leaves[d.leaf_id].accumulate_all([((f"c{i}", "d9"), 1)])
+        state.initialize(state.leaves)
+        state.apply_batch(
+            [UpdateDelta("R", (((f"a{i}", "b9"), 1),)), UpdateDelta("S", ((("a1", f"c{i}", "e9"), 1),))]
+        )
+        assert_views_match_fresh(state)
+        assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
+
+
+def test_no_update_plans_its_path(monkeypatch):
+    """Once every path has taken a delta, single updates and batches run
+    on the levels compiled for the state: nothing is planned again."""
+    state = chain_state()
+    for name, key in (("R", ("a1", "b9")), ("S", ("a1", "c2", "e9")), ("T", ("c2", "d9"))):
+        state.apply_batch([UpdateDelta(name, ((key, 1),))])
+    calls = []
+    walk_plan = fivm.relations._walk_plan
+    monkeypatch.setattr(
+        fivm.relations, "_walk_plan", lambda *a: calls.append(a) or walk_plan(*a)
+    )
+    for i in range(10):
+        name, key = [("R", ("a2", f"b{i}")), ("S", ("a2", "c1", f"e{i}")), ("T", ("c1", f"d{i}"))][i % 3]
+        state.apply_batch([UpdateDelta(name, ((key, 1 if i % 2 else -1),))])
+    state.apply_batch(
+        [
+            UpdateDelta("T", ((("c2", "d7"), 1), (("c1", "d1"), -1))),
+            UpdateDelta("R", ((("a1", "b7"), 1),)),
+            UpdateDelta("S", ((("a1", "c1", "e1"), -1),)),
+        ]
+    )
+    assert calls == []
+    monkeypatch.undo()
+    assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
     assert_views_match_fresh(state)
 
 
