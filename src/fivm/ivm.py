@@ -143,6 +143,7 @@ class RuntimeState:
         }
         # Per delta entry id, its compiled path (see _compile).
         self._paths: dict[str, tuple] = {}
+        self._root: Optional[Relation] = None
 
     def relation(self, schema: tuple[str, ...], name: str = "") -> Relation:
         """An empty relation over ``schema`` on this state's counters,
@@ -227,6 +228,10 @@ class RuntimeState:
         self.leaves, self.views = dict(leaves), views
         self.indicator_rels, self.indicator_states = indicator_rels, indicator_states
         self._paths = {}
+        # A single root is resolved here too, so that reading the result
+        # (a listing right after a batch) looks up no registry.
+        roots = self.tree.roots
+        self._root = self.stored(roots[0].id) if len(roots) == 1 else None
 
     def stored(self, node_id: str) -> Relation:
         node = self.tree.by_id[node_id]
@@ -238,10 +243,9 @@ class RuntimeState:
 
     def result(self) -> Relation:
         """The maintained query result (joining roots if there are several)."""
-        roots = self.tree.roots
-        if len(roots) == 1:
-            return self.stored(roots[0].id)
-        return self._expand([self.stored(r.id) for r in roots])
+        if self._root is not None:
+            return self._root
+        return self._expand([self.stored(r.id) for r in self.tree.roots])
 
     @staticmethod
     def _expand(form: list[Relation], schema: Optional[tuple[str, ...]] = None) -> Relation:
