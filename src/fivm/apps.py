@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence, TextIO, Union
 
@@ -147,25 +148,28 @@ def build_covariance_query(
     return CovarianceQuery(query=query, slots=slots)
 
 
+# The row and column indices of an n x n upper triangle, built once per n.
+_upper_triangle = lru_cache(maxsize=None)(np.triu_indices)
+
+
 def second_moment_matrix(
     spec: RingSpec, slots: Sequence[str], stats: CovarianceTriple
 ) -> np.ndarray:
     """Dense (m+1) x (m+1) moment matrix with an intercept row and column.
 
     Entry (0, 0) is the tuple count, row and column 0 hold the slot sums,
-    and the rest holds the pairwise products. Real base only.
+    and the rest holds the pairwise products: the ring's ``flat`` form of
+    the triple is the upper triangle, row by row. Real base only.
     """
     if spec.base != REAL:
         raise ValueError("dense moments need a real scalar base")
     m = spec.degree
     if len(slots) != m:
         raise ValueError(f"{m} slots expected, got {len(slots)}")
+    rows, cols = _upper_triangle(m + 1)
     out = np.zeros((m + 1, m + 1))
-    out[0, 0] = stats.c
-    for j, val in stats.s.items():
-        out[0, j] = out[j, 0] = val
-    for (i, j), val in stats.Q.items():
-        out[i, j] = out[j, i] = val
+    out[rows, cols] = spec.flat(stats)
+    out[cols, rows] = out[rows, cols]
     return out
 
 

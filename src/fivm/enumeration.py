@@ -26,10 +26,8 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from fivm.ivm import RuntimeState
-from fivm.rings import COVARIANCE, REAL, RELATIONAL
 
 __all__ = [
-    "check_csv_form",
     "listing_csv_rows",
     "enumerate_result",
     "payload_of_tuple",
@@ -147,36 +145,19 @@ def _getter(pos: list[int]) -> Callable[[Sequence], tuple]:
     return lambda row: ()
 
 
-def check_csv_form(ring) -> None:
-    """Raise ValueError when a listing over ``ring`` has no flat CSV form."""
-    if ring.kind == COVARIANCE and ring.base != REAL:
-        raise ValueError("triples over grouped scalars have no flat CSV form")
-
-
 def listing_csv_rows(
     state: RuntimeState, limit: Optional[int] = None
 ) -> tuple[list[str], Iterator[list]]:
     """Header and row iterator for a CSV dump of the result listing.
 
-    The header starts with the free variables. Plain payloads add one
-    ``payload`` column; relational payloads export their total; a
-    real-based statistics triple expands into its count, the per-slot
-    sums, and the upper triangle of the pairwise products, an absent
-    slot or pair read as 0.0.
+    The header starts with the free variables, then the ring's flat
+    columns (:attr:`RingSpec.columns`), and each row holds its payload's
+    flat form. Raises ValueError when the ring has no flat form.
     """
     ring = state.ring
-    check_csv_form(ring)
-    header = list(state.query.free)
-    if ring.kind == COVARIANCE:
-        slots = range(1, ring.degree + 1)
-        pairs = [(i, j) for i in slots for j in slots if i <= j]
-        header += ["c", *(f"s_{j}" for j in slots), *(f"q_{i}_{j}" for i, j in pairs)]
-
-        def flat(t: Any) -> list:
-            return [t.c, *(t.s.get(j, 0.0) for j in slots), *(t.Q.get(p, 0.0) for p in pairs)]
-
-    else:
-        header.append("payload")
-        flat = (lambda p: [p.total()]) if ring.kind == RELATIONAL else (lambda p: [p])
+    flat = ring.flat
+    if flat is None:
+        raise ValueError("triples over grouped scalars have no flat CSV form")
+    header = [*state.query.free, *ring.columns]
     rows = (list(key) + flat(val) for key, val in enumerate_result(state, limit=limit))
     return header, rows

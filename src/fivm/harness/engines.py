@@ -20,7 +20,6 @@ metric row; verification compares the listings those steps took.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +29,7 @@ from ..apps import chow_liu_tree, mutual_information_matrix, train_linear_regres
 from ..enumeration import enumerate_result
 from ..ivm import RuntimeState, UpdateDelta, recompute_query
 from ..relations import OpCounters, from_pairs
-from ..rings import COVARIANCE, REAL, RingSpec, ring_negate
+from ..rings import RingSpec, ring_negate
 from ..viewtree import plan_flat_tree
 from .scenario import CompiledScenario, Scenario, ScenarioError, compile_scenario
 from .streams import StreamEvent, synthesize_stream
@@ -120,16 +119,19 @@ class ReevaluateEngine(FirstOrderEngine):
         super().__init__(compiled, updatable=())
 
     def apply(self, batch: Sequence[StreamEvent]) -> int:
-        """Add the batch to the inputs and rebuild the result. Returns the
-        key-level changes the batch makes, merged on a private counter block
-        as :meth:`RuntimeState.apply_batch` counts them."""
+        """Add the batch to the inputs and rebuild the result, every row
+        checked (:meth:`Query.checked`) before any input changes. Returns
+        the key-level changes the batch makes, merged on a private counter
+        block as :meth:`RuntimeState.apply_batch` counts them."""
         state, query = self.state, self.compiled.query
+        deltas = _batch_deltas(self.compiled, batch)
+        checked = [(d.target, tuple(query.checked(d.pairs, d.target))) for d in deltas]
         touched = 0
-        for delta in _batch_deltas(self.compiled, batch):
-            occurrences = query.occurrences[delta.target]
+        for name, pairs in checked:
+            occurrences = query.occurrences[name]
             for occ in occurrences:
-                state.leaves[occ.leaf_id].accumulate_all(delta.pairs)
-            touched += len(from_pairs(occurrences[0].schema, query.ring, delta.pairs).entries)
+                state.leaves[occ.leaf_id].accumulate_all(pairs)
+            touched += len(from_pairs(occurrences[0].schema, query.ring, pairs).entries)
         state.initialize(state.leaves)
         return touched
 
@@ -267,33 +269,16 @@ def run_scenario(
     return report
 
 
-def _close(ring: RingSpec, a: Any, b: Any) -> bool:
-    """Whether two payloads of a real-based ring agree within a relative
-    1e-9 or the ring's zero tolerance, covariance triples componentwise."""
-    if ring.kind == REAL:
-        pairs = [(a, b)]
-    else:
-        pairs = [(a.c, b.c)] + [
-            (x.get(k, 0.0), y.get(k, 0.0)) for x, y in ((a.s, b.s), (a.Q, b.Q)) for k in {**x, **y}
-        ]
-    return all(math.isclose(x, y, rel_tol=1e-9, abs_tol=ring.zero_tolerance) for x, y in pairs)
-
-
 def _divergence(label: str, name: str, ring: RingSpec, base: dict, other: dict) -> Optional[str]:
     """Name the first key, in fivm's order, where engine ``name``'s snapshot
-    differs from fivm's ``base``; None when they agree. Integer and
-    relational payloads must match exactly, keys included; on a real-based
-    ring a missing key reads as the ring zero and payloads need only be close."""
+    differs from fivm's ``base``; None when they agree. Payloads agree as
+    :attr:`RingSpec.close` says. On an exact ring both snapshots must hold
+    the key; on a real-based one a missing key reads as the ring zero."""
     if other == base:
         return None
-    real = ring.kind == REAL or (ring.kind == COVARIANCE and ring.base == REAL)
-    zero = ring.zero
+    missing = None if ring.exact else ring.zero
     for key in {**base, **other}:
-        if real:
-            same = _close(ring, base.get(key, zero), other.get(key, zero))
-        else:
-            same = key in base and key in other and base[key] == other[key]
-        if not same:
+        if not ring.close(base.get(key, missing), other.get(key, missing)):
             ours = repr(base[key]) if key in base else "absent"
             theirs = repr(other[key]) if key in other else "absent"
             return f"{label} diverges from fivm at key {key!r}: fivm {ours}, {name} {theirs}"
@@ -331,8 +316,8 @@ def verify_scenarios(
     """Race all three engines over each scenario and compare snapshots.
 
     Roots are compared after every batch and listings at the scenario's
-    enumeration cadence, using the listings the batch steps took; real
-    payloads agree within a relative 1e-9 or the ring's zero tolerance. The
+    enumeration cadence, using the listings the batch steps took; payloads
+    agree as their ring's ``close`` says (:func:`_divergence`). The
     metric rows come back in (scenario, engine, batch) order.
     """
     problems: list[str] = []

@@ -18,6 +18,7 @@ code never dispatches on the ring kind per payload.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import partial
@@ -83,6 +84,14 @@ class RingSpec:
     and lift stores for the slot pair {i, j}; empty for other rings). The
     bound covariance operators trust their operands, so payloads from
     outside are checked.
+
+    ``close(a, b)`` is ``==`` on integer and relational bases, which
+    ``exact`` marks, and on real bases a relative 1e-9 or the zero
+    tolerance, component by component. ``flat`` gives a payload's flat
+    form as a list, named by ``columns``: one ``payload`` (a relational
+    payload's total), or a real-based triple's count, slot sums and pair
+    sums, its moment matrix's upper triangle row by row, absent parts
+    0.0. Triples over grouped scalars have none: both are None.
     """
 
     kind: str
@@ -470,7 +479,11 @@ def _cov_mul(pairs: tuple, a: CovarianceTriple, b: CovarianceTriple) -> Covarian
 def _operators(spec: RingSpec) -> dict[str, Any]:
     """The operators and constants :class:`RingSpec` binds for ``spec``."""
     tol = spec.zero_tolerance
-    ops: dict[str, Any] = dict(is_zero=operator.not_, check=lambda payload: None, pairs=())
+    ops: dict[str, Any] = dict(
+        is_zero=operator.not_, check=lambda payload: None, pairs=(),
+        close=operator.eq, exact=True, flat=lambda p: [p], columns=("payload",),
+    )
+    isclose = partial(math.isclose, rel_tol=1e-9, abs_tol=tol)
     if spec.kind in (INTEGER, REAL):
         exact = spec.kind == INTEGER
         fast, kind = (int, Integral) if exact else (float, Real)
@@ -481,11 +494,13 @@ def _operators(spec: RingSpec) -> dict[str, Any]:
 
         ops.update(add=operator.add, mul=operator.mul, neg=operator.neg, check=check,
                    zero=0 if exact else 0.0, one=1 if exact else 1.0)
+        if not exact:
+            ops.update(close=isclose, exact=False)
         if tol:
             ops["is_zero"] = lambda a: abs(a) <= tol
     elif spec.kind == RELATIONAL:
         # ``not_`` holds exactly for the empty map.
-        ops.update(add=_rp_add, mul=_rp_mul, neg=_rp_neg,
+        ops.update(add=_rp_add, mul=_rp_mul, neg=_rp_neg, flat=lambda p: [p.total()],
                    zero=RelationalPayload((), {}), one=RelationalPayload((), {(): 1}))
         if tol:
             ops["is_zero"] = lambda a: all(abs(v) <= tol for v in a.entries.values())
@@ -503,10 +518,24 @@ def _operators(spec: RingSpec) -> dict[str, Any]:
             is_zero=lambda a: not (a.c or any(a.s.values()) or any(a.Q.values())),
             zero=CovarianceTriple(0.0 if real else RelationalPayload((), {}), {}, {}),
             one=CovarianceTriple(1.0 if real else RelationalPayload((), {(): 1}), {}, {}),
+            flat=None, columns=None,
         )
         if real and tol:
             ops["is_zero"] = lambda a: abs(a.c) <= tol and all(
                 abs(v) <= tol for part in (a.s, a.Q) for v in part.values()
+            )
+        if real:
+            ids = range(1, spec.degree + 1)
+            upper = [pairs[i][j] for i in ids for j in ids if i <= j]
+
+            def flat(t: CovarianceTriple) -> list:
+                s, q = t.s.get, t.Q.get
+                return [t.c, *[s(j, 0.0) for j in ids], *[q(ij, 0.0) for ij in upper]]
+
+            ops.update(
+                flat=flat, exact=False,
+                close=lambda a, b: all(map(isclose, flat(a), flat(b))),
+                columns=("c", *(f"s_{j}" for j in ids), *(f"q_{i}_{j}" for i, j in upper)),
             )
     return ops
 

@@ -43,6 +43,8 @@ from fivm.relations import DenseRelation, Relation
 from fivm.rings import (
     CovarianceTriple,
     covariance_ring,
+    lift_to_one,
+    real_ring,
     relational_payload,
     ring_negate,
     ring_one,
@@ -847,6 +849,44 @@ def test_dense_chains_count_and_answer_like_the_dict_path(data):
             gone = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
             pairs = [(k, -val) for k, val in gone]
         run(lambda s: s.apply_batch([UpdateDelta(name, tuple(pairs))]))
+
+
+def test_dense_primary_probes_count_like_the_dict_path(monkeypatch):
+    """R(A,B), S(A,B) and T(B,C) under B -> (A, C), only R updatable: both
+    levels of R's path probe their sibling by its whole key. Stored dense,
+    the climb contracts through the primary route and counts what the
+    dict layout counts, and both roots agree."""
+    routes = []
+    contract = relations._contract
+
+    def spy(rel, rights, levels, out_schema):
+        routes.extend(level[1] for level in levels)
+        return contract(rel, rights, levels, out_schema)
+
+    monkeypatch.setattr(relations, "_contract", spy)
+    data = {
+        "R": [((a, b), 1.0) for a in range(3) for b in range(2) if (a + b) % 2 == 0],
+        "S": [((a, b), 2.0) for a in range(3) for b in range(2)],
+        "T": [((b, c), 1.0) for b in range(2) for c in range(3) if b or c],
+    }
+    spent, roots = [], []
+    for ranges in ({"A": 3, "B": 2, "C": 3}, None):
+        rels = [("R", ("A", "B")), ("S", ("A", "B")), ("T", ("B", "C"))]
+        lifts = [lift_to_one(v) for v in "ABC"]
+        query = Query(rels, (), real_ring(), lifts, ranges=ranges)
+        state = RuntimeState(plan_view_tree(query, VariableOrder([["B", ["A"], ["C"]]]), ("R",)))
+        state.load(data)
+        assert isinstance(state.leaves["R"], DenseRelation) is (ranges is not None)
+        before = state.counters.snapshot()
+        routes.clear()
+        state.apply_batch([UpdateDelta("R", (((1, 0), 1.0), ((2, 1), 1.0)))])
+        if ranges is not None:
+            assert routes == ["primary", "primary"]
+        spent.append(tuple(b - a for a, b in zip(before, state.counters.snapshot())))
+        roots.append(dict(state.result().entries))
+        assert roots[-1] == dict(state.recompute_oracle().entries)
+    assert spent[0] == spent[1] == (20, 9, 0)
+    assert roots[0] == roots[1] == {(): 24.0}
 
 
 def test_dense_relations_answer_their_indexes_from_the_array():

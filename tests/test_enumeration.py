@@ -19,7 +19,7 @@ from fivm.enumeration import (
     payload_of_tuple,
 )
 from fivm.harness import bundled_scenarios, compile_scenario, load_scenario, run_scenario
-from fivm.ivm import RuntimeState, UpdateDelta, recompute_query
+from fivm.ivm import FactorizedDelta, RuntimeState, UpdateDelta, recompute_query
 from fivm.queries import RELATIONAL_PAYLOAD, Query, VariableOrder
 from fivm.relations import Relation
 from fivm.rings import (
@@ -188,6 +188,28 @@ def test_enumeration_tracks_updates(factorized):
     want = dict(LISTING)
     want[("a3", "b4", "c3", "d4")] = 2
     assert totals(state) == want
+
+
+def test_factorized_payloads_expand_a_product_delta_before_totalling():
+    """Payload totals do not distribute over a product's factors, so a
+    product-form delta stores what its expansion stores, view for view.
+    The key a9 is fresh: at a key that already holds a payload, adding
+    payloads of two schemas projects both onto the shared columns, which
+    would hide a wrongly kept column."""
+    marked = rp(("K",), {("k1",): 1, ("k2",): 2})
+    product, expanded = listing_state(factorized=True), listing_state(factorized=True)
+    u = product.relation(("A",))
+    u.accumulate_all([(("a9",), marked)])
+    v = product.relation(("B",))
+    v.accumulate_all([(("b9",), ring_one(product.ring))])
+    product.apply_batch([FactorizedDelta("R", (u, v))])
+    expanded.apply_batch([UpdateDelta("R", ((("a9", "b9"), marked),))])
+    for kind in ("leaves", "views", "indicator_rels"):
+        got, want = getattr(product, kind), getattr(expanded, kind)
+        assert got.keys() == want.keys()
+        for vid, rel in want.items():
+            assert dict(got[vid].entries) == dict(rel.entries), vid
+    assert dict(expanded.views["V@B(R)"].entries)[("a9",)] == rp(("B",), {("b9",): 3})
 
 
 @settings(max_examples=30, deadline=None)

@@ -475,6 +475,30 @@ def test_every_engine_counts_a_batch_by_its_merged_key_changes():
     assert touched == {name: 2 for name in ENGINE_NAMES}
 
 
+@pytest.mark.parametrize(
+    "bad", [StreamEvent("T", ("only-one",), 1), StreamEvent("T", ("c1", "d9"), "x")]
+)
+def test_every_engine_refuses_a_bad_batch_before_any_change(bad):
+    """A valid R row followed by a bad T row (a short key, or a payload off
+    the integer ring) is refused with one message by all three engines,
+    and none of them changes a leaf or its root."""
+    compiled = compile_scenario(load_scenario(bundled_scenarios()["count_chain"]))
+    batch = [StreamEvent("R", ("a9", "b9"), 1), bad]
+    messages = set()
+    for name in ENGINE_NAMES:
+        engine = make_engine(name, compiled)
+        engine.setup()
+        state = engine.state
+        leaves = {i: dict(rel.entries) for i, rel in state.leaves.items()}
+        root = engine.root_snapshot()
+        with pytest.raises(ValueError) as err:
+            engine.apply(batch)
+        messages.add(str(err.value))
+        assert {i: dict(rel.entries) for i, rel in state.leaves.items()} == leaves, name
+        assert engine.root_snapshot() == root, name
+    assert len(messages) == 1, messages
+
+
 def fanout_chain(n):
     """R(A,B)-S(B,C)-T(C,D) counted, S and T static with ``n`` rows each.
     Every B value meets two C values and every C value one D value at any

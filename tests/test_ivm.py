@@ -4,6 +4,7 @@ factorized updates, and indicator upkeep."""
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -898,6 +899,40 @@ def test_duplicate_support_keeps_indicator_silent():
     assert dict(state.indicator_rels[ind_id].entries) == before
     assert dict(state.result().entries) == {(): 1}
     assert_views_match_fresh(state)
+
+
+def test_an_unstored_indicator_climbs_its_path():
+    """With only R updatable, the triangle's indicator over R is fed by R
+    but stored nowhere, since its siblings hold no updatable relation. Its
+    support transitions still climb its path: after each of 40 random
+    single inserts and deletes of R, the root equals a recompute and every
+    stored view a fresh load."""
+    query = Query(
+        [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("C", "A"))],
+        (),
+        Z,
+        lifts=tuple(lift_to_one(v) for v in "ABC"),
+    )
+    tree = plan_view_tree(query, VariableOrder([["A", ["B", ["C"]]]]), updatable=("R",))
+    (ind,) = tree.feeds["R"]
+    assert not ind.materialized and ind.id in tree.delta_paths
+    state = RuntimeState(tree)
+    rng = random.Random(11)
+    edges = [(a, b) for a in range(4) for b in range(4)]
+    state.load({
+        "R": [(e, 1) for e in rng.sample(edges, 6)],
+        "S": [(e, 1) for e in rng.sample(edges, 10)],
+        "T": [(e, 1) for e in rng.sample(edges, 10)],
+    })
+    for _ in range(40):
+        live = [k for k, m in state.leaves["R"].entries.items() if m > 0]
+        if live and rng.random() < 0.5:
+            pair = (rng.choice(live), -1)
+        else:
+            pair = (rng.choice(edges), 1)
+        state.apply_batch([UpdateDelta("R", (pair,))])
+        assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
+        assert_views_match_fresh(state)
 
 
 # ---------------------------------------------------------------------------
