@@ -2,8 +2,8 @@
 
 Four commands cover the workflow: ``compile`` shows what the planner
 would maintain and which of it is stored dense, the path each update's
-delta climbs and the steps a walked listing takes with the payload covers
-each one reads, ``run`` streams a scenario through one engine, recording
+delta climbs with the Python function generated for it, and the steps a
+walked listing takes with the payload covers each one reads, ``run`` streams a scenario through one engine, recording
 metrics, ``enumerate`` replays a scenario to completion and dumps the
 listing, and ``verify`` races all three engines and fails loudly on any
 disagreement. Every command compiles its scenarios first, so a bad
@@ -24,6 +24,7 @@ from ..apps import (
     write_csv,
 )
 from ..enumeration import listing_csv_rows
+from ..ivm import RuntimeState
 from ..queries import classify
 from .engines import (
     ENGINE_NAMES,
@@ -122,6 +123,8 @@ def _cmd_compile(args) -> int:
     for node_id, (probe, group) in indexed:
         grouped = f" grouped by {group}" if group else ""
         print(f"index on {node_id}: probe {','.join(probe) or '()'}{grouped}")
+    state = RuntimeState(tree)
+    state.load({})
     for entry_id, steps in tree.delta_paths.items():
         for step in steps:
             line = f"delta {entry_id}: {step.node.id} <- {step.via_id}"
@@ -133,6 +136,8 @@ def _cmd_compile(args) -> int:
                 else:
                     line += f"; {sib_id} by index on {','.join(route[0])}"
             print(line)
+        for line in state.climb_source(entry_id).splitlines():
+            print(f"    {line}")
     for (var, view_id, probe), group in zip(tree.listing_steps, tree.listing_covers):
         ids = ", ".join(n.id for n in group) or "()"
         print(f"list {var}: {view_id} probe {','.join(probe) or '()'}; covers {ids}")

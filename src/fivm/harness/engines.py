@@ -14,16 +14,17 @@ ring defines equality.
 Every engine owns its counter block; the per-batch metric rows therefore
 show what each strategy actually paid, in the same units. Runs and
 verifications drive every engine through one batch step, which applies
-the batch, lists the result at the enumeration cadence and builds the
-metric row; verification compares the listings those steps took.
+the batch, lists the result at the enumeration cadence, runs a run's
+application and builds the metric row, with the three phases timed apart;
+verification compares the listings those steps took.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence
+from time import perf_counter_ns
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ..apps import chow_liu_tree, mutual_information_matrix, train_linear_regression, write_csv
 from ..enumeration import enumerate_result
@@ -54,7 +55,9 @@ METRIC_COLUMNS = (
     "entry_reads",
     "entry_writes",
     "index_probes",
-    "elapsed_ns",
+    "apply_ns",
+    "enumerate_ns",
+    "app_ns",
     "enumerated_tuples",
 )
 
@@ -216,23 +219,30 @@ def _stream(
 
 
 def _step(
-    engine, bi: int, batch: Sequence[StreamEvent], intvl: int
+    engine, bi: int, batch: Sequence[StreamEvent], intvl: int,
+    app: Optional[Callable[[], Any]] = None,
 ) -> tuple[tuple, Optional[dict[tuple, Any]]]:
-    """Apply one batch, listing the result every ``intvl`` batches.
+    """Apply one batch, listing the result every ``intvl`` batches, then
+    run ``app`` when given.
 
-    Returns the batch's metric row (counters and time cover both the
-    apply and the listing) and the listing, or None off the cadence.
+    Returns the batch's metric row and the listing, or None off the
+    cadence. The counters cover the apply and the listing; each of the
+    three phases is timed on its own clock.
     """
     before = engine.counters.snapshot()
-    t0 = time.perf_counter_ns()
+    t0 = perf_counter_ns()
     touched = engine.apply(batch)
+    t1 = perf_counter_ns()
     listing = engine.listing_snapshot() if intvl and bi % intvl == 0 else None
-    elapsed = time.perf_counter_ns() - t0
+    t2 = perf_counter_ns()
     reads, writes, probes = (a - b for a, b in zip(engine.counters.snapshot(), before))
+    if app is not None:
+        app()
+    t3 = perf_counter_ns()
     enumerated = 0 if listing is None else len(listing)
     row = (
         engine.compiled.scenario.name, engine.name, bi, touched,
-        reads, writes, probes, elapsed, enumerated,
+        reads, writes, probes, t1 - t0, t2 - t1, t3 - t2, enumerated,
     )
     return row, listing
 
@@ -262,10 +272,14 @@ def run_scenario(
     engine.setup()
     report = RunReport(scn.name, engine_name, [], engine)
     prior: Optional[dict] = None
-    for bi, batch in enumerate(_stream(compiled, batch_size, seed), start=1):
-        row, _ = _step(engine, bi, batch, iv)
-        report.rows.append(row)
+
+    def app() -> None:
+        nonlocal prior
         prior = _run_app(compiled, engine, report, prior)
+
+    for bi, batch in enumerate(_stream(compiled, batch_size, seed), start=1):
+        row, _ = _step(engine, bi, batch, iv, app)
+        report.rows.append(row)
     return report
 
 

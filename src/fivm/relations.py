@@ -8,6 +8,14 @@ maintenance cost can be measured in ring-agnostic units: payload reads,
 payload writes, and index probes. Bulk operators fetch the ring's bound
 operators once and add their units to the counter block once per call.
 
+The join-and-sum operator :func:`rel_marginalize` runs a row loop
+generated as Python source for the shape of its operands
+(:class:`RowCode`) and compiled once per shape; the delta climbs of
+``fivm.ivm`` are generated by the same code, one level after another, so
+there is one row loop. The source holds only generated names and integer
+positions: relations, index tables, lifts and ring operators enter
+through the compiled function's globals or arguments.
+
 Values inside key tuples are dictionary-encoded (plain ints), which keeps
 hashing cheap and makes streams reproducible.
 
@@ -24,8 +32,10 @@ relation; a batch it does not take outright goes row by row.
 
 from __future__ import annotations
 
+import builtins
 import math
 import string
+import sys
 from collections.abc import MutableMapping
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -35,6 +45,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+# ``lift`` is called by generated code, as ``relations.lift``.
 from fivm.rings import TO_ONE, LiftingFunction, RingSpec, lift
 
 __all__ = [
@@ -502,13 +513,12 @@ def _walk_plan(
 def plan_shape(
     left: tuple, rights: tuple, drop_vars: tuple, lifts: dict, schema: Optional[tuple] = None
 ) -> tuple:
-    """The shape :func:`marginalize_shape` runs to join a relation over
-    ``left`` with relations over the (schema, route) pairs ``rights`` and
-    sum out ``drop_vars`` by ``lifts`` into ``schema``: the join levels of
-    :func:`_walk_plan`, whether anything is summed out, the (position,
-    lifting function) of each summed-out variable not lifted to one, the
-    output schema and its positions in the joined key, and whether every
-    variable gets one of the 52 letters ``einsum`` names variables by."""
+    """How to join a relation over ``left`` with relations over the
+    (schema, route) pairs ``rights`` and sum out ``drop_vars`` by ``lifts``
+    into ``schema``: the join levels of :func:`_walk_plan`, whether
+    anything is summed out, the (position, lifting function) of each
+    summed-out variable not lifted to one, and the output schema and its
+    positions in the joined key."""
     levels, drop, out_schema, out_pos = _walk_plan(left, rights, drop_vars, schema)
     lifted = []
     for pos, v in drop:
@@ -516,8 +526,7 @@ def plan_shape(
             raise ValueError(f"no lifting function for marginalized variable {v}")
         if lifts[v].mode != TO_ONE:
             lifted.append((pos, lifts[v]))
-    lettered = len(set(left).union(*(s for s, _ in rights))) <= len(string.ascii_letters)
-    return levels, bool(drop), tuple(lifted), out_schema, out_pos, lettered
+    return levels, bool(drop), tuple(lifted), out_schema, out_pos
 
 
 def rel_marginalize(
@@ -547,74 +556,245 @@ def rel_marginalize(
     relation's new ones in its own order; the output keeps the rest in
     that order unless ``schema`` names a permutation of them. Every
     dropped variable needs a lifting function. No intermediate relation is
-    built. Dense operands with no ``payload_map`` and only to-one lifts are
-    contracted by :func:`_contract` instead, into a dense relation. The
-    shape is planned by :func:`plan_shape` and run by
-    :func:`marginalize_shape`.
+    built. The row loop is generated for the shape (:func:`plan_shape`)
+    and compiled at its first call (:func:`_level_function`). Dense
+    operands with no ``payload_map``, only to-one lifts and at most 52
+    variables are contracted by :func:`_contract` instead, into a dense
+    relation.
     """
-    shape = plan_shape(
+    rights = [r for r, _ in joins]
+    levels, sums, lifted, out_schema, out_pos = plan_shape(
         rel.schema,
         tuple([(r.schema, route) for r, route in joins]),
         tuple(drop_vars),
         lifts,
         None if schema is None else tuple(schema),
     )
-    return marginalize_shape(rel, [r for r, _ in joins], shape, payload_map)
-
-
-def marginalize_shape(
-    rel: Relation, rights: Sequence[Relation], shape: tuple, payload_map=None
-) -> Relation:
-    """:func:`rel_marginalize` of ``rel`` joined with ``rights`` in a
-    planned ``shape`` (:func:`plan_shape`): the one row loop of the
-    operator and of each level of a delta's climb
-    (``RuntimeState._enter``). Rows are chained through the joins
-    (:func:`_join_rows`), so no level's rows are ever held together, then
-    lifted, cut down to the output key and summed into the output's
-    entries, counted as accumulating them."""
-    levels, sums, lifted, schema, out_pos, lettered = shape
-    dense = type(rel) is DenseRelation and all(type(r) is DenseRelation for r in rights)
-    if dense and payload_map is None and not lifted and lettered:
-        return _contract(rel, rights, levels, schema)
-    ring, counters = rel.ring, rel.counters
-    out = Relation(schema, ring, counters)
-    left = rel.entries
-    if not left:
-        return out
-    for right in rights:
-        if not right.entries:
-            return out
-    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
-    rows: Iterable[tuple[tuple, Any]] = left.items()
-    if payload_map is not None:
-        rows = ((k, v) for k, v in ((k, payload_map(v)) for k, v in rows) if not is_zero(v))
-    # When nothing is summed out, the last join skips the zero test: each
-    # of its rows has its own output key, and a zero on a new key is not
-    # stored.
-    last = len(rights) - 1
-    for i, (right, level) in enumerate(zip(rights, levels)):
-        rows = _join_rows(rows, right, level, mul, is_zero, payload_map, counters, i < last or sums)
-    entries = out.entries
-    reads, writes = len(left), 0
-    for key, val in rows:
-        for pos, fn in lifted:
-            val = mul(val, lift(ring, fn, key[pos]))
-        if out_pos is not None:
-            key = tuple([key[i] for i in out_pos])
-        reads += 1
-        old = entries.get(key)
-        if old is not None:
-            val = add(old, val)
-            if is_zero(val):
-                del entries[key]
-                writes += 1
-                continue
-        elif is_zero(val):
-            continue
-        entries[key] = val
-        writes += 1
-    _tally(counters, reads, writes)
+    if (
+        type(rel) is DenseRelation
+        and all(type(r) is DenseRelation for r in rights)
+        and payload_map is None
+        and not lifted
+        and len(set(rel.schema).union(*(r.schema for r in rights))) <= len(string.ascii_letters)
+    ):
+        return _contract(rel, rights, levels, out_schema)
+    out = Relation(out_schema, rel.ring, rel.counters)
+    run = _level_function(
+        levels, sums, tuple(p for p, _ in lifted), out_pos, payload_map is not None
+    )
+    run(rel, rights, [fn for _, fn in lifted], payload_map, out.entries)
     return out
+
+
+# The loops a generated row loop nests before it lists the rows reaching
+# a join and starts over; the scan grouping adds one more inside.
+_MAX_LOOPS = 12
+
+
+def _pick(row: str, positions: Sequence[int]) -> str:
+    """Source for the tuple of ``row``'s values at ``positions``."""
+    items = [f"{row}[{i}]" for i in positions]
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+class RowCode:
+    """Python source for row loops, written line by line and compiled once.
+
+    Local names are generated (a stem and a number). Every value the code
+    uses, relations, index tables, lifting functions and ring operators,
+    enters through the compiled function's globals (:meth:`const`), so the
+    source holds only those names and integer positions. The ring's
+    ``mul``, ``add`` and ``is_zero`` are called as ``M``, ``A`` and ``Z``,
+    a payload map as ``X``, and a lift as ``relations.lift(RING, f, x)``,
+    looked up when it runs."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.consts: dict[str, Any] = {"relations": sys.modules[__name__]}
+        self._n = 0
+
+    def name(self, stem: str) -> str:
+        self._n += 1
+        return f"{stem}{self._n}"
+
+    def const(self, stem: str, value: Any) -> str:
+        name = self.name(stem)
+        self.consts[name] = value
+        return name
+
+    def add(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
+
+    @property
+    def source(self) -> str:
+        return "\n".join(self.lines) + "\n"
+
+    def compile(self, name: str) -> Any:
+        """The function ``name`` the source defines."""
+        scope = {"__builtins__": builtins, **self.consts}
+        exec(compile(self.source, f"<fivm {name}>", "exec"), scope)
+        return scope[name]
+
+    def level(
+        self, depth: int, src: str, dst: str, plan: tuple, lifted: Sequence[tuple[int, str]],
+        mapped: bool, side: tuple[str, str, str], rights: Sequence[tuple],
+        setup: Sequence[str] = (),
+    ) -> None:
+        """Emit one join-and-sum: every row of the dict ``src`` extended
+        through the join levels of ``plan`` (:func:`_walk_plan`'s levels,
+        whether anything is summed out, output positions), multiplied by
+        the lifts of ``lifted`` (joined position, function name), cut to
+        its output key and summed into the dict ``dst``. ``rights`` names
+        per join the right entries, index table (None unless the route is
+        an index), and read and probe tallies; ``side`` names the reads,
+        writes and probes charged to ``src``'s relation: its scan, the
+        output and the groupings built by scans. ``mapped`` passes every
+        operand's payload through ``X`` first. Nothing runs, not even the
+        ``setup`` lines, when ``src`` or a right is empty."""
+        joins, sums, out_pos = plan
+        reads, writes, probes = side
+        self.add(depth, f"if {' and '.join([src, *(r[0] for r in rights)])}:")
+        depth += 1
+        for line in setup:
+            self.add(depth, line)
+        self.add(depth, f"{reads} += len({src})")
+        groupings = {}
+        for j, level in enumerate(joins):
+            if level[1] is None:
+                groupings[j] = self.name("g")
+                self.add(depth, f"{groupings[j]} = None")
+        key, val = self.name("k"), self.name("v")
+        top, head = depth, len(self.lines)
+        self.add(depth, f"for {key}, {val} in {src}.items():")
+        depth += 1
+        loops = 1
+        if mapped:
+            self.add(depth, f"{val} = X({val})")
+            self.add(depth, f"if Z({val}):")
+            self.add(depth + 1, "continue")
+        last = len(joins) - 1
+        for j, ((probe_pos, route, right_pos, ext), (entries, table, r, p)) in enumerate(
+            zip(joins, rights)
+        ):
+            adds = 0 if route == "primary" else 1 if route is None else 2
+            if loops + adds > _MAX_LOOPS:
+                # Python nests at most 20 blocks: past the bound the rows
+                # reaching this join are listed, in the order they arrive,
+                # and a fresh loop takes them on.
+                rows = self.name("s")
+                self.lines.insert(head, "    " * top + f"{rows} = []")
+                head += 1
+                self.add(depth, f"{rows}.append(({key}, {val}))")
+                key, val, depth, loops = self.name("k"), self.name("v"), top + 1, 1
+                self.add(top, f"for {key}, {val} in {rows}:")
+            loops += adds
+            probe = key if probe_pos is None else _pick(key, probe_pos)
+            rkey, rval = self.name("k"), self.name("v")
+            if route == "primary":
+                self.add(depth, f"{r} += 1")
+                self.add(depth, f"{rval} = {entries}.get({probe})")
+                self.add(depth, f"if {rval} is None:")
+                self.add(depth + 1, "continue")
+            elif route is not None:
+                bucket, group = self.name("b"), self.name("g")
+                self.add(depth, f"{p} += 1")
+                self.add(depth, f"{bucket} = {table}.get({probe})")
+                self.add(depth, f"if not {bucket}:")
+                self.add(depth + 1, "continue")
+                self.add(depth, f"for {group} in {bucket}.values():")
+                self.add(depth + 1, f"for {rkey} in {group}:")
+                depth += 2
+                self.add(depth, f"{r} += 1")
+                self.add(depth, f"{rval} = {entries}[{rkey}]")
+            else:
+                g = groupings[j]
+                self.add(depth, f"if {g} is None:")
+                self.add(depth + 1, f"{g} = {{}}")
+                self.add(depth + 1, f"for {rkey}, {rval} in {entries}.items():")
+                self.add(
+                    depth + 2,
+                    f"{g}.setdefault({_pick(rkey, right_pos)}, []).append(({rkey}, {rval}))",
+                )
+                self.add(depth + 1, f"{r} += len({entries})")
+                if right_pos:
+                    self.add(depth, f"{probes} += 1")
+                self.add(depth, f"for {rkey}, {rval} in {g}.get({probe}, ()):")
+                depth += 1
+            if mapped:
+                self.add(depth, f"{rval} = X({rval})")
+            prod = self.name("v")
+            self.add(depth, f"{prod} = M({val}, {rval})")
+            # When nothing is summed out, the last join skips the zero
+            # test: each of its rows has its own output key, and a zero on
+            # a new key is not stored.
+            if j < last or sums:
+                self.add(depth, f"if Z({prod}):")
+                self.add(depth + 1, "continue")
+            if ext:
+                joined = self.name("k")
+                self.add(depth, f"{joined} = {key} + {_pick(rkey, ext)}")
+                key = joined
+            val = prod
+        for pos, fn in lifted:
+            self.add(depth, f"{val} = M({val}, relations.lift(RING, {fn}, {key}[{pos}]))")
+        if out_pos is not None:
+            cut = self.name("k")
+            self.add(depth, f"{cut} = {_pick(key, out_pos)}")
+            key = cut
+        old = self.name("o")
+        self.add(depth, f"{reads} += 1")
+        self.add(depth, f"{old} = {dst}.get({key})")
+        self.add(depth, f"if {old} is None:")
+        self.add(depth + 1, f"if not Z({val}):")
+        self.add(depth + 2, f"{dst}[{key}] = {val}")
+        self.add(depth + 2, f"{writes} += 1")
+        self.add(depth, "else:")
+        self.add(depth + 1, f"{val} = A({old}, {val})")
+        self.add(depth + 1, f"if Z({val}):")
+        self.add(depth + 2, f"del {dst}[{key}]")
+        self.add(depth + 1, "else:")
+        self.add(depth + 2, f"{dst}[{key}] = {val}")
+        self.add(depth + 1, f"{writes} += 1")
+
+
+# A plan has a few shapes; the bound only keeps a long-lived process flat.
+@lru_cache(maxsize=1024)
+def _level_function(
+    levels: tuple, sums: bool, lifted: tuple[int, ...], out_pos: Optional[tuple], mapped: bool
+) -> Any:
+    """The row loop of :func:`rel_marginalize` for one shape
+    (:func:`plan_shape`), generated and compiled once:
+    ``run(left, rights, fns, payload_map, out)`` sums ``left`` joined with
+    ``rights`` into the dict ``out``, lifting the joined positions
+    ``lifted`` by ``fns``, and tallies each relation's units on its own
+    counters."""
+    code = RowCode()
+    code.consts["_tally"] = _tally
+    code.add(0, "def marginalize(left, rights, fns, X, out):")
+    code.add(1, "RING = left.ring")
+    code.add(1, "M, A, Z = RING.mul, RING.add, RING.is_zero")
+    side = (code.name("r"), code.name("w"), code.name("p"))
+    code.add(1, " = ".join(side) + " = 0")
+    src = code.name("d")
+    code.add(1, f"{src} = left.entries")
+    rights, setup = [], []
+    for j, (_, route, _, _) in enumerate(levels):
+        entries, r, p = code.name("e"), code.name("r"), code.name("p")
+        code.add(1, f"{entries} = rights[{j}].entries")
+        code.add(1, f"{r} = {p} = 0")
+        table = None
+        if route not in (None, "primary"):
+            table = code.name("t")
+            setup.append(f"{table} = rights[{j}].indexes[{code.const('q', route)}]")
+        rights.append((entries, table, r, p))
+    fns = [(pos, code.name("f")) for pos in lifted]
+    for i, (_, fn) in enumerate(fns):
+        code.add(1, f"{fn} = fns[{i}]")
+    code.level(1, src, "out", (levels, sums, out_pos), fns, mapped, side, rights, setup)
+    code.add(1, f"_tally(left.counters, {', '.join(side)})")
+    for j, (_, _, r, p) in enumerate(rights):
+        code.add(1, f"_tally(rights[{j}].counters, {r}, 0, {p})")
+    return code.compile("marginalize")
 
 
 @lru_cache(maxsize=1024)
@@ -699,51 +879,6 @@ def _contract(
     cells.count = int(np.count_nonzero(cells.array))
     _tally(out.counters, reads=rows, writes=rows)
     return out
-
-
-def _join_rows(
-    rows: Iterable[tuple[tuple, Any]], right: Relation, level: tuple, mul, is_zero,
-    payload_map, scan_counters: Optional[OpCounters], drop_zero: bool,
-) -> Iterator[tuple[tuple, Any]]:
-    """Extend each row by its matches in ``right`` (one join level of
-    :func:`rel_marginalize`), dropping zero products if ``drop_zero``.
-    Reads and probes are tallied once the rows run out; probes of the
-    grouping built by a scan are charged to ``scan_counters``."""
-    probe_pos, route, right_pos, ext = level
-    entries = right.entries
-    table = right.indexes[route] if route not in (None, "primary") else None
-    grouping: Optional[dict] = None
-    reads = probes = scan_probes = 0
-    for key, val in rows:
-        probe = key if probe_pos is None else tuple([key[i] for i in probe_pos])
-        if route == "primary":
-            reads += 1
-            rval = entries.get(probe)
-            matches = () if rval is None else ((probe, rval),)
-        elif table is not None:
-            probes += 1
-            bucket = table.get(probe)
-            matches = [(k, entries[k]) for keys in bucket.values() for k in keys] if bucket else ()
-            reads += len(matches)
-        else:
-            if grouping is None:
-                grouping = {}
-                for rkey, rval in entries.items():
-                    grouping.setdefault(tuple([rkey[i] for i in right_pos]), []).append(
-                        (rkey, rval)
-                    )
-                reads += len(entries)
-            if right_pos:
-                scan_probes += 1
-            matches = grouping.get(probe, ())
-        for rkey, rval in matches:
-            if payload_map is not None:
-                rval = payload_map(rval)
-            prod = mul(val, rval)
-            if not drop_zero or not is_zero(prod):
-                yield (key + tuple([rkey[i] for i in ext]) if ext else key), prod
-    _tally(right.counters, reads, 0, probes)
-    _tally(scan_counters, probes=scan_probes)
 
 
 def rel_join(

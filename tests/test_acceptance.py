@@ -880,7 +880,7 @@ def test_criterion_7_engine_cross_validation(capsys, tmp_path):
             emit_metrics(rows, out)
             with open(out, newline="") as fh:
                 header, *body = csv.reader(fh)
-            keep = [i for i, c in enumerate(header) if c != "elapsed_ns"]
+            keep = [i for i, c in enumerate(header) if not c.endswith("_ns")]
             return [[r[i] for i in keep] for r in [header, *body]]
 
         first = metrics_without_time(tmp_path / "metrics_a.csv")

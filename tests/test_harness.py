@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import fivm.harness.engines as engines
 from fivm.harness.cli import main
 from fivm.harness.engines import (
     ENGINE_NAMES,
@@ -573,6 +574,31 @@ def test_enumeration_cadence_controls_the_last_column():
     assert chatty.rows[-1][enumerated] == 1  # one empty-key group once data arrives
 
 
+def test_metric_rows_time_apply_listing_and_app_apart(monkeypatch):
+    """Each phase of a batch step has its own timing column, the app's
+    time too: on a clock that only the phases advance, each column reads
+    its own phase's time."""
+    clock = [0]
+    monkeypatch.setattr(engines, "perf_counter_ns", lambda: clock[0])
+
+    def ticking(fn, ns):
+        def run(*args, **kwargs):
+            clock[0] += ns
+            return fn(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(FivmEngine, "apply", ticking(FivmEngine.apply, 1))
+    monkeypatch.setattr(FivmEngine, "listing_snapshot", ticking(FivmEngine.listing_snapshot, 10))
+    monkeypatch.setattr(engines, "_run_app", ticking(engines._run_app, 100))
+    doc = stats_doc(kind="regression", label="Y", features=["X"], step_size=0.05)
+    report = run_scenario(scenario_from_dict(doc), engine_name="fivm", intvl=2)
+    at = [METRIC_COLUMNS.index(c) for c in ("apply_ns", "enumerate_ns", "app_ns")]
+    timed = [tuple(row[i] for i in at) for row in report.rows]
+    assert timed == [(1, 0 if bi % 2 else 10, 100) for bi in range(1, len(timed) + 1)]
+    assert len(timed) > 2
+
+
 def test_regression_app_reports_through_the_run():
     doc = stats_doc(kind="regression", label="Y", features=["X"], step_size=0.05)
     report = run_scenario(scenario_from_dict(doc), engine_name="fivm")
@@ -645,8 +671,8 @@ def test_verify_lists_each_engine_once_per_checkpoint(monkeypatch):
 
 
 def untimed(rows):
-    """Metric rows with every column but ``elapsed_ns``, picked by name."""
-    keep = [i for i, c in enumerate(METRIC_COLUMNS) if c != "elapsed_ns"]
+    """Metric rows without their timing (``_ns``) columns, picked by name."""
+    keep = [i for i, c in enumerate(METRIC_COLUMNS) if not c.endswith("_ns")]
     return [[r[i] for i in keep] for r in rows]
 
 
@@ -761,11 +787,11 @@ GOLDEN = Path(__file__).parent / "data"
 
 
 def counter_columns(path):
-    """A metrics CSV's rows with every pinned column but ``elapsed_ns``,
+    """A metrics CSV's rows with every pinned column but the timing ones,
     picked by name."""
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    return [[r[c] for c in METRIC_COLUMNS if c != "elapsed_ns"] for r in rows]
+    return [[r[c] for c in METRIC_COLUMNS if not c.endswith("_ns")] for r in rows]
 
 
 def test_run_counters_match_the_golden_rows(tmp_path, capsys):
@@ -824,6 +850,20 @@ def test_cli_compile_prints_the_plan(tmp_path, capsys):
         "delta S: V@C(S) <- S",
         "delta S: V@B(R+S) <- V@C(S); V@A(R) by key",
     ]
+    # each path's generated function follows its delta lines, indented;
+    # at R's root level it probes V@C(S) by key and multiplies
+    lines = out.splitlines()
+    assert lines[lines.index("delta R: V@B(R+S) <- V@A(R); V@C(S) by key") + 1] == (
+        "    def climb(d1):"
+    )
+    assert (
+        "            for k19, v20 in d2.items():\n"
+        "                r14 += 1\n"
+        "                v22 = e17.get(k19)\n"
+        "                if v22 is None:\n"
+        "                    continue\n"
+        "                v23 = M(v20, v22)\n"
+    ) in out
     assert main(["compile", "-s", str(bundled_scenarios()["triangle_count"])]) == 0
     out = capsys.readouterr().out
     assert "* exists(R)[A,B] exists(R)\n" in out

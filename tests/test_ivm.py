@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import fivm.ivm
 import fivm.relations
 import oracles
+from fivm.enumeration import enumerate_result
 from fivm.ivm import (
     FactorizedDelta,
     RuntimeState,
@@ -26,7 +27,6 @@ from fivm.relations import (
     DenseRelation,
     Relation,
     from_pairs,
-    marginalize_shape,
     rel_join,
     rel_marginalize,
 )
@@ -294,23 +294,26 @@ def test_update_that_fails_partway_up_changes_nothing():
     assert_views_match_fresh(state)
 
 
-def test_a_level_that_fails_partway_up_stores_no_level(monkeypatch):
+class FailingProduct(int):
+    """A count the entry check accepts whose products raise: the ring's
+    ``mul`` fails on it at the first join it reaches."""
+
+    def __mul__(self, other):
+        raise RuntimeError("root level failed")
+
+    __rmul__ = __mul__
+
+
+def test_a_level_that_fails_partway_up_stores_no_level():
     # Entering values are checked, so no lift fails on the way up any more;
-    # a failure there must still leave every level as it was.
+    # a failure there must still leave every level as it was. R's first
+    # level only sums B out, so the delta reaches the root, whose join
+    # multiplies it.
     state = chain_state()
     before = snapshot(state)
-    levels = []
-
-    def fail_at_the_root(*args, **kwargs):
-        levels.append(1)
-        if len(levels) == 2:
-            raise RuntimeError("root level failed")
-        return marginalize_shape(*args, **kwargs)
-
-    monkeypatch.setattr(fivm.ivm, "marginalize_shape", fail_at_the_root)
-    assert len(state.tree.delta_paths["R"]) == 2
+    assert [step.joins for step in state.tree.delta_paths["R"]] == [(), (("V@C(S+T)", "primary"),)]
     with pytest.raises(RuntimeError, match="root level failed"):
-        state.apply_batch([UpdateDelta("R", ((("a1", "b9"), 1),))])
+        state.apply_batch([UpdateDelta("R", ((("a1", "b9"), FailingProduct(1)),))])
     assert snapshot(state) == before
 
 
@@ -475,15 +478,25 @@ def test_compiled_levels_follow_rebinding():
 
 def test_no_update_plans_its_path(monkeypatch):
     """Once every path has taken a delta, single updates and batches run
-    on the levels compiled for the state: nothing is planned again."""
+    on the functions generated for the state: nothing is planned, and no
+    source is generated or compiled, again."""
     state = chain_state()
-    for name, key in (("R", ("a1", "b9")), ("S", ("a1", "c2", "e9")), ("T", ("c2", "d9"))):
-        state.apply_batch([UpdateDelta(name, ((key, 1),))])
     calls = []
-    walk_plan = fivm.relations._walk_plan
+    walk_plan, add = fivm.relations._walk_plan, fivm.relations.RowCode.add
     monkeypatch.setattr(
         fivm.relations, "_walk_plan", lambda *a: calls.append(a) or walk_plan(*a)
     )
+    monkeypatch.setattr(
+        fivm.relations.RowCode, "add", lambda *a: calls.append(a) or add(*a)
+    )
+    monkeypatch.setattr(
+        fivm.relations, "compile", lambda *a: calls.append(a) or compile(*a), raising=False
+    )
+    for name, key in (("R", ("a1", "b9")), ("S", ("a1", "c2", "e9")), ("T", ("c2", "d9"))):
+        state.apply_batch([UpdateDelta(name, ((key, 1),))])
+    # the first delta of each path plans, generates and compiles its climb
+    assert {type(c[0]) for c in calls} == {tuple, fivm.relations.RowCode, str}
+    calls.clear()
     for i in range(10):
         name, key = [("R", ("a2", f"b{i}")), ("S", ("a2", "c1", f"e{i}")), ("T", ("c1", f"d{i}"))][i % 3]
         state.apply_batch([UpdateDelta(name, ((key, 1 if i % 2 else -1),))])
@@ -737,6 +750,36 @@ def test_self_join_random_stream_matches_oracle(steps):
         want = oracles.aggregate([(("A", "B"), table), (("B", "C"), table)], ())
         assert dict(state.result().entries) == want
     assert_views_match_fresh(state)
+
+
+def test_each_self_join_occurrence_climbs_its_own_function():
+    """A self join's delta reaches each occurrence under that occurrence's
+    variables (``RuntimeState._rebound``), and each climbs its path by a
+    function generated for that schema. The stored views, the root and
+    the listing stay equal to a recompute after every step."""
+    query = Query(
+        [("R", ("A", "B")), ("R", ("B", "C"))],
+        ("A", "B", "C"),
+        Z,
+        lifts=tuple(lift_to_one(v) for v in "ABC"),
+    )
+    tree = plan_view_tree(query, VariableOrder([["B", ["A"], ["C"]]]), updatable=("R",))
+    state = RuntimeState(tree)
+    state.load({"R": [((1, 2), 1), ((2, 3), 1)]})
+    rng = random.Random(21)
+    live = {(1, 2): 1, (2, 3): 1}
+    for _ in range(30):
+        key = (rng.randrange(4), rng.randrange(4))
+        sign = -1 if live.get(key) and rng.random() < 0.4 else 1
+        live[key] = live.get(key, 0) + sign
+        state.apply_batch([UpdateDelta("R", ((key, sign),))])
+        assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
+        assert_views_match_fresh(state)
+        listing = recompute_query(query, state.leaves, query.free)
+        assert dict(enumerate_result(state)) == dict(listing.entries)
+    climbs = {leaf_id: state._paths[leaf_id][2] for leaf_id in ("R#1", "R#2")}
+    assert {k: list(v) for k, v in climbs.items()} == {"R#1": [("A", "B")], "R#2": [("B", "C")]}
+    assert climbs["R#1"][("A", "B")] is not climbs["R#2"][("B", "C")]
 
 
 # ---------------------------------------------------------------------------
