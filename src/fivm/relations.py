@@ -16,6 +16,12 @@ there is one row loop. The source holds only generated names and integer
 positions: relations, index tables, lifts and ring operators enter
 through the compiled function's globals or arguments.
 
+Stores are generated by the same code: :meth:`Relation.accumulate_all`
+and :func:`rel_apply_delta` run a store loop generated per index shape
+(:func:`_store_function`) with each index's upkeep written out. A
+relation binds it to its index tables whenever one is added; entries,
+rows and ring operators are passed per call.
+
 Values inside key tuples are dictionary-encoded (plain ints), which keeps
 hashing cheap and makes streams reproducible.
 
@@ -205,7 +211,7 @@ class Relation:
     yields live values only.
     """
 
-    __slots__ = ("schema", "ring", "entries", "indexes", "_index_pos", "counters", "name")
+    __slots__ = ("schema", "ring", "entries", "indexes", "_store", "counters", "name")
 
     def __init__(
         self,
@@ -220,7 +226,8 @@ class Relation:
         self.ring = ring
         self.entries: dict[tuple, Any] = {}
         self.indexes: dict[tuple, dict] = {}
-        self._index_pos: dict[tuple, tuple] = {}
+        # the store loop, bound to the index tables by ensure_index
+        self._store: Any = _BARE_STORE
         self.counters = counters
         self.name = name
 
@@ -256,40 +263,19 @@ class Relation:
         self, rows: Iterable[tuple[tuple, Any]], moves: Optional[list] = None
     ) -> None:
         """:meth:`accumulate` every (key, payload) row in order, appending
-        each support transition to ``moves`` as (key, +1 | -1) when given."""
-        add, is_zero = self.ring.add, self.ring.is_zero
-        entries = self.entries
-        indexed = bool(self.indexes)
-        reads = writes = 0
-        for key, val in rows:
-            reads += 1
-            old = entries.get(key)
-            if old is None:
-                if is_zero(val):
-                    continue
-                entries[key] = val
-                move = 1
-            else:
-                val = add(old, val)
-                if not is_zero(val):
-                    entries[key] = val
-                    writes += 1
-                    continue
-                del entries[key]
-                move = -1
-            writes += 1
-            if indexed:
-                (self._index_add if move > 0 else self._index_remove)(key)
-            if moves is not None:
-                moves.append((key, move))
-        _tally(self.counters, reads, writes)
+        each support transition to ``moves`` as (key, +1 | -1) when given.
+        The rows run through the store loop generated for the relation's
+        index shape (:func:`_store_function`) and bound to its tables."""
+        ring = self.ring
+        self._store(self.entries, rows, moves, self.counters, ring.add, ring.is_zero)
 
     def ensure_index(self, probe_vars: Iterable[str], group_var: Optional[str] = None) -> tuple:
         """Create (or find) the index keyed by ``probe_vars`` / ``group_var``.
 
         Returns the canonical index id. Building walks every current entry
         once, which is charged to the probe counter; a dense relation
-        charges the same and builds nothing (see :class:`_CellIndex`).
+        charges the same and builds nothing (see :class:`_CellIndex`). The
+        store loop is bound anew, to every table.
         """
         probe = tuple(v for v in self.schema if v in set(probe_vars))
         if len(probe) != len(set(probe_vars)):
@@ -300,49 +286,16 @@ class Relation:
         spec = (probe, group_var)
         if spec in self.indexes:
             return spec
-        pos = {v: i for i, v in enumerate(self.schema)}
-        probe_pos = tuple(pos[v] for v in probe)
-        group_pos = pos[group_var] if group_var is not None else None
-        self._index_pos[spec] = (probe_pos, group_pos)
         _tally(self.counters, probes=len(self.entries))
-        self.indexes[spec] = self._new_index(probe_pos, group_pos)
+        pos = {v: i for i, v in enumerate(self.schema)}
+        # (probe positions, group position) of every index, the new one last
+        shape = tuple((tuple(map(pos.get, p)), pos.get(g)) for p, g in (*self.indexes, spec))
+        self.indexes[spec] = self._new_index(*shape[-1])
+        self._store = _store_function(type(self) is DenseRelation, shape)(*self.indexes.values())
         return spec
 
     def _new_index(self, probe_pos: tuple, group_pos: Optional[int]) -> Any:
-        table: dict = {}
-        for key in self.entries:
-            self._index_insert(table, probe_pos, group_pos, key)
-        return table
-
-    @staticmethod
-    def _index_insert(table: dict, probe_pos: tuple, group_pos, key: tuple) -> None:
-        probe = tuple(key[i] for i in probe_pos)
-        group = key[group_pos] if group_pos is not None else None
-        table.setdefault(probe, {}).setdefault(group, {})[key] = None
-
-    def _index_add(self, key: tuple) -> None:
-        _tally(self.counters, probes=len(self.indexes))
-        for spec, table in self.indexes.items():
-            probe_pos, group_pos = self._index_pos[spec]
-            self._index_insert(table, probe_pos, group_pos, key)
-
-    def _index_remove(self, key: tuple) -> None:
-        _tally(self.counters, probes=len(self.indexes))
-        for spec, table in self.indexes.items():
-            probe_pos, group_pos = self._index_pos[spec]
-            probe = tuple(key[i] for i in probe_pos)
-            group = key[group_pos] if group_pos is not None else None
-            bucket = table.get(probe)
-            if bucket is None:
-                continue
-            keys = bucket.get(group)
-            if keys is None:
-                continue
-            keys.pop(key, None)
-            if not keys:
-                del bucket[group]
-            if not bucket:
-                del table[probe]
+        return _fill_function(probe_pos, group_pos)(self.entries)
 
     def index_lookup(self, spec: tuple, probe: tuple) -> list[tuple]:
         """All keys matching ``probe``, flattened across groups."""
@@ -450,11 +403,6 @@ class DenseRelation(Relation):
 
     def _new_index(self, probe_pos: tuple, group_pos: Optional[int]) -> _CellIndex:
         return _CellIndex(self.entries, probe_pos, group_pos)
-
-    def _index_add(self, key: tuple) -> None:
-        _tally(self.counters, probes=len(self.indexes))
-
-    _index_remove = _index_add
 
 
 # A plan has a few shapes; the bound only keeps a long-lived process flat.
@@ -756,6 +704,29 @@ class RowCode:
         self.add(depth + 2, f"{dst}[{key}] = {val}")
         self.add(depth + 1, f"{writes} += 1")
 
+    def upkeep(self, depth: int, key: str, tables: Sequence[tuple], insert: bool) -> None:
+        """Emit the index upkeep for ``key`` entering (``insert``) or
+        leaving the entries: per (table, probe positions, group position),
+        the key is added to the group of its probe bucket, or dropped from
+        it and an emptied group and bucket removed."""
+        for table, probe_pos, group_pos in tables:
+            probe = _pick(key, probe_pos)
+            group = "None" if group_pos is None else f"{key}[{group_pos}]"
+            if insert:
+                self.add(depth, f"{table}.setdefault({probe}, {{}}).setdefault({group}, {{}})"
+                                f"[{key}] = None")
+                continue
+            bucket, keys = self.name("b"), self.name("g")
+            self.add(depth, f"{bucket} = {table}.get({probe})")
+            self.add(depth, f"if {bucket} is not None:")
+            self.add(depth + 1, f"{keys} = {bucket}.get({group})")
+            self.add(depth + 1, f"if {keys} is not None:")
+            self.add(depth + 2, f"{keys}.pop({key}, None)")
+            self.add(depth + 2, f"if not {keys}:")
+            self.add(depth + 3, f"del {bucket}[{group}]")
+            self.add(depth + 3, f"if not {bucket}:")
+            self.add(depth + 4, f"del {table}[{probe}]")
+
 
 # A plan has a few shapes; the bound only keeps a long-lived process flat.
 @lru_cache(maxsize=1024)
@@ -795,6 +766,70 @@ def _level_function(
     for j, (_, _, r, p) in enumerate(rights):
         code.add(1, f"_tally(rights[{j}].counters, {r}, 0, {p})")
     return code.compile("marginalize")
+
+
+# A relation has a few index shapes; the bound only keeps a long-lived process flat.
+@lru_cache(maxsize=1024)
+def _store_function(dense: bool, shape: tuple) -> Any:
+    """The store loop of :meth:`Relation.accumulate_all` for indexes of
+    ``shape``, (probe positions, group position) each, generated once:
+    ``bind(*tables)`` returns ``store(entries, rows, moves, counters, A,
+    Z)``, which adds each (key, payload) row into ``entries``, keeps the
+    tables up at each support change, appends it to ``moves`` unless that
+    is None, and tallies ``counters`` once: per row a read, per insert,
+    overwrite or delete a write, per support change a probe per index. A
+    dense relation's tables store nothing, so it only tallies the probes."""
+    code = RowCode()
+    tables = [(code.name("t"), *spec) for spec in shape]
+    upkept = () if dense else tables
+    code.add(0, f"def bind({', '.join(t for t, _, _ in tables)}):")
+    code.add(1, "def store(entries, rows, moves, counters, A, Z):")
+    code.add(2, "r = w = c = 0")
+    code.add(2, "for k, v in rows:")
+    code.add(3, "r += 1")
+    code.add(3, "o = entries.get(k)")
+    code.add(3, "if o is None:")
+    code.add(4, "if Z(v):")
+    code.add(5, "continue")
+    code.add(4, "entries[k] = v")
+    code.upkeep(4, "k", upkept, True)
+    code.add(4, "m = 1")
+    code.add(3, "else:")
+    code.add(4, "v = A(o, v)")
+    code.add(4, "if not Z(v):")
+    code.add(5, "entries[k] = v")
+    code.add(5, "w += 1")
+    code.add(5, "continue")
+    code.add(4, "del entries[k]")
+    code.upkeep(4, "k", upkept, False)
+    code.add(4, "m = -1")
+    code.add(3, "c += 1")
+    code.add(3, "if moves is not None:")
+    code.add(4, "moves.append((k, m))")
+    code.add(2, "if counters is not None:")
+    code.add(3, "counters.entry_reads += r")
+    code.add(3, "counters.entry_writes += w + c")
+    if shape:
+        code.add(3, f"counters.index_probes += {len(shape)} * c")
+    code.add(1, "return store")
+    return code.compile("bind")
+
+
+# the store of every relation without an index, dict or dense
+_BARE_STORE = _store_function(False, ())()
+
+
+@lru_cache(maxsize=1024)
+def _fill_function(probe_pos: tuple, group_pos: Optional[int]) -> Any:
+    """``fill(keys)``: a new index table holding every key of ``keys``,
+    inserted by the upkeep of :func:`_store_function`."""
+    code = RowCode()
+    code.add(0, "def fill(keys):")
+    code.add(1, "t = {}")
+    code.add(1, "for k in keys:")
+    code.upkeep(2, "k", [("t", probe_pos, group_pos)], True)
+    code.add(1, "return t")
+    return code.compile("fill")
 
 
 @lru_cache(maxsize=1024)
@@ -903,9 +938,14 @@ def rel_apply_delta(target: Relation, delta: Relation) -> list[tuple[tuple, int]
         raise ValueError(f"delta schema mismatch: {target.schema} vs {delta.schema}")
     transitions: list[tuple[tuple, int]] = []
     n = len(delta.entries)
-    _tally(delta.counters, reads=n)
+    if delta.counters is not None:
+        delta.counters.entry_reads += n
     if not (type(target) is DenseRelation and type(delta) is DenseRelation):
-        target.accumulate_all(delta.entries.items(), transitions)
+        ring = target.ring
+        target._store(
+            target.entries, delta.entries.items(), transitions, target.counters,
+            ring.add, ring.is_zero,
+        )
         return transitions
     # Adding arrays does what accumulating each nonzero delta cell does:
     # two reads and a write per cell, index upkeep per support change.

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
@@ -76,3 +78,22 @@ def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
     for p, rate in enumerate(parent_rates):
         runs += [run(p, "parent", rate, 10.0), run(p, "change", 150, 10.0)]
     assert not bench_pairs.summarize(runs, METRICS)["w"]["rate"]["unresolved"]
+
+
+def test_the_printout_has_one_line_per_metric():
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = []
+    for p in range(3):
+        for side, value in (("parent", 100.0), ("change", 110.0)):
+            values = {m["name"]: {"value": value + p} for m in metrics}
+            runs.append({
+                "workload": "w", "pair": p, "side": side,
+                "result": {"failed": 0, "metrics": values},
+            })
+    lines = bench_pairs.summary_lines(bench_pairs.summarize(runs, metrics), metrics)
+    assert [line.split(":")[0] for line in lines] == [f"w {m['name']}" for m in metrics]
+    assert lines[0] == (
+        f"w {metrics[0]['name']}: parent 101, change 111 (+9.9%), wins"
+        f" {3 if metrics[0]['better'] == 'higher' else 0}/3, within_bound True,"
+        f" gain_claimable {metrics[0]['better'] == 'higher'}"
+    )

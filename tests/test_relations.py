@@ -251,6 +251,178 @@ def test_grouped_index_drops_empty_buckets():
     assert r.indexes[spec] == {}
 
 
+def test_an_index_added_after_a_store_is_kept_up():
+    """A relation that has stored a delta gets a new index, as a listing's
+    lazy ``ensure_index`` gives one; the next insert and delete keep it."""
+    r = Relation(("A", "B"), Z, OpCounters())
+    rel_apply_delta(r, rel(("A", "B"), [((1, 10), 1), ((2, 20), 1)]))
+    spec = r.ensure_index(("A",), group_var="B")
+    rel_apply_delta(r, rel(("A", "B"), [((1, 11), 1)]))
+    assert r.indexes[spec] == {
+        (1,): {10: {(1, 10): None}, 11: {(1, 11): None}},
+        (2,): {20: {(2, 20): None}},
+    }
+    r.accumulate((2, 20), -1)
+    assert r.indexes[spec] == {(1,): {10: {(1, 10): None}, 11: {(1, 11): None}}}
+    # two entries walked by the build, then one probe per support change
+    assert r.counters.index_probes == 4
+
+
+# The index forms a plan asks for: a probe with a group column, a probe
+# without one, and the hub form (no probe, grouped by the variable).
+INDEX_SPECS = [(("A",), "B"), (("B",), None), ((), "A")]
+CELLS = [(a, b) for a in range(3) for b in range(3)]
+
+
+def positions(spec):
+    probe, group = spec
+    return tuple("AB".index(v) for v in probe), None if group is None else "AB".index(group)
+
+
+def reference_store(model, indexes, rows):
+    """The row loop as it stood before it was generated: accumulate every
+    (key, payload) row into the dict ``model`` and keep each table of
+    ``indexes`` (spec -> table) up with ``setdefault`` chains, dropping
+    emptied groups and buckets. Returns the support moves and the
+    (reads, writes, probes) spent."""
+    moves, reads, writes = [], 0, 0
+    for key, val in rows:
+        reads += 1
+        old = model.get(key)
+        if old is None:
+            if val == 0:
+                continue
+            model[key] = val
+            move = 1
+        else:
+            val = old + val
+            if val != 0:
+                model[key] = val
+                writes += 1
+                continue
+            del model[key]
+            move = -1
+        writes += 1
+        for spec, table in indexes.items():
+            probe_pos, group_pos = positions(spec)
+            probe = tuple(key[i] for i in probe_pos)
+            group = None if group_pos is None else key[group_pos]
+            if move > 0:
+                table.setdefault(probe, {}).setdefault(group, {})[key] = None
+            else:
+                keys = table[probe][group]
+                del keys[key]
+                if not keys:
+                    del table[probe][group]
+                if not table[probe]:
+                    del table[probe]
+        moves.append((key, move))
+    return moves, (reads, writes, len(indexes) * len(moves))
+
+
+def as_nested(table, spec):
+    """An index table as nested dicts, probe -> group -> keys; a dense
+    relation's table is read at every probe of its cells."""
+    if isinstance(table, dict):
+        return {p: {g: dict(keys) for g, keys in b.items()} for p, b in table.items()}
+    probe_pos = positions(spec)[0]
+    probes = dict.fromkeys(tuple(key[i] for i in probe_pos) for key in CELLS)
+    return {p: b for p in probes if (b := table.get(p))}
+
+
+def in_order(table):
+    """A dict index table with the insertion order of every level spelled out."""
+    return [(p, [(g, list(keys)) for g, keys in b.items()]) for p, b in table.items()]
+
+
+def fresh_copy(r):
+    """A relation of ``r``'s kind holding its entries and no index."""
+    if isinstance(r, DenseRelation):
+        copy = DenseRelation(r.schema, r.ring, r.entries.array.shape)
+        copy.entries.array[...] = r.entries.array
+        copy.entries.count = r.entries.count
+    else:
+        copy = Relation(r.schema, r.ring)
+        copy.entries = dict(r.entries)
+    return copy
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_indexes_follow_any_stream_of_stores(data):
+    """Dict and dense relations with up to two indexes, some added midway,
+    under random ``accumulate`` / ``accumulate_all`` / ``rel_apply_delta``
+    steps whose payloads cancel: after every step each index equals a
+    fresh build on a copy and holds no empty bucket or group, and the
+    moves and counters equal the reference row loop's. A dict index also
+    keeps the reference's insertion order at every level."""
+    ring = real_ring()
+    dense = data.draw(st.booleans(), label="dense")
+    counters = OpCounters()
+    if dense:
+        r = DenseRelation(("A", "B"), ring, (3, 3), counters)
+    else:
+        r = Relation(("A", "B"), ring, counters)
+    model: dict = {}
+    ref_indexes: dict = {}
+    units = [0, 0, 0]
+
+    def add_index(spec):
+        r.ensure_index(*spec)
+        units[2] += len(model)
+        ref_indexes[spec] = {}
+        reference_store({}, {spec: ref_indexes[spec]}, model.items())
+
+    for spec in data.draw(st.lists(st.sampled_from(INDEX_SPECS), max_size=2, unique=True)):
+        add_index(spec)
+    row = st.tuples(st.sampled_from(CELLS), st.sampled_from([-2, -1, 0, 1, 2]))
+    for _ in range(data.draw(st.integers(1, 10), label="steps")):
+        op = data.draw(st.sampled_from(["accumulate", "all", "delta", "cancel", "index"]))
+        if op == "index":
+            left = [s for s in INDEX_SPECS if s not in r.indexes]
+            if len(r.indexes) < 2:
+                add_index(data.draw(st.sampled_from(left)))
+            continue
+        if op == "accumulate":
+            rows = [data.draw(row)]
+        elif op == "cancel":
+            rows = [(key, -val) for key, val in model.items()]
+        else:
+            rows = data.draw(st.lists(row, max_size=6))
+        if op == "delta":
+            if dense and data.draw(st.booleans(), label="dense delta"):
+                delta = DenseRelation(("A", "B"), ring, (3, 3))
+            else:
+                delta = Relation(("A", "B"), ring)
+            delta.accumulate_all(rows)
+            rows = list(delta.entries.items())
+        moves, spent = reference_store(model, ref_indexes, rows)
+        units = [u + s for u, s in zip(units, spent)]
+        if op == "accumulate":
+            move = r.accumulate(*rows[0])
+            got = [(rows[0][0], move)] if move else []
+        elif op == "delta":
+            got = rel_apply_delta(r, delta)
+        elif data.draw(st.booleans(), label="moves kept"):
+            got = []
+            r.accumulate_all(rows, got)
+        else:
+            r.accumulate_all(rows)
+            got = moves
+        assert got == moves
+        assert dict(r.entries) == model
+        assert counters.snapshot() == tuple(units)
+        assert r.indexes.keys() == ref_indexes.keys()
+        copy = fresh_copy(r)
+        for spec, table in r.indexes.items():
+            copy.ensure_index(*spec)
+            assert as_nested(table, spec) == as_nested(copy.indexes[spec], spec)
+            assert as_nested(table, spec) == as_nested(ref_indexes[spec], spec)
+            if not dense:
+                assert all(bucket and all(bucket.values()) for bucket in table.values())
+                assert in_order(table) == in_order(ref_indexes[spec])
+
+
 def test_total_sums_every_payload():
     r = rel(("A", "B"), [((1, 2), 3), ((4, 5), -1)])
     assert r.total() == 2

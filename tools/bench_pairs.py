@@ -19,7 +19,8 @@ parent run), and whether the change may claim a gain (it won at least
 nine pairs in ten and its median beats the parent's by more than the
 parent's interquartile range).
 The file is rewritten after every run, so an interrupted loop keeps what
-it measured.
+it measured. At the end, stdout gets one line per workload and
+end-to-end metric (:func:`summary_lines`).
 """
 
 from __future__ import annotations
@@ -126,6 +127,26 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def summary_lines(summary: dict, metrics: list[dict]) -> list[str]:
+    """One line per workload and end-to-end metric of ``summary``: both
+    medians, the change's in percent of the parent's, the pairs the change
+    won, ``within_bound`` and ``gain_claimable``."""
+    lines = []
+    for workload, rows in summary.items():
+        for m in metrics:
+            row = rows.get(m["name"])
+            if row is None:
+                continue
+            parent, change = row["parent_q1_median_q3"][1], row["change_q1_median_q3"][1]
+            pct = f"{(change - parent) / parent:+.1%}" if parent else "n/a"
+            lines.append(
+                f"{workload} {m['name']}: parent {parent:.6g}, change {change:.6g} ({pct}),"
+                f" wins {row['change_wins']}/{rows['pairs']},"
+                f" within_bound {row['within_bound']}, gain_claimable {row['gain_claimable']}"
+            )
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
@@ -157,6 +178,7 @@ def main(argv=None) -> int:
                 with open(args.out, "w") as fh:
                     json.dump(doc, fh, indent=1)
                     fh.write("\n")
+    print("\n".join(summary_lines(doc.get("summary", {}), metrics)))
     return 0
 
 
