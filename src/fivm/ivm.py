@@ -8,8 +8,8 @@ fixed for the entry (``ViewTree.delta_paths``), at every level joining the
 pre-update state of the sibling views and summing out the level's
 variables. Each path is compiled once per evaluated state, at its first
 delta: every level's stored view and sibling relations are resolved then,
-and for each schema a dict delta enters with, one Python function is
-generated that runs the whole climb (``RuntimeState._climb``), its row
+and one Python function is generated that runs the whole update of a
+dict delta over the entry's own keys (``RuntimeState._climb``), its row
 positions, probes, lifts, zero tests and counter tallies written out, so
 an update plans nothing and interprets no plan. Only once the whole path
 is computed are the stored levels updated, through ``rel_apply_delta``,
@@ -196,7 +196,11 @@ class RuntimeState:
     def initialize(self, leaves: dict[str, Relation]) -> None:
         """Evaluate the tree bottom-up over ``leaves`` and store the flagged
         nodes. Nothing is stored until every node is evaluated, so an error
-        leaves the state as it was."""
+        leaves the state as it was. A leaf must count on this state's
+        counters, the one block a generated climb charges."""
+        for leaf_id, rel in leaves.items():
+            if rel.counters is not self.counters:
+                raise ValueError(f"leaf {leaf_id} does not count on this state's counters")
         views: dict[str, Relation] = {}
         indicator_rels: dict[str, Relation] = {}
         indicator_states: dict[str, IndicatorState] = {}
@@ -260,111 +264,84 @@ class RuntimeState:
     def _enter(self, entry: ViewNode, form: list[Relation]) -> list[tuple[tuple, int]]:
         """Push a delta that enters at ``entry`` up its compiled path.
 
-        A single dict delta runs the function generated for its schema
-        (:meth:`_climb`), which computes the whole climb and stores its
-        levels. A product of factors, or a dense delta, climbs level by
-        level: a single relation is joined with the level's siblings and
-        summed by :func:`rel_marginalize`, a product by
-        :func:`optimize_factorized`. Either way every
-        level is computed against the state before the delta; only then
-        are the stored levels updated, and the entry's own relation last,
-        so an error on the way up changes nothing. Returns the support
-        transitions of the entry's relation (none when unstored).
+        A single dict delta over the entry's own keys runs the path's
+        generated function (:meth:`_climb`). Any other form, a product of
+        factors, a dense delta or one factor over permuted columns, climbs
+        level by level: a product by :func:`optimize_factorized`, anything
+        else, or a product expanded when payloads are totalled, joined with
+        the level's siblings and summed by :func:`rel_marginalize`. Either
+        way every level is computed against the state before the delta;
+        only then are the stored levels updated, and the entry's own
+        relation last, so an error on the way up changes nothing. Returns
+        the support transitions of the entry's relation (none when unstored).
         """
         path = self._paths.get(entry.id)
         if path is None:
             path = self._paths[entry.id] = self._compile(entry)
-        stored, levels, climbs = path
-        if len(form) == 1 and type(form[0]) is Relation:
-            delta = form[0]
-            climb = climbs.get(delta.schema)
-            if climb is None:
-                climb = climbs[delta.schema] = self._climb(levels, delta.schema).compile("climb")
-            climb(delta.entries)
-        else:
-            self._walk(levels, form)
-        if stored is None:
-            return []
-        return rel_apply_delta(stored, self._expand(form, entry.keys))
-
-    def _walk(self, levels: tuple, form: list[Relation]) -> None:
-        """Climb ``levels`` one at a time with the delta ``form``, then
-        store the levels computed."""
+        climb, stored, levels = path
+        if len(form) == 1 and type(form[0]) is Relation and form[0].schema == entry.keys:
+            return climb(form[0].entries)
         xform = self.payload_xform
         deltas: list[tuple[ViewNode, Optional[Relation], list[Relation]]] = []
         level = form
-        for node, target, joins, inner_first, _ in levels:
+        for node, target, joins, inner_first in levels:
             if any(not f.entries for f in level):
                 break
-            if xform and len(level) > 1:
-                # Payload totals do not distribute over a product's factors.
-                level = [self._expand(level)]
-            if len(level) > 1:
+            if len(level) > 1 and not xform:
                 level = optimize_factorized(level + [r for r, _ in joins], inner_first, node.lifts)
             else:
-                level = [
-                    rel_marginalize(level[0], node.marg_vars, node.lifts, joins, node.keys, xform)
-                ]
+                # Payload totals do not distribute over a product's factors.
+                delta = self._expand(level)
+                level = [rel_marginalize(delta, node.marg_vars, node.lifts, joins, node.keys, xform)]
             deltas.append((node, target, level))
         for node, target, level in deltas:
             if target is not None:
                 rel_apply_delta(target, self._expand(level, node.keys))
+        if stored is None:
+            return []
+        return rel_apply_delta(stored, self._expand(form, entry.keys))
 
     def _compile(self, entry: ViewNode) -> tuple:
-        """``entry``'s stored relation (None when unstored), the levels of
-        its delta path resolved against the stored relations, and the
-        climbs generated so far, keyed by the schema of the delta entering.
+        """``entry``'s path compiled against the stored relations: the
+        function a dict delta over the entry's keys runs (:meth:`_climb`),
+        the entry's stored relation (None when unstored) and the levels.
         Per level: the node, its stored relation (None when unstored), the
-        (sibling relation, route) pairs it joins, the order in which a
-        product-form delta sums out the node's variables, and the shell a
-        generated climb stores the level's delta through (None when
-        unstored). A path is compiled at its first delta and dropped whenever
-        :meth:`initialize` rebinds the stored relations."""
-        levels = []
-        for step in self.tree.delta_paths[entry.id]:
-            joins = [(self.stored(sib_id), route) for sib_id, route in step.joins]
-            target = self.stored(step.node.id) if step.node.materialized else None
-            shell = None if target is None else Relation(step.node.keys, self.ring, self.counters)
-            levels.append((step.node, target, joins, step.inner_first, shell))
-        return (self.stored(entry.id) if entry.materialized else None), tuple(levels), {}
+        (sibling relation, route) pairs it joins and the order in which a
+        product-form delta sums out the node's variables. A path is
+        compiled at its first delta and dropped whenever :meth:`initialize`
+        rebinds the stored relations."""
+        stored = self.stored(entry.id) if entry.materialized else None
+        levels = tuple(
+            (step.node, self.stored(step.node.id) if step.node.materialized else None,
+             [(self.stored(sib_id), route) for sib_id, route in step.joins], step.inner_first)
+            for step in self.tree.delta_paths[entry.id]
+        )
+        climb = self._climb(entry, stored, levels).compile("climb", f"climb {entry.id}")
+        return climb, stored, levels
 
-    def _climb(self, levels: tuple, schema: tuple[str, ...]) -> RowCode:
-        """The function a dict delta over ``schema`` climbs ``levels`` by,
-        as source: ``climb(d)`` takes the delta's entries, computes every
-        level's delta as a dict, each level one :meth:`RowCode.level`,
-        then adds the units it tallied per level to their counter blocks
-        and stores the level deltas through ``rel_apply_delta``, looked up
-        in this module when it runs: each stored level's shell takes the
-        level's dict as its entries for the call."""
+    def _climb(self, entry: ViewNode, stored: Optional[Relation], levels: tuple) -> RowCode:
+        """The source of ``climb(d)``, the whole update of a dict delta over
+        ``entry``'s keys: given the delta's entries, it computes every level's
+        delta as a dict (one :meth:`RowCode.level` each), adds the units each
+        level tallied to the state's counters, then stores each stored level
+        and, last, ``stored`` through ``rel_apply_delta``, looked up in this
+        module when it runs. A shell takes each dict as its entries for the
+        call and lets go of it after, since a batch's deltas kept alive until
+        the path's next update slow the batches that follow. Returns the
+        entry's support transitions, none when ``stored`` is None."""
         ring = self.ring
         code = RowCode()
         code.consts.update(
             M=ring.mul, A=ring.add, Z=ring.is_zero, X=self.payload_xform, RING=ring,
             ivm=sys.modules[__name__],
         )
-        src = code.name("d")
+        src = entry_src = code.name("d")
         code.add(0, f"def climb({src}):")
-        if not levels:
-            code.add(1, "pass")
-            return code
-        head = len(code.lines)
-        # Per counter block (by id): its name in the code (None for a
-        # relation that counts nothing) and each level's tallies charged to it.
-        blocks: dict[int, tuple[Optional[str], list[tuple[str, str, str]]]] = {}
-
-        def tallies(counters: Optional[OpCounters], level: dict) -> tuple[str, str, str]:
-            """The level's (reads, writes, probes) names charged to ``counters``."""
-            key = id(counters)
-            if key not in level:
-                if key not in blocks:
-                    blocks[key] = (None if counters is None else code.const("C", counters), [])
-                level[key] = code.name("r"), code.name("w"), code.name("p")
-                blocks[key][1].append(level[key])
-            return level[key]
-
+        schema = entry.keys
         mapped = self.payload_xform is not None
-        stores = []
-        for node, target, joins, _, shell in levels:
+        counters = None
+        tallies, stores = [], []
+        for node, target, joins, _ in levels:
             steps, sums, lifted, _, out_pos = plan_shape(
                 schema, tuple((r.schema, route) for r, route in joins),
                 node.marg_vars, node.lifts, node.keys,
@@ -372,40 +349,41 @@ class RuntimeState:
             schema = node.keys
             dst = code.name("d")
             code.add(1, f"{dst} = {{}} if {src} else None")
-            level: dict = {}
-            side = tallies(self.counters, level)
+            # named at the first level: a path without levels charges nothing
+            counters = counters or code.const("C", self.counters)
+            side = code.name("r"), code.name("w"), code.name("p")
+            code.add(1, f"{' = '.join(side)} = 0")
+            tallies.append(side)
             names = []
             for right, route in joins:
                 entries = code.name("e")
                 code.add(1, f"{entries} = {code.const('R', right)}.entries")
-                table = None
-                if route not in (None, "primary"):
-                    table = code.const("T", right.indexes[route])
-                r, _, p = tallies(right.counters, level)
-                names.append((entries, table, r, p))
+                table = None if route in (None, "primary") else code.const("T", right.indexes[route])
+                names.append((entries, table, side[0], side[2]))
             fns = [(pos, code.const("F", fn)) for pos, fn in lifted]
             code.level(1, src, dst, (steps, sums, out_pos), fns, mapped, side, names)
             if target is not None:
+                shell = Relation(node.keys, ring, self.counters)
                 stores.append((dst, code.const("S", shell), code.const("V", target)))
             src = dst
-        every = [n for _, trios in blocks.values() for trio in trios for n in trio]
-        code.lines.insert(head, f"    {' = '.join(every)} = 0")
-        fields = ("entry_reads", "entry_writes", "index_probes")
-        for c, trios in blocks.values():
-            if c is not None:
-                for field, units in zip(fields, zip(*trios)):
-                    code.add(1, f"{c}.{field} += {' + '.join(units)}")
+        for field, units in zip(("entry_reads", "entry_writes", "index_probes"), zip(*tallies)):
+            code.add(1, f"{counters}.{field} += {' + '.join(units)}")
+        if stored is not None:
+            shell = Relation(entry.keys, ring, self.counters)
+            stores.append((entry_src, code.const("S", shell), code.const("V", stored)))
         for dst, shell, target in stores:
             code.add(1, f"if {dst} is not None:")
             code.add(2, f"{shell}.entries = {dst}")
-            code.add(2, f"ivm.rel_apply_delta({target}, {shell})")
+            code.add(2, f"moves = ivm.rel_apply_delta({target}, {shell})")
+            code.add(2, f"{shell}.entries = None")
+        code.add(1, "return []" if stored is None else "return moves")
         return code
 
     def climb_source(self, entry_id: str) -> str:
-        """The source generated for a dict delta over ``entry_id``'s own
-        schema climbing its path (a loaded state compiles it)."""
+        """The source of the function a dict delta over ``entry_id``'s own
+        schema climbs its path by (a loaded state compiles it)."""
         entry = self.tree.by_id[entry_id]
-        return self._climb(self._compile(entry)[1], entry.keys).source
+        return self._climb(entry, *self._compile(entry)[1:]).source
 
     def propagate(self, leaf_id: str, form: list[Relation]) -> None:
         """Push one relation occurrence's delta through the whole tree.

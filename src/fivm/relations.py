@@ -577,10 +577,12 @@ class RowCode:
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
 
-    def compile(self, name: str) -> Any:
-        """The function ``name`` the source defines."""
+    def compile(self, name: str, label: str) -> Any:
+        """The function ``name`` the source defines, compiled under the file
+        name ``<fivm LABEL>``: profilers key a function by its file, so each
+        label keeps its own row."""
         scope = {"__builtins__": builtins, **self.consts}
-        exec(compile(self.source, f"<fivm {name}>", "exec"), scope)
+        exec(compile(self.source, f"<fivm {label}>", "exec"), scope)
         return scope[name]
 
     def level(
@@ -765,7 +767,7 @@ def _level_function(
     code.add(1, f"_tally(left.counters, {', '.join(side)})")
     for j, (_, _, r, p) in enumerate(rights):
         code.add(1, f"_tally(rights[{j}].counters, {r}, 0, {p})")
-    return code.compile("marginalize")
+    return code.compile("marginalize", f"marginalize {(levels, sums, lifted, out_pos, mapped)}")
 
 
 # A relation has a few index shapes; the bound only keeps a long-lived process flat.
@@ -812,7 +814,7 @@ def _store_function(dense: bool, shape: tuple) -> Any:
     if shape:
         code.add(3, f"counters.index_probes += {len(shape)} * c")
     code.add(1, "return store")
-    return code.compile("bind")
+    return code.compile("bind", f"store {(dense, shape)}")
 
 
 # the store of every relation without an index, dict or dense
@@ -829,7 +831,7 @@ def _fill_function(probe_pos: tuple, group_pos: Optional[int]) -> Any:
     code.add(1, "for k in keys:")
     code.upkeep(2, "k", [("t", probe_pos, group_pos)], True)
     code.add(1, "return t")
-    return code.compile("fill")
+    return code.compile("fill", f"fill {(probe_pos, group_pos)}")
 
 
 @lru_cache(maxsize=1024)

@@ -267,6 +267,24 @@ def test_root_covering_free_variables_scans_the_root():
     assert len(list(enumerate_result(state, limit=1))) == 1
 
 
+@pytest.mark.xfail(
+    strict=True, reason="the walk takes a hub's payload sum for its support (ROADMAP item 2)"
+)
+def test_a_listing_keeps_rows_whose_hub_aggregate_cancels():
+    """R(a1, b1) = 1 and R(a1, b2) = -1 sum B away to 0 at a1, so the hub
+    at A holds no a1; both rows through a1 still have nonzero payloads."""
+    query = Query(CHAIN_RELS, ("A", "B", "C", "D"), integer_ring(), lifts=(lift_to_one("E"),))
+    state = RuntimeState(plan_view_tree(query, CHAIN_ORDER, updatable=("R", "S", "T")))
+    state.load({
+        "R": [(("a1", "b1"), 1), (("a1", "b2"), -1)],
+        "S": [(("a1", "c1", "e1"), 1)],
+        "T": [(("c1", "d1"), 1)],
+    })
+    want = dict(recompute_query(query, state.leaves, query.free).entries)
+    assert want == {("a1", "b1", "c1", "d1"): 1, ("a1", "b2", "c1", "d1"): -1}
+    assert dict(enumerate_result(state)) == want
+
+
 # ---------------------------------------------------------------------------
 # the listing plan on every kind of tree
 

@@ -3,7 +3,9 @@ factorized updates, and indicator upkeep."""
 
 from __future__ import annotations
 
+import cProfile
 import math
+import pstats
 import random
 
 import numpy as np
@@ -25,6 +27,7 @@ from fivm.ivm import (
 from fivm.queries import Query, VariableOrder
 from fivm.relations import (
     DenseRelation,
+    OpCounters,
     Relation,
     from_pairs,
     rel_join,
@@ -513,6 +516,36 @@ def test_no_update_plans_its_path(monkeypatch):
     assert_views_match_fresh(state)
 
 
+def test_profiles_keep_each_path_apart():
+    """Each path's function compiles under its own file name, which a
+    profile keys functions by, so R's climb and S's keep a row each."""
+    state = chain_state()
+    profile = cProfile.Profile()
+    profile.enable()
+    state.apply_batch([UpdateDelta("R", ((("a1", "b9"), 1),))])
+    state.apply_batch([UpdateDelta("S", ((("a1", "c2", "e9"), 1),))])
+    profile.disable()
+    climbs = {file for file, _, name in pstats.Stats(profile).stats if name == "climb"}
+    assert climbs == {"<fivm climb R>", "<fivm climb S>"}
+
+
+def test_initialize_refuses_a_leaf_on_foreign_counters():
+    """A generated climb charges every level to the state's one counter
+    block, so a leaf counting elsewhere is refused before anything
+    changes, and the state goes on maintaining what it held."""
+    state = chain_state()
+    before, units = snapshot(state), state.counters.snapshot()
+    leaves = dict(state.leaves)
+    leaves["T"] = from_pairs(("C", "D"), Z, COUNT_DB["T"], counters=OpCounters())
+    with pytest.raises(ValueError, match="counters"):
+        state.initialize(leaves)
+    assert snapshot(state) == before
+    assert state.counters.snapshot() == units
+    state.apply_batch([UpdateDelta("T", ((("c1", "d9"), 1),))])
+    assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
+    assert_views_match_fresh(state)
+
+
 def test_load_rejects_key_of_wrong_arity_and_keeps_old_state():
     state = chain_state()
     before = snapshot(state)
@@ -754,8 +787,8 @@ def test_self_join_random_stream_matches_oracle(steps):
 
 def test_each_self_join_occurrence_climbs_its_own_function():
     """A self join's delta reaches each occurrence under that occurrence's
-    variables (``RuntimeState._rebound``), and each climbs its path by a
-    function generated for that schema. The stored views, the root and
+    variables (``RuntimeState._rebound``), and each climbs its path by the
+    function generated for that occurrence. The stored views, the root and
     the listing stay equal to a recompute after every step."""
     query = Query(
         [("R", ("A", "B")), ("R", ("B", "C"))],
@@ -777,9 +810,10 @@ def test_each_self_join_occurrence_climbs_its_own_function():
         assert_views_match_fresh(state)
         listing = recompute_query(query, state.leaves, query.free)
         assert dict(enumerate_result(state)) == dict(listing.entries)
-    climbs = {leaf_id: state._paths[leaf_id][2] for leaf_id in ("R#1", "R#2")}
-    assert {k: list(v) for k, v in climbs.items()} == {"R#1": [("A", "B")], "R#2": [("B", "C")]}
-    assert climbs["R#1"][("A", "B")] is not climbs["R#2"][("B", "C")]
+    climbs = {leaf_id: state._paths[leaf_id][0] for leaf_id in ("R#1", "R#2")}
+    assert climbs["R#1"] is not climbs["R#2"]
+    assert climbs["R#1"].__code__.co_filename == "<fivm climb R#1>"
+    assert climbs["R#2"].__code__.co_filename == "<fivm climb R#2>"
 
 
 # ---------------------------------------------------------------------------
@@ -821,6 +855,41 @@ def test_factorized_delta_matches_expanded_delta():
     for vid in s_fact.views:
         assert s_fact.views[vid].entries == s_flat.views[vid].entries
     assert s_fact.leaves["R"].entries == s_flat.leaves["R"].entries
+
+
+def test_a_factor_over_permuted_columns_climbs_level_by_level(monkeypatch):
+    """A one-factor ``FactorizedDelta`` over R's columns in another order
+    is no dict delta over the entry's keys, so it climbs level by level
+    and is then reordered for R's own store. It leaves the views, root
+    and leaf the equivalent ``UpdateDelta`` leaves, and charges what the
+    path's generated function charges for the same factor in R's order,
+    plus the one reorder."""
+    pairs = ((("a1", "b9"), 2), (("a9", "b1"), 1), (("a1", "b1"), -1))
+    flat = chain_state()
+    flat.apply_batch([UpdateDelta("R", pairs)])
+    walked = []
+    marginalize = fivm.ivm.rel_marginalize
+    monkeypatch.setattr(
+        fivm.ivm, "rel_marginalize", lambda *a, **k: walked.append(a) or marginalize(*a, **k)
+    )
+    units = {}
+    for schema in (("A", "B"), ("B", "A")):
+        rows = [(k if schema == ("A", "B") else k[::-1], v) for k, v in pairs]
+        factor = from_pairs(schema, Z, rows, counters=OpCounters())
+        state = chain_state()
+        before = state.counters.snapshot()
+        walked.clear()
+        state.apply_batch([FactorizedDelta("R", (factor,))])
+        units[schema] = [a - b for a, b in zip(state.counters.snapshot(), before)]
+        assert bool(walked) == (schema != ("A", "B"))
+        assert snapshot(state) == snapshot(flat)
+        assert dict(state.result().entries) == dict(flat.result().entries)
+    monkeypatch.undo()
+    # the last factor, over ("B", "A"), reordered once more on its own counters
+    before = factor.counters.snapshot()
+    rel_marginalize(factor, (), {}, schema=("A", "B"))
+    reorder = [a - b for a, b in zip(factor.counters.snapshot(), before)]
+    assert units[("B", "A")] == [a + b for a, b in zip(units[("A", "B")], reorder)]
 
 
 def test_factorized_delta_must_cover_the_schema():
@@ -944,7 +1013,7 @@ def test_duplicate_support_keeps_indicator_silent():
     assert_views_match_fresh(state)
 
 
-def test_an_unstored_indicator_climbs_its_path():
+def test_an_unstored_indicator_climbs_its_path(monkeypatch):
     """With only R updatable, the triangle's indicator over R is fed by R
     but stored nowhere, since its siblings hold no updatable relation. Its
     support transitions still climb its path: after each of 40 random
@@ -967,6 +1036,16 @@ def test_an_unstored_indicator_climbs_its_path():
         "S": [(e, 1) for e in rng.sample(edges, 10)],
         "T": [(e, 1) for e in rng.sample(edges, 10)],
     })
+    entered = []
+    enter = state._enter
+
+    def record(entry, form):
+        out = enter(entry, form)
+        if entry is ind:
+            entered.append((form, out))
+        return out
+
+    monkeypatch.setattr(state, "_enter", record)
     for _ in range(40):
         live = [k for k, m in state.leaves["R"].entries.items() if m > 0]
         if live and rng.random() < 0.5:
@@ -976,6 +1055,12 @@ def test_an_unstored_indicator_climbs_its_path():
         state.apply_batch([UpdateDelta("R", (pair,))])
         assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
         assert_views_match_fresh(state)
+    # every indicator delta ran the path's generated function, which
+    # stores no entry and so returns no transitions
+    assert entered and any(form[0].entries for form, _ in entered)
+    assert all(type(f) is Relation and f.schema == ind.keys for (f,), _ in entered)
+    assert all(out == [] for _, out in entered)
+    assert state.climb_source(ind.id).endswith("    return []\n")
 
 
 # ---------------------------------------------------------------------------

@@ -726,3 +726,15 @@ def test_prefix_enumerate_in_first_insertion_order():
     groups = r.index_groups(spec, (1,))
     assert list(groups) == [30, 10, 20]
     assert list(groups[30]) == [(1, 30)]
+
+
+@pytest.mark.xfail(strict=True, reason="float residue outlives a retraction (ROADMAP item 7)")
+def test_real_payloads_retracted_in_another_order_leave_no_entry():
+    """0.1 + 0.2 + 0.7 - 0.7 - 0.1 - 0.2 is 2.78e-17 in floating point,
+    under ``real_ring``'s default zero tolerance of 0."""
+    rel = Relation(("A",), real_ring(), OpCounters())
+    for x in (0.1, 0.2, 0.7):
+        rel.accumulate(("a",), x)
+    for x in (0.7, 0.1, 0.2):
+        rel.accumulate(("a",), -x)
+    assert dict(rel.entries) == {}
