@@ -316,19 +316,18 @@ class RuntimeState:
              [(self.stored(sib_id), route) for sib_id, route in step.joins], step.inner_first)
             for step in self.tree.delta_paths[entry.id]
         )
-        climb = self._climb(entry, stored, levels).compile("climb", f"climb {entry.id}")
-        return climb, stored, levels
+        return self._climb(entry, stored, levels), stored, levels
 
-    def _climb(self, entry: ViewNode, stored: Optional[Relation], levels: tuple) -> RowCode:
-        """The source of ``climb(d)``, the whole update of a dict delta over
-        ``entry``'s keys: given the delta's entries, it computes every level's
-        delta as a dict (one :meth:`RowCode.level` each), adds the units each
-        level tallied to the state's counters, then stores each stored level
-        and, last, ``stored`` through ``rel_apply_delta``, looked up in this
-        module when it runs. A shell takes each dict as its entries for the
-        call and lets go of it after, since a batch's deltas kept alive until
-        the path's next update slow the batches that follow. Returns the
-        entry's support transitions, none when ``stored`` is None."""
+    def _climb(self, entry: ViewNode, stored: Optional[Relation], levels: tuple) -> Any:
+        """``climb(d)`` compiled, its source kept as ``climb.source``: given
+        a dict delta's entries over ``entry``'s keys, it computes every level
+        (one :meth:`RowCode.level` each), adds the units each level tallied
+        to the state's counters, then stores each stored level and, last,
+        ``stored`` through ``rel_apply_delta``, looked up in this module when
+        it runs. A shell takes each dict as its entries for the call and lets
+        go of it after: a batch's deltas kept alive until the path's next
+        update slow the batches that follow. Returns the entry's support
+        transitions, none when ``stored`` is None."""
         ring = self.ring
         code = RowCode()
         code.consts.update(
@@ -368,22 +367,25 @@ class RuntimeState:
             src = dst
         for field, units in zip(("entry_reads", "entry_writes", "index_probes"), zip(*tallies)):
             code.add(1, f"{counters}.{field} += {' + '.join(units)}")
-        if stored is not None:
-            shell = Relation(entry.keys, ring, self.counters)
-            stores.append((entry_src, code.const("S", shell), code.const("V", stored)))
         for dst, shell, target in stores:
             code.add(1, f"if {dst} is not None:")
             code.add(2, f"{shell}.entries = {dst}")
-            code.add(2, f"moves = ivm.rel_apply_delta({target}, {shell})")
+            code.add(2, f"ivm.rel_apply_delta({target}, {shell})")
             code.add(2, f"{shell}.entries = None")
+        if stored is not None:  # the caller's entries are never None: no test
+            shell = code.const("S", Relation(entry.keys, ring, self.counters))
+            code.add(1, f"{shell}.entries = {entry_src}")
+            code.add(1, f"moves = ivm.rel_apply_delta({code.const('V', stored)}, {shell})")
+            code.add(1, f"{shell}.entries = None")
         code.add(1, "return []" if stored is None else "return moves")
-        return code
+        climb = code.compile("climb", f"climb {entry.id}")
+        climb.source = code.source
+        return climb
 
     def climb_source(self, entry_id: str) -> str:
         """The source of the function a dict delta over ``entry_id``'s own
         schema climbs its path by (a loaded state compiles it)."""
-        entry = self.tree.by_id[entry_id]
-        return self._climb(entry, *self._compile(entry)[1:]).source
+        return self._compile(self.tree.by_id[entry_id])[0].source
 
     def propagate(self, leaf_id: str, form: list[Relation]) -> None:
         """Push one relation occurrence's delta through the whole tree.

@@ -785,11 +785,13 @@ def test_self_join_random_stream_matches_oracle(steps):
     assert_views_match_fresh(state)
 
 
-def test_each_self_join_occurrence_climbs_its_own_function():
+def test_each_self_join_occurrence_climbs_its_own_function(monkeypatch):
     """A self join's delta reaches each occurrence under that occurrence's
     variables (``RuntimeState._rebound``), and each climbs its path by the
-    function generated for that occurrence. The stored views, the root and
-    the listing stay equal to a recompute after every step."""
+    function generated for that occurrence: every delta entering R#1 or
+    R#2 is one plain relation over the occurrence's keys, and each runs
+    that occurrence's function. The stored views, the root and the listing
+    stay equal to a recompute after every step."""
     query = Query(
         [("R", ("A", "B")), ("R", ("B", "C"))],
         ("A", "B", "C"),
@@ -799,6 +801,27 @@ def test_each_self_join_occurrence_climbs_its_own_function():
     tree = plan_view_tree(query, VariableOrder([["B", ["A"], ["C"]]]), updatable=("R",))
     state = RuntimeState(tree)
     state.load({"R": [((1, 2), 1), ((2, 3), 1)]})
+    forms = {"R#1": [], "R#2": []}
+    runs = {"R#1": 0, "R#2": 0}
+    climbs = {}
+    enter, compile_path = state._enter, state._compile
+
+    def record(entry, form):
+        forms[entry.id].append([(type(f), f.schema) for f in form])
+        return enter(entry, form)
+
+    def counted(entry):
+        climb, *rest = compile_path(entry)
+        climbs[entry.id] = climb
+
+        def run(d):
+            runs[entry.id] += 1
+            return climb(d)
+
+        return (run, *rest)
+
+    monkeypatch.setattr(state, "_enter", record)
+    monkeypatch.setattr(state, "_compile", counted)
     rng = random.Random(21)
     live = {(1, 2): 1, (2, 3): 1}
     for _ in range(30):
@@ -810,7 +833,11 @@ def test_each_self_join_occurrence_climbs_its_own_function():
         assert_views_match_fresh(state)
         listing = recompute_query(query, state.leaves, query.free)
         assert dict(enumerate_result(state)) == dict(listing.entries)
-    climbs = {leaf_id: state._paths[leaf_id][0] for leaf_id in ("R#1", "R#2")}
+    assert forms == {
+        "R#1": [[(Relation, ("A", "B"))]] * 30,
+        "R#2": [[(Relation, ("B", "C"))]] * 30,
+    }
+    assert runs == {"R#1": 30, "R#2": 30}
     assert climbs["R#1"] is not climbs["R#2"]
     assert climbs["R#1"].__code__.co_filename == "<fivm climb R#1>"
     assert climbs["R#2"].__code__.co_filename == "<fivm climb R#2>"
