@@ -128,7 +128,7 @@ class ReevaluateEngine(FirstOrderEngine):
         block as :meth:`RuntimeState.apply_batch` counts them."""
         state, query = self.state, self.compiled.query
         deltas = _batch_deltas(self.compiled, batch)
-        checked = [(d.target, tuple(query.checked(d.pairs, d.target))) for d in deltas]
+        checked = [(d.target, query.checked(d.pairs, d.target)) for d in deltas]
         touched = 0
         for name, pairs in checked:
             occurrences = query.occurrences[name]

@@ -465,8 +465,7 @@ def compile_scenario(scn: Scenario) -> CompiledScenario:
     for r in scn.relations:
         events = r.events(query.ring)
         try:
-            for _ in query.checked(((e.key, e.payload) for e in events), r.name):
-                pass
+            query.checked([(e.key, e.payload) for e in events], r.name)
         except ValueError as e:
             raise ScenarioError(str(e)) from None
         if r.name in upd:

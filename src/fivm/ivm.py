@@ -29,6 +29,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Any, Iterable, Optional
 
 from fivm.queries import RELATIONAL_PAYLOAD, Occurrence, Query
@@ -179,7 +180,7 @@ class RuntimeState:
         self.initialize(fresh)
 
     def _accumulate(self, rel: Relation, name: str, pairs: Iterable[tuple[tuple, Any]]) -> None:
-        """Accumulate ``name``'s ``pairs`` into ``rel``, each passing
+        """Accumulate ``name``'s ``pairs`` into ``rel``, all of them passing
         :meth:`Query.checked` first. When ``rel`` is dense and the check
         can refuse none of its cells (:meth:`Query.checks_cells`), the
         array's bounds test is that check: the pairs go straight to
@@ -266,10 +267,10 @@ class RuntimeState:
 
         A single dict delta over the entry's own keys runs the path's
         generated function (:meth:`_climb`). Any other form, a product of
-        factors, a dense delta or one factor over permuted columns, climbs
-        level by level: a product by :func:`optimize_factorized`, anything
-        else, or a product expanded when payloads are totalled, joined with
-        the level's siblings and summed by :func:`rel_marginalize`. Either
+        factors or a dense delta, climbs level by level: a product by
+        :func:`optimize_factorized`, anything else, or a product expanded
+        when payloads are totalled, joined with the level's siblings and
+        summed by :func:`rel_marginalize`. Either
         way every level is computed against the state before the delta;
         only then are the stored levels updated, and the entry's own
         relation last, so an error on the way up changes nothing. Returns
@@ -402,16 +403,21 @@ class RuntimeState:
     def apply_batch(self, updates: Iterable[UpdateDelta | FactorizedDelta]) -> int:
         """Apply a batch of updates, one relation at a time in arrival order.
 
-        Plain deltas to the same relation are merged first, all those
-        between two of its factorized deltas in one pass
-        (:meth:`_accumulate`); factorized deltas keep their product form.
-        The whole batch is checked (known, updatable targets, key lengths,
-        factor coverage, payloads within the ring's degree) before anything
-        propagates, so a rejected batch changes no state. Values pass the
-        query's entry check (``Query.checked``: declared ranges and lifts)
-        then too, so a later join never lifts an unchecked value and the
-        batch applies fully or not at all. Returns the number of key-level
-        changes processed.
+        Plain deltas to the same relation are merged into one delta first,
+        all those between two of its factorized deltas checked in one pass
+        (:meth:`_accumulate`); factorized deltas keep their product form
+        (:meth:`_factors`). The whole batch is checked (known, updatable
+        targets, key lengths, factor coverage, payloads within the ring's
+        degree) before anything propagates, so a rejected batch changes no
+        state. Values pass the query's entry check (``Query.checked``:
+        declared ranges and lifts) then too, so a later join never lifts an
+        unchecked value and the batch applies fully or not at all. Each
+        delta then enters each occurrence of its relation through
+        :meth:`propagate`, renamed (:meth:`_rebound`) for a self join's
+        later occurrences; nothing else is built around the climbs, so a
+        one-pair update costs one merged relation, one checked row and one
+        store call beyond its path. Returns the number of key-level changes
+        processed.
         """
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
@@ -438,46 +444,62 @@ class RuntimeState:
                         # the pairs that came first are checked first
                         self._accumulate(merged, name, pending)
                         pending = []
-                    covered: set[str] = set()
-                    for f in u.factors:
-                        covered |= set(f.schema)
-                        if isinstance(f, DenseRelation) and not self.query.checks_cells(
-                            name, f.schema, f.entries.array.shape
-                        ):
-                            continue
-                        for _ in self.query.checked(f.entries.items(), name, f.schema):
-                            pass
-                    if covered != set(schema):
-                        raise ValueError(
-                            f"factors cover {sorted(covered)}, not schema {schema}"
-                        )
-                    units.append(list(u.factors))
+                    units.append(self._factors(name, schema, u.factors))
             if pending:
                 self._accumulate(merged, name, pending)
             batch.append((occurrences, schema, units))
         touched = 0
         for occurrences, schema, units in batch:
             for form in units:
-                if any(not f.entries for f in form):
+                sizes = [len(f.entries) for f in form]
+                if 0 in sizes:
                     continue
-                touched += sum(len(f.entries) for f in form)
+                touched += sum(sizes)
                 for occ in occurrences:
                     # Each occurrence binds the relation's columns to its
-                    # own variables, so the delta's schema is renamed
-                    # positionally before it enters that occurrence's path.
-                    self.propagate(occ.leaf_id, [self._rebound(f, occ, schema) for f in form])
+                    # own variables, so a delta entering another occurrence
+                    # than the first is renamed positionally.
+                    self.propagate(
+                        occ.leaf_id,
+                        form if occ.schema == schema
+                        else [self._rebound(f, occ.renaming) for f in form],
+                    )
         return touched
 
-    def _rebound(self, rel: Relation, occ: Occurrence, schema: tuple[str, ...]) -> Relation:
-        """``rel`` under ``occ``'s variable names, sharing its entries: a
-        delta over the update ``schema`` takes the occurrence's own schema,
-        and a factor's columns are renamed one by one."""
-        renamed = occ.schema
-        if rel.schema != schema:
-            renamed = tuple(occ.renaming.get(v, v) for v in rel.schema)
-        if renamed == rel.schema and rel.counters is self.counters:
-            return rel
-        out = Relation(renamed, rel.ring, counters=self.counters, name=rel.name)
+    def _factors(
+        self, name: str, schema: tuple[str, ...], factors: tuple[Relation, ...]
+    ) -> list[Relation]:
+        """A factorized delta's ``factors``, checked: each factor's rows
+        pass ``Query.checked`` (a dense factor whose cells it cannot refuse
+        skips it) and the factors together cover ``schema``. They come back
+        on this state's counters; a single dict factor over ``schema``'s
+        columns in another order comes back reordered into ``schema``, so
+        it climbs by the path's generated function."""
+        covered: set[str] = set()
+        for f in factors:
+            covered.update(f.schema)
+            if isinstance(f, DenseRelation) and not self.query.checks_cells(
+                name, f.schema, f.entries.array.shape
+            ):
+                continue
+            self.query.checked(f.entries.items(), name, f.schema)
+        if covered != set(schema):
+            raise ValueError(f"factors cover {sorted(covered)}, not schema {schema}")
+        if len(factors) == 1 and type(factors[0]) is Relation and factors[0].schema != schema:
+            f = factors[0]
+            # a permutation moves two columns or more, so pick gives tuples
+            pick = itemgetter(*[f.schema.index(v) for v in schema])
+            out = Relation(schema, self.ring, self.counters, f.name)
+            out.entries = {pick(k): v for k, v in f.entries.items()}
+            return [out]
+        return [f if f.counters is self.counters else self._rebound(f, {}) for f in factors]
+
+    def _rebound(self, rel: Relation, renaming: dict[str, str]) -> Relation:
+        """``rel`` on this state's counters with each column renamed by
+        ``renaming`` (a column it misses keeps its name), sharing its
+        entries."""
+        schema = tuple([renaming.get(v, v) for v in rel.schema])
+        out = Relation(schema, rel.ring, counters=self.counters, name=rel.name)
         out.entries = rel.entries
         return out
 

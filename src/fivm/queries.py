@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from fivm.rings import REAL, TO_ONE, LiftingFunction, RingSpec, lift
 
@@ -156,18 +156,22 @@ class Query:
 
     def checked(
         self, pairs: Iterable[tuple[tuple, Any]], name: str, schema: Optional[tuple] = None
-    ) -> Iterator[tuple[tuple, Any]]:
+    ) -> Sequence[tuple[tuple, Any]]:
         """``pairs`` over ``schema`` (by default ``name``'s update schema)
         as key tuples, each checked first: the key's length, the payload,
         each value against its declared range [0, n), and the lift of each
-        value this relation is the first occurrence of. This is the one
-        entry check of load, update and scenario compilation. Rows bound
-        for a dense relation for which :meth:`checks_cells` is false may
-        skip it: the array's bounds test over the batch is the same check
-        (``RuntimeState._accumulate``)."""
+        value this relation is the first occurrence of. A list or tuple
+        whose keys are all tuples comes back as it is, so a load keeps no
+        second copy of its data; other input comes back as a new list.
+        This is the one entry check of load, update and scenario
+        compilation. Rows bound for a dense relation for which
+        :meth:`checks_cells` is false may skip it: the array's bounds test
+        over the batch is the same check (``RuntimeState._accumulate``)."""
         schema, checks = self._checks(name, schema)
         check, ring = self.ring.check, self.ring
-        for key, val in pairs:
+        rows = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
+        keyed = True
+        for key, val in rows:
             if len(key) != len(schema):
                 raise ValueError(f"key {key!r} does not match {name}{schema}")
             try:
@@ -188,7 +192,9 @@ class Query:
                         raise ValueError(f"{name} row {key!r}: {e}") from None
                     if len(lifted[1]) < 4096:
                         lifted[1].add((type(x), x))
-            yield tuple(key), val
+            if type(key) is not tuple:
+                keyed = False
+        return rows if keyed else [(tuple(key), val) for key, val in rows]
 
     def checks_cells(self, name: str, schema: tuple, shape: tuple[int, ...]) -> bool:
         """Whether :meth:`checked` could refuse a cell of an array of

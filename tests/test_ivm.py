@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import fivm.ivm
 import fivm.relations
 import oracles
+from fivm.apps import build_matrix_chain
 from fivm.enumeration import enumerate_result
 from fivm.ivm import (
     FactorizedDelta,
@@ -253,6 +254,105 @@ def test_update_to_relation_outside_the_plan_changes_nothing():
         )
     assert snapshot(state) == before
     assert dict(state.result().entries) == {(): 10}
+
+
+def loaded_two_path_state():
+    state = two_path_state()
+    state.load({"R": [((1, 2), 1), ((2, 3), 1), ((1, 3), 1)]})
+    return state
+
+
+# (state maker, relation, pairs); a pair's key may come again
+MERGE_CASES = {
+    "chain": (
+        chain_state,
+        "S",
+        [
+            (("a1", "c1", "e9"), 1),
+            (("a2", "c2", "e4"), -1),
+            (("a1", "c1", "e9"), 2),
+            (("a3", "c3", "e1"), 1),
+        ],
+    ),
+    "self-join": (
+        loaded_two_path_state, "R", [((3, 1), 1), ((2, 3), -1), ((3, 1), 1), ((1, 1), 1)]
+    ),
+    "cancelling": (
+        chain_state,
+        "T",
+        [(("c9", "d9"), 1), (("c1", "d1"), -1), (("c9", "d9"), -1), (("c1", "d1"), 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MERGE_CASES)
+def test_one_pair_deltas_merge_into_one_delta(case):
+    """A batch of k one-pair ``UpdateDelta``s to one relation is merged
+    before anything climbs: it leaves every leaf (each self-join
+    occurrence too), view and root, and returns and charges, what one
+    ``UpdateDelta`` carrying the k pairs does. Pairs that cancel inside the
+    batch change nothing, return 0 and charge the merge alone."""
+    make, name, pairs = MERGE_CASES[case]
+    outcomes = []
+    for batch in ([UpdateDelta(name, (p,)) for p in pairs], [UpdateDelta(name, tuple(pairs))]):
+        state = make()
+        start = snapshot(state)
+        before = state.counters.snapshot()
+        n = state.apply_batch(batch)
+        units = [a - b for a, b in zip(state.counters.snapshot(), before)]
+        outcomes.append((n, units, snapshot(state), dict(state.result().entries)))
+        assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
+        assert_views_match_fresh(state)
+        occurrences = state.query.occurrences[name]
+        for occ in occurrences[1:]:
+            assert state.leaves[occ.leaf_id].entries == state.leaves[occurrences[0].leaf_id].entries
+    assert outcomes[0] == outcomes[1]
+    if case == "cancelling":
+        merged = from_pairs(state.query.occurrences[name][0].schema, Z, pairs, OpCounters())
+        assert not merged.entries
+        assert outcomes[0][0] == 0
+        assert outcomes[0][1] == list(merged.counters.snapshot())
+        assert outcomes[0][2] == start
+
+
+def test_update_keys_land_as_loaded_keys():
+    """Update keys are normalised as ``load`` normalises them: list keys
+    land under the tuple keys, and on a query with declared ranges so do
+    numpy integers. A bad row later in such a batch is still refused
+    before any state changes."""
+    pairs = [(("a1", "b9"), 1), (("a2", "b3"), -1)]
+    tupled, listed = chain_state(), chain_state()
+    tupled.apply_batch([UpdateDelta("R", tuple(pairs))])
+    listed.apply_batch([UpdateDelta("R", tuple((list(k), v) for k, v in pairs))])
+    assert snapshot(listed) == snapshot(tupled)
+    assert all(type(k) is tuple for k in listed.leaves["R"].entries)
+    loaded = RuntimeState(listed.tree)
+    loaded.load({n: [(list(k), v) for k, v in rows] for n, rows in COUNT_DB.items()})
+    assert snapshot(loaded) == snapshot(chain_state())
+    before = snapshot(listed)
+    with pytest.raises(ValueError, match="does not match"):
+        listed.apply_batch([UpdateDelta("R", ((["a3", "b9"], 1), (["a3"], 1)))])
+    assert snapshot(listed) == before
+
+    mc = build_matrix_chain((3, 4, 2))
+    data = {"A1": [((0, 1), 2.0), ((1, 2), 1.0)], "A2": [((1, 0), 3.0), ((2, 1), -1.0)]}
+    states = []
+    for form in (tuple, list, lambda k: tuple(np.int64(x) for x in k)):
+        state = RuntimeState(plan_view_tree(mc.query, mc.order, updatable=("A1", "A2")))
+        state.load({n: [(form(k), v) for k, v in rows] for n, rows in data.items()})
+        state.apply_batch([UpdateDelta("A1", ((form((2, 3)), 4.0), (form((0, 1)), -2.0)))])
+        assert all(type(k) is tuple for k in state.leaves["A1"].entries)
+        states.append(snapshot(state))
+        before = snapshot(state)
+        with pytest.raises(ValueError, match="outside"):
+            state.apply_batch(
+                [
+                    UpdateDelta("A1", ((form((1, 1)), 1.0),)),
+                    UpdateDelta("A1", ((form((3, 0)), 1.0),)),
+                ]
+            )
+        assert snapshot(state) == before
+    assert states[1] == states[0] and states[2] == states[0]
 
 
 def lifted_chain_state():
@@ -884,13 +984,13 @@ def test_factorized_delta_matches_expanded_delta():
     assert s_fact.leaves["R"].entries == s_flat.leaves["R"].entries
 
 
-def test_a_factor_over_permuted_columns_climbs_level_by_level(monkeypatch):
+def test_a_factor_over_permuted_columns_runs_the_generated_climb(monkeypatch):
     """A one-factor ``FactorizedDelta`` over R's columns in another order
-    is no dict delta over the entry's keys, so it climbs level by level
-    and is then reordered for R's own store. It leaves the views, root
-    and leaf the equivalent ``UpdateDelta`` leaves, and charges what the
-    path's generated function charges for the same factor in R's order,
-    plus the one reorder."""
+    is reordered into R's schema once, as it is bound to the occurrence,
+    so it enters as one plain relation over R's keys and climbs by the
+    path's generated function, like the same factor in R's order: nothing
+    walks level by level, and both charge the same units. Either leaves
+    the views, root and leaf the equivalent ``UpdateDelta`` leaves."""
     pairs = ((("a1", "b9"), 2), (("a9", "b1"), 1), (("a1", "b1"), -1))
     flat = chain_state()
     flat.apply_batch([UpdateDelta("R", pairs)])
@@ -904,19 +1004,21 @@ def test_a_factor_over_permuted_columns_climbs_level_by_level(monkeypatch):
         rows = [(k if schema == ("A", "B") else k[::-1], v) for k, v in pairs]
         factor = from_pairs(schema, Z, rows, counters=OpCounters())
         state = chain_state()
+        forms = []
+        enter = state._enter
+        monkeypatch.setattr(
+            state, "_enter",
+            lambda entry, form: forms.append([(type(f), f.schema) for f in form]) or enter(entry, form),
+        )
         before = state.counters.snapshot()
         walked.clear()
-        state.apply_batch([FactorizedDelta("R", (factor,))])
+        assert state.apply_batch([FactorizedDelta("R", (factor,))]) == 3
         units[schema] = [a - b for a, b in zip(state.counters.snapshot(), before)]
-        assert bool(walked) == (schema != ("A", "B"))
+        assert walked == []
+        assert forms == [[(Relation, ("A", "B"))]]
         assert snapshot(state) == snapshot(flat)
         assert dict(state.result().entries) == dict(flat.result().entries)
-    monkeypatch.undo()
-    # the last factor, over ("B", "A"), reordered once more on its own counters
-    before = factor.counters.snapshot()
-    rel_marginalize(factor, (), {}, schema=("A", "B"))
-    reorder = [a - b for a, b in zip(factor.counters.snapshot(), before)]
-    assert units[("B", "A")] == [a + b for a, b in zip(units[("A", "B")], reorder)]
+    assert units[("B", "A")] == units[("A", "B")] == [23, 10, 0]
 
 
 def test_factorized_delta_must_cover_the_schema():
