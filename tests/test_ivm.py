@@ -1006,10 +1006,12 @@ def test_a_factor_over_permuted_columns_runs_the_generated_climb(monkeypatch):
         state = chain_state()
         forms = []
         enter = state._enter
-        monkeypatch.setattr(
-            state, "_enter",
-            lambda entry, form: forms.append([(type(f), f.schema) for f in form]) or enter(entry, form),
-        )
+
+        def record(entry, form, enter=enter):
+            forms.append([(type(f), f.schema) for f in form])
+            return enter(entry, form)
+
+        monkeypatch.setattr(state, "_enter", record)
         before = state.counters.snapshot()
         walked.clear()
         assert state.apply_batch([FactorizedDelta("R", (factor,))]) == 3
