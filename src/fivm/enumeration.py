@@ -12,22 +12,25 @@ per prefix of the walk, the partial product passed down to the next step,
 and a subtree cut as soon as that product is zero (on rings without a zero
 tolerance, where a zero stays one whatever multiplies it).
 
-The walk is one generator frame over an explicit stack of per-step value
-iterators and partial products. Each step's index table, probe-key getter
-and cover readers (an entry lookup and a key getter each) are resolved
-once when a listing starts, and the cover reads and products run inline,
-so the work per row is one index step and the reads of the covers the
-last step completes."""
+The walk is Python code generated for the state's plan (:func:`compiled_walk`)
+at its first walked listing and kept until the stored relations are
+rebound: one generator with one ``for`` loop per step over the step's
+index bucket, probed with the values the enclosing loops bound, and one
+entry lookup per cover the step completes, multiplied into a local. The
+work per row is one index step and the reads of the covers the last step
+completes. Python nests at most 20 blocks, so a deeper plan goes on in a
+second generated generator, given the bound values and the product so far."""
 
 from __future__ import annotations
 
-from itertools import chain, islice
-from operator import itemgetter
-from typing import Any, Callable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Any, Callable, Iterator, Optional
 
 from fivm.ivm import RuntimeState
+from fivm.relations import _MAX_LOOPS, RowCode
 
 __all__ = [
+    "compiled_walk",
     "listing_csv_rows",
     "enumerate_result",
     "payload_of_tuple",
@@ -46,7 +49,7 @@ def enumerate_result(
     """
     steps = state.tree.listing_steps
     if steps:
-        rows = _walk(state, steps)
+        rows = compiled_walk(state)()
     else:
         root = state.result()
         rows = root.items()
@@ -60,52 +63,62 @@ def enumerate_result(
         yield row
 
 
-def _walk(state: RuntimeState, steps) -> Iterator[tuple[tuple, Any]]:
-    """Rows of an output-oriented tree, walked depth first in this one
-    frame: ``groups[i]`` iterates step ``i``'s values under the values bound
-    before it, and ``accs[i]`` is the product of the covers those values
-    complete (None before the first)."""
-    at = {var: i for i, (var, _, _) in enumerate(steps)}
-    tables, probes, covers = [], [], []
-    for (var, view_id, probe), group in zip(steps, state.tree.listing_covers):
+def compiled_walk(state: RuntimeState) -> Callable[[], Iterator[tuple[tuple, Any]]]:
+    """The generator function ``walk()`` that lists the rows of ``state``'s
+    output-oriented tree, its source kept as ``walk.source``. It is compiled
+    at the state's first walked listing and kept until
+    :meth:`RuntimeState.initialize` rebinds the stored relations it reads.
+    Each step charges one index probe when it opens its bucket and one
+    entry read per cover for every value it binds, as it goes, so a listing
+    dropped early has charged exactly what it read."""
+    if state.walk is not None:
+        return state.walk
+    steps, ring = state.tree.listing_steps, state.ring
+    code = RowCode()
+    code.consts.update(M=ring.mul, Z=ring.is_zero, ZERO=ring.zero, C=state.counters)
+    bound = {var: code.name("x") for var, _, _ in steps}
+
+    def values(variables) -> str:
+        names = [bound[v] for v in variables]
+        return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
+
+    acc, depth, last = None, 0, len(steps) - 1
+    for i, ((var, view_id, probe), covers) in enumerate(zip(steps, state.tree.listing_covers)):
+        if i % _MAX_LOOPS == 0:
+            # Python nests at most 20 blocks: past the bound the walk goes
+            # on in a generator of its own, given the values bound so far
+            # and their product.
+            name = code.name("walk") if i else "walk"
+            params = ", ".join([*list(bound.values())[:i], *([acc] if acc else [])])
+            if i:
+                code.add(depth, f"yield from {name}({params})")
+            code.add(0, f"def {name}({params}):")
+            depth = 1
         rel = state.stored(view_id)
-        tables.append(rel.indexes[rel.ensure_index(probe, var)].get)
-        probes.append(_getter([at[v] for v in probe]))
-        covers.append(_readers(state, group, at))
-    out = _getter([at[v] for v in state.query.free])
-    ring, counters = state.ring, state.counters
-    mul, zero, is_zero = ring.mul, ring.zero, ring.is_zero
-    # A zero within a tolerance need not stay one after later covers
-    # multiply in, so only an exact zero cuts a prefix.
-    cut = (lambda _: False) if ring.zero_tolerance else is_zero
-    last = len(steps) - 1
-    row: list[Any] = [None] * len(steps)
-    groups: list[Any] = [None] * len(steps)
-    accs: list[Any] = [None] * len(steps)
-    counters.index_probes += 1
-    groups[0] = iter(tables[0](probes[0](row), ()))
-    i = 0
-    while i >= 0:
-        readers, above, n = covers[i], accs[i], len(covers[i])
-        for value in groups[i]:
-            row[i] = value
-            acc = above
-            counters.entry_reads += n
-            for get, key in readers:
-                val = get(key(row), zero)
-                acc = val if acc is None else mul(acc, val)
-            if i == last:
-                # The last step completes at least the cover of its variable.
-                if not is_zero(acc):
-                    yield out(row), acc
-            elif acc is None or not cut(acc):
-                i += 1
-                accs[i] = acc
-                counters.index_probes += 1
-                groups[i] = iter(tables[i](probes[i](row), ()))
-                break
-        else:
-            i -= 1
+        table = code.const("T", rel.indexes[rel.ensure_index(probe, var)])
+        code.add(depth, "C.index_probes += 1")
+        code.add(depth, f"for {bound[var]} in {table}.get({values(probe)}, ()):")
+        depth += 1
+        if covers:
+            code.add(depth, f"C.entry_reads += {len(covers)}")
+        for node in covers:
+            entries = code.const("E", state.stored(node.id).entries)
+            read = f"{entries}.get({values(node.keys)}, ZERO)"
+            prod = code.name("a")
+            code.add(depth, f"{prod} = {read}" if acc is None else f"{prod} = M({acc}, {read})")
+            acc = prod
+        if i == last:
+            # The last step completes at least the cover of its variable.
+            code.add(depth, f"if not Z({acc}):")
+            code.add(depth + 1, f"yield {values(state.query.free)}, {acc}")
+        elif covers and not ring.zero_tolerance:
+            # A zero within a tolerance need not stay one after later covers
+            # multiply in, so only an exact zero cuts a prefix.
+            code.add(depth, f"if Z({acc}):")
+            code.add(depth + 1, "continue")
+    walk = state.walk = code.compile("walk", f"walk {','.join(bound)}")
+    walk.source = code.source
+    return walk
 
 
 def payload_of_tuple(state: RuntimeState, key: tuple) -> Any:
@@ -119,30 +132,14 @@ def payload_of_tuple(state: RuntimeState, key: tuple) -> Any:
     if len(key) != len(free):
         raise ValueError(f"expected values for {free}, got {key}")
     ring = state.ring
-    covers = chain.from_iterable(state.tree.listing_covers)
-    readers = _readers(state, covers, {v: i for i, v in enumerate(free)})
-    state.counters.entry_reads += len(readers)
+    at = {v: i for i, v in enumerate(free)}
+    covers = [node for group in state.tree.listing_covers for node in group]
+    state.counters.entry_reads += len(covers)
     val = None
-    for get, key_of in readers:
-        cover = get(key_of(key), ring.zero)
+    for node in covers:
+        cover = state.stored(node.id).entries.get(tuple(key[at[v]] for v in node.keys), ring.zero)
         val = cover if val is None else ring.mul(val, cover)
     return ring.zero if ring.is_zero(val) else val
-
-
-def _readers(state: RuntimeState, covers, at: dict[str, int]) -> list:
-    """Each covering view's entry lookup and the getter of its key out of a
-    row whose variables sit at the positions ``at`` gives."""
-    return [(state.stored(n.id).entries.get, _getter([at[v] for v in n.keys])) for n in covers]
-
-
-def _getter(pos: list[int]) -> Callable[[Sequence], tuple]:
-    """A function returning the tuple of a row's values at ``pos``."""
-    if len(pos) > 1:
-        return itemgetter(*pos)
-    if pos:
-        i = pos[0]
-        return lambda row: (row[i],)
-    return lambda row: ()
 
 
 def listing_csv_rows(

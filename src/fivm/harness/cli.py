@@ -3,7 +3,8 @@
 Four commands cover the workflow: ``compile`` shows what the planner
 would maintain and which of it is stored dense, the path each update's
 delta climbs with the Python function generated for it, and the steps a
-walked listing takes with the payload covers each one reads, ``run`` streams a scenario through one engine, recording
+walked listing takes with the payload covers each one reads and the
+generator generated for them, ``run`` streams a scenario through one engine, recording
 metrics, ``enumerate`` replays a scenario to completion and dumps the
 listing, and ``verify`` races all three engines and fails loudly on any
 disagreement. Every command compiles its scenarios first, so a bad
@@ -23,7 +24,7 @@ from ..apps import (
     export_theta_csv,
     write_csv,
 )
-from ..enumeration import listing_csv_rows
+from ..enumeration import compiled_walk, listing_csv_rows
 from ..ivm import RuntimeState
 from ..queries import classify
 from .engines import (
@@ -141,6 +142,9 @@ def _cmd_compile(args) -> int:
     for (var, view_id, probe), group in zip(tree.listing_steps, tree.listing_covers):
         ids = ", ".join(n.id for n in group) or "()"
         print(f"list {var}: {view_id} probe {','.join(probe) or '()'}; covers {ids}")
+    if tree.listing_steps:
+        for line in compiled_walk(state).source.splitlines():
+            print(f"    {line}")
     return 0
 
 

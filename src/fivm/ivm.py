@@ -145,8 +145,10 @@ class RuntimeState:
             for name, occs in self.query.occurrences.items()
             if occs[0].leaf_id in tree.updatable
         }
-        # Per delta entry id, its compiled path (see _compile).
+        # Per delta entry id, its compiled path (see _compile), and the
+        # compiled listing walk (see fivm.enumeration.compiled_walk).
         self._paths: dict[str, tuple] = {}
+        self.walk: Optional[Any] = None
         self._root: Optional[Relation] = None
 
     def relation(self, schema: tuple[str, ...], name: str = "") -> Relation:
@@ -235,7 +237,7 @@ class RuntimeState:
                     rel.ensure_index(probe, group)
         self.leaves, self.views = dict(leaves), views
         self.indicator_rels, self.indicator_states = indicator_rels, indicator_states
-        self._paths = {}
+        self._paths, self.walk = {}, None
         # A single root is resolved here too, so that reading the result
         # (a listing right after a batch) looks up no registry.
         roots = self.tree.roots

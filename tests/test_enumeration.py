@@ -21,7 +21,7 @@ from fivm.enumeration import (
 from fivm.harness import bundled_scenarios, compile_scenario, load_scenario, run_scenario
 from fivm.ivm import FactorizedDelta, RuntimeState, UpdateDelta, recompute_query
 from fivm.queries import RELATIONAL_PAYLOAD, Query, VariableOrder
-from fivm.relations import Relation
+from fivm.relations import Relation, RowCode
 from fivm.rings import (
     RelationalPayload,
     covariance_ring,
@@ -418,7 +418,7 @@ def test_payload_of_tuple_matches_every_listed_row(name):
 
 
 # ---------------------------------------------------------------------------
-# the walk's explicit stack under inserts and deletes
+# the generated walk under inserts and deletes, reloads and deep plans
 
 
 def marked_state():
@@ -502,6 +502,65 @@ def test_an_exactly_zero_prefix_is_cut_before_the_next_step():
     assert list(enumerate_result(state)) == [(("a", "b2", "c", "d"), mark(1))]
     reads, writes, probes = (b - a for a, b in zip(before, state.counters.snapshot()))
     assert (reads, writes, probes) == (5, 0, 5)
+
+
+def test_the_walk_is_compiled_once_per_state(monkeypatch):
+    """Ten listings with a batch between each two compile one walk. A
+    reload rebinds the stored relations, so the next listing compiles a
+    new walk, which lists the reloaded data and not the old."""
+    names = []
+    compile_code = RowCode.compile
+
+    def spied(self, name, label):
+        names.append(name)
+        return compile_code(self, name, label)
+
+    monkeypatch.setattr(RowCode, "compile", spied)
+    state = marked_state()
+    query = state.query
+
+    def recomputed():
+        return dict(recompute_query(query, state.leaves, query.free).entries)
+
+    for i in range(10):
+        state.apply_batch([
+            UpdateDelta("R", ((("a", f"b{i % 3}"), mark(i % 2)),)),
+            UpdateDelta("S", ((("a", "c", "e"), mark(1)),)),
+            UpdateDelta("T", ((("c", f"d{i % 2}"), mark(1)),)),
+        ])
+        assert dict(enumerate_result(state)) == recomputed()
+    assert recomputed() and names.count("walk") == 1
+    state.load({"R": [(("a2", "b"), mark(0))], "S": [(("a2", "c2", "e"), mark(0))],
+                "T": [(("c2", "d"), mark(0))]})
+    assert dict(enumerate_result(state)) == recomputed() == {("a2", "b", "c2", "d"): mark(0)}
+    assert names.count("walk") == 2
+
+
+def test_a_walk_deeper_than_python_nests_lists_the_recomputed_result():
+    """A 22-arm star R_i(A, B_i) with every variable free is listed in 23
+    steps, more loops than Python nests in one function: the walk goes on
+    in a generator of its own and still lists the recomputed result, with
+    the payloads ``payload_of_tuple`` reads."""
+    arms = [(f"R{i}", ("A", f"B{i}")) for i in range(1, 23)]
+    free = ("A", *(schema[1] for _, schema in arms))
+    query = Query(arms, free, integer_ring())
+    order = VariableOrder([["A", *([schema[1]] for _, schema in arms)]])
+    state = RuntimeState(plan_view_tree(query, order, updatable=[name for name, _ in arms]))
+    # A=0 under every arm, two values of B1 and B2; A=1 under all arms but
+    # the last, so no row; A=2 under every arm once
+    data = {name: [((0, 0), 1), ((2, 0), 1), ((1, 0), 1)] for name, _ in arms}
+    data["R22"].pop()
+    data["R1"].append(((0, 1), 2))
+    data["R2"].append(((0, 1), -3))
+    state.load(data)
+    assert state.tree.mode == "nu" and len(state.tree.listing_steps) == 23
+    for batch in ([], [UpdateDelta("R2", (((0, 0), -1),))]):
+        state.apply_batch(batch)
+        rows = list(enumerate_result(state))
+        assert dict(rows) == dict(recompute_query(query, state.leaves, free).entries)
+        assert len(rows) == len(dict(rows)) == (5 if not batch else 3)
+        for key, val in rows:
+            assert payload_of_tuple(state, key) == val
 
 
 def test_csv_rows_for_scalar_payloads():

@@ -869,6 +869,7 @@ def test_cli_compile_prints_the_plan(tmp_path, capsys):
     assert "* exists(R)[A,B] exists(R)\n" in out
     assert "delta S: V@C(S+T) <- S; T by index on C; exists(R)[A,B] by key\n" in out
     assert not [line for line in out.splitlines() if line.startswith("list ")]
+    assert "def walk" not in out  # a root-scanned listing generates no walk
     # a walked listing: per step the view its index groups, the variables it
     # probes with, and the payload covers that step completes
     listing = {
@@ -887,8 +888,19 @@ def test_cli_compile_prints_the_plan(tmp_path, capsys):
     for name, want in listing.items():
         assert main(["compile", "-s", str(bundled_scenarios()[name])]) == 0
         out = capsys.readouterr().out
-        assert [line for line in out.splitlines() if line.startswith("list ")] == want
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("list ")] == want
         assert "enumeration views" not in out  # the list lines name those views
+        # the generated walk follows the list lines, indented: one loop per
+        # step, the first over the first step's bucket under no bound value
+        walk = lines[lines.index(want[-1]) + 1:]
+        assert walk[:2] == ["    def walk():", "        C.index_probes += 1"]
+        assert re.fullmatch(r" {8}for x1 in T\d+\.get\(\(\), \(\)\):", walk[2])
+        loops = [line for line in walk if line.lstrip().startswith("for ")]
+        assert len(loops) == len(want)
+        for i, line in enumerate(loops):
+            assert line.startswith(f"{'    ' * (i + 2)}for x{i + 1} in T")
+        assert walk[-1].lstrip().startswith("yield (x1, x2, x3")
     # the matrix chain declares its coordinate ranges: every stored
     # relation is one 4 x 4 array; nothing else is dense
     assert "dense" not in out
