@@ -4,8 +4,8 @@ Four commands cover the workflow: ``compile`` shows what the planner
 would maintain and which of it is stored dense, the path each update's
 delta climbs with the Python function generated for it, and the steps a
 walked listing takes with the payload covers each one reads and the
-generator generated for them, ``run`` streams a scenario through one engine, recording
-metrics, ``enumerate`` replays a scenario to completion and dumps the
+generator that walks them, ``run`` streams a scenario through one engine,
+recording metrics, ``enumerate`` replays a scenario to completion and dumps the
 listing, and ``verify`` races all three engines and fails loudly on any
 disagreement. Every command compiles its scenarios first, so a bad
 setting is refused with exit status 2 before any data moves.
