@@ -298,9 +298,6 @@ class MIMatrix:
     labels: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]
 
-    def __getitem__(self, ij: tuple[int, int]) -> float:
-        return self.values[ij[0]][ij[1]]
-
 
 def mutual_information_matrix(
     spec: RingSpec, slots: Sequence[str], stats: CovarianceTriple
@@ -358,9 +355,6 @@ class ChowLiuTree:
     edges: tuple[tuple[int, int], ...]
     weight: float
 
-    def named_edges(self) -> list[tuple[str, str]]:
-        return [(self.labels[a], self.labels[b]) for a, b in self.edges]
-
 
 def chow_liu_tree(mi: MIMatrix) -> ChowLiuTree:
     """Grow the maximum-weight spanning tree of the MI matrix.
@@ -417,10 +411,6 @@ class MatrixChain:
     order: VariableOrder
     bracketing: Bracketing
     cost: int
-
-    @property
-    def matrix_count(self) -> int:
-        return len(self.dims) - 1
 
 
 def _chain_splits(dims: Sequence[int]) -> tuple[dict, dict]:

@@ -1,4 +1,4 @@
-"""Result enumeration and per-tuple payload lookup.
+"""Result enumeration and listing export.
 
 Enumeration runs the listing plan the planner left on the view tree
 (``ViewTree.listing_steps`` and ``ViewTree.listing_covers``). A tree that
@@ -33,7 +33,6 @@ __all__ = [
     "compiled_walk",
     "listing_csv_rows",
     "enumerate_result",
-    "payload_of_tuple",
 ]
 
 
@@ -119,27 +118,6 @@ def compiled_walk(state: RuntimeState) -> Callable[[], Iterator[tuple[tuple, Any
     walk = state.walk = code.compile("walk", f"walk {','.join(bound)}")
     walk.source = code.source
     return walk
-
-
-def payload_of_tuple(state: RuntimeState, key: tuple) -> Any:
-    """Payload of one would-be result row, given in the query's free order.
-
-    Multiplies the stored payloads of the views that jointly cover the
-    row, in the order the listing reads them. Returns the ring zero when
-    the row is not in the result.
-    """
-    free = state.query.free
-    if len(key) != len(free):
-        raise ValueError(f"expected values for {free}, got {key}")
-    ring = state.ring
-    at = {v: i for i, v in enumerate(free)}
-    covers = [node for group in state.tree.listing_covers for node in group]
-    state.counters.entry_reads += len(covers)
-    val = None
-    for node in covers:
-        cover = state.stored(node.id).entries.get(tuple(key[at[v]] for v in node.keys), ring.zero)
-        val = cover if val is None else ring.mul(val, cover)
-    return ring.zero if ring.is_zero(val) else val
 
 
 def listing_csv_rows(

@@ -276,7 +276,9 @@ class RuntimeState:
         way every level is computed against the state before the delta;
         only then are the stored levels updated, and the entry's own
         relation last, so an error on the way up changes nothing. Returns
-        the support transitions of the entry's relation (none when unstored).
+        the support transitions of the entry's relation. Only a dict delta
+        can enter at an unstored node (an indicator), so the level-by-level
+        walk always has the entry's relation.
         """
         path = self._paths.get(entry.id)
         if path is None:
@@ -300,8 +302,6 @@ class RuntimeState:
         for node, target, level in deltas:
             if target is not None:
                 rel_apply_delta(target, self._expand(level, node.keys))
-        if stored is None:
-            return []
         return rel_apply_delta(stored, self._expand(form, entry.keys))
 
     def _compile(self, entry: ViewNode) -> tuple:

@@ -229,10 +229,6 @@ class Query:
             ]
         return plan
 
-    @property
-    def bound(self) -> tuple[str, ...]:
-        return tuple(v for v in self.variables if v not in set(self.free))
-
     def rels_of(self, var: str) -> frozenset[str]:
         """Leaf ids whose schema mentions ``var``."""
         return frozenset(d.leaf_id for d in self.relations if var in d.schema)

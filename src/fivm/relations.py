@@ -44,7 +44,7 @@ import string
 import sys
 from collections.abc import MutableMapping
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, compress, product
 from numbers import Integral
 from typing import Any, Iterable, Iterator, Optional, Sequence
@@ -87,14 +87,6 @@ class OpCounters:
 
     def snapshot(self) -> tuple[int, int, int]:
         return (self.entry_reads, self.entry_writes, self.index_probes)
-
-    def reset(self) -> None:
-        self.entry_reads = 0
-        self.entry_writes = 0
-        self.index_probes = 0
-
-    def total(self) -> int:
-        return self.entry_reads + self.entry_writes + self.index_probes
 
 
 def _tally(counters: Optional[OpCounters], reads: int = 0, writes: int = 0, probes: int = 0) -> None:
@@ -235,11 +227,6 @@ class Relation:
         label = self.name or "rel"
         return f"<{label}({','.join(self.schema)}) {len(self.entries)} entries>"
 
-    def payload(self, key: tuple) -> Any:
-        """Stored payload for ``key``, or None when absent. Counts one read."""
-        _tally(self.counters, reads=1)
-        return self.entries.get(key)
-
     def items(self) -> Iterator[tuple[tuple, Any]]:
         """Scan all entries in insertion order, counting one read each."""
         counters = self.counters
@@ -299,17 +286,8 @@ class Relation:
 
     def index_lookup(self, spec: tuple, probe: tuple) -> list[tuple]:
         """All keys matching ``probe``, flattened across groups."""
-        return [key for keys in self.index_groups(spec, probe).values() for key in keys]
-
-    def index_groups(self, spec: tuple, probe: tuple) -> dict:
-        """Mapping of group value to key dict for ``probe`` (may be empty)."""
         _tally(self.counters, probes=1)
-        return self.indexes[spec].get(probe, {})
-
-    def total(self) -> Any:
-        """Ring sum of every payload (the relation marginalized to nothing)."""
-        _tally(self.counters, reads=len(self.entries))
-        return reduce(self.ring.add, self.entries.values(), self.ring.zero)
+        return [key for keys in self.indexes[spec].get(probe, {}).values() for key in keys]
 
 
 def from_pairs(

@@ -45,7 +45,6 @@ __all__ = [
     "ring_add",
     "ring_mul",
     "ring_negate",
-    "ring_zero",
     "ring_one",
     "is_zero",
     "lift",
@@ -155,9 +154,6 @@ class RelationalPayload:
         if not isinstance(other, RelationalPayload):
             return NotImplemented
         return self.schema == other.schema and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.schema, frozenset(self.entries.items())))
 
     def __repr__(self) -> str:
         cols = ",".join(self.schema)
@@ -538,10 +534,6 @@ def _operators(spec: RingSpec) -> dict[str, Any]:
                 columns=("c", *(f"s_{j}" for j in ids), *(f"q_{i}_{j}" for i, j in upper)),
             )
     return ops
-
-
-def ring_zero(spec: RingSpec) -> Any:
-    return spec.zero
 
 
 def ring_one(spec: RingSpec) -> Any:

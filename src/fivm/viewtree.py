@@ -359,8 +359,8 @@ def build_free_connex_tree(query: Query, order: VariableOrder) -> ViewTree:
         node = child
         if leftovers and x in free:
             # Sweep the bound leftovers below a separate view first, so that
-            # per-tuple payload lookups can stop at an all-free view instead
-            # of descending past the sum over the bound variables.
+            # the listing's covers can stop at an all-free view instead of
+            # descending past the sum over the bound variables.
             node = ViewNode(
                 _view_id(tree, "B", x, [child]),
                 VIEW,
@@ -543,8 +543,8 @@ def choose_materialization(tree: ViewTree, updatable: Iterable[str]) -> ViewTree
     delta arriving through that sibling joins against it. A view made by
     ``fold_static_siblings`` is such a child, so it is stored while the
     static views under it, with no updating sibling, are not. In an
-    output-oriented tree the views that result enumeration and per-tuple
-    payload lookups touch are kept as well.
+    output-oriented tree the views that result enumeration touches are
+    kept as well.
     """
     names = set(updatable)
     unknown = names - tree.query.occurrences.keys()

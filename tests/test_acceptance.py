@@ -30,7 +30,7 @@ from fivm.apps import (
     mutual_information_matrix,
     train_linear_regression,
 )
-from fivm.enumeration import enumerate_result, payload_of_tuple
+from fivm.enumeration import enumerate_result
 from fivm.harness.engines import ENGINE_NAMES, emit_metrics, run_scenario, verify_scenarios
 from fivm.harness.scenario import bundled_scenarios, compile_scenario, load_scenario
 from fivm.ivm import RuntimeState, UpdateDelta
@@ -393,7 +393,7 @@ def test_criterion_2_worked_example_pack(capsys):
         cov.load(
             {n: [(tuple(k), one) for k in rows] for n, rows in PACK_NUM_ROWS.items()}
         )
-        assert cov.views["V@C(S+T)"].payload((2.0,)) == CovarianceTriple(
+        assert cov.views["V@C(S+T)"].entries.get((2.0,)) == CovarianceTriple(
             2.0,
             {3: 4.0, 4: 5.0, 5: 8.0},
             {
@@ -409,7 +409,7 @@ def test_criterion_2_worked_example_pack(capsys):
             [(dict(PACK_NUM_RELS)[n], {tuple(k): 1 for k in rows}) for n, rows in PACK_NUM_ROWS.items()],
             cq.slots,
         )
-        root = cov.result().payload(())
+        root = cov.result().entries.get(())
         assert entry_dict(root.c) == entry_dict(c)
         for j in range(1, 6):
             assert entry_dict(root.s.get(j)) == entry_dict(s[j])
@@ -419,8 +419,6 @@ def test_criterion_2_worked_example_pack(capsys):
         packed = _listing_state(True)
         for st in (flat, packed):
             assert {k: v.total() for k, v in enumerate_result(st)} == PACK_LISTING
-        assert payload_of_tuple(packed, ("a1", "b1", "c1", "d1")).total() == 2
-        assert payload_of_tuple(flat, ("a1", "b1", "c1", "d1")).total() == 2
 
         # structural classifications
         count_query = _count_state().query
@@ -517,9 +515,9 @@ def _growing_insert_cost(n):
             "T": [((j % hubs, 1_000_000 + j), 1) for j in range(100)],
         }
     )
-    before = state.counters.total()
+    before = sum(state.counters.snapshot())
     state.apply_batch([UpdateDelta("T", (((3, -1), 1),))])
-    return state.counters.total() - before
+    return sum(state.counters.snapshot()) - before
 
 
 def _max_enumeration_gap(state, limit=200):
@@ -527,7 +525,7 @@ def _max_enumeration_gap(state, limit=200):
     prev = None
     produced = 0
     for _ in enumerate_result(state):
-        cur = state.counters.total()
+        cur = sum(state.counters.snapshot())
         if prev is not None:
             gaps.append(cur - prev)
         prev = cur
@@ -679,8 +677,8 @@ def _assert_one_hot_equivalent(rows, cats):
     _, hot_state = _stats_state(
         hot_schema, {v: CONTINUOUS for v in hot_schema}, hot_rows
     )
-    ct = cat_state.result().payload(())
-    ht = hot_state.result().payload(())
+    ct = cat_state.result().entries.get(())
+    ht = hot_state.result().entries.get(())
     assert entry_dict(ct.c) == entry_dict(float(len(rows)))
     counts = entry_dict(ct.s.get(1))
     diag = entry_dict(ct.Q.get((1, 1)))
@@ -741,7 +739,7 @@ def test_criterion_5_statistics_applications(capsys):
             fit = train_linear_regression(
                 cq.query.ring,
                 cq.slots,
-                state.result().payload(()),
+                state.result().entries.get(()),
                 RegressionConfig("Y", ("X1", "X2"), step_size=0.01),
             )
             got = (fit.theta["intercept"], fit.theta["X1"], fit.theta["X2"])
@@ -760,7 +758,7 @@ def test_criterion_5_statistics_applications(capsys):
                 rows.extend([key] * rng.randint(1, 3))
             cq, state = _stats_state(schema, {v: CATEGORICAL for v in schema}, rows)
             mi = mutual_information_matrix(
-                cq.query.ring, cq.slots, state.result().payload(())
+                cq.query.ring, cq.slots, state.result().entries.get(())
             )
             tree = chow_liu_tree(mi)
             best = oracles.best_spanning_tree_weight(mi.values)
@@ -779,9 +777,9 @@ def test_criterion_5_statistics_applications(capsys):
                 ("X", "Y"), {"X": CATEGORICAL, "Y": CATEGORICAL}, rows
             )
             mi = mutual_information_matrix(
-                cq.query.ring, cq.slots, state.result().payload(())
+                cq.query.ring, cq.slots, state.result().entries.get(())
             )
-            worst_mi = max(worst_mi, abs(mi[(0, 1)]))
+            worst_mi = max(worst_mi, abs(mi.values[0][1]))
         assert worst_mi < PRODUCT_MI_TOL, worst_mi
 
         info["detail"] = (
@@ -828,16 +826,16 @@ def test_criterion_6_matrix_chain_scaling(capsys):
         worst_rel = 0.0
         for p in sizes:
             state, mats = _sparse_chain(p, seed=p)
-            rebuild_costs.append(state.counters.total())
+            rebuild_costs.append(sum(state.counters.snapshot()))
             rng = np.random.default_rng(1000 + p)
             u = rng.integers(-2, 3, size=p)
             v = rng.integers(-2, 3, size=p)
             u[0], v[0] = 1, 2
-            before = state.counters.total()
+            before = sum(state.counters.snapshot())
             touched = mcm_rank_update(
                 state, 2, [float(x) for x in u], [float(x) for x in v]
             )
-            update_costs.append(state.counters.total() - before)
+            update_costs.append(sum(state.counters.snapshot()) - before)
             assert touched > 0
             mats[1] += np.outer(u, v)
             exact = oracles.chain_product(mats)

@@ -16,14 +16,12 @@ import oracles
 from fivm.enumeration import (
     enumerate_result,
     listing_csv_rows,
-    payload_of_tuple,
 )
 from fivm.harness import bundled_scenarios, compile_scenario, load_scenario, run_scenario
 from fivm.ivm import FactorizedDelta, RuntimeState, UpdateDelta, recompute_query
 from fivm.queries import RELATIONAL_PAYLOAD, Query, VariableOrder
 from fivm.relations import Relation, RowCode
 from fivm.rings import (
-    RelationalPayload,
     covariance_ring,
     integer_ring,
     lift_categorical,
@@ -34,7 +32,6 @@ from fivm.rings import (
     relational_payload,
     relational_ring,
     ring_one,
-    ring_zero,
 )
 from fivm.viewtree import payload_covers, plan_view_tree
 
@@ -152,14 +149,11 @@ def test_shared_views_are_layout_independent(factorized):
 
 @pytest.mark.parametrize("factorized", [False, True], ids=["flat", "factorized"])
 def test_payload_of_single_tuples(factorized):
-    state = listing_state(factorized)
-    assert payload_of_tuple(state, ("a1", "b1", "c1", "d1")).total() == 2
-    assert payload_of_tuple(state, ("a1", "b2", "c2", "d3")).total() == 1
+    listing = dict(enumerate_result(listing_state(factorized)))
+    assert listing[("a1", "b1", "c1", "d1")].total() == 2
+    assert listing[("a1", "b2", "c2", "d3")].total() == 1
     # a3's row dangles: no S tuple ever matches it
-    missing = payload_of_tuple(state, ("a3", "b4", "c3", "d4"))
-    assert missing == RelationalPayload((), {})
-    with pytest.raises(ValueError):
-        payload_of_tuple(state, ("a1", "b1"))
+    assert ("a3", "b4", "c3", "d4") not in listing
 
 
 def test_enumeration_walks_prefixes_in_order():
@@ -406,17 +400,6 @@ def test_listing_reads_each_cover_once_per_prefix(make):
     assert len(rows) < reads < len(rows) * len(covers)
 
 
-@pytest.mark.parametrize("name", sorted(TREES))
-def test_payload_of_tuple_matches_every_listed_row(name):
-    state = TREES[name]()
-    rows = list(enumerate_result(state))
-    assert rows
-    for key, val in rows:
-        assert payload_of_tuple(state, key) == val
-    missing = tuple("zz" for _ in state.query.free)
-    assert payload_of_tuple(state, missing) == ring_zero(state.ring)
-
-
 # ---------------------------------------------------------------------------
 # the generated walk under inserts and deletes, reloads and deep plans
 
@@ -460,9 +443,8 @@ EVENTS = st.lists(
 def test_the_walk_lists_the_recomputed_result_under_inserts_and_deletes(events, cut):
     """Each event inserts a marked tuple or deletes one still present (an
     index into those, modulo their number). The listing must equal the
-    result recomputed from the base relations, every row's payload must be
-    the one ``payload_of_tuple`` reads, and ``limit`` must stop the walk
-    after its first ``limit`` rows."""
+    result recomputed from the base relations, each row once, and ``limit``
+    must stop the walk after its first ``limit`` rows."""
     state = marked_state()
     live = []
     for event in events:
@@ -479,8 +461,6 @@ def test_the_walk_lists_the_recomputed_result_under_inserts_and_deletes(events, 
     rows = list(enumerate_result(state))
     assert dict(rows) == dict(recompute_query(query, state.leaves, query.free).entries)
     assert len(dict(rows)) == len(rows)
-    for key, val in rows:
-        assert payload_of_tuple(state, key) == val
     k = cut % (len(rows) + 1)
     assert list(enumerate_result(state, limit=k)) == rows[:k]
 
@@ -539,8 +519,7 @@ def test_the_walk_is_compiled_once_per_state(monkeypatch):
 def test_a_walk_deeper_than_python_nests_lists_the_recomputed_result():
     """A 22-arm star R_i(A, B_i) with every variable free is listed in 23
     steps, more loops than Python nests in one function: the walk goes on
-    in a generator of its own and still lists the recomputed result, with
-    the payloads ``payload_of_tuple`` reads."""
+    in a generator of its own and still lists the recomputed result."""
     arms = [(f"R{i}", ("A", f"B{i}")) for i in range(1, 23)]
     free = ("A", *(schema[1] for _, schema in arms))
     query = Query(arms, free, integer_ring())
@@ -559,8 +538,6 @@ def test_a_walk_deeper_than_python_nests_lists_the_recomputed_result():
         rows = list(enumerate_result(state))
         assert dict(rows) == dict(recompute_query(query, state.leaves, free).entries)
         assert len(rows) == len(dict(rows)) == (5 if not batch else 3)
-        for key, val in rows:
-            assert payload_of_tuple(state, key) == val
 
 
 def test_csv_rows_for_scalar_payloads():

@@ -38,6 +38,7 @@ from fivm.apps import RegressionConfig
 from fivm.ivm import recompute_query
 from fivm.relations import Relation
 from fivm.rings import CovarianceTriple, integer_ring, real_ring, relational_ring
+from fivm.viewtree import plan_flat_tree
 
 COUNT_SCN = {
     "name": "pair_count",
@@ -345,6 +346,10 @@ def stats_doc(**app):
         (stats_doc(kind="regression", label="Y", features=["W"]), "are not slots"),
         (stats_doc(kind="mi"), "needs categorical"),
         (stats_doc(kind="covariance"), None),
+        (dict(stats_doc(kind="covariance"), kinds={"X": "categorical", "Y": "categorical"}),
+         "covariance export needs continuous slots"),
+        (stats_doc(kind="regression", label="Y", features=["X"], momentum=0.9),
+         r"regression app: .*'momentum'"),
     ],
 )
 def test_app_checks(doc, message):
@@ -645,6 +650,17 @@ def test_bundled_scenarios_verify_with_one_relation_static(name, static):
     assert ok, problems
 
 
+@pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+def test_every_leaf_is_stored_in_both_plans(name):
+    """fivm's tree and first_order's flat tree store every leaf: a delta
+    that climbs level by level ends at its entry's stored relation."""
+    c = compile_scenario(load_scenario(bundled_scenarios()[name]))
+    flat = plan_flat_tree(c.query, c.order, c.result_schema, c.scenario.updatable)
+    for tree in (c.tree, flat):
+        assert tree.leaf_nodes.keys() == {d.leaf_id for d in c.query.relations}
+        assert all(leaf.materialized for leaf in tree.leaf_nodes.values())
+
+
 def bundled_compiled():
     return [compile_scenario(load_scenario(p)) for p in bundled_scenarios().values()]
 
@@ -913,6 +929,26 @@ def test_cli_compile_prints_the_plan(tmp_path, capsys):
         "* A1[X1,X2] input  dense 4x4",
         "* V@top(A1+A2+A3)[X1,X4] = sum_{X2} V@X3(A2+A3) * A1  dense 4x4",
     ]
+
+
+def test_cli_compile_prints_a_scan_route(tmp_path, capsys):
+    """R(A) and S(B) share no variable, so a delta to S joins R by
+    scanning it; the engines still agree on the result."""
+    doc = {
+        "name": "cross_count",
+        "ring": {"kind": "integer"},
+        "relations": [
+            {"name": "R", "schema": ["A"], "rows": [[1], [2]]},
+            {"name": "S", "schema": ["B"], "rows": [[1], [3], [4]]},
+        ],
+        "order": ["A", "B"],
+        "lifts": {"A": "one", "B": "one"},
+    }
+    path = write_scenario(tmp_path, doc)
+    assert main(["compile", "-s", path]) == 0
+    assert "delta S: V@A(R+S) <- V@B(S); R by scan\n" in capsys.readouterr().out
+    assert main(["verify", "-s", path]) == 0
+    assert capsys.readouterr().out == "cross_count: ok\n"
 
 
 def test_cli_run_writes_metrics_and_export(tmp_path, capsys):

@@ -61,7 +61,6 @@ def test_occurrences_route_a_name_to_each_leaf_with_its_renaming():
 def test_variables_keep_first_appearance_order():
     query = q(CHAIN, ())
     assert query.variables == ("A", "B", "C", "E", "D")
-    assert query.bound == query.variables
 
 
 def test_rels_of_uses_leaf_ids():

@@ -59,11 +59,11 @@ def test_dense_relation_stores_and_counts_like_a_dict():
     assert dense.index_lookup((("A",), None), (1,)) == [(1, 0)]
     # keys naming no cell are absent, never wrapped or read as flat positions
     for key in [(1, 2), (-1, 0), (0,), (2, 0), ("x", 0)]:
-        assert dense.payload(key) is None
+        assert dense.entries.get(key) is None
     for key in [(-1, 0), (0,), (2, 0), ("x", 0), (1.0, 0), (True, 0)]:
         with pytest.raises(ValueError, match="outside the cells"):
             dense.accumulate(key, 1.0)
-    assert len(dense.entries) == 2 and dense.total() == 4.5
+    assert len(dense.entries) == 2 and sum(dense.entries.values()) == 4.5
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,16 +203,15 @@ def test_counters_track_reads_writes_probes():
     r = Relation(("A",), Z, counters=c)
     r.accumulate((1,), 5)          # one read (miss), one write
     assert c.snapshot() == (1, 1, 0)
-    r.payload((1,))                # one read
-    assert c.snapshot() == (2, 1, 0)
     list(r.items())                # one read per entry
-    assert c.snapshot() == (3, 1, 0)
+    assert c.snapshot() == (2, 1, 0)
     r.ensure_index(("A",))         # one probe per existing entry
-    assert c.snapshot() == (3, 1, 1)
+    assert c.snapshot() == (2, 1, 1)
     r.accumulate((2,), 1)          # maintains the index: one extra probe
-    assert c.snapshot() == (4, 2, 2)
-    c.reset()
-    assert c.total() == 0
+    assert c.snapshot() == (3, 2, 2)
+    r.index_lookup((("A",), None), (2,))  # one probe
+    assert c.snapshot() == (3, 2, 3)
+    assert OpCounters().snapshot() == (0, 0, 0)
 
 
 def test_index_probe_order_follows_schema():
@@ -238,16 +237,15 @@ def test_index_stays_live_under_mutation():
     assert r.index_lookup(spec, (1,)) == [(1, 11)]
     r.accumulate((1, 13), 4)
     assert sorted(r.index_lookup(spec, (1,))) == [(1, 11), (1, 13)]
-    groups = r.index_groups(spec, (1,))
+    groups = r.indexes[spec].get((1,), {})
     assert list(groups) == [11, 13]
-    assert r.index_groups(spec, (9,)) == {}
+    assert r.indexes[spec].get((9,), {}) == {}
 
 
 def test_grouped_index_drops_empty_buckets():
     r = rel(("A", "B"), [((1, 10), 1)])
     spec = r.ensure_index(("A",), group_var="B")
     r.accumulate((1, 10), -1)
-    assert r.index_groups(spec, (1,)) == {}
     assert r.indexes[spec] == {}
 
 
@@ -421,11 +419,6 @@ def test_indexes_follow_any_stream_of_stores(data):
             if not dense:
                 assert all(bucket and all(bucket.values()) for bucket in table.values())
                 assert in_order(table) == in_order(ref_indexes[spec])
-
-
-def test_total_sums_every_payload():
-    r = rel(("A", "B"), [((1, 2), 3), ((4, 5), -1)])
-    assert r.total() == 2
 
 
 # ---------------------------------------------------------------------------
@@ -720,10 +713,10 @@ def test_indicator_projection_schema_checked():
 
 
 def test_prefix_enumerate_in_first_insertion_order():
-    # a prefix's groups come out of index_groups in first-insertion order, not sorted
+    # a prefix's groups come out of its index bucket in first-insertion order, not sorted
     r = rel(("A", "B"), [((1, 30), 1), ((1, 10), 1), ((2, 5), 1), ((1, 20), 1)])
     spec = r.ensure_index(("A",), group_var="B")
-    groups = r.index_groups(spec, (1,))
+    groups = r.indexes[spec].get((1,), {})
     assert list(groups) == [30, 10, 20]
     assert list(groups[30]) == [(1, 30)]
 

@@ -36,7 +36,6 @@ from fivm.rings import (
     ring_mul,
     ring_negate,
     ring_one,
-    ring_zero,
 )
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,7 @@ def test_additive_group_laws(spec, any3, addable3, data):
     a, b, c = data.draw(addable3)
     assert ring_add(spec, a, b) == ring_add(spec, b, a)
     assert ring_add(spec, ring_add(spec, a, b), c) == ring_add(spec, a, ring_add(spec, b, c))
-    assert ring_add(spec, a, ring_zero(spec)) == a
+    assert ring_add(spec, a, spec.zero) == a
     assert is_zero(spec, ring_add(spec, a, ring_negate(spec, a)))
 
 
@@ -152,7 +151,7 @@ def test_multiplicative_laws(spec, any3, addable3, data):
     assert ring_mul(spec, ring_mul(spec, a, b), c) == ring_mul(spec, a, ring_mul(spec, b, c))
     one = ring_one(spec)
     assert ring_mul(spec, a, one) == a
-    assert is_zero(spec, ring_mul(spec, a, ring_zero(spec)))
+    assert is_zero(spec, ring_mul(spec, a, spec.zero))
 
 
 @pytest.mark.parametrize("spec,any3,addable3", RING_CASES)
@@ -176,7 +175,7 @@ def test_bound_operators_match_the_ring_functions(spec, any3, addable3, data):
     assert spec.mul(c, d) == ring_mul(spec, c, d)
     assert spec.neg(c) == ring_negate(spec, c)
     assert spec.is_zero(c) == is_zero(spec, c)
-    assert spec.zero == ring_zero(spec) and spec.is_zero(spec.zero)
+    assert spec.is_zero(spec.zero)
     assert spec.one == ring_one(spec) and not spec.is_zero(spec.one)
     spec.check(c)
 
@@ -281,8 +280,8 @@ def test_payload_operators_agree_with_ring_functions(pair, other):
 def test_relational_identity_elements():
     spec = relational_ring()
     assert ring_one(spec) == relational_payload((), {(): 1})
-    assert ring_zero(spec) == RelationalPayload((), {})
-    assert is_zero(spec, ring_zero(spec))
+    assert spec.zero == RelationalPayload((), {})
+    assert is_zero(spec, spec.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +368,7 @@ def test_triple_of_single_point_matches_direct_formulas():
 def test_triple_sum_accumulates_raw_statistics():
     spec = covariance_ring(2)
     pts = [(1.0, 2.0), (3.0, 5.0), (-2.0, 0.5)]
-    acc = ring_zero(spec)
+    acc = spec.zero
     for p in pts:
         acc = ring_add(spec, acc, lifted_point(spec, p))
     assert acc.c == 3
@@ -400,7 +399,7 @@ def test_triple_degree_mismatch_rejected():
     spec = covariance_ring(1)
     bad = CovarianceTriple(1, {2: 1.0}, {})
     with pytest.raises(ValueError):
-        ring_add(spec, bad, ring_zero(spec))
+        ring_add(spec, bad, spec.zero)
 
 
 @pytest.mark.parametrize("op", [ring_add, ring_mul])
