@@ -517,10 +517,10 @@ def mcm_rank_update(state: RuntimeState, i: int, u: Vector, v: Vector) -> int:
     number of leaf occurrences touched.
     """
     name = f"A{i}"
-    decls = [d for d in state.query.relations if d.name == name]
-    if not decls:
+    occurrences = state.query.occurrences.get(name)
+    if not occurrences:
         raise ValueError(f"no matrix named {name} in this chain")
-    row_var, col_var = decls[0].schema
+    row_var, col_var = occurrences[0].schema
     u_rel = _vector_relation(state, row_var, u)
     v_rel = _vector_relation(state, col_var, v)
     if not u_rel.entries or not v_rel.entries:

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Optional
@@ -534,6 +534,12 @@ def _check_app(
         raise ScenarioError("covariance export needs continuous slots")
     if app.kind != "regression":
         return None
+    takes = [f.name for f in fields(RegressionConfig)]
+    junk = set(app.options) - set(takes)
+    if junk:
+        raise ScenarioError(f"unknown keys for a regression app: {sorted(junk)}; it takes {takes}")
+    if "label" not in app.options:
+        raise ScenarioError("regression app needs a 'label'")
     try:
         cfg = RegressionConfig(**app.options)
     except (TypeError, ValueError) as e:

@@ -136,6 +136,8 @@ class RuntimeState:
             self.payload_xform = relational_total
         else:
             self.payload_xform = None
+        # Per schema, what relation() calls to make an empty relation.
+        self._makers: dict[tuple[str, ...], partial] = {}
         for d in self.query.relations:
             self.leaves[d.leaf_id] = self.relation(d.schema, d.leaf_id)
         # Per updatable relation name: its occurrences, its update schema
@@ -157,11 +159,17 @@ class RuntimeState:
         return self._maker(schema)(name=name)
 
     def _maker(self, schema: tuple[str, ...]) -> partial:
-        """What :meth:`relation` calls to make an empty relation over ``schema``."""
-        shape = self.query.dense_shape(schema)
-        if shape is None:
-            return partial(Relation, schema, self.ring, self.counters)
-        return partial(DenseRelation, schema, self.ring, shape, self.counters)
+        """What :meth:`relation` calls to make an empty relation over
+        ``schema``, made at the schema's first relation."""
+        make = self._makers.get(schema)
+        if make is None:
+            shape = self.query.dense_shape(schema)
+            if shape is None:
+                make = partial(Relation, schema, self.ring, self.counters)
+            else:
+                make = partial(DenseRelation, schema, self.ring, shape, self.counters)
+            self._makers[schema] = make
+        return make
 
     def load(self, data: dict[str, Iterable[tuple[tuple, Any]]]) -> None:
         """Fill the base relations and evaluate every view bottom-up.
@@ -344,7 +352,7 @@ class RuntimeState:
         counters = None
         tallies, stores = [], []
         for node, target, joins, _ in levels:
-            steps, sums, lifted, _, out_pos = plan_shape(
+            steps, sums, lifted, _, out_pos, _ = plan_shape(
                 schema, tuple((r.schema, route) for r, route in joins),
                 node.marg_vars, node.lifts, node.keys,
             )

@@ -36,7 +36,7 @@ from fivm.apps import (
     second_moment_matrix,
     train_linear_regression,
 )
-from fivm import relations
+from fivm import ivm, relations
 from fivm.ivm import FactorizedDelta, RuntimeState, UpdateDelta
 from fivm.queries import Query, VariableOrder
 from fivm.relations import DenseRelation, Relation
@@ -850,6 +850,88 @@ def test_dense_chains_count_and_answer_like_the_dict_path(data):
         run(lambda s: s.apply_batch([UpdateDelta(name, tuple(pairs))]))
 
 
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_full_dense_targets_move_like_the_dict_path(data):
+    """Fully nonzero loads, so stores meet full targets: a positive
+    rank-one update keeps every target full with no move, a point delta
+    that cancels one cell moves exactly that key by -1, and one that fills
+    the last zero cell moves it by +1. After every step, random ones too,
+    each store's moves and the counters equal the dict twin's."""
+    dims = data.draw(st.lists(st.integers(1, 5), min_size=4, max_size=4), label="dims")
+    positive = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+    dense, plain = twin_chains(dims)
+    init = {
+        f"A{i + 1}": [
+            ((r, c), data.draw(positive, label="load"))
+            for r in range(dims[i])
+            for c in range(dims[i + 1])
+        ]
+        for i in range(3)
+    }
+    stores = {id(dense): [], id(plain): []}
+    store = ivm.rel_apply_delta
+
+    def spy(target, delta):
+        """Record, per state, the target's name, whether it was full, its
+        moves and its count after the store."""
+        cells = target.entries
+        full = isinstance(target, DenseRelation) and cells.count == cells.array.size
+        moves = store(target, delta)
+        for state in (dense, plain):
+            for name, rel in (*state.leaves.items(), *state.views.items()):
+                if rel is target:
+                    stores[id(state)].append((name, full, sorted(moves), len(cells)))
+        return moves
+
+    def run(step):
+        for state in (dense, plain):
+            stores[id(state)].clear()
+            step(state)
+        got = stores[id(dense)]
+        assert [(n, m, c) for n, _, m, c in got] == [(n, m, c) for n, _, m, c in stores[id(plain)]]
+        assert dense.counters.snapshot() == plain.counters.snapshot()
+        for rel in (*dense.leaves.values(), *dense.views.values()):
+            assert rel.entries.count == np.count_nonzero(rel.entries.array)
+        assert chain_snapshot(dense) == chain_snapshot(plain)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ivm, "rel_apply_delta", spy)
+        run(lambda s: s.load(init))
+        i = data.draw(st.integers(0, 2), label="matrix")
+        u = data.draw(st.lists(positive, min_size=dims[i], max_size=dims[i]), label="u")
+        v = data.draw(st.lists(positive, min_size=dims[i + 1], max_size=dims[i + 1]), label="v")
+        got = run(lambda s: mcm_rank_update(s, i + 1, u, v))
+        assert got and all(full and moves == [] for _, full, moves, _ in got)
+
+        j = data.draw(st.integers(0, 2), label="cancelled matrix")
+        name, size = f"A{j + 1}", dims[j] * dims[j + 1]
+        key = (data.draw(st.integers(0, dims[j] - 1)), data.draw(st.integers(0, dims[j + 1] - 1)))
+        val = plain.leaves[name].entries[key]
+        got = run(lambda s: s.apply_batch([UpdateDelta(name, ((key, -val),))]))
+        assert got[-1] == (name, True, [(key, -1)], size - 1)
+        refill = data.draw(positive, label="refill")
+        got = run(lambda s: s.apply_batch([UpdateDelta(name, ((key, refill),))]))
+        assert got[-1] == (name, False, [(key, 1)], size)
+
+        for _ in range(data.draw(st.integers(0, 4), label="steps")):
+            k = data.draw(st.integers(0, 2), label="matrix")
+            signed = st.sampled_from([-2.0, -1.0, 1.0, 2.0])
+            if data.draw(st.booleans(), label="rank"):
+                u = data.draw(st.lists(signed, min_size=dims[k], max_size=dims[k]), label="u")
+                v = data.draw(
+                    st.lists(signed, min_size=dims[k + 1], max_size=dims[k + 1]), label="v"
+                )
+                run(lambda s: mcm_rank_update(s, k + 1, u, v))
+            else:
+                live = sorted(plain.leaves[f"A{k + 1}"].entries.items())
+                gone = data.draw(st.lists(st.sampled_from(live), unique=True)) if live else []
+                pairs = tuple((key, -val) for key, val in gone)
+                run(lambda s: s.apply_batch([UpdateDelta(f"A{k + 1}", pairs)]))
+
+
 def test_dense_primary_probes_count_like_the_dict_path(monkeypatch):
     """R(A,B), S(A,B) and T(B,C) under B -> (A, C), only R updatable: both
     levels of R's path probe their sibling by its whole key. Stored dense,
@@ -974,6 +1056,30 @@ def test_a_full_rank_one_update_pays_one_einsum_per_contraction(monkeypatch):
     assert calls["einsum"] == calls["contract"] and calls["checked_rows"] == 0
     want = oracles.chain_product(mats)
     assert np.allclose(to_dense(state, (p, p)), want, rtol=1e-12)
+
+
+def test_factors_do_not_alias_their_vectors():
+    """A rank-one update's factors hold copies of ``u`` and ``v``: changing
+    the numpy vectors in place afterwards changes no stored view."""
+    state, _ = chain_runtime((3, 4, 2, 5))
+    u, v = np.array([1.0, -2.0, 3.0]), np.array([0.5, 1.0, -1.0, 2.0])
+    factors = []
+    fill = DenseRelation.fill
+
+    def kept(self, values):
+        fill(self, values)
+        factors.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DenseRelation, "fill", kept)
+        assert mcm_rank_update(state, 1, u, v) == 7
+    assert [f.schema for f in factors] == [("X1",), ("X2",)]
+    before = dense_cells(state)
+    u[:] = 9.0
+    v *= -3.0
+    assert dense_cells(state) == before
+    assert factors[0].entries.array.tolist() == [1.0, -2.0, 3.0]
+    assert factors[1].entries.array.tolist() == [0.5, 1.0, -1.0, 2.0]
 
 
 def test_rank_updates_need_a_real_matrix():

@@ -349,7 +349,9 @@ def stats_doc(**app):
         (dict(stats_doc(kind="covariance"), kinds={"X": "categorical", "Y": "categorical"}),
          "covariance export needs continuous slots"),
         (stats_doc(kind="regression", label="Y", features=["X"], momentum=0.9),
-         r"regression app: .*'momentum'"),
+         r"^unknown keys for a regression app: \['momentum'\]; it takes \['label', 'features', "
+         r"'step_size', 'gradient_threshold', 'max_iterations', 'warm_start'\]$"),
+        (stats_doc(kind="regression", features=["X"]), r"^regression app needs a 'label'$"),
     ],
 )
 def test_app_checks(doc, message):
@@ -1071,7 +1073,7 @@ IDENTITY_A = {"A": "identity", "B": "one", "C": "one"}
         (stats_doc(kind="regression", label="Y", features=["X"], step_size=-1),
          "step size must be positive"),
         (stats_doc(kind="regression", label="Y", features=["X"], max_iteration=5),
-         "unexpected keyword argument 'max_iteration'"),
+         r"unknown keys for a regression app: \['max_iteration'\]; it takes \[.*'max_iterations'"),
         (dict(COUNT_SCN, ring={"kind": "integer", "zero_tolerance": 0.5}),
          "integer ring is exact"),
         (dict(COUNT_SCN, ring={"kind": "real", "zero_tolerence": 1e-9}),
