@@ -101,7 +101,6 @@ class CovarianceQuery:
 def build_covariance_query(
     relations: Sequence[tuple[str, Sequence[str]]],
     kinds: Mapping[str, Union[str, Binned]],
-    zero_tolerance: float = 0.0,
 ) -> CovarianceQuery:
     """Compile a join over ``relations`` into a degree-m triple query.
 
@@ -125,7 +124,7 @@ def build_covariance_query(
         raise ValueError("no variable was tagged continuous or categorical")
     all_continuous = all(kinds[v] == CONTINUOUS for v in slots)
     base = REAL if all_continuous else RELATIONAL
-    ring = covariance_ring(len(slots), base=base, zero_tolerance=zero_tolerance)
+    ring = covariance_ring(len(slots), base=base)
     lifts = []
     for v in seen:
         kind = kinds.get(v)

@@ -24,7 +24,6 @@ Top-level keys:
                       A1(X1,X2), ..., An(Xn,Xn+1), where Xi takes the
                       integers [0, pi)
 ``free_lift_mode``    "group_by" (default) or "relational_payload"
-``mode``              force "tau" or "nu" tree construction
 ``updatable``         relation names that stream (default: all)
 ``fds``               [[["A"], ["B"]], ...] functional dependencies
 ``batch_size``        events per batch (default 1)
@@ -109,7 +108,6 @@ _TOP_KEYS = {
     "kinds",
     "chain",
     "free_lift_mode",
-    "mode",
     "updatable",
     "fds",
     "batch_size",
@@ -208,7 +206,6 @@ class Scenario:
     kinds_doc: Optional[Mapping[str, Any]]
     chain: Optional[tuple[int, ...]]
     free_lift_mode: str
-    mode: Optional[str]
     updatable: tuple[str, ...]
     fds: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
     batch_size: int
@@ -261,7 +258,8 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
         )
 
     names = [r.name for r in rel_specs]
-    updatable = tuple(_list(doc, "updatable", names))
+    # a self join declares its relation once per occurrence
+    updatable = tuple(dict.fromkeys(_list(doc, "updatable", names)))
     unknown = set(updatable) - set(names)
     if unknown:
         raise ScenarioError(f"updatable names not declared: {sorted(unknown)}")
@@ -289,9 +287,6 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
         app = AppSpec(kind, {k: v for k, v in app_doc.items() if k != "kind"})
 
     fds = tuple(_fd(i, fd) for i, fd in enumerate(_list(doc, "fds", [])))
-    mode = doc.get("mode")
-    if mode not in (None, "tau", "nu"):
-        raise ScenarioError(f"unknown tree mode {mode!r}")
     flm = doc.get("free_lift_mode", "group_by")
     if flm not in ("group_by", "relational_payload"):
         raise ScenarioError(f"unknown free_lift_mode {flm!r}")
@@ -306,7 +301,6 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
         kinds_doc=doc.get("kinds"),
         chain=chain,
         free_lift_mode=GROUP_BY if flm == "group_by" else RELATIONAL_PAYLOAD,
-        mode=mode,
         updatable=updatable,
         fds=fds,
         batch_size=batch_size,
@@ -454,10 +448,8 @@ def compile_scenario(scn: Scenario) -> CompiledScenario:
         )
         order = _order_from_doc(scn, query)
 
-    if scn.mode == "nu" and not order.is_free_top(query.free):
-        raise ScenarioError("output-oriented mode needs the free variables on top")
     regression = None if scn.app is None else _check_app(scn.app, query, slots)
-    tree = plan_view_tree(query, order, updatable=scn.updatable, mode=scn.mode)
+    tree = plan_view_tree(query, order, updatable=scn.updatable)
 
     static_events: dict[str, list[StreamEvent]] = {}
     stream_events: list[tuple[str, list[StreamEvent]]] = []

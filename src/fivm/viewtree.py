@@ -738,31 +738,16 @@ def plan_listing(tree: ViewTree) -> ViewTree:
     return tree
 
 
-def plan_view_tree(
-    query: Query,
-    order: VariableOrder,
-    updatable: Iterable[str],
-    mode: Optional[str] = None,
-    indicators: bool = True,
-) -> ViewTree:
-    """Run the whole planning pipeline for one query.
-
-    ``mode`` picks the construction: "tau" for the general tree, "nu" for
-    the output-oriented one; by default the free-top construction is used
-    whenever there are free variables and the order allows it. Passing
-    ``indicators=False`` skips the existence-projection pass, which is
-    mostly useful for measuring how much the projections save.
-    """
-    if mode is None:
-        mode = "nu" if query.free and order.is_free_top(query.free) else "tau"
-    if mode == "nu":
+def plan_view_tree(query: Query, order: VariableOrder, updatable: Iterable[str]) -> ViewTree:
+    """Run the whole planning pipeline for one query: the free-top
+    construction when the query has free variables and the order keeps
+    them on top, else the general one, then the existence projections a
+    cyclic core needs."""
+    if query.free and order.is_free_top(query.free):
         tree = build_free_connex_tree(query, order)
-    elif mode == "tau":
-        tree = build_view_tree(query, order)
     else:
-        raise ValueError(f"unknown view tree mode: {mode!r}")
-    if indicators:
-        add_indicator_projections(tree)
+        tree = build_view_tree(query, order)
+    add_indicator_projections(tree)
     updatable = tuple(updatable)
     fold_static_siblings(tree, updatable)
     choose_materialization(tree, updatable)

@@ -19,6 +19,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import oracles
+from plans import plan_general_tree
 from fivm.apps import (
     CATEGORICAL,
     CONTINUOUS,
@@ -573,12 +574,11 @@ def _triangle_state(r_edges, s_edges, t_edges, indicators=True):
         integer_ring(),
         lifts=tuple(lift_to_one(v) for v in "ABC"),
     )
-    tree = plan_view_tree(
-        query,
-        VariableOrder([["A", ["B", ["C"]]]]),
-        updatable=("R", "S", "T"),
-        indicators=indicators,
-    )
+    order = VariableOrder([["A", ["B", ["C"]]]])
+    if indicators:
+        tree = plan_view_tree(query, order, updatable=("R", "S", "T"))
+    else:
+        tree = plan_general_tree(query, order, ("R", "S", "T"), projections=False)
     state = RuntimeState(tree)
     state.load(
         {

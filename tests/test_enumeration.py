@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from plans import plan_general_tree
 from fivm.enumeration import (
     enumerate_result,
     listing_csv_rows,
@@ -283,14 +284,15 @@ def test_a_listing_keeps_rows_whose_hub_aggregate_cancels():
 # the listing plan on every kind of tree
 
 
-def integer_state(rels, free, order, mode=None, data=ROWS):
+def integer_state(rels, free, order, general=False, data=ROWS):
     query = Query(
         rels,
         free,
         integer_ring(),
         lifts=tuple(lift_to_one(v) for _, schema in rels for v in schema if v not in free),
     )
-    tree = plan_view_tree(query, VariableOrder(order), updatable=(rels[0][0],), mode=mode)
+    plan = plan_general_tree if general else plan_view_tree
+    tree = plan(query, VariableOrder(order), updatable=(rels[0][0],))
     state = RuntimeState(tree)
     state.load({name: [(k, 1) for k in data[name]] for name, _ in rels})
     return state
@@ -315,7 +317,7 @@ TWO_ROOT_ORDER = [["A", ["B"]], ["C", ["D"]]]
 
 TREES = {
     # free variables listed against the order, so root keys are re-tupled
-    "tau": lambda: integer_state(CHAIN_RELS, ("C", "A"), CHAIN_ORDER.to_nested(), mode="tau"),
+    "tau": lambda: integer_state(CHAIN_RELS, ("C", "A"), CHAIN_ORDER.to_nested(), general=True),
     "root-keyed-nu": lambda: integer_state(
         [("R", ("A", "B")), ("S", ("A", "C", "E"))], ("A",), [["A", ["B"], ["C", ["E"]]]]
     ),
@@ -323,7 +325,7 @@ TREES = {
     "walked-nu-factorized": lambda: listing_state(factorized=True),
     "walked-real-tolerance": tolerant_state,
     "two-root-nu": lambda: integer_state(TWO_ROOTS, ("A", "C"), TWO_ROOT_ORDER),
-    "two-root-tau": lambda: integer_state(TWO_ROOTS, ("A", "C"), TWO_ROOT_ORDER, mode="tau"),
+    "two-root-tau": lambda: integer_state(TWO_ROOTS, ("A", "C"), TWO_ROOT_ORDER, general=True),
 }
 
 

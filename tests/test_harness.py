@@ -76,6 +76,16 @@ def test_defaults_fill_in():
     assert parsed.ring_doc == {"kind": "integer"}
 
 
+def test_a_self_join_is_updatable_once(capsys):
+    """The default ``updatable`` names a self join's relation once, not
+    once per occurrence, and ``fivm compile`` prints it once."""
+    path = bundled_scenarios()["triangle_retract"]
+    assert [r.name for r in load_scenario(path).relations] == ["E", "E", "E"]
+    assert load_scenario(path).updatable == ("E",)
+    assert main(["compile", "-s", str(path)]) == 0
+    assert "\nupdatable: E\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -84,7 +94,7 @@ def test_defaults_fill_in():
         ({"batch_size": 0}, "batch_size"),
         ({"intvl": -1}, "intvl"),
         ({"updatable": ["Q"]}, "updatable names not declared"),
-        ({"mode": "sideways"}, "unknown tree mode"),
+        ({"mode": "nu"}, "unknown scenario keys"),
         ({"free_lift_mode": "flat"}, "unknown free_lift_mode"),
         ({"app": {"kind": "forecast"}}, "unknown app kind"),
         ({"relations": [{"name": "R", "rows": [[1]]}]}, "needs a name and a schema"),
@@ -251,14 +261,6 @@ def test_orders_must_place_every_variable():
         compile_scenario(scn(order=[["B", ["A"]]]))
     with pytest.raises(ScenarioError, match="needs an 'order'"):
         compile_scenario(scn(order=None))
-
-
-def test_output_mode_needs_free_on_top():
-    with pytest.raises(ScenarioError, match="free variables on top"):
-        compile_scenario(
-            scn(free=["A", "C"], mode="nu", free_lift_mode="relational_payload",
-                ring={"kind": "relational"}, lifts={"B": "unit"})
-        )
 
 
 def test_unknown_lift_and_ring_names():
@@ -998,6 +1000,7 @@ EXPORT_HEADERS = {
     "mcm_chain": ["X1", "X4", "payload"],
     "qhier_pairs": ["A", "B", "C", "payload"],
     "triangle_count": ["payload"],
+    "triangle_retract": ["payload"],
     "stats_mi": ["", "X", "Y"],
     "stats_covariance": ["", "X", "Y"],
 }

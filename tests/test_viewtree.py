@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from plans import plan_general_tree
 
 from fivm.queries import GROUP_BY, RELATIONAL_PAYLOAD, Query, VariableOrder
 from fivm.rings import (
@@ -186,13 +187,26 @@ def test_root_leftover_bound_variables_get_a_top_wrapper():
 # indicator projections
 
 
-def triangle_query():
+def triangle_query(free=()):
     return Query(
         [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("C", "A"))],
-        (),
+        free,
         Z,
-        lifts=tuple(lift_to_one(v) for v in "ABC"),
+        lifts=tuple(lift_to_one(v) for v in "ABC" if v not in free),
     )
+
+
+@pytest.mark.parametrize(
+    "free, mode",
+    [((), "tau"), (("C",), "tau"), (("B", "C"), "tau"), (("A",), "nu"), (("A", "B"), "nu")],
+)
+def test_the_planner_picks_the_tree_and_always_projects(free, mode):
+    """The free-top tree exactly when there are free variables and none lies
+    below a bound one, the general tree otherwise; either way the cyclic
+    core gets its existence projection."""
+    tree = plan_view_tree(triangle_query(free), VariableOrder([["A", ["B", ["C"]]]]), updatable=("R", "S", "T"))
+    assert tree.mode == mode
+    assert tree.indicator_nodes
 
 
 def test_indicator_added_on_the_cyclic_core():
@@ -221,16 +235,6 @@ def test_plan_lists_the_indicators_each_updatable_relation_feeds():
 def test_no_indicator_on_acyclic_chain():
     tree = build_view_tree(chain_query(), VariableOrder(CHAIN_ORDER))
     add_indicator_projections(tree)
-    assert tree.indicator_nodes == []
-
-
-def test_indicator_skipped_when_plan_disables_them():
-    tree = plan_view_tree(
-        triangle_query(),
-        VariableOrder([["A", ["B", ["C"]]]]),
-        updatable=("R", "S", "T"),
-        indicators=False,
-    )
     assert tree.indicator_nodes == []
 
 
@@ -351,7 +355,7 @@ def test_static_siblings_that_hold_free_variables_stay_out_of_the_fold():
     assert fold_views(tree) == []
     assert len(tree.roots[0].children) == 4
     # B1 free: R1 stays a child of the root, R2 and R3 fold
-    tree = plan_view_tree(star_query(free=("B1",)), STAR_ORDER, updatable=("R0",), mode="tau")
+    tree = plan_general_tree(star_query(free=("B1",)), STAR_ORDER, updatable=("R0",))
     (fold,) = fold_views(tree)
     assert [c.id for c in fold.children] == ["V@B2(R2)", "V@B3(R3)"]
     assert [c.id for c in tree.roots[0].children] == ["V@B0(R0)", "R1", fold.id]
@@ -474,8 +478,8 @@ def test_payload_covers_are_keyed_by_their_free_variables_and_stored():
 
 
 def test_root_scanned_trees_have_no_listing_steps():
-    general = plan_view_tree(
-        chain_query(free=("A", "C")), VariableOrder(CHAIN_ORDER), updatable=("R",), mode="tau"
+    general = plan_general_tree(
+        chain_query(free=("A", "C")), VariableOrder(CHAIN_ORDER), updatable=("R",)
     )
     assert general.listing_steps == ()
     assert general.listing_covers == (tuple(general.roots),)
