@@ -11,8 +11,8 @@ expose identical snapshots, so a verification run is nothing but
 dictionary comparisons at agreed checkpoints, payloads compared as their
 ring defines equality.
 
-Every engine owns its counter block; the per-batch metric rows therefore
-show what each strategy actually paid, in the same units. Runs and
+Every engine's state owns its counter block; the per-batch metric rows
+therefore show what each strategy actually paid, in the same units. Runs and
 verifications drive every engine through one batch step, which applies
 the batch, lists the result at the enumeration cadence, runs a run's
 application and builds the metric row, with the three phases timed apart;
@@ -29,10 +29,10 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from ..apps import chow_liu_tree, mutual_information_matrix, train_linear_regression, write_csv
 from ..enumeration import enumerate_result
 from ..ivm import RuntimeState, UpdateDelta, recompute_query
-from ..relations import OpCounters, from_pairs
+from ..relations import from_pairs
 from ..rings import RingSpec, ring_negate
 from ..viewtree import plan_flat_tree
-from .scenario import CompiledScenario, Scenario, ScenarioError, compile_scenario
+from .scenario import CompiledScenario, ScenarioError
 from .streams import StreamEvent, synthesize_stream
 
 __all__ = [
@@ -69,8 +69,7 @@ class FivmEngine:
 
     def __init__(self, compiled: CompiledScenario):
         self.compiled = compiled
-        self.counters = OpCounters()
-        self.state = RuntimeState(compiled.tree, counters=self.counters)
+        self.state = RuntimeState(compiled.tree)
 
     def setup(self) -> None:
         data = {
@@ -101,12 +100,11 @@ class FirstOrderEngine(FivmEngine):
 
     def __init__(self, compiled: CompiledScenario, updatable: Optional[Sequence[str]] = None):
         c = self.compiled = compiled
-        self.counters = OpCounters()
         if updatable is None:
             updatable = c.scenario.updatable
         tree = plan_flat_tree(c.query, c.order, c.result_schema, updatable)
         # Payloads stay whole, as a recompute over the inputs keeps them.
-        self.state = RuntimeState(tree, counters=self.counters, factorized_payloads=False)
+        self.state = RuntimeState(tree, factorized_payloads=False)
 
     def listing_snapshot(self) -> dict[tuple, Any]:
         query = self.compiled.query
@@ -124,8 +122,8 @@ class ReevaluateEngine(FirstOrderEngine):
     def apply(self, batch: Sequence[StreamEvent]) -> int:
         """Add the batch to the inputs and rebuild the result, every row
         checked (:meth:`Query.checked`) before any input changes. Returns
-        the key-level changes the batch makes, merged on a private counter
-        block as :meth:`RuntimeState.apply_batch` counts them."""
+        the key-level changes the batch makes, merged off the state's counters
+        as :meth:`RuntimeState.apply_batch` counts them."""
         state, query = self.state, self.compiled.query
         deltas = _batch_deltas(self.compiled, batch)
         checked = [(d.target, query.checked(d.pairs, d.target)) for d in deltas]
@@ -229,13 +227,14 @@ def _step(
     cadence. The counters cover the apply and the listing; each of the
     three phases is timed on its own clock.
     """
-    before = engine.counters.snapshot()
+    counters = engine.state.counters
+    before = counters.snapshot()
     t0 = perf_counter_ns()
     touched = engine.apply(batch)
     t1 = perf_counter_ns()
     listing = engine.listing_snapshot() if intvl and bi % intvl == 0 else None
     t2 = perf_counter_ns()
-    reads, writes, probes = (a - b for a, b in zip(engine.counters.snapshot(), before))
+    reads, writes, probes = (a - b for a, b in zip(counters.snapshot(), before))
     if app is not None:
         app()
     t3 = perf_counter_ns()
@@ -248,7 +247,7 @@ def _step(
 
 
 def run_scenario(
-    compiled: CompiledScenario | Scenario,
+    compiled: CompiledScenario,
     engine_name: str = "fivm",
     batch_size: Optional[int] = None,
     seed: Optional[int] = None,
@@ -263,8 +262,6 @@ def run_scenario(
     coefficients warm-started from the previous batch when the scenario
     asks for that.
     """
-    if isinstance(compiled, Scenario):
-        compiled = compile_scenario(compiled)
     scn = compiled.scenario
     iv = intvl if intvl is not None else scn.intvl
 
@@ -325,7 +322,7 @@ def _verify_one(compiled: CompiledScenario) -> tuple[list[str], list[tuple]]:
 
 
 def verify_scenarios(
-    compiled: Iterable[CompiledScenario | Scenario],
+    compiled: Iterable[CompiledScenario],
 ) -> tuple[bool, list[str], list[tuple]]:
     """Race all three engines over each scenario and compare snapshots.
 
@@ -337,9 +334,7 @@ def verify_scenarios(
     problems: list[str] = []
     rows: list[tuple] = []
     for c in compiled:
-        found, scn_rows = _verify_one(
-            c if isinstance(c, CompiledScenario) else compile_scenario(c)
-        )
+        found, scn_rows = _verify_one(c)
         problems.extend(found)
         rows.extend(scn_rows)
     rows.sort(key=lambda r: (r[0], r[1], r[2]))

@@ -14,7 +14,9 @@ Top-level keys:
 ``relations``         [{"name", "schema", "rows", "payload_column"?,
                       "signed"?}, ...]
 ``free``              output variables (default [])
-``order``             nested variable order, or "canonical"
+``order``             a non-empty nested list, one tree [var, child, ...]
+                      or a list of them, a child a name or a tree;
+                      or "canonical"
 ``lifts``             {var: "one"|"identity"|"unit"|"singleton"}; not
                       beside ``kinds`` or ``chain``, which fix the lifts
 ``kinds``             {var: "continuous"|"categorical"|
@@ -23,9 +25,11 @@ Top-level keys:
 ``chain``             [p1, ..., pn+1]; presence compiles the matrix chain
                       A1(X1,X2), ..., An(Xn,Xn+1), where Xi takes the
                       integers [0, pi)
-``free_lift_mode``    "group_by" (default) or "relational_payload"
+``free_lift_mode``    "group_by" (default) or, on a relational ring,
+                      "relational_payload"
 ``updatable``         relation names that stream (default: all)
-``fds``               [[["A"], ["B"]], ...] functional dependencies
+``fds``               [[["A"], ["B"]], ...] functional dependencies;
+                      only beside a "canonical" order, which they shape
 ``batch_size``        events per batch (default 1)
 ``intvl``             enumerate every this many batches (0 = never)
 ``seed``              stream shuffling seed (default 0)
@@ -44,8 +48,10 @@ compiling refuses any row the engine's entry check would. Integer
 settings (the ``chain`` dims and a binned kind's ``bins`` too) are JSON
 integers; a binned kind's ``lo`` and ``hi`` and a ring's
 ``zero_tolerance`` are finite JSON numbers; list settings (``schema``,
-``free``, ``updatable``, each row, each side of an ``fds`` entry) are
-JSON lists. Nothing is coerced.
+``free``, ``updatable``, a regression's ``features``, each row, each side
+of an ``fds`` entry) are JSON lists, of names where they list variables or
+relations; object settings (``ring``, ``lifts``, ``kinds``, ``app``) are
+JSON objects. Nothing is coerced.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ from ..queries import (
     RELATIONAL_PAYLOAD,
     VariableOrder,
     canonical_free_top_order,
-    classify,
+    sigma_reduct,
 )
 from ..rings import (
     INTEGER,
@@ -243,6 +249,8 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
         if not {"name", "schema"} <= set(r):
             raise ScenarioError(f"a relation needs a name and a schema: {dict(r)}")
         name = r["name"]
+        if not isinstance(name, str):
+            raise ScenarioError(f"a relation name must be a string, not {name!r}")
         rows = _list(r, "rows", [], f"{name} ")
         for i, row in enumerate(rows):
             if not isinstance(row, (list, tuple)):
@@ -250,7 +258,7 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
         rel_specs.append(
             RelationSpec(
                 name=name,
-                schema=tuple(_list(r, "schema", None, f"{name} ")),
+                schema=_names(r, "schema", None, f"{name} "),
                 rows=tuple(tuple(row) for row in rows),
                 payload_column=_flag(r, "payload_column", False),
                 signed=_flag(r, "signed", False),
@@ -259,7 +267,7 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
 
     names = [r.name for r in rel_specs]
     # a self join declares its relation once per occurrence
-    updatable = tuple(dict.fromkeys(_list(doc, "updatable", names)))
+    updatable = tuple(dict.fromkeys(_names(doc, "updatable", names, "")))
     unknown = set(updatable) - set(names)
     if unknown:
         raise ScenarioError(f"updatable names not declared: {sorted(unknown)}")
@@ -276,17 +284,17 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
     if intvl < 0:
         raise ScenarioError("intvl cannot be negative")
 
-    app_doc = doc.get("app")
+    app_doc = _object(doc, "app", None)
     app = None
     if app_doc is not None:
-        if not isinstance(app_doc, Mapping):
-            raise ScenarioError(f"app must be a JSON object, not {app_doc!r}")
         kind = app_doc.get("kind")
         if kind not in _APP_KINDS:
             raise ScenarioError(f"unknown app kind {kind!r}")
         app = AppSpec(kind, {k: v for k, v in app_doc.items() if k != "kind"})
 
     fds = tuple(_fd(i, fd) for i, fd in enumerate(_list(doc, "fds", [])))
+    if fds and doc.get("order") != "canonical":
+        raise ScenarioError('fds apply only to a "canonical" order')
     flm = doc.get("free_lift_mode", "group_by")
     if flm not in ("group_by", "relational_payload"):
         raise ScenarioError(f"unknown free_lift_mode {flm!r}")
@@ -294,11 +302,11 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
     return Scenario(
         name=doc.get("name", default_name),
         relations=tuple(rel_specs),
-        ring_doc=doc.get("ring", {"kind": "integer"}),
-        free=tuple(_list(doc, "free", [])),
+        ring_doc=_object(doc, "ring", {"kind": "integer"}),
+        free=_names(doc, "free", [], ""),
         order_doc=doc.get("order"),
-        lift_doc=doc.get("lifts", {}),
-        kinds_doc=doc.get("kinds"),
+        lift_doc=_object(doc, "lifts", {}),
+        kinds_doc=_object(doc, "kinds", None),
         chain=chain,
         free_lift_mode=GROUP_BY if flm == "group_by" else RELATIONAL_PAYLOAD,
         updatable=updatable,
@@ -324,6 +332,23 @@ def _list(doc: Mapping[str, Any], key: str, default: Any, where: str = "") -> li
     value = doc.get(key, default)
     if not isinstance(value, (list, tuple)):
         raise ScenarioError(f"{where}{key} must be a list, not {value!r}")
+    return value
+
+
+def _names(doc: Mapping[str, Any], key: str, default: Any, where: str) -> tuple[str, ...]:
+    """A list setting of names; a nested list is refused, not hashed."""
+    value = _list(doc, key, default, where)
+    if not all(isinstance(v, str) for v in value):
+        raise ScenarioError(f"{where}{key} must list names, not {value!r}")
+    return tuple(value)
+
+
+def _object(doc: Mapping[str, Any], key: str, default: Any) -> Any:
+    """An object setting; a list or a string is refused, not read. JSON
+    null stands for the key's absence only where the default is None."""
+    value = doc.get(key, default)
+    if not (isinstance(value, Mapping) or value is None and default is None):
+        raise ScenarioError(f"{key} must be a JSON object, not {value!r}")
     return value
 
 
@@ -435,7 +460,7 @@ def compile_scenario(scn: Scenario) -> CompiledScenario:
         ring = _ring_from_doc(scn.ring_doc)
         lifts = []
         for var, lift_name in scn.lift_doc.items():
-            maker = _LIFTS.get(lift_name)
+            maker = _LIFTS.get(lift_name) if isinstance(lift_name, str) else None
             if maker is None:
                 raise ScenarioError(f"unknown lift {lift_name!r} for {var}")
             lifts.append(maker(var))
@@ -485,22 +510,19 @@ def compile_scenario(scn: Scenario) -> CompiledScenario:
 def _order_from_doc(scn: Scenario, query: Query) -> VariableOrder:
     doc = scn.order_doc
     if doc == "canonical":
-        fdset = FDSet(scn.fds) if scn.fds else None
-        q = query
-        if fdset is not None:
-            from ..queries import sigma_reduct
-
-            q = sigma_reduct(query, fdset)
-        cls = classify(q)
-        if not cls.q_hierarchical:
-            raise ScenarioError(
-                "canonical order requested but the query is not q-hierarchical"
-            )
-        return canonical_free_top_order(q)
+        q = sigma_reduct(query, FDSet(scn.fds)) if scn.fds else query
+        try:
+            return canonical_free_top_order(q)
+        except ValueError as e:
+            raise ScenarioError(f"canonical order: {e}") from None
     if doc is None:
         raise ScenarioError("scenario needs an 'order' (or \"canonical\")")
-    roots = doc if isinstance(doc[0], list) else [doc]
-    order = VariableOrder(roots)
+    if not (isinstance(doc, list) and doc):
+        raise ScenarioError(f'order must be a non-empty nested list or "canonical", not {doc!r}')
+    try:
+        order = VariableOrder(doc if isinstance(doc[0], list) else [doc])
+    except ValueError as e:
+        raise ScenarioError(f"order: {e}") from None
     missing = set(query.variables) - set(order.variables)
     if missing:
         raise ScenarioError(f"order does not place variables {sorted(missing)}")
@@ -532,6 +554,7 @@ def _check_app(
         raise ScenarioError(f"unknown keys for a regression app: {sorted(junk)}; it takes {takes}")
     if "label" not in app.options:
         raise ScenarioError("regression app needs a 'label'")
+    _names(app.options, "features", [], "regression app ")
     try:
         cfg = RegressionConfig(**app.options)
     except (TypeError, ValueError) as e:

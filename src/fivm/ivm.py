@@ -32,7 +32,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Any, Iterable, Optional
 
-from fivm.queries import RELATIONAL_PAYLOAD, Occurrence, Query
+from fivm.queries import RELATIONAL_PAYLOAD, Query, RelationDecl
 from fivm.relations import (
     DenseRelation,
     IndicatorState,
@@ -107,20 +107,16 @@ class RuntimeState:
 
     Owns the base relations (one copy per occurrence, so self joins update
     slot by slot), the materialized views, and the indicator support
-    counts. All owned relations share one counter block, so the cost of
-    loading, maintaining, and enumerating is observable per phase.
+    counts. All owned relations share the one counter block the state
+    makes (``counters``), so the cost of loading, maintaining, and
+    enumerating is observable per phase.
     """
 
-    def __init__(
-        self,
-        tree: ViewTree,
-        counters: Optional[OpCounters] = None,
-        factorized_payloads: Optional[bool] = None,
-    ):
+    def __init__(self, tree: ViewTree, factorized_payloads: Optional[bool] = None):
         self.tree = tree
         self.query: Query = tree.query
         self.ring = tree.query.ring
-        self.counters = counters if counters is not None else OpCounters()
+        self.counters = OpCounters()
         self.leaves: dict[str, Relation] = {}
         self.views: dict[str, Relation] = {}
         self.indicator_rels: dict[str, Relation] = {}
@@ -432,7 +428,7 @@ class RuntimeState:
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
             by_name.setdefault(u.target, []).append(u)
-        batch: list[tuple[tuple[Occurrence, ...], tuple[str, ...], list[list[Relation]]]] = []
+        batch: list[tuple[tuple[RelationDecl, ...], tuple[str, ...], list[list[Relation]]]] = []
         for name, items in by_name.items():
             target = self._targets.get(name)
             if target is None:

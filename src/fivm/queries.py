@@ -11,15 +11,14 @@ functional-dependency closures for schema widening.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Any, Iterable, Optional, Sequence
 
-from fivm.rings import REAL, TO_ONE, LiftingFunction, RingSpec, lift
+from fivm.rings import REAL, RELATIONAL, TO_ONE, LiftingFunction, RingSpec, lift
 
 __all__ = [
     "RelationDecl",
-    "Occurrence",
     "Query",
     "VariableOrder",
     "OrderBinding",
@@ -40,20 +39,12 @@ RELATIONAL_PAYLOAD = "relational_payload"
 @dataclass(frozen=True)
 class RelationDecl:
     """One input relation occurrence: a stable leaf id, the relation name
-    (repeated for self joins), and its variable schema."""
+    (repeated for self joins), its variable schema, and the positional
+    renaming from the name's update schema (its first occurrence's) to
+    this leaf's variables, which is where an update to the name lands."""
 
     leaf_id: str
     name: str
-    schema: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Occurrence:
-    """Where an update to a relation name lands: one leaf, that leaf's
-    schema, and the positional renaming from the name's update schema (its
-    first occurrence's) to this leaf's variables."""
-
-    leaf_id: str
     schema: tuple[str, ...]
     renaming: dict[str, str]
 
@@ -67,11 +58,13 @@ class Query:
     function for every aggregated variable; free variables only need one in
     special output modes, where the tree builder injects it itself.
     ``free_lift_mode`` picks how free variables present results: plain keys
-    ("group_by") or nested relational payloads ("relational_payload").
-    ``occurrences`` routes an update keyed by relation name to every leaf
-    that name occurs as. ``ranges`` declares variables whose values are
-    the integers [0, n); on the exact real ring, a relation over declared
-    variables only is stored as one array (``dense_shape``).
+    ("group_by") or, on a relational ring, nested relational payloads
+    ("relational_payload"). ``relations`` holds one :class:`RelationDecl`
+    per occurrence in declaration order, and ``occurrences`` routes an
+    update keyed by relation name to the decls of every leaf it occurs as.
+    ``ranges`` declares variables whose values are the integers [0, n); on
+    the exact real ring, a relation over declared variables only is stored
+    as one array (``dense_shape``).
     """
 
     def __init__(
@@ -85,31 +78,23 @@ class Query:
     ):
         if free_lift_mode not in (GROUP_BY, RELATIONAL_PAYLOAD):
             raise ValueError(f"unknown free lift mode: {free_lift_mode!r}")
+        if free_lift_mode == RELATIONAL_PAYLOAD and ring.kind != RELATIONAL:
+            raise ValueError(f"{RELATIONAL_PAYLOAD} needs a relational ring, not {ring.kind}")
         names = [name for name, _ in relations]
-        repeats = {n for n in names if names.count(n) > 1}
         decls: list[RelationDecl] = []
-        seen: dict[str, int] = {}
+        self.occurrences: dict[str, tuple[RelationDecl, ...]] = {}
         for name, schema in relations:
             schema = tuple(schema)
             if len(set(schema)) != len(schema):
                 raise ValueError(f"duplicate variable in schema of {name}: {schema}")
-            if name in repeats:
-                seen[name] = seen.get(name, 0) + 1
-                leaf_id = f"{name}#{seen[name]}"
-            else:
-                leaf_id = name
-            decls.append(RelationDecl(leaf_id, name, schema))
+            occs = self.occurrences.get(name, ())
+            update_schema = occs[0].schema if occs else schema
+            if len(schema) != len(update_schema):
+                raise ValueError(f"occurrences of {name} differ in arity")
+            leaf_id = f"{name}#{len(occs) + 1}" if names.count(name) > 1 else name
+            decls.append(RelationDecl(leaf_id, name, schema, dict(zip(update_schema, schema))))
+            self.occurrences[name] = occs + (decls[-1],)
         self.relations: tuple[RelationDecl, ...] = tuple(decls)
-        routes: dict[str, list[Occurrence]] = {}
-        for d in decls:
-            occs = routes.setdefault(d.name, [])
-            update_schema = occs[0].schema if occs else d.schema
-            if len(d.schema) != len(update_schema):
-                raise ValueError(f"occurrences of {d.name} differ in arity")
-            occs.append(Occurrence(d.leaf_id, d.schema, dict(zip(update_schema, d.schema))))
-        self.occurrences: dict[str, tuple[Occurrence, ...]] = {
-            name: tuple(occs) for name, occs in routes.items()
-        }
         self.free: tuple[str, ...] = tuple(free)
         if len(set(self.free)) != len(self.free):
             raise ValueError(f"duplicate free variables: {self.free}")
@@ -276,11 +261,10 @@ class VariableOrder:
 
     def _build(self, tree: Any, parent: Optional[str]) -> str:
         if isinstance(tree, str):
-            var, kids = tree, []
-        else:
-            var, kids = tree[0], list(tree[1:])
-        if not isinstance(var, str):
+            tree = [tree]
+        if not (isinstance(tree, (list, tuple)) and tree and isinstance(tree[0], str)):
             raise ValueError(f"bad variable order node: {tree!r}")
+        var, kids = tree[0], tree[1:]
         if var in self.parent:
             raise ValueError(f"variable {var} appears twice in the order")
         self.parent[var] = parent

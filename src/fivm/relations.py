@@ -297,14 +297,11 @@ class Relation:
 
 
 def from_pairs(
-    schema: Iterable[str],
-    ring: RingSpec,
-    pairs: Iterable[tuple[tuple, Any]],
-    counters: Optional[OpCounters] = None,
-    name: str = "",
+    schema: Iterable[str], ring: RingSpec, pairs: Iterable[tuple[tuple, Any]]
 ) -> Relation:
-    """Build a relation by accumulating (key, payload) pairs in order."""
-    rel = Relation(schema, ring, counters=counters, name=name)
+    """Build an uncounted relation by accumulating (key, payload) pairs in
+    order."""
+    rel = Relation(schema, ring)
     rel.accumulate_all((tuple(key), val) for key, val in pairs)
     return rel
 

@@ -122,16 +122,16 @@ def integer_ring() -> RingSpec:
     return RingSpec(kind=INTEGER)
 
 
-def real_ring(zero_tolerance: float = 0.0) -> RingSpec:
-    return RingSpec(kind=REAL, zero_tolerance=zero_tolerance)
+def real_ring() -> RingSpec:
+    return RingSpec(kind=REAL)
 
 
-def covariance_ring(degree: int, base: str = REAL, zero_tolerance: float = 0.0) -> RingSpec:
-    return RingSpec(kind=COVARIANCE, degree=degree, base=base, zero_tolerance=zero_tolerance)
+def covariance_ring(degree: int, base: str = REAL) -> RingSpec:
+    return RingSpec(kind=COVARIANCE, degree=degree, base=base)
 
 
-def relational_ring(base: str = INTEGER, zero_tolerance: float = 0.0) -> RingSpec:
-    return RingSpec(kind=RELATIONAL, base=base, zero_tolerance=zero_tolerance)
+def relational_ring() -> RingSpec:
+    return RingSpec(kind=RELATIONAL, base=INTEGER)
 
 
 class RelationalPayload:
@@ -342,8 +342,8 @@ def lift_to_one(var: str) -> LiftingFunction:
     return LiftingFunction(var, TO_ONE)
 
 
-def lift_identity(var: str, valuer: Optional[Callable[[int], float]] = None) -> LiftingFunction:
-    return LiftingFunction(var, IDENTITY, valuer=valuer)
+def lift_identity(var: str) -> LiftingFunction:
+    return LiftingFunction(var, IDENTITY)
 
 
 def lift_continuous(var: str, slot: int, valuer: Optional[Callable[[int], float]] = None) -> LiftingFunction:

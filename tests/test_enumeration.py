@@ -23,13 +23,14 @@ from fivm.ivm import FactorizedDelta, RuntimeState, UpdateDelta, recompute_query
 from fivm.queries import RELATIONAL_PAYLOAD, Query, VariableOrder
 from fivm.relations import Relation, RowCode
 from fivm.rings import (
+    REAL,
+    RingSpec,
     covariance_ring,
     integer_ring,
     lift_categorical,
     lift_continuous,
     lift_to_one,
     lift_unit,
-    real_ring,
     relational_payload,
     relational_ring,
     ring_one,
@@ -303,7 +304,8 @@ def tolerant_state():
     product of R's and the E view's payloads, read at the C step, lies
     within the tolerance; T's payloads scale every row well out of it."""
     query = Query(
-        CHAIN_RELS, ("A", "B", "C", "D"), real_ring(zero_tolerance=1e-3), lifts=(lift_to_one("E"),)
+        CHAIN_RELS, ("A", "B", "C", "D"), RingSpec(REAL, zero_tolerance=1e-3),
+        lifts=(lift_to_one("E"),),
     )
     tree = plan_view_tree(query, CHAIN_ORDER, updatable=("R", "S", "T"))
     state = RuntimeState(tree)

@@ -354,6 +354,8 @@ def stats_doc(**app):
          r"^unknown keys for a regression app: \['momentum'\]; it takes \['label', 'features', "
          r"'step_size', 'gradient_threshold', 'max_iterations', 'warm_start'\]$"),
         (stats_doc(kind="regression", features=["X"]), r"^regression app needs a 'label'$"),
+        (stats_doc(kind="regression", label="Y", features="X"),
+         "^regression app features must be a list, not 'X'$"),
     ],
 )
 def test_app_checks(doc, message):
@@ -543,9 +545,9 @@ def test_first_order_work_per_update_does_not_grow_with_the_inputs():
             inputs[name].accumulate_all((e.key, e.payload) for e in events)
         spent = []
         for batch in synthesize_stream(compiled.stream_events, batch_size=1):
-            before = engine.counters.entry_reads
+            before = engine.state.counters.entry_reads
             engine.apply(batch)
-            spent.append(engine.counters.entry_reads - before)
+            spent.append(engine.state.counters.entry_reads - before)
             inputs["R"].accumulate_all((e.key, e.payload) for e in batch)
             expect = recompute_query(query, inputs, compiled.result_schema)
             assert engine.root_snapshot() == dict(expect.entries)
@@ -601,7 +603,7 @@ def test_metric_rows_time_apply_listing_and_app_apart(monkeypatch):
     monkeypatch.setattr(FivmEngine, "listing_snapshot", ticking(FivmEngine.listing_snapshot, 10))
     monkeypatch.setattr(engines, "_run_app", ticking(engines._run_app, 100))
     doc = stats_doc(kind="regression", label="Y", features=["X"], step_size=0.05)
-    report = run_scenario(scenario_from_dict(doc), engine_name="fivm", intvl=2)
+    report = run_scenario(compile_scenario(scenario_from_dict(doc)), engine_name="fivm", intvl=2)
     at = [METRIC_COLUMNS.index(c) for c in ("apply_ns", "enumerate_ns", "app_ns")]
     timed = [tuple(row[i] for i in at) for row in report.rows]
     assert timed == [(1, 0 if bi % 2 else 10, 100) for bi in range(1, len(timed) + 1)]
@@ -610,7 +612,7 @@ def test_metric_rows_time_apply_listing_and_app_apart(monkeypatch):
 
 def test_regression_app_reports_through_the_run():
     doc = stats_doc(kind="regression", label="Y", features=["X"], step_size=0.05)
-    report = run_scenario(scenario_from_dict(doc), engine_name="fivm")
+    report = run_scenario(compile_scenario(scenario_from_dict(doc)), engine_name="fivm")
     result = report.app_results["regression"]
     assert result.converged
     assert result.theta["intercept"] == pytest.approx(1.0, abs=1e-6)
@@ -717,7 +719,7 @@ def test_divergence_names_the_first_differing_key(monkeypatch, method, what):
         return snap
 
     monkeypatch.setattr(ReevaluateEngine, method, skewed)
-    ok, problems, _ = verify_scenarios([scn(free=["B"], intvl=1)])
+    ok, problems, _ = verify_scenarios([compile_scenario(scn(free=["B"], intvl=1))])
     assert not ok
     found = re.search(
         rf"reevaluate {what} diverges from fivm at key \(2,\): "
@@ -1140,6 +1142,30 @@ IDENTITY_A = {"A": "identity", "B": "one", "C": "one"}
         (dict(stats_doc(), lifts={"X": "one"}), "a statistics scenario cannot also declare lifts"),
         (dict(chain_doc([0, 0, 1.0]), lifts={"X2": "identity"}),
          "a chain scenario cannot also declare lifts"),
+        # settings of the wrong JSON shape name their key, not a Python error
+        (dict(COUNT_SCN, order=[]),
+         r'order must be a non-empty nested list or "canonical", not \[\]'),
+        (dict(COUNT_SCN, order=[[]]), r"order: bad variable order node: \[\]"),
+        (dict(COUNT_SCN, order={}), r"order must be a non-empty nested list .*, not \{\}"),
+        (dict(COUNT_SCN, order=5), "order must be a non-empty nested list .*, not 5"),
+        (dict(COUNT_SCN, ring="integer"), "ring must be a JSON object, not 'integer'"),
+        (dict(COUNT_SCN, lifts=[1]), r"lifts must be a JSON object, not \[1\]"),
+        (dict(COUNT_SCN, lifts="one"), "lifts must be a JSON object, not 'one'"),
+        (dict(stats_doc(), kinds=["X"]), r"kinds must be a JSON object, not \['X'\]"),
+        (dict(COUNT_SCN, free=[["A"]]), r"free must list names, not \[\['A'\]\]"),
+        (dict(COUNT_SCN, updatable=[["R"]]), r"updatable must list names, not \[\['R'\]\]"),
+        (dict(COUNT_SCN, lifts={"A": ["one"], "B": "one", "C": "one"}),
+         r"unknown lift \['one'\] for A"),
+        (dict(COUNT_SCN, relations=[dict(COUNT_SCN["relations"][0], schema=[["A"], "B"]),
+                                    COUNT_SCN["relations"][1]]),
+         r"R schema must list names, not \[\['A'\], 'B'\]"),
+        (dict(COUNT_SCN, relations=[dict(COUNT_SCN["relations"][0], name=["R"]),
+                                    COUNT_SCN["relations"][1]]),
+         r"a relation name must be a string, not \['R'\]"),
+        # a setting that would be dropped or fail only once the data moves
+        (dict(COUNT_SCN, fds=[[["A"], ["B"]]]), 'fds apply only to a "canonical" order'),
+        (dict(COUNT_SCN, free_lift_mode="relational_payload"),
+         "relational_payload needs a relational ring, not integer"),
     ],
 )
 def test_cli_refuses_bad_settings_before_the_replay(tmp_path, capsys, monkeypatch, doc, message):

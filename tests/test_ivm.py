@@ -35,7 +35,10 @@ from fivm.relations import (
     rel_marginalize,
 )
 from fivm.rings import (
+    COVARIANCE,
+    REAL,
     CovarianceTriple,
+    RingSpec,
     covariance_ring,
     integer_ring,
     lift_continuous,
@@ -64,6 +67,13 @@ COUNT_DB = {
     ],
     "T": [(k, 1) for k in [("c1", "d1"), ("c2", "d2"), ("c2", "d3"), ("c3", "d4")]],
 }
+
+
+def counted_relation(schema, ring, pairs, counters):
+    """A relation of ``pairs`` that counts on ``counters``."""
+    rel = Relation(schema, ring, counters)
+    rel.accumulate_all(pairs)
+    return rel
 
 
 def chain_state(updatable=("R", "S", "T")):
@@ -308,7 +318,7 @@ def test_one_pair_deltas_merge_into_one_delta(case):
             assert state.leaves[occ.leaf_id].entries == state.leaves[occurrences[0].leaf_id].entries
     assert outcomes[0] == outcomes[1]
     if case == "cancelling":
-        merged = from_pairs(state.query.occurrences[name][0].schema, Z, pairs, OpCounters())
+        merged = counted_relation(state.query.occurrences[name][0].schema, Z, pairs, OpCounters())
         assert not merged.entries
         assert outcomes[0][0] == 0
         assert outcomes[0][1] == list(merged.counters.snapshot())
@@ -636,7 +646,7 @@ def test_initialize_refuses_a_leaf_on_foreign_counters():
     state = chain_state()
     before, units = snapshot(state), state.counters.snapshot()
     leaves = dict(state.leaves)
-    leaves["T"] = from_pairs(("C", "D"), Z, COUNT_DB["T"], counters=OpCounters())
+    leaves["T"] = counted_relation(("C", "D"), Z, COUNT_DB["T"], OpCounters())
     with pytest.raises(ValueError, match="counters"):
         state.initialize(leaves)
     assert snapshot(state) == before
@@ -763,7 +773,7 @@ def star_state(ring_kind):
         ring = Z
         lifts = tuple(lift_to_one(v) for v in ("A", "B0", "B1", "B2", "B3"))
     else:
-        ring = covariance_ring(4, zero_tolerance=1e-9)
+        ring = RingSpec(COVARIANCE, degree=4, base=REAL, zero_tolerance=1e-9)
         lifts = (lift_to_one("A"),) + tuple(
             lift_continuous(f"B{i}", i + 1, valuer=STAR_VALUES.__getitem__) for i in range(4)
         )
@@ -948,8 +958,8 @@ def test_each_self_join_occurrence_climbs_its_own_function(monkeypatch):
 
 
 def rank_one_pair(state, rows, cols):
-    u = from_pairs(("A",), state.ring, [((a,), v) for a, v in rows], counters=state.counters)
-    v = from_pairs(("B",), state.ring, [((b,), w) for b, w in cols], counters=state.counters)
+    u = counted_relation(("A",), state.ring, [((a,), v) for a, v in rows], state.counters)
+    v = counted_relation(("B",), state.ring, [((b,), w) for b, w in cols], state.counters)
     return u, v
 
 
@@ -1002,7 +1012,7 @@ def test_a_factor_over_permuted_columns_runs_the_generated_climb(monkeypatch):
     units = {}
     for schema in (("A", "B"), ("B", "A")):
         rows = [(k if schema == ("A", "B") else k[::-1], v) for k, v in pairs]
-        factor = from_pairs(schema, Z, rows, counters=OpCounters())
+        factor = counted_relation(schema, Z, rows, OpCounters())
         state = chain_state()
         forms = []
         enter = state._enter

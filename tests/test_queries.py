@@ -55,6 +55,7 @@ def test_occurrences_route_a_name_to_each_leaf_with_its_renaming():
     assert (second.leaf_id, second.schema) == ("R#2", ("B", "C"))
     assert first.renaming == {"A": "A", "B": "B"}
     assert second.renaming == {"A": "B", "B": "C"}
+    assert first is query.relations[0] and second is query.relations[2]
     assert [o.leaf_id for o in query.occurrences["S"]] == ["S"]
 
 
@@ -82,6 +83,8 @@ def test_query_validation():
         Query([("R", ("A",))], (), Z, free_lift_mode="nested")
     with pytest.raises(ValueError, match="arity"):
         q([("R", ("A", "B")), ("R", ("B",))], ())
+    with pytest.raises(ValueError, match="relational_payload needs a relational ring, not integer"):
+        Query([("R", ("A",))], ("A",), Z, free_lift_mode="relational_payload")
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from fivm.rings import (
 Z = integer_ring()
 
 
-def rel(schema, pairs, counters=None, name=""):
-    return from_pairs(schema, Z, pairs, counters=counters, name=name)
+def rel(schema, pairs):
+    return from_pairs(schema, Z, pairs)
 
 
 # ---------------------------------------------------------------------------

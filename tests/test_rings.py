@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fivm.rings import (
     COVARIANCE,
+    IDENTITY,
     INTEGER,
     REAL,
     RELATIONAL,
@@ -180,7 +181,9 @@ def test_bound_operators_match_the_ring_functions(spec, any3, addable3, data):
     spec.check(c)
 
 
-@pytest.mark.parametrize("spec", [p.values[0] for p in RING_CASES] + [real_ring(1e-9)])
+@pytest.mark.parametrize(
+    "spec", [p.values[0] for p in RING_CASES] + [RingSpec(REAL, zero_tolerance=1e-9)]
+)
 def test_specs_compare_on_their_descriptor_fields_only(spec):
     twin = RingSpec(spec.kind, spec.degree, spec.base, spec.zero_tolerance)
     assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
@@ -189,7 +192,7 @@ def test_specs_compare_on_their_descriptor_fields_only(spec):
 
 def test_zero_tolerance_only_affects_real_comparisons():
     tight = real_ring()
-    loose = real_ring(zero_tolerance=1e-9)
+    loose = RingSpec(REAL, zero_tolerance=1e-9)
     assert not is_zero(tight, 1e-12)
     assert is_zero(loose, 1e-12)
     assert not is_zero(loose, 1e-6)
@@ -296,7 +299,7 @@ def test_lift_to_one_yields_multiplicative_identity():
 def test_lift_identity_passes_value_through():
     spec = real_ring()
     assert lift(spec, lift_identity("A"), 4.0) == 4.0
-    doubled = lift_identity("A", valuer=lambda x: 2 * x)
+    doubled = LiftingFunction("A", IDENTITY, valuer=lambda x: 2 * x)
     assert lift(spec, doubled, 4.0) == 8.0
 
 
