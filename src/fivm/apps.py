@@ -493,13 +493,12 @@ Vector = Union[Mapping[Any, float], Sequence[float]]
 
 def _vector_relation(state: RuntimeState, var: str, values: Vector) -> Relation:
     rel = state.relation((var,))
-    if isinstance(values, Mapping):
-        items: Iterable[tuple[Any, float]] = values.items()
-    elif isinstance(rel, DenseRelation):
+    # the plain sequences come first: testing for the Mapping ABC is slower
+    sequence = type(values) in (list, tuple, np.ndarray) or not isinstance(values, Mapping)
+    if sequence and type(rel) is DenseRelation:
         rel.fill(values)
         return rel
-    else:
-        items = enumerate(values)
+    items: Iterable[tuple[Any, float]] = enumerate(values) if sequence else values.items()
     rel.accumulate_all(((key,), float(val)) for key, val in items if val)
     return rel
 

@@ -10,13 +10,15 @@ Top-level keys:
 
 ``name``              display name (defaults to the file stem)
 ``ring``              {"kind": "integer"|"real"|"relational",
-                      "zero_tolerance"?, "base"? (relational only)}
+                      "zero_tolerance"?, "base"? (relational only)}; not
+                      beside ``kinds`` or ``chain``, which fix the ring
 ``relations``         [{"name", "schema", "rows", "payload_column"?,
                       "signed"?}, ...]
-``free``              output variables (default [])
+``free``              output variables (default []); not beside ``kinds``
+                      or ``chain``, which fix them
 ``order``             a non-empty nested list, one tree [var, child, ...]
                       or a list of them, a child a name or a tree;
-                      or "canonical"
+                      or "canonical"; not beside ``chain``, which fixes it
 ``lifts``             {var: "one"|"identity"|"unit"|"singleton"}; not
                       beside ``kinds`` or ``chain``, which fix the lifts
 ``kinds``             {var: "continuous"|"categorical"|
@@ -26,7 +28,8 @@ Top-level keys:
                       A1(X1,X2), ..., An(Xn,Xn+1), where Xi takes the
                       integers [0, pi)
 ``free_lift_mode``    "group_by" (default) or, on a relational ring,
-                      "relational_payload"
+                      "relational_payload"; not beside ``kinds`` or
+                      ``chain``
 ``updatable``         relation names that stream (default: all)
 ``fds``               [[["A"], ["B"]], ...] functional dependencies;
                       only beside a "canonical" order, which they shape
@@ -277,6 +280,18 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
         chain = tuple(_list(doc, "chain", None))
         if not all(type(d) is int for d in chain):
             raise ScenarioError(f"chain must list integers, not {doc['chain']!r}")
+    kinds_doc = _object(doc, "kinds", None)
+    # A chain builds its own ring, order and free variables, and a
+    # statistics triple its own ring and free variables: settings they
+    # would not read are refused, not ignored.
+    unread: tuple[str, ...] = ()
+    if chain is not None:
+        built, unread = "chain", ("ring", "order", "free", "free_lift_mode")
+    elif kinds_doc is not None:
+        built, unread = "statistics", ("ring", "free", "free_lift_mode")
+    for key in unread:
+        if key in doc:
+            raise ScenarioError(f"a {built} scenario does not read {key!r}")
     batch_size = _int(doc, "batch_size", 1)
     if batch_size < 1:
         raise ScenarioError("batch_size must be at least 1")
@@ -306,7 +321,7 @@ def scenario_from_dict(doc: Mapping[str, Any], default_name: str = "scenario") -
         free=_names(doc, "free", [], ""),
         order_doc=doc.get("order"),
         lift_doc=_object(doc, "lifts", {}),
-        kinds_doc=_object(doc, "kinds", None),
+        kinds_doc=kinds_doc,
         chain=chain,
         free_lift_mode=GROUP_BY if flm == "group_by" else RELATIONAL_PAYLOAD,
         updatable=updatable,

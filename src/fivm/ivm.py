@@ -30,8 +30,10 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Any, Iterable, Optional
+from string import ascii_letters
+from typing import Any, Callable, Iterable, Optional, Sequence
 
+from fivm import relations
 from fivm.queries import RELATIONAL_PAYLOAD, Query, RelationDecl
 from fivm.relations import (
     DenseRelation,
@@ -44,7 +46,7 @@ from fivm.relations import (
     rel_apply_delta,
     rel_marginalize,
 )
-from fivm.rings import relational_total
+from fivm.rings import TO_ONE, relational_total
 from fivm.viewtree import INDICATOR, LEAF, ViewNode, ViewTree, flat_lifts
 
 __all__ = [
@@ -52,6 +54,8 @@ __all__ = [
     "FactorizedDelta",
     "RuntimeState",
     "optimize_factorized",
+    "factorized_steps",
+    "summing",
     "recompute_query",
 ]
 
@@ -78,28 +82,62 @@ class FactorizedDelta:
     factors: tuple[Relation, ...]
 
 
-def optimize_factorized(
-    factors: list[Relation],
-    marg_vars: Iterable[str],
-    lifts: dict,
-) -> list[Relation]:
-    """Sum variables out of a symbolic product one at a time.
+def optimize_factorized(factors: list[Relation], steps: Sequence[tuple]) -> list[Relation]:
+    """Sum variables out of a symbolic product one planned step at a time.
 
-    For each variable, only the factors mentioning it are joined and
-    reduced; everything else stays untouched. The result is again a list
-    of factors whose product equals the marginalized input product.
+    Each step (:func:`factorized_steps`) joins only the factors that
+    mention its variable and sums it out; the result takes the place of
+    the first of them, and everything else stays untouched. The result is
+    again a list of factors whose product equals the marginalized input
+    product.
     """
-    current = list(factors)
-    for var in marg_vars:
-        touching = [f for f in current if var in f.schema]
-        if not touching:
-            raise ValueError(f"variable {var} appears in no factor")
-        rest = [f for f in current if var not in f.schema]
-        first_at = current.index(touching[0])
-        acc = rel_marginalize(touching[0], (var,), lifts, [(f, None) for f in touching[1:]])
-        rest.insert(min(first_at, len(rest)), acc)
-        current = rest
+    current = factors
+    for take, rest, at, contract in steps:
+        acc = contract([current[i] for i in take])
+        current = [current[i] for i in rest]
+        current.insert(at, acc)
     return current
+
+
+def factorized_steps(
+    schemas: list[tuple[str, ...]], marg_vars: Iterable[str], contraction: Callable
+) -> tuple[list[tuple], list[tuple[str, ...]]]:
+    """The steps :func:`optimize_factorized` takes to sum ``marg_vars``, in
+    order, out of a product of factors over ``schemas``, and the schemas
+    of the factors left. Each step is (positions of the factors it joins,
+    positions of the rest, where its result goes, the callable that joins
+    and sums). ``contraction(schemas, routes, drop_vars, schema,
+    payload_map)`` gives that callable and its output schema
+    (:func:`summing`)."""
+    current = list(schemas)
+    steps = []
+    for var in marg_vars:
+        take = [i for i, s in enumerate(current) if var in s]
+        if not take:
+            raise ValueError(f"variable {var} appears in no factor")
+        rest = [i for i, s in enumerate(current) if var not in s]
+        at = min(take[0], len(rest))
+        joined = [current[i] for i in take]
+        contract, out = contraction(joined, (None,) * (len(take) - 1), (var,), None, None)
+        steps.append((take, rest, at, contract))
+        current = [current[i] for i in rest]
+        current.insert(at, out)
+    return steps, current
+
+
+def summing(
+    lifts: dict, schemas: list[tuple[str, ...]], routes: tuple, drop_vars: tuple,
+    schema: Optional[tuple[str, ...]], payload_map: Any,
+) -> tuple[Callable, tuple[str, ...]]:
+    """The callable that joins relations over ``schemas`` by ``routes`` and
+    sums ``drop_vars`` out by ``lifts`` into ``schema`` through
+    :func:`rel_marginalize`, and the schema it returns."""
+    out = plan_shape(schemas[0], tuple(zip(schemas[1:], routes)), drop_vars, lifts, schema)[3]
+
+    def contract(rels: list[Relation]) -> Relation:
+        return rel_marginalize(rels[0], drop_vars, lifts, list(zip(rels[1:], routes)), schema, payload_map)
+
+    return contract, out
 
 
 class RuntimeState:
@@ -259,71 +297,158 @@ class RuntimeState:
         """The maintained query result (joining roots if there are several)."""
         if self._root is not None:
             return self._root
-        return self._expand([self.stored(r.id) for r in self.tree.roots])
-
-    @staticmethod
-    def _expand(form: list[Relation], schema: Optional[tuple[str, ...]] = None) -> Relation:
-        """The relation a product of factors stands for, over ``schema``."""
-        if len(form) == 1 and schema in (None, form[0].schema):
-            return form[0]
-        return rel_marginalize(form[0], (), {}, [(f, None) for f in form[1:]], schema=schema)
+        first, *rest = [self.stored(r.id) for r in self.tree.roots]
+        return rel_marginalize(first, (), {}, [(r, None) for r in rest])
 
     def _enter(self, entry: ViewNode, form: list[Relation]) -> list[tuple[tuple, int]]:
         """Push a delta that enters at ``entry`` up its compiled path.
 
         A single dict delta over the entry's own keys runs the path's
         generated function (:meth:`_climb`). Any other form, a product of
-        factors or a dense delta, climbs level by level: a product by
-        :func:`optimize_factorized`, anything else, or a product expanded
-        when payloads are totalled, joined with the level's siblings and
-        summed by :func:`rel_marginalize`. Either
-        way every level is computed against the state before the delta;
-        only then are the stored levels updated, and the entry's own
-        relation last, so an error on the way up changes nothing. Returns
-        the support transitions of the entry's relation. Only a dict delta
-        can enter at an unstored node (an indicator), so the level-by-level
-        walk always has the entry's relation.
+        factors or a dense delta, runs the plan made for its signature,
+        each factor's type, schema and shape (:meth:`_plan`): at every
+        level :func:`optimize_factorized` takes the planned steps over the
+        level's factors and siblings. Either way every level is computed
+        against the state before the delta; only then are the stored
+        levels updated, and the entry's own relation last, so an error on
+        the way up changes nothing. Returns the support transitions of the
+        entry's relation. Only a dict delta can enter at an unstored node
+        (an indicator), so a plan always has the entry's relation.
         """
         path = self._paths.get(entry.id)
         if path is None:
             path = self._paths[entry.id] = self._compile(entry)
-        climb, stored, levels = path
+        climb, stored, levels, plans = path
         if len(form) == 1 and type(form[0]) is Relation and form[0].schema == entry.keys:
             return climb(form[0].entries)
-        xform = self.payload_xform
-        deltas: list[tuple[ViewNode, Optional[Relation], list[Relation]]] = []
+        signature = tuple([
+            (type(f), f.schema, f.entries.array.shape if type(f) is DenseRelation else None)
+            for f in form
+        ])
+        plan = plans.get(signature)
+        if plan is None:
+            plan = plans[signature] = self._plan(entry, levels, form)
+        planned, expand = plan
+        stores = []
         level = form
-        for node, target, joins, inner_first in levels:
+        for siblings, steps, target, store in planned:
             if any(not f.entries for f in level):
                 break
-            if len(level) > 1 and not xform:
-                level = optimize_factorized(level + [r for r, _ in joins], inner_first, node.lifts)
-            else:
-                # Payload totals do not distribute over a product's factors.
-                delta = self._expand(level)
-                level = [rel_marginalize(delta, node.marg_vars, node.lifts, joins, node.keys, xform)]
-            deltas.append((node, target, level))
-        for node, target, level in deltas:
+            level = optimize_factorized(level + siblings, steps)
             if target is not None:
-                rel_apply_delta(target, self._expand(level, node.keys))
-        return rel_apply_delta(stored, self._expand(form, entry.keys))
+                stores.append((target, store, level))
+        for target, store, level in stores:
+            rel_apply_delta(target, level[0] if store is None else store(level))
+        return rel_apply_delta(stored, form[0] if expand is None else expand(form))
 
     def _compile(self, entry: ViewNode) -> tuple:
         """``entry``'s path compiled against the stored relations: the
         function a dict delta over the entry's keys runs (:meth:`_climb`),
-        the entry's stored relation (None when unstored) and the levels.
-        Per level: the node, its stored relation (None when unstored), the
-        (sibling relation, route) pairs it joins and the order in which a
-        product-form delta sums out the node's variables. A path is
-        compiled at its first delta and dropped whenever :meth:`initialize`
-        rebinds the stored relations."""
+        the entry's stored relation (None when unstored), the levels and
+        the plans of other deltas by signature, filled as they come
+        (:meth:`_plan`). Per level: the node, its stored relation (None
+        when unstored), the (sibling relation, route) pairs it joins and
+        the order in which a product-form delta sums out the node's
+        variables. A path is compiled at its first delta and dropped,
+        plans and all, whenever :meth:`initialize` rebinds the stored
+        relations."""
         stored = self.stored(entry.id) if entry.materialized else None
         levels = tuple(
             (step.node, self.stored(step.node.id) if step.node.materialized else None,
              [(self.stored(sib_id), route) for sib_id, route in step.joins], step.inner_first)
             for step in self.tree.delta_paths[entry.id]
         )
-        return self._climb(entry, stored, levels), stored, levels
+        return self._climb(entry, stored, levels), stored, levels, {}
+
+    def _plan(self, entry: ViewNode, levels: tuple, form: list[Relation]) -> tuple:
+        """How a delta shaped like ``form`` climbs ``entry``'s ``levels``.
+
+        Per level: the sibling relations, the steps
+        :func:`optimize_factorized` takes over the level's factors followed
+        by the siblings, the stored relation (None when unstored) and the
+        callable that expands the level's factors to the node's keys (None
+        when the one factor is over them); then the entry store's
+        expansion. A product sums each variable out of the factors that
+        mention it (:func:`factorized_steps`); a single relation, or a
+        product whose payloads are totalled, joins the level's siblings by
+        their routes and sums the node's variables in one step. A product
+        of dense factors in their declared shapes, with dense siblings,
+        contracts each step by one planned ``einsum`` (:meth:`_contraction`);
+        everything else sums through :func:`rel_marginalize`, so a dense
+        point batch still does."""
+        xform = self.payload_xform
+        beside = [r for _, _, joins, _ in levels for r, _ in joins]
+        # what relations.plan_shape asks of a contraction, for every step
+        dense = (
+            len(form) > 1
+            and xform is None
+            and all(
+                type(f) is DenseRelation and f.entries.array.shape == self.query.dense_shape(f.schema)
+                for f in form
+            )
+            and all(type(r) is DenseRelation for r in beside)
+            and all(
+                getattr(node.lifts.get(v), "mode", None) == TO_ONE
+                for node, *_ in levels
+                for v in node.marg_vars
+            )
+            and len({v for r in (*form, *beside) for v in r.schema}) <= len(ascii_letters)
+        )
+        schemas = [f.schema for f in form]
+        planned = []
+        for node, target, joins, inner_first in levels:
+            contraction = partial(self._contraction, dense, node.lifts)
+            siblings = [r for r, _ in joins]
+            current = schemas + [r.schema for r in siblings]
+            if len(schemas) > 1 and not xform:
+                steps, schemas = factorized_steps(current, inner_first, contraction)
+            else:
+                steps = []
+                if len(schemas) > 1:
+                    # Payload totals do not distribute over a product's factors.
+                    n = len(schemas)
+                    expand, joined = contraction(schemas, (None,) * (n - 1), (), None, None)
+                    steps.append((range(n), range(n, len(current)), 0, expand))
+                    current = [joined] + current[n:]
+                routes = tuple(route for _, route in joins)
+                contract, out = contraction(current, routes, node.marg_vars, node.keys, xform)
+                steps.append((range(len(current)), (), 0, contract))
+                schemas = [out]
+            store = None if target is None else self._expansion(schemas, node.keys, contraction)
+            planned.append((siblings, steps, target, store))
+        schemas = [f.schema for f in form]
+        return planned, self._expansion(schemas, entry.keys, partial(self._contraction, dense, {}))
+
+    @staticmethod
+    def _expansion(schemas: list[tuple[str, ...]], keys: tuple[str, ...], contraction) -> Any:
+        """The callable that joins factors over ``schemas`` into one relation
+        over ``keys``, or None when the one factor is over them."""
+        if len(schemas) == 1 and schemas[0] == keys:
+            return None
+        return contraction(schemas, (None,) * (len(schemas) - 1), (), keys, None)[0]
+
+    def _contraction(
+        self, dense: bool, lifts: dict, schemas: list[tuple[str, ...]], routes: tuple,
+        drop_vars: tuple, schema: Optional[tuple[str, ...]], payload_map: Any,
+    ) -> tuple[Callable, tuple[str, ...]]:
+        """:func:`summing`, or, for ``dense`` operands, a callable that
+        charges and contracts their cells by a plan made here
+        (``relations._contract_plan``) into one relation of its own, whose
+        cells each call replaces."""
+        if not dense:
+            return summing(lifts, schemas, routes, drop_vars, schema, payload_map)
+        levels, _, _, out, _, _ = plan_shape(
+            schemas[0], tuple(zip(schemas[1:], routes)), drop_vars, lifts, schema
+        )
+        shapes = tuple([self.query.dense_shape(s) for s in schemas])
+        plan = relations._contract_plan(levels, tuple(schemas), shapes, out)
+        shell = DenseRelation(out, self.ring, plan.shape, self.counters)
+
+        def contract(rels: list[Relation]) -> Relation:
+            shell.entries = relations._contract(plan, rels)
+            return shell
+
+        return contract, out
 
     def _climb(self, entry: ViewNode, stored: Optional[Relation], levels: tuple) -> Any:
         """``climb(d)`` compiled, its source kept as ``climb.source``: given

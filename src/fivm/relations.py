@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, product
 from numbers import Integral
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,9 +104,12 @@ def _cell_keys(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def _nonzero(array: np.ndarray) -> int:
-    """The nonzero cells of a float ``array``. numpy counts the bool mask
-    ``array != 0`` faster than the floats themselves: about 2.0 against
-    3.4 us for a 64 x 64 array (numpy 2.4, x86-64)."""
+    """The nonzero cells of a float ``array``. Past about 1,500 cells numpy
+    counts the bool mask ``array != 0`` faster than the floats themselves,
+    and below it slower: 1.9 against 3.2 us at 64 x 64, 1.0 against 0.3 us
+    at 64 (numpy 2.4, x86-64)."""
+    if array.size < 1024:
+        return int(np.count_nonzero(array))
     return int(np.count_nonzero(array != 0))
 
 
@@ -318,11 +321,11 @@ class DenseRelation(Relation):
         self.entries = DenseCells(np.zeros(shape), 0)
 
     @classmethod
-    def of(cls, schema: tuple, ring: RingSpec, array: np.ndarray, counters=None) -> DenseRelation:
-        """A relation over ``schema`` whose cells are ``array`` itself."""
+    def of(cls, schema: tuple, ring: RingSpec, cells: DenseCells, counters=None) -> DenseRelation:
+        """A relation over ``schema`` whose entries are ``cells`` themselves."""
         rel = cls.__new__(cls)
         Relation.__init__(rel, schema, ring, counters)
-        rel.entries = DenseCells(array, _nonzero(array))
+        rel.entries = cells
         return rel
 
     def items(self) -> Iterator[tuple[tuple, Any]]:
@@ -520,7 +523,12 @@ def rel_marginalize(
         and type(rel) is DenseRelation
         and set(map(type, rights)) <= {DenseRelation}
     ):
-        return _contract(rel, rights, levels, out_schema)
+        ops = [rel, *rights]
+        plan = _contract_plan(
+            levels, tuple([r.schema for r in ops]), tuple([r.entries.array.shape for r in ops]),
+            out_schema,
+        )
+        return DenseRelation.of(out_schema, rel.ring, _contract(plan, ops), rel.counters)
     out = Relation(out_schema, rel.ring, rel.counters)
     run = _level_function(
         levels, sums, tuple(p for p, _ in lifted), out_pos, payload_map is not None
@@ -847,27 +855,43 @@ def _einsum(spec: str, arrays: Sequence[np.ndarray]) -> Any:
     return np.einsum(spec, *arrays, optimize=_einsum_path(spec, tuple(a.shape for a in arrays)))
 
 
+class Contraction(NamedTuple):
+    """One shape of :func:`_contract`'s operands, planned once
+    (:func:`_contract_plan`)."""
+
+    spec: str  # the einsum spec
+    path: Any  # its contraction order (:func:`_einsum_path`)
+    shape: tuple  # the output's shape
+    sizes: tuple  # every operand's number of cells
+    units: tuple  # per operand, the units charged when every operand is full
+    levels: tuple  # the join levels of :func:`_walk_plan`
+    subs: tuple  # every operand's einsum letters
+    extent: dict  # every letter's extent
+
+
 @lru_cache(maxsize=1024)
-def _contract_plan(levels: tuple, schemas: tuple, shapes: tuple, out_schema: tuple) -> tuple:
-    """What :func:`_contract` needs for one shape of operands: the
-    ``einsum`` spec and contraction order, the output shape, the size of
-    every operand, per join level the spec that counts the joined nonzero
-    patterns and the product of the sizes of the distinct variables joined
-    so far, and the units every operand is charged when all of them are
-    fully nonzero (:func:`_contract_units` over those products)."""
+def _contract_plan(levels: tuple, schemas: tuple, shapes: tuple, out_schema: tuple) -> Contraction:
+    """What :func:`_contract` needs for operands over ``schemas`` of
+    ``shapes`` joined by ``levels`` into ``out_schema``: the ``einsum``
+    spec and contraction order, the output shape, the size of every
+    operand, and the units every operand is charged when all of them are
+    fully nonzero (:func:`_contract_units` over the products of the
+    extents of the distinct variables joined so far)."""
     size = {v: n for schema, shape in zip(schemas, shapes) for v, n in zip(schema, shape)}
     letter = dict(zip(size, string.ascii_letters))
-    subs = ["".join(letter[v] for v in schema) for schema in schemas]
+    subs = tuple("".join(letter[v] for v in schema) for schema in schemas)
+    extent = {letter[v]: n for v, n in size.items()}
     seen: dict = dict.fromkeys(schemas[0])
-    counts = []
-    for i in range(1, len(schemas)):
-        seen.update(dict.fromkeys(schemas[i]))
-        counts.append((",".join(subs[: i + 1]) + "->", math.prod(size[v] for v in seen)))
+    joined = []
+    for schema in schemas[1:]:
+        seen.update(dict.fromkeys(schema))
+        joined.append(math.prod(size[v] for v in seen))
     spec = ",".join(subs) + "->" + "".join(letter[v] for v in out_schema)
     sizes = tuple(math.prod(shape) for shape in shapes)
-    full = _contract_units(levels, sizes, [product for _, product in counts])
-    out_shape = tuple(size[v] for v in out_schema)
-    return spec, _einsum_path(spec, shapes), out_shape, sizes, tuple(counts), full
+    return Contraction(
+        spec, _einsum_path(spec, shapes), tuple(size[v] for v in out_schema), sizes,
+        _contract_units(levels, sizes, joined), levels, subs, extent,
+    )
 
 
 def _contract_units(levels: tuple, sizes: Sequence[int], joined: Sequence[int]) -> tuple:
@@ -897,37 +921,57 @@ def _contract_units(levels: tuple, sizes: Sequence[int], joined: Sequence[int]) 
     return tuple(map(tuple, units))
 
 
-def _contract(
-    rel: Relation, rights: Sequence[Relation], levels: tuple, out_schema: tuple
-) -> Relation:
-    """:func:`rel_marginalize` of dense operands with to-one lifts: one
-    ``einsum``, whose result becomes the output's cells, counted as the
-    dict path counts the same nonzero cells (:func:`_contract_units`).
-    The rows reaching a join level are the nonzero cells of the join so
-    far: when every operand is fully nonzero, the planned product of the
-    sizes of its variables; else counted by contracting the operands'
-    nonzero patterns."""
-    ops = [rel, *rights]
-    arrays = [r.entries.array for r in ops]
-    spec, path, shape, sizes, counts, units = _contract_plan(
-        levels, tuple([r.schema for r in ops]), tuple([a.shape for a in arrays]), out_schema
-    )
-    nonzero = tuple([r.entries.count for r in ops])
-    if nonzero != sizes:
+def _joined(plan: Contraction, cells: Sequence[DenseCells], nonzero: tuple) -> list[int]:
+    """The rows reaching each join level of ``plan``: the nonzero cells of
+    the join of the operands so far. The nonzero patterns of the operands
+    that are not full are contracted as float masks; a full operand's
+    pattern is all ones, so it only multiplies the count by the extents of
+    the variables that no operand counted so has."""
+    subs, extent, sizes = plan.subs, plan.extent, plan.sizes
+    masks: dict[int, np.ndarray] = {}
+    joined = []
+    for i in range(2, len(subs) + 1):
+        part = [j for j in range(i) if nonzero[j] != sizes[j]]
+        free = set("".join(subs[:i])).difference(*(subs[j] for j in part))
+        rows = math.prod(extent[c] for c in free)
+        if len(part) == 1:
+            rows *= nonzero[part[0]]
+        elif part:
+            for j in part:
+                if j not in masks:
+                    masks[j] = (cells[j].array != 0).astype(float)
+            spec = ",".join(subs[j] for j in part) + "->"
+            rows *= round(float(_einsum(spec, [masks[j] for j in part])))
+        joined.append(rows)
+    return joined
+
+
+def _contract(plan: Contraction, ops: Sequence[Relation]) -> DenseCells:
+    """The cells of dense ``ops`` joined and summed as ``plan`` says, with
+    to-one lifts: one ``einsum``, counted as the dict path counts the same
+    nonzero cells (:func:`_contract_units`). When every operand is fully
+    nonzero the planned units are charged; else the rows reaching each
+    join level are counted (:func:`_joined`)."""
+    cells = [r.entries for r in ops]
+    nonzero = tuple([c.count for c in cells])
+    units = plan.units
+    if nonzero != plan.sizes:
         if 0 in nonzero:
-            return DenseRelation(out_schema, rel.ring, shape, rel.counters)
-        masks = [(a != 0).astype(float) for a in arrays]
-        joined = [
-            round(float(_einsum(partial, masks[: i + 1]))) for i, (partial, _) in enumerate(counts, 1)
-        ]
-        units = _contract_units(levels, nonzero, joined)
+            return DenseCells(np.zeros(plan.shape), 0)
+        units = _contract_units(plan.levels, nonzero, _joined(plan, cells, nonzero))
     for r, (reads, writes, probes) in zip(ops, units):
-        _tally(r.counters, reads, writes, probes)
-    result = np.einsum(spec, *arrays, optimize=path)
-    # one operand may come back as a view of its own array
-    return DenseRelation.of(
-        out_schema, rel.ring, np.array(result) if not rights else np.asarray(result), rel.counters
-    )
+        counters = r.counters
+        if counters is not None:
+            counters.entry_reads += reads
+            counters.entry_writes += writes
+            counters.index_probes += probes
+    array = np.einsum(plan.spec, *[c.array for c in cells], optimize=plan.path)
+    if len(cells) == 1:
+        # one operand may come back as a view of its own array
+        array = np.array(array)
+    elif type(array) is not np.ndarray:
+        array = np.asarray(array)  # a sum over every variable gives a scalar
+    return DenseCells(array, _nonzero(array))
 
 
 def rel_join(

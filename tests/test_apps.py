@@ -940,9 +940,9 @@ def test_dense_primary_probes_count_like_the_dict_path(monkeypatch):
     routes = []
     contract = relations._contract
 
-    def spy(rel, rights, levels, out_schema):
-        routes.extend(level[1] for level in levels)
-        return contract(rel, rights, levels, out_schema)
+    def spy(plan, ops):
+        routes.extend(level[1] for level in plan.levels)
+        return contract(plan, ops)
 
     monkeypatch.setattr(relations, "_contract", spy)
     data = {
@@ -1056,6 +1056,89 @@ def test_a_full_rank_one_update_pays_one_einsum_per_contraction(monkeypatch):
     assert calls["einsum"] == calls["contract"] and calls["checked_rows"] == 0
     want = oracles.chain_product(mats)
     assert np.allclose(to_dense(state, (p, p)), want, rtol=1e-12)
+
+
+def test_a_rank_one_path_is_planned_once_per_state(monkeypatch):
+    """Ten rank-one updates to one matrix plan its path once. A load drops
+    the plan with the paths, and the next update plans again against the
+    new relations and answers like the recompute."""
+    dims = (4, 5, 3, 6)
+    state, mats = chain_runtime(dims)
+    planned = []
+    plan = RuntimeState._plan
+
+    def spy(self, entry, levels, form):
+        planned.append((entry.id, [f.schema for f in form]))
+        return plan(self, entry, levels, form)
+
+    monkeypatch.setattr(RuntimeState, "_plan", spy)
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        u, v = rng.uniform(-1, 1, dims[1]), rng.uniform(-1, 1, dims[2])
+        assert mcm_rank_update(state, 2, u.tolist(), v.tolist()) == dims[1] + dims[2]
+        mats[1] = mats[1] + np.outer(u, v)
+    assert planned == [("A2", [("X2",), ("X3",)])]
+    assert np.allclose(to_dense(state, (dims[0], dims[-1])), oracles.chain_product(mats))
+
+    fresh, mats = chain_runtime(dims, seed=12)
+    state.load({name: list(fresh.leaves[name].items()) for name in ("A1", "A2", "A3")})
+    u, v = rng.uniform(-1, 1, dims[1]), rng.uniform(-1, 1, dims[2])
+    mcm_rank_update(state, 2, u.tolist(), v.tolist())
+    mats[1] = mats[1] + np.outer(u, v)
+    assert len(planned) == 2
+    recomputed = state.recompute_oracle().entries.array
+    assert np.allclose(state.result().entries.array, recomputed, rtol=1e-12, atol=1e-12)
+    assert np.allclose(recomputed, oracles.chain_product(mats), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_a_sparse_rank_one_update_after_a_full_one_moves_like_the_dict_path(i):
+    """A rank-one update whose ``u`` has zero cells, after a fully nonzero
+    one on the same planned path, takes the counted branch of
+    ``_contract`` where the first took the planned units. Each store's
+    moves, the counters and the arrays equal the dict twin's."""
+    dims = (3, 4, 2, 5)
+    dense, plain = twin_chains(dims)
+    data = {
+        f"A{j + 1}": [
+            ((r, c), float(1 + (r + c) % 3)) for r in range(dims[j]) for c in range(dims[j + 1])
+        ]
+        for j in range(3)
+    }
+    stores = {id(dense): [], id(plain): []}
+    store, joined = ivm.rel_apply_delta, relations._joined
+    counted = []
+
+    def spy(target, delta):
+        moves = store(target, delta)
+        for state in (dense, plain):
+            if any(rel is target for rel in (*state.leaves.values(), *state.views.values())):
+                stores[id(state)].append((target.name, sorted(moves)))
+        return moves
+
+    def counting(*args):
+        counted.append(1)
+        return joined(*args)
+
+    u_full = [1.0 + r for r in range(dims[i])]
+    u_zeros = [0.0 if r % 2 else -1.0 - r for r in range(dims[i])]
+    v = [1.0 + c for c in range(dims[i + 1])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ivm, "rel_apply_delta", spy)
+        mp.setattr(relations, "_joined", counting)
+        for state in (dense, plain):
+            state.load(data)
+        for u, sparse in ((u_full, False), (u_zeros, True), (u_full, False)):
+            counted.clear()
+            for state in (dense, plain):
+                stores[id(state)].clear()
+                mcm_rank_update(state, i + 1, u, v)
+            assert bool(counted) is sparse
+            assert stores[id(dense)] == stores[id(plain)] != []
+            assert dense.counters.snapshot() == plain.counters.snapshot()
+            assert chain_snapshot(dense) == chain_snapshot(plain)
+            shape = (dims[0], dims[-1])
+            assert np.array_equal(to_dense(dense, shape), to_dense(plain, shape))
 
 
 def test_factors_do_not_alias_their_vectors():

@@ -1166,6 +1166,19 @@ IDENTITY_A = {"A": "identity", "B": "one", "C": "one"}
         (dict(COUNT_SCN, fds=[[["A"], ["B"]]]), 'fds apply only to a "canonical" order'),
         (dict(COUNT_SCN, free_lift_mode="relational_payload"),
          "relational_payload needs a relational ring, not integer"),
+        # a chain fixes its ring, order and free variables, a statistics
+        # triple its ring and free variables: the settings are refused
+        (dict(chain_doc([0, 0, 1.0]), ring={"kind": "integer"}),
+         "a chain scenario does not read 'ring'"),
+        (dict(chain_doc([0, 0, 1.0]), order=[["X9"]]), "a chain scenario does not read 'order'"),
+        (dict(chain_doc([0, 0, 1.0]), free=["X2"]), "a chain scenario does not read 'free'"),
+        (dict(chain_doc([0, 0, 1.0]), free_lift_mode="relational_payload"),
+         "a chain scenario does not read 'free_lift_mode'"),
+        (dict(stats_doc(), ring={"kind": "relational"}),
+         "a statistics scenario does not read 'ring'"),
+        (dict(stats_doc(), free=["X"]), "a statistics scenario does not read 'free'"),
+        (dict(stats_doc(), free_lift_mode="relational_payload"),
+         "a statistics scenario does not read 'free_lift_mode'"),
     ],
 )
 def test_cli_refuses_bad_settings_before_the_replay(tmp_path, capsys, monkeypatch, doc, message):

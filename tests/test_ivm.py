@@ -7,6 +7,7 @@ import cProfile
 import math
 import pstats
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from fivm.ivm import (
     FactorizedDelta,
     RuntimeState,
     UpdateDelta,
+    factorized_steps,
     optimize_factorized,
     recompute_query,
+    summing,
 )
 from fivm.queries import Query, VariableOrder
 from fivm.relations import (
@@ -1046,7 +1049,11 @@ def test_optimize_factorized_contracts_one_variable_at_a_time():
     v = from_pairs(("B",), Z, [((5,), 3)])
     w = from_pairs(("B", "C"), Z, [((5, 7), 1), ((5, 8), 2), ((6, 7), 9)])
     lifts = {"B": lift_to_one("B"), "C": lift_to_one("C")}
-    out = optimize_factorized([u, v, w], ("B",), lifts)
+    steps, schemas = factorized_steps(
+        [u.schema, v.schema, w.schema], ("B",), partial(summing, lifts)
+    )
+    out = optimize_factorized([u, v, w], steps)
+    assert [f.schema for f in out] == schemas
     # u does not mention B, so it must be untouched
     assert any(f is u for f in out)
     assert len(out) == 2
@@ -1064,7 +1071,7 @@ def test_optimize_factorized_contracts_one_variable_at_a_time():
 def test_optimize_factorized_needs_the_variable_somewhere():
     u = from_pairs(("A",), Z, [((1,), 1)])
     with pytest.raises(ValueError):
-        optimize_factorized([u], ("Z",), {"Z": lift_to_one("Z")})
+        factorized_steps([u.schema], ("Z",), partial(summing, {"Z": lift_to_one("Z")}))
 
 
 # ---------------------------------------------------------------------------
