@@ -328,7 +328,7 @@ class RuntimeState:
         plan = plans.get(signature)
         if plan is None:
             plan = plans[signature] = self._plan(entry, levels, form)
-        planned, expand = plan
+        planned, expand, shells = plan
         stores = []
         level = form
         for siblings, steps, target, store in planned:
@@ -339,7 +339,11 @@ class RuntimeState:
                 stores.append((target, store, level))
         for target, store, level in stores:
             rel_apply_delta(target, level[0] if store is None else store(level))
-        return rel_apply_delta(stored, form[0] if expand is None else expand(form))
+        moves = rel_apply_delta(stored, form[0] if expand is None else expand(form))
+        # Cells kept until the path's next update would only hold memory.
+        for shell in shells:
+            shell.entries = None
+        return moves
 
     def _compile(self, entry: ViewNode) -> tuple:
         """``entry``'s path compiled against the stored relations: the
@@ -367,13 +371,14 @@ class RuntimeState:
         :func:`optimize_factorized` takes over the level's factors followed
         by the siblings, the stored relation (None when unstored) and the
         callable that expands the level's factors to the node's keys (None
-        when the one factor is over them); then the entry store's
-        expansion. A product sums each variable out of the factors that
-        mention it (:func:`factorized_steps`); a single relation, or a
-        product whose payloads are totalled, joins the level's siblings by
-        their routes and sums the node's variables in one step. A product
-        of dense factors in their declared shapes, with dense siblings,
-        contracts each step by one planned ``einsum`` (:meth:`_contraction`);
+        when the one factor is over them). Then the entry store's
+        expansion, and the relations that hold a dense plan's cells. A
+        product sums each variable out of the factors that mention it
+        (:func:`factorized_steps`); a single relation, or a product whose
+        payloads are totalled, joins the level's siblings by their routes
+        and sums the node's variables in one step. A product of dense
+        factors in their declared shapes, with dense siblings, contracts
+        each step by one planned ``einsum`` (:meth:`_contraction`);
         everything else sums through :func:`rel_marginalize`, so a dense
         point batch still does."""
         xform = self.payload_xform
@@ -394,10 +399,11 @@ class RuntimeState:
             )
             and len({v for r in (*form, *beside) for v in r.schema}) <= len(ascii_letters)
         )
+        shells: Optional[list[DenseRelation]] = [] if dense else None
         schemas = [f.schema for f in form]
         planned = []
         for node, target, joins, inner_first in levels:
-            contraction = partial(self._contraction, dense, node.lifts)
+            contraction = partial(self._contraction, shells, node.lifts)
             siblings = [r for r, _ in joins]
             current = schemas + [r.schema for r in siblings]
             if len(schemas) > 1 and not xform:
@@ -407,8 +413,8 @@ class RuntimeState:
                 if len(schemas) > 1:
                     # Payload totals do not distribute over a product's factors.
                     n = len(schemas)
-                    expand, joined = contraction(schemas, (None,) * (n - 1), (), None, None)
-                    steps.append((range(n), range(n, len(current)), 0, expand))
+                    join_all, joined = contraction(schemas, (None,) * (n - 1), (), None, None)
+                    steps.append((range(n), range(n, len(current)), 0, join_all))
                     current = [joined] + current[n:]
                 routes = tuple(route for _, route in joins)
                 contract, out = contraction(current, routes, node.marg_vars, node.keys, xform)
@@ -417,7 +423,8 @@ class RuntimeState:
             store = None if target is None else self._expansion(schemas, node.keys, contraction)
             planned.append((siblings, steps, target, store))
         schemas = [f.schema for f in form]
-        return planned, self._expansion(schemas, entry.keys, partial(self._contraction, dense, {}))
+        expand = self._expansion(schemas, entry.keys, partial(self._contraction, shells, {}))
+        return planned, expand, shells or ()
 
     @staticmethod
     def _expansion(schemas: list[tuple[str, ...]], keys: tuple[str, ...], contraction) -> Any:
@@ -428,14 +435,14 @@ class RuntimeState:
         return contraction(schemas, (None,) * (len(schemas) - 1), (), keys, None)[0]
 
     def _contraction(
-        self, dense: bool, lifts: dict, schemas: list[tuple[str, ...]], routes: tuple,
+        self, shells: Optional[list], lifts: dict, schemas: list[tuple[str, ...]], routes: tuple,
         drop_vars: tuple, schema: Optional[tuple[str, ...]], payload_map: Any,
     ) -> tuple[Callable, tuple[str, ...]]:
-        """:func:`summing`, or, for ``dense`` operands, a callable that
-        charges and contracts their cells by a plan made here
-        (``relations._contract_plan``) into one relation of its own, whose
-        cells each call replaces."""
-        if not dense:
+        """:func:`summing` when ``shells`` is None; else, for dense operands,
+        a callable that charges and contracts their cells by a plan made
+        here (``relations._contract_plan``) into one relation of its own,
+        added to ``shells``, whose cells each call replaces."""
+        if shells is None:
             return summing(lifts, schemas, routes, drop_vars, schema, payload_map)
         levels, _, _, out, _, _ = plan_shape(
             schemas[0], tuple(zip(schemas[1:], routes)), drop_vars, lifts, schema
@@ -443,6 +450,7 @@ class RuntimeState:
         shapes = tuple([self.query.dense_shape(s) for s in schemas])
         plan = relations._contract_plan(levels, tuple(schemas), shapes, out)
         shell = DenseRelation(out, self.ring, plan.shape, self.counters)
+        shells.append(shell)
 
         def contract(rels: list[Relation]) -> Relation:
             shell.entries = relations._contract(plan, rels)
