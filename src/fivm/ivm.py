@@ -400,7 +400,7 @@ class RuntimeState:
             and len({v for r in (*form, *beside) for v in r.schema}) <= len(ascii_letters)
         )
         shells: Optional[list[DenseRelation]] = [] if dense else None
-        schemas = [f.schema for f in form]
+        schemas = first = [f.schema for f in form]
         planned = []
         for node, target, joins, inner_first in levels:
             contraction = partial(self._contraction, shells, node.lifts)
@@ -422,8 +422,7 @@ class RuntimeState:
                 schemas = [out]
             store = None if target is None else self._expansion(schemas, node.keys, contraction)
             planned.append((siblings, steps, target, store))
-        schemas = [f.schema for f in form]
-        expand = self._expansion(schemas, entry.keys, partial(self._contraction, shells, {}))
+        expand = self._expansion(first, entry.keys, partial(self._contraction, shells, {}))
         return planned, expand, shells or ()
 
     @staticmethod
@@ -441,7 +440,8 @@ class RuntimeState:
         """:func:`summing` when ``shells`` is None; else, for dense operands,
         a callable that charges and contracts their cells by a plan made
         here (``relations._contract_plan``) into one relation of its own,
-        added to ``shells``, whose cells each call replaces."""
+        added to ``shells``, whose cells each call sets (the climb lets go
+        of them after its stores)."""
         if shells is None:
             return summing(lifts, schemas, routes, drop_vars, schema, payload_map)
         levels, _, _, out, _, _ = plan_shape(
@@ -449,7 +449,7 @@ class RuntimeState:
         )
         shapes = tuple([self.query.dense_shape(s) for s in schemas])
         plan = relations._contract_plan(levels, tuple(schemas), shapes, out)
-        shell = DenseRelation(out, self.ring, plan.shape, self.counters)
+        shell = DenseRelation.of(out, self.ring, None, self.counters)
         shells.append(shell)
 
         def contract(rels: list[Relation]) -> Relation:

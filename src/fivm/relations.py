@@ -321,8 +321,11 @@ class DenseRelation(Relation):
         self.entries = DenseCells(np.zeros(shape), 0)
 
     @classmethod
-    def of(cls, schema: tuple, ring: RingSpec, cells: DenseCells, counters=None) -> DenseRelation:
-        """A relation over ``schema`` whose entries are ``cells`` themselves."""
+    def of(
+        cls, schema: tuple, ring: RingSpec, cells: Optional[DenseCells], counters=None
+    ) -> DenseRelation:
+        """A relation over ``schema`` whose entries are ``cells`` themselves
+        (None for one whose cells are set before each use)."""
         rel = cls.__new__(cls)
         Relation.__init__(rel, schema, ring, counters)
         rel.entries = cells
