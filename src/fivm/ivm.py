@@ -46,7 +46,7 @@ from fivm.relations import (
     rel_apply_delta,
     rel_marginalize,
 )
-from fivm.rings import TO_ONE, relational_total
+from fivm.rings import TO_ONE, lift_row, relational_total
 from fivm.viewtree import INDICATOR, LEAF, ViewNode, ViewTree, flat_lifts
 
 __all__ = [
@@ -471,7 +471,7 @@ class RuntimeState:
         ring = self.ring
         code = RowCode()
         code.consts.update(
-            M=ring.mul, A=ring.add, Z=ring.is_zero, X=self.payload_xform, RING=ring,
+            M=ring.mul, A=ring.add, Z=ring.is_zero, X=self.payload_xform,
             ivm=sys.modules[__name__],
         )
         src = entry_src = code.name("d")
@@ -499,8 +499,8 @@ class RuntimeState:
                 code.add(1, f"{entries} = {code.const('R', right)}.entries")
                 table = None if route in (None, "primary") else code.const("T", right.indexes[route])
                 names.append((entries, table, side[0], side[2]))
-            fns = [(pos, code.const("F", fn)) for pos, fn in lifted]
-            code.level(1, src, dst, (steps, sums, out_pos), fns, mapped, side, names)
+            lifter = code.const("L", lift_row(ring, lifted)) if lifted else None
+            code.level(1, src, dst, (steps, sums, out_pos), lifter, mapped, side, names)
             if target is not None:
                 shell = Relation(node.keys, ring, self.counters)
                 stores.append((dst, code.const("S", shell), code.const("V", target)))
@@ -636,8 +636,12 @@ class RuntimeState:
     def _rebound(self, rel: Relation, renaming: dict[str, str]) -> Relation:
         """``rel`` on this state's counters with each column renamed by
         ``renaming`` (a column it misses keeps its name), sharing its
-        entries."""
+        entries; a dense relation stays dense."""
         schema = tuple([renaming.get(v, v) for v in rel.schema])
+        if type(rel) is DenseRelation:
+            out = DenseRelation.of(schema, rel.ring, rel.entries, self.counters)
+            out.name = rel.name
+            return out
         out = Relation(schema, rel.ring, counters=self.counters, name=rel.name)
         out.entries = rel.entries
         return out

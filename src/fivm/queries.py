@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Any, Iterable, Optional, Sequence
 
-from fivm.rings import REAL, RELATIONAL, TO_ONE, LiftingFunction, RingSpec, lift
+from fivm.rings import (
+    COVARIANCE, COVARIANCE_CATEGORICAL, COVARIANCE_CONTINUOUS, REAL, RELATIONAL, TO_ONE,
+    LiftingFunction, RingSpec, lift,
+)
 
 __all__ = [
     "RelationDecl",
@@ -56,7 +59,9 @@ class Query:
     distinct leaf occurrences with ids ``name#1``, ``name#2``, and so on.
     ``free`` lists the output variables. ``lifts`` supplies the lifting
     function for every aggregated variable; free variables only need one in
-    special output modes, where the tree builder injects it itself.
+    special output modes, where the tree builder injects it itself. On a
+    covariance ring each covariance lift needs a slot of its own, within
+    the degree.
     ``free_lift_mode`` picks how free variables present results: plain keys
     ("group_by") or, on a relational ring, nested relational payloads
     ("relational_payload"). ``relations`` holds one :class:`RelationDecl`
@@ -113,6 +118,17 @@ class Query:
             if f.target_variable in self.lifts:
                 raise ValueError(f"duplicate lift for {f.target_variable}")
             self.lifts[f.target_variable] = f
+        if ring.kind == COVARIANCE:
+            # each covariance lift owns its slot, within the degree
+            owners: dict[int, str] = {}
+            for v, f in self.lifts.items():
+                if f.mode not in (COVARIANCE_CONTINUOUS, COVARIANCE_CATEGORICAL):
+                    continue
+                if f.slot > ring.degree:
+                    raise ValueError(f"lift of {v} to slot {f.slot} is outside degree {ring.degree}")
+                if f.slot in owners:
+                    raise ValueError(f"lifts of {owners[f.slot]} and {v} share covariance slot {f.slot}")
+                owners[f.slot] = v
         self.free_lift_mode = free_lift_mode
         self.ranges: dict[str, int] = dict(ranges or {})
         for v, n in self.ranges.items():

@@ -41,7 +41,6 @@ from __future__ import annotations
 import builtins
 import math
 import string
-import sys
 from collections.abc import MutableMapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,8 +50,7 @@ from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# ``lift`` is called by generated code, as ``relations.lift``.
-from fivm.rings import TO_ONE, LiftingFunction, RingSpec, lift
+from fivm.rings import TO_ONE, LiftingFunction, RingSpec, lift_row
 
 __all__ = [
     "Tuple",
@@ -533,10 +531,8 @@ def rel_marginalize(
         )
         return DenseRelation.of(out_schema, rel.ring, _contract(plan, ops), rel.counters)
     out = Relation(out_schema, rel.ring, rel.counters)
-    run = _level_function(
-        levels, sums, tuple(p for p, _ in lifted), out_pos, payload_map is not None
-    )
-    run(rel, rights, [fn for _, fn in lifted], payload_map, out.entries)
+    run = _level_function(levels, sums, bool(lifted), out_pos, payload_map is not None)
+    run(rel, rights, lift_row(rel.ring, lifted) if lifted else None, payload_map, out.entries)
     return out
 
 
@@ -559,12 +555,12 @@ class RowCode:
     enters through the compiled function's globals (:meth:`const`), so the
     source holds only those names and integer positions. The ring's
     ``mul``, ``add`` and ``is_zero`` are called as ``M``, ``A`` and ``Z``,
-    a payload map as ``X``, and a lift as ``relations.lift(RING, f, x)``,
-    looked up when it runs."""
+    a payload map as ``X``, and a level's lifts as one operation
+    (:func:`fivm.rings.lift_row`) on the row's payload and joined key."""
 
     def __init__(self) -> None:
         self.lines: list[str] = []
-        self.consts: dict[str, Any] = {"relations": sys.modules[__name__]}
+        self.consts: dict[str, Any] = {}
         self._n = 0
 
     def name(self, stem: str) -> str:
@@ -592,14 +588,15 @@ class RowCode:
         return scope[name]
 
     def level(
-        self, depth: int, src: str, dst: str, plan: tuple, lifted: Sequence[tuple[int, str]],
+        self, depth: int, src: str, dst: str, plan: tuple, lifter: Optional[str],
         mapped: bool, side: tuple[str, str, str], rights: Sequence[tuple],
         setup: Sequence[str] = (),
     ) -> None:
         """Emit one join-and-sum: every row of the dict ``src`` extended
         through the join levels of ``plan`` (:func:`_walk_plan`'s levels,
-        whether anything is summed out, output positions), multiplied by
-        the lifts of ``lifted`` (joined position, function name), cut to
+        whether anything is summed out, output positions), passed with its
+        joined key through the level's lift operation named ``lifter``
+        (none when nothing is lifted other than to one), cut to
         its output key and summed into the dict ``dst``. ``rights`` names
         per join the right entries, index table (None unless the route is
         an index), and read and probe tallies; ``side`` names the reads,
@@ -691,8 +688,8 @@ class RowCode:
                 self.add(depth, f"{joined} = {key} + {_pick(rkey, ext)}")
                 key = joined
             val = prod
-        for pos, fn in lifted:
-            self.add(depth, f"{val} = M({val}, relations.lift(RING, {fn}, {key}[{pos}]))")
+        if lifter is not None:
+            self.add(depth, f"{val} = {lifter}({val}, {key})")
         if out_pos is not None:
             cut = self.name("k")
             self.add(depth, f"{cut} = {_pick(key, out_pos)}")
@@ -739,17 +736,17 @@ class RowCode:
 # A plan has a few shapes; the bound only keeps a long-lived process flat.
 @lru_cache(maxsize=1024)
 def _level_function(
-    levels: tuple, sums: bool, lifted: tuple[int, ...], out_pos: Optional[tuple], mapped: bool
+    levels: tuple, sums: bool, lifts: bool, out_pos: Optional[tuple], mapped: bool
 ) -> Any:
     """The row loop of :func:`rel_marginalize` for one shape
     (:func:`plan_shape`), generated and compiled once:
-    ``run(left, rights, fns, payload_map, out)`` sums ``left`` joined with
-    ``rights`` into the dict ``out``, lifting the joined positions
-    ``lifted`` by ``fns``, and tallies each relation's units on its own
-    counters."""
+    ``run(left, rights, lifter, payload_map, out)`` sums ``left`` joined
+    with ``rights`` into the dict ``out``, passing each row through
+    ``lifter`` (:func:`fivm.rings.lift_row`) when ``lifts``, and tallies
+    each relation's units on its own counters."""
     code = RowCode()
     code.consts["_tally"] = _tally
-    code.add(0, "def marginalize(left, rights, fns, X, out):")
+    code.add(0, "def marginalize(left, rights, L, X, out):")
     code.add(1, "RING = left.ring")
     code.add(1, "M, A, Z = RING.mul, RING.add, RING.is_zero")
     side = (code.name("r"), code.name("w"), code.name("p"))
@@ -766,14 +763,12 @@ def _level_function(
             table = code.name("t")
             setup.append(f"{table} = rights[{j}].indexes[{code.const('q', route)}]")
         rights.append((entries, table, r, p))
-    fns = [(pos, code.name("f")) for pos in lifted]
-    for i, (_, fn) in enumerate(fns):
-        code.add(1, f"{fn} = fns[{i}]")
-    code.level(1, src, "out", (levels, sums, out_pos), fns, mapped, side, rights, setup)
+    lifter = "L" if lifts else None
+    code.level(1, src, "out", (levels, sums, out_pos), lifter, mapped, side, rights, setup)
     code.add(1, f"_tally(left.counters, {', '.join(side)})")
     for j, (_, _, r, p) in enumerate(rights):
         code.add(1, f"_tally(rights[{j}].counters, {r}, 0, {p})")
-    return code.compile("marginalize", f"marginalize {(levels, sums, lifted, out_pos, mapped)}")
+    return code.compile("marginalize", f"marginalize {(levels, sums, lifts, out_pos, mapped)}")
 
 
 # A relation has a few index shapes; the bound only keeps a long-lived process flat.

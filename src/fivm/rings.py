@@ -6,7 +6,8 @@ degree-m covariance triples for statistics workloads, or relational payloads
 (finite maps from tuples to scalars) that let query results live inside
 payloads. This module defines the ring descriptor, the payload types, the
 five ring operations, and the lifting functions that inject domain values
-into a ring during marginalization.
+into a ring during marginalization: :func:`lift` for one value, and
+:func:`lift_row` for all the columns a row loop level lifts, in one call.
 
 Payloads are plain values (ints, floats) or small immutable-by-convention
 objects; all operations are pure and never mutate their arguments.
@@ -23,7 +24,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import partial
 from numbers import Integral, Real
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 __all__ = [
     "RingSpec",
@@ -48,6 +49,7 @@ __all__ = [
     "ring_one",
     "is_zero",
     "lift",
+    "lift_row",
 ]
 
 INTEGER = "integer"
@@ -416,10 +418,12 @@ def _cov_mul(pairs: tuple, a: CovarianceTriple, b: CovarianceTriple) -> Covarian
     """Multiply two covariance triples.
 
     Counts multiply; each sum slot is cross-scaled by the other side's count;
-    each pairwise block combines both cross-scaled blocks with the symmetric
-    outer product of the sum vectors, so that (i, j) picks up a_i*b_j plus
-    b_i*a_j (twice a_i*b_i on the diagonal), keyed by ``pairs[i][j]``. Zero
-    terms are never stored.
+    each pairwise block combines both cross-scaled blocks with a_i*b_j for
+    every slot i of ``a`` and j of ``b``, keyed by ``pairs[i][j]``, so that
+    (i, j) with i != j picks up a_i*b_j plus a_j*b_i, and the diagonal
+    (i, i) picks up a_i*b_i once: ``lift(3) * lift(3)`` on one slot has
+    Q_ii = 9 + 9 + 9 = 27. Plans whose lifts go to distinct slots never
+    multiply two sums on one slot. Zero terms are never stored.
     """
     ac, bc = a.c, b.c
     s: dict[int, Any] = {}
@@ -614,3 +618,71 @@ def lift(spec: RingSpec, f: LiftingFunction, x: Any) -> Any:
             raise ValueError("unit lift needs a relational ring")
         return RelationalPayload((), {(): 1})
     raise ValueError(f"unknown lift mode: {mode!r}")
+
+
+def lift_row(spec: RingSpec, lifted: Sequence[tuple[int, LiftingFunction]]) -> Callable:
+    """``op(v, key)``: the payload ``v`` multiplied by the lift of
+    ``key[pos]`` through ``f`` for each (position, function) pair of
+    ``lifted`` in turn, as ``spec.mul`` and :func:`lift` give it, in one
+    call. Built once per row loop level, since a level's lifts are fixed.
+
+    On a real-based covariance ring whose lifts are all continuous and go
+    to distinct slots within the degree, a payload holding only a count c
+    becomes one triple, built in the order the chain of single lifts and
+    ``_cov_mul`` calls computes it, so its floats are the same: for each
+    value x_b (in ``lifted`` order, zeros skipped), Q_bb = c*(x_b*x_b),
+    then Q_ab = s_a*x_b for each slot a lifted before, then s_b = c*x_b,
+    each zero term left out. Those ring, mode and slot tests are made
+    here, once; a value the valuer maps to no number still raises
+    ``ValueError``. Any other ring, lift or payload (one that already
+    holds sums) gets the chain of single lifts, each checked per value.
+    """
+    lifted = tuple(lifted)
+    mul = spec.mul
+
+    def chain(v: Any, key: tuple) -> Any:
+        for pos, f in lifted:
+            v = mul(v, lift(spec, f, key[pos]))
+        return v
+
+    slots = {f.slot for _, f in lifted}
+    if not (
+        spec.kind == COVARIANCE
+        and spec.base == REAL
+        and lifted
+        and all(f.mode == COVARIANCE_CONTINUOUS for _, f in lifted)
+        and len(slots) == len(lifted)
+        and max(slots) <= spec.degree
+    ):
+        return chain
+    pairs = spec.pairs
+    plan = tuple((pos, f.slot, pairs[f.slot], f.valuer) for pos, f in lifted)
+
+    def direct(v: Any, key: tuple) -> Any:
+        if v.s or v.Q:
+            return chain(v, key)
+        # the chain multiplies the count by each lift's 1.0
+        c = v.c * 1.0
+        s: dict[int, Any] = {}
+        q: dict[tuple[int, int], Any] = {}
+        for pos, j, row, valuer in plan:
+            x = key[pos] if valuer is None else valuer(key[pos])
+            if type(x) is not float:
+                if not isinstance(x, (int, float)):
+                    raise ValueError(f"continuous lift of non-numeric value {x!r}")
+                x = float(x)
+            if x == 0:
+                continue
+            term = c * (x * x)
+            if term:
+                q[row[j]] = term
+            for i, si in s.items():
+                term = si * x
+                if term:
+                    q[row[i]] = term
+            term = c * x
+            if term:
+                s[j] = term
+        return CovarianceTriple(c, s, q)
+
+    return direct

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import fivm.ivm
 import fivm.relations
+import fivm.rings
 import oracles
 from fivm.apps import build_matrix_chain
 from fivm.enumeration import enumerate_result
@@ -552,13 +553,14 @@ def test_one_tuple_updates_build_no_intermediate_relation(monkeypatch):
 
 def test_to_one_lifts_are_not_applied(monkeypatch):
     """Summing out a variable lifted to one multiplies by nothing: a
-    count-ring update and batch never call ``lift``."""
+    count-ring update and batch never call ``lift``, nor build a row's
+    lift operation."""
     state = chain_state()
     calls = []
-    lift = fivm.relations.lift
-    monkeypatch.setattr(
-        fivm.relations, "lift", lambda *a: calls.append(a) or lift(*a)
-    )
+    lift, lift_row = fivm.rings.lift, fivm.rings.lift_row
+    monkeypatch.setattr(fivm.rings, "lift", lambda *a: calls.append(a) or lift(*a))
+    for module in (fivm.relations, fivm.ivm):
+        monkeypatch.setattr(module, "lift_row", lambda *a: calls.append(a) or lift_row(*a))
     state.apply_batch([UpdateDelta("R", ((("a1", "b9"), 1),))])
     state.apply_batch(
         [UpdateDelta("S", ((("a1", "c2", "e9"), 1),)), UpdateDelta("T", ((("c2", "d9"), 1),))]
@@ -677,7 +679,7 @@ OUT_OF_DEGREE = CovarianceTriple(1.0, {5: 2.0}, {(5, 5): 4.0})
 def cov_pair_state():
     """R(A,B)-S(B,C) under a degree-2 covariance ring, loaded."""
     ring = covariance_ring(2)
-    lifts = (lift_continuous("A", 1), lift_continuous("B", 2), lift_continuous("C", 2))
+    lifts = (lift_continuous("A", 1), lift_continuous("B", 2), lift_to_one("C"))
     query = Query([("R", ("A", "B")), ("S", ("B", "C"))], (), ring, lifts=lifts)
     tree = plan_view_tree(query, VariableOrder([["B", ["A"], ["C"]]]), updatable=("R", "S"))
     state = RuntimeState(tree)
@@ -954,6 +956,64 @@ def test_each_self_join_occurrence_climbs_its_own_function(monkeypatch):
     assert climbs["R#1"] is not climbs["R#2"]
     assert climbs["R#1"].__code__.co_filename == "<fivm climb R#1>"
     assert climbs["R#2"].__code__.co_filename == "<fivm climb R#2>"
+
+
+def test_a_dense_self_join_contracts_every_occurrence_like_the_dict_path(monkeypatch):
+    """A(X,Y) A(Y,Z) with X, Y and Z ranged 4 is stored dense; its twin
+    without ranges in dicts. A rank-one update to A reaches A#2 renamed
+    (``RuntimeState._rebound``) and still dense, so both occurrences
+    contract through ``_contract``, and each update's counted units, the
+    stored views and the root equal the dict twin's."""
+    states = []
+    for ranges in ({v: 4 for v in "XYZ"}, None):
+        query = Query(
+            [("A", ("X", "Y")), ("A", ("Y", "Z"))], (), real_ring(),
+            lifts=[lift_to_one(v) for v in "XYZ"], ranges=ranges,
+        )
+        tree = plan_view_tree(query, VariableOrder([["Y", ["X"], ["Z"]]]), updatable=("A",))
+        states.append(RuntimeState(tree))
+    dense, plain = states
+    entered, contracted = [], []
+    propagate, contract = RuntimeState.propagate, fivm.relations._contract
+
+    def spy_propagate(state, leaf_id, form):
+        entered.append(leaf_id)
+        return propagate(state, leaf_id, form)
+
+    def spy_contract(plan, ops):
+        contracted.append(entered[-1])
+        return contract(plan, ops)
+
+    rng = random.Random(31)
+    data = {"A": [((x, y), float(rng.choice([-1, 1, 2]))) for x in range(4) for y in range(4)
+                  if rng.random() < 0.6]}
+    for state in (dense, plain):
+        state.load(data)
+    assert isinstance(dense.leaves["A#2"], DenseRelation)
+    assert dense.counters.snapshot() == plain.counters.snapshot()
+    monkeypatch.setattr(RuntimeState, "propagate", spy_propagate)
+    monkeypatch.setattr(fivm.relations, "_contract", spy_contract)
+
+    def factor(state, var, values):
+        rel = state.relation((var,))
+        rel.accumulate_all([((i,), x) for i, x in enumerate(values) if x])
+        return rel
+
+    for _ in range(6):
+        u = [float(rng.choice([-2, -1, 0, 1, 3])) for _ in range(4)]
+        v = [float(rng.choice([-1, 1, 2])) for _ in range(4)]
+        spent = []
+        for state in (dense, plain):
+            contracted.clear()
+            before = state.counters.snapshot()
+            state.apply_batch([FactorizedDelta("A", (factor(state, "X", u), factor(state, "Y", v)))])
+            spent.append(tuple(b - a for a, b in zip(before, state.counters.snapshot())))
+            assert set(contracted) == ({"A#1", "A#2"} if state is dense else set()), contracted
+        assert spent[0] == spent[1]
+        for node_id in plain.views:
+            assert dict(dense.stored(node_id).entries.items()) == dict(plain.stored(node_id).entries)
+        assert dict(dense.result().entries.items()) == dict(plain.result().entries)
+        assert dict(plain.result().entries) == dict(plain.recompute_oracle().entries)
 
 
 # ---------------------------------------------------------------------------

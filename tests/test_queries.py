@@ -19,7 +19,15 @@ from fivm.queries import (
     infer_dep,
     sigma_reduct,
 )
-from fivm.rings import integer_ring, lift_to_one, real_ring
+from fivm.rings import (
+    RELATIONAL,
+    covariance_ring,
+    integer_ring,
+    lift_categorical,
+    lift_continuous,
+    lift_to_one,
+    real_ring,
+)
 from fivm.viewtree import plan_view_tree
 
 Z = integer_ring()
@@ -85,6 +93,29 @@ def test_query_validation():
         q([("R", ("A", "B")), ("R", ("B",))], ())
     with pytest.raises(ValueError, match="relational_payload needs a relational ring, not integer"):
         Query([("R", ("A",))], ("A",), Z, free_lift_mode="relational_payload")
+
+
+@pytest.mark.parametrize("base", ["real", RELATIONAL])
+def test_covariance_lifts_are_refused_by_slot_when_the_query_is_built(base):
+    """Two covariance lifts into one slot, or one above the ring's degree,
+    are refused by name when the query is built, before any state exists:
+    a row would otherwise meet the first only when it arrives, and the
+    second never."""
+    ring = covariance_ring(2, base=base)
+    rels = [("R", ("A", "B")), ("S", ("B", "C"))]
+    second = lift_categorical if base == RELATIONAL else lift_continuous
+    with pytest.raises(ValueError, match="lifts of B and C share covariance slot 2"):
+        Query(rels, (), ring, lifts=(
+            lift_continuous("A", 1), lift_continuous("B", 2), second("C", 2),
+        ))
+    with pytest.raises(ValueError, match="lift of C to slot 3 is outside degree 2"):
+        Query(rels, (), ring, lifts=(
+            lift_continuous("A", 1), lift_continuous("B", 2), second("C", 3),
+        ))
+    # distinct slots within the degree, a to-one lift beside them
+    Query(rels, (), ring, lifts=(
+        lift_continuous("A", 1), second("B", 2), lift_to_one("C"),
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from fivm.rings import (
     lift_categorical,
     lift_continuous,
     lift_identity,
+    lift_row,
     lift_singleton,
     lift_to_one,
     lift_unit,
@@ -442,3 +443,104 @@ def test_negate_is_additive_inverse_for_triples():
     t = lifted_point(spec, (5.0, -1.0))
     assert is_zero(spec, ring_add(spec, t, ring_negate(spec, t)))
     assert math.isclose(ring_negate(spec, t).s[1], -5.0)
+
+
+# ---------------------------------------------------------------------------
+# a row's lifts in one step
+
+
+def chained(spec, lifted, v, key):
+    """The product ``lift_row`` replaces: one ``lift`` and one ``mul`` per
+    lifted column, in order."""
+    for pos, f in lifted:
+        v = spec.mul(v, lift(spec, f, key[pos]))
+    return v
+
+
+def bits(t):
+    """A triple's components with their types and float bits, dicts in
+    insertion order, so two triples compare equal only when every float and
+    every order matches."""
+    def one(x):
+        return (type(x), x.hex() if isinstance(x, float) else x)
+
+    return (
+        one(t.c),
+        [(j, one(x)) for j, x in t.s.items()],
+        [(ij, one(x)) for ij, x in t.Q.items()],
+    )
+
+
+values = st.sampled_from([0, 0.0, -0.0, 1, -2, 0.5, 3.25, -7.1, 1e-200, 123456.789, True])
+
+
+@st.composite
+def covariance_rows(draw):
+    """A real covariance ring of degree 1 to 6, 1 to 4 continuous lifts to
+    distinct slots, some through a valuer, a key and a payload: a bare
+    count, or a triple that already holds sums and moments."""
+    degree = draw(st.integers(1, 6), label="degree")
+    spec = covariance_ring(degree)
+    n = draw(st.integers(1, min(4, degree)), label="lifts")
+    slots = draw(st.permutations(range(1, degree + 1)), label="slots")[:n]
+    width = n + draw(st.integers(0, 2), label="other columns")
+    positions = draw(st.permutations(range(width)), label="positions")[:n]
+    key, lifted = [draw(values) for _ in range(width)], []
+    for pos, slot in zip(positions, slots):
+        if draw(st.booleans(), label="valuer"):
+            table = draw(st.lists(values, min_size=1, max_size=4), label="table")
+            key[pos] = draw(st.integers(0, len(table) - 1), label="id")
+            lifted.append((pos, lift_continuous(f"X{pos}", slot, valuer=table.__getitem__)))
+        else:
+            lifted.append((pos, lift_continuous(f"X{pos}", slot)))
+    count = draw(st.sampled_from([1, -1, 1.0, -1.0, 2.5, -3.0]), label="count")
+    v = CovarianceTriple(count, {}, {})
+    if draw(st.booleans(), label="carries sums"):
+        ids = range(1, degree + 1)
+        s = draw(st.dictionaries(st.sampled_from(ids), int_floats, min_size=1), label="s")
+        q = draw(st.dictionaries(st.sampled_from(ids), int_floats), label="q")
+        v = CovarianceTriple(count, s, {spec.pairs[i][i]: x for i, x in q.items()})
+    return spec, tuple(lifted), v, tuple(key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=covariance_rows())
+def test_lift_row_equals_the_chain_of_single_lifts_bit_for_bit(row):
+    spec, lifted, v, key = row
+    got = lift_row(spec, lifted)(v, key)
+    want = chained(spec, lifted, v, key)
+    assert bits(got) == bits(want)
+    # pair keys are the ring's shared tuples, as every product stores them
+    assert all(ij is spec.pairs[ij[0]][ij[1]] for ij in got.Q)
+
+
+def test_lift_row_falls_back_to_the_chain_off_the_real_continuous_case():
+    """Categorical lifts on a relational base, a continuous lift there, the
+    integer ``identity`` lift and a lift to one give the chain's product."""
+    spec = covariance_ring(3, base=RELATIONAL)
+    lifted = ((0, lift_categorical("C", 1)), (2, lift_continuous("X", 2)),
+              (1, lift_categorical("D", 3, valuer=lambda x: x // 10)))
+    for v in (spec.one, ring_negate(spec, spec.one)):
+        key = ("u", 47, 2.5)
+        assert lift_row(spec, lifted)(v, key) == chained(spec, lifted, v, key)
+    spec = integer_ring()
+    lifted = ((1, lift_identity("A")), (0, lift_to_one("B")))
+    for v in (1, -3):
+        got = lift_row(spec, lifted)(v, (9, 4))
+        assert got == chained(spec, lifted, v, (9, 4)) == 4 * v
+        assert type(got) is int
+
+
+@pytest.mark.parametrize("valuer", [None, {0: "red"}.get])
+@pytest.mark.parametrize("count", [1.0, -3.0])
+def test_lift_row_refuses_a_non_numeric_value_as_lift_does(valuer, count):
+    spec = covariance_ring(2)
+    bad = lift_continuous("Y", 2, valuer=valuer)
+    key = (1.5, "red" if valuer is None else 0)
+    with pytest.raises(ValueError) as single:
+        lift(spec, bad, key[1])
+    with pytest.raises(ValueError) as row:
+        lift_row(spec, ((0, lift_continuous("X", 1)), (1, bad)))(
+            CovarianceTriple(count, {}, {}), key
+        )
+    assert str(row.value) == str(single.value) == "continuous lift of non-numeric value 'red'"
