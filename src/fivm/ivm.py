@@ -21,7 +21,9 @@ changes nothing. The occurrence's support transitions then become the
 Updates that arrive as products of independent factors are propagated
 without expanding the product: each variable is summed out by joining only
 the factors that mention it, which is what makes low-rank matrix updates
-cheap.
+cheap. Each such step is planned once per entry and delta signature by
+``relations.plan_sum``, the one planner that picks ``einsum`` or the row
+loop for every join-and-sum.
 """
 
 from __future__ import annotations
@@ -30,10 +32,8 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from string import ascii_letters
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from fivm import relations
 from fivm.queries import RELATIONAL_PAYLOAD, Query, RelationDecl
 from fivm.relations import (
     DenseRelation,
@@ -43,10 +43,11 @@ from fivm.relations import (
     RowCode,
     indicator_delta,
     plan_shape,
+    plan_sum,
     rel_apply_delta,
     rel_marginalize,
 )
-from fivm.rings import TO_ONE, lift_row, relational_total
+from fivm.rings import lift_row, relational_total
 from fivm.viewtree import INDICATOR, LEAF, ViewNode, ViewTree, flat_lifts
 
 __all__ = [
@@ -100,22 +101,24 @@ def optimize_factorized(factors: list[Relation], steps: Sequence[tuple]) -> list
 
 
 def factorized_steps(
-    schemas: list[tuple[str, ...]], marg_vars: Iterable[str], contraction: Callable
-) -> tuple[list[tuple], list[tuple[str, ...]]]:
+    operands: list[tuple], marg_vars: Iterable[str], contraction: Callable
+) -> tuple[list[tuple], list[tuple]]:
     """The steps :func:`optimize_factorized` takes to sum ``marg_vars``, in
-    order, out of a product of factors over ``schemas``, and the schemas
-    of the factors left. Each step is (positions of the factors it joins,
+    order, out of a product of factors described by ``operands``, one
+    (schema, shape) pair each (``Relation.shape``), and the descriptions of
+    the factors left. Each step is (positions of the factors it joins,
     positions of the rest, where its result goes, the callable that joins
-    and sums). ``contraction(schemas, routes, drop_vars, schema,
-    payload_map)`` gives that callable and its output schema
-    (:func:`summing`)."""
-    current = list(schemas)
+    and sums). ``contraction(operands, routes, drop_vars, schema,
+    payload_map)`` gives that callable and the description of its output
+    (:func:`fivm.relations.plan_sum` with its ring, counters and lifts
+    bound)."""
+    current = list(operands)
     steps = []
     for var in marg_vars:
-        take = [i for i, s in enumerate(current) if var in s]
+        take = [i for i, (s, _) in enumerate(current) if var in s]
         if not take:
             raise ValueError(f"variable {var} appears in no factor")
-        rest = [i for i, s in enumerate(current) if var not in s]
+        rest = [i for i, (s, _) in enumerate(current) if var not in s]
         at = min(take[0], len(rest))
         joined = [current[i] for i in take]
         contract, out = contraction(joined, (None,) * (len(take) - 1), (var,), None, None)
@@ -126,18 +129,16 @@ def factorized_steps(
 
 
 def summing(
-    lifts: dict, schemas: list[tuple[str, ...]], routes: tuple, drop_vars: tuple,
-    schema: Optional[tuple[str, ...]], payload_map: Any,
-) -> tuple[Callable, tuple[str, ...]]:
-    """The callable that joins relations over ``schemas`` by ``routes`` and
-    sums ``drop_vars`` out by ``lifts`` into ``schema`` through
-    :func:`rel_marginalize`, and the schema it returns."""
-    out = plan_shape(schemas[0], tuple(zip(schemas[1:], routes)), drop_vars, lifts, schema)[3]
+    lifts: dict, routes: tuple, drop_vars: tuple, schema: tuple[str, ...], payload_map: Any
+) -> Callable[[list[Relation]], Relation]:
+    """The callable that joins relations by ``routes`` and sums
+    ``drop_vars`` out by ``lifts`` into ``schema`` in one
+    :func:`rel_marginalize` call, which plans the sum at every call."""
 
     def contract(rels: list[Relation]) -> Relation:
         return rel_marginalize(rels[0], drop_vars, lifts, list(zip(rels[1:], routes)), schema, payload_map)
 
-    return contract, out
+    return contract
 
 
 class RuntimeState:
@@ -232,7 +233,7 @@ class RuntimeState:
         outright is checked and merged row by row."""
         if type(rel) is DenseRelation:
             schema = self.query.occurrences[name][0].schema
-            if not self.query.checks_cells(name, schema, rel.entries.array.shape):
+            if not self.query.checks_cells(name, schema, rel.shape):
                 pairs = tuple(pairs)
                 if rel.scatter(pairs):
                     return
@@ -306,8 +307,8 @@ class RuntimeState:
         A single dict delta over the entry's own keys runs the path's
         generated function (:meth:`_climb`). Any other form, a product of
         factors or a dense delta, runs the plan made for its signature,
-        each factor's type, schema and shape (:meth:`_plan`): at every
-        level :func:`optimize_factorized` takes the planned steps over the
+        each factor's (schema, shape) (:meth:`_plan`): at every level
+        :func:`optimize_factorized` takes the planned steps over the
         level's factors and siblings. Either way every level is computed
         against the state before the delta; only then are the stored
         levels updated, and the entry's own relation last, so an error on
@@ -321,14 +322,11 @@ class RuntimeState:
         climb, stored, levels, plans = path
         if len(form) == 1 and type(form[0]) is Relation and form[0].schema == entry.keys:
             return climb(form[0].entries)
-        signature = tuple([
-            (type(f), f.schema, f.entries.array.shape if type(f) is DenseRelation else None)
-            for f in form
-        ])
+        signature = tuple([(f.schema, f.shape) for f in form])
         plan = plans.get(signature)
         if plan is None:
             plan = plans[signature] = self._plan(entry, levels, form)
-        planned, expand, shells = plan
+        planned, expand = plan
         stores = []
         level = form
         for siblings, steps, target, store in planned:
@@ -339,11 +337,7 @@ class RuntimeState:
                 stores.append((target, store, level))
         for target, store, level in stores:
             rel_apply_delta(target, level[0] if store is None else store(level))
-        moves = rel_apply_delta(stored, form[0] if expand is None else expand(form))
-        # Cells kept until the path's next update would only hold memory.
-        for shell in shells:
-            shell.entries = None
-        return moves
+        return rel_apply_delta(stored, form[0] if expand is None else expand(form))
 
     def _compile(self, entry: ViewNode) -> tuple:
         """``entry``'s path compiled against the stored relations: the
@@ -372,91 +366,47 @@ class RuntimeState:
         by the siblings, the stored relation (None when unstored) and the
         callable that expands the level's factors to the node's keys (None
         when the one factor is over them). Then the entry store's
-        expansion, and the relations that hold a dense plan's cells. A
-        product sums each variable out of the factors that mention it
-        (:func:`factorized_steps`); a single relation, or a product whose
-        payloads are totalled, joins the level's siblings by their routes
-        and sums the node's variables in one step. A product of dense
-        factors in their declared shapes, with dense siblings, contracts
-        each step by one planned ``einsum`` (:meth:`_contraction`);
-        everything else sums through :func:`rel_marginalize`, so a dense
-        point batch still does."""
+        expansion. A product sums each variable out of the factors that
+        mention it (:func:`factorized_steps`); a single relation, or a
+        product whose payloads are totalled, joins the level's siblings by
+        their routes and sums the node's variables in one step. Each step
+        of a product is planned here, once (:func:`plan_sum`); a single
+        relation's level, a dense point batch's, is one
+        :func:`rel_marginalize` call (:func:`summing`), planned per call."""
         xform = self.payload_xform
-        beside = [r for _, _, joins, _ in levels for r, _ in joins]
-        # what relations.plan_shape asks of a contraction, for every step
-        dense = (
-            len(form) > 1
-            and xform is None
-            and all(
-                type(f) is DenseRelation and f.entries.array.shape == self.query.dense_shape(f.schema)
-                for f in form
-            )
-            and all(type(r) is DenseRelation for r in beside)
-            and all(
-                getattr(node.lifts.get(v), "mode", None) == TO_ONE
-                for node, *_ in levels
-                for v in node.marg_vars
-            )
-            and len({v for r in (*form, *beside) for v in r.schema}) <= len(ascii_letters)
-        )
-        shells: Optional[list[DenseRelation]] = [] if dense else None
-        schemas = first = [f.schema for f in form]
+        contraction = partial(plan_sum, self.ring, self.counters)
+        first = operands = [(f.schema, f.shape) for f in form]
         planned = []
         for node, target, joins, inner_first in levels:
-            contraction = partial(self._contraction, shells, node.lifts)
+            sums = partial(contraction, node.lifts)
             siblings = [r for r, _ in joins]
-            current = schemas + [r.schema for r in siblings]
-            if len(schemas) > 1 and not xform:
-                steps, schemas = factorized_steps(current, inner_first, contraction)
+            current = operands + [(r.schema, r.shape) for r in siblings]
+            if len(operands) > 1 and not xform:
+                steps, operands = factorized_steps(current, inner_first, sums)
             else:
                 steps = []
-                if len(schemas) > 1:
+                if len(operands) > 1:
                     # Payload totals do not distribute over a product's factors.
-                    n = len(schemas)
-                    join_all, joined = contraction(schemas, (None,) * (n - 1), (), None, None)
+                    n = len(operands)
+                    join_all, joined = sums(operands, (None,) * (n - 1), (), None, None)
                     steps.append((range(n), range(n, len(current)), 0, join_all))
                     current = [joined] + current[n:]
                 routes = tuple(route for _, route in joins)
-                contract, out = contraction(current, routes, node.marg_vars, node.keys, xform)
+                out = sums(current, routes, node.marg_vars, node.keys, xform)[1]
+                contract = summing(node.lifts, routes, node.marg_vars, node.keys, xform)
                 steps.append((range(len(current)), (), 0, contract))
-                schemas = [out]
-            store = None if target is None else self._expansion(schemas, node.keys, contraction)
+                operands = [out]
+            store = None if target is None else self._expansion(operands, node.keys, sums)
             planned.append((siblings, steps, target, store))
-        expand = self._expansion(first, entry.keys, partial(self._contraction, shells, {}))
-        return planned, expand, shells or ()
+        return planned, self._expansion(first, entry.keys, partial(contraction, {}))
 
     @staticmethod
-    def _expansion(schemas: list[tuple[str, ...]], keys: tuple[str, ...], contraction) -> Any:
-        """The callable that joins factors over ``schemas`` into one relation
-        over ``keys``, or None when the one factor is over them."""
-        if len(schemas) == 1 and schemas[0] == keys:
+    def _expansion(operands: list[tuple], keys: tuple[str, ...], contraction) -> Any:
+        """The callable that joins factors described by ``operands`` into one
+        relation over ``keys``, or None when the one factor is over them."""
+        if len(operands) == 1 and operands[0][0] == keys:
             return None
-        return contraction(schemas, (None,) * (len(schemas) - 1), (), keys, None)[0]
-
-    def _contraction(
-        self, shells: Optional[list], lifts: dict, schemas: list[tuple[str, ...]], routes: tuple,
-        drop_vars: tuple, schema: Optional[tuple[str, ...]], payload_map: Any,
-    ) -> tuple[Callable, tuple[str, ...]]:
-        """:func:`summing` when ``shells`` is None; else, for dense operands,
-        a callable that charges and contracts their cells by a plan made
-        here (``relations._contract_plan``) into one relation of its own,
-        added to ``shells``, whose cells each call sets (the climb lets go
-        of them after its stores)."""
-        if shells is None:
-            return summing(lifts, schemas, routes, drop_vars, schema, payload_map)
-        levels, _, _, out, _, _ = plan_shape(
-            schemas[0], tuple(zip(schemas[1:], routes)), drop_vars, lifts, schema
-        )
-        shapes = tuple([self.query.dense_shape(s) for s in schemas])
-        plan = relations._contract_plan(levels, tuple(schemas), shapes, out)
-        shell = DenseRelation.of(out, self.ring, None, self.counters)
-        shells.append(shell)
-
-        def contract(rels: list[Relation]) -> Relation:
-            shell.entries = relations._contract(plan, rels)
-            return shell
-
-        return contract, out
+        return contraction(operands, (None,) * (len(operands) - 1), (), keys, None)[0]
 
     def _climb(self, entry: ViewNode, stored: Optional[Relation], levels: tuple) -> Any:
         """``climb(d)`` compiled, its source kept as ``climb.source``: given
@@ -481,7 +431,7 @@ class RuntimeState:
         counters = None
         tallies, stores = [], []
         for node, target, joins, _ in levels:
-            steps, sums, lifted, _, out_pos, _ = plan_shape(
+            steps, sums, lifted, _, out_pos = plan_shape(
                 schema, tuple((r.schema, route) for r, route in joins),
                 node.marg_vars, node.lifts, node.keys,
             )
@@ -611,27 +561,35 @@ class RuntimeState:
         """A factorized delta's ``factors``, checked: each factor's rows
         pass ``Query.checked`` (a dense factor whose cells it cannot refuse
         skips it) and the factors together cover ``schema``. They come back
-        on this state's counters; a single dict factor over ``schema``'s
-        columns in another order comes back reordered into ``schema``, so
-        it climbs by the path's generated function."""
+        on this state's counters. A dense factor whose shape is not the
+        one its variables declare comes back copied into a relation of the
+        declared layout, so every dense operand a plan sees has its
+        declared shape. A single dict factor over ``schema``'s columns in
+        another order comes back reordered into ``schema``, so it climbs by
+        the path's generated function."""
         covered: set[str] = set()
+        checked = []
         for f in factors:
             covered.update(f.schema)
-            if isinstance(f, DenseRelation) and not self.query.checks_cells(
-                name, f.schema, f.entries.array.shape
-            ):
-                continue
-            self.query.checked(f.entries.items(), name, f.schema)
+            dense = isinstance(f, DenseRelation)
+            if not dense or self.query.checks_cells(name, f.schema, f.shape):
+                self.query.checked(f.entries.items(), name, f.schema)
+                if dense and f.shape != self.query.dense_shape(f.schema):
+                    # the check has put every nonzero cell in range
+                    copy = self.relation(f.schema, f.name)
+                    copy.entries.update(f.entries.items())
+                    f = copy
+            checked.append(f)
         if covered != set(schema):
             raise ValueError(f"factors cover {sorted(covered)}, not schema {schema}")
-        if len(factors) == 1 and type(factors[0]) is Relation and factors[0].schema != schema:
-            f = factors[0]
+        if len(checked) == 1 and type(checked[0]) is Relation and checked[0].schema != schema:
+            f = checked[0]
             # a permutation moves two columns or more, so pick gives tuples
             pick = itemgetter(*[f.schema.index(v) for v in schema])
             out = Relation(schema, self.ring, self.counters, f.name)
             out.entries = {pick(k): v for k, v in f.entries.items()}
             return [out]
-        return [f if f.counters is self.counters else self._rebound(f, {}) for f in factors]
+        return [f if f.counters is self.counters else self._rebound(f, {}) for f in checked]
 
     def _rebound(self, rel: Relation, renaming: dict[str, str]) -> Relation:
         """``rel`` on this state's counters with each column renamed by

@@ -8,11 +8,11 @@ maintenance cost can be measured in ring-agnostic units: payload reads,
 payload writes, and index probes. Bulk operators fetch the ring's bound
 operators once and add their units to the counter block once per call.
 
-The join-and-sum operator :func:`rel_marginalize` runs a row loop
-generated as Python source for the shape of its operands
-(:class:`RowCode`) and compiled once per shape; the delta climbs of
-``fivm.ivm`` are generated by the same code, one level after another, so
-there is one row loop. The source holds only generated names and integer
+One planner, :func:`plan_sum`, picks how every join-and-sum runs: one
+``einsum`` over dense cells, or a row loop generated as Python source
+for the shape of its operands (:class:`RowCode`) and compiled once per
+shape. The delta climbs of ``fivm.ivm`` are generated by the same code,
+one level after another, so there is one row loop. The source holds only generated names and integer
 positions: relations, index tables, lifts and ring operators enter
 through the compiled function's globals or arguments.
 
@@ -27,10 +27,10 @@ hashing cheap and makes streams reproducible.
 
 A :class:`DenseRelation` stores its entries as one numpy array instead
 (:class:`DenseCells`, which keeps its nonzero count) and answers index
-lookups from it, storing no index table. Over dense operands
-:func:`rel_marginalize` runs one ``einsum`` and :func:`rel_apply_delta`
-adds arrays, each counting the units the dict path spends on the same
-nonzero cells. A batch of point rows merges with one ``np.add.at``
+lookups from it, storing no index table. Over dense operands a planned
+sum may run one ``einsum`` and :func:`rel_apply_delta` adds arrays,
+each counting the units the dict path spends on the same nonzero
+cells. A batch of point rows merges with one ``np.add.at``
 (:meth:`DenseRelation.scatter`), whose bounds test over the whole batch
 is the query's entry check when ``Query.checks_cells`` is false for the
 relation; a batch it does not take outright goes row by row.
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, product
 from numbers import Integral
-from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +60,7 @@ __all__ = [
     "DenseRelation",
     "IndicatorState",
     "rel_join",
+    "plan_sum",
     "rel_marginalize",
     "rel_apply_delta",
     "indicator_delta",
@@ -291,6 +292,11 @@ class Relation:
     def _new_index(self, probe_pos: tuple, group_pos: Optional[int]) -> Any:
         return _fill_function(probe_pos, group_pos)(self.entries)
 
+    @property
+    def shape(self) -> Optional[tuple[int, ...]]:
+        """The shape of a dense relation's cells; None for dict entries."""
+        return None
+
     def index_lookup(self, spec: tuple, probe: tuple) -> list[tuple]:
         """All keys matching ``probe``, flattened across groups."""
         _tally(self.counters, probes=1)
@@ -328,6 +334,10 @@ class DenseRelation(Relation):
         Relation.__init__(rel, schema, ring, counters)
         rel.entries = cells
         return rel
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.entries.array.shape
 
     def items(self) -> Iterator[tuple[tuple, Any]]:
         """The nonzero cells in row-major order, all counted when the scan
@@ -452,8 +462,7 @@ def _walk_plan(
     out_pos = tuple(bound.index(v) for v in schema)
     if out_pos == tuple(range(len(bound))):
         out_pos = None
-    lettered = len(bound) <= len(string.ascii_letters)
-    return tuple(levels), tuple((bound.index(v), v) for v in drop), schema, out_pos, lettered
+    return tuple(levels), tuple((bound.index(v), v) for v in drop), schema, out_pos
 
 
 def plan_shape(
@@ -463,18 +472,55 @@ def plan_shape(
     (schema, route) pairs ``rights`` and sum out ``drop_vars`` by ``lifts``
     into ``schema``: the join levels of :func:`_walk_plan`, whether
     anything is summed out, the (position, lifting function) of each
-    summed-out variable not lifted to one, the output schema and its
-    positions in the joined key, and whether dense operands may be
-    contracted by :func:`_contract` (every lift is to one and ``einsum``
-    has a letter for every variable)."""
-    levels, drop, out_schema, out_pos, lettered = _walk_plan(left, rights, drop_vars, schema)
+    summed-out variable not lifted to one, and the output schema and its
+    positions in the joined key."""
+    levels, drop, out_schema, out_pos = _walk_plan(left, rights, drop_vars, schema)
     lifted = []
     for pos, v in drop:
         if v not in lifts:
             raise ValueError(f"no lifting function for marginalized variable {v}")
         if lifts[v].mode != TO_ONE:
             lifted.append((pos, lifts[v]))
-    return levels, bool(drop), tuple(lifted), out_schema, out_pos, lettered and not lifted
+    return levels, bool(drop), tuple(lifted), out_schema, out_pos
+
+
+def plan_sum(
+    ring: RingSpec, counters: Optional[OpCounters], lifts: dict, operands: Sequence[tuple],
+    routes: Sequence, drop_vars: tuple, schema: Optional[tuple], payload_map: Any,
+) -> tuple[Callable[[Sequence[Relation]], Relation], tuple]:
+    """Plan the join-and-sum of :func:`rel_marginalize` once, for operands
+    described by (schema, shape) pairs (:attr:`Relation.shape`) joined by
+    ``routes``: ``step(rels)`` runs it on relations so described, and the
+    (schema, shape) of its output. The one place that picks how a sum
+    runs: when every operand is dense, no payload map applies, every lift
+    is to one and :func:`_contract_plan` can contract the operands, one
+    ``einsum`` (:func:`_contract`) sets the cells of a dense relation made
+    here and returned at every call; otherwise the generated row loop
+    (:func:`_level_function`) fills a new dict relation per call. Outputs
+    count on ``ring`` and ``counters``."""
+    schemas, shapes = zip(*operands)
+    levels, sums, lifted, out_schema, out_pos = plan_shape(
+        schemas[0], tuple(zip(schemas[1:], routes)), drop_vars, lifts, schema
+    )
+    dense = payload_map is None and not lifted and None not in shapes
+    plan = _contract_plan(levels, schemas, shapes, out_schema) if dense else None
+    if plan is not None:
+        out = DenseRelation.of(out_schema, ring, None, counters)
+
+        def contract(rels: Sequence[Relation]) -> Relation:
+            out.entries = _contract(plan, rels)
+            return out
+
+        return contract, (out_schema, plan.shape)
+    run = _level_function(levels, sums, bool(lifted), out_pos, payload_map is not None)
+    lifter = lift_row(ring, lifted) if lifted else None
+
+    def walk(rels: Sequence[Relation]) -> Relation:
+        rel = Relation(out_schema, ring, counters)
+        run(rels[0], rels[1:], lifter, payload_map, rel.entries)
+        return rel
+
+    return walk, (out_schema, None)
 
 
 def rel_marginalize(
@@ -504,36 +550,15 @@ def rel_marginalize(
     relation's new ones in its own order; the output keeps the rest in
     that order unless ``schema`` names a permutation of them. Every
     dropped variable needs a lifting function. No intermediate relation is
-    built. The row loop is generated for the shape (:func:`plan_shape`)
-    and compiled at its first call (:func:`_level_function`). Dense
-    operands with no ``payload_map``, only to-one lifts and at most 52
-    variables are contracted by :func:`_contract` instead, into a dense
-    relation.
+    built. Each call plans the sum (:func:`plan_sum`) and runs it once.
     """
-    rights = [r for r, _ in joins]
-    levels, sums, lifted, out_schema, out_pos, contractible = plan_shape(
-        rel.schema,
-        tuple([(r.schema, route) for r, route in joins]),
-        tuple(drop_vars),
-        lifts,
-        None if schema is None else tuple(schema),
+    ops = [rel, *[r for r, _ in joins]]
+    step, _ = plan_sum(
+        rel.ring, rel.counters, lifts, [(r.schema, r.shape) for r in ops],
+        [route for _, route in joins], tuple(drop_vars),
+        None if schema is None else tuple(schema), payload_map,
     )
-    if (
-        contractible
-        and payload_map is None
-        and type(rel) is DenseRelation
-        and set(map(type, rights)) <= {DenseRelation}
-    ):
-        ops = [rel, *rights]
-        plan = _contract_plan(
-            levels, tuple([r.schema for r in ops]), tuple([r.entries.array.shape for r in ops]),
-            out_schema,
-        )
-        return DenseRelation.of(out_schema, rel.ring, _contract(plan, ops), rel.counters)
-    out = Relation(out_schema, rel.ring, rel.counters)
-    run = _level_function(levels, sums, bool(lifted), out_pos, payload_map is not None)
-    run(rel, rights, lift_row(rel.ring, lifted) if lifted else None, payload_map, out.entries)
-    return out
+    return step(ops)
 
 
 # The loops a generated row loop nests before it lists the rows reaching
@@ -868,14 +893,21 @@ class Contraction(NamedTuple):
 
 
 @lru_cache(maxsize=1024)
-def _contract_plan(levels: tuple, schemas: tuple, shapes: tuple, out_schema: tuple) -> Contraction:
+def _contract_plan(
+    levels: tuple, schemas: tuple, shapes: tuple, out_schema: tuple
+) -> Optional[Contraction]:
     """What :func:`_contract` needs for operands over ``schemas`` of
     ``shapes`` joined by ``levels`` into ``out_schema``: the ``einsum``
     spec and contraction order, the output shape, the size of every
     operand, and the units every operand is charged when all of them are
     fully nonzero (:func:`_contract_units` over the products of the
-    extents of the distinct variables joined so far)."""
-    size = {v: n for schema, shape in zip(schemas, shapes) for v, n in zip(schema, shape)}
+    extents of the distinct variables joined so far). None when two
+    operands disagree on a variable's extent, which ``einsum`` would
+    stretch when one of them is 1, or ``einsum`` has too few letters."""
+    cols = [(v, n) for schema, shape in zip(schemas, shapes) for v, n in zip(schema, shape)]
+    size = dict(cols)
+    if len(set(cols)) > len(size) or len(size) > len(string.ascii_letters):
+        return None
     letter = dict(zip(size, string.ascii_letters))
     subs = tuple("".join(letter[v] for v in schema) for schema in schemas)
     extent = {letter[v]: n for v, n in size.items()}

@@ -1022,6 +1022,28 @@ def test_a_factor_not_stored_in_its_declared_shape_is_checked_cell_by_cell(shape
     assert chain_snapshot(state) == before
 
 
+@pytest.mark.parametrize(
+    "values", [[2.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 0.0, 0.0]], ids=["one", "short", "long"]
+)
+def test_a_factor_in_a_foreign_shape_climbs_in_its_declared_one(values):
+    """A dense factor over X2 whose array is not the declared 4 cells, but
+    whose nonzero cells are all in range, passes the cell check and is
+    copied into the declared shape: the whole batch applies, a point
+    update before it included, and the root is the numpy product. In its
+    own shape ``einsum`` would refuse it, or stretch one cell over four."""
+    state, mats = chain_runtime((4, 4, 4, 4))
+    u = DenseRelation(("X2",), state.ring, (len(values),))
+    u.fill(values)
+    v = state.relation(("X3",))
+    v.fill([2.0, -1.0, 0.0, 1.0])
+    state.apply_batch([UpdateDelta("A1", (((0, 0), 5.0),)), FactorizedDelta("A2", (u, v))])
+    mats[0][0, 0] += 5.0
+    mats[1] += np.outer((values + [0.0] * 4)[:4], [2.0, -1.0, 0.0, 1.0])
+    assert np.allclose(to_dense(state, (4, 4)), oracles.chain_product(mats), rtol=1e-12)
+    recomputed = state.recompute_oracle().entries.array
+    assert np.allclose(state.result().entries.array, recomputed, rtol=1e-12)
+
+
 def test_a_full_rank_one_update_pays_one_einsum_per_contraction(monkeypatch):
     """Fully nonzero operands count their joined rows in closed form, and
     factors stored as their relation's cells skip the per-cell check."""

@@ -27,7 +27,6 @@ from fivm.ivm import (
     factorized_steps,
     optimize_factorized,
     recompute_query,
-    summing,
 )
 from fivm.queries import Query, VariableOrder
 from fivm.relations import (
@@ -35,6 +34,7 @@ from fivm.relations import (
     OpCounters,
     Relation,
     from_pairs,
+    plan_sum,
     rel_join,
     rel_marginalize,
 )
@@ -1016,6 +1016,61 @@ def test_a_dense_self_join_contracts_every_occurrence_like_the_dict_path(monkeyp
         assert dict(plain.result().entries) == dict(plain.recompute_oracle().entries)
 
 
+def test_a_product_with_a_lifted_level_is_planned_once_per_signature(monkeypatch):
+    """A(X,Y) B(Y,Z) with free X and Z, Y lifted by identity: stored dense
+    (ranges 3, 4, 2) and, its twin, in dicts. The lift keeps the level
+    that sums Y out of an ``einsum``, so the dense path mixes contracted
+    and row-loop steps. A rank-one update to A plans every product step
+    at the path's first update of its signature: the third calls
+    ``plan_shape`` not once on either twin, and each update's counted
+    units, the stored views and the root equal the dict twin's."""
+    states = []
+    for ranges in ({"X": 3, "Y": 4, "Z": 2}, None):
+        query = Query(
+            [("A", ("X", "Y")), ("B", ("Y", "Z"))], ("X", "Z"), real_ring(),
+            lifts=[lift_to_one("X"), lift_identity("Y"), lift_to_one("Z")], ranges=ranges,
+        )
+        tree = plan_view_tree(query, VariableOrder([["Y", ["X"], ["Z"]]]), updatable=("A",))
+        states.append(RuntimeState(tree))
+    dense, plain = states
+    rng = random.Random(5)
+    data = {
+        "A": [((x, y), float(rng.choice([-1, 1, 2]))) for x in range(3) for y in range(4)
+              if rng.random() < 0.7],
+        "B": [((y, z), float(rng.choice([-2, 1, 3]))) for y in range(4) for z in range(2)
+              if rng.random() < 0.7],
+    }
+    for state in states:
+        state.load(data)
+    assert isinstance(dense.leaves["A"], DenseRelation)
+    assert dense.counters.snapshot() == plain.counters.snapshot()
+    planned = []
+    plan_shape = fivm.relations.plan_shape
+    monkeypatch.setattr(
+        fivm.relations, "plan_shape", lambda *a: planned.append(a) or plan_shape(*a)
+    )
+    plans = []
+    for _ in range(3):
+        u = [float(rng.choice([-1, 0, 2])) for _ in range(3)]
+        v = [float(rng.choice([1, -3])) for _ in range(4)]
+        spent = []
+        for state in states:
+            fu, fv = state.relation(("X",)), state.relation(("Y",))
+            fu.accumulate_all([((i,), x) for i, x in enumerate(u) if x])
+            fv.accumulate_all([((i,), x) for i, x in enumerate(v) if x])
+            before = state.counters.snapshot()
+            planned.clear()
+            state.apply_batch([FactorizedDelta("A", (fu, fv))])
+            plans.append(len(planned))
+            spent.append(tuple(b - a for a, b in zip(before, state.counters.snapshot())))
+        assert spent[0] == spent[1]
+        for node_id in plain.views:
+            assert dict(dense.stored(node_id).entries.items()) == dict(plain.stored(node_id).entries)
+        assert dict(dense.result().entries.items()) == dict(plain.result().entries)
+        assert dict(plain.result().entries) == dict(plain.recompute_oracle().entries)
+    assert plans[-2:] == [0, 0], plans
+
+
 # ---------------------------------------------------------------------------
 # factorized deltas
 
@@ -1109,11 +1164,11 @@ def test_optimize_factorized_contracts_one_variable_at_a_time():
     v = from_pairs(("B",), Z, [((5,), 3)])
     w = from_pairs(("B", "C"), Z, [((5, 7), 1), ((5, 8), 2), ((6, 7), 9)])
     lifts = {"B": lift_to_one("B"), "C": lift_to_one("C")}
-    steps, schemas = factorized_steps(
-        [u.schema, v.schema, w.schema], ("B",), partial(summing, lifts)
+    steps, operands = factorized_steps(
+        [(f.schema, f.shape) for f in (u, v, w)], ("B",), partial(plan_sum, Z, None, lifts)
     )
     out = optimize_factorized([u, v, w], steps)
-    assert [f.schema for f in out] == schemas
+    assert [(f.schema, f.shape) for f in out] == operands
     # u does not mention B, so it must be untouched
     assert any(f is u for f in out)
     assert len(out) == 2
@@ -1131,7 +1186,9 @@ def test_optimize_factorized_contracts_one_variable_at_a_time():
 def test_optimize_factorized_needs_the_variable_somewhere():
     u = from_pairs(("A",), Z, [((1,), 1)])
     with pytest.raises(ValueError):
-        factorized_steps([u.schema], ("Z",), partial(summing, {"Z": lift_to_one("Z")}))
+        factorized_steps(
+            [(u.schema, u.shape)], ("Z",), partial(plan_sum, Z, None, {"Z": lift_to_one("Z")})
+        )
 
 
 # ---------------------------------------------------------------------------

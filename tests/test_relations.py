@@ -471,6 +471,24 @@ def test_marginalize_requires_a_lift():
         rel_marginalize(r, ("Z",), {"Z": lift_to_one("Z")})
 
 
+def test_dense_operands_that_disagree_on_an_extent_sum_by_the_row_loop():
+    """``einsum`` would stretch X's one cell in ``a`` over all four of
+    ``b``'s. Operands that disagree on a variable's extent are summed by
+    the row loop, which joins only the cells both hold; the same operands
+    in one extent are contracted, to the same cells."""
+    real = real_ring()
+    b = DenseRelation(("X", "Y"), real, (4, 2))
+    b.entries[(0, 1)] = 3.0
+    b.entries[(2, 0)] = 5.0
+    lifts = {"X": lift_to_one("X")}
+    for shape, kind in (((1,), Relation), ((4,), DenseRelation)):
+        a = DenseRelation(("X",), real, shape)
+        a.fill([2.0])
+        out = rel_marginalize(a, ("X",), lifts, [(b, None)])
+        assert type(out) is kind
+        assert dict(out.entries.items()) == {(1,): 6.0}
+
+
 def test_join_drops_cancelled_outputs():
     left = rel(("A",), [((1,), 2), ((2,), 1)])
     right = rel(("A", "B"), [((1, 5), 3), ((1, 6), -3)])
