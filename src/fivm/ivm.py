@@ -36,6 +36,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from fivm.queries import RELATIONAL_PAYLOAD, Query, RelationDecl
 from fivm.relations import (
+    _BARE_STORE,
     DenseRelation,
     IndicatorState,
     OpCounters,
@@ -176,9 +177,12 @@ class RuntimeState:
         for d in self.query.relations:
             self.leaves[d.leaf_id] = self.relation(d.schema, d.leaf_id)
         # Per updatable relation name: its occurrences, its update schema
-        # and the maker of its merged deltas.
+        # and the maker of its merged plain deltas: a plain dict, unless
+        # the relation is stored dense.
         self._targets = {
-            name: (occs, occs[0].schema, self._maker(occs[0].schema))
+            name: (occs, occs[0].schema,
+                   dict if self.query.dense_shape(occs[0].schema) is None
+                   else self._maker(occs[0].schema))
             for name, occs in self.query.occurrences.items()
             if occs[0].leaf_id in tree.updatable
         }
@@ -224,13 +228,22 @@ class RuntimeState:
             self._accumulate(rel, d.name, data.get(d.name, ()))
         self.initialize(fresh)
 
-    def _accumulate(self, rel: Relation, name: str, pairs: Iterable[tuple[tuple, Any]]) -> None:
+    def _accumulate(
+        self, rel: Relation | dict, name: str, pairs: Iterable[tuple[tuple, Any]]
+    ) -> None:
         """Accumulate ``name``'s ``pairs`` into ``rel``, all of them passing
-        :meth:`Query.checked` first. When ``rel`` is dense and the check
-        can refuse none of its cells (:meth:`Query.checks_cells`), the
-        array's bounds test is that check: the pairs go straight to
+        :meth:`Query.checked` first. A plain dict (a merged delta) takes
+        them through the store loop of a relation without indexes, charged
+        the same units. When ``rel`` is dense and the check can refuse none
+        of its cells (:meth:`Query.checks_cells`), the array's bounds test
+        is that check: the pairs go straight to
         :meth:`DenseRelation.scatter`, and only a batch it does not take
         outright is checked and merged row by row."""
+        if type(rel) is dict:
+            ring = self.ring
+            rows = self.query.checked(pairs, name)
+            _BARE_STORE(rel, rows, None, self.counters, ring.add, ring.is_zero)
+            return
         if type(rel) is DenseRelation:
             schema = self.query.occurrences[name][0].schema
             if not self.query.checks_cells(name, schema, rel.shape):
@@ -243,7 +256,10 @@ class RuntimeState:
         """Evaluate the tree bottom-up over ``leaves`` and store the flagged
         nodes. Nothing is stored until every node is evaluated, so an error
         leaves the state as it was. A leaf must count on this state's
-        counters, the one block a generated climb charges."""
+        counters, the one block a generated climb charges. A stored view
+        is kept in the relation :meth:`relation` makes for its keys, so a
+        view over ranged variables is dense even when its level, lifting
+        a ranged variable other than to one, sums by the row loop."""
         for leaf_id, rel in leaves.items():
             if rel.counters is not self.counters:
                 raise ValueError(f"leaf {leaf_id} does not count on this state's counters")
@@ -273,6 +289,10 @@ class RuntimeState:
                 )
                 rel.name = node.id
                 if node.materialized:
+                    if type(rel) is Relation and self.query.dense_shape(node.keys) is not None:
+                        dense = self.relation(node.keys, node.id)
+                        dense.entries.update(rel.entries.items())
+                        rel = dense
                     views[node.id] = rel
             values[node.id] = rel
             if node.materialized:
@@ -301,11 +321,12 @@ class RuntimeState:
         first, *rest = [self.stored(r.id) for r in self.tree.roots]
         return rel_marginalize(first, (), {}, [(r, None) for r in rest])
 
-    def _enter(self, entry: ViewNode, form: list[Relation]) -> list[tuple[tuple, int]]:
+    def _enter(self, entry: ViewNode, form: dict | list[Relation]) -> list[tuple[tuple, int]]:
         """Push a delta that enters at ``entry`` up its compiled path.
 
-        A single dict delta over the entry's own keys runs the path's
-        generated function (:meth:`_climb`). Any other form, a product of
+        A plain dict, keyed positionally by the entry's own keys, runs the
+        path's generated function (:meth:`_climb`) directly, and so does a
+        single dict relation over those keys. Any other form, a product of
         factors or a dense delta, runs the plan made for its signature,
         each factor's (schema, shape) (:meth:`_plan`): at every level
         :func:`optimize_factorized` takes the planned steps over the
@@ -320,6 +341,8 @@ class RuntimeState:
         if path is None:
             path = self._paths[entry.id] = self._compile(entry)
         climb, stored, levels, plans = path
+        if type(form) is dict:
+            return climb(form)
         if len(form) == 1 and type(form[0]) is Relation and form[0].schema == entry.keys:
             return climb(form[0].entries)
         signature = tuple([(f.schema, f.shape) for f in form])
@@ -477,7 +500,7 @@ class RuntimeState:
         schema climbs its path by (a loaded state compiles it)."""
         return self._compile(self.tree.by_id[entry_id])[0].source
 
-    def propagate(self, leaf_id: str, form: list[Relation]) -> None:
+    def propagate(self, leaf_id: str, form: dict | list[Relation]) -> None:
         """Push one relation occurrence's delta through the whole tree.
 
         The occurrence's delta climbs its path first; its support
@@ -494,24 +517,26 @@ class RuntimeState:
 
         Plain deltas to the same relation are merged into one delta first,
         all those between two of its factorized deltas checked in one pass
-        (:meth:`_accumulate`); factorized deltas keep their product form
-        (:meth:`_factors`). The whole batch is checked (known, updatable
-        targets, key lengths, factor coverage, payloads within the ring's
-        degree) before anything propagates, so a rejected batch changes no
-        state. Values pass the query's entry check (``Query.checked``:
-        declared ranges and lifts) then too, so a later join never lifts an
-        unchecked value and the batch applies fully or not at all. Each
-        delta then enters each occurrence of its relation through
-        :meth:`propagate`, renamed (:meth:`_rebound`) for a self join's
-        later occurrences; nothing else is built around the climbs, so a
-        one-pair update costs one merged relation, one checked row and one
-        store call beyond its path. Returns the number of key-level changes
-        processed.
+        (:meth:`_accumulate`): into one plain dict, or one dense relation
+        when the relation is stored dense. Factorized deltas keep their
+        product form (:meth:`_factors`). The whole batch is checked (known,
+        updatable targets, key lengths, factor coverage, payloads within
+        the ring's degree) before anything propagates, so a rejected batch
+        changes no state. Values pass the query's entry check
+        (``Query.checked``: declared ranges and lifts) then too, so a later
+        join never lifts an unchecked value and the batch applies fully or
+        not at all. Each delta then enters each occurrence of its relation
+        through :meth:`propagate`: a dict as it is, its keys being
+        positional, and any other form renamed for a self join's later
+        occurrences (a dense factor stays dense). Nothing else is built
+        around the climbs, so a one-pair update costs one checked row and
+        one bare store call into a dict besides its path. Returns the
+        number of key-level changes processed.
         """
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
             by_name.setdefault(u.target, []).append(u)
-        batch: list[tuple[tuple[RelationDecl, ...], tuple[str, ...], list[list[Relation]]]] = []
+        batch: list[tuple[tuple[RelationDecl, ...], tuple[str, ...], list]] = []
         for name, items in by_name.items():
             target = self._targets.get(name)
             if target is None:
@@ -519,14 +544,14 @@ class RuntimeState:
                     raise ValueError(f"relation {name} is not updatable in this plan")
                 raise ValueError(f"update for unknown relation {name}")
             occurrences, schema, make = target
-            merged: Optional[Relation] = None
-            units: list[list[Relation]] = []
+            merged: Optional[Relation | dict] = None
+            units: list[dict | list[Relation]] = []
             pending: list[tuple] = []
             for u in items:
                 if isinstance(u, UpdateDelta):
                     if merged is None:
                         merged = make()
-                        units.append([merged])
+                        units.append(merged if type(merged) is dict else [merged])
                     pending += u.pairs
                 else:
                     if pending:
@@ -540,19 +565,25 @@ class RuntimeState:
         touched = 0
         for occurrences, schema, units in batch:
             for form in units:
+                if type(form) is dict:
+                    if form:
+                        touched += len(form)
+                        for occ in occurrences:
+                            self.propagate(occ.leaf_id, form)
+                    continue
                 sizes = [len(f.entries) for f in form]
                 if 0 in sizes:
                     continue
                 touched += sum(sizes)
                 for occ in occurrences:
                     # Each occurrence binds the relation's columns to its
-                    # own variables, so a delta entering another occurrence
-                    # than the first is renamed positionally.
-                    self.propagate(
-                        occ.leaf_id,
-                        form if occ.schema == schema
-                        else [self._rebound(f, occ.renaming) for f in form],
-                    )
+                    # own variables, so a product entering another
+                    # occurrence than the first is renamed, sharing entries.
+                    self.propagate(occ.leaf_id, form if occ.schema == schema else [
+                        type(f).of(tuple([occ.renaming[v] for v in f.schema]),
+                                   self.ring, f.entries, self.counters)
+                        for f in form
+                    ])
         return touched
 
     def _factors(
@@ -561,12 +592,12 @@ class RuntimeState:
         """A factorized delta's ``factors``, checked: each factor's rows
         pass ``Query.checked`` (a dense factor whose cells it cannot refuse
         skips it) and the factors together cover ``schema``. They come back
-        on this state's counters. A dense factor whose shape is not the
-        one its variables declare comes back copied into a relation of the
-        declared layout, so every dense operand a plan sees has its
-        declared shape. A single dict factor over ``schema``'s columns in
-        another order comes back reordered into ``schema``, so it climbs by
-        the path's generated function."""
+        on this state's counters, sharing their entries. A dense factor
+        whose shape is not the one its variables declare comes back copied
+        into a relation of the declared layout, so every dense operand a
+        plan sees has its declared shape. A single dict factor over
+        ``schema``'s columns in another order comes back reordered into
+        ``schema``, so it climbs by the path's generated function."""
         covered: set[str] = set()
         checked = []
         for f in factors:
@@ -589,20 +620,11 @@ class RuntimeState:
             out = Relation(schema, self.ring, self.counters, f.name)
             out.entries = {pick(k): v for k, v in f.entries.items()}
             return [out]
-        return [f if f.counters is self.counters else self._rebound(f, {}) for f in checked]
-
-    def _rebound(self, rel: Relation, renaming: dict[str, str]) -> Relation:
-        """``rel`` on this state's counters with each column renamed by
-        ``renaming`` (a column it misses keeps its name), sharing its
-        entries; a dense relation stays dense."""
-        schema = tuple([renaming.get(v, v) for v in rel.schema])
-        if type(rel) is DenseRelation:
-            out = DenseRelation.of(schema, rel.ring, rel.entries, self.counters)
-            out.name = rel.name
-            return out
-        out = Relation(schema, rel.ring, counters=self.counters, name=rel.name)
-        out.entries = rel.entries
-        return out
+        return [
+            f if f.counters is self.counters
+            else type(f).of(f.schema, self.ring, f.entries, self.counters)
+            for f in checked
+        ]
 
     def recompute_oracle(self) -> Relation:
         """Recompute the result from the current base relations only."""

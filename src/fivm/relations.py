@@ -289,6 +289,18 @@ class Relation:
         self._store = _store_function(type(self) is DenseRelation, shape)(*self.indexes.values())
         return spec
 
+    @classmethod
+    def of(
+        cls, schema: tuple, ring: RingSpec, entries: Any, counters: Optional[OpCounters]
+    ) -> Relation:
+        """A relation of this class over ``schema`` whose entries are
+        ``entries`` themselves, not a copy: a dict, or a dense relation's
+        cells (None for one whose cells are set before each use)."""
+        rel = cls.__new__(cls)
+        Relation.__init__(rel, schema, ring, counters)
+        rel.entries = entries
+        return rel
+
     def _new_index(self, probe_pos: tuple, group_pos: Optional[int]) -> Any:
         return _fill_function(probe_pos, group_pos)(self.entries)
 
@@ -323,17 +335,6 @@ class DenseRelation(Relation):
     def __init__(self, schema, ring: RingSpec, shape: tuple[int, ...], counters=None, name=""):
         super().__init__(schema, ring, counters, name)
         self.entries = DenseCells(np.zeros(shape), 0)
-
-    @classmethod
-    def of(
-        cls, schema: tuple, ring: RingSpec, cells: Optional[DenseCells], counters=None
-    ) -> DenseRelation:
-        """A relation over ``schema`` whose entries are ``cells`` themselves
-        (None for one whose cells are set before each use)."""
-        rel = cls.__new__(cls)
-        Relation.__init__(rel, schema, ring, counters)
-        rel.entries = cells
-        return rel
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -329,6 +329,32 @@ def test_one_pair_deltas_merge_into_one_delta(case):
         assert outcomes[0][2] == start
 
 
+@pytest.mark.parametrize("case", ["chain", "self-join"])
+def test_a_one_pair_update_on_a_dict_plan_builds_no_relation(case, monkeypatch):
+    """A one-pair ``UpdateDelta`` to a dict-stored relation is checked and
+    merged into one plain dict, which each occurrence's generated climb
+    takes as it is, a self join's later occurrence too: once the paths are
+    compiled, no ``Relation`` is made between the row check and the climb.
+    The views and the root equal a recompute."""
+    make, name, pairs = MERGE_CASES[case]
+    state = make()
+    state.apply_batch([UpdateDelta(name, (pairs[0],))])  # compiles the paths
+    made = []
+    init = Relation.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Relation, "__init__", counted)
+    for pair in pairs[1:]:
+        state.apply_batch([UpdateDelta(name, (pair,))])
+    monkeypatch.undo()
+    assert made == []
+    assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
+    assert_views_match_fresh(state)
+
+
 def test_update_keys_land_as_loaded_keys():
     """Update keys are normalised as ``load`` normalises them: list keys
     land under the tuple keys, and on a query with declared ranges so do
@@ -901,12 +927,13 @@ def test_self_join_random_stream_matches_oracle(steps):
 
 
 def test_each_self_join_occurrence_climbs_its_own_function(monkeypatch):
-    """A self join's delta reaches each occurrence under that occurrence's
-    variables (``RuntimeState._rebound``), and each climbs its path by the
-    function generated for that occurrence: every delta entering R#1 or
-    R#2 is one plain relation over the occurrence's keys, and each runs
-    that occurrence's function. The stored views, the root and the listing
-    stay equal to a recompute after every step."""
+    """A self join's plain delta reaches each occurrence as one plain dict,
+    its keys positional, so the same pairs are a delta over either
+    occurrence's keys, and each climbs its path by the function generated
+    for that occurrence: every delta entering R#1 or R#2 is the update's
+    one pair in a dict, and each runs that occurrence's function. The
+    stored views, the root and the listing stay equal to a recompute after
+    every step."""
     query = Query(
         [("R", ("A", "B")), ("R", ("B", "C"))],
         ("A", "B", "C"),
@@ -922,7 +949,7 @@ def test_each_self_join_occurrence_climbs_its_own_function(monkeypatch):
     enter, compile_path = state._enter, state._compile
 
     def record(entry, form):
-        forms[entry.id].append([(type(f), f.schema) for f in form])
+        forms[entry.id].append((type(form), dict(form)))
         return enter(entry, form)
 
     def counted(entry):
@@ -939,19 +966,18 @@ def test_each_self_join_occurrence_climbs_its_own_function(monkeypatch):
     monkeypatch.setattr(state, "_compile", counted)
     rng = random.Random(21)
     live = {(1, 2): 1, (2, 3): 1}
+    sent = []
     for _ in range(30):
         key = (rng.randrange(4), rng.randrange(4))
         sign = -1 if live.get(key) and rng.random() < 0.4 else 1
         live[key] = live.get(key, 0) + sign
+        sent.append((dict, {key: sign}))
         state.apply_batch([UpdateDelta("R", ((key, sign),))])
         assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
         assert_views_match_fresh(state)
         listing = recompute_query(query, state.leaves, query.free)
         assert dict(enumerate_result(state)) == dict(listing.entries)
-    assert forms == {
-        "R#1": [[(Relation, ("A", "B"))]] * 30,
-        "R#2": [[(Relation, ("B", "C"))]] * 30,
-    }
+    assert forms == {"R#1": sent, "R#2": sent}
     assert runs == {"R#1": 30, "R#2": 30}
     assert climbs["R#1"] is not climbs["R#2"]
     assert climbs["R#1"].__code__.co_filename == "<fivm climb R#1>"
@@ -961,7 +987,7 @@ def test_each_self_join_occurrence_climbs_its_own_function(monkeypatch):
 def test_a_dense_self_join_contracts_every_occurrence_like_the_dict_path(monkeypatch):
     """A(X,Y) A(Y,Z) with X, Y and Z ranged 4 is stored dense; its twin
     without ranges in dicts. A rank-one update to A reaches A#2 renamed
-    (``RuntimeState._rebound``) and still dense, so both occurrences
+    (``RuntimeState.apply_batch``) and still dense, so both occurrences
     contract through ``_contract``, and each update's counted units, the
     stored views and the root equal the dict twin's."""
     states = []
@@ -1016,14 +1042,10 @@ def test_a_dense_self_join_contracts_every_occurrence_like_the_dict_path(monkeyp
         assert dict(plain.result().entries) == dict(plain.recompute_oracle().entries)
 
 
-def test_a_product_with_a_lifted_level_is_planned_once_per_signature(monkeypatch):
-    """A(X,Y) B(Y,Z) with free X and Z, Y lifted by identity: stored dense
-    (ranges 3, 4, 2) and, its twin, in dicts. The lift keeps the level
-    that sums Y out of an ``einsum``, so the dense path mixes contracted
-    and row-loop steps. A rank-one update to A plans every product step
-    at the path's first update of its signature: the third calls
-    ``plan_shape`` not once on either twin, and each update's counted
-    units, the stored views and the root equal the dict twin's."""
+def lifted_level_twins():
+    """A(X,Y) B(Y,Z) with free X and Z, Y lifted by identity, loaded: the
+    state stored dense (ranges 3, 4, 2), its twin in dicts, and the random
+    source that made the data."""
     states = []
     for ranges in ({"X": 3, "Y": 4, "Z": 2}, None):
         query = Query(
@@ -1032,7 +1054,6 @@ def test_a_product_with_a_lifted_level_is_planned_once_per_signature(monkeypatch
         )
         tree = plan_view_tree(query, VariableOrder([["Y", ["X"], ["Z"]]]), updatable=("A",))
         states.append(RuntimeState(tree))
-    dense, plain = states
     rng = random.Random(5)
     data = {
         "A": [((x, y), float(rng.choice([-1, 1, 2]))) for x in range(3) for y in range(4)
@@ -1042,6 +1063,18 @@ def test_a_product_with_a_lifted_level_is_planned_once_per_signature(monkeypatch
     }
     for state in states:
         state.load(data)
+    return states, rng
+
+
+def test_a_product_with_a_lifted_level_is_planned_once_per_signature(monkeypatch):
+    """The twins of :func:`lifted_level_twins`. The lift keeps the level
+    that sums Y out of an ``einsum``, so the dense path mixes contracted
+    and row-loop steps. A rank-one update to A plans every product step
+    at the path's first update of its signature: the third calls
+    ``plan_shape`` not once on either twin, and each update's counted
+    units, the stored views and the root equal the dict twin's."""
+    states, rng = lifted_level_twins()
+    dense, plain = states
     assert isinstance(dense.leaves["A"], DenseRelation)
     assert dense.counters.snapshot() == plain.counters.snapshot()
     planned = []
@@ -1069,6 +1102,43 @@ def test_a_product_with_a_lifted_level_is_planned_once_per_signature(monkeypatch
         assert dict(dense.result().entries.items()) == dict(plain.result().entries)
         assert dict(plain.result().entries) == dict(plain.recompute_oracle().entries)
     assert plans[-2:] == [0, 0], plans
+
+
+def test_a_view_whose_level_lifts_a_ranged_variable_is_stored_dense():
+    """In the dense twin of :func:`lifted_level_twins` the level of
+    ``V@Y(A+B)`` sums Y, lifted by identity, by the row loop, and the view
+    over the ranged X and Z is stored dense all the same, like every
+    relation over ranged variables. Under point and rank-one updates to A
+    its entries, the root and each update's counted units equal the dict
+    twin's."""
+    states, rng = lifted_level_twins()
+    dense, plain = states
+    assert isinstance(dense.views["V@Y(A+B)"], DenseRelation)
+    assert type(plain.views["V@Y(A+B)"]) is Relation
+    assert dense.counters.snapshot() == plain.counters.snapshot()
+    for step in range(6):
+        pairs = tuple(((rng.randrange(3), rng.randrange(4)), float(rng.choice([-1, 2])))
+                      for _ in range(step % 3 + 1))
+        u = [float(rng.choice([-1, 0, 2])) for _ in range(3)]
+        v = [float(rng.choice([1, -3])) for _ in range(4)]
+        spent = []
+        for state in states:
+            if step % 2:
+                batch = [UpdateDelta("A", pairs)]
+            else:
+                fu, fv = state.relation(("X",)), state.relation(("Y",))
+                fu.accumulate_all([((i,), x) for i, x in enumerate(u) if x])
+                fv.accumulate_all([((i,), x) for i, x in enumerate(v) if x])
+                batch = [FactorizedDelta("A", (fu, fv))]
+            before = state.counters.snapshot()
+            state.apply_batch(batch)
+            spent.append(tuple(b - a for a, b in zip(before, state.counters.snapshot())))
+        assert spent[0] == spent[1]
+        assert isinstance(dense.views["V@Y(A+B)"], DenseRelation)
+        for node_id in plain.views:
+            assert dict(dense.stored(node_id).entries.items()) == dict(plain.stored(node_id).entries)
+        assert dict(dense.result().entries.items()) == dict(plain.result().entries)
+        assert dict(plain.result().entries) == dict(plain.recompute_oracle().entries)
 
 
 # ---------------------------------------------------------------------------
