@@ -172,20 +172,18 @@ class RuntimeState:
             self.payload_xform = relational_total
         else:
             self.payload_xform = None
-        # Per schema, what relation() calls to make an empty relation.
-        self._makers: dict[tuple[str, ...], partial] = {}
+        # Per schema, what relation() calls to make an empty one (see _maker).
+        self._makers: dict[tuple[str, ...], tuple[partial, Optional[tuple[int, ...]]]] = {}
         for d in self.query.relations:
             self.leaves[d.leaf_id] = self.relation(d.schema, d.leaf_id)
         # Per updatable relation name: its occurrences, its update schema
         # and the maker of its merged plain deltas: a plain dict, unless
         # the relation is stored dense.
-        self._targets = {
-            name: (occs, occs[0].schema,
-                   dict if self.query.dense_shape(occs[0].schema) is None
-                   else self._maker(occs[0].schema))
-            for name, occs in self.query.occurrences.items()
-            if occs[0].leaf_id in tree.updatable
-        }
+        self._targets = {}
+        for name, occs in self.query.occurrences.items():
+            if occs[0].leaf_id in tree.updatable:
+                make, shape = self._maker(occs[0].schema)
+                self._targets[name] = occs, occs[0].schema, dict if shape is None else make
         # Per delta entry id, its compiled path (see _compile), and the
         # compiled listing walk (see fivm.enumeration.compiled_walk).
         self._paths: dict[str, tuple] = {}
@@ -195,20 +193,33 @@ class RuntimeState:
     def relation(self, schema: tuple[str, ...], name: str = "") -> Relation:
         """An empty relation over ``schema`` on this state's counters,
         dense when the query declares the ranges of all its variables."""
-        return self._maker(schema)(name=name)
+        return self._maker(schema)[0](name=name)
 
-    def _maker(self, schema: tuple[str, ...]) -> partial:
-        """What :meth:`relation` calls to make an empty relation over
-        ``schema``, made at the schema's first relation."""
-        make = self._makers.get(schema)
-        if make is None:
+    def _maker(self, schema: tuple[str, ...]) -> tuple[partial, Optional[tuple[int, ...]]]:
+        """What :meth:`relation` calls for ``schema`` and the shape of its
+        cells (None for a dict), fixed at the schema's first relation."""
+        layout = self._makers.get(schema)
+        if layout is None:
             shape = self.query.dense_shape(schema)
             if shape is None:
                 make = partial(Relation, schema, self.ring, self.counters)
             else:
                 make = partial(DenseRelation, schema, self.ring, shape, self.counters)
-            self._makers[schema] = make
-        return make
+            layout = self._makers[schema] = make, shape
+        return layout
+
+    def _adopt(self, rel: Relation) -> Relation:
+        """``rel`` in the layout :meth:`relation` makes for its variables, on
+        this state's counters: itself if it is, sharing its entries if only
+        the counters differ, else copied (each of its keys must fit)."""
+        make, shape = self._maker(rel.schema)
+        if rel.shape != shape:
+            copy = make(name=rel.name)
+            copy.entries.update(rel.entries.items())
+            return copy
+        if rel.counters is not self.counters:
+            rel = type(rel).of(rel.schema, self.ring, rel.entries, self.counters)
+        return rel
 
     def load(self, data: dict[str, Iterable[tuple[tuple, Any]]]) -> None:
         """Fill the base relations and evaluate every view bottom-up.
@@ -257,9 +268,9 @@ class RuntimeState:
         nodes. Nothing is stored until every node is evaluated, so an error
         leaves the state as it was. A leaf must count on this state's
         counters, the one block a generated climb charges. A stored view
-        is kept in the relation :meth:`relation` makes for its keys, so a
-        view over ranged variables is dense even when its level, lifting
-        a ranged variable other than to one, sums by the row loop."""
+        is kept in the layout :meth:`_adopt` gives it, so a view over ranged
+        variables is dense even when its level, lifting a ranged variable
+        other than to one, sums by the row loop."""
         for leaf_id, rel in leaves.items():
             if rel.counters is not self.counters:
                 raise ValueError(f"leaf {leaf_id} does not count on this state's counters")
@@ -287,13 +298,9 @@ class RuntimeState:
                     values[first.id], node.marg_vars, node.lifts, joins,
                     schema=node.keys, payload_map=self.payload_xform,
                 )
-                rel.name = node.id
                 if node.materialized:
-                    if type(rel) is Relation and self.query.dense_shape(node.keys) is not None:
-                        dense = self.relation(node.keys, node.id)
-                        dense.entries.update(rel.entries.items())
-                        rel = dense
-                    views[node.id] = rel
+                    rel = views[node.id] = self._adopt(rel)
+                rel.name = node.id
             values[node.id] = rel
             if node.materialized:
                 for probe, group in node.required_indices:
@@ -324,11 +331,11 @@ class RuntimeState:
     def _enter(self, entry: ViewNode, form: dict | list[Relation]) -> list[tuple[tuple, int]]:
         """Push a delta that enters at ``entry`` up its compiled path.
 
-        A plain dict, keyed positionally by the entry's own keys, runs the
-        path's generated function (:meth:`_climb`) directly, and so does a
-        single dict relation over those keys. Any other form, a product of
-        factors or a dense delta, runs the plan made for its signature,
-        each factor's (schema, shape) (:meth:`_plan`): at every level
+        ``form`` has one of two forms. A plain dict, keyed positionally by
+        the entry's own keys, runs the path's generated function
+        (:meth:`_climb`) directly. A list of factors, a product or a dense
+        delta, runs the plan made for its signature, each factor's
+        (schema, shape) (:meth:`_plan`): at every level
         :func:`optimize_factorized` takes the planned steps over the
         level's factors and siblings. Either way every level is computed
         against the state before the delta; only then are the stored
@@ -343,8 +350,6 @@ class RuntimeState:
         climb, stored, levels, plans = path
         if type(form) is dict:
             return climb(form)
-        if len(form) == 1 and type(form[0]) is Relation and form[0].schema == entry.keys:
-            return climb(form[0].entries)
         signature = tuple([(f.schema, f.shape) for f in form])
         plan = plans.get(signature)
         if plan is None:
@@ -504,13 +509,13 @@ class RuntimeState:
         """Push one relation occurrence's delta through the whole tree.
 
         The occurrence's delta climbs its path first; its support
-        transitions then become the delta of each existence projection it
-        feeds, which climbs its own path against the updated state.
+        transitions then become each fed existence projection's delta, a
+        plain dict that climbs its own path against the updated state.
         """
         transitions = self._enter(self.tree.leaf_nodes[leaf_id], form)
         for ind in self.tree.feeds[leaf_id]:
             state = self.indicator_states[ind.id]
-            self._enter(ind, [indicator_delta(state, transitions, counters=self.counters)])
+            self._enter(ind, indicator_delta(state, transitions, self.counters).entries)
 
     def apply_batch(self, updates: Iterable[UpdateDelta | FactorizedDelta]) -> int:
         """Apply a batch of updates, one relation at a time in arrival order.
@@ -519,19 +524,19 @@ class RuntimeState:
         all those between two of its factorized deltas checked in one pass
         (:meth:`_accumulate`): into one plain dict, or one dense relation
         when the relation is stored dense. Factorized deltas keep their
-        product form (:meth:`_factors`). The whole batch is checked (known,
-        updatable targets, key lengths, factor coverage, payloads within
-        the ring's degree) before anything propagates, so a rejected batch
-        changes no state. Values pass the query's entry check
-        (``Query.checked``: declared ranges and lifts) then too, so a later
-        join never lifts an unchecked value and the batch applies fully or
-        not at all. Each delta then enters each occurrence of its relation
-        through :meth:`propagate`: a dict as it is, its keys being
-        positional, and any other form renamed for a self join's later
-        occurrences (a dense factor stays dense). Nothing else is built
-        around the climbs, so a one-pair update costs one checked row and
-        one bare store call into a dict besides its path. Returns the
-        number of key-level changes processed.
+        product form, but for a single dict factor (:meth:`_factors`). The
+        whole batch is checked (known, updatable targets, key lengths,
+        factor coverage, payloads within the ring's degree) before anything
+        propagates, so a rejected batch changes no state. Values pass the
+        query's entry check (``Query.checked``: declared ranges and lifts)
+        then too, so a later join never lifts an unchecked value and the
+        batch applies fully or not at all. Each delta then enters each
+        occurrence of its relation through :meth:`propagate`: a dict as it
+        is, its keys being positional, and any other form renamed for a
+        self join's later occurrences (a dense factor stays dense). Nothing
+        else is built around the climbs, so a one-pair update costs one
+        checked row and one bare store call into a dict besides its path.
+        Returns the number of key-level changes processed.
         """
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
@@ -588,43 +593,34 @@ class RuntimeState:
 
     def _factors(
         self, name: str, schema: tuple[str, ...], factors: tuple[Relation, ...]
-    ) -> list[Relation]:
+    ) -> dict | list[Relation]:
         """A factorized delta's ``factors``, checked: each factor's rows
         pass ``Query.checked`` (a dense factor whose cells it cannot refuse
-        skips it) and the factors together cover ``schema``. They come back
-        on this state's counters, sharing their entries. A dense factor
-        whose shape is not the one its variables declare comes back copied
-        into a relation of the declared layout, so every dense operand a
-        plan sees has its declared shape. A single dict factor over
-        ``schema``'s columns in another order comes back reordered into
-        ``schema``, so it climbs by the path's generated function."""
+        skips it) and the factors together cover ``schema``. A single dict
+        factor comes back as a plain dict keyed in ``schema``'s column
+        order, the form of a merged plain delta, so it climbs by the path's
+        generated function. Any other factor comes back in the layout
+        :meth:`relation` makes for its variables, on this state's counters
+        (:meth:`_adopt`), so every operand a plan sees has its declared
+        layout; a single one that is then a dict comes back plain too."""
         covered: set[str] = set()
         checked = []
         for f in factors:
             covered.update(f.schema)
-            dense = isinstance(f, DenseRelation)
-            if not dense or self.query.checks_cells(name, f.schema, f.shape):
+            if not isinstance(f, DenseRelation) or self.query.checks_cells(name, f.schema, f.shape):
                 self.query.checked(f.entries.items(), name, f.schema)
-                if dense and f.shape != self.query.dense_shape(f.schema):
-                    # the check has put every nonzero cell in range
-                    copy = self.relation(f.schema, f.name)
-                    copy.entries.update(f.entries.items())
-                    f = copy
-            checked.append(f)
+            # the check has put every nonzero cell in range
+            checked.append(f if len(factors) == 1 and type(f) is Relation else self._adopt(f))
         if covered != set(schema):
             raise ValueError(f"factors cover {sorted(covered)}, not schema {schema}")
-        if len(checked) == 1 and type(checked[0]) is Relation and checked[0].schema != schema:
-            f = checked[0]
-            # a permutation moves two columns or more, so pick gives tuples
-            pick = itemgetter(*[f.schema.index(v) for v in schema])
-            out = Relation(schema, self.ring, self.counters, f.name)
-            out.entries = {pick(k): v for k, v in f.entries.items()}
-            return [out]
-        return [
-            f if f.counters is self.counters
-            else type(f).of(f.schema, self.ring, f.entries, self.counters)
-            for f in checked
-        ]
+        if len(checked) != 1 or type(checked[0]) is not Relation:
+            return checked
+        f = checked[0]
+        if f.schema == schema:
+            return f.entries
+        # a permutation moves two columns or more, so pick gives tuples
+        pick = itemgetter(*[f.schema.index(v) for v in schema])
+        return {pick(k): v for k, v in f.entries.items()}
 
     def recompute_oracle(self) -> Relation:
         """Recompute the result from the current base relations only."""

@@ -5,8 +5,11 @@ payloads. Storage is a plain insertion-ordered dict plus any number of
 secondary hash indexes, each grouping full keys first by a probe prefix and
 then by an optional group column. All data access is counted so that
 maintenance cost can be measured in ring-agnostic units: payload reads,
-payload writes, and index probes. Bulk operators fetch the ring's bound
-operators once and add their units to the counter block once per call.
+payload writes, and index probes. Every relation counts on a counter
+block (:class:`OpCounters`), the one it is made with or else one of its
+own, so no operator tests for a missing one. Bulk operators fetch the
+ring's bound operators once and add their units to the counter block once
+per call.
 
 One planner, :func:`plan_sum`, picks how every join-and-sum runs: one
 ``einsum`` over dense cells, or a row loop generated as Python source
@@ -88,12 +91,11 @@ class OpCounters:
         return (self.entry_reads, self.entry_writes, self.index_probes)
 
 
-def _tally(counters: Optional[OpCounters], reads: int = 0, writes: int = 0, probes: int = 0) -> None:
-    """Add one call's units to ``counters``; a relation without one counts nothing."""
-    if counters is not None:
-        counters.entry_reads += reads
-        counters.entry_writes += writes
-        counters.index_probes += probes
+def _tally(counters: OpCounters, reads: int = 0, writes: int = 0, probes: int = 0) -> None:
+    """Add one call's units to ``counters``."""
+    counters.entry_reads += reads
+    counters.entry_writes += writes
+    counters.index_probes += probes
 
 
 @lru_cache(maxsize=64)
@@ -209,6 +211,10 @@ class Relation:
     value of ``group_var`` when one is set. Indexes are maintained eagerly
     and empty buckets are removed, so iterating a bucket's groups always
     yields live values only.
+
+    Every access is charged to ``counters``. A relation made without a
+    counter block gets its own :class:`OpCounters`, so it still counts,
+    on a block no runtime state reads.
     """
 
     __slots__ = ("schema", "ring", "entries", "indexes", "_store", "counters", "name")
@@ -228,7 +234,7 @@ class Relation:
         self.indexes: dict[tuple, dict] = {}
         # the store loop, bound to the index tables by ensure_index
         self._store: Any = _BARE_STORE
-        self.counters = counters
+        self.counters = OpCounters() if counters is None else counters
         self.name = name
 
     def __repr__(self) -> str:
@@ -239,8 +245,7 @@ class Relation:
         """Scan all entries in insertion order, counting one read each."""
         counters = self.counters
         for key, val in self.entries.items():
-            if counters is not None:
-                counters.entry_reads += 1
+            counters.entry_reads += 1
             yield key, val
 
     def accumulate(self, key: tuple, payload: Any) -> int:
@@ -318,8 +323,8 @@ class Relation:
 def from_pairs(
     schema: Iterable[str], ring: RingSpec, pairs: Iterable[tuple[tuple, Any]]
 ) -> Relation:
-    """Build an uncounted relation by accumulating (key, payload) pairs in
-    order."""
+    """Build a relation on its own counters by accumulating (key, payload)
+    pairs in order."""
     rel = Relation(schema, ring)
     rel.accumulate_all((tuple(key), val) for key, val in pairs)
     return rel
@@ -835,11 +840,10 @@ def _store_function(dense: bool, shape: tuple) -> Any:
     code.add(3, "c += 1")
     code.add(3, "if moves is not None:")
     code.add(4, "moves.append((k, m))")
-    code.add(2, "if counters is not None:")
-    code.add(3, "counters.entry_reads += r")
-    code.add(3, "counters.entry_writes += w + c")
+    code.add(2, "counters.entry_reads += r")
+    code.add(2, "counters.entry_writes += w + c")
     if shape:
-        code.add(3, f"counters.index_probes += {len(shape)} * c")
+        code.add(2, f"counters.index_probes += {len(shape)} * c")
     code.add(1, "return store")
     return code.compile("bind", f"store {(dense, shape)}")
 
@@ -992,11 +996,7 @@ def _contract(plan: Contraction, ops: Sequence[Relation]) -> DenseCells:
             return DenseCells(np.zeros(plan.shape), 0)
         units = _contract_units(plan.levels, nonzero, _joined(plan, cells, nonzero))
     for r, (reads, writes, probes) in zip(ops, units):
-        counters = r.counters
-        if counters is not None:
-            counters.entry_reads += reads
-            counters.entry_writes += writes
-            counters.index_probes += probes
+        _tally(r.counters, reads, writes, probes)
     array = np.einsum(plan.spec, *[c.array for c in cells], optimize=plan.path)
     if len(cells) == 1:
         # one operand may come back as a view of its own array
@@ -1028,8 +1028,7 @@ def rel_apply_delta(target: Relation, delta: Relation) -> list[tuple[tuple, int]
         raise ValueError(f"delta schema mismatch: {target.schema} vs {delta.schema}")
     transitions: list[tuple[tuple, int]] = []
     n = len(delta.entries)
-    if delta.counters is not None:
-        delta.counters.entry_reads += n
+    delta.counters.entry_reads += n
     if not (type(target) is DenseRelation and type(delta) is DenseRelation):
         ring = target.ring
         target._store(

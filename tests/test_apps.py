@@ -1044,6 +1044,40 @@ def test_a_factor_in_a_foreign_shape_climbs_in_its_declared_one(values):
     assert np.allclose(state.result().entries.array, recomputed, rtol=1e-12)
 
 
+def test_a_dict_product_factor_over_ranged_variables_reaches_the_plan_dense(monkeypatch):
+    """A rank-one factor given as a dict relation over X2, whose range is
+    declared, is copied into the dense relation the state makes over X2
+    before it enters A2's plan. So it plans and counts as a state-made
+    factor does: the same update with a state-made factor spends the same
+    units and leaves the same leaves, views and root."""
+    values, col = [1.0, 0.0, -2.0, 3.0], [2.0, -1.0, 0.0, 1.0]
+    runs = []
+    for made in ("dict", "state"):
+        state, _ = chain_runtime((4, 4, 4, 4))
+        if made == "dict":
+            u = Relation(("X2",), state.ring)
+            u.accumulate_all(((i,), x) for i, x in enumerate(values) if x)
+        else:
+            u = state.relation(("X2",))
+            u.fill(values)
+        v = state.relation(("X3",))
+        v.fill(col)
+        forms = []
+        enter = state._enter
+
+        def record(entry, form, enter=enter, forms=forms):
+            forms.append([(type(f), f.shape) for f in form])
+            return enter(entry, form)
+
+        monkeypatch.setattr(state, "_enter", record)
+        before = state.counters.snapshot()
+        state.apply_batch([FactorizedDelta("A2", (u, v))])
+        units = tuple(b - a for a, b in zip(before, state.counters.snapshot()))
+        runs.append((forms, units, chain_snapshot(state), dict(state.result().entries)))
+    assert runs[0][0] == [[(DenseRelation, (4,)), (DenseRelation, (4,))]]
+    assert runs[0] == runs[1]
+
+
 def test_a_full_rank_one_update_pays_one_einsum_per_contraction(monkeypatch):
     """Fully nonzero operands count their joined rows in closed form, and
     factors stored as their relation's cells skip the per-cell check."""

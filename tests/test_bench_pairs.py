@@ -18,12 +18,12 @@ METRICS = [
 ]
 
 
-def run(pair, side, rate, lat, failed=0):
+def run(pair, side, rate, lat, failed=0, attempted=None):
     metrics = {"rate": {"value": rate}, "lat": {"value": lat}}
-    return {
-        "workload": "w", "pair": pair, "side": side,
-        "result": {"failed": failed, "metrics": metrics},
-    }
+    result = {"failed": failed, "metrics": metrics}
+    if attempted is not None:
+        result["attempted"] = attempted
+    return {"workload": "w", "pair": pair, "side": side, "result": result}
 
 
 def test_a_clear_win_on_every_pair_is_claimable():
@@ -78,6 +78,23 @@ def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved():
     for p, rate in enumerate(parent_rates):
         runs += [run(p, "parent", rate, 10.0), run(p, "change", 150, 10.0)]
     assert not bench_pairs.summarize(runs, METRICS)["w"]["rate"]["unresolved"]
+
+
+def test_each_side_reports_its_median_attempted_operations():
+    """The median is taken per side over the runs that report ``attempted``;
+    a run without the count, or without a result, is left out."""
+    runs = []
+    for p, (parent, change) in enumerate([(100, 130), (300, 110), (200, 120)]):
+        runs += [run(p, "parent", 100, 10.0, attempted=parent),
+                 run(p, "change", 100, 10.0, attempted=change)]
+    runs += [run(3, "parent", 100, 10.0), {"workload": "w", "pair": 3, "side": "change",
+                                           "result": None}]
+    got = bench_pairs.summarize(runs, METRICS)["w"]
+    assert got["attempted"] == {"parent": 200.0, "change": 120.0}
+    bare = [run(0, "parent", 100, 10.0), run(0, "change", 100, 10.0)]
+    assert bench_pairs.summarize(bare, METRICS)["w"]["attempted"] == {
+        "parent": None, "change": None
+    }
 
 
 def test_the_printout_has_one_line_per_metric():

@@ -35,10 +35,10 @@ from fivm.harness.scenario import (
 )
 from fivm.harness.streams import StreamEvent, synthesize_stream
 from fivm.apps import RegressionConfig
-from fivm.ivm import recompute_query
+from fivm.ivm import RuntimeState, recompute_query
 from fivm.relations import Relation
 from fivm.rings import CovarianceTriple, integer_ring, real_ring, relational_ring
-from fivm.viewtree import plan_flat_tree
+from fivm.viewtree import INDICATOR, plan_flat_tree
 
 COUNT_SCN = {
     "name": "pair_count",
@@ -617,6 +617,59 @@ def test_regression_app_reports_through_the_run():
     assert result.converged
     assert result.theta["intercept"] == pytest.approx(1.0, abs=1e-6)
     assert result.theta["X"] == pytest.approx(2.0, abs=1e-6)
+
+
+def test_an_all_deleting_regression_run_keeps_its_last_coefficients(tmp_path, monkeypatch):
+    """A regression scenario whose stream deletes every tuple it inserted
+    leaves the root with no triple after its last batch. The app then
+    skips that batch: the run keeps the coefficients of the batch before,
+    and ``fivm run`` exports them and exits 0."""
+    doc = stats_doc(kind="regression", label="Y", features=["X"], step_size=0.05)
+    rows = doc["relations"][0]["rows"]
+    signed = [r + [1] for r in rows] + [r + [-1] for r in rows]
+    doc["relations"][0].update(signed=True, rows=signed)
+    doc.update(batch_size=2, shuffle=False)
+    returned = []
+    run_app = engines._run_app
+
+    def spy(*args):
+        returned.append(run_app(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(engines, "_run_app", spy)
+    report = run_scenario(compile_scenario(scenario_from_dict(doc)), engine_name="fivm")
+    assert len(report.rows) == len(returned) == 3
+    assert report.engine.root_snapshot() == {}
+    assert returned[-1] is returned[-2]
+    theta = report.app_results["regression"].theta
+    assert theta is returned[-1]
+    # the last fit saw (1, 3) and (2, 5), both on y = 1 + 2x
+    assert theta["intercept"] == pytest.approx(1.0, abs=1e-6)
+    assert theta["X"] == pytest.approx(2.0, abs=1e-6)
+    out = tmp_path / "theta.csv"
+    assert main(["run", "-s", write_scenario(tmp_path, doc), "--export", str(out)]) == 0
+    with out.open() as f:
+        exported = {row[0]: float(row[1]) for row in list(csv.reader(f))[1:]}
+    assert exported == pytest.approx(theta)
+
+
+@pytest.mark.parametrize("name", ["triangle_count", "triangle_retract"])
+def test_indicator_deltas_climb_as_plain_dicts(name, monkeypatch):
+    """Every delta of the bundled triangle scenarios, indicator deltas
+    included, enters its path as a plain dict over the entry's keys."""
+    entered = []
+    enter = RuntimeState._enter
+
+    def record(self, entry, form):
+        entered.append((entry, form))
+        return enter(self, entry, form)
+
+    monkeypatch.setattr(RuntimeState, "_enter", record)
+    run_scenario(compile_scenario(load_scenario(bundled_scenarios()[name])), engine_name="fivm")
+    indicators = [(entry, form) for entry, form in entered if entry.kind == INDICATOR]
+    assert any(form for _, form in indicators)
+    assert all(type(form) is dict for _, form in entered)
+    assert all(len(k) == len(entry.keys) for entry, form in indicators for k in form)
 
 
 def test_every_bundled_scenario_verifies():

@@ -1184,11 +1184,11 @@ def test_factorized_delta_matches_expanded_delta():
 
 def test_a_factor_over_permuted_columns_runs_the_generated_climb(monkeypatch):
     """A one-factor ``FactorizedDelta`` over R's columns in another order
-    is reordered into R's schema once, as it is bound to the occurrence,
-    so it enters as one plain relation over R's keys and climbs by the
-    path's generated function, like the same factor in R's order: nothing
-    walks level by level, and both charge the same units. Either leaves
-    the views, root and leaf the equivalent ``UpdateDelta`` leaves."""
+    is reordered into R's schema once, as it is checked, so it enters as
+    one plain dict over R's keys and climbs by the path's generated
+    function, like the same factor in R's order: nothing walks level by
+    level, and both charge the same units. Either leaves the views, root
+    and leaf the equivalent ``UpdateDelta`` leaves."""
     pairs = ((("a1", "b9"), 2), (("a9", "b1"), 1), (("a1", "b1"), -1))
     flat = chain_state()
     flat.apply_batch([UpdateDelta("R", pairs)])
@@ -1206,7 +1206,7 @@ def test_a_factor_over_permuted_columns_runs_the_generated_climb(monkeypatch):
         enter = state._enter
 
         def record(entry, form, enter=enter):
-            forms.append([(type(f), f.schema) for f in form])
+            forms.append((type(form), dict(form)))
             return enter(entry, form)
 
         monkeypatch.setattr(state, "_enter", record)
@@ -1215,7 +1215,7 @@ def test_a_factor_over_permuted_columns_runs_the_generated_climb(monkeypatch):
         assert state.apply_batch([FactorizedDelta("R", (factor,))]) == 3
         units[schema] = [a - b for a, b in zip(state.counters.snapshot(), before)]
         assert walked == []
-        assert forms == [[(Relation, ("A", "B"))]]
+        assert forms == [(dict, dict(pairs))]
         assert snapshot(state) == snapshot(flat)
         assert dict(state.result().entries) == dict(flat.result().entries)
     assert units[("B", "A")] == units[("A", "B")] == [23, 10, 0]
@@ -1390,16 +1390,50 @@ def test_an_unstored_indicator_climbs_its_path(monkeypatch):
         state.apply_batch([UpdateDelta("R", (pair,))])
         assert dict(state.result().entries) == dict(state.recompute_oracle().entries)
         assert_views_match_fresh(state)
-    # every indicator delta ran the path's generated function, which
-    # stores no entry and so returns no transitions
-    assert entered and any(form[0].entries for form, _ in entered)
-    assert all(type(f) is Relation and f.schema == ind.keys for (f,), _ in entered)
+    # every indicator delta, a plain dict over the indicator's keys, ran
+    # the path's generated function, which stores no entry and so returns
+    # no transitions
+    assert entered and any(form for form, _ in entered)
+    assert all(type(form) is dict for form, _ in entered)
+    assert all(
+        len(k) == len(ind.keys) and v in (1, -1) for form, _ in entered for k, v in form.items()
+    )
     assert all(out == [] for _, out in entered)
     assert state.climb_source(ind.id).endswith("    return []\n")
 
 
 # ---------------------------------------------------------------------------
 # construction guards
+
+
+@pytest.mark.parametrize("free", [(), ("A", "B")], ids=["count", "pairs"])
+def test_a_two_root_result_joins_its_roots(free):
+    """R(A) and S(B) under the two-root order [A], [B]: the result joins
+    the two roots at every read. After a load, inserts and deletes to
+    both relations, it and the listing equal a recompute."""
+    lifts = (lift_to_one("A"), lift_to_one("B"))
+    query = Query([("R", ("A",)), ("S", ("B",))], free, Z, lifts=lifts)
+    tree = plan_view_tree(query, VariableOrder([["A"], ["B"]]), updatable=("R", "S"))
+    assert len(tree.roots) == 2
+    state = RuntimeState(tree)
+    state.load({"R": [((1,), 2), ((2,), 1)], "S": [((5,), 3)]})
+    batches = [
+        [],
+        [UpdateDelta("R", (((3,), 4),)), UpdateDelta("S", (((6,), 1), ((5,), -1)))],
+        [UpdateDelta("R", (((1,), -2), ((2,), -1))), UpdateDelta("S", (((5,), 2),))],
+        [UpdateDelta("R", (((3,), -4),))],
+    ]
+    results = []
+    for batch in batches:
+        state.apply_batch(batch)
+        want = dict(recompute_query(query, state.leaves, tree.result_schema).entries)
+        assert dict(state.result().entries) == dict(state.recompute_oracle().entries) == want
+        assert dict(enumerate_result(state)) == want
+        results.append(want)
+    pairs = {(1, 5): 4, (1, 6): 2, (2, 5): 2, (2, 6): 1, (3, 5): 8, (3, 6): 4}
+    assert results[1] == (pairs if free else {(): 21})
+    assert results[2] == ({(3, 5): 16, (3, 6): 4} if free else {(): 20})
+    assert results[3] == {}
 
 
 def test_factorized_payloads_need_relational_ring():

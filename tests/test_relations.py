@@ -41,6 +41,20 @@ def rel(schema, pairs):
 # storage
 
 
+def test_a_relation_made_without_counters_counts_on_its_own():
+    """``Relation(schema, ring)`` gets a counter block of its own, not
+    None: its stores and scans charge it, and no other relation's."""
+    first, second = Relation(("A",), Z), Relation(("A",), Z)
+    assert type(first.counters) is OpCounters
+    assert first.counters is not second.counters
+    first.accumulate_all([((1,), 2), ((2,), 3), ((1,), -2)])
+    assert first.counters.snapshot() == (3, 3, 0)
+    assert list(first.items()) == [((2,), 3)]
+    assert first.counters.snapshot() == (4, 3, 0)
+    assert second.counters.snapshot() == (0, 0, 0)
+    assert type(rel(("A",), [((1,), 1)]).counters) is OpCounters
+
+
 def test_dense_relation_stores_and_counts_like_a_dict():
     dense = DenseRelation(("A", "B"), real_ring(), (2, 3), OpCounters())
     plain = Relation(("A", "B"), real_ring(), OpCounters())

@@ -10,7 +10,9 @@ on each side, at one seed and run length, and the side that goes first
 alternates from pair to pair so that a drift in the machine's speed meets
 both sides alike. The file keeps every run's final JSON line and the
 reference kernel's quartiles, both commits with a digest of their
-``src/``, the Python version, and per workload and end-to-end metric the
+``src/``, the Python version, per workload each side's median number of
+attempted operations (so that a move in ``peak_rss_mb`` can be read
+against the work done), and per workload and end-to-end metric the
 medians and quartiles of both sides, the pairs the change won, whether
 the change's median is within the metric's regression bound, whether
 the metric is unresolved (the parent's own interquartile range over its
@@ -78,13 +80,16 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and end-to-end metric: both sides' quartiles, pairs won
-    by the change, the regression bound check, whether the parent's spread
-    leaves the metric unresolved, and the gain rule."""
+    """Per workload: each side's median ``attempted`` operations over the
+    runs that report it (None when none does), and per end-to-end metric
+    both sides' quartiles, pairs won by the change, the regression bound
+    check, whether the parent's spread leaves the metric unresolved, and
+    the gain rule."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_pair: dict = {}
         failed = {"parent": 0, "change": 0}
+        attempted: dict = {"parent": [], "change": []}
         for r in runs:
             if r["workload"] != workload:
                 continue
@@ -93,9 +98,17 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 failed[r["side"]] += 1
                 continue
             failed[r["side"]] += res["failed"]
+            if "attempted" in res:
+                attempted[r["side"]].append(res["attempted"])
             by_pair.setdefault(r["pair"], {})[r["side"]] = res["metrics"]
         pairs = [p for p in by_pair.values() if len(p) == 2]
-        rows = {"pairs": len(pairs), "failed": failed}
+        rows = {
+            "pairs": len(pairs),
+            "failed": failed,
+            "attempted": {
+                side: float(np.median(n)) if n else None for side, n in attempted.items()
+            },
+        }
         for m in metrics:
             if not pairs:
                 break
