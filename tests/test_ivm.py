@@ -1402,10 +1402,6 @@ def test_an_unstored_indicator_climbs_its_path(monkeypatch):
     assert state.climb_source(ind.id).endswith("    return []\n")
 
 
-# ---------------------------------------------------------------------------
-# construction guards
-
-
 @pytest.mark.parametrize("free", [(), ("A", "B")], ids=["count", "pairs"])
 def test_a_two_root_result_joins_its_roots(free):
     """R(A) and S(B) under the two-root order [A], [B]: the result joins
@@ -1434,6 +1430,10 @@ def test_a_two_root_result_joins_its_roots(free):
     assert results[1] == (pairs if free else {(): 21})
     assert results[2] == ({(3, 5): 16, (3, 6): 4} if free else {(): 20})
     assert results[3] == {}
+
+
+# ---------------------------------------------------------------------------
+# construction guards
 
 
 def test_factorized_payloads_need_relational_ring():
