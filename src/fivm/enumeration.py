@@ -16,7 +16,9 @@ The walk is Python code generated for the state's plan (:func:`compiled_walk`)
 at its first walked listing and kept until the stored relations are
 rebound: one generator with one ``for`` loop per step over the step's
 index bucket, probed with the values the enclosing loops bound, and one
-entry lookup per cover the step completes, multiplied into a local. The
+entry lookup per cover the step completes, multiplied into a local
+(with Python's ``*``, and zero-tested with ``not``, on a ring whose
+operators are Python's own, :attr:`RingSpec.native`). The
 work per row is one index step and the reads of the covers the last step
 completes. Python nests at most 20 blocks, so a deeper plan goes on in a
 second generated generator, given the bound values and the product so far."""
@@ -73,7 +75,7 @@ def compiled_walk(state: RuntimeState) -> Callable[[], Iterator[tuple[tuple, Any
     if state.walk is not None:
         return state.walk
     steps, ring = state.tree.listing_steps, state.ring
-    code = RowCode()
+    code = RowCode(ring.native)
     code.consts.update(M=ring.mul, Z=ring.is_zero, ZERO=ring.zero, C=state.counters)
     bound = {var: code.name("x") for var, _, _ in steps}
 
@@ -104,16 +106,16 @@ def compiled_walk(state: RuntimeState) -> Callable[[], Iterator[tuple[tuple, Any
             entries = code.const("E", state.stored(node.id).entries)
             read = f"{entries}.get({values(node.keys)}, ZERO)"
             prod = code.name("a")
-            code.add(depth, f"{prod} = {read}" if acc is None else f"{prod} = M({acc}, {read})")
+            code.add(depth, f"{prod} = {read if acc is None else code.times(acc, read)}")
             acc = prod
         if i == last:
             # The last step completes at least the cover of its variable.
-            code.add(depth, f"if not Z({acc}):")
+            code.add(depth, f"if {code.nonzero(acc)}:")
             code.add(depth + 1, f"yield {values(state.query.free)}, {acc}")
         elif covers and not ring.zero_tolerance:
             # A zero within a tolerance need not stay one after later covers
             # multiply in, so only an exact zero cuts a prefix.
-            code.add(depth, f"if Z({acc}):")
+            code.add(depth, f"if {code.zero(acc)}:")
             code.add(depth + 1, "continue")
     walk = state.walk = code.compile("walk", f"walk {','.join(bound)}")
     walk.source = code.source

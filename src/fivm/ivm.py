@@ -36,12 +36,12 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from fivm.queries import RELATIONAL_PAYLOAD, Query, RelationDecl
 from fivm.relations import (
-    _BARE_STORE,
     DenseRelation,
     IndicatorState,
     OpCounters,
     Relation,
     RowCode,
+    _bare_store,
     indicator_delta,
     plan_shape,
     plan_sum,
@@ -253,7 +253,7 @@ class RuntimeState:
         if type(rel) is dict:
             ring = self.ring
             rows = self.query.checked(pairs, name)
-            _BARE_STORE(rel, rows, None, self.counters, ring.add, ring.is_zero)
+            _bare_store(ring.native)(rel, rows, None, self.counters, ring.add, ring.is_zero)
             return
         if type(rel) is DenseRelation:
             schema = self.query.occurrences[name][0].schema
@@ -447,7 +447,7 @@ class RuntimeState:
         update slow the batches that follow. Returns the entry's support
         transitions, none when ``stored`` is None."""
         ring = self.ring
-        code = RowCode()
+        code = RowCode(ring.native)
         code.consts.update(
             M=ring.mul, A=ring.add, Z=ring.is_zero, X=self.payload_xform,
             ivm=sys.modules[__name__],

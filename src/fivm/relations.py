@@ -17,7 +17,9 @@ for the shape of its operands (:class:`RowCode`) and compiled once per
 shape. The delta climbs of ``fivm.ivm`` are generated by the same code,
 one level after another, so there is one row loop. The source holds only generated names and integer
 positions: relations, index tables, lifts and ring operators enter
-through the compiled function's globals or arguments.
+through the compiled function's globals or arguments, but for the
+operators a ring has as Python's own (:attr:`RingSpec.native`), which
+the source writes as ``+``, ``*`` and ``not``.
 
 Stores are generated by the same code: :meth:`Relation.accumulate_all`
 and :func:`rel_apply_delta` run a store loop generated per index shape
@@ -233,7 +235,7 @@ class Relation:
         self.entries: dict[tuple, Any] = {}
         self.indexes: dict[tuple, dict] = {}
         # the store loop, bound to the index tables by ensure_index
-        self._store: Any = _BARE_STORE
+        self._store: Any = _bare_store(ring.native)
         self.counters = OpCounters() if counters is None else counters
         self.name = name
 
@@ -291,7 +293,8 @@ class Relation:
         # (probe positions, group position) of every index, the new one last
         shape = tuple((tuple(map(pos.get, p)), pos.get(g)) for p, g in (*self.indexes, spec))
         self.indexes[spec] = self._new_index(*shape[-1])
-        self._store = _store_function(type(self) is DenseRelation, shape)(*self.indexes.values())
+        dense = type(self) is DenseRelation
+        self._store = _store_function(dense, shape, self.ring.native)(*self.indexes.values())
         return spec
 
     @classmethod
@@ -518,7 +521,9 @@ def plan_sum(
             return out
 
         return contract, (out_schema, plan.shape)
-    run = _level_function(levels, sums, bool(lifted), out_pos, payload_map is not None)
+    run = _level_function(
+        levels, sums, bool(lifted), out_pos, payload_map is not None, ring.native
+    )
     lifter = lift_row(ring, lifted) if lifted else None
 
     def walk(rels: Sequence[Relation]) -> Relation:
@@ -585,14 +590,34 @@ class RowCode:
     uses, relations, index tables, lifting functions and ring operators,
     enters through the compiled function's globals (:meth:`const`), so the
     source holds only those names and integer positions. The ring's
-    ``mul``, ``add`` and ``is_zero`` are called as ``M``, ``A`` and ``Z``,
-    a payload map as ``X``, and a level's lifts as one operation
+    ``mul``, ``add`` and ``is_zero`` are written by :meth:`times`,
+    :meth:`plus`, :meth:`zero` and :meth:`nonzero`: as Python's ``*``,
+    ``+`` and ``not`` where ``native`` (:attr:`RingSpec.native`) names
+    them, else as calls of ``M``, ``A`` and ``Z``. A payload map is
+    called as ``X``, and a level's lifts as one operation
     (:func:`fivm.rings.lift_row`) on the row's payload and joined key."""
 
-    def __init__(self) -> None:
+    def __init__(self, native: frozenset) -> None:
         self.lines: list[str] = []
         self.consts: dict[str, Any] = {}
         self._n = 0
+        self.native = native
+
+    def times(self, a: str, b: str) -> str:
+        """Source for the ring product of ``a`` and ``b``."""
+        return f"{a} * {b}" if "mul" in self.native else f"M({a}, {b})"
+
+    def plus(self, a: str, b: str) -> str:
+        """Source for the ring sum of ``a`` and ``b``."""
+        return f"{a} + {b}" if "add" in self.native else f"A({a}, {b})"
+
+    def zero(self, v: str) -> str:
+        """Source for the test that ``v`` is the ring's zero."""
+        return f"not {v}" if "is_zero" in self.native else f"Z({v})"
+
+    def nonzero(self, v: str) -> str:
+        """Source for the test that ``v`` is not the ring's zero."""
+        return v if "is_zero" in self.native else f"not Z({v})"
 
     def name(self, stem: str) -> str:
         self._n += 1
@@ -654,7 +679,7 @@ class RowCode:
         loops = 1
         if mapped:
             self.add(depth, f"{val} = X({val})")
-            self.add(depth, f"if Z({val}):")
+            self.add(depth, f"if {self.zero(val)}:")
             self.add(depth + 1, "continue")
         last = len(joins) - 1
         for j, ((probe_pos, route, right_pos, ext), (entries, table, r, p)) in enumerate(
@@ -707,12 +732,12 @@ class RowCode:
             if mapped:
                 self.add(depth, f"{rval} = X({rval})")
             prod = self.name("v")
-            self.add(depth, f"{prod} = M({val}, {rval})")
+            self.add(depth, f"{prod} = {self.times(val, rval)}")
             # When nothing is summed out, the last join skips the zero
             # test: each of its rows has its own output key, and a zero on
             # a new key is not stored.
             if j < last or sums:
-                self.add(depth, f"if Z({prod}):")
+                self.add(depth, f"if {self.zero(prod)}:")
                 self.add(depth + 1, "continue")
             if ext:
                 joined = self.name("k")
@@ -729,12 +754,12 @@ class RowCode:
         self.add(depth, f"{reads} += 1")
         self.add(depth, f"{old} = {dst}.get({key})")
         self.add(depth, f"if {old} is None:")
-        self.add(depth + 1, f"if not Z({val}):")
+        self.add(depth + 1, f"if {self.nonzero(val)}:")
         self.add(depth + 2, f"{dst}[{key}] = {val}")
         self.add(depth + 2, f"{writes} += 1")
         self.add(depth, "else:")
-        self.add(depth + 1, f"{val} = A({old}, {val})")
-        self.add(depth + 1, f"if Z({val}):")
+        self.add(depth + 1, f"{val} = {self.plus(old, val)}")
+        self.add(depth + 1, f"if {self.zero(val)}:")
         self.add(depth + 2, f"del {dst}[{key}]")
         self.add(depth + 1, "else:")
         self.add(depth + 2, f"{dst}[{key}] = {val}")
@@ -767,15 +792,17 @@ class RowCode:
 # A plan has a few shapes; the bound only keeps a long-lived process flat.
 @lru_cache(maxsize=1024)
 def _level_function(
-    levels: tuple, sums: bool, lifts: bool, out_pos: Optional[tuple], mapped: bool
+    levels: tuple, sums: bool, lifts: bool, out_pos: Optional[tuple], mapped: bool,
+    native: frozenset,
 ) -> Any:
     """The row loop of :func:`rel_marginalize` for one shape
-    (:func:`plan_shape`), generated and compiled once:
+    (:func:`plan_shape`) and one spelling of the ring's operators
+    (:class:`RowCode`), generated and compiled once:
     ``run(left, rights, lifter, payload_map, out)`` sums ``left`` joined
     with ``rights`` into the dict ``out``, passing each row through
     ``lifter`` (:func:`fivm.rings.lift_row`) when ``lifts``, and tallies
     each relation's units on its own counters."""
-    code = RowCode()
+    code = RowCode(native)
     code.consts["_tally"] = _tally
     code.add(0, "def marginalize(left, rights, L, X, out):")
     code.add(1, "RING = left.ring")
@@ -799,21 +826,23 @@ def _level_function(
     code.add(1, f"_tally(left.counters, {', '.join(side)})")
     for j, (_, _, r, p) in enumerate(rights):
         code.add(1, f"_tally(rights[{j}].counters, {r}, 0, {p})")
-    return code.compile("marginalize", f"marginalize {(levels, sums, lifts, out_pos, mapped)}")
+    label = (levels, sums, lifts, out_pos, mapped, sorted(native))
+    return code.compile("marginalize", f"marginalize {label}")
 
 
 # A relation has a few index shapes; the bound only keeps a long-lived process flat.
 @lru_cache(maxsize=1024)
-def _store_function(dense: bool, shape: tuple) -> Any:
+def _store_function(dense: bool, shape: tuple, native: frozenset) -> Any:
     """The store loop of :meth:`Relation.accumulate_all` for indexes of
-    ``shape``, (probe positions, group position) each, generated once:
+    ``shape``, (probe positions, group position) each, and one spelling of
+    the ring's operators (:class:`RowCode`), generated once:
     ``bind(*tables)`` returns ``store(entries, rows, moves, counters, A,
     Z)``, which adds each (key, payload) row into ``entries``, keeps the
     tables up at each support change, appends it to ``moves`` unless that
     is None, and tallies ``counters`` once: per row a read, per insert,
     overwrite or delete a write, per support change a probe per index. A
     dense relation's tables store nothing, so it only tallies the probes."""
-    code = RowCode()
+    code = RowCode(native)
     tables = [(code.name("t"), *spec) for spec in shape]
     upkept = () if dense else tables
     code.add(0, f"def bind({', '.join(t for t, _, _ in tables)}):")
@@ -823,14 +852,14 @@ def _store_function(dense: bool, shape: tuple) -> Any:
     code.add(3, "r += 1")
     code.add(3, "o = entries.get(k)")
     code.add(3, "if o is None:")
-    code.add(4, "if Z(v):")
+    code.add(4, f"if {code.zero('v')}:")
     code.add(5, "continue")
     code.add(4, "entries[k] = v")
     code.upkeep(4, "k", upkept, True)
     code.add(4, "m = 1")
     code.add(3, "else:")
-    code.add(4, "v = A(o, v)")
-    code.add(4, "if not Z(v):")
+    code.add(4, f"v = {code.plus('o', 'v')}")
+    code.add(4, f"if {code.nonzero('v')}:")
     code.add(5, "entries[k] = v")
     code.add(5, "w += 1")
     code.add(5, "continue")
@@ -845,18 +874,21 @@ def _store_function(dense: bool, shape: tuple) -> Any:
     if shape:
         code.add(2, f"counters.index_probes += {len(shape)} * c")
     code.add(1, "return store")
-    return code.compile("bind", f"store {(dense, shape)}")
+    return code.compile("bind", f"store {(dense, shape, sorted(native))}")
 
 
-# the store of every relation without an index, dict or dense
-_BARE_STORE = _store_function(False, ())()
+@lru_cache(maxsize=None)
+def _bare_store(native: frozenset) -> Any:
+    """The store of every relation without an index, dict or dense, on a
+    ring whose native operators are ``native``."""
+    return _store_function(False, (), native)()
 
 
 @lru_cache(maxsize=1024)
 def _fill_function(probe_pos: tuple, group_pos: Optional[int]) -> Any:
     """``fill(keys)``: a new index table holding every key of ``keys``,
     inserted by the upkeep of :func:`_store_function`."""
-    code = RowCode()
+    code = RowCode(frozenset())
     code.add(0, "def fill(keys):")
     code.add(1, "t = {}")
     code.add(1, "for k in keys:")

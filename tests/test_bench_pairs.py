@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_pairs.py"
@@ -114,3 +117,32 @@ def test_the_printout_has_one_line_per_metric():
         f" {3 if metrics[0]['better'] == 'higher' else 0}/3, within_bound True,"
         f" gain_claimable {metrics[0]['better'] == 'higher'}"
     )
+
+
+def test_a_side_that_is_not_a_git_work_tree_is_refused_by_name(tmp_path):
+    """A copy holding ``src/`` but no ``.git`` has no commit to record:
+    the tool stops and names the side, where it recorded an empty commit
+    and a clean ``src/``."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("x = 1\n")
+    with pytest.raises(SystemExit, match="the parent side"):
+        bench_pairs.describe("parent", str(tmp_path))
+
+
+def test_a_git_work_tree_records_its_commit_and_dirty_src(tmp_path):
+    def git(*args):
+        subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "c")
+    got = bench_pairs.describe("change", str(tmp_path))
+    assert len(got["commit"]) == 40 and int(got["commit"], 16) >= 0
+    assert got["src_dirty"] is False
+    (tmp_path / "src" / "m.py").write_text("x = 2\n")
+    assert bench_pairs.describe("change", str(tmp_path))["src_dirty"] is True
+    # a folder inside a work tree is not one
+    with pytest.raises(SystemExit, match="the change side"):
+        bench_pairs.describe("change", str(tmp_path / "src"))

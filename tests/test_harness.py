@@ -926,7 +926,8 @@ def test_cli_compile_prints_the_plan(tmp_path, capsys):
         "delta S: V@B(R+S) <- V@C(S); V@A(R) by key",
     ]
     # each path's generated function follows its delta lines, indented;
-    # at R's root level it probes V@C(S) by key and multiplies
+    # at R's root level it probes V@C(S) by key and multiplies, with
+    # Python's own `*` on the integer ring
     lines = out.splitlines()
     assert lines[lines.index("delta R: V@B(R+S) <- V@A(R); V@C(S) by key") + 1] == (
         "    def climb(d1):"
@@ -937,7 +938,7 @@ def test_cli_compile_prints_the_plan(tmp_path, capsys):
         "                v22 = e17.get(k19)\n"
         "                if v22 is None:\n"
         "                    continue\n"
-        "                v23 = M(v20, v22)\n"
+        "                v23 = v20 * v22\n"
     ) in out
     assert main(["compile", "-s", str(bundled_scenarios()["triangle_count"])]) == 0
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ import cProfile
 import math
 import pstats
 import random
+import re
 from functools import partial
 
 import numpy as np
@@ -872,6 +873,132 @@ def test_folded_star_stays_equal_to_a_recompute(ring_kind, batches):
         for vid, rel in state.views.items():
             assert_relations_close(ring, rel, fresh.views[vid], vid)
         assert_relations_close(ring, state.result(), state.recompute_oracle(), "root")
+
+
+# ---------------------------------------------------------------------------
+# the spelling of ring operators in generated code
+
+TOLERANT = RingSpec(REAL, zero_tolerance=1e-3)
+
+
+def generated_sources(ring, monkeypatch):
+    """Every source generated for the listed chain over ``ring``, by kind
+    (``climb``, ``store``, ``marginalize``, ``walk``): a load, one update
+    per relation and one listing. The row-loop caches start empty, so a
+    shape generated earlier is generated again."""
+    sources: dict[str, list[str]] = {}
+    compile_code = fivm.relations.RowCode.compile
+
+    def spied(self, name, label):
+        sources.setdefault(label.split()[0], []).append(self.source)
+        return compile_code(self, name, label)
+
+    monkeypatch.setattr(fivm.relations.RowCode, "compile", spied)
+    fivm.relations._level_function.cache_clear()
+    fivm.relations._store_function.cache_clear()
+    query = Query(CHAIN_RELS, ("A", "B", "C", "D"), ring, lifts=(lift_to_one("E"),))
+    state = RuntimeState(plan_view_tree(query, CHAIN_ORDER, updatable=("R", "S", "T")))
+    one = ring_one(ring)
+    state.load({name: [(key, one) for key, _ in pairs] for name, pairs in COUNT_DB.items()})
+    for name, key in (("R", ("a1", "b9")), ("S", ("a1", "c2", "e9")), ("T", ("c1", "d9"))):
+        state.apply_batch([UpdateDelta(name, ((key, one),))])
+    assert list(enumerate_result(state))
+    return sources
+
+
+def calls(source, op):
+    return len(re.findall(rf"\b{op}\(", source))
+
+
+KINDS = ("climb", "store", "marginalize", "walk")
+
+
+def test_exact_ring_kernels_write_python_operators(monkeypatch):
+    """On the integer ring every generated kernel adds, multiplies and
+    tests for zero with Python's own ``+``, ``*`` and ``not``: none calls
+    the ring's bound ``A``, ``M`` or ``Z``."""
+    sources = generated_sources(Z, monkeypatch)
+    for kind in KINDS:
+        source = "".join(sources[kind])
+        assert [calls(source, op) for op in "AMZ"] == [0, 0, 0], (kind, source)
+    assert re.search(r"= v\d+ \* v\d+\n", "".join(sources["climb"]))
+    assert "v = o + v\n" in "".join(sources["store"])
+
+
+def test_covariance_kernels_call_the_bound_operators(monkeypatch):
+    sources = generated_sources(covariance_ring(2), monkeypatch)
+    for kind in KINDS:
+        source = "".join(sources[kind])
+        ops = "MZ" if kind == "walk" else "Z" if kind == "store" else "AMZ"
+        assert all(calls(source, op) for op in ops), (kind, source)
+
+
+def test_a_tolerant_ring_keeps_its_zero_test_and_native_arithmetic(monkeypatch):
+    """A real ring with a zero tolerance adds and multiplies with ``+``
+    and ``*``, but every zero test still calls its ``Z``."""
+    sources = generated_sources(TOLERANT, monkeypatch)
+    for kind in KINDS:
+        source = "".join(sources[kind])
+        assert calls(source, "A") == calls(source, "M") == 0, (kind, source)
+        assert calls(source, "Z") and not re.search(r"\bnot v", source), (kind, source)
+
+
+def tolerant_chain_state():
+    query = Query(CHAIN_RELS, (), TOLERANT, lifts=tuple(lift_to_one(v) for v in "ABCDE"))
+    state = RuntimeState(plan_view_tree(query, CHAIN_ORDER, updatable=("R", "S", "T")))
+    data = {name: [(key, 1.0) for key, _ in pairs] for name, pairs in COUNT_DB.items()}
+    data["T"] = [(("c3", "d4"), 0.05) if key == ("c3", "d4") else (key, 1.0) for key, _ in COUNT_DB["T"]]
+    state.load(data)
+    return state
+
+
+def assert_close_to_a_rebuild(state):
+    fresh = RuntimeState(state.tree)
+    fresh.load({name: list(state.leaves[name].entries.items()) for name in ("R", "S", "T")})
+    ring = state.ring
+    for vid, rel in state.views.items():
+        want = fresh.views[vid].entries
+        for key in {**rel.entries, **want}:
+            a, b = rel.entries.get(key, ring.zero), want.get(key, ring.zero)
+            assert ring.close(a, b), (vid, key, a, b)
+
+
+def test_a_product_within_the_tolerance_climbs_no_further():
+    """S(a4, c3, e9) at 0.01 is stored in S and V@E(S); joined with
+    V@D(T)[c3] = 0.05 its product 0.0005 is within the 1e-3 tolerance,
+    so the climb stores nothing at V@C(S+T) or above."""
+    state = tolerant_chain_state()
+    before = {vid: dict(rel.entries) for vid, rel in state.views.items()}
+    state.apply_batch([UpdateDelta("S", ((("a4", "c3", "e9"), 0.01),))])
+    assert state.leaves["S"].entries[("a4", "c3", "e9")] == 0.01
+    assert state.views["V@E(S)"].entries == {**before["V@E(S)"], ("a4", "c3"): 0.01}
+    for vid in ("V@B(R)", "V@D(T)", "V@C(S+T)", "V@A(R+S+T)"):
+        assert state.views[vid].entries == before[vid], vid
+    assert_close_to_a_rebuild(state)
+
+
+def test_a_tolerant_ring_stays_close_to_a_rebuild_under_inserts_and_deletes():
+    """A seeded stream of batches mixing float inserts with deletes of
+    what is stored: after each, every view is within ``ring.close`` of a
+    from-scratch rebuild, and a view whose sums cancel holds no residue."""
+    state = tolerant_chain_state()
+    rng = random.Random(35)
+    arity = dict(CHAIN_RELS)
+    for _ in range(40):
+        batch = []
+        for _ in range(rng.randint(1, 4)):
+            name = rng.choice(sorted(arity))
+            stored = list(state.leaves[name].entries.items())
+            if stored and rng.random() < 0.5:
+                key, val = rng.choice(stored)
+                batch.append(UpdateDelta(name, ((key, -val),)))
+            else:
+                key = tuple(f"{v.lower()}{rng.randint(1, 4)}" for v in arity[name])
+                batch.append(UpdateDelta(name, ((key, rng.choice((0.1, 0.3, 2.7))),)))
+        state.apply_batch(batch)
+        assert_close_to_a_rebuild(state)
+    for rel in state.views.values():
+        assert all(abs(v) > TOLERANT.zero_tolerance for v in rel.entries.values())
 
 
 # ---------------------------------------------------------------------------

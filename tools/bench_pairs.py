@@ -5,6 +5,8 @@
 
 PARENT and CHANGE are two checkouts, each with its own ``perfbench/`` and
 ``src/``; ``git clone`` the parent commit into a directory of its own.
+A side that is not the top of a git work tree (a ``git archive`` copy,
+say) is refused, naming the side, before anything runs.
 Each ``workload:pairs`` argument runs ``perfbench/run.py`` that many times
 on each side, at one seed and run length, and the side that goes first
 alternates from pair to pair so that a drift in the machine's speed meets
@@ -41,13 +43,23 @@ import numpy as np
 KERNEL = re.compile(r"reference kernel: (\d+) samples, median (\d+) us, quartiles (\d+)-(\d+) us")
 
 
-def describe(root: str) -> dict:
-    """Commit, uncommitted-change flag and a digest of ``src/`` of a checkout."""
+def describe(side: str, root: str) -> dict:
+    """Commit, uncommitted-change flag and a digest of ``src/`` of the
+    checkout ``root`` of ``side``. Stops with an error naming the side
+    when ``root`` is not the top of a git work tree, for its commit and
+    its changes could not be told."""
 
     def git(*args: str) -> str:
         done = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+        if done.returncode:
+            raise SystemExit(
+                f"error: the {side} side {root} is not a git work tree: {done.stderr.strip()}"
+            )
         return done.stdout.strip()
 
+    top = git("rev-parse", "--show-toplevel")
+    if os.path.realpath(top) != os.path.realpath(root):
+        raise SystemExit(f"error: the {side} side {root} is not a git work tree; it lies in {top}")
     digest = hashlib.sha256()
     src = os.path.join(root, "src")
     for folder, subdirs, files in os.walk(src):
@@ -176,7 +188,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "seed": args.seed,
         "seconds": args.seconds,
-        **{side: describe(root) for side, root in roots.items()},
+        **{side: describe(side, root) for side, root in roots.items()},
         "runs": [],
     }
     for item in args.plan:

@@ -164,7 +164,8 @@ def defined_switches() -> dict:
                     if not params:
                         continue
                     fn = inspect.getattr_static(owner, child.name)
-                    fn = getattr(fn, "__func__", fn)
+                    # a cached function's code is the wrapped one's
+                    fn = inspect.unwrap(getattr(fn, "__func__", fn))
                     qual = f"{prefix}{child.name}"
                 elif isinstance(child, ast.ClassDef) and node is tree and _is_dataclass(child):
                     fn = getattr(mod, child.name).__init__
