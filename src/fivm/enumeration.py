@@ -18,10 +18,11 @@ rebound: one generator with one ``for`` loop per step over the step's
 index bucket, probed with the values the enclosing loops bound, and one
 entry lookup per cover the step completes, multiplied into a local
 (with Python's ``*``, and zero-tested with ``not``, on a ring whose
-operators are Python's own, :attr:`RingSpec.native`). The
-work per row is one index step and the reads of the covers the last step
-completes. Python nests at most 20 blocks, so a deeper plan goes on in a
-second generated generator, given the bound values and the product so far."""
+operators are Python's own, as :class:`~fivm.relations.RowCode` spells
+them). The work per row is one index step and the reads of the covers
+the last step completes. Python nests at most 20 blocks, so a deeper
+plan goes on in a second generated generator, given the bound values and
+the product so far."""
 
 from __future__ import annotations
 
@@ -75,8 +76,8 @@ def compiled_walk(state: RuntimeState) -> Callable[[], Iterator[tuple[tuple, Any
     if state.walk is not None:
         return state.walk
     steps, ring = state.tree.listing_steps, state.ring
-    code = RowCode(ring.native)
-    code.consts.update(M=ring.mul, Z=ring.is_zero, ZERO=ring.zero, C=state.counters)
+    code = RowCode(ring)
+    code.consts.update(ZERO=ring.zero, C=state.counters)
     bound = {var: code.name("x") for var, _, _ in steps}
 
     def values(variables) -> str:

@@ -184,6 +184,8 @@ class RuntimeState:
             if occs[0].leaf_id in tree.updatable:
                 make, shape = self._maker(occs[0].schema)
                 self._targets[name] = occs, occs[0].schema, dict if shape is None else make
+        # The store loop that merges a batch's plain deltas (see _accumulate).
+        self._merge = _bare_store(self.ring)
         # Per delta entry id, its compiled path (see _compile), and the
         # compiled listing walk (see fivm.enumeration.compiled_walk).
         self._paths: dict[str, tuple] = {}
@@ -251,9 +253,7 @@ class RuntimeState:
         :meth:`DenseRelation.scatter`, and only a batch it does not take
         outright is checked and merged row by row."""
         if type(rel) is dict:
-            ring = self.ring
-            rows = self.query.checked(pairs, name)
-            _bare_store(ring.native)(rel, rows, None, self.counters, ring.add, ring.is_zero)
+            self._merge(rel, self.query.checked(pairs, name), None, self.counters)
             return
         if type(rel) is DenseRelation:
             schema = self.query.occurrences[name][0].schema
@@ -447,11 +447,8 @@ class RuntimeState:
         update slow the batches that follow. Returns the entry's support
         transitions, none when ``stored`` is None."""
         ring = self.ring
-        code = RowCode(ring.native)
-        code.consts.update(
-            M=ring.mul, A=ring.add, Z=ring.is_zero, X=self.payload_xform,
-            ivm=sys.modules[__name__],
-        )
+        code = RowCode(ring)
+        code.consts.update(X=self.payload_xform, ivm=sys.modules[__name__])
         src = entry_src = code.name("d")
         code.add(0, f"def climb({src}):")
         schema = entry.keys

@@ -7,25 +7,25 @@ then by an optional group column. All data access is counted so that
 maintenance cost can be measured in ring-agnostic units: payload reads,
 payload writes, and index probes. Every relation counts on a counter
 block (:class:`OpCounters`), the one it is made with or else one of its
-own, so no operator tests for a missing one. Bulk operators fetch the
-ring's bound operators once and add their units to the counter block once
-per call.
+own, so no operator tests for a missing one. Bulk operators add their
+units to the counter block once per call.
 
 One planner, :func:`plan_sum`, picks how every join-and-sum runs: one
 ``einsum`` over dense cells, or a row loop generated as Python source
-for the shape of its operands (:class:`RowCode`) and compiled once per
-shape. The delta climbs of ``fivm.ivm`` are generated by the same code,
-one level after another, so there is one row loop. The source holds only generated names and integer
-positions: relations, index tables, lifts and ring operators enter
-through the compiled function's globals or arguments, but for the
-operators a ring has as Python's own (:attr:`RingSpec.native`), which
-the source writes as ``+``, ``*`` and ``not``.
+for the shape of its operands and its ring (:class:`RowCode`) and
+compiled once per shape and ring. The delta climbs of ``fivm.ivm`` are
+generated by the same code, one level after another, so there is one
+row loop. The source holds only generated names and integer positions:
+relations, index tables, lifts and ring operators enter through the
+compiled function's globals or arguments. :class:`RowCode` alone binds
+the ring's operators and writes those that are Python's own as ``+``,
+``*`` and ``not``.
 
 Stores are generated by the same code: :meth:`Relation.accumulate_all`
 and :func:`rel_apply_delta` run a store loop generated per index shape
-(:func:`_store_function`) with each index's upkeep written out. A
-relation binds it to its index tables whenever one is added; entries,
-rows and ring operators are passed per call.
+and ring (:func:`_store_function`) with each index's upkeep written
+out. A relation binds it to its index tables whenever one is added; a
+store takes only entries, rows, moves and counters.
 
 Values inside key tuples are dictionary-encoded (plain ints), which keeps
 hashing cheap and makes streams reproducible.
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import builtins
 import math
+import operator
 import string
 from collections.abc import MutableMapping
 from dataclasses import dataclass
@@ -235,7 +236,7 @@ class Relation:
         self.entries: dict[tuple, Any] = {}
         self.indexes: dict[tuple, dict] = {}
         # the store loop, bound to the index tables by ensure_index
-        self._store: Any = _bare_store(ring.native)
+        self._store: Any = _bare_store(ring)
         self.counters = OpCounters() if counters is None else counters
         self.name = name
 
@@ -268,8 +269,7 @@ class Relation:
         each support transition to ``moves`` as (key, +1 | -1) when given.
         The rows run through the store loop generated for the relation's
         index shape (:func:`_store_function`) and bound to its tables."""
-        ring = self.ring
-        self._store(self.entries, rows, moves, self.counters, ring.add, ring.is_zero)
+        self._store(self.entries, rows, moves, self.counters)
 
     def ensure_index(self, probe_vars: Iterable[str], group_var: Optional[str] = None) -> tuple:
         """Create (or find) the index keyed by ``probe_vars`` / ``group_var``.
@@ -294,7 +294,7 @@ class Relation:
         shape = tuple((tuple(map(pos.get, p)), pos.get(g)) for p, g in (*self.indexes, spec))
         self.indexes[spec] = self._new_index(*shape[-1])
         dense = type(self) is DenseRelation
-        self._store = _store_function(dense, shape, self.ring.native)(*self.indexes.values())
+        self._store = _store_function(dense, shape, self.ring)(*self.indexes.values())
         return spec
 
     @classmethod
@@ -310,7 +310,7 @@ class Relation:
         return rel
 
     def _new_index(self, probe_pos: tuple, group_pos: Optional[int]) -> Any:
-        return _fill_function(probe_pos, group_pos)(self.entries)
+        return _fill_function(probe_pos, group_pos, self.ring)(self.entries)
 
     @property
     def shape(self) -> Optional[tuple[int, ...]]:
@@ -521,9 +521,7 @@ def plan_sum(
             return out
 
         return contract, (out_schema, plan.shape)
-    run = _level_function(
-        levels, sums, bool(lifted), out_pos, payload_map is not None, ring.native
-    )
+    run = _level_function(levels, sums, bool(lifted), out_pos, payload_map is not None, ring)
     lifter = lift_row(ring, lifted) if lifted else None
 
     def walk(rels: Sequence[Relation]) -> Relation:
@@ -584,40 +582,43 @@ def _pick(row: str, positions: Sequence[int]) -> str:
 
 
 class RowCode:
-    """Python source for row loops, written line by line and compiled once.
+    """Python source for row loops over payloads of ``ring``, written line
+    by line and compiled once.
 
     Local names are generated (a stem and a number). Every value the code
     uses, relations, index tables, lifting functions and ring operators,
     enters through the compiled function's globals (:meth:`const`), so the
-    source holds only those names and integer positions. The ring's
-    ``mul``, ``add`` and ``is_zero`` are written by :meth:`times`,
-    :meth:`plus`, :meth:`zero` and :meth:`nonzero`: as Python's ``*``,
-    ``+`` and ``not`` where ``native`` (:attr:`RingSpec.native`) names
-    them, else as calls of ``M``, ``A`` and ``Z``. A payload map is
-    called as ``X``, and a level's lifts as one operation
+    source holds only those names and integer positions. This is the one
+    place that binds and spells the ring's operators: ``mul``, ``add`` and
+    ``is_zero`` are bound as ``M``, ``A`` and ``Z``, and written by
+    :meth:`times`, :meth:`plus`, :meth:`zero` and :meth:`nonzero` as
+    Python's ``*``, ``+`` and ``not`` where the ring's operator is
+    Python's own (``operator.mul``, ``operator.add``, ``operator.not_``),
+    else as calls of ``M``, ``A`` and ``Z``. A payload map is called as
+    ``X``, and a level's lifts as one operation
     (:func:`fivm.rings.lift_row`) on the row's payload and joined key."""
 
-    def __init__(self, native: frozenset) -> None:
+    def __init__(self, ring: RingSpec) -> None:
         self.lines: list[str] = []
-        self.consts: dict[str, Any] = {}
+        self.consts: dict[str, Any] = {"M": ring.mul, "A": ring.add, "Z": ring.is_zero}
         self._n = 0
-        self.native = native
+        self.ring = ring
 
     def times(self, a: str, b: str) -> str:
         """Source for the ring product of ``a`` and ``b``."""
-        return f"{a} * {b}" if "mul" in self.native else f"M({a}, {b})"
+        return f"{a} * {b}" if self.ring.mul is operator.mul else f"M({a}, {b})"
 
     def plus(self, a: str, b: str) -> str:
         """Source for the ring sum of ``a`` and ``b``."""
-        return f"{a} + {b}" if "add" in self.native else f"A({a}, {b})"
+        return f"{a} + {b}" if self.ring.add is operator.add else f"A({a}, {b})"
 
     def zero(self, v: str) -> str:
         """Source for the test that ``v`` is the ring's zero."""
-        return f"not {v}" if "is_zero" in self.native else f"Z({v})"
+        return f"not {v}" if self.ring.is_zero is operator.not_ else f"Z({v})"
 
     def nonzero(self, v: str) -> str:
         """Source for the test that ``v`` is not the ring's zero."""
-        return v if "is_zero" in self.native else f"not Z({v})"
+        return v if self.ring.is_zero is operator.not_ else f"not Z({v})"
 
     def name(self, stem: str) -> str:
         self._n += 1
@@ -793,20 +794,18 @@ class RowCode:
 @lru_cache(maxsize=1024)
 def _level_function(
     levels: tuple, sums: bool, lifts: bool, out_pos: Optional[tuple], mapped: bool,
-    native: frozenset,
+    ring: RingSpec,
 ) -> Any:
     """The row loop of :func:`rel_marginalize` for one shape
-    (:func:`plan_shape`) and one spelling of the ring's operators
-    (:class:`RowCode`), generated and compiled once:
+    (:func:`plan_shape`) over payloads of ``ring`` (:class:`RowCode`),
+    generated and compiled once:
     ``run(left, rights, lifter, payload_map, out)`` sums ``left`` joined
     with ``rights`` into the dict ``out``, passing each row through
     ``lifter`` (:func:`fivm.rings.lift_row`) when ``lifts``, and tallies
     each relation's units on its own counters."""
-    code = RowCode(native)
+    code = RowCode(ring)
     code.consts["_tally"] = _tally
     code.add(0, "def marginalize(left, rights, L, X, out):")
-    code.add(1, "RING = left.ring")
-    code.add(1, "M, A, Z = RING.mul, RING.add, RING.is_zero")
     side = (code.name("r"), code.name("w"), code.name("p"))
     code.add(1, " = ".join(side) + " = 0")
     src = code.name("d")
@@ -826,27 +825,27 @@ def _level_function(
     code.add(1, f"_tally(left.counters, {', '.join(side)})")
     for j, (_, _, r, p) in enumerate(rights):
         code.add(1, f"_tally(rights[{j}].counters, {r}, 0, {p})")
-    label = (levels, sums, lifts, out_pos, mapped, sorted(native))
+    label = (levels, sums, lifts, out_pos, mapped)
     return code.compile("marginalize", f"marginalize {label}")
 
 
 # A relation has a few index shapes; the bound only keeps a long-lived process flat.
 @lru_cache(maxsize=1024)
-def _store_function(dense: bool, shape: tuple, native: frozenset) -> Any:
+def _store_function(dense: bool, shape: tuple, ring: RingSpec) -> Any:
     """The store loop of :meth:`Relation.accumulate_all` for indexes of
-    ``shape``, (probe positions, group position) each, and one spelling of
-    the ring's operators (:class:`RowCode`), generated once:
-    ``bind(*tables)`` returns ``store(entries, rows, moves, counters, A,
-    Z)``, which adds each (key, payload) row into ``entries``, keeps the
-    tables up at each support change, appends it to ``moves`` unless that
-    is None, and tallies ``counters`` once: per row a read, per insert,
-    overwrite or delete a write, per support change a probe per index. A
-    dense relation's tables store nothing, so it only tallies the probes."""
-    code = RowCode(native)
+    ``shape``, (probe positions, group position) each, over payloads of
+    ``ring`` (:class:`RowCode`), generated once: ``bind(*tables)`` returns
+    ``store(entries, rows, moves, counters)``, which adds each (key,
+    payload) row into ``entries``, keeps the tables up at each support
+    change, appends it to ``moves`` unless that is None, and tallies
+    ``counters`` once: per row a read, per insert, overwrite or delete a
+    write, per support change a probe per index. A dense relation's tables
+    store nothing, so it only tallies the probes."""
+    code = RowCode(ring)
     tables = [(code.name("t"), *spec) for spec in shape]
     upkept = () if dense else tables
     code.add(0, f"def bind({', '.join(t for t, _, _ in tables)}):")
-    code.add(1, "def store(entries, rows, moves, counters, A, Z):")
+    code.add(1, "def store(entries, rows, moves, counters):")
     code.add(2, "r = w = c = 0")
     code.add(2, "for k, v in rows:")
     code.add(3, "r += 1")
@@ -874,21 +873,21 @@ def _store_function(dense: bool, shape: tuple, native: frozenset) -> Any:
     if shape:
         code.add(2, f"counters.index_probes += {len(shape)} * c")
     code.add(1, "return store")
-    return code.compile("bind", f"store {(dense, shape, sorted(native))}")
-
-
-@lru_cache(maxsize=None)
-def _bare_store(native: frozenset) -> Any:
-    """The store of every relation without an index, dict or dense, on a
-    ring whose native operators are ``native``."""
-    return _store_function(False, (), native)()
+    return code.compile("bind", f"store {(dense, shape)}")
 
 
 @lru_cache(maxsize=1024)
-def _fill_function(probe_pos: tuple, group_pos: Optional[int]) -> Any:
+def _bare_store(ring: RingSpec) -> Any:
+    """The store of every relation over ``ring`` without an index, dict or
+    dense."""
+    return _store_function(False, (), ring)()
+
+
+@lru_cache(maxsize=1024)
+def _fill_function(probe_pos: tuple, group_pos: Optional[int], ring: RingSpec) -> Any:
     """``fill(keys)``: a new index table holding every key of ``keys``,
     inserted by the upkeep of :func:`_store_function`."""
-    code = RowCode(frozenset())
+    code = RowCode(ring)
     code.add(0, "def fill(keys):")
     code.add(1, "t = {}")
     code.add(1, "for k in keys:")
@@ -1062,11 +1061,7 @@ def rel_apply_delta(target: Relation, delta: Relation) -> list[tuple[tuple, int]
     n = len(delta.entries)
     delta.counters.entry_reads += n
     if not (type(target) is DenseRelation and type(delta) is DenseRelation):
-        ring = target.ring
-        target._store(
-            target.entries, delta.entries.items(), transitions, target.counters,
-            ring.add, ring.is_zero,
-        )
+        target._store(target.entries, delta.entries.items(), transitions, target.counters)
         return transitions
     # Adding arrays does what accumulating each nonzero delta cell does:
     # two reads and a write per cell, index upkeep per support change.
@@ -1096,14 +1091,17 @@ class IndicatorState:
     For a projection onto ``schema``, ``counts`` tracks how many base
     tuples currently project onto each key. The projected relation holds
     payload one exactly on keys with a positive count, so only transitions
-    through zero emit output deltas.
+    through zero emit output deltas, of the ring's ``one`` or its ``neg``
+    (negation), both made once.
     """
 
-    __slots__ = ("schema", "ring", "counts", "source_pos")
+    __slots__ = ("schema", "ring", "counts", "source_pos", "one", "neg")
 
     def __init__(self, schema: tuple[str, ...], ring: RingSpec, source_schema: tuple[str, ...]):
         self.schema = schema
         self.ring = ring
+        self.one = ring.one
+        self.neg = ring.neg(ring.one)
         self.counts: dict[tuple, int] = {}
         missing = [v for v in schema if v not in source_schema]
         if missing:
@@ -1127,8 +1125,7 @@ def indicator_delta(
     is usually far smaller than the transitions that caused it.
     """
     out = Relation(state.schema, state.ring, counters=counters)
-    one = state.ring.one
-    neg = state.ring.neg(one)
+    one, neg = state.one, state.neg
     rows: list[tuple[tuple, Any]] = []
     for key, t in transitions:
         pk = state.project(key)

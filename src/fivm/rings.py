@@ -93,13 +93,6 @@ class RingSpec:
     payload's total), or a real-based triple's count, slot sums and pair
     sums, its moment matrix's upper triangle row by row, absent parts
     0.0. Triples over grouped scalars have none: both are None.
-
-    ``native`` names those of ``add``, ``mul`` and ``is_zero`` that are
-    Python's own ``operator.add``, ``operator.mul`` and ``operator.not_``,
-    so that generated code may write them as ``+``, ``*`` and ``not``:
-    all three on the integer ring and an exact real ring, ``add`` and
-    ``mul`` on a real ring with a zero tolerance, ``is_zero`` on an exact
-    relational ring, none on a covariance ring.
     """
 
     kind: str
@@ -544,8 +537,6 @@ def _operators(spec: RingSpec) -> dict[str, Any]:
                 close=lambda a, b: all(map(isclose, flat(a), flat(b))),
                 columns=("c", *(f"s_{j}" for j in ids), *(f"q_{i}_{j}" for i, j in upper)),
             )
-    own = {"add": operator.add, "mul": operator.mul, "is_zero": operator.not_}
-    ops["native"] = frozenset(name for name, op in own.items() if ops[name] is op)
     return ops
 
 

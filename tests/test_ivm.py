@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cProfile
 import math
+import operator
 import pstats
 import random
 import re
@@ -20,7 +21,8 @@ import fivm.relations
 import fivm.rings
 import oracles
 from fivm.apps import build_matrix_chain
-from fivm.enumeration import enumerate_result
+from fivm.enumeration import compiled_walk, enumerate_result
+from fivm.harness import bundled_scenarios, compile_scenario, load_scenario
 from fivm.ivm import (
     FactorizedDelta,
     RuntimeState,
@@ -881,11 +883,23 @@ def test_folded_star_stays_equal_to_a_recompute(ring_kind, batches):
 TOLERANT = RingSpec(REAL, zero_tolerance=1e-3)
 
 
+def clear_kernel_caches():
+    """Empty the cache of every kernel builder, so the next kernel of any
+    shape and ring is generated again."""
+    for build in (
+        fivm.relations._level_function,
+        fivm.relations._store_function,
+        fivm.relations._bare_store,
+        fivm.relations._fill_function,
+    ):
+        build.cache_clear()
+
+
 def generated_sources(ring, monkeypatch):
     """Every source generated for the listed chain over ``ring``, by kind
-    (``climb``, ``store``, ``marginalize``, ``walk``): a load, one update
-    per relation and one listing. The row-loop caches start empty, so a
-    shape generated earlier is generated again."""
+    (``climb``, ``store``, ``marginalize``, ``walk``, ``fill``): a load,
+    one update per relation and one listing. Every kernel cache starts
+    empty, so a kernel generated earlier is generated again."""
     sources: dict[str, list[str]] = {}
     compile_code = fivm.relations.RowCode.compile
 
@@ -894,8 +908,7 @@ def generated_sources(ring, monkeypatch):
         return compile_code(self, name, label)
 
     monkeypatch.setattr(fivm.relations.RowCode, "compile", spied)
-    fivm.relations._level_function.cache_clear()
-    fivm.relations._store_function.cache_clear()
+    clear_kernel_caches()
     query = Query(CHAIN_RELS, ("A", "B", "C", "D"), ring, lifts=(lift_to_one("E"),))
     state = RuntimeState(plan_view_tree(query, CHAIN_ORDER, updatable=("R", "S", "T")))
     one = ring_one(ring)
@@ -912,6 +925,40 @@ def calls(source, op):
 
 KINDS = ("climb", "store", "marginalize", "walk")
 
+# Per ring operation: Python's own operator, the name generated code
+# calls the ring's bound operator by, and the spelling RowCode writes
+# when the two are one (on payload locals named ``v``, ``o`` and ``a``).
+SPELLINGS = (
+    ("mul", operator.mul, "M", r"\b[av]\d* \* "),
+    ("add", operator.add, "A", r"\bo\d* \+ v\d*"),
+    ("is_zero", operator.not_, "Z", r"\bnot [av]\d*\b|\bif [av]\d*:"),
+)
+
+
+def assert_spelled_by_its_ring(ring, source):
+    """Generated code calls a bound operator exactly when the ring's
+    operator is not Python's own, and writes it as Python's otherwise."""
+    for op, own, name, native in SPELLINGS:
+        if getattr(ring, op) is own:
+            assert not calls(source, name), (op, source)
+        else:
+            assert not re.search(native, source), (op, source)
+
+
+@pytest.mark.parametrize("scenario", sorted(bundled_scenarios()))
+def test_every_bundled_scenario_spells_the_operators_of_its_ring(scenario):
+    """Every delta path's climb and the listing walk of each bundled
+    scenario, read from the state rather than from ``fivm compile``'s
+    text, whose view ids hold ``@A(``."""
+    compiled = compile_scenario(load_scenario(bundled_scenarios()[scenario]))
+    state = RuntimeState(compiled.tree)
+    state.load({})
+    sources = [state.climb_source(entry) for entry in compiled.tree.delta_paths]
+    if compiled.tree.listing_steps:
+        sources.append(compiled_walk(state).source)
+    for source in sources:
+        assert_spelled_by_its_ring(compiled.query.ring, source)
+
 
 def test_exact_ring_kernels_write_python_operators(monkeypatch):
     """On the integer ring every generated kernel adds, multiplies and
@@ -919,18 +966,21 @@ def test_exact_ring_kernels_write_python_operators(monkeypatch):
     the ring's bound ``A``, ``M`` or ``Z``."""
     sources = generated_sources(Z, monkeypatch)
     for kind in KINDS:
-        source = "".join(sources[kind])
-        assert [calls(source, op) for op in "AMZ"] == [0, 0, 0], (kind, source)
+        assert_spelled_by_its_ring(Z, "".join(sources[kind]))
     assert re.search(r"= v\d+ \* v\d+\n", "".join(sources["climb"]))
+    # the bare store, which merges every plain update, is generated too
+    assert "def bind():\n" in "".join(sources["store"]) and sources["fill"]
     assert "v = o + v\n" in "".join(sources["store"])
 
 
 def test_covariance_kernels_call_the_bound_operators(monkeypatch):
-    sources = generated_sources(covariance_ring(2), monkeypatch)
+    ring = covariance_ring(2)
+    sources = generated_sources(ring, monkeypatch)
     for kind in KINDS:
         source = "".join(sources[kind])
         ops = "MZ" if kind == "walk" else "Z" if kind == "store" else "AMZ"
         assert all(calls(source, op) for op in ops), (kind, source)
+        assert_spelled_by_its_ring(ring, source)
 
 
 def test_a_tolerant_ring_keeps_its_zero_test_and_native_arithmetic(monkeypatch):
@@ -939,12 +989,13 @@ def test_a_tolerant_ring_keeps_its_zero_test_and_native_arithmetic(monkeypatch):
     sources = generated_sources(TOLERANT, monkeypatch)
     for kind in KINDS:
         source = "".join(sources[kind])
-        assert calls(source, "A") == calls(source, "M") == 0, (kind, source)
-        assert calls(source, "Z") and not re.search(r"\bnot v", source), (kind, source)
+        assert_spelled_by_its_ring(TOLERANT, source)
+        assert calls(source, "Z"), (kind, source)
 
 
-def tolerant_chain_state():
-    query = Query(CHAIN_RELS, (), TOLERANT, lifts=tuple(lift_to_one(v) for v in "ABCDE"))
+def real_chain_state(ring):
+    """The count chain over the real ``ring``, loaded with T(c3, d4) at 0.05."""
+    query = Query(CHAIN_RELS, (), ring, lifts=tuple(lift_to_one(v) for v in "ABCDE"))
     state = RuntimeState(plan_view_tree(query, CHAIN_ORDER, updatable=("R", "S", "T")))
     data = {name: [(key, 1.0) for key, _ in pairs] for name, pairs in COUNT_DB.items()}
     data["T"] = [(("c3", "d4"), 0.05) if key == ("c3", "d4") else (key, 1.0) for key, _ in COUNT_DB["T"]]
@@ -967,7 +1018,7 @@ def test_a_product_within_the_tolerance_climbs_no_further():
     """S(a4, c3, e9) at 0.01 is stored in S and V@E(S); joined with
     V@D(T)[c3] = 0.05 its product 0.0005 is within the 1e-3 tolerance,
     so the climb stores nothing at V@C(S+T) or above."""
-    state = tolerant_chain_state()
+    state = real_chain_state(TOLERANT)
     before = {vid: dict(rel.entries) for vid, rel in state.views.items()}
     state.apply_batch([UpdateDelta("S", ((("a4", "c3", "e9"), 0.01),))])
     assert state.leaves["S"].entries[("a4", "c3", "e9")] == 0.01
@@ -977,11 +1028,30 @@ def test_a_product_within_the_tolerance_climbs_no_further():
     assert_close_to_a_rebuild(state)
 
 
+def test_a_kernel_is_keyed_by_its_whole_ring_not_by_its_spelling():
+    """Real rings with zero tolerance 0, 1e-6 and 1e-3, in one process: the
+    last two spell every operation alike (``+``, ``*`` and a call of
+    ``Z``), yet each one's stores and climbs test zero with its own ring.
+    A payload of 5e-4 is dropped by the 1e-3 ring's bare store, which
+    merges a batch, and by its climb, where S(a4, c3, e9) at 0.01 meets
+    V@D(T)[c3] = 0.05, and kept by the other two rings'."""
+    clear_kernel_caches()
+    for tol in (0.0, 1e-6, 1e-3):
+        state = real_chain_state(RingSpec(REAL, zero_tolerance=tol))
+        kept = tol < 5e-4
+        state.apply_batch([UpdateDelta("R", ((("a9", "b9"), 5e-4),))])
+        assert (("a9", "b9") in state.leaves["R"].entries) == kept, tol
+        state.apply_batch([UpdateDelta("S", ((("a4", "c3", "e9"), 0.01),))])
+        assert ("a4", "c3", "e9") in state.leaves["S"].entries
+        assert (("a4",) in state.views["V@C(S+T)"].entries) == kept, tol
+        assert_close_to_a_rebuild(state)
+
+
 def test_a_tolerant_ring_stays_close_to_a_rebuild_under_inserts_and_deletes():
     """A seeded stream of batches mixing float inserts with deletes of
     what is stored: after each, every view is within ``ring.close`` of a
     from-scratch rebuild, and a view whose sums cancel holds no residue."""
-    state = tolerant_chain_state()
+    state = real_chain_state(TOLERANT)
     rng = random.Random(35)
     arity = dict(CHAIN_RELS)
     for _ in range(40):
