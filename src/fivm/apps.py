@@ -511,8 +511,8 @@ def mcm_rank_update(state: RuntimeState, i: int, u: Vector, v: Vector) -> int:
     indexed from zero. The product is handed to the engine as a factorized
     change, so propagation contracts one factor at a time and the full
     p x p delta never materializes anywhere but in the stored views it
-    finally lands in. Subtraction is a negated ``u`` away. Returns the
-    number of leaf occurrences touched.
+    finally lands in. Subtraction is a negated ``u`` away. Returns what
+    ``apply_batch`` counts for the product, its factors' nonzero entries.
     """
     name = f"A{i}"
     occurrences = state.query.occurrences.get(name)

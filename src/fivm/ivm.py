@@ -23,7 +23,8 @@ without expanding the product: each variable is summed out by joining only
 the factors that mention it, which is what makes low-rank matrix updates
 cheap. Each such step is planned once per entry and delta signature by
 ``relations.plan_sum``, the one planner that picks ``einsum`` or the row
-loop for every join-and-sum.
+loop for every join-and-sum. Payload totals do not distribute over
+factors, so a product under them is expanded once, when it is checked.
 """
 
 from __future__ import annotations
@@ -130,14 +131,14 @@ def factorized_steps(
 
 
 def summing(
-    lifts: dict, routes: tuple, drop_vars: tuple, schema: tuple[str, ...], payload_map: Any
+    lifts: dict, routes: tuple, drop_vars: tuple, schema: tuple[str, ...]
 ) -> Callable[[list[Relation]], Relation]:
     """The callable that joins relations by ``routes`` and sums
     ``drop_vars`` out by ``lifts`` into ``schema`` in one
     :func:`rel_marginalize` call, which plans the sum at every call."""
 
     def contract(rels: list[Relation]) -> Relation:
-        return rel_marginalize(rels[0], drop_vars, lifts, list(zip(rels[1:], routes)), schema, payload_map)
+        return rel_marginalize(rels[0], drop_vars, lifts, list(zip(rels[1:], routes)), schema)
 
     return contract
 
@@ -333,8 +334,9 @@ class RuntimeState:
 
         ``form`` has one of two forms. A plain dict, keyed positionally by
         the entry's own keys, runs the path's generated function
-        (:meth:`_climb`) directly. A list of factors, a product or a dense
-        delta, runs the plan made for its signature, each factor's
+        (:meth:`_climb`) directly (a product under payload totals comes
+        expanded to one). A list of factors, a plain-payload product or a
+        dense delta, runs the plan made for its signature, each factor's
         (schema, shape) (:meth:`_plan`): at every level
         :func:`optimize_factorized` takes the planned steps over the
         level's factors and siblings. Either way every level is computed
@@ -395,13 +397,12 @@ class RuntimeState:
         callable that expands the level's factors to the node's keys (None
         when the one factor is over them). Then the entry store's
         expansion. A product sums each variable out of the factors that
-        mention it (:func:`factorized_steps`); a single relation, or a
-        product whose payloads are totalled, joins the level's siblings by
-        their routes and sums the node's variables in one step. Each step
-        of a product is planned here, once (:func:`plan_sum`); a single
-        relation's level, a dense point batch's, is one
-        :func:`rel_marginalize` call (:func:`summing`), planned per call."""
-        xform = self.payload_xform
+        mention it (:func:`factorized_steps`); a single relation joins the
+        level's siblings by their routes and sums the node's variables in
+        one step. Each step of a product is planned here, once
+        (:func:`plan_sum`); a single relation's level, a dense point
+        batch's, is one :func:`rel_marginalize` call (:func:`summing`),
+        planned per call. No payload is totalled here."""
         contraction = partial(plan_sum, self.ring, self.counters)
         first = operands = [(f.schema, f.shape) for f in form]
         planned = []
@@ -409,20 +410,13 @@ class RuntimeState:
             sums = partial(contraction, node.lifts)
             siblings = [r for r, _ in joins]
             current = operands + [(r.schema, r.shape) for r in siblings]
-            if len(operands) > 1 and not xform:
+            if len(operands) > 1:
                 steps, operands = factorized_steps(current, inner_first, sums)
             else:
-                steps = []
-                if len(operands) > 1:
-                    # Payload totals do not distribute over a product's factors.
-                    n = len(operands)
-                    join_all, joined = sums(operands, (None,) * (n - 1), (), None, None)
-                    steps.append((range(n), range(n, len(current)), 0, join_all))
-                    current = [joined] + current[n:]
                 routes = tuple(route for _, route in joins)
-                out = sums(current, routes, node.marg_vars, node.keys, xform)[1]
-                contract = summing(node.lifts, routes, node.marg_vars, node.keys, xform)
-                steps.append((range(len(current)), (), 0, contract))
+                out = sums(current, routes, node.marg_vars, node.keys, None)[1]
+                contract = summing(node.lifts, routes, node.marg_vars, node.keys)
+                steps = [(range(len(current)), (), 0, contract)]
                 operands = [out]
             store = None if target is None else self._expansion(operands, node.keys, sums)
             planned.append((siblings, steps, target, store))
@@ -521,7 +515,8 @@ class RuntimeState:
         all those between two of its factorized deltas checked in one pass
         (:meth:`_accumulate`): into one plain dict, or one dense relation
         when the relation is stored dense. Factorized deltas keep their
-        product form, but for a single dict factor (:meth:`_factors`). The
+        product form, but for a single dict factor or under payload totals
+        (:meth:`_factors`). The
         whole batch is checked (known, updatable targets, key lengths,
         factor coverage, payloads within the ring's degree) before anything
         propagates, so a rejected batch changes no state. Values pass the
@@ -533,8 +528,8 @@ class RuntimeState:
         self join's later occurrences (a dense factor stays dense). Nothing
         else is built around the climbs, so a one-pair update costs one
         checked row and one bare store call into a dict besides its path.
-        Returns the number of key-level changes processed.
-        """
+        Returns the entries climbed: a plain delta's merged keys, a product's
+        factor entries, or a product under payload totals its expansion's."""
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
         for u in updates:
             by_name.setdefault(u.target, []).append(u)
@@ -593,13 +588,14 @@ class RuntimeState:
     ) -> dict | list[Relation]:
         """A factorized delta's ``factors``, checked: each factor's rows
         pass ``Query.checked`` (a dense factor whose cells it cannot refuse
-        skips it) and the factors together cover ``schema``. A single dict
-        factor comes back as a plain dict keyed in ``schema``'s column
-        order, the form of a merged plain delta, so it climbs by the path's
-        generated function. Any other factor comes back in the layout
-        :meth:`relation` makes for its variables, on this state's counters
-        (:meth:`_adopt`), so every operand a plan sees has its declared
-        layout; a single one that is then a dict comes back plain too."""
+        skips it) and the factors together cover ``schema``, each in the
+        layout :meth:`relation` makes for its variables, on this state's
+        counters (:meth:`_adopt`), so every operand a plan sees has its
+        declared layout. A single dict factor comes back as a plain dict
+        keyed in ``schema``'s column order, the form of a merged plain
+        delta, so it climbs by the path's generated function; so does a
+        product under payload totals, which do not distribute over
+        factors, expanded by one :func:`rel_marginalize` call."""
         covered: set[str] = set()
         checked = []
         for f in factors:
@@ -610,6 +606,9 @@ class RuntimeState:
             checked.append(f if len(factors) == 1 and type(f) is Relation else self._adopt(f))
         if covered != set(schema):
             raise ValueError(f"factors cover {sorted(covered)}, not schema {schema}")
+        if len(checked) > 1 and self.payload_xform is not None:
+            first, *rest = checked
+            return rel_marginalize(first, (), {}, [(f, None) for f in rest], schema).entries
         if len(checked) != 1 or type(checked[0]) is not Relation:
             return checked
         f = checked[0]

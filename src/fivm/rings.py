@@ -118,6 +118,12 @@ class RingSpec:
             raise ValueError("relational ring over integers is exact; zero_tolerance must be 0")
         for name, op in _operators(self).items():
             object.__setattr__(self, name, op)
+        # hashed once: every ring-keyed kernel cache lookup hashes the spec
+        fields = (self.kind, self.degree, self.base, self.zero_tolerance)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def integer_ring() -> RingSpec:

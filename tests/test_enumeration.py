@@ -186,26 +186,62 @@ def test_enumeration_tracks_updates(factorized):
     assert totals(state) == want
 
 
-def test_factorized_payloads_expand_a_product_delta_before_totalling():
+MARKED = rp(("K",), {("k1",): 1, ("k2",): 2})
+
+
+@pytest.mark.parametrize(
+    "target, factors, pinned",
+    [
+        # two factors, at the fresh keys a9 and b9
+        ("R", [(("A",), "a9", MARKED), (("B",), "b9", None)],
+         ("V@B(R)", ("a9",), rp(("B",), {("b9",): 3}))),
+        # three factors given in the column order C, A, E; every stored
+        # key the delta reaches is fresh, up to the root's a3
+        ("S", [(("C",), "c3", MARKED), (("A",), "a3", None), (("E",), "e9", rp(("J",), {("j1",): 5}))],
+         ("V@C(S+T)", ("a3",), rp(("C",), {("c3",): 15}))),
+    ],
+    ids=["R_two_factors", "S_three_factors_out_of_order"],
+)
+def test_factorized_payloads_expand_a_product_delta_before_totalling(
+    monkeypatch, target, factors, pinned
+):
     """Payload totals do not distribute over a product's factors, so a
-    product-form delta stores what its expansion stores, view for view.
-    The key a9 is fresh: at a key that already holds a payload, adding
-    payloads of two schemas projects both onto the shared columns, which
-    would hide a wrongly kept column."""
-    marked = rp(("K",), {("k1",): 1, ("k2",): 2})
+    product-form delta is expanded once, when it is checked, and climbs
+    as a plain dict: it stores what its expansion stores, view for view,
+    no plan is ever made for it, and the batch counts its expansion's
+    keys. The keys are fresh: at a key that already holds a payload,
+    adding payloads of two schemas projects both onto the shared
+    columns, which would hide a wrongly kept column."""
     product, expanded = listing_state(factorized=True), listing_state(factorized=True)
-    u = product.relation(("A",))
-    u.accumulate_all([(("a9",), marked)])
-    v = product.relation(("B",))
-    v.accumulate_all([(("b9",), ring_one(product.ring))])
-    product.apply_batch([FactorizedDelta("R", (u, v))])
-    expanded.apply_batch([UpdateDelta("R", ((("a9", "b9"), marked),))])
+    ring = product.ring
+    rels, key, payload = [], {}, ring_one(ring)
+    for schema, value, factor_payload in factors:
+        factor_payload = factor_payload or ring_one(ring)
+        f = product.relation(schema)
+        f.accumulate_all([((value,), factor_payload)])
+        rels.append(f)
+        key[schema[0]] = value
+        payload = ring.mul(payload, factor_payload)
+    schema = dict(CHAIN_RELS)[target]
+    forms, plans = [], []
+    enter, plan = RuntimeState._enter, RuntimeState._plan
+    monkeypatch.setattr(
+        RuntimeState, "_enter", lambda self, entry, form: forms.append(form) or enter(self, entry, form)
+    )
+    monkeypatch.setattr(RuntimeState, "_plan", lambda self, *a: plans.append(a) or plan(self, *a))
+    assert product.apply_batch([FactorizedDelta(target, tuple(rels))]) == 1
+    monkeypatch.undo()
+    assert forms and all(type(form) is dict for form in forms)
+    assert plans == []
+    pairs = ((tuple(key[v] for v in schema), payload),)
+    assert expanded.apply_batch([UpdateDelta(target, pairs)]) == 1
     for kind in ("leaves", "views", "indicator_rels"):
         got, want = getattr(product, kind), getattr(expanded, kind)
         assert got.keys() == want.keys()
         for vid, rel in want.items():
             assert dict(got[vid].entries) == dict(rel.entries), vid
-    assert dict(expanded.views["V@B(R)"].entries)[("a9",)] == rp(("B",), {("b9",): 3})
+    view, at, total = pinned
+    assert dict(expanded.views[view].entries)[at] == total
 
 
 @settings(max_examples=30, deadline=None)

@@ -191,6 +191,17 @@ def test_specs_compare_on_their_descriptor_fields_only(spec):
     assert "add" not in repr(spec)
 
 
+def test_specs_apart_only_by_zero_tolerance_are_distinct_keys():
+    """A spec's hash is made once, when it is built; equal specs built
+    apart still hash alike, and specs that differ only in their zero
+    tolerance compare unequal, so a ring-keyed kernel cache keeps them
+    apart."""
+    exact, loose = real_ring(), RingSpec(REAL, zero_tolerance=1e-3)
+    assert RingSpec(REAL) == exact and hash(RingSpec(REAL)) == hash(exact)
+    assert exact != loose and RingSpec(REAL, zero_tolerance=1e-6) != loose
+    assert len({exact: 0, loose: 1, RingSpec(REAL, zero_tolerance=1e-3): 2}) == 2
+
+
 def test_zero_tolerance_only_affects_real_comparisons():
     tight = real_ring()
     loose = RingSpec(REAL, zero_tolerance=1e-9)
