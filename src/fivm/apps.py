@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -184,6 +185,11 @@ def covariance_matrix(
     return moments[1:, 1:] / n - np.outer(mean, mean)
 
 
+def _finite(x: Any) -> bool:
+    """Whether ``x`` is a finite real number, a bool not counted as one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class RegressionConfig:
     """Settings for gradient training over a maintained moment triple."""
@@ -201,11 +207,15 @@ class RegressionConfig:
             raise ValueError("the label cannot also be a feature")
         if len(set(self.features)) != len(self.features):
             raise ValueError("duplicate feature")
-        if not self.step_size > 0:
-            raise ValueError("step size must be positive")
-        if not self.gradient_threshold >= 0:
-            raise ValueError("gradient threshold cannot be negative")
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+        # a bool or an infinity is no setting: true would run as 1
+        if not _finite(self.step_size) or not self.step_size > 0:
+            raise ValueError(f"step size must be positive and a finite number, not {self.step_size!r}")
+        if not _finite(self.gradient_threshold) or not self.gradient_threshold >= 0:
+            raise ValueError(
+                "gradient threshold cannot be negative and must be a finite number,"
+                f" not {self.gradient_threshold!r}"
+            )
+        if type(self.max_iterations) is not int or self.max_iterations < 1:
             raise ValueError("max_iterations must be a positive integer")
         if not isinstance(self.warm_start, bool):
             raise ValueError(f"warm_start must be true or false, not {self.warm_start!r}")

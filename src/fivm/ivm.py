@@ -511,23 +511,23 @@ class RuntimeState:
     def apply_batch(self, updates: Iterable[UpdateDelta | FactorizedDelta]) -> int:
         """Apply a batch of updates, one relation at a time in arrival order.
 
-        Plain deltas to the same relation are merged into one delta first,
-        all those between two of its factorized deltas checked in one pass
-        (:meth:`_accumulate`): into one plain dict, or one dense relation
-        when the relation is stored dense. Factorized deltas keep their
-        product form, but for a single dict factor or under payload totals
-        (:meth:`_factors`). The
-        whole batch is checked (known, updatable targets, key lengths,
-        factor coverage, payloads within the ring's degree) before anything
+        Plain deltas to the same relation are merged into one delta first, all
+        those between two of its factorized deltas checked in one pass
+        (:meth:`_accumulate`): into one plain dict, or one dense relation when
+        the relation is stored dense. A factorized delta's factors take their
+        relations' declared layouts; a lone dict-layout factor or a product
+        under payload totals enters as a plain dict (:meth:`_factors`). The
+        whole batch is checked (known, updatable targets, key lengths, factor
+        coverage, payloads within the ring's degree) before anything
         propagates, so a rejected batch changes no state. Values pass the
-        query's entry check (``Query.checked``: declared ranges and lifts)
-        then too, so a later join never lifts an unchecked value and the
-        batch applies fully or not at all. Each delta then enters each
-        occurrence of its relation through :meth:`propagate`: a dict as it
-        is, its keys being positional, and any other form renamed for a
-        self join's later occurrences (a dense factor stays dense). Nothing
-        else is built around the climbs, so a one-pair update costs one
-        checked row and one bare store call into a dict besides its path.
+        query's entry check (``Query.checked``: declared ranges and lifts) then
+        too, so a later join never lifts an unchecked value and the batch
+        applies fully or not at all. Each delta then enters each occurrence of
+        its relation through :meth:`propagate`: a dict as it is, its keys being
+        positional, and any other form renamed for a self join's later
+        occurrences (a dense factor stays dense). Nothing else is built around
+        the climbs, so a one-pair update costs one checked row and one bare
+        store call into a dict besides its path.
         Returns the entries climbed: a plain delta's merged keys, a product's
         factor entries, or a product under payload totals its expansion's."""
         by_name: dict[str, list[UpdateDelta | FactorizedDelta]] = {}
@@ -591,10 +591,10 @@ class RuntimeState:
         skips it) and the factors together cover ``schema``, each in the
         layout :meth:`relation` makes for its variables, on this state's
         counters (:meth:`_adopt`), so every operand a plan sees has its
-        declared layout. A single dict factor comes back as a plain dict
-        keyed in ``schema``'s column order, the form of a merged plain
-        delta, so it climbs by the path's generated function; so does a
-        product under payload totals, which do not distribute over
+        declared layout. A single factor in a dict layout comes back as a
+        plain dict keyed in ``schema``'s column order, the form of a merged
+        plain delta, so it climbs by the path's generated function; so does
+        a product under payload totals, which do not distribute over
         factors, expanded by one :func:`rel_marginalize` call."""
         covered: set[str] = set()
         checked = []
@@ -603,7 +603,7 @@ class RuntimeState:
             if not isinstance(f, DenseRelation) or self.query.checks_cells(name, f.schema, f.shape):
                 self.query.checked(f.entries.items(), name, f.schema)
             # the check has put every nonzero cell in range
-            checked.append(f if len(factors) == 1 and type(f) is Relation else self._adopt(f))
+            checked.append(self._adopt(f))
         if covered != set(schema):
             raise ValueError(f"factors cover {sorted(covered)}, not schema {schema}")
         if len(checked) > 1 and self.payload_xform is not None:

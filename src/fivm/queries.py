@@ -132,7 +132,7 @@ class Query:
         self.free_lift_mode = free_lift_mode
         self.ranges: dict[str, int] = dict(ranges or {})
         for v, n in self.ranges.items():
-            if v not in all_vars or not isinstance(n, int) or n < 1:
+            if v not in all_vars or type(n) is not int or n < 1:
                 raise ValueError(f"bad range {n!r} for {v}: need a query variable and n >= 1")
         # A lifted variable's values are checked as tuples enter the first
         # occurrence holding it: every row a join lifts holds such a tuple.

@@ -1044,37 +1044,69 @@ def test_a_factor_in_a_foreign_shape_climbs_in_its_declared_one(values):
     assert np.allclose(state.result().entries.array, recomputed, rtol=1e-12)
 
 
-def test_a_dict_product_factor_over_ranged_variables_reaches_the_plan_dense(monkeypatch):
-    """A rank-one factor given as a dict relation over X2, whose range is
-    declared, is copied into the dense relation the state makes over X2
-    before it enters A2's plan. So it plans and counts as a state-made
-    factor does: the same update with a state-made factor spends the same
-    units and leaves the same leaves, views and root."""
-    values, col = [1.0, 0.0, -2.0, 3.0], [2.0, -1.0, 0.0, 1.0]
+def rank_one_factors(state, made):
+    """u ⊗ v over A2's X2 and X3, u a dict relation or the state's own."""
+    values = [1.0, 0.0, -2.0, 3.0]
+    if made == "dict":
+        u = Relation(("X2",), state.ring)
+        u.accumulate_all(((i,), x) for i, x in enumerate(values) if x)
+    else:
+        u = state.relation(("X2",))
+        u.fill(values)
+    v = state.relation(("X3",))
+    v.fill([2.0, -1.0, 0.0, 1.0])
+    return u, v
+
+
+def lone_factor(columns):
+    """A2's rows as one factor over ``columns``, a dict relation or the
+    state's own (dense) relation, over (X2, X3) or (X3, X2)."""
+
+    def make(state, made):
+        rows = [((i, j), float(i - 2 * j)) for i in range(4) for j in range(4) if (i + j) % 3]
+        rows = [(k if columns == ("X2", "X3") else k[::-1], x) for k, x in rows if x]
+        f = Relation(columns, state.ring) if made == "dict" else state.relation(columns)
+        f.accumulate_all(rows)
+        return (f,)
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "factors, shapes",
+    [
+        (rank_one_factors, [(4,), (4,)]),
+        (lone_factor(("X2", "X3")), [(4, 4)]),
+        (lone_factor(("X3", "X2")), [(4, 4)]),
+    ],
+    ids=["rank_one", "lone_X2_X3", "lone_X3_X2"],
+)
+def test_a_dict_product_factor_over_ranged_variables_reaches_the_plan_dense(
+    monkeypatch, factors, shapes
+):
+    """A factor given as a dict relation over ranged variables, of a
+    rank-one product or alone, is copied into the dense relation the state
+    makes over its columns before it enters A2's plan. So it plans and
+    counts as a state-made factor does: the same update with state-made
+    factors spends the same units and leaves the same leaves, views and
+    root."""
     runs = []
     for made in ("dict", "state"):
         state, _ = chain_runtime((4, 4, 4, 4))
-        if made == "dict":
-            u = Relation(("X2",), state.ring)
-            u.accumulate_all(((i,), x) for i, x in enumerate(values) if x)
-        else:
-            u = state.relation(("X2",))
-            u.fill(values)
-        v = state.relation(("X3",))
-        v.fill(col)
+        given = factors(state, made)
         forms = []
         enter = state._enter
 
         def record(entry, form, enter=enter, forms=forms):
-            forms.append([(type(f), f.shape) for f in form])
+            forms.append(dict if type(form) is dict else [(type(f), f.shape) for f in form])
             return enter(entry, form)
 
         monkeypatch.setattr(state, "_enter", record)
         before = state.counters.snapshot()
-        state.apply_batch([FactorizedDelta("A2", (u, v))])
+        state.apply_batch([FactorizedDelta("A2", given)])
         units = tuple(b - a for a, b in zip(before, state.counters.snapshot()))
         runs.append((forms, units, chain_snapshot(state), dict(state.result().entries)))
-    assert runs[0][0] == [[(DenseRelation, (4,)), (DenseRelation, (4,))]]
+    assert runs[0][0] == [[(DenseRelation, shape) for shape in shapes]]
     assert runs[0] == runs[1]
 
 

@@ -387,6 +387,13 @@ def test_regression_options_become_one_config():
         ({"kind": "covariance", "label": "Y"}, r"'covariance' takes no options: \['label'\]"),
         ({"kind": "mi", "bins": 3}, r"'mi' takes no options: \['bins'\]"),
         ({"kind": "chow_liu", "root": "X"}, r"'chow_liu' takes no options: \['root'\]"),
+        # JSON's true is no number, and an infinity no setting
+        ({"kind": "regression", "label": "Y", "step_size": True}, "step size must be positive"),
+        ({"kind": "regression", "label": "Y", "step_size": math.inf}, "step size must be positive"),
+        ({"kind": "regression", "label": "Y", "gradient_threshold": False}, "cannot be negative"),
+        ({"kind": "regression", "label": "Y", "gradient_threshold": math.inf}, "cannot be negative"),
+        ({"kind": "regression", "label": "Y", "gradient_threshold": "0"}, "cannot be negative"),
+        ({"kind": "regression", "label": "Y", "max_iterations": True}, "positive integer"),
     ],
 )
 def test_app_options_are_checked_at_compile_time(app, message):

@@ -378,6 +378,12 @@ def test_plain_rings_take_any_integral_or_real_payload(ring, good):
     assert state.leaves["R"].entries[(1, 11)] == good
 
 
+def test_a_range_is_an_integer_not_a_bool():
+    # True would be accepted as an extent of 1
+    with pytest.raises(ValueError, match="bad range True for X"):
+        Query([("A", ("X", "Y"))], ("X", "Y"), real_ring(), ranges={"X": True})
+
+
 def test_checks_cells_keeps_the_answer_a_fresh_query_gives(monkeypatch):
     def dense():
         return Query([("A", ("X", "Y"))], ("X", "Y"), real_ring(), ranges={"X": 3, "Y": 4})
